@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race fuzz sim verify bench
+.PHONY: build test vet race fuzz sim verify bench bench-check
 
 build:
 	$(GO) build ./...
@@ -39,8 +39,14 @@ fuzz:
 sim:
 	$(GO) test -race -short -run 'TestSimShort|TestMultipart|TestEgress' ./internal/sim/
 
+# bench/ is a module of its own (ode/bench), so build/test/vet above
+# never compile it: vet and test it here, against this tree's internal/
+# packages, so a signature change cannot break the benchmark unnoticed.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # The tier-1 verification gate (see ROADMAP.md).
-verify: build test vet race fuzz
+verify: build test vet race fuzz bench-check
 
 # Engine benchmarks plus the E19 egress-overhead sweep: the E12
 # single-post and E16 batch hot paths rerun with the durable firing

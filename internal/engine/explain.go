@@ -100,7 +100,7 @@ type Explanation struct {
 func (e *Engine) Explain(trigger string, oid store.OID) (*Explanation, error) {
 	// Prefer the store's lock-free epoch view: Explain is typically
 	// called from the /debug endpoint's goroutine, and the committed
-	// version is a stable clone no in-flight transaction mutates. An
+	// version is an immutable image no in-flight transaction mutates. An
 	// object that has never committed (created by a still-open
 	// transaction) falls back to the live record.
 	rec, ok := e.st.GetCommitted(oid)

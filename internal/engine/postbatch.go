@@ -384,13 +384,13 @@ func (tx *Tx) stepBatch(c *Class, ph *batchPhase, oid store.OID, rec *store.Reco
 			prev = act.State
 			next = t.Auto.Next(act.State, sym)
 			if next != prev || tx.e.shadowOracle {
-				// First in-place mutation of a narrow-stepped record:
-				// register its narrow before-image (idempotent after the
-				// first call). Self-looping instances skip this entirely —
-				// the record is bit-identical after the step, so it needs
-				// no undo, no WAL record, and no epoch republication.
-				if tx.narrowStep {
-					if _, _, err := tx.tx.AccessNarrow(oid); err != nil {
+				// First in-place mutation of a lazily accessed record:
+				// register it (idempotent after the first call).
+				// Self-looping instances skip this entirely — the record is
+				// bit-identical after the step, so it needs no undo entry
+				// and no comparison at commit.
+				if tx.lazyAccess {
+					if _, _, err := tx.tx.Access(oid); err != nil {
 						tx.fired = tx.fired[:base]
 						return err
 					}
@@ -431,16 +431,10 @@ func (tx *Tx) stepBatch(c *Class, ph *batchPhase, oid store.OID, rec *store.Reco
 		tx.fired = tx.fired[:base]
 		return nil
 	}
-	if tx.narrowStep {
-		// The narrow image covers only activation scalars, but the
-		// actions about to run may mutate anything: register the object
-		// (it may be pristine — an accepting self-loop) and promote it
-		// to a full before-image while its fields are still untouched.
-		_, _, err := tx.tx.AccessNarrow(oid)
-		if err == nil {
-			err = tx.tx.Promote(oid)
-		}
-		if err != nil {
+	if tx.lazyAccess {
+		// The object may be pristine — an accepting self-loop — and the
+		// deactivation below mutates it in place: register it first.
+		if _, _, err := tx.tx.Access(oid); err != nil {
 			tx.fired = tx.fired[:base]
 			return err
 		}

@@ -83,15 +83,14 @@ func (e *Engine) deliverCohort(co *cohort, oids []store.OID) {
 
 	now := e.clk.Now()
 	sys := e.beginSystem()
-	// Narrow stepping: members are peeked, not accessed — stepBatch
-	// registers a member as dirty (with a narrow activation-scalar
-	// before-image) only when its automaton actually changes state, and
-	// promotes it to a full image only when a trigger fires. A member
-	// whose instances all self-loop on the tick — the steady state of a
-	// monitoring-shaped `every` fleet — costs no clone, no WAL record,
+	// Members are peeked, not accessed: stepBatch registers a member
+	// with the txn layer only when its automaton actually changes state
+	// or a trigger fires. A member whose instances all self-loop on the
+	// tick — the steady state of a monitoring-shaped `every` fleet —
+	// costs no lock-table entry, no commit-time comparison, no WAL record
 	// and no epoch publication, which is what lets a 100k-object storm
 	// sweep at memory speed.
-	sys.narrowStep = true
+	sys.lazyAccess = true
 	var bc batchCounters
 	var delivered uint64
 	err := func() error {

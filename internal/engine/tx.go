@@ -32,12 +32,12 @@ type Tx struct {
 	penv    progHost       // compiled-mask host (dispatch.go)
 	actCtx  ActionCtx      // action context storage (fire)
 
-	// narrowStep marks a cohort timer delivery transaction: stepBatch
-	// registers objects with the txn layer lazily — a narrow
-	// activation-scalar image at the first in-place mutation, promoted
-	// to a full image before any trigger action runs. Off (the
-	// default), batchAccess has already taken full images.
-	narrowStep bool
+	// lazyAccess marks a cohort timer delivery transaction: members are
+	// peeked, and stepBatch registers one with the txn layer (Access)
+	// only at its first in-place mutation or firing, so a member whose
+	// instances all self-loop never reaches the txn layer. Off (the
+	// default), batchAccess has already registered the object.
+	lazyAccess bool
 
 	// Single-entry record cache, primed only by PostBatch (batchAccess).
 	// A non-nil cachedRec certifies the transaction is active and has
@@ -470,10 +470,14 @@ func (tx *Tx) doAbort() {
 	tx.e.traceTx(obs.StageTxAbort, tx.tx.ID(), tx.tx.System())
 
 	// Rollback restored each record's activation flags, but Activate
-	// and Deactivate adjusted the timer table eagerly: re-align it.
+	// and Deactivate adjusted the timer table eagerly: re-align it. The
+	// rolled-back record is content-equal to its committed image (the
+	// txn layer's image invariant), and the image — unlike the live
+	// record, whose lock the abort just released — can be read while
+	// another transaction already mutates the object.
 	for _, oid := range accessed {
-		rec, err := tx.e.st.Get(oid)
-		if err != nil {
+		rec, ok := tx.e.st.GetCommitted(oid)
+		if !ok {
 			// The object no longer exists — it was created by this
 			// transaction and removed by the rollback; drop whatever
 			// the transaction armed on it.

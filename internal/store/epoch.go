@@ -11,30 +11,42 @@ import (
 // transactions mutate in place under object locks; reading it
 // consistently requires going through the lock manager. The epoch view
 // is a second, lock-free index over the same objects that holds only
-// *committed* versions: immutable deep clones published by the
-// transaction manager at commit time, while the committing transaction
-// still holds its object locks. Readers — Snapshot-style queries,
-// `/debug` introspection, Explain — load two atomic pointers and never
-// touch a lock, so they cannot stall a writer and a writer cannot
-// stall them.
+// *committed* versions: one immutable image per object, the single
+// copy of its last committed state. Three consumers share it instead of
+// each cloning the record: the transaction manager's undo log (a
+// before-image is a pointer to the image, see txn.undoEntry), the WAL
+// encoder (Commit logs the images it is about to publish) and lock-free
+// readers — Explain, `/debug` introspection — which load two atomic
+// pointers and never touch a lock, so they cannot stall a writer and a
+// writer cannot stall them.
+//
+// Image life-cycle. The invariant everything rests on: an object no
+// active transaction holds is content-equal to its image. Commit keeps
+// it by building, for every touched object that changed, the next
+// image from the live record and the previous image (Record.image:
+// whatever did not change is shared with the predecessor, and nothing
+// is ever shared with the live record), logging those images, and
+// swapping them in while the committer still holds its object locks.
+// Rollback keeps it by deep-copying the image back into the heap
+// (Restore) — the copy every access used to pay is paid by the rare
+// abort. Recovery establishes it (seedEpochView). A touched object
+// that is still content-equal to its image is not dirty: it gets no new
+// image, no WAL record and no publication.
 //
 // Structure: one epochStripe per heap stripe. Each stripe holds an
 // atomic pointer to an immutable map[OID] → cell, where a cell is an
-// atomic pointer to the object's latest committed Record clone.
-// Updating an existing object swaps the cell's pointer (no map copy);
-// creating or deleting an object copies the stripe's map — the slow
-// path, paid once per object lifetime rather than once per commit.
-// A per-stripe publish mutex serializes map rebuilds; readers never
-// take it.
+// atomic pointer to the object's current image. Updating an existing
+// object swaps the cell's pointer (no map copy, no mutex); creating or
+// deleting an object copies the stripe's map — the slow path, paid once
+// per object lifetime rather than once per commit. A per-stripe publish
+// mutex serializes map rebuilds; readers never take it.
 //
 // Consistency contract: a published version is a complete committed
-// state of its object (clones are taken under the committer's object
-// locks, after the WAL append succeeded), and per object the view
-// steps monotonically through the object's commit history — a reader
-// can never observe version n after having observed version n+1, and
-// never observes uncommitted or aborted writes (rollback restores the
-// live heap but deliberately leaves the epoch view alone: the last
-// committed version is still the right answer). Across objects the
+// state of its object (images are built under the committer's object
+// locks and published after the WAL append succeeded), and per object
+// the view steps monotonically through the object's commit history — a
+// reader can never observe version n after having observed version n+1,
+// and never observes uncommitted or aborted writes. Across objects the
 // view is updated one object at a time, so a reader racing a
 // multi-object commit may see some of its objects already updated and
 // others not yet — the same read-committed granularity the lock-based
@@ -53,8 +65,8 @@ func (s *Store) initEpochView() {
 	}
 }
 
-// seedEpochView publishes every recovered record as its object's
-// committed version. Runs single-threaded at Open, after recover():
+// seedEpochView publishes an image of every recovered record as its
+// object's committed version. Runs single-threaded at Open, after recover():
 // everything the heap holds at that point came from committed WAL
 // frames or the checkpoint snapshot.
 func (s *Store) seedEpochView() {
@@ -63,78 +75,92 @@ func (s *Store) seedEpochView() {
 		m := make(map[OID]*atomic.Pointer[Record], len(st.objects))
 		for oid, r := range st.objects {
 			cell := new(atomic.Pointer[Record])
-			cell.Store(r.clone())
+			cell.Store(r.image(nil))
 			m[oid] = cell
 		}
 		s.epochs[i].cells.Store(&m)
 	}
 }
 
-// PublishCommitted makes the current live state of the dirty objects,
-// and the absence of the deleted ones, visible to epoch readers, then
-// advances the epoch counter. The caller (the transaction manager)
-// must still hold the objects' transaction locks and must have already
-// made the commit durable — this is the in-memory analogue of the WAL
-// commit frame. Dirty objects no longer in the heap were deleted later
-// in the same transaction and are skipped (the deleted list covers
-// them).
-func (s *Store) PublishCommitted(dirty, deleted []OID) {
-	// Objects already in the view take the fast path: swap the cell's
-	// pointer. Objects new to the view are deferred per epoch stripe
-	// and inserted in one map rebuild per stripe below, so a transaction
-	// creating k objects in a stripe pays one copy instead of k
-	// (publishing a bulk load one object at a time is quadratic).
-	type pendingPub struct {
-		oid OID
-		img *Record
-	}
-	var missing [numStripes][]pendingPub
-	anyMissing := false
-	for _, oid := range dirty {
-		st := s.stripeOf(oid)
-		st.mu.RLock()
-		r, ok := st.objects[oid]
-		st.mu.RUnlock()
-		if !ok {
+// nextImages builds the next committed image of each touched object
+// that changed since its previous image, in order; unchanged objects,
+// and objects no longer in the heap (deleted later in the same
+// transaction), contribute nothing. The caller holds the objects'
+// transaction locks, so the live records cannot move under the
+// comparison.
+func (s *Store) nextImages(touched []OID) []*Record {
+	var imgs []*Record
+	for i, oid := range touched {
+		r, err := s.Get(oid)
+		if err != nil {
 			continue
 		}
-		// The committer still holds the object's lock, so the clone is a
-		// consistent post-commit image.
-		img := r.clone()
-		es := &s.epochs[uint64(oid)%numStripes]
+		prev, _ := s.GetCommitted(oid)
+		img := r.image(prev)
+		if img == prev {
+			continue
+		}
+		if imgs == nil {
+			imgs = make([]*Record, 0, len(touched)-i)
+		}
+		imgs = append(imgs, img)
+	}
+	return imgs
+}
+
+// PublishCommitted makes the current live state of the dirty objects,
+// and the absence of the deleted ones, visible to epoch readers. The
+// caller must still hold the objects' transaction locks and must have
+// already made the commit durable — this is the in-memory analogue of
+// the WAL commit frame. The transaction manager commits through
+// Store.Commit, which logs and publishes the same images; this entry
+// point serves callers that log separately.
+func (s *Store) PublishCommitted(dirty, deleted []OID) {
+	s.publish(s.nextImages(dirty), deleted)
+}
+
+// publish installs prebuilt images and removes the deleted objects,
+// then advances the epoch counter — once, and only if the view changed.
+func (s *Store) publish(imgs []*Record, deleted []OID) {
+	// Objects already in the view take the fast path: swap the cell's
+	// pointer, without pubMu — cells survive map rebuilds (a rebuild
+	// copies the pointers) and only this object's lock holder can add or
+	// remove its cell. Objects new to the view are deferred per epoch
+	// stripe and inserted in one map rebuild per stripe below, so a
+	// transaction creating k objects in a stripe pays one copy instead
+	// of k (publishing a bulk load one object at a time is quadratic).
+	var missing [][]*Record
+	for _, img := range imgs {
+		i := uint64(img.OID) % numStripes
+		if cell, ok := (*s.epochs[i].cells.Load())[img.OID]; ok {
+			cell.Store(img)
+			continue
+		}
+		if missing == nil {
+			missing = make([][]*Record, numStripes)
+		}
+		missing[i] = append(missing[i], img)
+	}
+	for i, add := range missing {
+		if len(add) == 0 {
+			continue
+		}
+		es := &s.epochs[i]
 		es.pubMu.Lock()
 		cur := *es.cells.Load()
-		if cell, ok := cur[oid]; ok {
+		next := make(map[OID]*atomic.Pointer[Record], len(cur)+len(add))
+		for k, v := range cur {
+			next[k] = v
+		}
+		for _, img := range add {
+			cell := new(atomic.Pointer[Record])
 			cell.Store(img)
-			es.pubMu.Unlock()
-			continue
+			next[img.OID] = cell
 		}
+		es.cells.Store(&next)
 		es.pubMu.Unlock()
-		i := int(uint64(oid) % numStripes)
-		missing[i] = append(missing[i], pendingPub{oid, img})
-		anyMissing = true
 	}
-	if anyMissing {
-		for i := range missing {
-			if len(missing[i]) == 0 {
-				continue
-			}
-			es := &s.epochs[i]
-			es.pubMu.Lock()
-			cur := *es.cells.Load()
-			next := make(map[OID]*atomic.Pointer[Record], len(cur)+len(missing[i]))
-			for k, v := range cur {
-				next[k] = v
-			}
-			for _, pp := range missing[i] {
-				cell := new(atomic.Pointer[Record])
-				cell.Store(pp.img)
-				next[pp.oid] = cell
-			}
-			es.cells.Store(&next)
-			es.pubMu.Unlock()
-		}
-	}
+	changed := len(imgs) > 0
 	for _, oid := range deleted {
 		es := &s.epochs[uint64(oid)%numStripes]
 		es.pubMu.Lock()
@@ -147,59 +173,26 @@ func (s *Store) PublishCommitted(dirty, deleted []OID) {
 				}
 			}
 			es.cells.Store(&next)
+			changed = true
 		}
 		es.pubMu.Unlock()
 	}
-	s.epoch.Add(1)
-}
-
-// PublishCommittedNarrow is PublishCommitted for objects whose commit
-// changed only trigger-activation state (the transaction manager's
-// narrow-access path, used by cohort timer delivery): each new image is
-// built by cloneNarrow from the previous committed image, sharing the
-// untouched Fields map instead of deep-copying the record. Objects
-// with no committed image yet fall back to the general path. The same
-// caller obligations apply: object locks held, commit already durable.
-func (s *Store) PublishCommittedNarrow(dirty []OID) {
-	for _, oid := range dirty {
-		es := &s.epochs[uint64(oid)%numStripes]
-		es.pubMu.Lock()
-		cur := *es.cells.Load()
-		cell, ok := cur[oid]
-		var prev *Record
-		if ok {
-			prev = cell.Load()
-		}
-		if prev == nil {
-			es.pubMu.Unlock()
-			// Never published (or committed-deleted then recreated): the
-			// general path handles the map rebuild.
-			s.PublishCommitted([]OID{oid}, nil)
-			continue
-		}
-		st := s.stripeOf(oid)
-		st.mu.RLock()
-		r, rok := st.objects[oid]
-		st.mu.RUnlock()
-		if rok {
-			cell.Store(r.cloneNarrow(prev))
-		}
-		es.pubMu.Unlock()
+	if changed {
+		s.epoch.Add(1)
 	}
-	s.epoch.Add(1)
 }
 
-// Epoch returns the number of commit publications so far. Two equal
-// Epoch readings around a set of GetCommitted calls prove no commit
-// was published in between.
+// Epoch returns the number of commits that changed the view so far.
+// Two equal Epoch readings around a set of GetCommitted calls prove no
+// commit was published in between.
 func (s *Store) Epoch() uint64 { return s.epoch.Load() }
 
 // GetCommitted returns the latest committed version of oid without
-// taking any lock: two atomic loads. The returned record is an
-// immutable shared clone — callers must treat it as read-only. ok is
-// false for objects that have never committed (including objects
-// created by still-running transactions) and for committed-deleted
-// objects.
+// taking any lock: two atomic loads. The returned record is the
+// object's shared immutable image — callers must treat it as
+// read-only. ok is false for objects that have never committed
+// (including objects created by still-running transactions) and for
+// committed-deleted objects.
 func (s *Store) GetCommitted(oid OID) (*Record, bool) {
 	cur := *s.epochs[uint64(oid)%numStripes].cells.Load()
 	cell, ok := cur[oid]

@@ -99,6 +99,50 @@ func TestEpochViewPublish(t *testing.T) {
 	}
 }
 
+// TestEpochAdvancesOncePerChangingCommit pins the counter: one step per
+// Commit or PublishCommitted that changed the view — however many
+// images it swapped, cells it created and objects it removed — and none
+// for one that changed nothing.
+func TestEpochAdvancesOncePerChangingCommit(t *testing.T) {
+	s, err := Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := s.Create("acct", map[string]value.Value{"bal": value.Int(0)})
+	b := s.Create("acct", map[string]value.Value{"bal": value.Int(0)})
+	both := []OID{a.OID, b.OID}
+	step := func(what string, want uint64, f func()) {
+		t.Helper()
+		before := s.Epoch()
+		f()
+		if got := s.Epoch() - before; got != want {
+			t.Fatalf("%s advanced the epoch by %d, want %d", what, got, want)
+		}
+	}
+	commit := func(touched, deleted []OID) func() {
+		return func() {
+			if err := s.Commit(1, touched, deleted, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	step("first commit of two new objects", 1, commit(both, nil))
+	step("commit that changed nothing", 0, commit(both, nil))
+	step("publish that changed nothing", 0, func() { s.PublishCommitted(both, nil) })
+	a.Fields["bal"], b.Fields["bal"] = value.Int(1), value.Int(1)
+	step("commit changing two objects", 1, commit(both, nil))
+	a.Trigger("T").State = 3
+	c := s.Create("acct", nil)
+	s.Delete(b.OID)
+	step("commit changing one, creating one, deleting one", 1, commit([]OID{a.OID, c.OID}, []OID{b.OID}))
+	step("deleting an object the view never held", 0, commit(nil, []OID{9999}))
+	img, _ := s.GetCommitted(a.OID)
+	step("touching an unchanged object", 0, commit([]OID{a.OID}, nil))
+	if again, _ := s.GetCommitted(a.OID); again != img {
+		t.Fatal("unchanged object's image was replaced")
+	}
+}
+
 // TestEpochViewRace hammers lock-free epoch readers against concurrent
 // batch publishers under -race. Each writer owns a disjoint set of
 // objects (standing in for transactions that hold their object locks)
@@ -124,6 +168,7 @@ func TestEpochViewRace(t *testing.T) {
 			r := s.Create("acct", map[string]value.Value{
 				"a": value.Int(0), "b": value.Int(0), "ver": value.Int(0),
 			})
+			r.Trigger("even").Active, r.Trigger("odd").Active = true, true
 			oids[w] = append(oids[w], r.OID)
 		}
 		// Seed version 0 so readers always find the objects.
@@ -153,6 +198,13 @@ func TestEpochViewRace(t *testing.T) {
 					r.Fields["a"] = value.Int(v * 7)
 					r.Fields["b"] = value.Int(v * 7)
 					r.Fields["ver"] = value.Int(v)
+					// One activation moves per round; the image shares the
+					// other with its predecessor.
+					if round%2 == 0 {
+						r.Trigger("even").State = round
+					} else {
+						r.Trigger("odd").State = round
+					}
 				}
 				s.PublishCommitted(oids[w], nil)
 			}
@@ -188,6 +240,11 @@ func TestEpochViewRace(t *testing.T) {
 					}
 					if ver < last[oid] {
 						errs <- "committed history went backwards"
+						return
+					}
+					ev, od := int64(rec.Triggers["even"].State), int64(rec.Triggers["odd"].State)
+					if max(ev, od) != ver || (ver > 0 && min(ev, od) != ver-1) {
+						errs <- "shared activation out of step with its image"
 						return
 					}
 					last[oid] = ver

@@ -131,48 +131,10 @@ func (r *Record) BindSlot(i int, name string, act *TrigActivation) {
 	r.slots[i] = trigSlot{name: name, act: act}
 }
 
-// ActImage is a narrow before-image of one activation: exactly the
-// scalars a committed-view automaton step mutates in place (paper §6 —
-// the automaton state is part of the object data structure). Shadow is
-// captured as a length because the oracle history only ever appends;
-// restoring truncates.
-type ActImage struct {
-	Name      string
-	Active    bool
-	State     int
-	ShadowLen int
-}
-
-// CaptureActs appends one ActImage per activation of r to buf and
-// returns the extended slice. Callers own buf — the transaction
-// manager uses a per-transaction arena so capturing allocates nothing
-// per object after the arena warms.
-func (r *Record) CaptureActs(buf []ActImage) []ActImage {
-	for k, a := range r.Triggers {
-		buf = append(buf, ActImage{Name: k, Active: a.Active, State: a.State, ShadowLen: len(a.Shadow)})
-	}
-	return buf
-}
-
-// RestoreActs applies narrow images onto r's activations by name.
-// Activations absent from r are skipped (under the narrow-access
-// contract none disappear between capture and restore; the lookup is
-// defensive).
-func (r *Record) RestoreActs(imgs []ActImage) {
-	for i := range imgs {
-		im := &imgs[i]
-		a, ok := r.Triggers[im.Name]
-		if !ok {
-			continue
-		}
-		a.Active, a.State = im.Active, im.State
-		if len(a.Shadow) > im.ShadowLen {
-			a.Shadow = a.Shadow[:im.ShadowLen]
-		}
-	}
-}
-
-// clone deep-copies the record (before-image support).
+// clone deep-copies the record. It is the reference copy: Restore
+// rebuilds a live record from an image with it, Snapshot serves the
+// before-image of an object that has no committed image, and the image
+// tests use it as the oracle for what Record.image shares.
 func (r *Record) clone() *Record {
 	c := &Record{OID: r.OID, Class: r.Class}
 	c.Fields = make(map[string]value.Value, len(r.Fields))
@@ -194,26 +156,89 @@ func (r *Record) clone() *Record {
 	return c
 }
 
-// cloneNarrow builds a committed image for an object whose commit
-// changed only trigger-activation state, sharing everything else with
-// prev, the object's previous committed image. The share is sound
-// because prev is immutable by construction and the narrow contract
-// guarantees Fields did not change this commit; within each
-// activation, Params and Dense are replaced wholesale by Activate
-// (never mutated in place) and Shadow only appends, so a
-// length-bounded shared slice header stays immutable to readers. The
-// image carries no dense slot index — only the engine's live records
-// need one.
-func (r *Record) cloneNarrow(prev *Record) *Record {
-	c := &Record{OID: r.OID, Class: r.Class, Fields: prev.Fields}
-	c.Triggers = make(map[string]*TrigActivation, len(r.Triggers))
-	for k, a := range r.Triggers {
-		c.Triggers[k] = &TrigActivation{
-			Active: a.Active, State: a.State,
-			Params: a.Params, Dense: a.Dense, Shadow: a.Shadow,
+// equal reports whether two activations have the same content.
+func (a *TrigActivation) equal(b *TrigActivation) bool {
+	if a.Active != b.Active || a.State != b.State || (a.Params == nil) != (b.Params == nil) ||
+		len(a.Dense) != len(b.Dense) || len(a.Shadow) != len(b.Shadow) || !sameValues(a.Params, b.Params) {
+		return false
+	}
+	for i, v := range a.Dense {
+		if b.Dense[i] != v {
+			return false
 		}
 	}
-	return c
+	for i, v := range a.Shadow {
+		if b.Shadow[i] != v {
+			return false
+		}
+	}
+	return true
+}
+
+func sameValues(a, b map[string]value.Value) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k, v := range a {
+		if w, ok := b[k]; !ok || w != v {
+			return false
+		}
+	}
+	return true
+}
+
+func sameTriggers(a, b map[string]*TrigActivation) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k, v := range a {
+		if w := b[k]; w == nil || !w.equal(v) {
+			return false
+		}
+	}
+	return true
+}
+
+// image returns the immutable committed image of r, given prev, the
+// object's previous image (nil if it has none): prev itself when r is
+// content-equal to it, otherwise a new Record that shares with prev
+// every part that did not change — the Fields map, the whole Triggers
+// map, or the individual activations that did not move. Change is
+// detected by comparing content, not by flags at the mutation sites (a
+// missed flag would be silent rollback corruption; a comparison cannot
+// be bypassed), and an image shares only with other images, never with
+// the live record, so nothing a later transaction does to the record
+// can reach it. Images carry no dense slot index — only the engine's
+// live records need one.
+func (r *Record) image(prev *Record) *Record {
+	var pf map[string]value.Value
+	var pt map[string]*TrigActivation
+	if prev != nil {
+		pf, pt = prev.Fields, prev.Triggers
+	}
+	fieldsSame := prev != nil && sameValues(r.Fields, pf)
+	trigsSame := prev != nil && sameTriggers(r.Triggers, pt)
+	if fieldsSame && trigsSame {
+		return prev
+	}
+	img := &Record{OID: r.OID, Class: r.Class, Fields: pf, Triggers: pt}
+	if !fieldsSame {
+		img.Fields = make(map[string]value.Value, len(r.Fields))
+		for k, v := range r.Fields {
+			img.Fields[k] = v
+		}
+	}
+	if !trigsSame {
+		img.Triggers = make(map[string]*TrigActivation, len(r.Triggers))
+		for k, a := range r.Triggers {
+			if pa := pt[k]; pa != nil && pa.equal(a) {
+				img.Triggers[k] = pa
+			} else {
+				img.Triggers[k] = a.clone()
+			}
+		}
+	}
+	return img
 }
 
 // numStripes is the number of object-heap stripes (power of two).
@@ -407,7 +432,7 @@ func (s *Store) Delete(oid OID) error {
 	return nil
 }
 
-// Snapshot returns a deep copy of the record (a before-image).
+// Snapshot returns a deep copy of the live record.
 func (s *Store) Snapshot(oid OID) (*Record, error) {
 	st := s.stripeOf(oid)
 	st.mu.RLock()
@@ -419,8 +444,9 @@ func (s *Store) Snapshot(oid OID) (*Record, error) {
 	return r.clone(), nil
 }
 
-// Restore reinstates a before-image, resurrecting the object if it was
-// deleted in the meantime.
+// Restore reinstates a before-image — normally the object's shared
+// committed image, so it is deep-copied, never installed — resurrecting
+// the object if it was deleted in the meantime.
 func (s *Store) Restore(img *Record) {
 	st := s.stripeOf(img.OID)
 	st.mu.Lock()
@@ -464,6 +490,25 @@ func (s *Store) OIDs() []OID {
 	return out
 }
 
+// Commit is the transaction manager's commit point: it builds the next
+// committed image of every touched object that changed (see
+// Record.image), logs those images, the deletions and the firings as
+// one WAL batch, and — only if that succeeded — publishes the images
+// to the epoch view by pointer swap. The caller must hold the objects'
+// transaction locks. A touched object that is content-equal to its
+// committed image is not dirty: nothing is built, logged or published
+// for it, and a commit with no dirty object, no deletion and no firing
+// writes no WAL batch and does no Sync. On error nothing was
+// published and the caller rolls back.
+func (s *Store) Commit(txID uint64, touched, deleted []OID, firings []FiringRecord) error {
+	imgs := s.nextImages(touched)
+	if err := s.logCommit(txID, imgs, deleted, firings); err != nil {
+		return err
+	}
+	s.publish(imgs, deleted)
+	return nil
+}
+
 // LogCommit durably records a committed transaction: a Begin frame,
 // the dirty surviving objects (one Put frame each, or a single PutN
 // frame when the transaction dirtied more than one object — the batch
@@ -471,7 +516,8 @@ func (s *Store) OIDs() []OID {
 // frame. The frames are encoded into one contiguous buffer and handed
 // to the WAL's group committer, which coalesces concurrent commits
 // into a single write and Sync. For volatile stores only the egress
-// feed is updated (nothing is logged).
+// feed is updated (nothing is logged). The live records are encoded in
+// place: the committing transaction still holds their locks.
 //
 // firings, when non-empty, are the trigger firings the transaction
 // captured: they are stamped with consecutive feed sequence numbers
@@ -479,6 +525,25 @@ func (s *Store) OIDs() []OID {
 // opFirings frame and survive recovery unchanged — and become visible
 // on the feed only if the commit succeeds.
 func (s *Store) LogCommit(txID uint64, dirty []OID, deleted []OID, firings []FiringRecord) error {
+	var recs []*Record
+	if s.dir != "" {
+		for _, oid := range dirty {
+			// Absent: deleted later in the same transaction.
+			if r, err := s.Get(oid); err == nil {
+				recs = append(recs, r)
+			}
+		}
+	}
+	return s.logCommit(txID, recs, deleted, firings)
+}
+
+// logCommit writes one transaction's WAL batch from records nobody can
+// mutate while it runs — immutable images (Commit) or live records
+// whose locks the caller holds (LogCommit).
+func (s *Store) logCommit(txID uint64, recs []*Record, deleted []OID, firings []FiringRecord) error {
+	if len(recs) == 0 && len(deleted) == 0 && len(firings) == 0 {
+		return nil
+	}
 	s.walMu.RLock()
 	defer s.walMu.RUnlock()
 	var lo uint64
@@ -506,19 +571,6 @@ func (s *Store) LogCommit(txID uint64, dirty []OID, deleted []OID, firings []Fir
 	var buf bytes.Buffer
 	if err := encodeFrame(&buf, frame{Op: opBegin, TxID: txID}); err != nil {
 		return s.egressAbort(lo, firings, err)
-	}
-	var recs []*Record
-	for _, oid := range dirty {
-		st := s.stripeOf(oid)
-		st.mu.RLock()
-		r, ok := st.objects[oid]
-		st.mu.RUnlock()
-		if !ok {
-			continue // deleted later in the same transaction
-		}
-		// The committing transaction still holds the object's lock, so
-		// the clone cannot race with another writer.
-		recs = append(recs, r.clone())
 	}
 	switch {
 	case len(recs) == 1:

@@ -1,0 +1,428 @@
+package txn
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+
+	"ode/internal/store"
+	"ode/internal/value"
+)
+
+// imageSetup commits one object with a field and an activation, then
+// returns the manager and OID.
+func imageSetup(t *testing.T) (*Manager, store.OID) {
+	t.Helper()
+	m := newManager(t)
+	setup := m.Begin()
+	rec, err := setup.Create("acct", map[string]value.Value{"balance": value.Int(100)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := rec.Trigger("Watch")
+	a.Active, a.State = true, 1
+	if err := setup.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	return m, rec.OID
+}
+
+func TestAbortRestoresActivationScalars(t *testing.T) {
+	m, oid := imageSetup(t)
+	tx := m.Begin()
+	rec, first, err := tx.Access(oid)
+	if err != nil || !first {
+		t.Fatalf("Access: first=%v err=%v", first, err)
+	}
+	a := rec.Trigger("Watch")
+	a.State = 7
+	a.Active = false
+	a.Shadow = append(a.Shadow, 3)
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := m.Store().Get(oid)
+	ga := got.Trigger("Watch")
+	if !ga.Active || ga.State != 1 || len(ga.Shadow) != 0 {
+		t.Fatalf("rollback left Active=%v State=%d Shadow=%v", ga.Active, ga.State, ga.Shadow)
+	}
+}
+
+func TestCommitPublishesSharedImage(t *testing.T) {
+	m, oid := imageSetup(t)
+	before, _ := m.Store().GetCommitted(oid)
+	tx := m.Begin()
+	rec, _, err := tx.Access(oid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Trigger("Watch").State = 9
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	after, ok := m.Store().GetCommitted(oid)
+	if !ok || after == before {
+		t.Fatalf("commit did not publish a fresh image")
+	}
+	if after.Trigger("Watch").State != 9 {
+		t.Fatalf("published State = %d, want 9", after.Trigger("Watch").State)
+	}
+	if !after.Fields["balance"].Equal(value.Int(100)) {
+		t.Fatalf("published balance %v", after.Fields["balance"])
+	}
+	// Only the activation moved: the Fields map is the previous image's.
+	before.Fields["probe"] = value.Int(1)
+	if _, shared := after.Fields["probe"]; !shared {
+		t.Fatal("unchanged Fields map was copied, not shared with the previous image")
+	}
+	delete(before.Fields, "probe")
+}
+
+// TestAbortAfterActivationThenFieldWrites: an activation step followed
+// by field writes through a second Access rolls back as a whole — the
+// before-image is the committed image, whatever was mutated first.
+func TestAbortAfterActivationThenFieldWrites(t *testing.T) {
+	m, oid := imageSetup(t)
+	tx := m.Begin()
+	rec, _, err := tx.Access(oid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Trigger("Watch").State = 4
+	rec2, _, err := tx.Access(oid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec2.Fields["balance"] = value.Int(0)
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := m.Store().Get(oid)
+	if !got.Fields["balance"].Equal(value.Int(100)) || got.Trigger("Watch").State != 1 {
+		t.Fatalf("rollback left balance=%v State=%d", got.Fields["balance"], got.Trigger("Watch").State)
+	}
+}
+
+func TestDeleteAfterStepResurrectsOnAbort(t *testing.T) {
+	m, oid := imageSetup(t)
+	tx := m.Begin()
+	rec, _, err := tx.Access(oid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Trigger("Watch").State = 3
+	if err := tx.Delete(oid); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := m.Store().Get(oid)
+	if err != nil {
+		t.Fatalf("object not resurrected: %v", err)
+	}
+	if got.Trigger("Watch").State != 1 || !got.Fields["balance"].Equal(value.Int(100)) {
+		t.Fatalf("resurrected State=%d balance=%v", got.Trigger("Watch").State, got.Fields["balance"])
+	}
+}
+
+// The differential image test: scripts of the mutations the engine
+// performs on records (field Set, automaton step, Activate, re-Activate,
+// Deactivate, Delete, create) run as transactions that commit or abort,
+// in both concurrency modes, against a deep-clone oracle
+// (Store.Snapshot, i.e. Record.clone — what every access and every
+// publication used to copy).
+
+type imgOp struct {
+	kind string // set, step, activate, deactivate, delete, create, touch
+	obj  int    // index into the script's live objects (modulo their count)
+	arg  int
+}
+
+type imgTx struct {
+	ops    []imgOp
+	commit bool
+}
+
+// Trigger arg%3 is the op's target; the harness starts with "C"
+// (arg 5: lim = 1) active on object 1.
+var imgTriggers = [...]string{"A", "B", "C"}
+
+// fingerprint renders a record's exported content canonically.
+func fingerprint(r *store.Record) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%d %s", r.OID, r.Class)
+	fields := make([]string, 0, len(r.Fields))
+	for k := range r.Fields {
+		fields = append(fields, k)
+	}
+	sort.Strings(fields)
+	for _, k := range fields {
+		fmt.Fprintf(&b, " %s=%v", k, r.Fields[k])
+	}
+	trigs := make([]string, 0, len(r.Triggers))
+	for k := range r.Triggers {
+		trigs = append(trigs, k)
+	}
+	sort.Strings(trigs)
+	for _, k := range trigs {
+		a := r.Triggers[k]
+		fmt.Fprintf(&b, " %s{%v %d %v %v %v}", k, a.Active, a.State, a.Params["lim"], a.Dense, a.Shadow)
+	}
+	return b.String()
+}
+
+// imgHarness runs imgTx scripts and checks the image life-cycle after
+// every transaction.
+type imgHarness struct {
+	t    *testing.T
+	m    *Manager
+	live []store.OID
+	// kept are images fetched earlier with their fingerprints at the
+	// time: sharing must never let a later commit reach them.
+	kept map[*store.Record]string
+}
+
+func newImgHarness(t *testing.T, single bool) *imgHarness {
+	h := &imgHarness{t: t, m: newManager(t), kept: map[*store.Record]string{}}
+	h.m.SetSingleWriter(single)
+	// Object 0 is created outside any transaction and has no committed
+	// image until a transaction first commits a change to it.
+	bare := h.m.Store().Create("acct", map[string]value.Value{"balance": value.Int(7)})
+	bare.Trigger("A").Active = true
+	h.live = append(h.live, bare.OID)
+	h.run(imgTx{commit: true, ops: []imgOp{{kind: "create"}, {kind: "create"}, {kind: "activate", obj: 1, arg: 5}}})
+	return h
+}
+
+func (h *imgHarness) apply(tx *Tx, op imgOp, created *[]store.OID, deleted, touched map[store.OID]bool) {
+	t := h.t
+	if op.kind == "create" {
+		rec, err := tx.Create("acct", map[string]value.Value{"balance": value.Int(int64(op.arg)), "owner": value.Str("o")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		*created = append(*created, rec.OID)
+		return
+	}
+	pool := append(append([]store.OID(nil), h.live...), *created...)
+	if len(pool) == 0 {
+		return
+	}
+	oid := pool[op.obj%len(pool)]
+	if deleted[oid] {
+		return
+	}
+	touched[oid] = true
+	if op.kind == "delete" {
+		if err := tx.Delete(oid); err != nil {
+			t.Fatal(err)
+		}
+		deleted[oid] = true
+		return
+	}
+	rec, _, err := tx.Access(oid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := imgTriggers[op.arg%len(imgTriggers)]
+	switch op.kind {
+	case "touch":
+	case "set":
+		rec.Fields["balance"] = value.Int(int64(op.arg % 4)) // small range: writes often restore the old value
+	case "step":
+		if a, ok := rec.Triggers[name]; ok && a.Active {
+			a.State = op.arg % 3
+			a.Shadow = append(a.Shadow, op.arg%5)
+		}
+	case "activate": // also re-activation: Params/Dense replaced wholesale, history reset
+		a := rec.Trigger(name)
+		a.Active, a.State, a.Shadow = true, 0, nil
+		a.Params = map[string]value.Value{"lim": value.Int(int64(op.arg % 2))}
+		a.Dense = []value.Value{value.Int(int64(op.arg % 2))}
+	case "deactivate":
+		if a, ok := rec.Triggers[name]; ok {
+			a.Active = false
+		}
+	default:
+		t.Fatalf("unknown op %q", op.kind)
+	}
+}
+
+// deepClone is the oracle: Record.clone of the live record.
+func (h *imgHarness) deepClone(id store.OID) *store.Record {
+	r, err := h.m.Store().Snapshot(id)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	return r
+}
+
+func (h *imgHarness) run(x imgTx) {
+	t, st := h.t, h.m.Store()
+	t.Helper()
+	before := map[store.OID]*store.Record{} // deep copies
+	prevImg := map[store.OID]*store.Record{}
+	for _, oid := range h.live {
+		before[oid] = h.deepClone(oid)
+		if img, ok := st.GetCommitted(oid); ok {
+			prevImg[oid] = img
+			h.kept[img] = fingerprint(img)
+		}
+	}
+	epoch := st.Epoch()
+
+	tx := h.m.Begin()
+	var created []store.OID
+	deleted, touched := map[store.OID]bool{}, map[store.OID]bool{}
+	for _, op := range x.ops {
+		h.apply(tx, op, &created, deleted, touched)
+	}
+
+	if !x.commit {
+		if err := tx.Abort(); err != nil {
+			t.Fatal(err)
+		}
+		for _, oid := range h.live {
+			got, err := st.Get(oid)
+			if err != nil {
+				t.Fatalf("object %d gone after abort: %v", oid, err)
+			}
+			if !reflect.DeepEqual(got, before[oid]) {
+				t.Fatalf("object %d after abort:\n got %s\nwant %s", oid, fingerprint(got), fingerprint(before[oid]))
+			}
+			if img, _ := st.GetCommitted(oid); img != prevImg[oid] {
+				t.Fatalf("abort replaced object %d's committed image", oid)
+			}
+		}
+		for _, oid := range created {
+			if st.Exists(oid) {
+				t.Fatalf("aborted creation %d still exists", oid)
+			}
+		}
+		if st.Epoch() != epoch {
+			t.Fatalf("abort advanced the epoch %d → %d", epoch, st.Epoch())
+		}
+		return
+	}
+
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	changed := false
+	var next []store.OID
+	for _, oid := range append(h.live, created...) {
+		img, ok := st.GetCommitted(oid)
+		if deleted[oid] {
+			if ok || st.Exists(oid) {
+				t.Fatalf("deleted object %d still visible", oid)
+			}
+			changed = changed || prevImg[oid] != nil
+			continue
+		}
+		next = append(next, oid)
+		got, _ := st.Get(oid)
+		switch b := before[oid]; {
+		case prevImg[oid] == nil && !touched[oid] && b != nil:
+			if ok {
+				t.Fatalf("untouched never-committed object %d was published", oid)
+			}
+			continue
+		case prevImg[oid] != nil && reflect.DeepEqual(got, b):
+			// Untouched, or touched and left content-equal: not dirty.
+			if img != prevImg[oid] {
+				t.Fatalf("unchanged object %d was republished", oid)
+			}
+		default:
+			changed = true
+		}
+		if !ok {
+			t.Fatalf("committed object %d has no image", oid)
+		}
+		clone := h.deepClone(oid) // what a full clone would have published
+		if !reflect.DeepEqual(img, got) || !reflect.DeepEqual(img, clone) {
+			t.Fatalf("object %d image diverges:\n  img %s\n live %s\nclone %s", oid, fingerprint(img), fingerprint(got), fingerprint(clone))
+		}
+	}
+	h.live = next
+	want := epoch
+	if changed {
+		want++
+	}
+	if st.Epoch() != want {
+		t.Fatalf("epoch %d → %d, want %d (changed=%v)", epoch, st.Epoch(), want, changed)
+	}
+}
+
+// finish proves no image handed out earlier was ever written again.
+func (h *imgHarness) finish() {
+	for img, fp := range h.kept {
+		if got := fingerprint(img); got != fp {
+			h.t.Fatalf("image of object %d mutated after publication:\n was %s\n now %s", img.OID, fp, got)
+		}
+	}
+}
+
+func TestImageDifferential(t *testing.T) {
+	table := map[string][]imgTx{
+		"activation-only change aborts": {
+			{ops: []imgOp{{kind: "step", obj: 1, arg: 8}}},
+		},
+		"step then field write aborts": {
+			{ops: []imgOp{{kind: "step", obj: 1, arg: 5}, {kind: "set", obj: 1, arg: 3}}},
+		},
+		"read-only commit publishes nothing": {
+			{commit: true, ops: []imgOp{{kind: "touch", obj: 1}, {kind: "touch", obj: 2}}},
+		},
+		"write that restores the old value is not dirty": {
+			{commit: true, ops: []imgOp{{kind: "set", obj: 1, arg: 2}}},
+			{commit: true, ops: []imgOp{{kind: "set", obj: 1, arg: 3}, {kind: "set", obj: 1, arg: 2}}},
+		},
+		"re-activation with equal parameters but a new history": {
+			// Same State, same len(Shadow), equal Params — only the
+			// history's content tells the two incarnations apart.
+			{commit: true, ops: []imgOp{{kind: "step", obj: 1, arg: 8}}},
+			{commit: true, ops: []imgOp{{kind: "activate", obj: 1, arg: 5}, {kind: "step", obj: 1, arg: 2}}},
+		},
+		"bare object: abort before its first commit, then commit": {
+			{ops: []imgOp{{kind: "set", obj: 0, arg: 1}, {kind: "activate", obj: 0, arg: 1}}},
+			{commit: true, ops: []imgOp{{kind: "touch", obj: 0}}},
+			{commit: true, ops: []imgOp{{kind: "deactivate", obj: 0, arg: 0}}},
+			{ops: []imgOp{{kind: "delete", obj: 0}}},
+		},
+		"create and delete": {
+			{commit: true, ops: []imgOp{{kind: "create", arg: 9}, {kind: "delete", obj: 3}}},
+			{ops: []imgOp{{kind: "delete", obj: 1}, {kind: "create", arg: 1}}},
+			{commit: true, ops: []imgOp{{kind: "delete", obj: 1}}},
+		},
+	}
+	kinds := []string{"set", "set", "step", "step", "step", "activate", "deactivate", "touch", "touch", "delete", "create"}
+	for _, single := range []bool{false, true} {
+		for name, script := range table {
+			t.Run(fmt.Sprintf("single=%v/%s", single, name), func(t *testing.T) {
+				h := newImgHarness(t, single)
+				for _, x := range script {
+					h.run(x)
+				}
+				h.finish()
+			})
+		}
+		for seed := int64(1); seed <= 20; seed++ {
+			t.Run(fmt.Sprintf("single=%v/seed=%d", single, seed), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed))
+				h := newImgHarness(t, single)
+				for i := 0; i < 200; i++ {
+					x := imgTx{commit: rng.Intn(3) > 0}
+					for n := rng.Intn(5); n >= 0; n-- {
+						x.ops = append(x.ops, imgOp{kind: kinds[rng.Intn(len(kinds))], obj: rng.Intn(16), arg: rng.Intn(64)})
+					}
+					h.run(x)
+				}
+				h.finish()
+			})
+		}
+	}
+}

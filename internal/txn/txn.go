@@ -113,49 +113,47 @@ type Tx struct {
 	state    State
 	undo     []undoEntry
 	accessed []store.OID        // first-access order
-	seen     map[store.OID]bool // objects with a before-image
-	created  map[store.OID]bool // objects created by this transaction
-	deleted  map[store.OID]bool // objects deleted by this transaction
+	seen     map[store.OID]bool // objects with an undo entry
+	created  map[store.OID]bool // objects created by this transaction (nil until the first)
+	deleted  map[store.OID]bool // objects deleted by this transaction (nil until the first)
 	deps     []*Tx              // commit dependencies (footnote 6)
 	system   bool               // system transactions post tcommit/tabort events
 
-	// Narrow-access state (AccessNarrow): narrowSeen holds the objects
-	// whose before-image is currently narrow — captured activation
-	// scalars in the actImgs arena instead of a deep record clone.
-	// Promote moves an object out of narrowSeen by taking a full image
-	// into promoUndo; rollback restores promoUndo images first, then
-	// replays undo, so a promoted object ends at its full image with
-	// the narrow scalars overlaid on top.
-	narrowSeen map[store.OID]bool
-	actImgs    []store.ActImage
-	promoUndo  []undoEntry
+	// Inline backing for accessed and undo: a transaction over a few
+	// objects — every system transaction posting after-tcommit for one —
+	// grows neither slice on the heap.
+	accessedBuf [4]store.OID
+	undoBuf     [4]undoEntry
 
 	// firings are the trigger firings captured by the engine during
-	// this transaction (AddFiring); Commit hands them to LogCommit so
+	// this transaction (AddFiring); Commit hands them to the store so
 	// they ride the transaction's own WAL batch. Rollback discards
 	// them with everything else.
 	firings []store.FiringRecord
 }
 
+// undoEntry is one object's before-image. The image invariant makes it
+// free: an object no active transaction holds is content-equal to its
+// committed image in the store's epoch view — Commit publishes before
+// it releases locks, rollback restores from the image, recovery seeds
+// the view — so the before-image of a first access is a pointer to that
+// shared immutable image, and the deep copy back into the heap is paid
+// only by the rare rollback (Store.Restore).
 type undoEntry struct {
-	created bool
-	narrow  bool
-	oid     store.OID
-	img     *store.Record // nil when created or narrow
-	actOff  int           // narrow: range into Tx.actImgs
-	actLen  int
+	oid store.OID
+	img *store.Record // nil: created by this transaction
 }
 
 // Begin starts a new transaction.
 func (m *Manager) Begin() *Tx {
-	return &Tx{
-		id:      m.nextID.Add(1),
-		mgr:     m,
-		state:   Active,
-		seen:    map[store.OID]bool{},
-		created: map[store.OID]bool{},
-		deleted: map[store.OID]bool{},
+	tx := &Tx{
+		id:    m.nextID.Add(1),
+		mgr:   m,
+		state: Active,
+		seen:  map[store.OID]bool{},
 	}
+	tx.accessed, tx.undo = tx.accessedBuf[:0], tx.undoBuf[:0]
+	return tx
 }
 
 // BeginSystem starts a "system" transaction — the special transaction
@@ -186,16 +184,18 @@ func (tx *Tx) setState(s State) {
 	tx.mu.Unlock()
 }
 
-// Access locks oid for this transaction, takes a before-image on first
-// access, and returns the live record. first reports whether this is
-// the transaction's first access to the object — the engine posts the
-// "after tbegin" event to the object exactly then (paper §3.1:
-// "posted to an object only immediately before the object is first
-// accessed by the transaction").
+// Access locks oid for this transaction, records its before-image on
+// first access, and returns the live record. first reports whether
+// this is the transaction's first access to the object — the engine
+// posts the "after tbegin" event to the object exactly then (paper
+// §3.1: "posted to an object only immediately before the object is
+// first accessed by the transaction").
 //
-// The before-image is taken on first access rather than first write
+// The before-image is recorded on first access rather than first write
 // because even reads advance committed-view trigger state stored in
-// the record.
+// the record. It is the object's committed image (see undoEntry), so
+// it costs no copy; only an object that was never committed — created
+// by a bare Store.Create outside any transaction — is deep-copied.
 func (tx *Tx) Access(oid store.OID) (rec *store.Record, first bool, err error) {
 	if tx.State() != Active {
 		return nil, false, ErrNotActive
@@ -212,82 +212,16 @@ func (tx *Tx) Access(oid store.OID) (rec *store.Record, first bool, err error) {
 		tx.seen[oid] = true
 		tx.accessed = append(tx.accessed, oid)
 		if !tx.created[oid] {
-			img, err := tx.mgr.store.Snapshot(oid)
-			if err != nil {
-				return nil, false, err
+			img, ok := tx.mgr.store.GetCommitted(oid)
+			if !ok {
+				if img, err = tx.mgr.store.Snapshot(oid); err != nil {
+					return nil, false, err
+				}
 			}
 			tx.undo = append(tx.undo, undoEntry{oid: oid, img: img})
 		}
-	} else if tx.narrowSeen[oid] {
-		// The object's image is narrow but the caller is taking the
-		// general access path, which licenses arbitrary mutation:
-		// promote to a full image first.
-		if err := tx.Promote(oid); err != nil {
-			return nil, false, err
-		}
 	}
 	return rec, first, nil
-}
-
-// AccessNarrow is Access for callers that promise to mutate nothing
-// but trigger-activation scalars (Active, State, Shadow appends) until
-// the object is Promoted — the cohort timer delivery contract. The
-// first-access before-image is a narrow capture of those scalars into
-// the transaction's arena rather than a deep record clone; a later
-// Access or Delete of the same object promotes it automatically, and
-// the engine promotes before running trigger actions. Commit publishes
-// narrow objects to the epoch view by structure sharing
-// (PublishCommittedNarrow).
-func (tx *Tx) AccessNarrow(oid store.OID) (rec *store.Record, first bool, err error) {
-	if tx.State() != Active {
-		return nil, false, ErrNotActive
-	}
-	if err := tx.mgr.lock(tx.id, oid); err != nil {
-		return nil, false, err
-	}
-	rec, err = tx.mgr.store.Get(oid)
-	if err != nil {
-		return nil, false, err
-	}
-	first = !tx.seen[oid]
-	if first {
-		tx.seen[oid] = true
-		tx.accessed = append(tx.accessed, oid)
-		if !tx.created[oid] {
-			if tx.narrowSeen == nil {
-				tx.narrowSeen = map[store.OID]bool{}
-			}
-			tx.narrowSeen[oid] = true
-			off := len(tx.actImgs)
-			tx.actImgs = rec.CaptureActs(tx.actImgs)
-			tx.undo = append(tx.undo, undoEntry{
-				narrow: true, oid: oid, actOff: off, actLen: len(tx.actImgs) - off,
-			})
-		}
-	}
-	return rec, first, nil
-}
-
-// Promote upgrades a narrow-imaged object to a full before-image taken
-// now. Sound because the narrow contract holds up to this call: the
-// record differs from its pre-transaction state only in activation
-// scalars, so rollback — this full image restored first, the narrow
-// scalar overlay applied on top — reproduces the pre-transaction state
-// exactly. A no-op for objects without a narrow image.
-func (tx *Tx) Promote(oid store.OID) error {
-	if tx.State() != Active {
-		return ErrNotActive
-	}
-	if !tx.narrowSeen[oid] {
-		return nil
-	}
-	img, err := tx.mgr.store.Snapshot(oid)
-	if err != nil {
-		return err
-	}
-	delete(tx.narrowSeen, oid)
-	tx.promoUndo = append(tx.promoUndo, undoEntry{oid: oid, img: img})
-	return nil
 }
 
 // Create allocates a new object owned by this transaction. The object
@@ -302,10 +236,13 @@ func (tx *Tx) Create(class string, fields map[string]value.Value) (*store.Record
 		tx.mgr.store.Remove(rec.OID)
 		return nil, err
 	}
+	if tx.created == nil {
+		tx.created = map[store.OID]bool{}
+	}
 	tx.created[rec.OID] = true
 	tx.seen[rec.OID] = true
 	tx.accessed = append(tx.accessed, rec.OID)
-	tx.undo = append(tx.undo, undoEntry{created: true, oid: rec.OID})
+	tx.undo = append(tx.undo, undoEntry{oid: rec.OID})
 	return rec, nil
 }
 
@@ -317,10 +254,11 @@ func (tx *Tx) Delete(oid store.OID) error {
 	if _, _, err := tx.Access(oid); err != nil {
 		return err
 	}
-	// Access promoted any narrow image, so rollback can resurrect the
-	// object from a full record clone.
 	if err := tx.mgr.store.Delete(oid); err != nil {
 		return err
+	}
+	if tx.deleted == nil {
+		tx.deleted = map[store.OID]bool{}
 	}
 	tx.deleted[oid] = true
 	return nil
@@ -338,12 +276,10 @@ func (tx *Tx) DependOn(other *Tx) {
 
 // Accessed returns the objects the transaction has touched, in first-
 // access order — "the set of objects accessed by the transaction" that
-// transaction events are posted to (paper §3.1).
-func (tx *Tx) Accessed() []store.OID {
-	out := make([]store.OID, len(tx.accessed))
-	copy(out, tx.accessed)
-	return out
-}
+// transaction events are posted to (paper §3.1). The result is a
+// read-only view of the transaction's own list as of this call: later
+// accesses append past its end and are not reflected in it.
+func (tx *Tx) Accessed() []store.OID { return tx.accessed[:len(tx.accessed):len(tx.accessed)] }
 
 // Created reports whether the transaction created oid.
 func (tx *Tx) Created(oid store.OID) bool { return tx.created[oid] }
@@ -370,37 +306,24 @@ func (tx *Tx) Commit() error {
 		tx.rollback()
 		return err
 	}
-	var dirty, deleted []store.OID
-	for _, oid := range tx.accessed {
-		if tx.deleted[oid] {
-			deleted = append(deleted, oid)
-		} else {
-			dirty = append(dirty, oid)
-		}
-	}
-	if err := tx.mgr.store.LogCommit(tx.id, dirty, deleted, tx.firings); err != nil {
-		tx.rollback()
-		return fmt.Errorf("txn: commit logging failed: %w", err)
-	}
-	// Publish the committed versions to the store's lock-free epoch
-	// view while this transaction still holds its object locks — the
-	// records cannot change under the clone, and a reader that sees the
-	// new epoch sees exactly the state the WAL just made durable.
-	// Objects still narrow at commit changed only activation scalars
-	// and publish by structure sharing instead of a deep clone.
-	if len(tx.narrowSeen) == 0 {
-		tx.mgr.store.PublishCommitted(dirty, deleted)
-	} else {
-		var fullD, narrowD []store.OID
-		for _, oid := range dirty {
-			if tx.narrowSeen[oid] {
-				narrowD = append(narrowD, oid)
+	touched, deleted := tx.accessed, []store.OID(nil)
+	if len(tx.deleted) > 0 {
+		touched = nil
+		for _, oid := range tx.accessed {
+			if tx.deleted[oid] {
+				deleted = append(deleted, oid)
 			} else {
-				fullD = append(fullD, oid)
+				touched = append(touched, oid)
 			}
 		}
-		tx.mgr.store.PublishCommitted(fullD, deleted)
-		tx.mgr.store.PublishCommittedNarrow(narrowD)
+	}
+	// Log and publish while this transaction still holds its object
+	// locks: the records cannot change under the store's comparison with
+	// their committed images, and a reader that sees a new image sees
+	// exactly the state the WAL just made durable.
+	if err := tx.mgr.store.Commit(tx.id, touched, deleted, tx.firings); err != nil {
+		tx.rollback()
+		return fmt.Errorf("txn: commit logging failed: %w", err)
 	}
 	tx.setState(Committed)
 	tx.mgr.releaseAll(tx.id)
@@ -419,24 +342,11 @@ func (tx *Tx) Abort() error {
 }
 
 func (tx *Tx) rollback() {
-	// Promotion images first: a promoted object's full image captures
-	// its mid-transaction state (pre-action fields, post-step scalars);
-	// the narrow overlay replayed below then rewinds the scalars to
-	// their pre-transaction values.
-	for i := len(tx.promoUndo) - 1; i >= 0; i-- {
-		tx.mgr.store.Restore(tx.promoUndo[i].img)
-	}
 	// Restore before-images in reverse order of first access.
 	for i := len(tx.undo) - 1; i >= 0; i-- {
-		u := tx.undo[i]
-		switch {
-		case u.created:
+		if u := tx.undo[i]; u.img == nil {
 			tx.mgr.store.Remove(u.oid)
-		case u.narrow:
-			if r, err := tx.mgr.store.Get(u.oid); err == nil {
-				r.RestoreActs(tx.actImgs[u.actOff : u.actOff+u.actLen])
-			}
-		default:
+		} else {
 			tx.mgr.store.Restore(u.img)
 		}
 	}
