@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race fuzz sim verify bench bench-check
+.PHONY: build test vet race fuzz sim verify bench bench-check bench-pairs
 
 build:
 	$(GO) build ./...
@@ -20,15 +20,21 @@ vet:
 race:
 	$(GO) test -race ./internal/engine/ ./internal/obs/ ./internal/txn/ ./internal/store/ ./internal/part/ ./internal/egress/
 
-# Short fuzz smoke over the event-language and mask parsers and the
-# egress record codec; longer campaigns:
+# Short fuzz smoke over the event-language and mask parsers, the egress
+# record codec and the store's WAL and snapshot decoders (whose inputs
+# are whole logs, so minimizing a find is capped at 2 s); longer
+# campaigns:
 # go test -fuzz FuzzParseEvent ./internal/evlang/
 # go test -fuzz FuzzParseMask ./internal/mask/
 # go test -fuzz FuzzRecordCodec ./internal/egress/
+# go test -fuzz FuzzWALFrames ./internal/store/
+# go test -fuzz FuzzSnapshot ./internal/store/
 fuzz:
 	$(GO) test -fuzz FuzzParseEvent -fuzztime 5s -run '^$$' ./internal/evlang/
 	$(GO) test -fuzz FuzzParseMask -fuzztime 5s -run '^$$' ./internal/mask/
 	$(GO) test -fuzz FuzzRecordCodec -fuzztime 5s -run '^$$' ./internal/egress/
+	$(GO) test -fuzz FuzzWALFrames -fuzztime 5s -fuzzminimizetime 2s -run '^$$' ./internal/store/
+	$(GO) test -fuzz FuzzSnapshot -fuzztime 5s -fuzzminimizetime 2s -run '^$$' ./internal/store/
 
 # Deterministic-simulation smoke (the CI sim-short job): single-engine
 # seeded runs, the multi-partition scripts (per-partition WAL faults,
@@ -44,6 +50,15 @@ sim:
 # packages, so a signature change cannot break the benchmark unnoticed.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Paired runs of a parent commit against this tree, the table a
+# performance claim rests on (see scripts/benchpairs.sh):
+# make bench-pairs PARENT=<sha> [WORKLOADS="single_masked …" N=10 SEED=1]
+N ?= 10
+SEED ?= 1
+bench-pairs:
+	@test -n "$(PARENT)" || { echo 'usage: make bench-pairs PARENT=<sha> [WORKLOADS="…" N=10 SEED=1]'; exit 2; }
+	N=$(N) SEED=$(SEED) bash scripts/benchpairs.sh $(PARENT) $(WORKLOADS)
 
 # The tier-1 verification gate (see ROADMAP.md).
 verify: build test vet race fuzz bench-check

@@ -35,21 +35,22 @@ const combinedSlot = "__combined"
 
 // combinedMonitor is the per-class combined automaton.
 type combinedMonitor struct {
-	comb  *compile.Combined
-	order []string       // trigger name per fire-bit (Class.Triggers order)
-	used  map[int]uint32 // kindIx → union of mask bits any trigger needs
+	comb *compile.Combined
+	slot int            // Record.Trigs slot of the shared state word
+	used map[int]uint32 // kindIx → union of mask bits any trigger needs
 	// progs[kindIx] holds the compiled programs for the used bits
 	// (compiled with no trigger parameters — eligibility forbids them).
 	progs map[int][]*mask.Program
 }
 
-// buildCombined returns nil when the class is ineligible.
-func buildCombined(c *Class) *combinedMonitor {
+// buildCombined returns nil when the class is ineligible. Fire-bit j of
+// the product automaton belongs to c.Triggers[j]; the shared state word
+// takes a slot of its own in the class layout.
+func buildCombined(c *Class, layout *store.Layout) *combinedMonitor {
 	if len(c.Triggers) == 0 || len(c.Triggers) > 64 {
 		return nil
 	}
 	dfas := make([]*fa.DFA, len(c.Triggers))
-	order := make([]string, len(c.Triggers))
 	used := map[int]uint32{}
 	for i, t := range c.Triggers {
 		if !t.Res.Perpetual || t.View != schema.CommittedView || len(t.Res.Params) > 0 {
@@ -63,15 +64,14 @@ func buildCombined(c *Class) *combinedMonitor {
 			}
 		}
 		dfas[i] = t.Oracle()
-		order[i] = t.Res.Name
 		for kix, bits := range t.Res.UsedBits {
 			used[kix] |= bits
 		}
 	}
 	return &combinedMonitor{
-		comb:  compile.Combine(dfas),
-		order: order,
-		used:  used,
+		comb: compile.Combine(dfas),
+		slot: layout.Intern(combinedSlot),
+		used: used,
 	}
 }
 
@@ -79,13 +79,12 @@ func buildCombined(c *Class) *combinedMonitor {
 // the triggers to fire. Called from step() in place of the per-trigger
 // loop.
 func (tx *Tx) stepCombined(c *Class, cm *combinedMonitor, kindIx int,
-	h event.Happening, oid store.OID, rec *store.Record) ([]firedTrigger, error) {
+	h event.Happening, oid store.OID, rec *store.Record) ([]*Trigger, error) {
 	// The shared history exists only once some trigger is active. The
-	// caller (step) has already bound the record's dense slots; order
-	// follows Class.Triggers, so slot j belongs to order[j].
+	// caller (step) has already sized the record's slots.
 	anyActive := false
-	for j := range cm.order {
-		if act := rec.Slot(j); act != nil && act.Active {
+	for _, t := range c.Triggers {
+		if rec.Trigs[t.slot].Active {
 			anyActive = true
 			break
 		}
@@ -97,7 +96,7 @@ func (tx *Tx) stepCombined(c *Class, cm *combinedMonitor, kindIx int,
 	if h.Kind.Class == event.KTabort {
 		return nil, nil
 	}
-	bits, err := tx.evalBitsMask(c, cm.progs[kindIx], cm.used[kindIx], kindIx, h, nil, nil, oid, rec, nil)
+	bits, err := tx.evalBitsMask(c, nil, cm.progs[kindIx], cm.used[kindIx], kindIx, h, nil, oid, rec, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -106,7 +105,7 @@ func (tx *Tx) stepCombined(c *Class, cm *combinedMonitor, kindIx int,
 	}
 	sym := c.Res.Alphabet.Symbol(kindIx, bits)
 
-	slot := rec.Trigger(combinedSlot)
+	slot := &rec.Trigs[cm.slot]
 	if !slot.Active {
 		slot.Active = true
 		slot.State = cm.comb.Start
@@ -117,16 +116,15 @@ func (tx *Tx) stepCombined(c *Class, cm *combinedMonitor, kindIx int,
 	tx.e.stats.steps.Add(1)
 	tx.e.traceStep(tx.tx.ID(), oid, c.Schema.Name, combinedSlot, prev, next, fireMask != 0)
 
-	var fired []firedTrigger
-	for j := range cm.order {
+	var fired []*Trigger
+	for j, t := range c.Triggers {
 		if fireMask&(1<<uint(j)) == 0 {
 			continue
 		}
-		act := rec.Slot(j)
-		if act == nil || !act.Active {
+		if !rec.Trigs[t.slot].Active {
 			continue // suppressed: deactivated triggers do not fire
 		}
-		fired = append(fired, firedTrigger{c.Triggers[j], act})
+		fired = append(fired, t)
 	}
 	return fired, nil
 }

@@ -179,12 +179,12 @@ func TestCombinedSingleStateWord(t *testing.T) {
 	r, _ := e.Store().Get(oid)
 	// Per-trigger activation records exist (Active flags + params) but
 	// only the __combined slot carries a moving state.
-	slot, ok := r.Triggers[combinedSlot]
-	if !ok || !slot.Active {
+	slot := r.Trigger(combinedSlot)
+	if !slot.Active {
 		t.Fatal("no combined state slot")
 	}
 	for _, name := range []string{"A", "B", "C"} {
-		if r.Triggers[name].State != 0 {
+		if r.Trigger(name).State != 0 {
 			t.Fatalf("per-trigger state %s advanced in combined mode", name)
 		}
 	}
@@ -195,7 +195,7 @@ func TestCombinedSingleStateWord(t *testing.T) {
 		return errors.New("abort")
 	})
 	r2, _ := e.Store().Get(oid)
-	if r2.Triggers[combinedSlot].State != before {
+	if r2.Trigger(combinedSlot).State != before {
 		t.Fatal("combined state not rolled back on abort")
 	}
 }

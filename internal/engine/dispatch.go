@@ -23,9 +23,9 @@ import (
 //     dense parameter slots, so evaluation allocates nothing and does
 //     no string-keyed lookups (the AST interpreter in post.go remains
 //     the oracle and the fallback);
-//   - dense trigger slots: each trigger gets a stable index into the
-//     record's slot table so the per-happening activation lookup is an
-//     array index instead of a map probe.
+//   - trigger slots: each trigger resolves, by name, to its index into
+//     Record.Trigs (the store's per-class layout), so the per-happening
+//     state access is an array index instead of a map probe.
 
 // dispatchEntry is one trigger's precomputed reaction to one kind.
 type dispatchEntry struct {
@@ -182,38 +182,4 @@ func (h *progHost) DotField(base value.Value, name string) (value.Value, error) 
 
 func (h *progHost) Call(name string, args []value.Value) (value.Value, error) {
 	return h.tx.maskCall(h.cls, h.self, name, args)
-}
-
-// ensureSlots (re)binds the record's dense trigger-slot table to this
-// class's trigger order. Records arrive with no slots (fresh objects,
-// snapshot/WAL recovery, before-image clones keep theirs) and are bound
-// lazily on first posting; the caller must hold the object's
-// transaction lock.
-func (c *Class) ensureSlots(rec *store.Record) {
-	if rec.SlotCount() == len(c.Triggers) {
-		return
-	}
-	rec.ResetSlots(len(c.Triggers))
-	for i, t := range c.Triggers {
-		rec.BindSlot(i, t.Res.Name, rec.Triggers[t.Res.Name])
-	}
-}
-
-// trigDense returns the activation's parameters in declared order,
-// rebuilding the dense slice for records recovered from logs written
-// before it was persisted.
-func trigDense(t *Trigger, act *store.TrigActivation) []value.Value {
-	n := len(t.Res.Params)
-	if n == 0 {
-		return nil
-	}
-	if len(act.Dense) == n {
-		return act.Dense
-	}
-	d := make([]value.Value, n)
-	for i, p := range t.Res.Params {
-		d[i] = act.Params[p]
-	}
-	act.Dense = d
-	return d
 }

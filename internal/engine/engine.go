@@ -280,9 +280,11 @@ type Trigger struct {
 	Action ActionFunc
 	met    *obs.TriggerMetrics // per-trigger counters, cached at registration
 	nameID uint16              // interned flight-recorder ID of the trigger name
-	// slot is the trigger's stable index within its class (its position
-	// in Class.Triggers), addressing the record's dense activation
-	// slots without a name-map probe.
+	// slot is the trigger's index into Record.Trigs, resolved by name
+	// through the store's per-class layout at registration — not its
+	// position in Class.Triggers: persisted state binds by name, so a
+	// class whose triggers were reordered since the directory was
+	// written keeps every trigger on the slot its state lives in.
 	slot int
 	// relevant[kindIx] reports whether a happening of that kind can
 	// affect this trigger at all: either a disjointness mask must be
@@ -448,6 +450,7 @@ func (e *Engine) RegisterClass(cls *schema.Class, impl ClassImpl, ps *evlang.Par
 	for kix := range res.Alphabet.Kinds {
 		c.kindIDs[kix] = e.names.Intern(res.Alphabet.Kinds[kix].Kind.String())
 	}
+	layout := e.st.Layout(cls.Name)
 	for _, tr := range res.Triggers {
 		view := schema.CommittedView
 		if st := cls.Trigger(tr.Name); st != nil {
@@ -467,7 +470,7 @@ func (e *Engine) RegisterClass(cls *schema.Class, impl ClassImpl, ps *evlang.Par
 			Action: action,
 			met:    e.metrics.Trigger(cls.Name, tr.Name),
 			nameID: e.names.Intern(tr.Name),
-			slot:   len(c.Triggers),
+			slot:   layout.Intern(tr.Name),
 		}
 		// The registration-time analyses below want the fat
 		// class-alphabet form; expand it once here and drop it (except
@@ -489,7 +492,7 @@ func (e *Engine) RegisterClass(cls *schema.Class, impl ClassImpl, ps *evlang.Par
 		c.byName[tr.Name] = t
 	}
 	if e.combined {
-		c.monitor = buildCombined(c)
+		c.monitor = buildCombined(c, layout)
 		if c.monitor != nil {
 			if err := e.compileCombinedProgs(c); err != nil {
 				return nil, err
@@ -593,17 +596,18 @@ func (e *Engine) TriggerState(oid store.OID, trigger string) (state int, active 
 	if t == nil {
 		return 0, false, fmt.Errorf("engine: class %s has no trigger %q", rec.Class, trigger)
 	}
-	act, ok := rec.Triggers[trigger]
-	if !ok {
+	// The record is read without its lock: Trig, never Slots.
+	act := rec.Trig(t.slot)
+	if act.IsZero() {
 		return t.Auto.Start(), false, nil
 	}
-	if c.monitor != nil {
+	if cm := c.monitor; cm != nil {
 		// Combined monitoring: the single shared state word stands in
 		// for every trigger of the object.
-		if slot, ok := rec.Triggers[combinedSlot]; ok && slot.Active {
-			return slot.State, act.Active, nil
+		if shared := rec.Trig(cm.slot); shared.Active {
+			return shared.State, act.Active, nil
 		}
-		return c.monitor.comb.Start, act.Active, nil
+		return cm.comb.Start, act.Active, nil
 	}
 	if t.View == schema.WholeView {
 		e.wholeMu.Lock()
@@ -670,11 +674,8 @@ func (e *Engine) rearmObject(oid store.OID) error {
 	if err != nil {
 		return err
 	}
-	for name, act := range rec.Triggers {
-		if !act.Active {
-			continue
-		}
-		if t := c.Trigger(name); t != nil {
+	for _, t := range c.Triggers {
+		if rec.Trig(t.slot).Active {
 			e.timers.arm(oid, c, t)
 		}
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -358,5 +359,46 @@ func TestAbortedCreationWithTimersLeavesNothingPending(t *testing.T) {
 	e.Clock().Advance(48 * time.Hour)
 	if rec.count() != 0 || len(e.TimerErrors()) != 0 {
 		t.Fatalf("phantom fires %d, errs %v", rec.count(), e.TimerErrors())
+	}
+}
+
+// TestActionParamsByName: the record holds activation parameters in
+// declared order only; an action still sees them by declared name,
+// re-activation replaces them, and a trigger that declares none gets a
+// nil map.
+func TestActionParamsByName(t *testing.T) {
+	cls, impl := accountClass(&recorder{},
+		schema.Trigger{Name: "Over", Perpetual: true, Event: "after deposit(n) && n > lim && n > floor",
+			Params: []schema.Param{{Name: "lim", Kind: value.KindInt}, {Name: "floor", Kind: value.KindInt}}},
+		schema.Trigger{Name: "Any", Perpetual: true, Event: "after deposit"})
+	var over, anyDep []map[string]value.Value
+	impl.Actions["Over"] = func(ctx *ActionCtx) error { over = append(over, ctx.Params); return nil }
+	impl.Actions["Any"] = func(ctx *ActionCtx) error { anyDep = append(anyDep, ctx.Params); return nil }
+	e := newEngine(t, Options{})
+	oid := setup(t, e, cls, impl, "Any")
+	do := func(fn func(tx *Tx) error) {
+		t.Helper()
+		if err := e.Transact(fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deposit := func(n int64) {
+		t.Helper()
+		do(func(tx *Tx) error { _, err := tx.Call(oid, "deposit", value.Int(n)); return err })
+	}
+	do(func(tx *Tx) error { return tx.Activate(oid, "Over", value.Int(100), value.Int(5)) })
+	deposit(200)
+	do(func(tx *Tx) error { return tx.Activate(oid, "Over", value.Int(300), value.Int(7)) })
+	deposit(200) // below the new limit
+	deposit(400)
+	want := []map[string]value.Value{
+		{"lim": value.Int(100), "floor": value.Int(5)},
+		{"lim": value.Int(300), "floor": value.Int(7)},
+	}
+	if !reflect.DeepEqual(over, want) {
+		t.Fatalf("Over saw parameters %v, want %v", over, want)
+	}
+	if len(anyDep) != 3 || anyDep[0] != nil {
+		t.Fatalf("parameterless trigger saw %v, want three nil maps", anyDep)
 	}
 }

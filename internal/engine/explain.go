@@ -133,7 +133,7 @@ func (e *Engine) Explain(trigger string, oid store.OID) (*Explanation, error) {
 		Start:   t.Auto.Start(),
 		State:   t.Auto.Start(),
 	}
-	if act, ok := rec.Triggers[trigger]; ok {
+	if act := rec.Trig(t.slot); !act.IsZero() {
 		ex.Active = act.Active
 		ex.State = act.State
 	}

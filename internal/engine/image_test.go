@@ -75,7 +75,7 @@ func TestExplainImageRace(t *testing.T) {
 						return
 					}
 					last[i] = bal
-					for _, a := range img.Triggers {
+					for _, a := range img.Trigs {
 						_, _, _ = a.Active, a.State, len(a.Params)
 					}
 					if _, err := e.Explain("Pair", oid); err != nil {
@@ -120,7 +120,13 @@ func heapOf(st *store.Store) map[store.OID][2]any {
 	out := map[store.OID][2]any{}
 	for _, oid := range st.OIDs() {
 		r, _ := st.Snapshot(oid)
-		out[oid] = [2]any{r.Fields, r.Triggers}
+		trigs := map[string]store.TrigState{}
+		for slot, a := range r.Trigs {
+			if !a.IsZero() {
+				trigs[r.TrigName(slot)] = a
+			}
+		}
+		out[oid] = [2]any{r.Fields, trigs}
 	}
 	return out
 }

@@ -31,8 +31,8 @@ func (c *MethodCtx) Get(field string) (value.Value, error) { return c.Tx.Get(c.S
 func (c *MethodCtx) Set(field string, v value.Value) error { return c.Tx.Set(c.Self, field, v) }
 
 // ActionCtx is passed to trigger actions. Params are the trigger's
-// activation parameters; composite events carry no event parameters
-// (§3.3).
+// activation parameters by declared name (nil for a trigger that
+// declares none); composite events carry no event parameters (§3.3).
 //
 // EventKind and EventParams describe the happening that completed the
 // composite event — its last logical event. This goes beyond the
@@ -60,11 +60,6 @@ type ActionCtx struct {
 // aborts the posting transaction (the paper's tabort statement).
 func (c *ActionCtx) Tabort() error { return ErrTabort }
 
-type firedTrigger struct {
-	t   *Trigger
-	act *store.TrigActivation
-}
-
 // step posts one happening to one object: it maps the happening to
 // each active trigger instance's alphabet symbol, advances the
 // instance's single integer of state, collects every trigger whose
@@ -91,10 +86,10 @@ func (tx *Tx) step(oid store.OID, rec *store.Record, h event.Happening, onlyTrig
 	tx.e.flightHappening(h.At.UnixNano(), tx.tx.ID(), oid, c.nameID, c.kindIDs[kindIx])
 	tx.e.traceHappening(tx.tx.ID(), oid, rec.Class, h.Kind)
 
-	// Dense trigger slots: bind the record's slot table lazily (fresh
-	// objects and recovered records arrive unbound). We hold the
-	// object's transaction lock here.
-	c.ensureSlots(rec)
+	// Size the record's slots to the class layout (fresh objects and
+	// recovered records may arrive shorter) before any slot is addressed.
+	// We hold the object's transaction lock here.
+	rec.Slots()
 
 	if cm := c.monitor; cm != nil {
 		// Footnote-5 combined monitoring: one transition for all
@@ -104,7 +99,7 @@ func (tx *Tx) step(oid store.OID, rec *store.Record, h event.Happening, onlyTrig
 		if err != nil {
 			return false, err
 		}
-		if err := tx.fire(oid, c, h, fired); err != nil {
+		if err := tx.fire(oid, rec, c, h, fired); err != nil {
 			return true, err
 		}
 		return len(fired) > 0, nil
@@ -126,8 +121,8 @@ func (tx *Tx) step(oid store.OID, rec *store.Record, h event.Happening, onlyTrig
 		if onlyTrigger != "" && t.Res.Name != onlyTrigger {
 			continue
 		}
-		act := rec.Slot(t.slot)
-		if act == nil || !act.Active {
+		act := &rec.Trigs[t.slot]
+		if !act.Active {
 			continue
 		}
 		bits, err := tx.evalBits(c, d, kindIx, h, act, oid, rec)
@@ -192,7 +187,7 @@ func (tx *Tx) step(oid store.OID, rec *store.Record, h event.Happening, onlyTrig
 			}
 		}
 		if accepted {
-			tx.fired = append(tx.fired, firedTrigger{t, act})
+			tx.fired = append(tx.fired, t)
 		}
 	}
 
@@ -200,13 +195,13 @@ func (tx *Tx) step(oid store.OID, rec *store.Record, h event.Happening, onlyTrig
 	// "We determine all the trigger events that have occurred, and
 	// then we fire the triggers" (§5): deactivations happen before any
 	// action runs, so an action re-activating a trigger is preserved.
-	for _, f := range fired {
-		if !f.t.Res.Perpetual {
-			f.act.Active = false
-			tx.e.timers.disarm(oid, f.t)
+	for _, t := range fired {
+		if !t.Res.Perpetual {
+			rec.Trigs[t.slot].Active = false
+			tx.e.timers.disarm(oid, t)
 		}
 	}
-	err = tx.fire(oid, c, h, fired)
+	err = tx.fire(oid, rec, c, h, fired)
 	n := len(fired)
 	tx.fired = tx.fired[:base]
 	if err != nil {
@@ -219,29 +214,29 @@ func (tx *Tx) step(oid store.OID, rec *store.Record, h event.Happening, onlyTrig
 // action's wall-clock latency in the trigger's metrics (and trace,
 // when enabled). The first action error stops the run — the engine's
 // pre-existing semantics: a failing action aborts the posting.
-func (tx *Tx) fire(oid store.OID, c *Class, h event.Happening, fired []firedTrigger) error {
+func (tx *Tx) fire(oid store.OID, rec *store.Record, c *Class, h event.Happening, fired []*Trigger) error {
 	if len(fired) == 0 {
 		return nil
 	}
 	kind := h.Kind.String()
-	for _, f := range fired {
+	for _, t := range fired {
 		// The ActionCtx lives on the Tx and is reused across firings;
 		// save/restore by value keeps nested firings (an action whose
 		// method call fires further triggers) correct. Actions must not
 		// retain the pointer past their return (documented on the type).
 		saved := tx.actCtx
 		tx.actCtx = ActionCtx{
-			Tx: tx, Self: oid, Trigger: f.t.Res.Name, Params: f.act.Params,
+			Tx: tx, Self: oid, Trigger: t.Res.Name, Params: t.namedParams(rec.Trigs[t.slot].Params),
 			EventKind: kind, EventParams: h.Params,
 		}
 		tx.e.stats.firings.Add(1)
 		start := time.Now()
-		err := f.t.Action(&tx.actCtx)
+		err := t.Action(&tx.actCtx)
 		d := time.Since(start)
 		tx.actCtx = saved
-		f.t.met.Fire(d, err)
-		tx.e.flightFire(tx.tx.ID(), oid, c.nameID, f.t.nameID, err == nil, d.Nanoseconds())
-		tx.e.traceFire(tx.tx.ID(), oid, c.Schema.Name, f.t.Res.Name, d, err)
+		t.met.Fire(d, err)
+		tx.e.flightFire(tx.tx.ID(), oid, c.nameID, t.nameID, err == nil, d.Nanoseconds())
+		tx.e.traceFire(tx.tx.ID(), oid, c.Schema.Name, t.Res.Name, d, err)
 		if err != nil {
 			return err
 		}
@@ -254,7 +249,7 @@ func (tx *Tx) fire(oid store.OID, c *Class, h event.Happening, fired []firedTrig
 				OID:     oid,
 				Part:    tx.e.partition,
 				Class:   c.Schema.Name,
-				Trigger: f.t.Res.Name,
+				Trigger: t.Res.Name,
 				Kind:    kind,
 				AtNs:    h.At.UnixNano(),
 			})
@@ -263,16 +258,50 @@ func (tx *Tx) fire(oid store.OID, c *Class, h event.Happening, fired []firedTrig
 	return nil
 }
 
+// namedParams materialises the name-keyed view of an activation's
+// parameters that ActionCtx and the interpreted-mask oracle expose. The
+// record holds them in declared order only, so this allocates — which
+// is why it runs when a trigger that declares parameters fires or the
+// oracle evaluates, never per step, and returns nil for a parameterless
+// trigger.
+func (t *Trigger) namedParams(dense []value.Value) map[string]value.Value {
+	if len(t.Res.Params) == 0 {
+		return nil
+	}
+	m := make(map[string]value.Value, len(t.Res.Params))
+	for i, name := range t.Res.Params {
+		if i < len(dense) {
+			m[name] = dense[i]
+		}
+	}
+	return m
+}
+
 // evalBits evaluates the §5 disjointness masks this trigger's
 // expression depends on for the happening's kind, producing the mask
 // valuation bits of the symbol. Foreign triggers' bits are left zero —
 // this trigger's automaton provably does not distinguish them.
 func (tx *Tx) evalBits(c *Class, d *dispatchEntry, kindIx int, h event.Happening,
-	act *store.TrigActivation, oid store.OID, rec *store.Record) (uint32, error) {
+	act *store.TrigState, oid store.OID, rec *store.Record) (uint32, error) {
 	if d.used == 0 {
 		return 0, nil
 	}
-	return tx.evalBitsMask(c, d.progs, d.used, kindIx, h, act.Params, trigDense(d.t, act), oid, rec, d.t.met)
+	if err := d.t.checkParams(act); err != nil {
+		return 0, err
+	}
+	return tx.evalBitsMask(c, d.t, d.progs, d.used, kindIx, h, act.Params, oid, rec, d.t.met)
+}
+
+// checkParams guards the compiled programs' indexed parameter loads: an
+// activation persisted under a declaration with a different parameter
+// count (the class changed between restarts) must be re-activated, not
+// indexed.
+func (t *Trigger) checkParams(act *store.TrigState) error {
+	if len(act.Params) != len(t.Res.Params) {
+		return fmt.Errorf("activation carries %d parameter(s), the declaration %d: re-activate the trigger",
+			len(act.Params), len(t.Res.Params))
+	}
+	return nil
 }
 
 // evalBitsMask evaluates exactly the mask bits in used. The compiled
@@ -280,17 +309,19 @@ func (tx *Tx) evalBits(c *Class, d *dispatchEntry, kindIx int, h event.Happening
 // the happening carries its dense parameter slice; otherwise — under
 // Options.InterpretedMasks, or for hand-built happenings with map-only
 // parameters — each bit falls back to the AST interpreter, the
-// semantic oracle. trigParams/trigDense may be nil (combined monitoring
-// forbids trigger parameters), as may met (combined monitoring
-// evaluates the class-wide bit union, which belongs to no single
-// trigger).
-func (tx *Tx) evalBitsMask(c *Class, progs []*mask.Program, used uint32, kindIx int, h event.Happening,
-	trigParams map[string]value.Value, trigDense []value.Value, oid store.OID, rec *store.Record,
-	met *obs.TriggerMetrics) (uint32, error) {
+// semantic oracle, which resolves the trigger's parameters by name
+// (materialised once per call, on that path only). t and trig — the
+// activation's parameters in declared order — are nil under combined
+// monitoring (it forbids trigger parameters), as is met (combined
+// monitoring evaluates the class-wide bit union, which belongs to no
+// single trigger).
+func (tx *Tx) evalBitsMask(c *Class, t *Trigger, progs []*mask.Program, used uint32, kindIx int, h event.Happening,
+	trig []value.Value, oid store.OID, rec *store.Record, met *obs.TriggerMetrics) (uint32, error) {
 	if used == 0 {
 		return 0, nil
 	}
 	var bits uint32
+	var trigNamed map[string]value.Value // built on the first interpreted bit
 	masks := c.Res.Alphabet.Kinds[kindIx].Masks
 	compiled := progs != nil && !tx.e.interpretMasks && len(h.Dense) == len(h.Params)
 	for bit := range masks {
@@ -307,9 +338,12 @@ func (tx *Tx) evalBitsMask(c *Class, progs []*mask.Program, used uint32, kindIx 
 			// method whose postings evaluate further masks — correct.
 			saved := tx.penv
 			tx.penv = progHost{tx: tx, self: oid, rec: rec, cls: c}
-			ok, err = progs[bit].EvalBool(h.Dense, trigDense, &tx.penv)
+			ok, err = progs[bit].EvalBool(h.Dense, trig, &tx.penv)
 			tx.penv = saved
 		} else {
+			if trigNamed == nil && t != nil {
+				trigNamed = t.namedParams(trig)
+			}
 			env := &maskEnv{
 				tx:     tx,
 				self:   oid,
@@ -317,7 +351,7 @@ func (tx *Tx) evalBitsMask(c *Class, progs []*mask.Program, used uint32, kindIx 
 				cls:    c,
 				params: h.Params,
 				rename: masks[bit].Rename,
-				trig:   trigParams,
+				trig:   trigNamed,
 			}
 			ok, err = masks[bit].Expr.EvalBool(env)
 		}
@@ -336,7 +370,7 @@ func (tx *Tx) evalBitsMask(c *Class, progs []*mask.Program, used uint32, kindIx 
 // instance's recorded symbol history with the §4 denotational
 // semantics and compares the verdicts. It implements Options
 // .ShadowOracle; a divergence is a bug in the automaton pipeline.
-func (e *Engine) shadowCheck(oid store.OID, t *Trigger, act *store.TrigActivation, accepted bool) error {
+func (e *Engine) shadowCheck(oid store.OID, t *Trigger, act *store.TrigState, accepted bool) error {
 	e.stats.shadowChecks.Add(1)
 	var hist []int
 	if t.View == schema.WholeView {

@@ -337,21 +337,25 @@ func (tx *Tx) stepBatch(c *Class, ph *batchPhase, oid store.OID, rec *store.Reco
 	bc.happenings++
 	ph.count++
 	tx.e.traceHappening(h.TxID, oid, rec.Class, h.Kind)
-	c.ensureSlots(rec)
+	rec.Slots()
 
 	base := len(tx.fired)
 	for i := range ph.entries {
 		d := &ph.entries[i]
 		t := d.t
-		act := rec.Slot(t.slot)
-		if act == nil || !act.Active {
+		act := &rec.Trigs[t.slot]
+		if !act.Active {
 			continue
 		}
 		var bits uint32
 		if d.used != 0 {
+			if err := t.checkParams(act); err != nil {
+				tx.fired = tx.fired[:base]
+				return fmt.Errorf("engine: trigger %s mask: %w", t.Res.Name, err)
+			}
 			saved := tx.penv
 			tx.penv = progHost{tx: tx, self: oid, rec: rec, cls: c}
-			got, evals, falses, err := mask.EvalBits(d.progs, d.used, h.Dense, trigDense(t, act), &tx.penv)
+			got, evals, falses, err := mask.EvalBits(d.progs, d.used, h.Dense, act.Params, &tx.penv)
 			tx.penv = saved
 			ph.evals[i] += uint64(evals)
 			ph.falses[i] += uint64(falses)
@@ -422,7 +426,7 @@ func (tx *Tx) stepBatch(c *Class, ph *batchPhase, oid store.OID, rec *store.Reco
 			}
 		}
 		if accepted {
-			tx.fired = append(tx.fired, firedTrigger{t, act})
+			tx.fired = append(tx.fired, t)
 		}
 	}
 
@@ -439,10 +443,10 @@ func (tx *Tx) stepBatch(c *Class, ph *batchPhase, oid store.OID, rec *store.Reco
 			return err
 		}
 	}
-	for _, f := range fired {
-		if !f.t.Res.Perpetual {
-			f.act.Active = false
-			tx.e.timers.disarm(oid, f.t)
+	for _, t := range fired {
+		if !t.Res.Perpetual {
+			rec.Trigs[t.slot].Active = false
+			tx.e.timers.disarm(oid, t)
 		}
 	}
 	// ActionCtx documents its EventParams map as retainable, but this
@@ -456,7 +460,7 @@ func (tx *Tx) stepBatch(c *Class, ph *batchPhase, oid store.OID, rec *store.Reco
 		}
 		h.Params = params
 	}
-	err := tx.fire(oid, c, *h, fired)
+	err := tx.fire(oid, rec, c, *h, fired)
 	tx.fired = tx.fired[:base]
 	// Actions run arbitrary engine operations; drop the record cache
 	// rather than reason about what they touched.

@@ -104,10 +104,11 @@ func TestTimerTableStress(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := e.Class("account")
-		for name, act := range r.Triggers {
+		for slot, act := range r.Trigs {
 			if !act.Active {
 				continue
 			}
+			name := r.TrigName(slot)
 			for _, req := range c.Trigger(name).Res.Timers {
 				if req.Mode == evlang.TimeAfter {
 					continue

@@ -449,8 +449,7 @@ func (tt *timerTable) reconcile(oid store.OID, c *Class, rec *store.Record) {
 		if len(t.Res.Timers) == 0 {
 			continue
 		}
-		act, ok := rec.Triggers[t.Res.Name]
-		if !ok || !act.Active {
+		if !rec.Trig(t.slot).Active {
 			tt.disarm(oid, t)
 			continue
 		}

@@ -27,10 +27,10 @@ type Tx struct {
 	// and evArena follow stack discipline (append from a base, truncate
 	// on return), which keeps nested postings correct; penv and actCtx
 	// are reused by address with save/restore by value around each use.
-	fired   []firedTrigger // firing accumulation arena (post.go)
-	evArena []value.Value  // dense event-parameter arena (Call)
-	penv    progHost       // compiled-mask host (dispatch.go)
-	actCtx  ActionCtx      // action context storage (fire)
+	fired   []*Trigger    // firing accumulation arena (post.go)
+	evArena []value.Value // dense event-parameter arena (Call)
+	penv    progHost      // compiled-mask host (dispatch.go)
+	actCtx  ActionCtx     // action context storage (fire)
 
 	// lazyAccess marks a cohort timer delivery transaction: members are
 	// peeked, and stepBatch registers one with the txn layer (Access)
@@ -307,23 +307,13 @@ func (tx *Tx) Activate(oid store.OID, trigger string, params ...value.Value) err
 		return fmt.Errorf("engine: trigger %s takes %d parameter(s), got %d",
 			trigger, len(t.Res.Params), len(params))
 	}
-	act := rec.Trigger(trigger)
-	act.Active = true
-	act.State = t.Auto.Start()
-	act.Shadow = nil
-	act.Params = make(map[string]value.Value, len(params))
-	act.Dense = nil
-	if len(params) > 0 {
-		act.Dense = make([]value.Value, len(params))
+	// A fresh Params slice every time: slices already installed are
+	// shared with committed images and never written (store.TrigState).
+	rec.Slots()[t.slot] = store.TrigState{
+		Active: true,
+		State:  t.Auto.Start(),
+		Params: append([]value.Value(nil), params...),
 	}
-	for i, p := range params {
-		act.Params[t.Res.Params[i]] = p
-		act.Dense[i] = p
-	}
-	// Keep the record's dense slot table pointing at this (possibly
-	// just created) activation.
-	c.ensureSlots(rec)
-	rec.BindSlot(t.slot, trigger, act)
 	// Activation restarts the automaton, so the previous incarnation's
 	// provenance no longer explains the instance: reset its ring
 	// (creating it — every activation gets one).
@@ -356,9 +346,7 @@ func (tx *Tx) Deactivate(oid store.OID, trigger string) error {
 	if t == nil {
 		return fmt.Errorf("engine: class %s has no trigger %q", rec.Class, trigger)
 	}
-	if act, ok := rec.Triggers[trigger]; ok {
-		act.Active = false
-	}
+	rec.Slots()[t.slot].Active = false
 	tx.e.timers.disarm(oid, t)
 	return nil
 }

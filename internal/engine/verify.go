@@ -25,7 +25,7 @@ var ErrOracleDivergence = errors.New("engine: oracle divergence")
 //     persistence carried across any crash and recovery).
 //
 // It requires Options.ShadowOracle (which records the histories) and
-// a quiescent engine. Because TrigActivation.Shadow is part of the
+// a quiescent engine. Because TrigState.Shadow is part of the
 // record, it is rolled back on abort and persisted on commit exactly
 // like State — so after a crash and reopen, VerifyOracle checks that
 // recovery reconstructed automaton states consistent with the §4
@@ -47,17 +47,12 @@ func (e *Engine) VerifyOracle() error {
 		if err != nil {
 			return err
 		}
-		names := make([]string, 0, len(rec.Triggers))
-		for name := range rec.Triggers {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			t := c.Trigger(name)
-			if t == nil {
-				continue // e.g. the combined-monitor slot
+		for _, t := range c.Triggers {
+			name := t.Res.Name
+			act := rec.Trig(t.slot)
+			if act.IsZero() {
+				continue // never activated
 			}
-			act := rec.Triggers[name]
 			hist := act.Shadow
 			state := act.State
 			if t.View == schema.WholeView {

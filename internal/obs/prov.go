@@ -15,7 +15,8 @@ type ProvStep struct {
 	TxID uint64 `json:"tx,omitempty"`
 	AtNs int64  `json:"at_ns"`
 	// KindID is the interned happening-kind name; Kind is resolved
-	// from it at query time (Append never touches strings).
+	// from it at query time (Append never touches strings, and the ring
+	// does not store one).
 	KindID uint16 `json:"-"`
 	Kind   string `json:"kind,omitempty"`
 	// Bits is the §5 mask valuation, Sym the resulting class-alphabet
@@ -35,12 +36,26 @@ type ProvStep struct {
 // spans a long happening history.
 const DefaultProvDepth = 32
 
+// provCell is a ProvStep as the ring stores it: everything but Kind.
+// With no pointer in it the ring's backing array is one the garbage
+// collector never scans — there is a ring per (object, trigger), so on a
+// large heap they are most of what a mark phase would otherwise walk.
+type provCell struct {
+	seq, txID uint64
+	atNs      int64
+	sym       int
+	from, to  int
+	bits      uint32
+	kindID    uint16
+	accepted  bool
+}
+
 // ProvRing is a fixed-capacity ring of the most recent ProvSteps of
 // one trigger instance. Append is allocation-free (the buffer is laid
 // down once); all methods are safe for concurrent use.
 type ProvRing struct {
 	mu  sync.Mutex
-	buf []ProvStep
+	buf []provCell
 	seq uint64 // steps ever appended; next step's 1-based number
 }
 
@@ -50,15 +65,18 @@ func NewProvRing(capacity int) *ProvRing {
 	if capacity <= 0 {
 		capacity = DefaultProvDepth
 	}
-	return &ProvRing{buf: make([]ProvStep, capacity)}
+	return &ProvRing{buf: make([]provCell, capacity)}
 }
 
-// Append records one step, assigning its sequence number.
+// Append records one step, assigning its sequence number. s.Kind is
+// not kept: readers resolve KindID.
 func (r *ProvRing) Append(s ProvStep) {
 	r.mu.Lock()
 	r.seq++
-	s.Seq = r.seq
-	r.buf[int((r.seq-1)%uint64(len(r.buf)))] = s
+	r.buf[int((r.seq-1)%uint64(len(r.buf)))] = provCell{
+		seq: r.seq, txID: s.TxID, atNs: s.AtNs, sym: s.Sym, from: s.From, to: s.To,
+		bits: s.Bits, kindID: s.KindID, accepted: s.Accepted,
+	}
 	r.mu.Unlock()
 }
 
@@ -67,14 +85,12 @@ func (r *ProvRing) Append(s ProvStep) {
 // incarnation no longer explains the current state.
 func (r *ProvRing) Reset() {
 	r.mu.Lock()
-	for i := range r.buf {
-		r.buf[i] = ProvStep{}
-	}
+	clear(r.buf)
 	r.seq = 0
 	r.mu.Unlock()
 }
 
-// Steps returns the retained steps in chronological order.
+// Steps returns the retained steps in chronological order, Kind unset.
 func (r *ProvRing) Steps() []ProvStep {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -84,7 +100,11 @@ func (r *ProvRing) Steps() []ProvStep {
 	}
 	out := make([]ProvStep, 0, n)
 	for seq := r.seq - n + 1; seq <= r.seq; seq++ {
-		out = append(out, r.buf[int((seq-1)%uint64(len(r.buf)))])
+		c := &r.buf[int((seq-1)%uint64(len(r.buf)))]
+		out = append(out, ProvStep{
+			Seq: c.seq, TxID: c.txID, AtNs: c.atNs, KindID: c.kindID, Bits: c.bits, Sym: c.sym,
+			From: c.from, To: c.to, Accepted: c.accepted,
+		})
 	}
 	return out
 }

@@ -690,10 +690,11 @@ func timerScheduleErr(e *engine.Engine) error {
 		if c == nil {
 			return fmt.Errorf("object %d has unregistered class %q", oid, rec.Class)
 		}
-		for name, act := range rec.Triggers {
-			if !act.Active {
+		for slot := range rec.Trigs {
+			if !rec.Trigs[slot].Active {
 				continue
 			}
+			name := rec.TrigName(slot)
 			tr := c.Trigger(name)
 			if tr == nil {
 				return fmt.Errorf("object %d holds unknown trigger %q", oid, name)

@@ -25,7 +25,7 @@ import (
 // it by building, for every touched object that changed, the next
 // image from the live record and the previous image (Record.image:
 // whatever did not change is shared with the predecessor, and nothing
-// is ever shared with the live record), logging those images, and
+// mutable is ever shared with the live record), logging those images, and
 // swapping them in while the committer still holds its object locks.
 // Rollback keeps it by deep-copying the image back into the heap
 // (Restore) — the copy every access used to pay is paid by the rare
@@ -83,21 +83,14 @@ func (s *Store) seedEpochView() {
 }
 
 // nextImages builds the next committed image of each touched object
-// that changed since its previous image, in order; unchanged objects,
-// and objects no longer in the heap (deleted later in the same
-// transaction), contribute nothing. The caller holds the objects'
-// transaction locks, so the live records cannot move under the
-// comparison.
-func (s *Store) nextImages(touched []OID) []*Record {
+// that changed since its previous image, in order; unchanged objects
+// contribute nothing. The caller holds the objects' transaction locks,
+// so the live records cannot move under the comparison.
+func nextImages(touched []Touched) []*Record {
 	var imgs []*Record
-	for i, oid := range touched {
-		r, err := s.Get(oid)
-		if err != nil {
-			continue
-		}
-		prev, _ := s.GetCommitted(oid)
-		img := r.image(prev)
-		if img == prev {
+	for i, t := range touched {
+		img := t.Rec.image(t.Prev)
+		if img == t.Prev {
 			continue
 		}
 		if imgs == nil {
@@ -116,7 +109,21 @@ func (s *Store) nextImages(touched []OID) []*Record {
 // Store.Commit, which logs and publishes the same images; this entry
 // point serves callers that log separately.
 func (s *Store) PublishCommitted(dirty, deleted []OID) {
-	s.publish(s.nextImages(dirty), deleted)
+	s.publish(nextImages(s.touchedOf(dirty)), deleted)
+}
+
+// touchedOf looks up what a transaction would have handed Commit for
+// these objects; ones no longer in the heap (deleted later in the same
+// transaction) are left out.
+func (s *Store) touchedOf(oids []OID) []Touched {
+	touched := make([]Touched, 0, len(oids))
+	for _, oid := range oids {
+		if r, err := s.Get(oid); err == nil {
+			prev, _ := s.GetCommitted(oid)
+			touched = append(touched, Touched{Rec: r, Prev: prev})
+		}
+	}
+	return touched
 }
 
 // publish installs prebuilt images and removes the deleted objects,

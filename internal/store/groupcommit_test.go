@@ -85,11 +85,10 @@ func TestCrashMidBatchRecovery(t *testing.T) {
 
 	// Append one more transaction whose Commit frame is torn mid-body —
 	// the crash point of a batch that never finished its Write.
-	rec := &Record{
-		OID:      oids[0],
-		Class:    "x",
-		Fields:   map[string]value.Value{"v": value.Int(999)},
-		Triggers: map[string]*TrigActivation{},
+	rec := &wireRecord{
+		OID:    oids[0],
+		Class:  "x",
+		Fields: map[string]value.Value{"v": value.Int(999)},
 	}
 	var buf bytes.Buffer
 	for _, fr := range []frame{

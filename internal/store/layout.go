@@ -1,0 +1,94 @@
+package store
+
+import (
+	"sync"
+	"sync/atomic"
+)
+
+// Layout assigns the trigger names of one class to the slots of
+// Record.Trigs. The store knows no schema, and a trigger added, removed
+// or reordered between restarts must still find its persisted state, so
+// names — not declaration positions — are what persistence binds by;
+// the layout interns each name a class's records have ever carried into
+// the next free slot. It only ever grows: a slot, once assigned, keeps
+// its name for the life of the store, so a record shorter than the
+// layout simply never activated the later slots. Recovery interns the
+// names it decodes, the engine resolves each trigger's slot once at
+// RegisterClass, and both meet in the same table.
+//
+// Readers (every posting, through Len/Slot/Name) take no lock: the
+// table is immutable and replaced wholesale by Intern.
+type Layout struct {
+	mu  sync.Mutex // serializes Intern's copy-on-write
+	tab atomic.Pointer[layoutTab]
+}
+
+type layoutTab struct {
+	names []string       // slot → name
+	slots map[string]int // name → slot
+}
+
+func newLayout() *Layout {
+	l := &Layout{}
+	l.tab.Store(&layoutTab{})
+	return l
+}
+
+// Len returns the number of slots assigned so far.
+func (l *Layout) Len() int { return len(l.tab.Load().names) }
+
+// Name returns the trigger name of an assigned slot.
+func (l *Layout) Name(slot int) string { return l.tab.Load().names[slot] }
+
+// Slot returns the slot of name, if it has one.
+func (l *Layout) Slot(name string) (int, bool) {
+	s, ok := l.tab.Load().slots[name]
+	return s, ok
+}
+
+// Intern returns the slot of name, assigning the next free one on first
+// sight.
+func (l *Layout) Intern(name string) int {
+	if s, ok := l.Slot(name); ok {
+		return s
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	cur := l.tab.Load()
+	if s, ok := cur.slots[name]; ok {
+		return s
+	}
+	n := len(cur.names)
+	next := &layoutTab{names: make([]string, n+1), slots: make(map[string]int, n+1)}
+	copy(next.names, cur.names)
+	next.names[n] = name
+	for k, v := range cur.slots {
+		next.slots[k] = v
+	}
+	next.slots[name] = n
+	l.tab.Store(next)
+	return n
+}
+
+// Layout returns the slot layout of the named class, creating it on
+// first sight. Like the layouts themselves the class table is
+// copy-on-write, so Create pays one atomic load and one map probe.
+func (s *Store) Layout(class string) *Layout {
+	if l := (*s.layouts.Load())[class]; l != nil {
+		return l
+	}
+	s.layoutMu.Lock()
+	defer s.layoutMu.Unlock()
+	cur := *s.layouts.Load()
+	if l := cur[class]; l != nil {
+		return l
+	}
+	next := make(map[string]*Layout, len(cur)+1)
+	for k, v := range cur {
+		next[k] = v
+	}
+	l := newLayout()
+	next[class] = l
+	s.layouts.Store(&next)
+	return l
+}

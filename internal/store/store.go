@@ -43,92 +43,126 @@ import (
 // persistent object, usable as an object reference in field values.
 type OID uint64
 
-// TrigActivation is the per-object state of one trigger: whether it is
+// TrigState is the per-object state of one trigger: whether it is
 // active, its activation parameters, and — for committed-view triggers
-// — the automaton state. Keeping this inside the record implements the
-// paper's §6 option where "the automaton state is considered part of
-// the object data structure and hence will be restored correctly upon
-// abort"; activation and deactivation are transactional for the same
-// reason.
-type TrigActivation struct {
+// — the automaton state: the paper's "one integer of state per object
+// per active trigger" (§5). Keeping it inside the record implements the
+// §6 option where "the automaton state is considered part of the object
+// data structure and hence will be restored correctly upon abort";
+// activation and deactivation are transactional for the same reason.
+// The zero value is a trigger that was never activated.
+type TrigState struct {
 	Active bool
 	State  int
-	Params map[string]value.Value
-	// Dense carries the activation parameters in the trigger's declared
-	// order, for compiled mask programs that resolve names to indexes.
-	// It aliases the same values as Params; the engine rebuilds it
-	// lazily for records recovered from logs written before it existed.
-	Dense []value.Value
+	// Params are the activation parameters in the trigger's declared
+	// order. A Params slice is immutable: activation installs a fresh
+	// one and nothing ever writes an element of an existing one, which
+	// is what lets committed images, before-image copies and the live
+	// record share it.
+	Params []value.Value
 	// Shadow is the instance's symbol history, kept only when the
 	// engine's shadow-oracle mode is on; stored here so it is rolled
-	// back on abort exactly like State.
+	// back on abort exactly like State. The live record appends to it
+	// in place, so copies never share it with the live record.
 	Shadow []int
 }
 
-func (a *TrigActivation) clone() *TrigActivation {
-	c := &TrigActivation{Active: a.Active, State: a.State}
-	if a.Params != nil {
-		c.Params = make(map[string]value.Value, len(a.Params))
-		for k, v := range a.Params {
-			c.Params[k] = v
+// IsZero reports whether the trigger was never activated on the object.
+func (t *TrigState) IsZero() bool {
+	return !t.Active && t.State == 0 && len(t.Params) == 0 && len(t.Shadow) == 0
+}
+
+// equal reports whether two trigger states have the same content.
+func (t *TrigState) equal(u *TrigState) bool {
+	if t.Active != u.Active || t.State != u.State || len(t.Params) != len(u.Params) || len(t.Shadow) != len(u.Shadow) {
+		return false
+	}
+	// Params slices are immutable and shared, so the common case is one
+	// pointer comparison; content decides when the pointers differ (a
+	// re-activation with equal parameters is not a change).
+	if len(t.Params) > 0 && &t.Params[0] != &u.Params[0] {
+		for i, v := range t.Params {
+			if u.Params[i] != v {
+				return false
+			}
 		}
 	}
-	if a.Dense != nil {
-		c.Dense = append([]value.Value(nil), a.Dense...)
+	for i, v := range t.Shadow {
+		if u.Shadow[i] != v {
+			return false
+		}
 	}
-	if a.Shadow != nil {
-		c.Shadow = append([]int(nil), a.Shadow...)
-	}
-	return c
+	return true
 }
 
 // Record is the stored representation of one object.
 type Record struct {
-	OID      OID
-	Class    string
-	Fields   map[string]value.Value
-	Triggers map[string]*TrigActivation
+	OID    OID
+	Class  string
+	Fields map[string]value.Value
+	// Trigs is the object's trigger state, one entry per slot of the
+	// class layout (see Layout), held by value: stepping a trigger is an
+	// indexed store, and a committed image of all of it is one slice
+	// copy. A record may be shorter than its layout — the missing slots
+	// were never activated.
+	Trigs []TrigState
 
-	// slots is the dense per-class trigger index: slots[i] aliases the
-	// activation the engine's trigger i would find in Triggers, so the
-	// posting hot path addresses activations by index instead of a map
-	// probe per trigger per happening. Unexported on purpose: gob skips
-	// it, so persistence stays name-keyed and the engine rebuilds the
-	// index lazily (and re-aliases it on clone).
-	slots []trigSlot
+	layout *Layout
 }
 
-type trigSlot struct {
-	name string
-	act  *TrigActivation // nil until the trigger is first activated
+// Slots sizes Trigs to the class layout and returns it, so every slot a
+// registered trigger resolved to is addressable by index. The engine
+// calls it before taking any slot pointer; the caller must hold the
+// object's transaction lock.
+func (r *Record) Slots() []TrigState {
+	r.grow(r.layout.Len())
+	return r.Trigs
 }
 
-// Trigger returns the named activation, creating it if absent.
-func (r *Record) Trigger(name string) *TrigActivation {
-	a, ok := r.Triggers[name]
-	if !ok {
-		a = &TrigActivation{}
-		r.Triggers[name] = a
+// grow extends Trigs with never-activated slots to at least n.
+func (r *Record) grow(n int) {
+	if len(r.Trigs) < n {
+		grown := make([]TrigState, n)
+		copy(grown, r.Trigs)
+		r.Trigs = grown
 	}
-	return a
 }
 
-// SlotCount returns the size of the dense trigger index (0 until the
-// engine binds it).
-func (r *Record) SlotCount() int { return len(r.slots) }
+// Trig returns the state at slot without touching the record — the way
+// to read shared images and unlocked records; a slot past the end was
+// never activated.
+func (r *Record) Trig(slot int) TrigState {
+	if slot >= len(r.Trigs) {
+		return TrigState{}
+	}
+	return r.Trigs[slot]
+}
 
-// Slot returns the activation bound at dense index i (nil if the
-// trigger has never been activated on this object).
-func (r *Record) Slot(i int) *TrigActivation { return r.slots[i].act }
+// Trigger returns the named trigger's state for update, interning the
+// name in the class layout. The pointer is valid until the layout next
+// grows. The caller must hold the object's transaction lock.
+func (r *Record) Trigger(name string) *TrigState {
+	slot := r.layout.Intern(name)
+	return &r.Slots()[slot]
+}
 
-// ResetSlots sizes the dense trigger index to n empty slots. The
-// caller must hold the object's transaction lock.
-func (r *Record) ResetSlots(n int) { r.slots = make([]trigSlot, n) }
+// TrigName returns the trigger name of a slot of Trigs.
+func (r *Record) TrigName(slot int) string { return r.layout.Name(slot) }
 
-// BindSlot binds dense index i to the named activation (which must be
-// the same pointer stored in Triggers, or nil if absent there).
-func (r *Record) BindSlot(i int, name string, act *TrigActivation) {
-	r.slots[i] = trigSlot{name: name, act: act}
+// copyTrigs returns a copy of src that shares nothing mutable with it:
+// Params slices are shared (immutable), Shadow histories copied.
+func copyTrigs(src []TrigState) []TrigState {
+	if len(src) == 0 {
+		return nil
+	}
+	out := make([]TrigState, len(src))
+	copy(out, src)
+	for i := range out {
+		if sh := out[i].Shadow; len(sh) > 0 {
+			out[i].Shadow = append([]int(nil), sh...)
+		}
+	}
+	return out
 }
 
 // clone deep-copies the record. It is the reference copy: Restore
@@ -136,43 +170,12 @@ func (r *Record) BindSlot(i int, name string, act *TrigActivation) {
 // before-image of an object that has no committed image, and the image
 // tests use it as the oracle for what Record.image shares.
 func (r *Record) clone() *Record {
-	c := &Record{OID: r.OID, Class: r.Class}
+	c := &Record{OID: r.OID, Class: r.Class, layout: r.layout, Trigs: copyTrigs(r.Trigs)}
 	c.Fields = make(map[string]value.Value, len(r.Fields))
 	for k, v := range r.Fields {
 		c.Fields[k] = v
 	}
-	c.Triggers = make(map[string]*TrigActivation, len(r.Triggers))
-	for k, v := range r.Triggers {
-		c.Triggers[k] = v.clone()
-	}
-	if r.slots != nil {
-		// Re-alias the dense index into the cloned activations by name
-		// so the clone's slots never point into the original record.
-		c.slots = make([]trigSlot, len(r.slots))
-		for i, s := range r.slots {
-			c.slots[i] = trigSlot{name: s.name, act: c.Triggers[s.name]}
-		}
-	}
 	return c
-}
-
-// equal reports whether two activations have the same content.
-func (a *TrigActivation) equal(b *TrigActivation) bool {
-	if a.Active != b.Active || a.State != b.State || (a.Params == nil) != (b.Params == nil) ||
-		len(a.Dense) != len(b.Dense) || len(a.Shadow) != len(b.Shadow) || !sameValues(a.Params, b.Params) {
-		return false
-	}
-	for i, v := range a.Dense {
-		if b.Dense[i] != v {
-			return false
-		}
-	}
-	for i, v := range a.Shadow {
-		if b.Shadow[i] != v {
-			return false
-		}
-	}
-	return true
 }
 
 func sameValues(a, b map[string]value.Value) bool {
@@ -187,12 +190,19 @@ func sameValues(a, b map[string]value.Value) bool {
 	return true
 }
 
-func sameTriggers(a, b map[string]*TrigActivation) bool {
-	if len(a) != len(b) {
-		return false
+// sameTrigs compares two slot slices by content; slots one of them
+// lacks must be never-activated in the other.
+func sameTrigs(a, b []TrigState) bool {
+	if len(a) > len(b) {
+		a, b = b, a
 	}
-	for k, v := range a {
-		if w := b[k]; w == nil || !w.equal(v) {
+	for i := range a {
+		if !a[i].equal(&b[i]) {
+			return false
+		}
+	}
+	for i := len(a); i < len(b); i++ {
+		if !b[i].IsZero() {
 			return false
 		}
 	}
@@ -201,27 +211,26 @@ func sameTriggers(a, b map[string]*TrigActivation) bool {
 
 // image returns the immutable committed image of r, given prev, the
 // object's previous image (nil if it has none): prev itself when r is
-// content-equal to it, otherwise a new Record that shares with prev
-// every part that did not change — the Fields map, the whole Triggers
-// map, or the individual activations that did not move. Change is
-// detected by comparing content, not by flags at the mutation sites (a
-// missed flag would be silent rollback corruption; a comparison cannot
-// be bypassed), and an image shares only with other images, never with
-// the live record, so nothing a later transaction does to the record
-// can reach it. Images carry no dense slot index — only the engine's
-// live records need one.
+// content-equal to it, otherwise a new Record that shares with prev the
+// part that did not change — the Fields map or the Trigs slice — and
+// copies the other. Change is detected by comparing content, not by
+// flags at the mutation sites (a missed flag would be silent rollback
+// corruption; a comparison cannot be bypassed). An image shares nothing
+// mutable with the live record: only Params slices, which nobody
+// writes, so nothing a later transaction does to the record can reach
+// it.
 func (r *Record) image(prev *Record) *Record {
 	var pf map[string]value.Value
-	var pt map[string]*TrigActivation
+	var pt []TrigState
 	if prev != nil {
-		pf, pt = prev.Fields, prev.Triggers
+		pf, pt = prev.Fields, prev.Trigs
 	}
 	fieldsSame := prev != nil && sameValues(r.Fields, pf)
-	trigsSame := prev != nil && sameTriggers(r.Triggers, pt)
+	trigsSame := prev != nil && sameTrigs(r.Trigs, pt)
 	if fieldsSame && trigsSame {
 		return prev
 	}
-	img := &Record{OID: r.OID, Class: r.Class, Fields: pf, Triggers: pt}
+	img := &Record{OID: r.OID, Class: r.Class, layout: r.layout, Fields: pf, Trigs: pt}
 	if !fieldsSame {
 		img.Fields = make(map[string]value.Value, len(r.Fields))
 		for k, v := range r.Fields {
@@ -229,14 +238,7 @@ func (r *Record) image(prev *Record) *Record {
 		}
 	}
 	if !trigsSame {
-		img.Triggers = make(map[string]*TrigActivation, len(r.Triggers))
-		for k, a := range r.Triggers {
-			if pa := pt[k]; pa != nil && pa.equal(a) {
-				img.Triggers[k] = pa
-			} else {
-				img.Triggers[k] = a.clone()
-			}
-		}
+		img.Trigs = copyTrigs(r.Trigs)
 	}
 	return img
 }
@@ -312,6 +314,11 @@ type Store struct {
 	epochs [numStripes]epochStripe
 	epoch  atomic.Uint64
 
+	// layouts maps each class name to its trigger-slot layout (see
+	// layout.go); copy-on-write under layoutMu.
+	layoutMu sync.Mutex
+	layouts  atomic.Pointer[map[string]*Layout]
+
 	// egress is the durable firing feed (see egress.go): records are
 	// reserved sequence numbers before the WAL write and resolved after
 	// it, recovered alongside the object heap at Open.
@@ -340,6 +347,7 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 		base = 1
 	}
 	s.nextOID.Store(base)
+	s.layouts.Store(&map[string]*Layout{})
 	for i := range s.stripes {
 		s.stripes[i].objects = make(map[OID]*Record)
 	}
@@ -384,12 +392,7 @@ func (s *Store) Create(class string, fields map[string]value.Value) *Record {
 	if fields == nil {
 		fields = map[string]value.Value{}
 	}
-	r := &Record{
-		OID:      oid,
-		Class:    class,
-		Fields:   fields,
-		Triggers: map[string]*TrigActivation{},
-	}
+	r := &Record{OID: oid, Class: class, Fields: fields, layout: s.Layout(class)}
 	st := s.stripeOf(oid)
 	st.mu.Lock()
 	st.objects[oid] = r
@@ -490,6 +493,15 @@ func (s *Store) OIDs() []OID {
 	return out
 }
 
+// Touched is one object a committing transaction accessed and did not
+// delete: its live record and the committed image it had when the
+// transaction first accessed it (nil if it had none). The transaction
+// manager holds both already, so the commit looks neither up again.
+type Touched struct {
+	Rec  *Record
+	Prev *Record
+}
+
 // Commit is the transaction manager's commit point: it builds the next
 // committed image of every touched object that changed (see
 // Record.image), logs those images, the deletions and the firings as
@@ -500,8 +512,8 @@ func (s *Store) OIDs() []OID {
 // for it, and a commit with no dirty object, no deletion and no firing
 // writes no WAL batch and does no Sync. On error nothing was
 // published and the caller rolls back.
-func (s *Store) Commit(txID uint64, touched, deleted []OID, firings []FiringRecord) error {
-	imgs := s.nextImages(touched)
+func (s *Store) Commit(txID uint64, touched []Touched, deleted []OID, firings []FiringRecord) error {
+	imgs := nextImages(touched)
 	if err := s.logCommit(txID, imgs, deleted, firings); err != nil {
 		return err
 	}
@@ -572,13 +584,15 @@ func (s *Store) logCommit(txID uint64, recs []*Record, deleted []OID, firings []
 	if err := encodeFrame(&buf, frame{Op: opBegin, TxID: txID}); err != nil {
 		return s.egressAbort(lo, firings, err)
 	}
-	switch {
-	case len(recs) == 1:
-		if err := encodeFrame(&buf, frame{Op: opPut, TxID: txID, Rec: recs[0]}); err != nil {
-			return s.egressAbort(lo, firings, err)
+	if len(recs) > 0 {
+		wb := wireBufs.Get().(*wireBuf)
+		put := frame{Op: opPutN, TxID: txID, Recs: wb.of(recs...)}
+		if len(recs) == 1 {
+			put = frame{Op: opPut, TxID: txID, Rec: wb.ptrs[0]}
 		}
-	case len(recs) > 1:
-		if err := encodeFrame(&buf, frame{Op: opPutN, TxID: txID, Recs: recs}); err != nil {
+		err := encodeFrame(&buf, put)
+		wb.release()
+		if err != nil {
 			return s.egressAbort(lo, firings, err)
 		}
 	}
@@ -638,11 +652,16 @@ func (s *Store) Checkpoint() error {
 	for i := range s.stripes {
 		s.stripes[i].mu.Lock()
 	}
-	merged := make(map[OID]*Record)
+	var all []*Record
 	for i := range s.stripes {
-		for oid, r := range s.stripes[i].objects {
-			merged[oid] = r
+		for _, r := range s.stripes[i].objects {
+			all = append(all, r)
 		}
+	}
+	var wb wireBuf // not pooled: as large as the heap
+	merged := make(map[OID]*wireRecord, len(all))
+	for _, w := range wb.of(all...) {
+		merged[w.OID] = w
 	}
 	// walMu is held exclusively, so no commit is in flight and the
 	// egress log has no pending reservation: the snapshot captures the
@@ -673,7 +692,11 @@ func (s *Store) recover() error {
 	if img.Objects != nil {
 		s.recovery.SnapshotLoaded = true
 		s.nextOID.Store(uint64(img.Next))
-		for oid, r := range img.Objects {
+		for oid, w := range img.Objects {
+			r, err := s.fromWire(w)
+			if err != nil {
+				return err
+			}
 			s.stripeOf(oid).objects[oid] = r
 		}
 	}
@@ -709,10 +732,14 @@ func (s *Store) recover() error {
 		}
 		switch f.Op {
 		case opPut:
-			s.applyPut(f.Rec)
+			if err := s.applyPut(f.Rec); err != nil {
+				return err
+			}
 		case opPutN:
-			for _, r := range f.Recs {
-				s.applyPut(r)
+			for _, w := range f.Recs {
+				if err := s.applyPut(w); err != nil {
+					return err
+				}
 			}
 		case opDelete:
 			delete(s.stripeOf(f.OID).objects, f.OID)
@@ -739,9 +766,14 @@ func (s *Store) recover() error {
 // applyPut installs one recovered committed record and bumps the OID
 // allocator past it (by the store's stride — recovered OIDs are always
 // in this store's residue class). Runs single-threaded at Open.
-func (s *Store) applyPut(r *Record) {
+func (s *Store) applyPut(w *wireRecord) error {
+	r, err := s.fromWire(w)
+	if err != nil {
+		return err
+	}
 	s.stripeOf(r.OID).objects[r.OID] = r
 	if uint64(r.OID) >= s.nextOID.Load() {
 		s.nextOID.Store(uint64(r.OID) + s.oidStep)
 	}
+	return nil
 }

@@ -139,7 +139,7 @@ func TestUncommittedFramesIgnored(t *testing.T) {
 	if err := encodeFrame(&buf, frame{Op: opBegin, TxID: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := encodeFrame(&buf, frame{Op: opPut, TxID: 2, Rec: rec}); err != nil {
+	if err := encodeFrame(&buf, frame{Op: opPut, TxID: 2, Rec: new(wireBuf).of(rec)[0]}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.wal.commit(buf.Bytes()); err != nil {
@@ -244,7 +244,8 @@ func TestTrigStatePersisted(t *testing.T) {
 	act := a.Trigger("stockRoom.T6#1")
 	act.Active = true
 	act.State = 4
-	act.Params = map[string]value.Value{"lvl": value.Int(7)}
+	act.Params = []value.Value{value.Int(7)}
+	act.Shadow = []int{3, 1}
 	s.LogCommit(1, []OID{a.OID}, nil, nil)
 	s.Close()
 
@@ -255,7 +256,8 @@ func TestTrigStatePersisted(t *testing.T) {
 	defer s2.Close()
 	ra, _ := s2.Get(a.OID)
 	got := ra.Trigger("stockRoom.T6#1")
-	if !got.Active || got.State != 4 || !got.Params["lvl"].Equal(value.Int(7)) {
+	if !got.Active || got.State != 4 || len(got.Params) != 1 || !got.Params[0].Equal(value.Int(7)) ||
+		len(got.Shadow) != 2 || got.Shadow[0] != 3 || got.Shadow[1] != 1 {
 		t.Fatalf("trigger activation lost: %+v", got)
 	}
 }

@@ -9,9 +9,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"ode/internal/fault"
+	"ode/internal/value"
 )
 
 // WAL frame operations.
@@ -41,9 +43,123 @@ type frame struct {
 	Op      byte
 	TxID    uint64
 	OID     OID
-	Rec     *Record
-	Recs    []*Record      // opPutN only; absent (nil) in all other frames
+	Rec     *wireRecord
+	Recs    []*wireRecord  // opPutN only; absent (nil) in all other frames
 	Firings []FiringRecord // opFirings only; absent (nil) in all other frames
+}
+
+// wireRecord and wireTrig are the gob shape of a record in WAL frames
+// and snapshots: trigger state keyed by name, so what a directory holds
+// does not depend on any run's slot assignment, and unchanged since
+// before records had slots — gob matches fields by name, so directories
+// written through the old exported types decode into these. Records are
+// converted at the codec boundary (wireBuf.of, Store.fromWire) and
+// never-activated slots are simply absent from the map.
+type wireRecord struct {
+	OID      OID
+	Class    string
+	Fields   map[string]value.Value
+	Triggers map[string]*wireTrig
+}
+
+type wireTrig struct {
+	Active bool
+	State  int
+	// Params is the name-keyed copy of Dense that earlier versions wrote
+	// next to it. The store cannot name parameters, so it is no longer
+	// written, and read only to refuse a log old enough to lack Dense.
+	Params map[string]value.Value
+	Dense  []value.Value
+	Shadow []int
+}
+
+// wireBuf converts records into their on-disk shape for immediate
+// encoding: the results share the records' field maps and slices and
+// live in the buffer's slabs, so they are valid only until release and
+// only under whatever keeps the records from changing. A commit takes a
+// buffer from wireBufs and returns it, so the name-keyed maps the gob
+// shape demands are made once and reused — steady-state commits convert
+// without allocating; a checkpoint uses one buffer for the whole heap.
+type wireBuf struct {
+	recs  []wireRecord
+	ptrs  []*wireRecord
+	trigs []wireTrig
+	maps  []map[string]*wireTrig
+	used  int // maps handed out since the last release
+}
+
+var wireBufs = sync.Pool{New: func() any { return new(wireBuf) }}
+
+// of converts recs. Both slabs are sized up front: the results point
+// into them, so they must not grow while being filled.
+func (wb *wireBuf) of(recs ...*Record) []*wireRecord {
+	trigs := 0
+	for _, r := range recs {
+		trigs += len(r.Trigs)
+	}
+	wb.recs = slices.Grow(wb.recs[:0], len(recs))
+	wb.ptrs = slices.Grow(wb.ptrs[:0], len(recs))
+	wb.trigs = slices.Grow(wb.trigs[:0], trigs)
+	for _, r := range recs {
+		wb.recs = append(wb.recs, wireRecord{OID: r.OID, Class: r.Class, Fields: r.Fields})
+		w := &wb.recs[len(wb.recs)-1]
+		wb.ptrs = append(wb.ptrs, w)
+		for i := range r.Trigs {
+			t := &r.Trigs[i]
+			if t.IsZero() {
+				continue // never activated: absent, as it always was
+			}
+			if w.Triggers == nil {
+				if wb.used == len(wb.maps) {
+					wb.maps = append(wb.maps, map[string]*wireTrig{})
+				}
+				w.Triggers = wb.maps[wb.used]
+				wb.used++
+			}
+			wb.trigs = append(wb.trigs, wireTrig{Active: t.Active, State: t.State, Dense: t.Params, Shadow: t.Shadow})
+			w.Triggers[r.layout.Name(i)] = &wb.trigs[len(wb.trigs)-1]
+		}
+	}
+	return wb.ptrs
+}
+
+// release drops every reference the buffer holds into records and
+// returns it to the pool.
+func (wb *wireBuf) release() {
+	clear(wb.recs)
+	clear(wb.ptrs)
+	clear(wb.trigs)
+	for _, m := range wb.maps[:wb.used] {
+		clear(m)
+	}
+	wb.used = 0
+	wireBufs.Put(wb)
+}
+
+// fromWire rebuilds a decoded record, interning its trigger names in
+// the class layout.
+func (s *Store) fromWire(w *wireRecord) (*Record, error) {
+	if w == nil {
+		return nil, errors.New("store: put frame or snapshot entry carries no record")
+	}
+	l := s.Layout(w.Class)
+	r := &Record{OID: w.OID, Class: w.Class, Fields: w.Fields, layout: l}
+	if r.Fields == nil {
+		r.Fields = map[string]value.Value{}
+	}
+	for name, wt := range w.Triggers {
+		if wt == nil {
+			continue
+		}
+		if len(wt.Params) != 0 && len(wt.Dense) != len(wt.Params) {
+			return nil, fmt.Errorf("store: object %d trigger %s: %d named activation parameter(s) but %d in declared order (log predates dense parameters)",
+				w.OID, name, len(wt.Params), len(wt.Dense))
+		}
+		slot := l.Intern(name)
+		r.grow(l.Len()) // once per record, except while the layout is still learning names
+		r.Trigs[slot] = TrigState{Active: wt.Active, State: wt.State, Params: wt.Dense, Shadow: wt.Shadow}
+	}
+	return r, nil
 }
 
 const (
@@ -237,34 +353,39 @@ func readWAL(dir string) ([]frame, walScan, error) {
 	if err != nil {
 		return nil, sc, fmt.Errorf("store: read wal: %w", err)
 	}
+	frames, sc, reason := scanWAL(data)
+	if sc.tornBytes > 0 {
+		return frames, sc, fmt.Errorf("store: wal has %d trailing byte(s) after %d clean frame(s) (%s): %w",
+			sc.tornBytes, len(frames), reason, ErrTornTail)
+	}
+	return frames, sc, nil
+}
+
+// scanWAL decodes the clean frame prefix of a log image and says why
+// it stopped short, if it did.
+func scanWAL(data []byte) (frames []frame, sc walScan, reason string) {
 	total := int64(len(data))
-	var frames []frame
-	reason := ""
 	for len(data) > 0 {
 		if len(data) < 4 {
 			reason = fmt.Sprintf("%d-byte length-prefix fragment", len(data))
 			break
 		}
 		n := binary.LittleEndian.Uint32(data[:4])
-		if len(data) < int(4+n) {
+		if uint64(len(data)) < 4+uint64(n) {
 			reason = fmt.Sprintf("frame promises %d body bytes, only %d present", n, len(data)-4)
 			break
 		}
 		var fr frame
-		if err := gob.NewDecoder(bytes.NewReader(data[4 : 4+n])).Decode(&fr); err != nil {
+		if err := gob.NewDecoder(bytes.NewReader(data[4 : 4+uint64(n)])).Decode(&fr); err != nil {
 			reason = fmt.Sprintf("undecodable frame body: %v", err)
 			break
 		}
 		frames = append(frames, fr)
-		data = data[4+n:]
-		sc.cleanLen += int64(4 + n)
+		data = data[4+uint64(n):]
+		sc.cleanLen += 4 + int64(n)
 	}
 	sc.tornBytes = total - sc.cleanLen
-	if sc.tornBytes > 0 {
-		return frames, sc, fmt.Errorf("store: wal has %d trailing byte(s) after %d clean frame(s) (%s): %w",
-			sc.tornBytes, len(frames), reason, ErrTornTail)
-	}
-	return frames, sc, nil
+	return frames, sc, reason
 }
 
 // snapshotImage is the gob payload of a checkpoint. Firings and
@@ -273,12 +394,12 @@ func readWAL(dir string) ([]frame, walScan, error) {
 // checkpoint folds them into the snapshot.
 type snapshotImage struct {
 	Next      OID
-	Objects   map[OID]*Record
+	Objects   map[OID]*wireRecord
 	Firings   []FiringRecord
 	FiringSeq uint64
 }
 
-func writeSnapshot(dir string, next OID, objects map[OID]*Record, firings []FiringRecord, firingSeq uint64) error {
+func writeSnapshot(dir string, next OID, objects map[OID]*wireRecord, firings []FiringRecord, firingSeq uint64) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("store: create dir: %w", err)
 	}
@@ -288,9 +409,9 @@ func writeSnapshot(dir string, next OID, objects map[OID]*Record, firings []Firi
 	}
 	defer os.Remove(tmp.Name())
 	img := snapshotImage{Next: next, Objects: objects, Firings: firings, FiringSeq: firingSeq}
-	if err := gob.NewEncoder(tmp).Encode(&img); err != nil {
+	if err := encodeSnapshot(tmp, &img); err != nil {
 		tmp.Close()
-		return fmt.Errorf("store: encode snapshot: %w", err)
+		return err
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
@@ -306,6 +427,13 @@ func writeSnapshot(dir string, next OID, objects map[OID]*Record, firings []Firi
 	return nil
 }
 
+func encodeSnapshot(w io.Writer, img *snapshotImage) error {
+	if err := gob.NewEncoder(w).Encode(img); err != nil {
+		return fmt.Errorf("store: encode snapshot: %w", err)
+	}
+	return nil
+}
+
 func readSnapshot(dir string) (snapshotImage, error) {
 	var img snapshotImage
 	f, err := os.Open(filepath.Join(dir, snapshotName))
@@ -316,7 +444,12 @@ func readSnapshot(dir string) (snapshotImage, error) {
 		return img, fmt.Errorf("store: open snapshot: %w", err)
 	}
 	defer f.Close()
-	if err := gob.NewDecoder(f).Decode(&img); err != nil {
+	return decodeSnapshot(f)
+}
+
+func decodeSnapshot(r io.Reader) (snapshotImage, error) {
+	var img snapshotImage
+	if err := gob.NewDecoder(r).Decode(&img); err != nil {
 		return img, fmt.Errorf("store: decode snapshot: %w", err)
 	}
 	return img, nil

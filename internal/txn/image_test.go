@@ -3,7 +3,6 @@ package txn
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -151,7 +150,10 @@ type imgTx struct {
 // (arg 5: lim = 1) active on object 1.
 var imgTriggers = [...]string{"A", "B", "C"}
 
-// fingerprint renders a record's exported content canonically.
+// fingerprint renders a record's content canonically: triggers by name,
+// never-activated slots left out — so two records are content-equal
+// exactly when their fingerprints are, however long their slot slices
+// happen to be.
 func fingerprint(r *store.Record) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d %s", r.OID, r.Class)
@@ -163,15 +165,14 @@ func fingerprint(r *store.Record) string {
 	for _, k := range fields {
 		fmt.Fprintf(&b, " %s=%v", k, r.Fields[k])
 	}
-	trigs := make([]string, 0, len(r.Triggers))
-	for k := range r.Triggers {
-		trigs = append(trigs, k)
+	var trigs []string
+	for i := range r.Trigs {
+		if a := &r.Trigs[i]; !a.IsZero() {
+			trigs = append(trigs, fmt.Sprintf(" %s{%v %d %v %v}", r.TrigName(i), a.Active, a.State, a.Params, a.Shadow))
+		}
 	}
 	sort.Strings(trigs)
-	for _, k := range trigs {
-		a := r.Triggers[k]
-		fmt.Fprintf(&b, " %s{%v %d %v %v %v}", k, a.Active, a.State, a.Params["lim"], a.Dense, a.Shadow)
-	}
+	b.WriteString(strings.Join(trigs, ""))
 	return b.String()
 }
 
@@ -234,19 +235,20 @@ func (h *imgHarness) apply(tx *Tx, op imgOp, created *[]store.OID, deleted, touc
 	case "set":
 		rec.Fields["balance"] = value.Int(int64(op.arg % 4)) // small range: writes often restore the old value
 	case "step":
-		if a, ok := rec.Triggers[name]; ok && a.Active {
+		if a := rec.Trigger(name); a.Active {
 			a.State = op.arg % 3
 			a.Shadow = append(a.Shadow, op.arg%5)
 		}
-	case "activate": // also re-activation: Params/Dense replaced wholesale, history reset
-		a := rec.Trigger(name)
-		a.Active, a.State, a.Shadow = true, 0, nil
-		a.Params = map[string]value.Value{"lim": value.Int(int64(op.arg % 2))}
-		a.Dense = []value.Value{value.Int(int64(op.arg % 2))}
-	case "deactivate":
-		if a, ok := rec.Triggers[name]; ok {
-			a.Active = false
+	case "activate": // also re-activation: a fresh Params slice, history reset
+		*rec.Trigger(name) = store.TrigState{Active: true, Params: []value.Value{value.Int(int64(op.arg % 2))}}
+	case "reactivate": // the same parameters in a fresh slice: a change only if state or history moved
+		if a := rec.Trigger(name); a.Active {
+			*a = store.TrigState{Active: true, Params: append([]value.Value(nil), a.Params...)}
 		}
+	case "grow": // a trigger name the class layout has not seen: every record is now shorter than it
+		*rec.Trigger(fmt.Sprintf("N%d", op.arg%4)) = store.TrigState{Active: true, State: op.arg % 3}
+	case "deactivate":
+		rec.Trigger(name).Active = false
 	default:
 		t.Fatalf("unknown op %q", op.kind)
 	}
@@ -291,7 +293,7 @@ func (h *imgHarness) run(x imgTx) {
 			if err != nil {
 				t.Fatalf("object %d gone after abort: %v", oid, err)
 			}
-			if !reflect.DeepEqual(got, before[oid]) {
+			if fingerprint(got) != fingerprint(before[oid]) {
 				t.Fatalf("object %d after abort:\n got %s\nwant %s", oid, fingerprint(got), fingerprint(before[oid]))
 			}
 			if img, _ := st.GetCommitted(oid); img != prevImg[oid] {
@@ -331,7 +333,7 @@ func (h *imgHarness) run(x imgTx) {
 				t.Fatalf("untouched never-committed object %d was published", oid)
 			}
 			continue
-		case prevImg[oid] != nil && reflect.DeepEqual(got, b):
+		case prevImg[oid] != nil && fingerprint(got) == fingerprint(b):
 			// Untouched, or touched and left content-equal: not dirty.
 			if img != prevImg[oid] {
 				t.Fatalf("unchanged object %d was republished", oid)
@@ -343,7 +345,7 @@ func (h *imgHarness) run(x imgTx) {
 			t.Fatalf("committed object %d has no image", oid)
 		}
 		clone := h.deepClone(oid) // what a full clone would have published
-		if !reflect.DeepEqual(img, got) || !reflect.DeepEqual(img, clone) {
+		if fingerprint(img) != fingerprint(got) || fingerprint(img) != fingerprint(clone) {
 			t.Fatalf("object %d image diverges:\n  img %s\n live %s\nclone %s", oid, fingerprint(img), fingerprint(got), fingerprint(clone))
 		}
 	}
@@ -387,6 +389,19 @@ func TestImageDifferential(t *testing.T) {
 			{commit: true, ops: []imgOp{{kind: "step", obj: 1, arg: 8}}},
 			{commit: true, ops: []imgOp{{kind: "activate", obj: 1, arg: 5}, {kind: "step", obj: 1, arg: 2}}},
 		},
+		"re-activation with the same parameters in a fresh slice is not dirty": {
+			{commit: true, ops: []imgOp{{kind: "reactivate", obj: 1, arg: 5}}},
+			{commit: true, ops: []imgOp{{kind: "step", obj: 1, arg: 5}, {kind: "reactivate", obj: 1, arg: 5}}},
+		},
+		"layout grows mid-script": {
+			// Object 1's record outgrows its image, object 2's image and
+			// record stay shorter than the layout; an aborted growth
+			// leaves the slot never-activated.
+			{commit: true, ops: []imgOp{{kind: "grow", obj: 1, arg: 1}}},
+			{ops: []imgOp{{kind: "grow", obj: 2, arg: 2}, {kind: "step", obj: 1, arg: 5}}},
+			{commit: true, ops: []imgOp{{kind: "touch", obj: 2}, {kind: "set", obj: 2, arg: 1}}},
+			{commit: true, ops: []imgOp{{kind: "grow", obj: 2, arg: 3}, {kind: "activate", obj: 2, arg: 4}}},
+		},
 		"bare object: abort before its first commit, then commit": {
 			{ops: []imgOp{{kind: "set", obj: 0, arg: 1}, {kind: "activate", obj: 0, arg: 1}}},
 			{commit: true, ops: []imgOp{{kind: "touch", obj: 0}}},
@@ -399,7 +414,7 @@ func TestImageDifferential(t *testing.T) {
 			{commit: true, ops: []imgOp{{kind: "delete", obj: 1}}},
 		},
 	}
-	kinds := []string{"set", "set", "step", "step", "step", "activate", "deactivate", "touch", "touch", "delete", "create"}
+	kinds := []string{"set", "set", "step", "step", "step", "activate", "reactivate", "grow", "deactivate", "touch", "touch", "delete", "create"}
 	for _, single := range []bool{false, true} {
 		for name, script := range table {
 			t.Run(fmt.Sprintf("single=%v/%s", single, name), func(t *testing.T) {

@@ -111,37 +111,30 @@ type Tx struct {
 
 	mu       sync.Mutex // guards state for cross-goroutine State() reads
 	state    State
-	undo     []undoEntry
 	accessed []store.OID        // first-access order
-	seen     map[store.OID]bool // objects with an undo entry
+	touched  []store.Touched    // parallel to accessed: live record and before-image
+	seen     map[store.OID]bool // objects in accessed
 	created  map[store.OID]bool // objects created by this transaction (nil until the first)
 	deleted  map[store.OID]bool // objects deleted by this transaction (nil until the first)
 	deps     []*Tx              // commit dependencies (footnote 6)
 	system   bool               // system transactions post tcommit/tabort events
 
-	// Inline backing for accessed and undo: a transaction over a few
+	// snaps holds the before-image of each accessed object that had no
+	// committed image — created by a bare Store.Create outside any
+	// transaction (nil until the first).
+	snaps map[store.OID]*store.Record
+
+	// Inline backing for accessed and touched: a transaction over a few
 	// objects — every system transaction posting after-tcommit for one —
 	// grows neither slice on the heap.
 	accessedBuf [4]store.OID
-	undoBuf     [4]undoEntry
+	touchedBuf  [4]store.Touched
 
 	// firings are the trigger firings captured by the engine during
 	// this transaction (AddFiring); Commit hands them to the store so
 	// they ride the transaction's own WAL batch. Rollback discards
 	// them with everything else.
 	firings []store.FiringRecord
-}
-
-// undoEntry is one object's before-image. The image invariant makes it
-// free: an object no active transaction holds is content-equal to its
-// committed image in the store's epoch view — Commit publishes before
-// it releases locks, rollback restores from the image, recovery seeds
-// the view — so the before-image of a first access is a pointer to that
-// shared immutable image, and the deep copy back into the heap is paid
-// only by the rare rollback (Store.Restore).
-type undoEntry struct {
-	oid store.OID
-	img *store.Record // nil: created by this transaction
 }
 
 // Begin starts a new transaction.
@@ -152,7 +145,7 @@ func (m *Manager) Begin() *Tx {
 		state: Active,
 		seen:  map[store.OID]bool{},
 	}
-	tx.accessed, tx.undo = tx.accessedBuf[:0], tx.undoBuf[:0]
+	tx.accessed, tx.touched = tx.accessedBuf[:0], tx.touchedBuf[:0]
 	return tx
 }
 
@@ -193,9 +186,16 @@ func (tx *Tx) setState(s State) {
 //
 // The before-image is recorded on first access rather than first write
 // because even reads advance committed-view trigger state stored in
-// the record. It is the object's committed image (see undoEntry), so
-// it costs no copy; only an object that was never committed — created
-// by a bare Store.Create outside any transaction — is deep-copied.
+// the record. The image invariant makes it free: an object no active
+// transaction holds is content-equal to its committed image in the
+// store's epoch view — Commit publishes before it releases locks,
+// rollback restores from the image, recovery seeds the view — so the
+// before-image is a pointer to that shared immutable image, the deep
+// copy back into the heap is paid only by the rare rollback
+// (Store.Restore), and Commit hands the store the same (record, image)
+// pair to build the next image from. Only an object that was never
+// committed — created by a bare Store.Create outside any transaction —
+// is deep-copied (snaps).
 func (tx *Tx) Access(oid store.OID) (rec *store.Record, first bool, err error) {
 	if tx.State() != Active {
 		return nil, false, ErrNotActive
@@ -209,17 +209,20 @@ func (tx *Tx) Access(oid store.OID) (rec *store.Record, first bool, err error) {
 	}
 	first = !tx.seen[oid]
 	if first {
+		img, ok := tx.mgr.store.GetCommitted(oid)
+		if !ok {
+			snap, err := tx.mgr.store.Snapshot(oid)
+			if err != nil {
+				return nil, false, err
+			}
+			if tx.snaps == nil {
+				tx.snaps = map[store.OID]*store.Record{}
+			}
+			tx.snaps[oid] = snap
+		}
 		tx.seen[oid] = true
 		tx.accessed = append(tx.accessed, oid)
-		if !tx.created[oid] {
-			img, ok := tx.mgr.store.GetCommitted(oid)
-			if !ok {
-				if img, err = tx.mgr.store.Snapshot(oid); err != nil {
-					return nil, false, err
-				}
-			}
-			tx.undo = append(tx.undo, undoEntry{oid: oid, img: img})
-		}
+		tx.touched = append(tx.touched, store.Touched{Rec: rec, Prev: img})
 	}
 	return rec, first, nil
 }
@@ -242,7 +245,7 @@ func (tx *Tx) Create(class string, fields map[string]value.Value) (*store.Record
 	tx.created[rec.OID] = true
 	tx.seen[rec.OID] = true
 	tx.accessed = append(tx.accessed, rec.OID)
-	tx.undo = append(tx.undo, undoEntry{oid: rec.OID})
+	tx.touched = append(tx.touched, store.Touched{Rec: rec})
 	return rec, nil
 }
 
@@ -306,14 +309,14 @@ func (tx *Tx) Commit() error {
 		tx.rollback()
 		return err
 	}
-	touched, deleted := tx.accessed, []store.OID(nil)
+	touched, deleted := tx.touched, []store.OID(nil)
 	if len(tx.deleted) > 0 {
 		touched = nil
-		for _, oid := range tx.accessed {
+		for i, oid := range tx.accessed {
 			if tx.deleted[oid] {
 				deleted = append(deleted, oid)
 			} else {
-				touched = append(touched, oid)
+				touched = append(touched, tx.touched[i])
 			}
 		}
 	}
@@ -343,11 +346,15 @@ func (tx *Tx) Abort() error {
 
 func (tx *Tx) rollback() {
 	// Restore before-images in reverse order of first access.
-	for i := len(tx.undo) - 1; i >= 0; i-- {
-		if u := tx.undo[i]; u.img == nil {
-			tx.mgr.store.Remove(u.oid)
-		} else {
-			tx.mgr.store.Restore(u.img)
+	for i := len(tx.accessed) - 1; i >= 0; i-- {
+		oid := tx.accessed[i]
+		switch img := tx.touched[i].Prev; {
+		case tx.created[oid]:
+			tx.mgr.store.Remove(oid)
+		case img != nil:
+			tx.mgr.store.Restore(img)
+		default:
+			tx.mgr.store.Restore(tx.snaps[oid])
 		}
 	}
 	tx.setState(Aborted)

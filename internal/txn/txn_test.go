@@ -68,7 +68,7 @@ func TestAbortUndoesUpdatesCreatesDeletes(t *testing.T) {
 	}
 
 	ga, _ := m.Store().Get(a.OID)
-	if !ga.Fields["balance"].Equal(value.Int(100)) || len(ga.Triggers) != 0 {
+	if !ga.Fields["balance"].Equal(value.Int(100)) || !ga.Trigger("t").IsZero() {
 		t.Fatalf("update not undone: %+v", ga)
 	}
 	if !m.Store().Exists(b.OID) {

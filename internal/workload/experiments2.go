@@ -213,7 +213,11 @@ func RunE2Engine(n int) (E2EngineRow, error) {
 		if err != nil {
 			return E2EngineRow{}, err
 		}
-		words += len(rec.Triggers)
+		for i := range rec.Trigs {
+			if !rec.Trigs[i].IsZero() {
+				words++
+			}
+		}
 	}
 	return E2EngineRow{
 		Objects:             n,
