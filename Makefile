@@ -22,8 +22,10 @@ race:
 
 # Short fuzz smoke over the event-language and mask parsers, the egress
 # record codec and the store's WAL and snapshot decoders (whose inputs
-# are whole logs, so minimizing a find is capped at 2 s); longer
-# campaigns:
+# are whole files, so minimizing a find is capped at 2 s; they take
+# arbitrary bytes unfiltered — every count is checked against the bytes
+# that remain, see DESIGN.md §17). Longer campaigns (nightly.yml runs the
+# two store targets for 5 min each):
 # go test -fuzz FuzzParseEvent ./internal/evlang/
 # go test -fuzz FuzzParseMask ./internal/mask/
 # go test -fuzz FuzzRecordCodec ./internal/egress/

@@ -113,10 +113,6 @@ type Options struct {
 	// address at open; "auto" binds a free localhost port. The
 	// listener is shut down by Engine.Close.
 	DebugAddr string
-	// DisableGroupCommit makes every durable commit write and sync the
-	// WAL itself instead of coalescing with concurrent committers (see
-	// store.Options).
-	DisableGroupCommit bool
 	// InterpretedMasks makes mask evaluation use the AST interpreter
 	// instead of the programs compiled at registration — the semantic
 	// baseline the compiled path is measured and cross-checked against.
@@ -318,10 +314,9 @@ func (c *Class) Trigger(name string) *Trigger { return c.byName[name] }
 // New opens an engine.
 func New(opts Options) (*Engine, error) {
 	st, err := store.OpenWith(opts.Dir, store.Options{
-		DisableGroupCommit: opts.DisableGroupCommit,
-		Faults:             opts.Faults,
-		OIDBase:            opts.OIDBase,
-		OIDStride:          opts.OIDStride,
+		Faults:    opts.Faults,
+		OIDBase:   opts.OIDBase,
+		OIDStride: opts.OIDStride,
 	})
 	if err != nil {
 		return nil, err

@@ -21,7 +21,7 @@ var ErrOracleDivergence = errors.New("engine: oracle divergence")
 //     denotational semantics labels — the trigger-firing sequence of
 //     the instance's current activation epoch, and
 //   - the replayed automaton ends in exactly the state stored on the
-//     object (for committed-view triggers, the state that gob
+//     object (for committed-view triggers, the state that
 //     persistence carried across any crash and recovery).
 //
 // It requires Options.ShadowOracle (which records the histories) and

@@ -279,9 +279,10 @@ func genFaultStep(rng *rand.Rand, cfg Config) Step {
 	case 4:
 		// Crash mid-batch-WAL-frame: the victim is a PostBatch whose
 		// commit (two dirty acct objects when the script created them)
-		// logs one multi-record opPutN frame, and the write tears partway
-		// through it. Recovery must drop the torn frame whole — the
-		// record set is all-or-nothing, never a prefix.
+		// logs one frame carrying both records, and the write tears partway
+		// through it (or, past its end, completes unacknowledged). Recovery
+		// must drop a torn frame whole — the record set is all-or-nothing,
+		// never a prefix.
 		n := 2 + rng.Intn(4)
 		maxSlot := 0
 		if cfg.Objects >= 2 {

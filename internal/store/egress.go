@@ -9,7 +9,7 @@ import (
 // appended to the durable egress feed. Seq is the logical, per-store
 // sequence number (1-based, no wall-clock — logical ordering only);
 // it is assigned before the WAL write and persisted inside the
-// opFirings frame, so a record keeps its sequence number across crash
+// transaction's frame, so a record keeps its sequence number across crash
 // recovery and the idempotency key derived from (Trigger, OID, Seq)
 // is stable for the lifetime of the feed.
 type FiringRecord struct {

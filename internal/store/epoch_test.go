@@ -10,8 +10,7 @@ import (
 
 // TestEpochViewSeededFromRecovery proves a reopened store serves every
 // recovered object through the lock-free committed view — including
-// objects logged through the batch opPutN frame a multi-object commit
-// writes.
+// objects logged by a multi-object commit.
 func TestEpochViewSeededFromRecovery(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)

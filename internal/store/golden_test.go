@@ -1,8 +1,8 @@
 package store
 
 import (
-	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -110,12 +110,24 @@ func checkGolden(t *testing.T, s *Store, want goldenWant) {
 	}
 }
 
-// TestGoldenDirectory: a directory written before records had slots
-// recovers to the same heap, trigger states, parameters and feed head
-// its writer recovered, and still does after this codec has rewritten
-// all of it (checkpoint) and appended to it.
+// TestGoldenDirectory: a directory written before records had slots, in
+// the gob format, recovers to the same heap, trigger states, parameters
+// and feed head its writer recovered; that first open rewrites it in the
+// current format, which is all a second open reads; and it still
+// recovers the same after being appended to and checkpointed.
 func TestGoldenDirectory(t *testing.T) {
 	dir, want := copyGolden(t)
+	formats := func() (wal, snap fileFormat) {
+		wal, werr := formatOf(readFile(t, dir, walName), walMagic)
+		snap, serr := formatOf(readFile(t, dir, snapshotName), snapMagic)
+		if werr != nil || serr != nil {
+			t.Fatal(werr, serr)
+		}
+		return wal, snap
+	}
+	if wal, snap := formats(); wal != formatLegacy || snap != formatLegacy {
+		t.Fatalf("testdata is not in the legacy format any more: wal %v, snapshot %v", wal, snap)
+	}
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -123,6 +135,19 @@ func TestGoldenDirectory(t *testing.T) {
 	ri := s.Recovery()
 	if ri.TornTail != want.TornTail || ri.TxApplied != want.TxApplied || ri.SnapshotLoaded != want.Snapshot {
 		t.Fatalf("recovery %+v, want torn=%v applied=%d snapshot=%v", ri, want.TornTail, want.TxApplied, want.Snapshot)
+	}
+	checkGolden(t, s, want)
+	if wal, snap := formats(); wal != formatCurrent || snap != formatCurrent {
+		t.Fatalf("open left the directory unconverted: wal %v, snapshot %v", wal, snap)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	if ri := s.Recovery(); s.legacy || !ri.SnapshotLoaded || ri.WALFrames != 0 || ri.TornTail {
+		t.Fatalf("second open: legacy=%v %+v, want the upgraded snapshot alone", s.legacy, ri)
 	}
 	checkGolden(t, s, want)
 
@@ -153,189 +178,50 @@ func TestGoldenDirectory(t *testing.T) {
 	checkGolden(t, s, want)
 }
 
-// rewire passes a decoded record through the in-memory form and back —
-// the conversion recovery and the next commit apply to it.
-func rewire(s *Store, w *wireRecord) (*wireRecord, error) {
-	r, err := s.fromWire(w)
-	if err != nil {
-		return nil, err
-	}
-	return new(wireBuf).of(r)[0], nil
+var writeGolden = flag.Bool("write-golden-pr14", false, "rewrite testdata/golden-pr14 from the current codec (only when adding it)")
+
+// golden14 is testdata/golden-pr14/expect.json.
+type golden14 struct {
+	Store         storeDump `json:"store"`
+	TornTailBytes int64     `json:"torn_tail_bytes"`
+	TxApplied     int       `json:"tx_applied"`
 }
 
-// rewireFrames rewires every record of a decoded log in place; false
-// means recovery would refuse the log.
-func rewireFrames(frames []frame) bool {
-	s, _ := Open("")
-	var err error
-	for i := range frames {
-		fr := &frames[i]
-		if fr.Rec != nil {
-			if fr.Rec, err = rewire(s, fr.Rec); err != nil {
-				return false
-			}
+// TestGoldenPR14 pins the format this codec writes: the checked-in
+// directory (richStore, checkpointed after its second transaction, plus
+// a torn tail) must keep recovering to the checked-in expectation
+// whatever later codecs write.
+func TestGoldenPR14(t *testing.T) {
+	src := filepath.Join("testdata", "golden-pr14")
+	const tail = 11 // bytes of a torn frame after the last transaction
+	if *writeGolden {
+		dir := t.TempDir()
+		want := golden14{Store: richStore(t, dir, 2), TornTailBytes: tail, TxApplied: 2}
+		wal := readFile(t, dir, walName)
+		wal = append(wal, wal[frameBounds(t, wal)[1]:][:tail]...)
+		expect, err := json.MarshalIndent(want, "", "  ")
+		if err != nil {
+			t.Fatal(err)
 		}
-		for j, w := range fr.Recs {
-			if fr.Recs[j], err = rewire(s, w); err != nil {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// gobCountsBounded reports whether every multi-byte unsigned integer a
-// gob decoder could read anywhere in data is at most max. The fuzz
-// targets skip inputs that fail it, for a reason outside this package:
-// encoding/gob sizes a decoded map from the count in the stream
-// (reflect.MakeMapWithSize) without comparing it to the bytes that
-// follow, so one corrupted count byte is a multi-gigabyte allocation —
-// an out-of-memory kill, not a panic a test can observe. The frames
-// carry no checksum, so the same holds for recovery of a corrupted
-// directory; replacing the per-frame gob codec is ROADMAP's next store
-// item and removes this filter with it. The test over-rejects (large
-// integers that are values, not counts) and never under-rejects: gob
-// writes an integer above 127 as a byte 256-n followed by n bytes.
-func gobCountsBounded(data []byte, max uint64) bool {
-	for i, b := range data {
-		if b < 0xf8 || b == 0xff {
-			continue
-		}
-		var v uint64
-		for _, c := range data[i+1 : min(i+1+256-int(b), len(data))] {
-			v = v<<8 | uint64(c)
-		}
-		if v > max {
-			return false
-		}
-	}
-	return true
-}
-
-// fuzzSeedStore commits a little of everything the codec carries, with
-// integers small enough for gobCountsBounded: activations with and
-// without parameters and history, a deactivated trigger, a deletion, a
-// multi-object transaction and firings.
-func fuzzSeedStore(f *testing.F) (dir string) {
-	dir = f.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		f.Fatal(err)
-	}
-	a := s.Create("acct", map[string]value.Value{"bal": value.Int(7), "who": value.Str("x")})
-	b := s.Create("acct", nil)
-	c := s.Create("other", map[string]value.Value{"f": value.Float(2)})
-	*a.Trigger("Over") = TrigState{Active: true, State: 2, Params: []value.Value{value.Int(9), value.Str("p")}, Shadow: []int{1, 0, 3}}
-	*a.Trigger("Off") = TrigState{State: 1}
-	*b.Trigger("Big") = TrigState{Active: true}
-	for tx, step := range []func() ([]OID, []OID, []FiringRecord){
-		func() ([]OID, []OID, []FiringRecord) { return []OID{a.OID, b.OID, c.OID}, nil, nil },
-		func() ([]OID, []OID, []FiringRecord) {
-			a.Trigger("Over").State = 0
-			return []OID{a.OID}, nil, []FiringRecord{{OID: a.OID, Class: "acct", Trigger: "Over", Kind: "after deposit", AtNs: 5}}
-		},
-		func() ([]OID, []OID, []FiringRecord) { s.Delete(c.OID); return nil, []OID{c.OID}, nil },
-	} {
-		dirty, deleted, firings := step()
-		if err := s.LogCommit(uint64(tx+1), dirty, deleted, firings); err != nil {
-			f.Fatal(err)
-		}
-		if tx == 0 {
-			if err := s.Checkpoint(); err != nil {
-				f.Fatal(err)
-			}
-		}
-	}
-	if err := s.Close(); err != nil {
-		f.Fatal(err)
-	}
-	return dir
-}
-
-// fuzzCountMax bounds what gobCountsBounded lets through: counts this
-// small cost gob at most a few hundred kilobytes.
-const fuzzCountMax = 1 << 12
-
-// FuzzWALFrames: arbitrary bytes never panic the WAL decoder or the
-// record conversion, and decode → encode → decode is a fixed point —
-// a log this codec accepted, it writes back and reads back unchanged.
-func FuzzWALFrames(f *testing.F) {
-	seed, err := os.ReadFile(filepath.Join(fuzzSeedStore(f), walName))
-	if err != nil {
-		f.Fatal(err)
-	}
-	if !gobCountsBounded(seed, fuzzCountMax) {
-		f.Fatal("the seed log does not pass the fuzz target's own filter")
-	}
-	f.Add(seed)
-	f.Add(seed[:len(seed)-5])
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if !gobCountsBounded(data, fuzzCountMax) {
-			return
-		}
-		frames, sc, _ := scanWAL(data)
-		if sc.cleanLen+sc.tornBytes != int64(len(data)) {
-			t.Fatalf("scan accounts for %d+%d of %d bytes", sc.cleanLen, sc.tornBytes, len(data))
-		}
-		if !rewireFrames(frames) {
-			return
-		}
-		var buf bytes.Buffer
-		for _, fr := range frames {
-			if err := encodeFrame(&buf, fr); err != nil {
+		for name, data := range map[string][]byte{walName: wal, snapshotName: readFile(t, dir, snapshotName), "expect.json": append(expect, '\n')} {
+			if err := os.WriteFile(filepath.Join(src, name), data, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
-		again, sc2, reason := scanWAL(buf.Bytes())
-		if sc2.tornBytes != 0 {
-			t.Fatalf("re-encoded log does not decode cleanly: %s", reason)
-		}
-		if !rewireFrames(again) || !reflect.DeepEqual(frames, again) {
-			t.Fatalf("decode → encode → decode is not a fixed point:\n first %+v\n again %+v", frames, again)
-		}
-	})
-}
-
-// FuzzSnapshot is FuzzWALFrames for the checkpoint file.
-func FuzzSnapshot(f *testing.F) {
-	seed, err := os.ReadFile(filepath.Join(fuzzSeedStore(f), snapshotName))
+	}
+	var want golden14
+	if err := json.Unmarshal(readFile(t, src, "expect.json"), &want); err != nil {
+		t.Fatal(err)
+	}
+	// A copy: recovery's tail repair must not touch testdata.
+	got, ri, err := recoverFiles(t, t.TempDir(), readFile(t, src, walName), readFile(t, src, snapshotName))
 	if err != nil {
-		f.Fatal(err)
+		t.Fatal(err)
 	}
-	if !gobCountsBounded(seed, fuzzCountMax) {
-		f.Fatal("the seed snapshot does not pass the fuzz target's own filter")
+	if !ri.SnapshotLoaded || !ri.TornTail || ri.TornTailBytes != want.TornTailBytes || ri.TxApplied != want.TxApplied {
+		t.Fatalf("recovery %+v, want a snapshot, %d transaction(s) and a %d-byte torn tail", ri, want.TxApplied, want.TornTailBytes)
 	}
-	f.Add(seed)
-	f.Add(seed[:len(seed)/2])
-	rewireAll := func(img *snapshotImage) bool {
-		s, _ := Open("")
-		var err error
-		for oid, w := range img.Objects {
-			if img.Objects[oid], err = rewire(s, w); err != nil {
-				return false // recovery refuses this snapshot
-			}
-		}
-		return true
+	if !reflect.DeepEqual(got, want.Store) {
+		t.Fatalf("recovered\n got %+v\nwant %+v", got, want.Store)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if !gobCountsBounded(data, fuzzCountMax) {
-			return
-		}
-		img, err := decodeSnapshot(bytes.NewReader(data))
-		if err != nil || !rewireAll(&img) {
-			return
-		}
-		var buf bytes.Buffer
-		if err := encodeSnapshot(&buf, &img); err != nil {
-			t.Fatal(err)
-		}
-		again, err := decodeSnapshot(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("re-encoded snapshot does not decode: %v", err)
-		}
-		if !rewireAll(&again) || !reflect.DeepEqual(img, again) {
-			t.Fatalf("decode → encode → decode is not a fixed point:\n first %+v\n again %+v", img, again)
-		}
-	})
 }

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"sync"
@@ -83,24 +82,14 @@ func TestCrashMidBatchRecovery(t *testing.T) {
 	wg.Wait()
 	s.Close()
 
-	// Append one more transaction whose Commit frame is torn mid-body —
-	// the crash point of a batch that never finished its Write.
-	rec := &wireRecord{
-		OID:    oids[0],
-		Class:  "x",
-		Fields: map[string]value.Value{"v": value.Int(999)},
+	// Append one more transaction whose frame is torn mid-body — the
+	// crash point of a batch that never finished its Write.
+	rec := &Record{OID: oids[0], Class: "x", Fields: map[string]value.Value{"v": value.Int(999)}}
+	frame, err := (&encoder{idx: map[string]int{}}).tx(99, []*Record{rec}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	for _, fr := range []frame{
-		{Op: opBegin, TxID: 99},
-		{Op: opPut, TxID: 99, Rec: rec},
-		{Op: opCommit, TxID: 99},
-	} {
-		if err := encodeFrame(&buf, fr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	torn := buf.Bytes()[:buf.Len()-3]
+	torn := frame[:len(frame)-3]
 	f, err := os.OpenFile(filepath.Join(dir, walName), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -128,51 +117,5 @@ func TestCrashMidBatchRecovery(t *testing.T) {
 	r, _ := s2.Get(oids[0])
 	if r.Fields["v"].Equal(value.Int(999)) {
 		t.Fatal("torn transaction applied on recovery")
-	}
-}
-
-// TestDisableGroupCommit verifies the Options knob: commits still reach
-// the log durably with batching off, concurrently or not.
-func TestDisableGroupCommit(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenWith(dir, Options{DisableGroupCommit: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.wal.direct {
-		t.Fatal("DisableGroupCommit did not put the WAL in direct mode")
-	}
-
-	const n = 8
-	oids := make([]OID, n)
-	for i := range oids {
-		oids[i] = s.Create("x", map[string]value.Value{"v": value.Int(int64(i))}).OID
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := s.LogCommit(uint64(i+1), []OID{oids[i]}, nil, nil); err != nil {
-				t.Errorf("commit %d: %v", i, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	s.Close()
-
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	for i, oid := range oids {
-		r, err := s2.Get(oid)
-		if err != nil {
-			t.Fatalf("object %d lost: %v", oid, err)
-		}
-		if !r.Fields["v"].Equal(value.Int(int64(i))) {
-			t.Fatalf("object %d recovered %v, want %d", oid, r.Fields["v"], i)
-		}
 	}
 }

@@ -6,10 +6,9 @@
 //
 // The store keeps every object in memory as a Record and, when opened
 // on a directory, makes committed changes durable with a snapshot file
-// plus a framed write-ahead log. Transactions log a Begin frame, Put /
-// Delete frames, then a Commit frame; recovery applies only frames of
-// committed transactions, so a crash mid-commit never exposes a
-// partial transaction.
+// plus a write-ahead log. A transaction is one checksummed frame (see
+// codec.go); recovery applies a frame only if it is complete and
+// verifies, so a crash mid-commit never exposes a partial transaction.
 //
 // The object heap is hash-striped: OIDs map to numStripes stripes,
 // each guarded by its own RWMutex, so Get/Exists on different objects
@@ -26,8 +25,6 @@
 package store
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -254,11 +251,6 @@ type stripe struct {
 
 // Options tunes a store. The zero value is the production default.
 type Options struct {
-	// DisableGroupCommit makes every LogCommit perform its own write
-	// and Sync instead of coalescing with concurrent committers —
-	// useful for latency-sensitive single-writer deployments and for
-	// isolating group-commit behavior in tests.
-	DisableGroupCommit bool
 	// Faults optionally installs a fault-injection registry the WAL
 	// consults at its named points (see internal/fault). nil — the
 	// production default — keeps every consult a single branch.
@@ -278,7 +270,8 @@ type Options struct {
 type RecoveryInfo struct {
 	// SnapshotLoaded reports whether a checkpoint snapshot was found.
 	SnapshotLoaded bool
-	// WALFrames is the number of complete frames replayed from the log.
+	// WALFrames is the number of complete frames replayed from the log:
+	// one per transaction, except in a directory an earlier version wrote.
 	WALFrames int
 	// TxApplied is the number of committed transactions applied.
 	TxApplied int
@@ -301,6 +294,7 @@ type Store struct {
 	dir      string // "" → volatile
 	opts     Options
 	recovery RecoveryInfo // filled by recover() at Open
+	legacy   bool         // recover() read a file in the pre-PR-14 format (legacy.go)
 
 	// walMu orders WAL lifecycle against commits: LogCommit holds the
 	// read side for its whole append, Close/Checkpoint take the write
@@ -359,11 +353,19 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 		return nil, err
 	}
 	s.seedEpochView()
-	w, err := openWAL(dir, opts.DisableGroupCommit, opts.Faults)
+	w, err := openWAL(dir, opts.Faults)
 	if err != nil {
 		return nil, err
 	}
 	s.wal = w
+	if s.legacy {
+		// Rewrite the directory in the current format before accepting a
+		// commit, so no file ever holds both.
+		if err := s.Checkpoint(); err != nil {
+			s.Close()
+			return nil, fmt.Errorf("store: upgrade directory format: %w", err)
+		}
+	}
 	return s, nil
 }
 
@@ -521,21 +523,19 @@ func (s *Store) Commit(txID uint64, touched []Touched, deleted []OID, firings []
 	return nil
 }
 
-// LogCommit durably records a committed transaction: a Begin frame,
-// the dirty surviving objects (one Put frame each, or a single PutN
-// frame when the transaction dirtied more than one object — the batch
-// posting path), one Delete frame per deleted object, then a Commit
-// frame. The frames are encoded into one contiguous buffer and handed
-// to the WAL's group committer, which coalesces concurrent commits
-// into a single write and Sync. For volatile stores only the egress
-// feed is updated (nothing is logged). The live records are encoded in
-// place: the committing transaction still holds their locks.
+// LogCommit durably records a committed transaction as one WAL frame:
+// the dirty surviving objects, the deleted ones and the firings. The
+// frame is encoded into one pooled buffer and handed to the WAL's group
+// committer, which coalesces concurrent commits into a single write and
+// Sync. For volatile stores only the egress feed is updated (nothing is
+// logged). The live records are encoded in place: the committing
+// transaction still holds their locks.
 //
 // firings, when non-empty, are the trigger firings the transaction
 // captured: they are stamped with consecutive feed sequence numbers
 // here — before the WAL write, so the numbers are inside the durable
-// opFirings frame and survive recovery unchanged — and become visible
-// on the feed only if the commit succeeds.
+// frame and survive recovery unchanged — and become visible on the feed
+// only if the commit succeeds.
 func (s *Store) LogCommit(txID uint64, dirty []OID, deleted []OID, firings []FiringRecord) error {
 	var recs []*Record
 	if s.dir != "" {
@@ -549,7 +549,7 @@ func (s *Store) LogCommit(txID uint64, dirty []OID, deleted []OID, firings []Fir
 	return s.logCommit(txID, recs, deleted, firings)
 }
 
-// logCommit writes one transaction's WAL batch from records nobody can
+// logCommit writes one transaction's WAL frame from records nobody can
 // mutate while it runs — immutable images (Commit) or live records
 // whose locks the caller holds (LogCommit).
 func (s *Store) logCommit(txID uint64, recs []*Record, deleted []OID, firings []FiringRecord) error {
@@ -580,60 +580,28 @@ func (s *Store) logCommit(txID uint64, recs []*Record, deleted []OID, firings []
 		}
 		return nil
 	}
-	var buf bytes.Buffer
-	if err := encodeFrame(&buf, frame{Op: opBegin, TxID: txID}); err != nil {
-		return s.egressAbort(lo, firings, err)
+	// The encoder goes back to the pool only after wal.commit returns: a
+	// follower's frame is read by the group-commit leader until then.
+	enc := encoders.Get().(*encoder)
+	frame, err := enc.tx(txID, recs, deleted, firings)
+	reclaim := err != nil // it did not encode: nothing was written
+	if err == nil {
+		err = s.wal.commit(frame)
+		reclaim = nothingWritten(err)
 	}
-	if len(recs) > 0 {
-		wb := wireBufs.Get().(*wireBuf)
-		put := frame{Op: opPutN, TxID: txID, Recs: wb.of(recs...)}
-		if len(recs) == 1 {
-			put = frame{Op: opPut, TxID: txID, Rec: wb.ptrs[0]}
-		}
-		err := encodeFrame(&buf, put)
-		wb.release()
-		if err != nil {
-			return s.egressAbort(lo, firings, err)
-		}
-	}
-	for _, oid := range deleted {
-		if err := encodeFrame(&buf, frame{Op: opDelete, TxID: txID, OID: oid}); err != nil {
-			return s.egressAbort(lo, firings, err)
-		}
-	}
-	if len(firings) > 0 {
-		if err := encodeFrame(&buf, frame{Op: opFirings, TxID: txID, Firings: firings}); err != nil {
-			return s.egressAbort(lo, firings, err)
-		}
-	}
-	if err := encodeFrame(&buf, frame{Op: opCommit, TxID: txID}); err != nil {
-		return s.egressAbort(lo, firings, err)
-	}
-	err := s.wal.commit(buf.Bytes())
+	encoders.Put(enc)
 	if len(firings) > 0 {
 		if err == nil {
 			s.egress.resolveOK(lo, firings)
 		} else {
 			// Reclaim the sequence numbers only when no byte of the
-			// batch can have reached the file (an injected WALWrite
-			// fault with Tear < 0). Any other failure is indeterminate
-			// — the frame may be durable and recovery may resurrect it
-			// — so the numbers are burned and the feed keeps a gap
-			// rather than ever reusing a seq for a different firing.
-			var fe *fault.Error
-			reclaim := errors.As(err, &fe) && fe.Point == fault.WALWrite && fe.Tear < 0
+			// frame can have reached the file (it did not encode, or an
+			// injected WALWrite fault with Tear < 0). Any other failure is
+			// indeterminate — the frame may be durable and recovery may
+			// resurrect it — so the numbers are burned and the feed keeps
+			// a gap rather than ever reusing a seq for a different firing.
 			s.egress.resolveFail(lo, reclaim)
 		}
-	}
-	return err
-}
-
-// egressAbort abandons an egress reservation after a pre-write encode
-// failure (nothing reached the file, so the numbers are reclaimed) and
-// passes the error through.
-func (s *Store) egressAbort(lo uint64, firings []FiringRecord, err error) error {
-	if len(firings) > 0 {
-		s.egress.resolveFail(lo, true)
 	}
 	return err
 }
@@ -652,22 +620,11 @@ func (s *Store) Checkpoint() error {
 	for i := range s.stripes {
 		s.stripes[i].mu.Lock()
 	}
-	var all []*Record
-	for i := range s.stripes {
-		for _, r := range s.stripes[i].objects {
-			all = append(all, r)
-		}
-	}
-	var wb wireBuf // not pooled: as large as the heap
-	merged := make(map[OID]*wireRecord, len(all))
-	for _, w := range wb.of(all...) {
-		merged[w.OID] = w
-	}
 	// walMu is held exclusively, so no commit is in flight and the
 	// egress log has no pending reservation: the snapshot captures the
 	// complete feed, and the WAL reset below may discard its frames.
 	firings, firingSeq := s.egress.snapshotState()
-	err := writeSnapshot(s.dir, OID(s.nextOID.Load()), merged, firings, firingSeq)
+	err := s.writeSnapshot(firings, firingSeq)
 	for i := len(s.stripes) - 1; i >= 0; i-- {
 		s.stripes[i].mu.Unlock()
 	}
@@ -677,82 +634,92 @@ func (s *Store) Checkpoint() error {
 	return s.wal.reset()
 }
 
-// recover loads the snapshot and replays committed WAL frames. It runs
+// recover loads the snapshot and replays the WAL. It runs
 // single-threaded at Open, before the store is shared. A torn trailing
-// WAL record (ErrTornTail) is recorded in RecoveryInfo and repaired by
+// WAL frame (ErrTornTail) is recorded in RecoveryInfo and repaired by
 // truncating the file to its clean prefix — appending after a torn
 // tail would leave garbage in the middle of the log, and the next
 // recovery would then silently stop at the tear and drop every later
-// committed transaction.
+// committed transaction. Each file is read in the format its first
+// bytes announce; one in the legacy format marks the store for rewriting
+// (see OpenWith).
 func (s *Store) recover() error {
-	img, err := readSnapshot(s.dir)
+	snapData, err := readStoreFile(s.dir, snapshotName)
 	if err != nil {
 		return err
 	}
-	if img.Objects != nil {
-		s.recovery.SnapshotLoaded = true
-		s.nextOID.Store(uint64(img.Next))
-		for oid, w := range img.Objects {
-			r, err := s.fromWire(w)
-			if err != nil {
-				return err
+	var snap snapshotState
+	format, err := formatOf(snapData, snapMagic)
+	switch {
+	case err != nil:
+	case format == formatCurrent:
+		snap, err = s.loadSnapshot(snapData)
+	case format == formatLegacy:
+		s.legacy = true
+		snap, err = s.legacySnapshot(snapData)
+	case format == formatTornHeader:
+		err = fmt.Errorf("store: snapshot corrupt: %d-byte file", len(snapData))
+	}
+	if err != nil {
+		return err
+	}
+	if s.recovery.SnapshotLoaded = snap.loaded; snap.loaded && uint64(snap.next) > s.nextOID.Load() {
+		s.nextOID.Store(uint64(snap.next))
+	}
+
+	// Rebuild the egress feed: the snapshot's records plus the firings of
+	// the logged transactions. A crash between writeSnapshot and the WAL
+	// reset leaves frames the snapshot already absorbed, so firings at or
+	// below the snapshot's FiringSeq are duplicates and dropped.
+	firings, firingSeq := snap.firings, snap.firingSeq
+	apply := func(tx *txImage) {
+		s.recovery.TxApplied++
+		for _, r := range tx.recs {
+			s.install(r)
+		}
+		for _, oid := range tx.deleted {
+			delete(s.stripeOf(oid).objects, oid)
+		}
+		for _, fr := range tx.firings {
+			if fr.Seq <= snap.firingSeq {
+				continue
 			}
-			s.stripeOf(oid).objects[oid] = r
+			firings = append(firings, fr)
+			firingSeq = max(firingSeq, fr.Seq)
 		}
 	}
-	frames, scan, err := readWAL(s.dir)
+	walData, err := readStoreFile(s.dir, walName)
 	if err != nil {
-		if !errors.Is(err, ErrTornTail) {
+		return err
+	}
+	var sc walScan
+	var reason string
+	switch format, err = formatOf(walData, walMagic); {
+	case err != nil:
+		return err
+	case format == formatLegacy:
+		s.legacy = true
+		var frames []frame
+		frames, sc, reason = legacyScanWAL(walData)
+		txs, err := s.legacyTxs(frames)
+		if err != nil {
 			return err
 		}
+		s.recovery.WALFrames = len(frames)
+		for i := range txs {
+			apply(&txs[i])
+		}
+	case format != formatEmpty:
+		sc, reason = s.scanWAL(walData, apply)
+		s.recovery.WALFrames = s.recovery.TxApplied
+	}
+	if sc.tornBytes > 0 {
 		s.recovery.TornTail = true
-		s.recovery.TornTailBytes = scan.tornBytes
-		s.recovery.TornDetail = err.Error()
-		if terr := os.Truncate(filepath.Join(s.dir, walName), scan.cleanLen); terr != nil {
-			return fmt.Errorf("store: repair torn wal tail: %w", terr)
-		}
-	}
-	s.recovery.WALFrames = len(frames)
-	committed := map[uint64]bool{}
-	for _, f := range frames {
-		if f.Op == opCommit {
-			committed[f.TxID] = true
-		}
-	}
-	s.recovery.TxApplied = len(committed)
-	// Rebuild the egress feed: the snapshot's records plus committed
-	// opFirings frames. A crash between writeSnapshot and the WAL reset
-	// leaves frames the snapshot already absorbed, so frames at or
-	// below the snapshot's FiringSeq are duplicates and dropped.
-	firings := img.Firings
-	firingSeq := img.FiringSeq
-	for _, f := range frames {
-		if !committed[f.TxID] {
-			continue
-		}
-		switch f.Op {
-		case opPut:
-			if err := s.applyPut(f.Rec); err != nil {
-				return err
-			}
-		case opPutN:
-			for _, w := range f.Recs {
-				if err := s.applyPut(w); err != nil {
-					return err
-				}
-			}
-		case opDelete:
-			delete(s.stripeOf(f.OID).objects, f.OID)
-		case opFirings:
-			for _, fr := range f.Firings {
-				if fr.Seq <= img.FiringSeq {
-					continue
-				}
-				firings = append(firings, fr)
-				if fr.Seq > firingSeq {
-					firingSeq = fr.Seq
-				}
-			}
+		s.recovery.TornTailBytes = sc.tornBytes
+		s.recovery.TornDetail = fmt.Sprintf("store: wal has %d trailing byte(s) after %d clean frame(s) (%s): %v",
+			sc.tornBytes, s.recovery.WALFrames, reason, ErrTornTail)
+		if err := os.Truncate(filepath.Join(s.dir, walName), sc.cleanLen); err != nil {
+			return fmt.Errorf("store: repair torn wal tail: %w", err)
 		}
 	}
 	// Group commit can interleave transactions in the log in an order
@@ -763,17 +730,12 @@ func (s *Store) recover() error {
 	return nil
 }
 
-// applyPut installs one recovered committed record and bumps the OID
-// allocator past it (by the store's stride — recovered OIDs are always
-// in this store's residue class). Runs single-threaded at Open.
-func (s *Store) applyPut(w *wireRecord) error {
-	r, err := s.fromWire(w)
-	if err != nil {
-		return err
-	}
+// install puts one recovered committed record into the heap and bumps
+// the OID allocator past it (by the store's stride — recovered OIDs are
+// always in this store's residue class). Runs single-threaded at Open.
+func (s *Store) install(r *Record) {
 	s.stripeOf(r.OID).objects[r.OID] = r
 	if uint64(r.OID) >= s.nextOID.Load() {
 		s.nextOID.Store(uint64(r.OID) + s.oidStep)
 	}
-	return nil
 }

@@ -1,173 +1,25 @@
 package store
 
 import (
-	"bytes"
+	"bufio"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync"
 
 	"ode/internal/fault"
-	"ode/internal/value"
 )
 
-// WAL frame operations.
-const (
-	opBegin byte = iota + 1
-	opPut
-	opDelete
-	opCommit
-	// opPutN carries every dirty record of one transaction in a single
-	// frame (frame.Recs). Batch commits use it so a transaction that
-	// touched N objects appends one record frame instead of N — one gob
-	// header, one length prefix — and a torn tail can only lose the
-	// whole record set, never a prefix of it.
-	opPutN
-	// opFirings carries the trigger-firing records captured by one
-	// transaction (frame.Firings), appended between the transaction's
-	// record frames and its opCommit. Riding the same commit batch makes
-	// the firings exactly as durable as the transaction itself: a crash
-	// either preserves both or neither.
-	opFirings
-)
-
-// frame is one WAL record. Frames are length-prefixed independent gob
-// blobs, so a torn final frame is detected and discarded on recovery
-// and appending after reopen needs no encoder state.
-type frame struct {
-	Op      byte
-	TxID    uint64
-	OID     OID
-	Rec     *wireRecord
-	Recs    []*wireRecord  // opPutN only; absent (nil) in all other frames
-	Firings []FiringRecord // opFirings only; absent (nil) in all other frames
-}
-
-// wireRecord and wireTrig are the gob shape of a record in WAL frames
-// and snapshots: trigger state keyed by name, so what a directory holds
-// does not depend on any run's slot assignment, and unchanged since
-// before records had slots — gob matches fields by name, so directories
-// written through the old exported types decode into these. Records are
-// converted at the codec boundary (wireBuf.of, Store.fromWire) and
-// never-activated slots are simply absent from the map.
-type wireRecord struct {
-	OID      OID
-	Class    string
-	Fields   map[string]value.Value
-	Triggers map[string]*wireTrig
-}
-
-type wireTrig struct {
-	Active bool
-	State  int
-	// Params is the name-keyed copy of Dense that earlier versions wrote
-	// next to it. The store cannot name parameters, so it is no longer
-	// written, and read only to refuse a log old enough to lack Dense.
-	Params map[string]value.Value
-	Dense  []value.Value
-	Shadow []int
-}
-
-// wireBuf converts records into their on-disk shape for immediate
-// encoding: the results share the records' field maps and slices and
-// live in the buffer's slabs, so they are valid only until release and
-// only under whatever keeps the records from changing. A commit takes a
-// buffer from wireBufs and returns it, so the name-keyed maps the gob
-// shape demands are made once and reused — steady-state commits convert
-// without allocating; a checkpoint uses one buffer for the whole heap.
-type wireBuf struct {
-	recs  []wireRecord
-	ptrs  []*wireRecord
-	trigs []wireTrig
-	maps  []map[string]*wireTrig
-	used  int // maps handed out since the last release
-}
-
-var wireBufs = sync.Pool{New: func() any { return new(wireBuf) }}
-
-// of converts recs. Both slabs are sized up front: the results point
-// into them, so they must not grow while being filled.
-func (wb *wireBuf) of(recs ...*Record) []*wireRecord {
-	trigs := 0
-	for _, r := range recs {
-		trigs += len(r.Trigs)
-	}
-	wb.recs = slices.Grow(wb.recs[:0], len(recs))
-	wb.ptrs = slices.Grow(wb.ptrs[:0], len(recs))
-	wb.trigs = slices.Grow(wb.trigs[:0], trigs)
-	for _, r := range recs {
-		wb.recs = append(wb.recs, wireRecord{OID: r.OID, Class: r.Class, Fields: r.Fields})
-		w := &wb.recs[len(wb.recs)-1]
-		wb.ptrs = append(wb.ptrs, w)
-		for i := range r.Trigs {
-			t := &r.Trigs[i]
-			if t.IsZero() {
-				continue // never activated: absent, as it always was
-			}
-			if w.Triggers == nil {
-				if wb.used == len(wb.maps) {
-					wb.maps = append(wb.maps, map[string]*wireTrig{})
-				}
-				w.Triggers = wb.maps[wb.used]
-				wb.used++
-			}
-			wb.trigs = append(wb.trigs, wireTrig{Active: t.Active, State: t.State, Dense: t.Params, Shadow: t.Shadow})
-			w.Triggers[r.layout.Name(i)] = &wb.trigs[len(wb.trigs)-1]
-		}
-	}
-	return wb.ptrs
-}
-
-// release drops every reference the buffer holds into records and
-// returns it to the pool.
-func (wb *wireBuf) release() {
-	clear(wb.recs)
-	clear(wb.ptrs)
-	clear(wb.trigs)
-	for _, m := range wb.maps[:wb.used] {
-		clear(m)
-	}
-	wb.used = 0
-	wireBufs.Put(wb)
-}
-
-// fromWire rebuilds a decoded record, interning its trigger names in
-// the class layout.
-func (s *Store) fromWire(w *wireRecord) (*Record, error) {
-	if w == nil {
-		return nil, errors.New("store: put frame or snapshot entry carries no record")
-	}
-	l := s.Layout(w.Class)
-	r := &Record{OID: w.OID, Class: w.Class, Fields: w.Fields, layout: l}
-	if r.Fields == nil {
-		r.Fields = map[string]value.Value{}
-	}
-	for name, wt := range w.Triggers {
-		if wt == nil {
-			continue
-		}
-		if len(wt.Params) != 0 && len(wt.Dense) != len(wt.Params) {
-			return nil, fmt.Errorf("store: object %d trigger %s: %d named activation parameter(s) but %d in declared order (log predates dense parameters)",
-				w.OID, name, len(wt.Params), len(wt.Dense))
-		}
-		slot := l.Intern(name)
-		r.grow(l.Len()) // once per record, except while the layout is still learning names
-		r.Trigs[slot] = TrigState{Active: wt.Active, State: wt.State, Params: wt.Dense, Shadow: wt.Shadow}
-	}
-	return r, nil
-}
-
+// The file names predate the format they now hold (codec.go): the
+// benchmark reads both sizes by name.
 const (
 	walName      = "wal.log"
 	snapshotName = "snapshot.gob"
 )
 
-// walFile appends commit batches to the log with group commit: the
+// walFile appends commit frames to the log with group commit: the
 // first committer to arrive becomes the leader, drains the queue of
 // every commit buffer submitted while the previous batch was syncing,
 // and flushes them with one Write and one Sync. Followers block on a
@@ -175,26 +27,32 @@ const (
 // returns, so an acknowledged commit is always durable. The batching
 // window is the duration of the in-flight write+Sync — under load,
 // batches grow to cover every concurrent committer; with a single
-// committer the behavior degenerates to one Sync per commit, same as
-// direct mode.
+// committer the behavior degenerates to one Sync per commit.
 //
-// Because each transaction's frames are encoded into one contiguous
-// buffer before submission, frames of different transactions never
-// interleave inside the log, and a crash can only tear the final
-// frame of the final batch — which recovery already discards
-// (readWAL), preserving the torn-frame guarantee.
+// Each transaction is one frame in one contiguous buffer, so frames of
+// different transactions never interleave inside the log, and a crash
+// can only tear the final batch — whose incomplete frame fails its
+// length or checksum and is discarded by recovery.
+//
+// A failed write is final. Once a Write or Sync has failed, the file may
+// end in a partial frame, and a commit appended behind it would be
+// acknowledged and then silently dropped by the next recovery, which
+// stops at the tear. So the first such error sticks: every later commit
+// fails with it until the store is reopened and recovery has repaired
+// the tail.
 type walFile struct {
 	f      *os.File
-	direct bool            // disable batching: every commit writes and syncs itself
 	faults *fault.Registry // nil outside the simulation harness
 
-	mu      sync.Mutex // guards queue, dones, leading, and direct-mode writes
+	mu      sync.Mutex // guards queue, dones, leading, failed
 	queue   [][]byte
 	dones   []chan error
 	leading bool
+	failed  error
+	batch   []byte // the leader's coalescing buffer
 }
 
-func openWAL(dir string, direct bool, faults *fault.Registry) (*walFile, error) {
+func openWAL(dir string, faults *fault.Registry) (*walFile, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: create dir: %w", err)
 	}
@@ -202,20 +60,36 @@ func openWAL(dir string, direct bool, faults *fault.Registry) (*walFile, error) 
 	if err != nil {
 		return nil, fmt.Errorf("store: open wal: %w", err)
 	}
-	return &walFile{f: f, direct: direct, faults: faults}, nil
+	w := &walFile{f: f, faults: faults}
+	st, err := f.Stat()
+	if err == nil && st.Size() == 0 {
+		err = w.writeHeader()
+	}
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("store: open wal: %w", err)
+	}
+	return w, nil
 }
 
-// commit appends one transaction's pre-encoded frames durably. In
-// group-commit mode, concurrent callers are batched behind a leader
-// that performs one Write and one Sync for the whole batch.
-func (w *walFile) commit(buf []byte) error {
-	if w.direct {
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		return w.writeSync(buf)
+// writeHeader starts an empty log.
+func (w *walFile) writeHeader() error {
+	if _, err := w.f.Write(walMagic[:]); err != nil {
+		return err
 	}
+	return w.f.Sync()
+}
+
+// commit appends one transaction's frame durably. Concurrent callers
+// are batched behind a leader that performs one Write and one Sync for
+// the whole batch.
+func (w *walFile) commit(buf []byte) error {
 	done := make(chan error, 1)
 	w.mu.Lock()
+	if w.failed != nil {
+		w.mu.Unlock()
+		return w.failed
+	}
 	w.queue = append(w.queue, buf)
 	w.dones = append(w.dones, done)
 	if w.leading {
@@ -228,22 +102,24 @@ func (w *walFile) commit(buf []byte) error {
 	for {
 		bufs, dones := w.queue, w.dones
 		w.queue, w.dones = nil, nil
+		err := w.failed
 		w.mu.Unlock()
 
-		var batch []byte
-		if len(bufs) == 1 {
-			batch = bufs[0]
-		} else {
-			total := 0
-			for _, b := range bufs {
-				total += len(b)
+		if err == nil {
+			batch := bufs[0]
+			if len(bufs) > 1 {
+				batch = w.batch[:0]
+				for _, b := range bufs {
+					batch = append(batch, b...)
+				}
+				w.batch = batch
 			}
-			batch = make([]byte, 0, total)
-			for _, b := range bufs {
-				batch = append(batch, b...)
+			if err = w.writeSync(batch); err != nil && !leavesLogIntact(err) {
+				w.mu.Lock()
+				w.failed = err
+				w.mu.Unlock()
 			}
 		}
-		err := w.writeSync(batch)
 		for _, d := range dones {
 			d <- err
 		}
@@ -256,6 +132,22 @@ func (w *walFile) commit(buf []byte) error {
 		}
 		// More commits arrived during the flush: lead another round.
 	}
+}
+
+// nothingWritten reports an injected failure that let no byte of the
+// batch reach the file (WALWrite with Tear < 0).
+func nothingWritten(err error) bool {
+	var fe *fault.Error
+	return errors.As(err, &fe) && fe.Point == fault.WALWrite && fe.Tear < 0
+}
+
+// leavesLogIntact reports a write failure after which the file is still
+// a well-formed log: nothing of the batch reached it, or all of it did
+// and was synced (the injected lost acknowledgement). Only injected
+// faults can promise either.
+func leavesLogIntact(err error) bool {
+	var fe *fault.Error
+	return nothingWritten(err) || errors.As(err, &fe) && fe.Point == fault.WALAfterSync
 }
 
 func (w *walFile) writeSync(b []byte) error {
@@ -300,118 +192,110 @@ func (w *walFile) writeSync(b []byte) error {
 	return nil
 }
 
+// reset empties the log after a checkpoint absorbed it. A failed log
+// stays failed: its handle is not trusted to truncate either.
 func (w *walFile) reset() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.failed != nil {
+		return w.failed
+	}
 	if err := w.f.Truncate(0); err != nil {
 		return fmt.Errorf("store: truncate wal: %w", err)
 	}
-	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("store: rewind wal: %w", err)
+	// O_APPEND: the header lands at the new end, offset 0.
+	if err := w.writeHeader(); err != nil {
+		return fmt.Errorf("store: restart wal: %w", err)
 	}
-	return w.f.Sync()
+	return nil
 }
 
 func (w *walFile) close() error { return w.f.Close() }
 
-// encodeFrame appends one length-prefixed gob-encoded frame to buf.
-func encodeFrame(buf *bytes.Buffer, fr frame) error {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(&fr); err != nil {
-		return fmt.Errorf("store: encode wal frame: %w", err)
-	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(body.Len()))
-	buf.Write(hdr[:])
-	buf.Write(body.Bytes())
-	return nil
-}
-
 // ErrTornTail reports that the log ended in a torn or undecodable
-// trailing record — the expected residue of a crash mid-append.
-// readWAL still returns every intact frame before the tear; callers
-// decide whether to repair (truncate to the clean prefix) or refuse.
+// trailing frame — the expected residue of a crash mid-append.
+// Recovery still applies every intact frame before the tear and repairs
+// the file by truncating it to that clean prefix.
 var ErrTornTail = errors.New("store: torn wal tail")
 
-// walScan summarizes one readWAL pass: the byte length of the clean
-// frame prefix and how many trailing bytes fall after it.
+// walScan summarizes one pass over a log image: the byte length of the
+// clean prefix and how many trailing bytes fall after it.
 type walScan struct {
 	cleanLen  int64
 	tornBytes int64
 }
 
-// readWAL parses all complete frames. A torn trailing frame (crash
-// mid-append) or any undecodable tail is reported via an error
-// wrapping ErrTornTail — alongside the intact frames, never silently
-// dropped — so recovery can record and repair it.
-func readWAL(dir string) ([]frame, walScan, error) {
-	var sc walScan
-	data, err := os.ReadFile(filepath.Join(dir, walName))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, sc, nil
+// readStoreFile returns the bytes of a store file, nil if it is absent.
+func readStoreFile(dir, name string) ([]byte, error) {
+	data, err := os.ReadFile(filepath.Join(dir, name))
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("store: read %s: %w", name, err)
 	}
-	if err != nil {
-		return nil, sc, fmt.Errorf("store: read wal: %w", err)
-	}
-	frames, sc, reason := scanWAL(data)
-	if sc.tornBytes > 0 {
-		return frames, sc, fmt.Errorf("store: wal has %d trailing byte(s) after %d clean frame(s) (%s): %w",
-			sc.tornBytes, len(frames), reason, ErrTornTail)
-	}
-	return frames, sc, nil
+	return data, nil
 }
 
-// scanWAL decodes the clean frame prefix of a log image and says why
-// it stopped short, if it did.
-func scanWAL(data []byte) (frames []frame, sc walScan, reason string) {
-	total := int64(len(data))
-	for len(data) > 0 {
-		if len(data) < 4 {
-			reason = fmt.Sprintf("%d-byte length-prefix fragment", len(data))
-			break
-		}
-		n := binary.LittleEndian.Uint32(data[:4])
-		if uint64(len(data)) < 4+uint64(n) {
-			reason = fmt.Sprintf("frame promises %d body bytes, only %d present", n, len(data)-4)
-			break
-		}
-		var fr frame
-		if err := gob.NewDecoder(bytes.NewReader(data[4 : 4+uint64(n)])).Decode(&fr); err != nil {
-			reason = fmt.Sprintf("undecodable frame body: %v", err)
-			break
-		}
-		frames = append(frames, fr)
-		data = data[4+uint64(n):]
-		sc.cleanLen += 4 + int64(n)
+// scanWAL decodes the clean prefix of a current-format log image, header
+// included, handing each transaction to apply as soon as its frame has
+// verified and decoded whole, and says why it stopped short, if it did.
+func (s *Store) scanWAL(data []byte, apply func(*txImage)) (sc walScan, reason string) {
+	if len(data) < fileHdrLen {
+		// A fragment of the header: the crash hit while an empty log was
+		// being started.
+		return walScan{tornBytes: int64(len(data))}, fmt.Sprintf("%d-byte file-header fragment", len(data))
 	}
-	sc.tornBytes = total - sc.cleanLen
-	return frames, sc, reason
+	clean, reason := scanFrames(data[fileHdrLen:], func(payload []byte) error {
+		if payload[0] != frameTx {
+			return fmt.Errorf("frame of kind %d in a log", payload[0])
+		}
+		tx, err := s.decodeTx(payload[1:])
+		if err != nil {
+			return err
+		}
+		apply(&tx)
+		return nil
+	})
+	sc.cleanLen = int64(fileHdrLen + clean)
+	sc.tornBytes = int64(len(data)) - sc.cleanLen
+	return sc, reason
 }
 
-// snapshotImage is the gob payload of a checkpoint. Firings and
-// FiringSeq persist the egress feed across the WAL reset that follows
-// a checkpoint: the feed's records live in the WAL only until the next
-// checkpoint folds them into the snapshot.
-type snapshotImage struct {
-	Next      OID
-	Objects   map[OID]*wireRecord
-	Firings   []FiringRecord
-	FiringSeq uint64
+// snapshotState is what a checkpoint records beside the heap: the OID
+// allocator's position and the egress feed, which lives in the WAL only
+// until the next checkpoint folds it into the snapshot.
+type snapshotState struct {
+	loaded    bool
+	next      OID
+	firings   []FiringRecord
+	firingSeq uint64
 }
 
-func writeSnapshot(dir string, next OID, objects map[OID]*wireRecord, firings []FiringRecord, firingSeq uint64) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+// snapChunkRecords and snapChunkFirings bound one snapshot chunk frame,
+// and so the encode buffer a checkpoint of any size needs.
+const (
+	snapChunkRecords = 256
+	snapChunkFirings = 4096
+)
+
+// writeSnapshot streams the heap and the feed into a new snapshot file:
+// header frame, record chunks stripe by stripe, firing chunks, trailer
+// with the totals. The caller holds every stripe lock.
+func (s *Store) writeSnapshot(firings []FiringRecord, firingSeq uint64) error {
+	if err := os.MkdirAll(s.dir, 0o755); err != nil {
 		return fmt.Errorf("store: create dir: %w", err)
 	}
-	tmp, err := os.CreateTemp(dir, "snapshot-*")
+	tmp, err := os.CreateTemp(s.dir, "snapshot-*")
 	if err != nil {
 		return fmt.Errorf("store: snapshot temp: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	img := snapshotImage{Next: next, Objects: objects, Firings: firings, FiringSeq: firingSeq}
-	if err := encodeSnapshot(tmp, &img); err != nil {
+	w := bufio.NewWriterSize(tmp, 1<<16)
+	werr := s.streamSnapshot(w, firings, firingSeq)
+	if werr == nil {
+		werr = w.Flush()
+	}
+	if werr != nil {
 		tmp.Close()
-		return err
+		return fmt.Errorf("store: write snapshot: %w", werr)
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
@@ -421,36 +305,103 @@ func writeSnapshot(dir string, next OID, objects map[OID]*wireRecord, firings []
 		return fmt.Errorf("store: close snapshot: %w", err)
 	}
 	// Atomic publish: a crash leaves either the old or the new snapshot.
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, snapshotName)); err != nil {
+	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, snapshotName)); err != nil {
 		return fmt.Errorf("store: publish snapshot: %w", err)
 	}
 	return nil
 }
 
-func encodeSnapshot(w io.Writer, img *snapshotImage) error {
-	if err := gob.NewEncoder(w).Encode(img); err != nil {
-		return fmt.Errorf("store: encode snapshot: %w", err)
+func (s *Store) streamSnapshot(w *bufio.Writer, firings []FiringRecord, firingSeq uint64) error {
+	enc := encoders.Get().(*encoder)
+	defer encoders.Put(enc)
+	chunk := func(recs []*Record, firings []FiringRecord) error {
+		frame, err := enc.tx(0, recs, nil, firings)
+		if err == nil {
+			_, err = w.Write(frame)
+		}
+		return err
 	}
-	return nil
+	// The header and trailer frames: a kind byte and two uvarints.
+	pair := func(kind byte, a, b uint64) error {
+		_, err := w.Write(appendFrame(nil, kind, binary.AppendUvarint(binary.AppendUvarint(nil, a), b)))
+		return err
+	}
+	if _, err := w.Write(snapMagic[:]); err != nil {
+		return err
+	}
+	if err := pair(frameSnapHeader, s.nextOID.Load(), firingSeq); err != nil {
+		return err
+	}
+	records := 0
+	recs := make([]*Record, 0, snapChunkRecords)
+	for i := range s.stripes {
+		for _, r := range s.stripes[i].objects {
+			if recs = append(recs, r); len(recs) == snapChunkRecords {
+				if err := chunk(recs, nil); err != nil {
+					return err
+				}
+				records, recs = records+len(recs), recs[:0]
+			}
+		}
+	}
+	if len(recs) > 0 {
+		if err := chunk(recs, nil); err != nil {
+			return err
+		}
+		records += len(recs)
+	}
+	for lo := 0; lo < len(firings); lo += snapChunkFirings {
+		if err := chunk(nil, firings[lo:min(lo+snapChunkFirings, len(firings))]); err != nil {
+			return err
+		}
+	}
+	return pair(frameSnapTrailer, uint64(records), uint64(len(firings)))
 }
 
-func readSnapshot(dir string) (snapshotImage, error) {
-	var img snapshotImage
-	f, err := os.Open(filepath.Join(dir, snapshotName))
-	if errors.Is(err, os.ErrNotExist) {
-		return img, nil
+// loadSnapshot installs the heap a current-format snapshot image holds
+// and returns the rest of its state. The file was published by an atomic
+// rename, so unlike a log it has no legitimate torn state: a frame that
+// does not verify, a missing header or trailer, or totals that disagree
+// with the chunks fail the open.
+func (s *Store) loadSnapshot(data []byte) (snap snapshotState, err error) {
+	const (
+		wantHeader = iota
+		inChunks
+		done
+	)
+	phase, records := wantHeader, uint64(0)
+	clean, reason := scanFrames(data[fileHdrLen:], func(payload []byte) error {
+		kind, r := payload[0], reader{b: payload[1:]}
+		switch {
+		case phase == wantHeader && kind == frameSnapHeader:
+			snap.next, snap.firingSeq = OID(r.uvarint()), r.uvarint()
+			phase = inChunks
+		case phase == inChunks && kind == frameTx:
+			tx, err := s.decodeTx(payload[1:])
+			if err != nil {
+				return err
+			}
+			for _, rec := range tx.recs {
+				s.install(rec)
+			}
+			records += uint64(len(tx.recs))
+			snap.firings = append(snap.firings, tx.firings...)
+		case phase == inChunks && kind == frameSnapTrailer:
+			if nr, nf := r.uvarint(), r.uvarint(); r.err == nil && (nr != records || nf != uint64(len(snap.firings))) {
+				return fmt.Errorf("trailer counts %d record(s) and %d firing(s), chunks held %d and %d", nr, nf, records, len(snap.firings))
+			}
+			phase = done
+		default:
+			return fmt.Errorf("frame of kind %d out of place", kind)
+		}
+		return r.err
+	})
+	switch {
+	case reason != "":
+		return snap, fmt.Errorf("store: snapshot corrupt at byte %d: %s", fileHdrLen+clean, reason)
+	case phase != done:
+		return snap, errors.New("store: snapshot corrupt: no trailer")
 	}
-	if err != nil {
-		return img, fmt.Errorf("store: open snapshot: %w", err)
-	}
-	defer f.Close()
-	return decodeSnapshot(f)
-}
-
-func decodeSnapshot(r io.Reader) (snapshotImage, error) {
-	var img snapshotImage
-	if err := gob.NewDecoder(r).Decode(&img); err != nil {
-		return img, fmt.Errorf("store: decode snapshot: %w", err)
-	}
-	return img, nil
+	snap.loaded = true
+	return snap, nil
 }

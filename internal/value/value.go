@@ -48,7 +48,8 @@ func (k Kind) String() string {
 }
 
 // Value is a dynamically typed database value. The zero Value is null.
-// Fields are exported for encoding/gob; treat values as immutable.
+// Fields are exported for the store's codecs (the legacy one is
+// encoding/gob); treat values as immutable.
 type Value struct {
 	Kind Kind
 	I    int64

@@ -194,10 +194,6 @@ type Options struct {
 	// endpoint on that address ("auto" binds a free localhost port;
 	// see Database.ServeDebug).
 	DebugAddr string
-	// DisableGroupCommit turns off WAL group commit: every durable
-	// commit performs its own write and sync instead of coalescing
-	// with concurrent committers.
-	DisableGroupCommit bool
 	// InterpretedMasks evaluates trigger masks with the AST
 	// interpreter instead of the programs compiled at class
 	// registration — the baseline the compiled hot path is benchmarked
@@ -234,17 +230,16 @@ type Database struct {
 // Open creates or reopens a database.
 func Open(opts Options) (*Database, error) {
 	eopts := engine.Options{
-		Dir:                opts.Dir,
-		Start:              opts.Start,
-		RecordHistories:    opts.RecordHistories,
-		ShadowOracle:       opts.ShadowOracle,
-		CombinedAutomata:   opts.CombinedAutomata,
-		TraceBuffer:        opts.TraceBuffer,
-		DebugAddr:          opts.DebugAddr,
-		DisableGroupCommit: opts.DisableGroupCommit,
-		InterpretedMasks:   opts.InterpretedMasks,
-		FlightBuffer:       opts.FlightBuffer,
-		ProvenanceDepth:    opts.ProvenanceDepth,
+		Dir:              opts.Dir,
+		Start:            opts.Start,
+		RecordHistories:  opts.RecordHistories,
+		ShadowOracle:     opts.ShadowOracle,
+		CombinedAutomata: opts.CombinedAutomata,
+		TraceBuffer:      opts.TraceBuffer,
+		DebugAddr:        opts.DebugAddr,
+		InterpretedMasks: opts.InterpretedMasks,
+		FlightBuffer:     opts.FlightBuffer,
+		ProvenanceDepth:  opts.ProvenanceDepth,
 	}
 	if opts.Partitions >= 2 {
 		parts, err := part.Open(part.Options{N: opts.Partitions, Dir: opts.Dir, Engine: eopts})

@@ -1,0 +1,43 @@
+#!/usr/bin/env bash
+# Profile one benchmark workload without editing bench/: builds the
+# benchmark program with scripts/benchprof/hook.go overlaid into it
+# (go build -overlay), runs the workload untraced, and prints where the
+# time and the allocations went.
+#
+#   scripts/benchprof.sh <workload> [seconds]
+#   SEED=1 FOCUS='part\.\(\*Partition\)\.loop' KEEP=dir  (environment)
+#
+# The CPU profile covers the first [seconds] (default 10) of the process,
+# set-up included, and must end before the 12-second run does; an allocs
+# profile (every allocation since start, sampled) is written at the same
+# moment. FOCUS restricts the listings to stacks through a function —
+# by default the partition loop, which both durable workloads run in;
+# for the volatile workloads pass FOCUS='engine\.' or FOCUS=. Profiles
+# and the binary stay in KEEP (default: a temporary directory, removed).
+set -euo pipefail
+
+if [ $# -lt 1 ]; then
+	sed -n '2,17p' "$0" >&2
+	exit 2
+fi
+workload="$1" seconds="${2:-10}"
+root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+focus="${FOCUS-part\\.\\(\\*Partition\\)\\.loop}"
+work="${KEEP:-$(mktemp -d "${TMPDIR:-/tmp}/benchprof.XXXXXX")}"
+[ -n "${KEEP:-}" ] || trap 'rm -rf "$work"' EXIT
+mkdir -p "$work/out"
+
+printf '{"Replace":{"%s":"%s"}}\n' "$root/bench/zz_benchprof_hook.go" "$root/scripts/benchprof/hook.go" >"$work/overlay.json"
+(cd "$root/bench" && GOTOOLCHAIN=local GOPROXY=off go build -tags benchprof -overlay "$work/overlay.json" -o "$work/odebench" .)
+
+ODE_BENCHPROF_DIR="$work" ODE_BENCHPROF_SECONDS="$seconds" \
+	"$work/odebench" -out "$work/out" --workload "$workload" --seed "${SEED:-1}" --seconds 12 --trace 0 | tail -n 1 |
+	grep -o '"\(setup_s\|happenings_per_s\|effect_p50_us\|allocs_per_happening\|heap_mb_end\)":{"value":[^,}]*' | tr '\n' ' '
+echo
+[ -s "$work/allocs.pprof" ] || { echo "benchprof: the run ended before ${seconds}s — no profile written; pass a shorter time" >&2; exit 1; }
+
+top() { go tool pprof -top -cum -nodecount=45 ${focus:+-focus="$focus"} "$@" 2>/dev/null; }
+echo "== CPU, cumulative${focus:+, stacks through $focus}"
+top "$work/odebench" "$work/cpu.pprof"
+echo "== allocated objects, cumulative${focus:+, stacks through $focus}"
+top -sample_index=alloc_objects "$work/odebench" "$work/allocs.pprof"
