@@ -256,6 +256,8 @@ func TestExpvarMetricsConsistency(t *testing.T) {
 		"ode_engine_firings_total":          s.Firings,
 		"ode_engine_flight_events_total":    s.FlightEvents,
 		"ode_engine_provenance_steps_total": s.ProvenanceSteps,
+		"ode_engine_provenance_rings":       s.ProvRings,
+		"ode_engine_provenance_bytes":       s.ProvBytes,
 		"ode_engine_automaton_triggers":     s.AutomatonTriggers,
 		"ode_engine_automaton_tables":       s.AutomatonTables,
 	} {
@@ -266,5 +268,8 @@ func TestExpvarMetricsConsistency(t *testing.T) {
 		if uint64(got) != want {
 			t.Fatalf("%s: /debug/metrics says %g, /debug/vars says %d", name, got, want)
 		}
+	}
+	if s.ProvRings == 0 || s.ProvBytes < s.ProvRings*obs.ProvCellBytes {
+		t.Fatalf("the fired instance should hold provenance: %d rings, %d bytes", s.ProvRings, s.ProvBytes)
 	}
 }

@@ -251,9 +251,12 @@ type Class struct {
 	met      *obs.ClassMetrics // per-class counters, cached at registration
 	// nameID and kindIDs are the interned flight-recorder IDs of the
 	// class name and of each alphabet kind (indexed by kindIx), computed
-	// at registration so hot-path records never touch a string.
-	nameID  uint16
-	kindIDs []uint16
+	// at registration so hot-path records never touch a string;
+	// kindNames are the same kinds' names, rendered once for the firing
+	// path (ActionCtx.EventKind, FiringRecord.Kind).
+	nameID    uint16
+	kindIDs   []uint16
+	kindNames []string
 	// dispatch[kindIx] lists the triggers a happening of that kind can
 	// affect, with their compiled mask programs (see dispatch.go).
 	dispatch [][]dispatchEntry
@@ -442,8 +445,10 @@ func (e *Engine) RegisterClass(cls *schema.Class, impl ClassImpl, ps *evlang.Par
 	c := &Class{Schema: cls, Res: res, Impl: impl, byName: map[string]*Trigger{}, parser: ps,
 		met: e.metrics.Class(cls.Name), nameID: e.names.Intern(cls.Name)}
 	c.kindIDs = make([]uint16, len(res.Alphabet.Kinds))
+	c.kindNames = make([]string, len(res.Alphabet.Kinds))
 	for kix := range res.Alphabet.Kinds {
-		c.kindIDs[kix] = e.names.Intern(res.Alphabet.Kinds[kix].Kind.String())
+		c.kindNames[kix] = res.Alphabet.Kinds[kix].Kind.String()
+		c.kindIDs[kix] = e.names.Intern(c.kindNames[kix])
 	}
 	layout := e.st.Layout(cls.Name)
 	for _, tr := range res.Triggers {

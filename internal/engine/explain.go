@@ -9,59 +9,96 @@ import (
 	"ode/internal/store"
 )
 
-// Firing provenance: each trigger instance keeps a small ring of its
-// state-changing (or accepting) automaton transitions, reset whenever
-// the instance is (re-)activated. Non-accepting self-loops — the vast
-// majority of steps under the masked non-firing workload — append
-// nothing, so the ring's few dozen slots span a long happening history
-// and the hot path pays one branch. Explain walks the retained steps
+// Firing provenance: each trigger instance that has recorded a
+// state-changing (or accepting) automaton transition keeps a small ring
+// of them, reset whenever the instance is re-activated. Non-accepting
+// self-loops — the vast majority of steps under the masked non-firing
+// workload — append nothing, so an instance that never moved has no ring
+// at all, a ring's few dozen cells span a long happening history, and
+// the hot path pays one branch. Explain walks the retained steps
 // backward along matching from/to states to reconstruct the exact
 // happening sequence that drove the automaton from its start state to
 // acceptance.
 
-// provShards fixes the table's shard count; instances hash by object,
-// the same unit the lock manager serializes on.
+// provShards fixes the table's shard count; objects hash by OID, the
+// same unit the lock manager serializes on.
 const provShards = 64
 
 type provTable struct {
 	shards [provShards]provShard
 }
 
+// provShard maps an object to its rings by trigger slot (nil where the
+// instance has recorded nothing). Rings are not persisted; an entry
+// lives until its object's deletion commits.
 type provShard struct {
 	mu sync.Mutex
-	m  map[instanceKey]*obs.ProvRing
+	m  map[store.OID][]*obs.ProvRing
 }
 
-// provRing returns (creating if needed) the instance's ring; nil when
-// provenance is disabled. Creation allocates once per instance — the
-// first recorded step of a WAL-recovered activation lands here — and
-// every later call is a shard-mutex map probe.
-func (e *Engine) provRing(oid store.OID, trig string) *obs.ProvRing {
+func (e *Engine) provShardOf(oid store.OID) *provShard {
+	return &e.prov.shards[uint64(oid)%provShards]
+}
+
+// provAppend records one step of the instance in rec's slot and reports
+// whether provenance is on. The caller holds the object's transaction
+// lock and has sized rec to its layout. A state change costs one
+// integer-keyed probe under the shard mutex plus the ring's own append;
+// the instance's first recorded step allocates its ring (and the
+// object's first, its table entry), and the ring's buffer then grows
+// with its history (obs.ProvRing).
+func (e *Engine) provAppend(rec *store.Record, slot int, s obs.ProvStep) bool {
 	if e.provDepth < 0 {
-		return nil
+		return false
 	}
-	s := &e.prov.shards[uint64(oid)%provShards]
-	k := instanceKey{oid, trig}
-	s.mu.Lock()
-	r := s.m[k]
+	sh := e.provShardOf(rec.OID)
+	sh.mu.Lock()
+	rings := sh.m[rec.OID]
+	if slot >= len(rings) {
+		rings = append(rings, make([]*obs.ProvRing, len(rec.Trigs)-len(rings))...)
+		if sh.m == nil {
+			sh.m = map[store.OID][]*obs.ProvRing{}
+		}
+		sh.m[rec.OID] = rings
+	}
+	r := rings[slot]
 	if r == nil {
 		r = obs.NewProvRing(e.provDepth)
-		if s.m == nil {
-			s.m = map[instanceKey]*obs.ProvRing{}
-		}
-		s.m[k] = r
+		rings[slot] = r
+		e.stats.provRings.Add(1)
 	}
-	s.mu.Unlock()
-	return r
+	sh.mu.Unlock()
+	if grew := r.Append(s); grew != 0 {
+		e.stats.provBytes.Add(int64(grew))
+	}
+	return true
 }
 
-// provLookup returns the instance's ring without creating one.
-func (e *Engine) provLookup(oid store.OID, trig string) *obs.ProvRing {
-	s := &e.prov.shards[uint64(oid)%provShards]
-	s.mu.Lock()
-	r := s.m[instanceKey{oid, trig}]
-	s.mu.Unlock()
-	return r
+// provLookup returns the ring of the instance in oid's slot, nil if it
+// has recorded nothing.
+func (e *Engine) provLookup(oid store.OID, slot int) *obs.ProvRing {
+	sh := e.provShardOf(oid)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if rings := sh.m[oid]; slot < len(rings) {
+		return rings[slot]
+	}
+	return nil
+}
+
+// provDrop frees the provenance of an object that no longer exists.
+func (e *Engine) provDrop(oid store.OID) {
+	sh := e.provShardOf(oid)
+	sh.mu.Lock()
+	rings := sh.m[oid]
+	delete(sh.m, oid)
+	sh.mu.Unlock()
+	for _, r := range rings {
+		if r != nil {
+			e.stats.provRings.Add(-1)
+			e.stats.provBytes.Add(-int64(r.Bytes()))
+		}
+	}
 }
 
 // Explanation answers "why did (or didn't) trigger T fire on object
@@ -145,12 +182,16 @@ func (e *Engine) Explain(trigger string, oid store.OID) (*Explanation, error) {
 		e.wholeMu.Unlock()
 	}
 
-	r := e.provLookup(oid, trigger)
+	r := e.provLookup(oid, t.slot)
 	if r == nil {
 		return ex, nil
 	}
 	steps := r.Steps()
-	ex.TotalSteps = r.Total()
+	if n := len(steps); n > 0 {
+		// The newest retained step is the newest recorded; reading the
+		// count separately could straddle a concurrent append or reset.
+		ex.TotalSteps = steps[n-1].Seq
+	}
 	for i := range steps {
 		steps[i].Kind = e.names.Name(steps[i].KindID)
 	}

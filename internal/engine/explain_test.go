@@ -1,11 +1,14 @@
 package engine
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"ode/internal/algebra"
 	"ode/internal/event"
+	"ode/internal/obs"
 	"ode/internal/schema"
 	"ode/internal/store"
 	"ode/internal/value"
@@ -218,5 +221,270 @@ func TestExplainErrors(t *testing.T) {
 	oid2 := setup(t, e2, cls, impl, "Audit")
 	if _, err := e2.Explain("Audit", oid2); err == nil || !strings.Contains(err.Error(), "disabled") {
 		t.Fatalf("disabled provenance: %v", err)
+	}
+}
+
+// provEntries counts the objects holding provenance.
+func provEntries(e *Engine) int {
+	n := 0
+	for i := range e.prov.shards {
+		sh := &e.prov.shards[i]
+		sh.mu.Lock()
+		n += len(sh.m)
+		sh.mu.Unlock()
+	}
+	return n
+}
+
+// methodTriggers is n perpetual triggers over method events only, so
+// the transaction events around creation and commit move none of them.
+func methodTriggers(n int) ([]schema.Trigger, []string) {
+	trigs, names := make([]schema.Trigger, n), make([]string, n)
+	for i := range trigs {
+		names[i] = fmt.Sprintf("T%d", i)
+		trigs[i] = schema.Trigger{Name: names[i], Perpetual: true,
+			Event: fmt.Sprintf("relative(after deposit(n) && n > %d, after withdraw)", 100+i)}
+	}
+	return trigs, names
+}
+
+// TestActivateAllocatesNoProvenance: arming costs no provenance — a ring
+// is born at an instance's first recorded step, not at activation.
+func TestActivateAllocatesNoProvenance(t *testing.T) {
+	rec := &recorder{}
+	trigs, names := methodTriggers(8)
+	cls, impl := accountClass(rec, trigs...)
+	e := newEngine(t, Options{})
+	if _, err := e.RegisterClass(cls, impl, nil); err != nil {
+		t.Fatal(err)
+	}
+	const objects = 10000
+	oids := make([]store.OID, objects)
+	for base := 0; base < objects; base += 500 {
+		err := e.Transact(func(tx *Tx) error {
+			for i := base; i < base+500; i++ {
+				oid, err := tx.NewObject("account", nil)
+				if err != nil {
+					return err
+				}
+				oids[i] = oid
+				for _, name := range names {
+					if err := tx.Activate(oid, name); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := e.Stats(); s.ProvRings != 0 || s.ProvBytes != 0 || provEntries(e) != 0 {
+		t.Fatalf("%d armed, never stepped instances hold %d rings, %d bytes, %d table entries",
+			objects*len(names), s.ProvRings, s.ProvBytes, provEntries(e))
+	}
+
+	// Re-arming a different object each run: were a ring laid down per
+	// activation, every run would allocate one.
+	tx := e.Begin()
+	defer tx.Abort()
+	for _, oid := range oids[:300] {
+		if _, err := tx.access(oid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	avg := testing.AllocsPerRun(200, func() {
+		if err := tx.Activate(oids[i], "T0"); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if avg != 0 {
+		t.Fatalf("Activate allocates %.1f objects; want 0", avg)
+	}
+
+	// One moved instance: one ring, one first-size buffer, and the gauges
+	// agree with the ring.
+	if _, err := tx.Call(oids[0], "deposit", value.Int(1000)); err != nil {
+		t.Fatal(err)
+	}
+	s := e.Stats()
+	if s.ProvRings == 0 || s.ProvRings > uint64(len(names)) || s.ProvBytes != s.ProvRings*4*obs.ProvCellBytes {
+		t.Fatalf("after one accepted deposit: %d rings, %d bytes", s.ProvRings, s.ProvBytes)
+	}
+}
+
+// TestProvenanceFreedWithObject: the provenance of a deleted object is
+// freed when the deleting transaction commits; an aborted delete — and
+// an aborted creation — leave the table as the abort leaves the store.
+func TestProvenanceFreedWithObject(t *testing.T) {
+	rec := &recorder{}
+	trigs, names := methodTriggers(3)
+	cls, impl := accountClass(rec, trigs...)
+	e := newEngine(t, Options{})
+	if _, err := e.RegisterClass(cls, impl, nil); err != nil {
+		t.Fatal(err)
+	}
+	const objects = 10000
+	oids := make([]store.OID, objects)
+	create := func(tx *Tx, i int) error {
+		oid, err := tx.NewObject("account", nil)
+		if err != nil {
+			return err
+		}
+		oids[i] = oid
+		for _, name := range names {
+			if err := tx.Activate(oid, name); err != nil {
+				return err
+			}
+		}
+		_, err = tx.Call(oid, "deposit", value.Int(1000)) // moves all three
+		return err
+	}
+	for base := 0; base < objects; base += 500 {
+		err := e.Transact(func(tx *Tx) error {
+			for i := base; i < base+500; i++ {
+				if err := create(tx, i); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := e.Stats()
+	if provEntries(e) != objects || s.ProvRings != objects*3 || s.ProvBytes == 0 {
+		t.Fatalf("before deletion: %d entries, %d rings, %d bytes", provEntries(e), s.ProvRings, s.ProvBytes)
+	}
+
+	// An aborted delete keeps the provenance it would have dropped.
+	tx := e.Begin()
+	if err := tx.DeleteObject(oids[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if ex, err := e.Explain("T0", oids[0]); err != nil || len(ex.Steps) != 1 {
+		t.Fatalf("after an aborted delete: %+v, %v", ex, err)
+	}
+
+	// An aborted creation leaves nothing behind.
+	tx = e.Begin()
+	first := oids[0]
+	if err := create(tx, 0); err != nil {
+		t.Fatal(err)
+	}
+	created := oids[0]
+	oids[0] = first
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Stats().ProvRings; got != objects*3 || provEntries(e) != objects {
+		t.Fatalf("after an aborted creation: %d rings, %d entries", got, provEntries(e))
+	}
+	if _, err := e.Explain("T0", created); err == nil {
+		t.Fatal("Explain on a rolled-back creation should fail")
+	}
+
+	_, wantErr := e.Explain("T0", store.OID(1<<40)) // the "no object" error
+	for base := 0; base < objects; base += 500 {
+		err := e.Transact(func(tx *Tx) error {
+			for _, oid := range oids[base : base+500] {
+				if err := tx.DeleteObject(oid); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	s = e.Stats()
+	if provEntries(e) != 0 || s.ProvRings != 0 || s.ProvBytes != 0 {
+		t.Fatalf("after deletion: %d entries, %d rings, %d bytes", provEntries(e), s.ProvRings, s.ProvBytes)
+	}
+	_, err := e.Explain("T0", oids[1])
+	if err == nil || wantErr == nil ||
+		strings.ReplaceAll(err.Error(), fmt.Sprint(oids[1]), "N") != strings.ReplaceAll(wantErr.Error(), fmt.Sprint(1<<40), "N") {
+		t.Fatalf("Explain on a deleted object: %v; want the no-object error (%v)", err, wantErr)
+	}
+}
+
+// TestExplainWhileRingGrows polls Explain while the instance's ring is
+// born, grows through every doubling to its depth, wraps, and is reset
+// by a re-activation — under -race. Every answer must be a consistent
+// chain: consecutive step numbers ending at the total, states linked.
+func TestExplainWhileRingGrows(t *testing.T) {
+	rec := &recorder{}
+	cls, impl := accountClass(rec,
+		schema.Trigger{Name: "Chain", Perpetual: true,
+			Event: "sequence(after deposit, after withdraw(a) && a > 100)"})
+	e := newEngine(t, Options{})
+	oid := setup(t, e, cls, impl, "Chain")
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				ex, err := e.Explain("Chain", oid)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i, s := range ex.Steps {
+					if i > 0 && (s.Seq != ex.Steps[i-1].Seq+1 || s.From != ex.Steps[i-1].To) {
+						t.Errorf("broken chain at %d: %+v", i, ex.Steps)
+						return
+					}
+				}
+				if n := len(ex.Steps); n > 0 && ex.Steps[n-1].Seq != ex.TotalSteps {
+					t.Errorf("step %d of %d", ex.Steps[n-1].Seq, ex.TotalSteps)
+					return
+				}
+			}
+		}()
+	}
+	for round := 0; round < 20; round++ {
+		// 40 state changes per round: past every doubling and, from the
+		// second round on, around a ring that is already at depth.
+		for i := 0; i < 20; i++ {
+			err := e.Transact(func(tx *Tx) error {
+				if _, err := tx.Call(oid, "deposit", value.Int(1)); err != nil {
+					return err
+				}
+				_, err := tx.Call(oid, "withdraw", value.Int(1))
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if round == 0 {
+			if got := e.Stats().ProvBytes; got != obs.DefaultProvDepth*obs.ProvCellBytes {
+				t.Fatalf("ring at depth holds %d bytes", got)
+			}
+		}
+		if err := e.Transact(func(tx *Tx) error { return tx.Activate(oid, "Chain") }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if rec.count() != 0 {
+		t.Fatalf("nothing should have fired: %v", rec.list())
 	}
 }

@@ -99,7 +99,7 @@ func (tx *Tx) step(oid store.OID, rec *store.Record, h event.Happening, onlyTrig
 		if err != nil {
 			return false, err
 		}
-		if err := tx.fire(oid, rec, c, h, fired); err != nil {
+		if err := tx.fire(oid, rec, c, h, c.kindNames[kindIx], fired); err != nil {
 			return true, err
 		}
 		return len(fired) > 0, nil
@@ -165,17 +165,16 @@ func (tx *Tx) step(oid store.OID, rec *store.Record, h event.Happening, onlyTrig
 		t.met.Step()
 		accepted := t.Auto.Accept(next)
 		// Firing provenance: non-accepting self-loops (the masked
-		// non-firing common case) append nothing, so the per-instance
-		// ring spans a long history and this costs one branch. Skipping
+		// non-firing common case) append nothing, so a ring exists only
+		// for an instance that moved and this costs one branch. Skipping
 		// them preserves the chain walk — the state is unchanged across
 		// the gap.
 		if next != prev || accepted {
-			if r := tx.e.provRing(oid, t.Res.Name); r != nil {
-				r.Append(obs.ProvStep{
-					TxID: tx.tx.ID(), AtNs: h.At.UnixNano(),
-					KindID: c.kindIDs[kindIx], Bits: bits, Sym: sym,
-					From: prev, To: next, Accepted: accepted,
-				})
+			if tx.e.provAppend(rec, t.slot, obs.ProvStep{
+				TxID: tx.tx.ID(), AtNs: h.At.UnixNano(),
+				KindID: c.kindIDs[kindIx], Bits: bits, Sym: sym,
+				From: prev, To: next, Accepted: accepted,
+			}) {
 				tx.e.stats.provSteps.Add(1)
 			}
 		}
@@ -201,7 +200,7 @@ func (tx *Tx) step(oid store.OID, rec *store.Record, h event.Happening, onlyTrig
 			tx.e.timers.disarm(oid, t)
 		}
 	}
-	err = tx.fire(oid, rec, c, h, fired)
+	err = tx.fire(oid, rec, c, h, c.kindNames[kindIx], fired)
 	n := len(fired)
 	tx.fired = tx.fired[:base]
 	if err != nil {
@@ -213,12 +212,11 @@ func (tx *Tx) step(oid store.OID, rec *store.Record, h event.Happening, onlyTrig
 // fire executes the actions of the collected triggers, recording each
 // action's wall-clock latency in the trigger's metrics (and trace,
 // when enabled). The first action error stops the run — the engine's
-// pre-existing semantics: a failing action aborts the posting.
-func (tx *Tx) fire(oid store.OID, rec *store.Record, c *Class, h event.Happening, fired []*Trigger) error {
-	if len(fired) == 0 {
-		return nil
-	}
-	kind := h.Kind.String()
+// pre-existing semantics: a failing action aborts the posting. kind is
+// h.Kind's name as the class rendered it at registration
+// (Class.kindNames): formatting it here would allocate per firing
+// posting.
+func (tx *Tx) fire(oid store.OID, rec *store.Record, c *Class, h event.Happening, kind string, fired []*Trigger) error {
 	for _, t := range fired {
 		// The ActionCtx lives on the Tx and is reused across firings;
 		// save/restore by value keeps nested firings (an action whose

@@ -409,12 +409,11 @@ func (tx *Tx) stepBatch(c *Class, ph *batchPhase, oid store.OID, rec *store.Reco
 		ph.steps[i]++
 		accepted := t.Auto.Accept(next)
 		if next != prev || accepted {
-			if r := tx.e.provRing(oid, t.Res.Name); r != nil {
-				r.Append(obs.ProvStep{
-					TxID: h.TxID, AtNs: h.At.UnixNano(),
-					KindID: ph.kindID, Bits: bits, Sym: sym,
-					From: prev, To: next, Accepted: accepted,
-				})
+			if tx.e.provAppend(rec, t.slot, obs.ProvStep{
+				TxID: h.TxID, AtNs: h.At.UnixNano(),
+				KindID: ph.kindID, Bits: bits, Sym: sym,
+				From: prev, To: next, Accepted: accepted,
+			}) {
 				bc.provSteps++
 			}
 		}
@@ -460,7 +459,7 @@ func (tx *Tx) stepBatch(c *Class, ph *batchPhase, oid store.OID, rec *store.Reco
 		}
 		h.Params = params
 	}
-	err := tx.fire(oid, rec, c, *h, fired)
+	err := tx.fire(oid, rec, c, *h, c.kindNames[ph.kindIx], fired)
 	tx.fired = tx.fired[:base]
 	// Actions run arbitrary engine operations; drop the record cache
 	// rather than reason about what they touched.

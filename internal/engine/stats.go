@@ -61,6 +61,12 @@ type Stats struct {
 	// rings — state-changing or accepting steps only; non-accepting
 	// self-loops are skipped by design.
 	ProvenanceSteps uint64
+	// ProvRings gauges the trigger instances holding a provenance buffer
+	// — those that have recorded at least one step on a live object — and
+	// ProvBytes the bytes of those buffers: what firing provenance costs
+	// right now.
+	ProvRings uint64
+	ProvBytes uint64
 	// EgressAppended counts firing records made durable on the egress
 	// feed since open (including records recovered from disk).
 	// EgressSeq gauges the feed head — the highest firing sequence
@@ -90,6 +96,9 @@ type statCounters struct {
 	happenings, steps, maskEvals, firings     atomic.Uint64
 	timerPosts, tcompleteRounds, shadowChecks atomic.Uint64
 	provSteps, timerErrsDropped               atomic.Uint64
+	// Gauges, moved where a ring's buffer is born, grown or freed —
+	// never on the append path.
+	provRings, provBytes atomic.Int64
 }
 
 // Stats returns a snapshot of the cumulative counters.
@@ -133,6 +142,8 @@ func (e *Engine) Stats() Stats {
 		FaultsInjected:      e.faults.Injected(),
 		FlightEvents:        e.flight.Total(),
 		ProvenanceSteps:     e.stats.provSteps.Load(),
+		ProvRings:           uint64(e.stats.provRings.Load()),
+		ProvBytes:           uint64(e.stats.provBytes.Load()),
 		EgressAppended:      e.st.FiringsAppended(),
 		EgressSeq:           e.st.FiringSeq(),
 	}
@@ -161,6 +172,8 @@ func (s Stats) Delta(prev Stats) Stats {
 		FaultsInjected:   s.FaultsInjected - prev.FaultsInjected,
 		FlightEvents:     s.FlightEvents - prev.FlightEvents,
 		ProvenanceSteps:  s.ProvenanceSteps - prev.ProvenanceSteps,
+		ProvRings:        s.ProvRings - prev.ProvRings,
+		ProvBytes:        s.ProvBytes - prev.ProvBytes,
 		EgressAppended:   s.EgressAppended - prev.EgressAppended,
 		EgressSeq:        s.EgressSeq - prev.EgressSeq,
 

@@ -48,6 +48,10 @@ type Tx struct {
 	// clears it.
 	cachedOID store.OID
 	cachedRec *store.Record
+
+	// deleted lists the objects DeleteObject removed; a successful Commit
+	// frees their provenance (an abort resurrects them with it).
+	deleted []store.OID
 }
 
 // Begin starts a transaction.
@@ -173,7 +177,11 @@ func (tx *Tx) DeleteObject(oid store.OID) error {
 	}
 	tx.e.timers.disarmObject(oid)
 	tx.cachedRec = nil
-	return tx.tx.Delete(oid)
+	if err := tx.tx.Delete(oid); err != nil {
+		return err
+	}
+	tx.deleted = append(tx.deleted, oid)
+	return nil
 }
 
 // Call invokes a member function with positional arguments, posting
@@ -315,12 +323,10 @@ func (tx *Tx) Activate(oid store.OID, trigger string, params ...value.Value) err
 		Params: append([]value.Value(nil), params...),
 	}
 	// Activation restarts the automaton, so the previous incarnation's
-	// provenance no longer explains the instance: reset its ring
-	// (creating it — every activation gets one).
-	if c.monitor == nil {
-		if r := tx.e.provRing(oid, trigger); r != nil {
-			r.Reset()
-		}
+	// provenance no longer explains the instance: reset its ring, if it
+	// ever recorded a step and so has one.
+	if r := tx.e.provLookup(oid, t.slot); r != nil {
+		r.Reset()
 	}
 	if t.View == schema.WholeView {
 		tx.e.wholeMu.Lock()
@@ -396,6 +402,9 @@ func (tx *Tx) Commit() error {
 		return err
 	}
 	tx.finished = true
+	for _, oid := range tx.deleted {
+		tx.e.provDrop(oid)
+	}
 	if !tx.tx.System() {
 		tx.e.stats.txCommitted.Add(1)
 	}
@@ -468,8 +477,9 @@ func (tx *Tx) doAbort() {
 		if !ok {
 			// The object no longer exists — it was created by this
 			// transaction and removed by the rollback; drop whatever
-			// the transaction armed on it.
+			// the transaction armed and recorded on it.
 			tx.e.timers.disarmObject(oid)
+			tx.e.provDrop(oid)
 			continue
 		}
 		if c, err := tx.e.classOf(rec); err == nil {

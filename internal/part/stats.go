@@ -62,6 +62,8 @@ func addStats(a, b engine.Stats) engine.Stats {
 		FaultsInjected:   a.FaultsInjected + b.FaultsInjected,
 		FlightEvents:     a.FlightEvents + b.FlightEvents,
 		ProvenanceSteps:  a.ProvenanceSteps + b.ProvenanceSteps,
+		ProvRings:        a.ProvRings + b.ProvRings,
+		ProvBytes:        a.ProvBytes + b.ProvBytes,
 		EgressAppended:   a.EgressAppended + b.EgressAppended,
 		EgressSeq:        a.EgressSeq + b.EgressSeq,
 

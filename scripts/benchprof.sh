@@ -2,7 +2,7 @@
 # Profile one benchmark workload without editing bench/: builds the
 # benchmark program with scripts/benchprof/hook.go overlaid into it
 # (go build -overlay), runs the workload untraced, and prints where the
-# time and the allocations went.
+# time and the allocations went, and what the heap still holds.
 #
 #   scripts/benchprof.sh <workload> [seconds]
 #   SEED=1 FOCUS='part\.\(\*Partition\)\.loop' KEEP=dir  (environment)
@@ -10,14 +10,20 @@
 # The CPU profile covers the first [seconds] (default 10) of the process,
 # set-up included, and must end before the 12-second run does; an allocs
 # profile (every allocation since start, sampled) is written at the same
-# moment. FOCUS restricts the listings to stacks through a function —
-# by default the partition loop, which both durable workloads run in;
-# for the volatile workloads pass FOCUS='engine\.' or FOCUS=. Profiles
-# and the binary stay in KEEP (default: a temporary directory, removed).
+# moment, after a runtime.GC(). It gives two listings: objects allocated
+# (what allocs_per_happening counts) and resident bytes by allocation
+# site (-sample_index=inuse_space — the one tool that attributes
+# heap_mb_end, an end-to-end metric, to code). FOCUS restricts the CPU
+# and allocated-objects listings to stacks through a function — by
+# default the partition loop, which both durable workloads run in; for
+# the volatile workloads pass FOCUS='engine\.' or FOCUS=. The resident
+# listing is never focused: most of what stays was allocated by the
+# set-up. Profiles and the binary stay in KEEP (default: a temporary
+# directory, removed).
 set -euo pipefail
 
 if [ $# -lt 1 ]; then
-	sed -n '2,17p' "$0" >&2
+	sed -n '2,23p' "$0" >&2
 	exit 2
 fi
 workload="$1" seconds="${2:-10}"
@@ -41,3 +47,5 @@ echo "== CPU, cumulative${focus:+, stacks through $focus}"
 top "$work/odebench" "$work/cpu.pprof"
 echo "== allocated objects, cumulative${focus:+, stacks through $focus}"
 top -sample_index=alloc_objects "$work/odebench" "$work/allocs.pprof"
+echo "== resident bytes by allocation site (after a GC), flat"
+go tool pprof -top -nodecount=25 -sample_index=inuse_space "$work/odebench" "$work/allocs.pprof" 2>/dev/null
