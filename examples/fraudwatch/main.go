@@ -36,7 +36,7 @@ func main() {
 			// The triggering happening's parameters are available to
 			// the action (an extension over the paper; its §9 lists
 			// event arguments as future work).
-			amt := ctx.EventParams["amt"]
+			amt := ctx.EventParam("amt")
 			fmt.Printf("  !! [%s] %s (last purchase: %s)\n", name, msg, amt)
 			return nil
 		}

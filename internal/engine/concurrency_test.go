@@ -94,7 +94,7 @@ func TestConcurrentTransactionsWithTriggers(t *testing.T) {
 	var storedTotal int64
 	for _, oid := range oids {
 		rec, _ := e.Store().Get(oid)
-		storedTotal += rec.Fields["n"].AsInt()
+		storedTotal += field(rec, "n").AsInt()
 	}
 	if storedTotal != totalBumps {
 		t.Fatalf("lost updates: stored %d, want %d", storedTotal, totalBumps)

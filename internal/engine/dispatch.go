@@ -20,9 +20,10 @@ import (
 //     step() never scans triggers that provably cannot react;
 //   - compiled mask programs: each §5 disjointness mask is lowered once
 //     per (trigger, kind) pair to a mask.Program with names resolved to
-//     dense parameter slots, so evaluation allocates nothing and does
-//     no string-keyed lookups (the AST interpreter in post.go remains
-//     the oracle and the fallback);
+//     positions in the happening's and the activation's parameter rows,
+//     so evaluation allocates nothing and does no string-keyed lookups
+//     (the AST interpreter in post.go remains the oracle; it reads the
+//     same rows, resolving names per lookup);
 //   - trigger slots: each trigger resolves, by name, to its index into
 //     Record.Trigs (the store's per-class layout), so the per-happening
 //     state access is an array index instead of a map probe.
@@ -146,16 +147,7 @@ func (r *maskSlotResolver) eventParamIx(name string) int {
 	if r.kind.Class != event.KMethod {
 		return -1
 	}
-	m := r.cls.Method(r.kind.Method)
-	if m == nil {
-		return -1
-	}
-	for i := range m.Params {
-		if m.Params[i].Name == name {
-			return i
-		}
-	}
-	return -1
+	return r.cls.Method(r.kind.Method).ParamIndex(name)
 }
 
 // progHost serves the residual dynamic operations of compiled mask
@@ -172,8 +164,7 @@ type progHost struct {
 }
 
 func (h *progHost) Field(ix int, name string) (value.Value, bool) {
-	v, ok := h.rec.Fields[name]
-	return v, ok
+	return h.rec.Field(name)
 }
 
 func (h *progHost) DotField(base value.Value, name string) (value.Value, error) {

@@ -100,8 +100,8 @@ func TestMaskErrorAbortsTransaction(t *testing.T) {
 		t.Fatal("mask error swallowed")
 	}
 	r, _ := e.Store().Get(oid)
-	if !r.Fields["balance"].Equal(value.Int(1000)) {
-		t.Fatalf("failed transaction left effects: %v", r.Fields["balance"])
+	if !field(r, "balance").Equal(value.Int(1000)) {
+		t.Fatalf("failed transaction left effects: %v", field(r, "balance"))
 	}
 }
 
@@ -171,7 +171,7 @@ func TestCheckpointAndReopenEngine(t *testing.T) {
 	}
 	defer e2.Close()
 	r, err := e2.Store().Get(oid)
-	if err != nil || !r.Fields["balance"].Equal(value.Int(5)) {
+	if err != nil || !field(r, "balance").Equal(value.Int(5)) {
 		t.Fatalf("checkpointed object: %+v, %v", r, err)
 	}
 }
@@ -372,8 +372,8 @@ func TestActionParamsByName(t *testing.T) {
 			Params: []schema.Param{{Name: "lim", Kind: value.KindInt}, {Name: "floor", Kind: value.KindInt}}},
 		schema.Trigger{Name: "Any", Perpetual: true, Event: "after deposit"})
 	var over, anyDep []map[string]value.Value
-	impl.Actions["Over"] = func(ctx *ActionCtx) error { over = append(over, ctx.Params); return nil }
-	impl.Actions["Any"] = func(ctx *ActionCtx) error { anyDep = append(anyDep, ctx.Params); return nil }
+	impl.Actions["Over"] = func(ctx *ActionCtx) error { over = append(over, ctx.Params()); return nil }
+	impl.Actions["Any"] = func(ctx *ActionCtx) error { anyDep = append(anyDep, ctx.Params()); return nil }
 	e := newEngine(t, Options{})
 	oid := setup(t, e, cls, impl, "Any")
 	do := func(fn func(tx *Tx) error) {

@@ -38,6 +38,13 @@ func (r *recorder) count() int {
 	return len(r.fires)
 }
 
+// field reads a field of a record the caller may read (a committed
+// image or a snapshot); null if the object has none so named.
+func field(r *store.Record, name string) value.Value {
+	v, _ := r.Field(name)
+	return v
+}
+
 // accountClass builds a bank-account class with the given triggers and
 // a recorder-backed action for each.
 func accountClass(rec *recorder, triggers ...schema.Trigger) (*schema.Class, ClassImpl) {
@@ -260,8 +267,8 @@ func TestTabortActionAbortsTransaction(t *testing.T) {
 		t.Fatalf("err = %v, want ErrTabort", err)
 	}
 	r, _ := e.Store().Get(oid)
-	if !r.Fields["balance"].Equal(value.Int(900)) {
-		t.Fatalf("balance = %v, want 900 (only the authorized withdrawal)", r.Fields["balance"])
+	if !field(r, "balance").Equal(value.Int(900)) {
+		t.Fatalf("balance = %v, want 900 (only the authorized withdrawal)", field(r, "balance"))
 	}
 	_ = authorized
 }
@@ -364,8 +371,8 @@ func TestTcompleteFixpointDivergenceDetected(t *testing.T) {
 	}
 	// The diverged transaction aborted: deposit rolled back.
 	r, _ := e.Store().Get(oid)
-	if !r.Fields["balance"].Equal(value.Int(1000)) {
-		t.Fatalf("balance = %v", r.Fields["balance"])
+	if !field(r, "balance").Equal(value.Int(1000)) {
+		t.Fatalf("balance = %v", field(r, "balance"))
 	}
 }
 
@@ -993,8 +1000,8 @@ func TestTransactExplicitFinish(t *testing.T) {
 		t.Fatal(err)
 	}
 	r, _ := e.Store().Get(oid)
-	if !r.Fields["balance"].Equal(value.Int(1005)) {
-		t.Fatalf("balance = %v", r.Fields["balance"])
+	if !field(r, "balance").Equal(value.Int(1005)) {
+		t.Fatalf("balance = %v", field(r, "balance"))
 	}
 	// Double commit errors.
 	tx := e.Begin()

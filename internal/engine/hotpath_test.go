@@ -35,8 +35,7 @@ func TestHotPathAllocBudget(t *testing.T) {
 	}
 	h := event.Happening{
 		Kind:   event.MethodKind(event.After, "deposit"),
-		Params: map[string]value.Value{"amount": value.Int(1)},
-		Dense:  []value.Value{value.Int(1)},
+		Params: []value.Value{value.Int(1)},
 		TxID:   tx.ID(),
 		At:     e.clk.Now(),
 	}
@@ -85,8 +84,7 @@ func TestHotPathAllocBudgetProvenance(t *testing.T) {
 	}
 	dep := event.Happening{
 		Kind:   event.MethodKind(event.After, "deposit"),
-		Params: map[string]value.Value{"amount": value.Int(1)},
-		Dense:  []value.Value{value.Int(1)},
+		Params: []value.Value{value.Int(1)},
 		TxID:   tx.ID(),
 		At:     e.clk.Now(),
 	}
@@ -143,11 +141,11 @@ func eightTriggers() []schema.Trigger {
 // returns a function running one whole transaction: four Calls over
 // four distinct objects, begin to commit, after-tcommit system
 // transaction included.
-func wholeTxSetup(t testing.TB, n int) func(i int) {
+func wholeTxSetup(t testing.TB, n int, opts Options) func(i int) {
 	t.Helper()
 	triggers := eightTriggers()
 	cls, impl := accountClass(&recorder{}, triggers...)
-	e, err := New(Options{})
+	e, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,27 +188,90 @@ func wholeTxSetup(t testing.TB, n int) func(i int) {
 // TestWholeTxAllocBudget bounds what the budgets above never see: the
 // first access to each object and the commit. A 4-Call transaction over
 // 4 distinct 8-trigger objects, including the system transaction that
-// posts after tcommit, measures 51 allocations (the name-keyed
-// activation maps it replaced: 75; record cloning before that: 402) —
-// per object one new image for the user transaction (Record, Fields
-// map, one Trigs slice) and one for the system transaction (TxFirst
-// moves back: Record and Trigs slice), no copy on access.
+// posts after tcommit, measures 28 allocations (with per-call bound maps
+// and contexts and per-transaction seen / held-lock maps: 51; the
+// name-keyed activation maps before that: 75; record cloning before
+// that: 402). What is left is state: per object one new image for the
+// user transaction (Record, Fields map and its group, one Trigs slice)
+// and one for the system transaction (TxFirst moves back: Record and
+// Trigs slice) — 24 — and the two transactions' engine.Tx and txn.Tx —
+// 4. A call, an access and a commit allocate nothing of their own, so
+// the lock manager and the single-writer path measure the same.
 func TestWholeTxAllocBudget(t *testing.T) {
-	run := wholeTxSetup(t, 64)
-	i := 0
-	for ; i < 32; i++ { // every object past its first provenance-ring allocation
-		run(i)
+	const budget = 30 // measured 28; slack for map-implementation differences between Go releases
+	var got [2]float64
+	for k, single := range [2]bool{false, true} {
+		run := wholeTxSetup(t, 64, Options{SingleWriter: single})
+		i := 0
+		for ; i < 32; i++ { // every object past its first provenance-ring allocation
+			run(i)
+		}
+		got[k] = testing.AllocsPerRun(200, func() { run(i); i++ })
+		if got[k] > budget {
+			t.Errorf("whole 4-call transaction (single-writer %v) allocates %.1f objects; budget %d", single, got[k], budget)
+		}
+		t.Logf("whole 4-call transaction (single-writer %v): %.1f allocs", single, got[k])
 	}
-	avg := testing.AllocsPerRun(200, func() { run(i); i++ })
-	const budget = 60 // slack for map-implementation differences between Go releases
-	if avg > budget {
-		t.Fatalf("whole 4-call transaction allocates %.1f objects; budget %d", avg, budget)
+	if got[0] != got[1] {
+		t.Errorf("lock-manager transactions allocate %.1f objects, single-writer ones %.1f; want the same", got[0], got[1])
 	}
-	t.Logf("whole 4-call transaction: %.1f allocs", avg)
+}
+
+// TestCallAllocatesNothing: a non-firing Tx.Call on an object the
+// transaction has already accessed allocates nothing — no bound map, no
+// context, no parameter storage — with and without parameters, and
+// neither does a firing one whose action itself Calls (the firing feed,
+// which appends one record per firing, is off for the measurement).
+func TestCallAllocatesNothing(t *testing.T) {
+	triggers := append(eightTriggers(),
+		schema.Trigger{Name: "Nest", Perpetual: true, Event: "after withdraw(n) && n == 7"})
+	cls, impl := accountClass(&recorder{}, triggers...)
+	nested := 0
+	impl.Actions["Nest"] = func(ctx *ActionCtx) error {
+		nested++
+		_, err := ctx.Tx.Call(ctx.Self, "deposit", ctx.EventParam("amount"))
+		return err
+	}
+	e := newEngine(t, Options{DisableEgress: true})
+	names := make([]string, len(triggers))
+	for i, tr := range triggers {
+		names[i] = tr.Name
+	}
+	oid := setup(t, e, cls, impl, names...)
+
+	tx := e.Begin()
+	defer tx.Abort()
+	cases := []struct {
+		name   string
+		method string
+		args   []value.Value
+	}{
+		{"with a parameter", "deposit", []value.Value{value.Int(1)}},
+		{"without parameters", "getBalance", nil},
+		{"firing, action calls", "withdraw", []value.Value{value.Int(7)}},
+	}
+	for _, c := range cases {
+		call := func() {
+			if _, err := tx.Call(oid, c.method, c.args...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// First access, and every provenance ring the call moves grown
+		// to its depth.
+		for i := 0; i < 2*obs.DefaultProvDepth; i++ {
+			call()
+		}
+		if avg := testing.AllocsPerRun(200, call); avg != 0 {
+			t.Errorf("Tx.Call %s allocates %.1f objects; want 0", c.name, avg)
+		}
+	}
+	if nested == 0 {
+		t.Fatal("the nested case never fired")
+	}
 }
 
 func BenchmarkWholeTx(b *testing.B) {
-	run := wholeTxSetup(b, 10000)
+	run := wholeTxSetup(b, 10000, Options{})
 	for i := 0; i < 10000; i++ {
 		run(i)
 	}

@@ -69,7 +69,7 @@ func TestExplainImageRace(t *testing.T) {
 						t.Error("committed object vanished from the view")
 						return
 					}
-					bal := img.Fields["balance"].AsInt()
+					bal := field(img, "balance").AsInt()
 					if bal%10 != 0 || bal < last[i] {
 						t.Errorf("object %d: balance %d after %d", oid, bal, last[i])
 						return

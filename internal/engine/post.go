@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"ode/internal/algebra"
@@ -14,15 +15,26 @@ import (
 	"ode/internal/value"
 )
 
-// MethodCtx is passed to member-function implementations.
+// MethodCtx is passed to member-function implementations. The context
+// is valid only for the duration of the call: the engine reuses its
+// storage, so implementations must not retain the pointer.
 type MethodCtx struct {
 	Tx   *Tx
 	Self store.OID
-	Args map[string]value.Value
+
+	m    *schema.Method
+	args []value.Value // the call's arguments, coerced, in declared order
 }
 
 // Arg returns a bound parameter (null if absent).
-func (c *MethodCtx) Arg(name string) value.Value { return c.Args[name] }
+func (c *MethodCtx) Arg(name string) value.Value {
+	v, _ := paramAt(c.args, c.m.ParamIndex(name))
+	return v
+}
+
+// Args returns the bound parameters by declared name, in a map of the
+// caller's own (nil for a method that declares none).
+func (c *MethodCtx) Args() map[string]value.Value { return namedArgs(c.m, c.args) }
 
 // Get reads a field of the receiving object.
 func (c *MethodCtx) Get(field string) (value.Value, error) { return c.Tx.Get(c.Self, field) }
@@ -30,31 +42,93 @@ func (c *MethodCtx) Get(field string) (value.Value, error) { return c.Tx.Get(c.S
 // Set writes a field of the receiving object.
 func (c *MethodCtx) Set(field string, v value.Value) error { return c.Tx.Set(c.Self, field, v) }
 
-// ActionCtx is passed to trigger actions. Params are the trigger's
-// activation parameters by declared name (nil for a trigger that
-// declares none); composite events carry no event parameters (§3.3).
+// paramAt reads position ix of a parameter row; ok is false for a
+// position the row does not have (ix < 0: no such name).
+func paramAt(row []value.Value, ix int) (v value.Value, ok bool) {
+	if ix < 0 || ix >= len(row) {
+		return value.Null(), false
+	}
+	return row[ix], true
+}
+
+// namedArgs renders a method's argument row as a fresh map keyed by the
+// declared names; nil for a nil method or one that declares none.
+func namedArgs(m *schema.Method, row []value.Value) map[string]value.Value {
+	if m == nil || len(m.Params) == 0 {
+		return nil
+	}
+	named := make(map[string]value.Value, len(m.Params))
+	for i, p := range m.Params {
+		if i < len(row) {
+			named[p.Name] = row[i]
+		}
+	}
+	return named
+}
+
+// ActionCtx is passed to trigger actions. Param and Params read the
+// trigger's activation parameters by declared name; composite events
+// carry no event parameters (§3.3).
 //
-// EventKind and EventParams describe the happening that completed the
-// composite event — its last logical event. This goes beyond the
-// paper, which lists "the incorporation of arguments into composite
-// event specification" as future work (§9); exposing the final
+// EventKind, EventParam and EventParams describe the happening that
+// completed the composite event — its last logical event. This goes
+// beyond the paper, which lists "the incorporation of arguments into
+// composite event specification" as future work (§9); exposing the final
 // happening's parameters is the cheap four-fifths of that feature
 // (collecting values from *earlier* constituent events would require
 // augmenting the automaton state and is deliberately not done).
 //
 // The context is valid only for the duration of the action call: the
-// engine reuses its storage across firings, so actions must not retain
-// the pointer (the Params and EventParams maps themselves are stable
-// and may be kept).
+// engine reuses its storage across firings and the happening's
+// parameters belong to the poster, so actions must not retain the
+// pointer. What they may keep: every value.Value an accessor returned,
+// and the maps Params and EventParams return — each call builds a fresh
+// one that the engine never sees again, so nothing a method body or a
+// later posting does can change it.
 type ActionCtx struct {
-	Tx      *Tx
-	Self    store.OID
-	Trigger string
-	Params  map[string]value.Value
+	Tx        *Tx
+	Self      store.OID
+	Trigger   string
+	EventKind string
 
-	EventKind   string
-	EventParams map[string]value.Value
+	names []string       // the trigger's declared activation parameters
+	act   []value.Value  // their values, in declared order
+	evm   *schema.Method // the completing happening's method; nil for other kinds
+	ev    []value.Value  // its arguments, in declared order
 }
+
+// Param returns an activation parameter of the firing trigger (null if
+// it declares none so named).
+func (c *ActionCtx) Param(name string) value.Value {
+	v, _ := paramAt(c.act, slices.Index(c.names, name))
+	return v
+}
+
+// Params returns the activation parameters by declared name (nil for a
+// trigger that declares none).
+func (c *ActionCtx) Params() map[string]value.Value {
+	if len(c.names) == 0 {
+		return nil
+	}
+	named := make(map[string]value.Value, len(c.names))
+	for i, name := range c.names {
+		if i < len(c.act) {
+			named[name] = c.act[i]
+		}
+	}
+	return named
+}
+
+// EventParam returns a parameter of the completing happening (null if
+// it has none so named).
+func (c *ActionCtx) EventParam(name string) value.Value {
+	v, _ := paramAt(c.ev, c.evm.ParamIndex(name))
+	return v
+}
+
+// EventParams returns the completing happening's parameters by declared
+// name (nil for a happening that carries none).
+func (c *ActionCtx) EventParams() map[string]value.Value { return namedArgs(c.evm, c.ev) }
 
 // Tabort returns the tabort sentinel: returning it from an action
 // aborts the posting transaction (the paper's tabort statement).
@@ -217,6 +291,7 @@ func (tx *Tx) step(oid store.OID, rec *store.Record, h event.Happening, onlyTrig
 // (Class.kindNames): formatting it here would allocate per firing
 // posting.
 func (tx *Tx) fire(oid store.OID, rec *store.Record, c *Class, h event.Happening, kind string, fired []*Trigger) error {
+	evm := c.Schema.Method(h.Kind.Method) // its declaration names h.Params; nil for other kinds
 	for _, t := range fired {
 		// The ActionCtx lives on the Tx and is reused across firings;
 		// save/restore by value keeps nested firings (an action whose
@@ -224,8 +299,9 @@ func (tx *Tx) fire(oid store.OID, rec *store.Record, c *Class, h event.Happening
 		// retain the pointer past their return (documented on the type).
 		saved := tx.actCtx
 		tx.actCtx = ActionCtx{
-			Tx: tx, Self: oid, Trigger: t.Res.Name, Params: t.namedParams(rec.Trigs[t.slot].Params),
-			EventKind: kind, EventParams: h.Params,
+			Tx: tx, Self: oid, Trigger: t.Res.Name, EventKind: kind,
+			names: t.Res.Params, act: rec.Trigs[t.slot].Params,
+			evm: evm, ev: h.Params,
 		}
 		tx.e.stats.firings.Add(1)
 		start := time.Now()
@@ -256,25 +332,6 @@ func (tx *Tx) fire(oid store.OID, rec *store.Record, c *Class, h event.Happening
 	return nil
 }
 
-// namedParams materialises the name-keyed view of an activation's
-// parameters that ActionCtx and the interpreted-mask oracle expose. The
-// record holds them in declared order only, so this allocates — which
-// is why it runs when a trigger that declares parameters fires or the
-// oracle evaluates, never per step, and returns nil for a parameterless
-// trigger.
-func (t *Trigger) namedParams(dense []value.Value) map[string]value.Value {
-	if len(t.Res.Params) == 0 {
-		return nil
-	}
-	m := make(map[string]value.Value, len(t.Res.Params))
-	for i, name := range t.Res.Params {
-		if i < len(dense) {
-			m[name] = dense[i]
-		}
-	}
-	return m
-}
-
 // evalBits evaluates the §5 disjointness masks this trigger's
 // expression depends on for the happening's kind, producing the mask
 // valuation bits of the symbol. Foreign triggers' bits are left zero —
@@ -287,7 +344,7 @@ func (tx *Tx) evalBits(c *Class, d *dispatchEntry, kindIx int, h event.Happening
 	if err := d.t.checkParams(act); err != nil {
 		return 0, err
 	}
-	return tx.evalBitsMask(c, d.t, d.progs, d.used, kindIx, h, act.Params, oid, rec, d.t.met)
+	return tx.evalBitsMask(c, d.t.Res.Params, d.progs, d.used, kindIx, h, act.Params, oid, rec, d.t.met)
 }
 
 // checkParams guards the compiled programs' indexed parameter loads: an
@@ -303,25 +360,22 @@ func (t *Trigger) checkParams(act *store.TrigState) error {
 }
 
 // evalBitsMask evaluates exactly the mask bits in used. The compiled
-// programs run when available (progs[bit] resolved at registration) and
-// the happening carries its dense parameter slice; otherwise — under
-// Options.InterpretedMasks, or for hand-built happenings with map-only
-// parameters — each bit falls back to the AST interpreter, the
-// semantic oracle, which resolves the trigger's parameters by name
-// (materialised once per call, on that path only). t and trig — the
-// activation's parameters in declared order — are nil under combined
-// monitoring (it forbids trigger parameters), as is met (combined
-// monitoring evaluates the class-wide bit union, which belongs to no
-// single trigger).
-func (tx *Tx) evalBitsMask(c *Class, t *Trigger, progs []*mask.Program, used uint32, kindIx int, h event.Happening,
+// programs run when available (progs[bit] resolved at registration);
+// under Options.InterpretedMasks each bit goes to the AST interpreter,
+// the semantic oracle, which reads the same two parameter rows and
+// resolves names against the declarations per lookup. trigNames and trig
+// — the activation's parameters in declared order — are nil under
+// combined monitoring (it forbids trigger parameters), as is met
+// (combined monitoring evaluates the class-wide bit union, which
+// belongs to no single trigger).
+func (tx *Tx) evalBitsMask(c *Class, trigNames []string, progs []*mask.Program, used uint32, kindIx int, h event.Happening,
 	trig []value.Value, oid store.OID, rec *store.Record, met *obs.TriggerMetrics) (uint32, error) {
 	if used == 0 {
 		return 0, nil
 	}
 	var bits uint32
-	var trigNamed map[string]value.Value // built on the first interpreted bit
 	masks := c.Res.Alphabet.Kinds[kindIx].Masks
-	compiled := progs != nil && !tx.e.interpretMasks && len(h.Dense) == len(h.Params)
+	compiled := progs != nil && !tx.e.interpretMasks
 	for bit := range masks {
 		if used&(1<<bit) == 0 {
 			continue
@@ -336,20 +390,19 @@ func (tx *Tx) evalBitsMask(c *Class, t *Trigger, progs []*mask.Program, used uin
 			// method whose postings evaluate further masks — correct.
 			saved := tx.penv
 			tx.penv = progHost{tx: tx, self: oid, rec: rec, cls: c}
-			ok, err = progs[bit].EvalBool(h.Dense, trig, &tx.penv)
+			ok, err = progs[bit].EvalBool(h.Params, trig, &tx.penv)
 			tx.penv = saved
 		} else {
-			if trigNamed == nil && t != nil {
-				trigNamed = t.namedParams(trig)
-			}
 			env := &maskEnv{
-				tx:     tx,
-				self:   oid,
-				rec:    rec,
-				cls:    c,
-				params: h.Params,
-				rename: masks[bit].Rename,
-				trig:   trigNamed,
+				tx:        tx,
+				self:      oid,
+				rec:       rec,
+				cls:       c,
+				evm:       c.Schema.Method(h.Kind.Method),
+				params:    h.Params,
+				rename:    masks[bit].Rename,
+				trigNames: trigNames,
+				trig:      trig,
 			}
 			ok, err = masks[bit].Expr.EvalBool(env)
 		}
@@ -398,37 +451,36 @@ func (e *Engine) recordHappening(oid store.OID, h event.Happening) {
 
 // maskEnv resolves names during mask evaluation: declared formals
 // (renamed to schema parameter names), the happening's parameters,
-// the trigger's activation parameters, then the object's fields.
+// the trigger's activation parameters, then the object's fields —
+// maskSlotResolver (dispatch.go) is the same precedence, resolved once.
 // Masks "may access the state of any object in the database" (§3.2)
 // through object-reference field paths and calls; those reads are
 // isolated (locked) but post no events.
 type maskEnv struct {
-	tx     *Tx
-	self   store.OID
-	rec    *store.Record
-	cls    *Class
-	params map[string]value.Value
-	rename map[string]string
-	trig   map[string]value.Value
+	tx        *Tx
+	self      store.OID
+	rec       *store.Record
+	cls       *Class
+	evm       *schema.Method // the happening's method: names params (nil for other kinds)
+	params    []value.Value
+	rename    map[string]string
+	trigNames []string // the trigger's declared parameters: names trig
+	trig      []value.Value
 }
 
 func (m *maskEnv) Lookup(name string) (value.Value, bool) {
-	if m.rename != nil {
-		if schemaName, ok := m.rename[name]; ok {
-			v, ok2 := m.params[schemaName]
-			return v, ok2
-		}
+	if schemaName, ok := m.rename[name]; ok {
+		// A formal that renames to a name the kind does not bind is
+		// absent, never something else.
+		return paramAt(m.params, m.evm.ParamIndex(schemaName))
 	}
-	if v, ok := m.params[name]; ok {
+	if v, ok := paramAt(m.params, m.evm.ParamIndex(name)); ok {
 		return v, true
 	}
-	if v, ok := m.trig[name]; ok {
+	if v, ok := paramAt(m.trig, slices.Index(m.trigNames, name)); ok {
 		return v, true
 	}
-	if v, ok := m.rec.Fields[name]; ok {
-		return v, true
-	}
-	return value.Null(), false
+	return m.rec.Field(name)
 }
 
 func (m *maskEnv) Field(base value.Value, name string) (value.Value, error) {
@@ -450,7 +502,7 @@ func (tx *Tx) maskDotField(base value.Value, name string) (value.Value, error) {
 	if err != nil {
 		return value.Null(), err
 	}
-	v, ok := rec.Fields[name]
+	v, ok := rec.Field(name)
 	if !ok {
 		return value.Null(), fmt.Errorf("engine: class %s has no field %q", rec.Class, name)
 	}
@@ -468,21 +520,16 @@ func (tx *Tx) maskCall(cls *Class, self store.OID, name string, args []value.Val
 		if meth.Mode != schema.ModeRead {
 			return value.Null(), fmt.Errorf("engine: mask calls update method %q; masks must be side-effect-free", name)
 		}
-		if len(args) != len(meth.Params) {
-			return value.Null(), fmt.Errorf("engine: %s takes %d argument(s), got %d", name, len(meth.Params), len(args))
-		}
-		bound := make(map[string]value.Value, len(args))
-		for i, a := range args {
-			cv, err := coerce(a, meth.Params[i].Kind)
-			if err != nil {
-				return value.Null(), fmt.Errorf("engine: %s parameter %s: %w", name, meth.Params[i].Name, err)
-			}
-			bound[meth.Params[i].Name] = cv
+		base := len(tx.evArena)
+		defer func() { tx.evArena = tx.evArena[:base] }()
+		row, err := tx.bindArgs(meth, args)
+		if err != nil {
+			return value.Null(), fmt.Errorf("engine: %s %w", name, err)
 		}
 		// Invoked directly: a mask-time member call is a condition
 		// evaluation, not an event-generating access (§7 requires
 		// side-effect-free conditions).
-		return cls.Impl.Methods[name](&MethodCtx{Tx: tx, Self: self, Args: bound})
+		return tx.invoke(cls.Impl.Methods[name], self, meth, row)
 	}
 	tx.e.mu.RLock()
 	fn, ok := tx.e.funcs[name]

@@ -13,15 +13,14 @@ import (
 
 // Batch posting: the one-at-a-time hot path (tx.Call → step) already
 // avoids allocation, but it still pays per-happening costs that only
-// exist because each call arrives alone — a map-backed argument bind,
-// an atomic metric update per step and per mask evaluation, a
-// per-call MethodCtx allocation, and repeated method/kind resolution.
-// PostBatch amortizes all of them: a Batch is a columnar run of method
-// calls against objects of one class, and posting it resolves each
-// distinct method once into a cached plan (bound map, dense arena row,
-// dispatch slices, kind ids), then streams the entries through a tight
-// loop that accumulates metrics in plain integers and flushes them
-// once per batch.
+// exist because each call arrives alone — an atomic metric update per
+// step and per mask evaluation, a flight record per happening, and
+// repeated method/kind resolution. PostBatch amortizes all of them: a
+// Batch is a columnar run of method calls against objects of one class,
+// and posting it resolves each distinct method once into a cached plan
+// (declaration, implementation, dispatch slices, kind ids), then streams the entries
+// through a tight loop that accumulates metrics in plain integers and
+// flushes them once per batch.
 //
 // Semantics are exactly those of calling tx.Call for each entry in
 // order and discarding the results: identical happenings, firing
@@ -51,7 +50,6 @@ type Batch struct {
 	planC *Class
 	planN int
 	plan  []batchMethod
-	arena mask.Arena
 }
 
 // NewBatch returns an empty batch for objects of the named class, with
@@ -127,15 +125,8 @@ type batchPhase struct {
 
 // batchMethod is the cached posting plan for one interned method.
 type batchMethod struct {
-	name string
-	m    *schema.Method
-	impl MethodImpl
-	// bound and dense are overwritten in place per entry (all entries
-	// of a method bind the same parameter names); dense lives in the
-	// batch arena.
-	bound         map[string]value.Value
-	dense         []value.Value
-	mctx          MethodCtx
+	m             *schema.Method
+	impl          MethodImpl
 	before, after batchPhase
 	// err records a plan-time failure (unknown method, kind outside the
 	// alphabet), reported when the first entry using the method
@@ -156,11 +147,9 @@ type batchCounters struct {
 // carry entries for a bad method that execution never reaches.
 func (b *Batch) buildPlan(e *Engine, c *Class) {
 	b.planE, b.planC, b.planN = e, c, len(b.methods)
-	b.arena.Reset()
 	b.plan = make([]batchMethod, len(b.methods))
 	for i, name := range b.methods {
 		bm := &b.plan[i]
-		bm.name = name
 		m := c.Schema.Method(name)
 		if m == nil {
 			bm.err = fmt.Errorf("engine: class %s has no method %q", c.Schema.Name, name)
@@ -168,10 +157,6 @@ func (b *Batch) buildPlan(e *Engine, c *Class) {
 		}
 		bm.m = m
 		bm.impl = c.Impl.Methods[name]
-		if len(m.Params) > 0 {
-			bm.bound = make(map[string]value.Value, len(m.Params))
-			bm.dense = b.arena.Row(len(m.Params))
-		}
 		bm.before.kind = event.MethodKind(event.Before, name)
 		bm.after.kind = event.MethodKind(event.After, name)
 		for _, ph := range [...]*batchPhase{&bm.before, &bm.after} {
@@ -223,15 +208,13 @@ func (tx *Tx) PostBatch(b *Batch) error {
 	txid := tx.tx.ID()
 	var bc batchCounters
 	defer tx.flushBatch(c, b, &bc, now.UnixNano(), txid)
+	base := len(tx.evArena)
+	defer func() { tx.evArena = tx.evArena[:base] }()
 
 	for i := range b.oids {
 		bm := &b.plan[b.meth[i]]
-		if bm.err != nil {
-			if bm.errStep {
-				return tx.propagate(bm.err)
-			}
-			return bm.err
-		}
+		// Access first, as tx.Call does: an entry that fails any check
+		// below has still first-accessed its object.
 		rec, err := tx.batchAccess(b.oids[i])
 		if err != nil {
 			return err
@@ -240,25 +223,23 @@ func (tx *Tx) PostBatch(b *Batch) error {
 			return fmt.Errorf("engine: batch for class %s posted to object %d of class %s",
 				b.class, b.oids[i], rec.Class)
 		}
-		args := b.args[b.argOff[i]:b.argOff[i+1]]
-		if len(args) != len(bm.m.Params) {
-			return fmt.Errorf("engine: %s.%s takes %d argument(s), got %d",
-				rec.Class, bm.name, len(bm.m.Params), len(args))
-		}
-		for j := range args {
-			cv, err := coerce(args[j], bm.m.Params[j].Kind)
-			if err != nil {
-				return fmt.Errorf("engine: %s.%s parameter %s: %w",
-					rec.Class, bm.name, bm.m.Params[j].Name, err)
+		if bm.err != nil {
+			if bm.errStep {
+				return tx.propagate(bm.err)
 			}
-			bm.bound[bm.m.Params[j].Name] = cv
-			bm.dense[j] = cv
+			return bm.err
+		}
+		// Each entry's arguments are one row of the Tx's arena, as in
+		// tx.Call; the next entry reuses the region.
+		tx.evArena = tx.evArena[:base]
+		row, err := tx.bindArgs(bm.m, b.args[b.argOff[i]:b.argOff[i+1]])
+		if err != nil {
+			return fmt.Errorf("engine: %s.%s %w", rec.Class, bm.m.Name, err)
 		}
 
 		h := event.Happening{
 			Kind:   bm.before.kind,
-			Params: bm.bound,
-			Dense:  bm.dense,
+			Params: row,
 			TxID:   txid,
 			At:     now,
 		}
@@ -272,16 +253,7 @@ func (tx *Tx) PostBatch(b *Batch) error {
 			return tx.propagate(err)
 		}
 
-		// The MethodCtx lives on the plan and is reused by address;
-		// save/restore by value keeps re-entrant calls of the same
-		// method (an action invoking it via tx.Call) correct. Like the
-		// trigger ActionCtx, implementations must not retain the pointer
-		// past their return.
-		saved := bm.mctx
-		bm.mctx = MethodCtx{Tx: tx, Self: b.oids[i], Args: bm.bound}
-		_, err = bm.impl(&bm.mctx)
-		bm.mctx = saved
-		if err != nil {
+		if _, err := tx.invoke(bm.impl, b.oids[i], bm.m, row); err != nil {
 			return tx.propagate(err)
 		}
 
@@ -355,7 +327,7 @@ func (tx *Tx) stepBatch(c *Class, ph *batchPhase, oid store.OID, rec *store.Reco
 			}
 			saved := tx.penv
 			tx.penv = progHost{tx: tx, self: oid, rec: rec, cls: c}
-			got, evals, falses, err := mask.EvalBits(d.progs, d.used, h.Dense, act.Params, &tx.penv)
+			got, evals, falses, err := mask.EvalBits(d.progs, d.used, h.Params, act.Params, &tx.penv)
 			tx.penv = saved
 			ph.evals[i] += uint64(evals)
 			ph.falses[i] += uint64(falses)
@@ -447,17 +419,6 @@ func (tx *Tx) stepBatch(c *Class, ph *batchPhase, oid store.OID, rec *store.Reco
 			rec.Trigs[t.slot].Active = false
 			tx.e.timers.disarm(oid, t)
 		}
-	}
-	// ActionCtx documents its EventParams map as retainable, but this
-	// happening's Params is the plan's reused bound map: detach a copy
-	// before any action sees it. The firing path is allowed to allocate
-	// — the zero-allocation promise covers the non-firing common case.
-	if h.Params != nil {
-		params := make(map[string]value.Value, len(h.Params))
-		for k, v := range h.Params {
-			params[k] = v
-		}
-		h.Params = params
 	}
 	err := tx.fire(oid, rec, c, *h, c.kindNames[ph.kindIx], fired)
 	tx.fired = tx.fired[:base]

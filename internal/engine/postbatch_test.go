@@ -257,6 +257,67 @@ func TestPostBatchEquivalence(t *testing.T) {
 	}
 }
 
+// TestCallAndPostBatchErrorParity: an entry that fails before its first
+// posting fails the same way through Tx.Call and through a one-entry
+// PostBatch — the same error text, and the object first-accessed either
+// way (it is in Accessed() and got its after-tbegin), because both run
+// the access before any check. The transaction stays active.
+func TestCallAndPostBatchErrorParity(t *testing.T) {
+	cls, impl := accountClass(&recorder{},
+		schema.Trigger{Name: "Big", Perpetual: true, Event: "after deposit(n) && n > 100"})
+	e := newEngine(t, Options{})
+	oid := setup(t, e, cls, impl, "Big")
+
+	cases := []struct {
+		name   string
+		method string
+		args   []value.Value
+		want   string
+	}{
+		{"unknown method", "frobnicate", nil, `engine: class account has no method "frobnicate"`},
+		{"wrong arity", "deposit", nil, "engine: account.deposit takes 1 argument(s), got 0"},
+		{"coercion failure", "deposit", []value.Value{value.Str("ten")},
+			"engine: account.deposit parameter amount: engine: cannot use string as int"},
+	}
+	for _, c := range cases {
+		type outcome struct {
+			err        string
+			accessed   []store.OID
+			happenings uint64
+		}
+		var got [2]outcome
+		for k, batch := range [2]bool{false, true} {
+			before := e.Stats().Happenings
+			tx := e.Begin()
+			var err error
+			if batch {
+				b := NewBatch("account", 1)
+				b.Call(oid, c.method, c.args...)
+				err = tx.PostBatch(b)
+			} else {
+				_, err = tx.Call(oid, c.method, c.args...)
+			}
+			if err == nil {
+				t.Fatalf("%s (batch %v): no error", c.name, batch)
+			}
+			got[k] = outcome{err.Error(), tx.Underlying().Accessed(), e.Stats().Happenings - before}
+			if _, err := tx.Get(oid, "balance"); err != nil {
+				t.Errorf("%s (batch %v): transaction unusable after the error: %v", c.name, batch, err)
+			}
+			tx.Abort()
+		}
+		if got[0].err != c.want {
+			t.Errorf("%s: Call reports %q, want %q", c.name, got[0].err, c.want)
+		}
+		if !reflect.DeepEqual(got[0], got[1]) {
+			t.Errorf("%s: Call and PostBatch differ:\ncall:  %+v\nbatch: %+v", c.name, got[0], got[1])
+		}
+		if len(got[0].accessed) != 1 || got[0].accessed[0] != oid || got[0].happenings != 1 {
+			t.Errorf("%s: want the object first-accessed (one after-tbegin) before the check, got %+v", c.name, got[0])
+		}
+	}
+}
+
 // TestPostBatchErrors pins the error behavior: unknown class, unknown
 // method (reported at the entry's position, with earlier entries
 // already applied and the transaction still usable for singles-path
@@ -439,7 +500,7 @@ func TestPostBatchEpochRace(t *testing.T) {
 					if !ok {
 						continue // not yet published
 					}
-					bal := recd.Fields["balance"].I
+					bal := field(recd, "balance").I
 					if bal%20 != 0 {
 						errs <- fmt.Sprintf("reader saw un-committed intermediate balance %d", bal)
 						return
@@ -464,7 +525,7 @@ func TestPostBatchEpochRace(t *testing.T) {
 	}
 	for _, oid := range oids {
 		recd, ok := e.Store().GetCommitted(oid)
-		if !ok || recd.Fields["balance"].I != 1000+20*rounds {
+		if !ok || field(recd, "balance").I != 1000+20*rounds {
 			t.Fatalf("final committed balance = %+v (ok=%v), want %d", recd, ok, 1000+20*rounds)
 		}
 	}

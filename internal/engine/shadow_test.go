@@ -2,7 +2,9 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -183,7 +185,7 @@ func TestActionEventParamsExtension(t *testing.T) {
 		Actions: map[string]ActionFunc{
 			"T": func(ctx *ActionCtx) error {
 				gotKind = ctx.EventKind
-				gotAmount = ctx.EventParams["n"].AsInt()
+				gotAmount = ctx.EventParam("n").AsInt()
 				return nil
 			},
 		},
@@ -203,5 +205,108 @@ func TestActionEventParamsExtension(t *testing.T) {
 	}
 	if gotKind != "after withdraw" || gotAmount != 77 {
 		t.Fatalf("action saw %q / %d, want 'after withdraw' / 77", gotKind, gotAmount)
+	}
+}
+
+// TestRetainedEventParamsAreDetached: what an action keeps of a
+// happening's parameters is its own. A method body that alters the
+// argument map it is handed — between the before- and the after-posting —
+// changes neither what the before-action retained nor what the
+// after-posting's masks read, compiled or interpreted (the two used to
+// read different copies: the interpreter the shared map, compiled masks
+// the row); and on the batch path a later entry overwriting the plan's
+// parameter row changes nothing an earlier entry's action kept.
+func TestRetainedEventParamsAreDetached(t *testing.T) {
+	type kept struct {
+		m map[string]value.Value
+		v value.Value
+	}
+	run := func(t *testing.T, interpreted, batch bool) ([]string, []kept) {
+		e := newEngine(t, Options{InterpretedMasks: interpreted})
+		var log []string
+		var retained []kept
+		cls := &schema.Class{
+			Name:   "acct",
+			Fields: []schema.Field{{Name: "balance", Kind: value.KindInt}},
+			Methods: []schema.Method{
+				{Name: "deposit", Params: []schema.Param{{Name: "n", Kind: value.KindInt}}, Mode: schema.ModeUpdate},
+			},
+			Triggers: []schema.Trigger{
+				{Name: "Seen", Perpetual: true, Event: "before deposit(x) && x > 0"},
+				{Name: "Huge", Perpetual: true, Event: "after deposit(x) && x > 500"},
+			},
+		}
+		impl := ClassImpl{
+			Methods: map[string]MethodImpl{
+				"deposit": func(ctx *MethodCtx) (value.Value, error) {
+					args := ctx.Args()
+					args["n"] = value.Int(999) // the caller's own copy: reaches nothing
+					return value.Null(), ctx.Set("balance", ctx.Arg("n"))
+				},
+			},
+			Actions: map[string]ActionFunc{
+				"Seen": func(ctx *ActionCtx) error {
+					log = append(log, fmt.Sprintf("Seen %s", ctx.EventParam("n")))
+					retained = append(retained, kept{ctx.EventParams(), ctx.EventParam("n")})
+					return nil
+				},
+				"Huge": func(ctx *ActionCtx) error {
+					log = append(log, fmt.Sprintf("Huge %s", ctx.EventParam("n")))
+					return nil
+				},
+			},
+		}
+		if _, err := e.RegisterClass(cls, impl, nil); err != nil {
+			t.Fatal(err)
+		}
+		err := e.Transact(func(tx *Tx) error {
+			oid, err := tx.NewObject("acct", nil)
+			if err != nil {
+				return err
+			}
+			for _, name := range []string{"Seen", "Huge"} {
+				if err := tx.Activate(oid, name); err != nil {
+					return err
+				}
+			}
+			amounts := []int64{10, 20, 600}
+			if batch {
+				b := NewBatch("acct", len(amounts))
+				for _, n := range amounts {
+					b.Call(oid, "deposit", value.Int(n))
+				}
+				return tx.PostBatch(b)
+			}
+			for _, n := range amounts {
+				if _, err := tx.Call(oid, "deposit", value.Int(n)); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return log, retained
+	}
+
+	want := []string{"Seen 10", "Seen 20", "Seen 600", "Huge 600"}
+	for _, interpreted := range []bool{false, true} {
+		for _, batch := range []bool{false, true} {
+			log, retained := run(t, interpreted, batch)
+			if !slices.Equal(log, want) {
+				t.Errorf("interpreted=%v batch=%v: firings %v, want %v", interpreted, batch, log, want)
+			}
+			for i, n := range []int64{10, 20, 600} {
+				if i >= len(retained) {
+					break
+				}
+				k := retained[i]
+				if len(k.m) != 1 || !k.m["n"].Equal(value.Int(n)) || !k.v.Equal(value.Int(n)) {
+					t.Errorf("interpreted=%v batch=%v: action %d retained %v / %s, want n=%d",
+						interpreted, batch, i, k.m, k.v, n)
+				}
+			}
+		}
 	}
 }

@@ -156,7 +156,7 @@ func timerEquivScript(t *testing.T, perObject bool) *timerEquivRun {
 		if err != nil {
 			continue // the deleted object
 		}
-		run.balances[oid] = r.Fields["balance"].AsInt()
+		run.balances[oid] = field(r, "balance").AsInt()
 		for _, trig := range []string{"Tick", "Daily", "Combo", "Late"} {
 			ex, err := e.Explain(trig, oid)
 			if err != nil {

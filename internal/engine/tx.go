@@ -22,15 +22,19 @@ type Tx struct {
 	aborting bool
 	finished bool
 
-	// Hot-path scratch, reused across postings so the volatile posting
-	// path allocates nothing per masked, non-firing happening. fired
-	// and evArena follow stack discipline (append from a base, truncate
-	// on return), which keeps nested postings correct; penv and actCtx
-	// are reused by address with save/restore by value around each use.
-	fired   []*Trigger    // firing accumulation arena (post.go)
-	evArena []value.Value // dense event-parameter arena (Call)
-	penv    progHost      // compiled-mask host (dispatch.go)
-	actCtx  ActionCtx     // action context storage (fire)
+	// Hot-path scratch, reused across postings so a call allocates
+	// nothing of its own. fired and evArena follow stack discipline
+	// (append from a base, truncate on return), which keeps nested
+	// postings correct; penv, mctx and actCtx are reused by address with
+	// save/restore by value around each use. evArena starts on evBuf, so
+	// calls whose parameters — nested ones included — fit it never grow
+	// it on the heap.
+	fired   []*Trigger     // firing accumulation arena (post.go)
+	evArena []value.Value  // event-parameter rows (bindArgs)
+	evBuf   [2]value.Value // evArena's inline backing
+	penv    progHost       // compiled-mask host (dispatch.go)
+	mctx    MethodCtx      // method context storage (invoke)
+	actCtx  ActionCtx      // action context storage (fire)
 
 	// lazyAccess marks a cohort timer delivery transaction: members are
 	// peeked, and stepBatch registers one with the txn layer (Access)
@@ -57,8 +61,13 @@ type Tx struct {
 // Begin starts a transaction.
 func (e *Engine) Begin() *Tx {
 	e.stats.txBegun.Add(1)
-	tx := &Tx{e: e, tx: e.txm.Begin()}
-	e.traceTx(obs.StageTxBegin, tx.tx.ID(), false)
+	return e.begin(e.txm.Begin())
+}
+
+func (e *Engine) begin(t *txn.Tx) *Tx {
+	tx := &Tx{e: e, tx: t}
+	tx.evArena = tx.evBuf[:0]
+	e.traceTx(obs.StageTxBegin, t.ID(), t.System())
 	return tx
 }
 
@@ -67,9 +76,7 @@ func (e *Engine) Begin() *Tx {
 // after-tabort, which belong to an already-finished transaction).
 func (e *Engine) beginSystem() *Tx {
 	e.stats.systemTx.Add(1)
-	tx := &Tx{e: e, tx: e.txm.BeginSystem()}
-	e.traceTx(obs.StageTxBegin, tx.tx.ID(), true)
-	return tx
+	return e.begin(e.txm.BeginSystem())
 }
 
 // Transact runs fn in a fresh transaction, committing on nil and
@@ -200,59 +207,68 @@ func (tx *Tx) Call(oid store.OID, method string, args ...value.Value) (value.Val
 	if m == nil {
 		return value.Null(), fmt.Errorf("engine: class %s has no method %q", rec.Class, method)
 	}
-	if len(args) != len(m.Params) {
-		return value.Null(), fmt.Errorf("engine: %s.%s takes %d argument(s), got %d",
-			rec.Class, method, len(m.Params), len(args))
-	}
-	// The name-keyed map serves the interpreter oracle, MethodCtx and
-	// ActionCtx; the dense slice serves compiled masks. The slice lives
-	// in the Tx's arena (stack discipline: nested Calls append above
-	// us, the deferred truncation releases our region on return), so a
-	// parameterless call allocates neither.
-	var bound map[string]value.Value
-	var dense []value.Value
-	if len(args) > 0 {
-		bound = make(map[string]value.Value, len(args))
-		arenaBase := len(tx.evArena)
-		defer func() { tx.evArena = tx.evArena[:arenaBase] }()
-		for i, a := range args {
-			cv, err := coerce(a, m.Params[i].Kind)
-			if err != nil {
-				return value.Null(), fmt.Errorf("engine: %s.%s parameter %s: %w", rec.Class, method, m.Params[i].Name, err)
-			}
-			bound[m.Params[i].Name] = cv
-			tx.evArena = append(tx.evArena, cv)
-		}
-		dense = tx.evArena[arenaBase:len(tx.evArena):len(tx.evArena)]
+	// The coerced arguments are one row of the Tx's arena, in declared
+	// order: both postings, the method body and any action read that row
+	// (stack discipline: nested Calls append above us, the deferred
+	// truncation releases our region on return).
+	base := len(tx.evArena)
+	defer func() { tx.evArena = tx.evArena[:base] }()
+	row, err := tx.bindArgs(m, args)
+	if err != nil {
+		return value.Null(), fmt.Errorf("engine: %s.%s %w", rec.Class, method, err)
 	}
 
-	before := event.Happening{
+	h := event.Happening{
 		Kind:   event.MethodKind(event.Before, method),
-		Params: bound,
-		Dense:  dense,
+		Params: row,
 		TxID:   tx.tx.ID(),
 		At:     tx.e.clk.Now(),
 	}
-	if _, err := tx.step(oid, rec, before, ""); err != nil {
+	if _, err := tx.step(oid, rec, h, ""); err != nil {
 		return value.Null(), tx.propagate(err)
 	}
 
-	out, err := c.Impl.Methods[method](&MethodCtx{Tx: tx, Self: oid, Args: bound})
+	out, err := tx.invoke(c.Impl.Methods[method], oid, m, row)
 	if err != nil {
 		return value.Null(), tx.propagate(err)
 	}
 
-	after := event.Happening{
-		Kind:   event.MethodKind(event.After, method),
-		Params: bound,
-		Dense:  dense,
-		TxID:   tx.tx.ID(),
-		At:     tx.e.clk.Now(),
-	}
-	if _, err := tx.step(oid, rec, after, ""); err != nil {
+	h.Kind, h.At = event.MethodKind(event.After, method), tx.e.clk.Now()
+	if _, err := tx.step(oid, rec, h, ""); err != nil {
 		return out, tx.propagate(err)
 	}
 	return out, nil
+}
+
+// bindArgs checks a call's arguments against the method's declaration,
+// coerces them to the declared kinds and appends them to the event-
+// parameter arena, returning the row. The caller truncates the arena
+// back to its base when the call the row serves returns.
+func (tx *Tx) bindArgs(m *schema.Method, args []value.Value) ([]value.Value, error) {
+	if len(args) != len(m.Params) {
+		return nil, fmt.Errorf("takes %d argument(s), got %d", len(m.Params), len(args))
+	}
+	base := len(tx.evArena)
+	for i, a := range args {
+		cv, err := coerce(a, m.Params[i].Kind)
+		if err != nil {
+			return nil, fmt.Errorf("parameter %s: %w", m.Params[i].Name, err)
+		}
+		tx.evArena = append(tx.evArena, cv)
+	}
+	return tx.evArena[base:len(tx.evArena):len(tx.evArena)], nil
+}
+
+// invoke runs a method body over a bound argument row. The MethodCtx
+// lives on the Tx and is reused by address; save/restore by value keeps
+// re-entrant calls (a body or an action calling further methods)
+// correct.
+func (tx *Tx) invoke(impl MethodImpl, self store.OID, m *schema.Method, row []value.Value) (value.Value, error) {
+	saved := tx.mctx
+	tx.mctx = MethodCtx{Tx: tx, Self: self, m: m, args: row}
+	out, err := impl(&tx.mctx)
+	tx.mctx = saved
+	return out, err
 }
 
 // Get reads a field without posting events (paper footnote 2: raw
@@ -263,7 +279,7 @@ func (tx *Tx) Get(oid store.OID, field string) (value.Value, error) {
 	if err != nil {
 		return value.Null(), err
 	}
-	v, ok := rec.Fields[field]
+	v, ok := rec.Field(field)
 	if !ok {
 		return value.Null(), fmt.Errorf("engine: class %s has no field %q", rec.Class, field)
 	}
@@ -289,7 +305,7 @@ func (tx *Tx) Set(oid store.OID, field string, v value.Value) error {
 	if err != nil {
 		return fmt.Errorf("engine: field %s: %w", field, err)
 	}
-	rec.Fields[field] = cv
+	rec.SetField(field, cv)
 	return nil
 }
 

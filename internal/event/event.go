@@ -125,14 +125,14 @@ func (k Kind) String() string {
 // Happening is one concrete posting to one object: a point of the
 // object's event history.
 type Happening struct {
-	Kind   Kind
-	Params map[string]value.Value // method parameters, bound by name
-	// Dense carries the same parameters in the method's declared
-	// order, for compiled mask programs that resolve names to indexes
-	// at class-registration time. Posters that set Params should set
-	// Dense too; consumers must tolerate a nil Dense (recovered or
-	// hand-built happenings) by falling back to Params.
-	Dense []value.Value
-	TxID  uint64    // posting transaction (0 for timers)
-	At    time.Time // database time of the posting
+	Kind Kind
+	// Params are the method's arguments in its declared order, coerced
+	// to the declared kinds (nil for every other kind of happening).
+	// Names are not carried: whoever needs one resolves it against the
+	// method's declaration — compiled masks to an index once, at class
+	// registration. The poster owns the slice and may reuse it once the
+	// posting returns.
+	Params []value.Value
+	TxID   uint64    // posting transaction (0 for timers)
+	At     time.Time // database time of the posting
 }

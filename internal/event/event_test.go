@@ -56,11 +56,11 @@ func TestKindIdentityAndStrings(t *testing.T) {
 func TestHappeningCarriesPayload(t *testing.T) {
 	h := Happening{
 		Kind:   MethodKind(Before, "deposit"),
-		Params: map[string]value.Value{"q": value.Int(7)},
+		Params: []value.Value{value.Int(7)},
 		TxID:   42,
 		At:     time.Unix(100, 0),
 	}
-	if h.Params["q"].AsInt() != 7 || h.TxID != 42 {
+	if h.Params[0].AsInt() != 7 || h.TxID != 42 {
 		t.Fatalf("happening %+v", h)
 	}
 }

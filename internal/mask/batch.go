@@ -6,8 +6,7 @@ import "ode/internal/value"
 // evaluates many compiled programs per batch and cannot afford the
 // per-evaluation atomic metric updates (or per-row allocations) the
 // one-at-a-time path pays. EvalBits runs one trigger's mask bits and
-// reports counts for a deferred flush; Arena hands out reusable dense
-// value rows for batch argument binding.
+// reports counts for a deferred flush.
 
 // EvalBits evaluates the compiled program of every mask bit set in
 // used over the dense event and trigger parameter slices, returning
@@ -34,30 +33,4 @@ func EvalBits(progs []*Program, used uint32, ev, trig []value.Value, h Host) (bi
 		}
 	}
 	return bits, evals, falses, nil
-}
-
-// Arena hands out dense value rows backed by one growable buffer.
-// Rows stay valid until Reset; Reset recycles the whole buffer at
-// once (every previously returned row is dead). The batch-posting
-// plan allocates one row per method at plan-build time and overwrites
-// it in place per entry, so steady-state posting allocates nothing.
-type Arena struct {
-	buf []value.Value
-}
-
-// Row carves a zeroed n-value row out of the arena. The row's
-// capacity is clipped, so appends through it can never clobber a
-// neighboring row.
-func (a *Arena) Row(n int) []value.Value {
-	base := len(a.buf)
-	for i := 0; i < n; i++ {
-		a.buf = append(a.buf, value.Value{})
-	}
-	return a.buf[base:len(a.buf):len(a.buf)]
-}
-
-// Reset recycles the arena. Rows handed out before the call must not
-// be used again.
-func (a *Arena) Reset() {
-	a.buf = a.buf[:0]
 }

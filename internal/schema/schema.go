@@ -52,6 +52,19 @@ type Method struct {
 	Mode   AccessMode
 }
 
+// ParamIndex returns the declared position of the named parameter, or
+// -1. A nil method — a happening that is no method execution — has none.
+func (m *Method) ParamIndex(name string) int {
+	if m != nil {
+		for i := range m.Params {
+			if m.Params[i].Name == name {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
 // HistoryView selects which event history a trigger observes
 // (paper §6): the whole history including aborted transactions'
 // operations, or only committed operations. Committed-view trigger

@@ -654,7 +654,7 @@ func modelStateErr(st *store.Store, model []*objState, touched map[int]*objState
 			return fmt.Errorf("slot %d: object %d missing: %w", i, v.oid, err)
 		}
 		for f, want := range v.fields {
-			got, ok := rec.Fields[f]
+			got, ok := rec.Field(f)
 			if !ok {
 				return fmt.Errorf("slot %d: object %d lost field %s", i, v.oid, f)
 			}

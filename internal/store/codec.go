@@ -120,6 +120,7 @@ type encoder struct {
 	tab  []byte         // string table entries, in index order
 	idx  map[string]int // name → table index
 	err  error          // first thing the format cannot carry
+	recs []*Record      // logCommit's scratch: the images of one commit
 
 	// A one-entry cache in front of idx: consecutive records of a batch
 	// share their class layout, and so their trigger names by slot.

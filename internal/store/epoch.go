@@ -83,22 +83,18 @@ func (s *Store) seedEpochView() {
 }
 
 // nextImages builds the next committed image of each touched object
-// that changed since its previous image, in order; unchanged objects
-// contribute nothing. The caller holds the objects' transaction locks,
+// that changed since its previous image into the entry's Next and
+// reports how many did. The caller holds the objects' transaction locks,
 // so the live records cannot move under the comparison.
-func nextImages(touched []Touched) []*Record {
-	var imgs []*Record
-	for i, t := range touched {
-		img := t.Rec.image(t.Prev)
-		if img == t.Prev {
-			continue
+func nextImages(touched []Touched) (dirty int) {
+	for i := range touched {
+		t := &touched[i]
+		if img := t.Rec.image(t.Prev); img != t.Prev {
+			t.Next = img
+			dirty++
 		}
-		if imgs == nil {
-			imgs = make([]*Record, 0, len(touched)-i)
-		}
-		imgs = append(imgs, img)
 	}
-	return imgs
+	return dirty
 }
 
 // PublishCommitted makes the current live state of the dirty objects,
@@ -109,7 +105,8 @@ func nextImages(touched []Touched) []*Record {
 // Store.Commit, which logs and publishes the same images; this entry
 // point serves callers that log separately.
 func (s *Store) PublishCommitted(dirty, deleted []OID) {
-	s.publish(nextImages(s.touchedOf(dirty)), deleted)
+	touched := s.touchedOf(dirty)
+	s.publish(touched, nextImages(touched), deleted)
 }
 
 // touchedOf looks up what a transaction would have handed Commit for
@@ -126,9 +123,9 @@ func (s *Store) touchedOf(oids []OID) []Touched {
 	return touched
 }
 
-// publish installs prebuilt images and removes the deleted objects,
+// publish installs the dirty next images and removes the deleted objects,
 // then advances the epoch counter — once, and only if the view changed.
-func (s *Store) publish(imgs []*Record, deleted []OID) {
+func (s *Store) publish(touched []Touched, dirty int, deleted []OID) {
 	// Objects already in the view take the fast path: swap the cell's
 	// pointer, without pubMu — cells survive map rebuilds (a rebuild
 	// copies the pointers) and only this object's lock holder can add or
@@ -137,7 +134,11 @@ func (s *Store) publish(imgs []*Record, deleted []OID) {
 	// transaction creating k objects in a stripe pays one copy instead
 	// of k (publishing a bulk load one object at a time is quadratic).
 	var missing [][]*Record
-	for _, img := range imgs {
+	for _, t := range touched {
+		img := t.Next
+		if img == nil {
+			continue
+		}
 		i := uint64(img.OID) % numStripes
 		if cell, ok := (*s.epochs[i].cells.Load())[img.OID]; ok {
 			cell.Store(img)
@@ -167,7 +168,7 @@ func (s *Store) publish(imgs []*Record, deleted []OID) {
 		es.cells.Store(&next)
 		es.pubMu.Unlock()
 	}
-	changed := len(imgs) > 0
+	changed := dirty > 0
 	for _, oid := range deleted {
 		es := &s.epochs[uint64(oid)%numStripes]
 		es.pubMu.Lock()

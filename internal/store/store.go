@@ -107,6 +107,18 @@ type Record struct {
 	layout *Layout
 }
 
+// Field returns the named field's value; ok is false if the object has
+// no such field. Code outside this package reads fields through it, so
+// the representation of Fields can change under them.
+func (r *Record) Field(name string) (value.Value, bool) {
+	v, ok := r.Fields[name]
+	return v, ok
+}
+
+// SetField writes the named field. The caller must hold the object's
+// transaction lock; images (GetCommitted) are never written.
+func (r *Record) SetField(name string, v value.Value) { r.Fields[name] = v }
+
 // Slots sizes Trigs to the class layout and returns it, so every slot a
 // registered trigger resolved to is addressable by index. The engine
 // calls it before taking any slot pointer; the caller must hold the
@@ -498,10 +510,12 @@ func (s *Store) OIDs() []OID {
 // Touched is one object a committing transaction accessed and did not
 // delete: its live record and the committed image it had when the
 // transaction first accessed it (nil if it had none). The transaction
-// manager holds both already, so the commit looks neither up again.
+// manager holds both already, so the commit looks neither up again;
+// it fills in Next, the next committed image — nil if nothing changed.
 type Touched struct {
 	Rec  *Record
 	Prev *Record
+	Next *Record
 }
 
 // Commit is the transaction manager's commit point: it builds the next
@@ -515,11 +529,11 @@ type Touched struct {
 // writes no WAL batch and does no Sync. On error nothing was
 // published and the caller rolls back.
 func (s *Store) Commit(txID uint64, touched []Touched, deleted []OID, firings []FiringRecord) error {
-	imgs := nextImages(touched)
-	if err := s.logCommit(txID, imgs, deleted, firings); err != nil {
+	dirty := nextImages(touched)
+	if err := s.logCommit(txID, touched, dirty, deleted, firings); err != nil {
 		return err
 	}
-	s.publish(imgs, deleted)
+	s.publish(touched, dirty, deleted)
 	return nil
 }
 
@@ -537,23 +551,23 @@ func (s *Store) Commit(txID uint64, touched []Touched, deleted []OID, firings []
 // frame and survive recovery unchanged — and become visible on the feed
 // only if the commit succeeds.
 func (s *Store) LogCommit(txID uint64, dirty []OID, deleted []OID, firings []FiringRecord) error {
-	var recs []*Record
+	var recs []Touched
 	if s.dir != "" {
 		for _, oid := range dirty {
 			// Absent: deleted later in the same transaction.
 			if r, err := s.Get(oid); err == nil {
-				recs = append(recs, r)
+				recs = append(recs, Touched{Next: r})
 			}
 		}
 	}
-	return s.logCommit(txID, recs, deleted, firings)
+	return s.logCommit(txID, recs, len(recs), deleted, firings)
 }
 
-// logCommit writes one transaction's WAL frame from records nobody can
-// mutate while it runs — immutable images (Commit) or live records
-// whose locks the caller holds (LogCommit).
-func (s *Store) logCommit(txID uint64, recs []*Record, deleted []OID, firings []FiringRecord) error {
-	if len(recs) == 0 && len(deleted) == 0 && len(firings) == 0 {
+// logCommit writes one transaction's WAL frame from the dirty entries'
+// Next: records nobody can mutate while it runs — immutable images
+// (Commit) or live records whose locks the caller holds (LogCommit).
+func (s *Store) logCommit(txID uint64, touched []Touched, dirty int, deleted []OID, firings []FiringRecord) error {
+	if dirty == 0 && len(deleted) == 0 && len(firings) == 0 {
 		return nil
 	}
 	s.walMu.RLock()
@@ -583,7 +597,15 @@ func (s *Store) logCommit(txID uint64, recs []*Record, deleted []OID, firings []
 	// The encoder goes back to the pool only after wal.commit returns: a
 	// follower's frame is read by the group-commit leader until then.
 	enc := encoders.Get().(*encoder)
+	recs := enc.recs[:0]
+	for i := range touched {
+		if next := touched[i].Next; next != nil {
+			recs = append(recs, next)
+		}
+	}
 	frame, err := enc.tx(txID, recs, deleted, firings)
+	clear(recs) // a pooled encoder must not keep images alive
+	enc.recs = recs
 	reclaim := err != nil // it did not encode: nothing was written
 	if err == nil {
 		err = s.wal.commit(frame)

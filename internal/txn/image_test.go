@@ -69,15 +69,17 @@ func TestCommitPublishesSharedImage(t *testing.T) {
 	if after.Trigger("Watch").State != 9 {
 		t.Fatalf("published State = %d, want 9", after.Trigger("Watch").State)
 	}
-	if !after.Fields["balance"].Equal(value.Int(100)) {
-		t.Fatalf("published balance %v", after.Fields["balance"])
+	if !field(after, "balance").Equal(value.Int(100)) {
+		t.Fatalf("published balance %v", field(after, "balance"))
 	}
-	// Only the activation moved: the Fields map is the previous image's.
-	before.Fields["probe"] = value.Int(1)
-	if _, shared := after.Fields["probe"]; !shared {
-		t.Fatal("unchanged Fields map was copied, not shared with the previous image")
+	// Only the activation moved: the fields are the previous image's, so
+	// a (forbidden) write through one image shows through the other.
+	before.SetField("balance", value.Int(101))
+	shared := field(after, "balance").Equal(value.Int(101))
+	before.SetField("balance", value.Int(100))
+	if !shared {
+		t.Fatal("unchanged fields were copied, not shared with the previous image")
 	}
-	delete(before.Fields, "probe")
 }
 
 // TestAbortAfterActivationThenFieldWrites: an activation step followed
@@ -95,13 +97,13 @@ func TestAbortAfterActivationThenFieldWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec2.Fields["balance"] = value.Int(0)
+	rec2.SetField("balance", value.Int(0))
 	if err := tx.Abort(); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := m.Store().Get(oid)
-	if !got.Fields["balance"].Equal(value.Int(100)) || got.Trigger("Watch").State != 1 {
-		t.Fatalf("rollback left balance=%v State=%d", got.Fields["balance"], got.Trigger("Watch").State)
+	if !field(got, "balance").Equal(value.Int(100)) || got.Trigger("Watch").State != 1 {
+		t.Fatalf("rollback left balance=%v State=%d", field(got, "balance"), got.Trigger("Watch").State)
 	}
 }
 
@@ -123,8 +125,8 @@ func TestDeleteAfterStepResurrectsOnAbort(t *testing.T) {
 	if err != nil {
 		t.Fatalf("object not resurrected: %v", err)
 	}
-	if got.Trigger("Watch").State != 1 || !got.Fields["balance"].Equal(value.Int(100)) {
-		t.Fatalf("resurrected State=%d balance=%v", got.Trigger("Watch").State, got.Fields["balance"])
+	if got.Trigger("Watch").State != 1 || !field(got, "balance").Equal(value.Int(100)) {
+		t.Fatalf("resurrected State=%d balance=%v", got.Trigger("Watch").State, field(got, "balance"))
 	}
 }
 
@@ -150,6 +152,10 @@ type imgTx struct {
 // (arg 5: lim = 1) active on object 1.
 var imgTriggers = [...]string{"A", "B", "C"}
 
+// imgFields are the fields the harness's objects carry, in the order
+// fingerprint renders them (the bare object has no owner).
+var imgFields = [...]string{"balance", "owner"}
+
 // fingerprint renders a record's content canonically: triggers by name,
 // never-activated slots left out — so two records are content-equal
 // exactly when their fingerprints are, however long their slot slices
@@ -157,13 +163,10 @@ var imgTriggers = [...]string{"A", "B", "C"}
 func fingerprint(r *store.Record) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d %s", r.OID, r.Class)
-	fields := make([]string, 0, len(r.Fields))
-	for k := range r.Fields {
-		fields = append(fields, k)
-	}
-	sort.Strings(fields)
-	for _, k := range fields {
-		fmt.Fprintf(&b, " %s=%v", k, r.Fields[k])
+	for _, k := range imgFields {
+		if v, ok := r.Field(k); ok {
+			fmt.Fprintf(&b, " %s=%v", k, v)
+		}
 	}
 	var trigs []string
 	for i := range r.Trigs {
@@ -233,7 +236,7 @@ func (h *imgHarness) apply(tx *Tx, op imgOp, created *[]store.OID, deleted, touc
 	switch op.kind {
 	case "touch":
 	case "set":
-		rec.Fields["balance"] = value.Int(int64(op.arg % 4)) // small range: writes often restore the old value
+		rec.SetField("balance", value.Int(int64(op.arg%4))) // small range: writes often restore the old value
 	case "step":
 		if a := rec.Trigger(name); a.Active {
 			a.State = op.arg % 3

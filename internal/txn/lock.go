@@ -36,9 +36,11 @@
 // a real deadlock is always detected, and a stale edge can only cause
 // a conservative (spurious) victim, never a missed cycle.
 //
-// Each transaction's held locks are tracked in a per-tx set (sharded
-// by transaction id), making releaseAll O(locks held) instead of
-// O(all locks in the system).
+// Each transaction keeps the list of locks it was granted (Tx.held; lock
+// reports a new grant, releaseAll takes the list), making releaseAll
+// O(locks held) instead of O(all locks in the system) without a table
+// of held sets here: a transaction acquires and releases its locks from
+// one goroutine, so it is the list's only writer.
 package txn
 
 import (
@@ -65,12 +67,6 @@ type lockShard struct {
 	// mirrored marks objects whose holder is mirrored into the wait
 	// graph because they have (or recently had) waiters.
 	mirrored map[store.OID]bool
-}
-
-// txShard tracks the held-lock sets for one slice of the tx-id space.
-type txShard struct {
-	mu   sync.Mutex
-	held map[uint64]map[store.OID]struct{}
 }
 
 // waitGraph is the dedicated cross-shard waits-for structure. waiting
@@ -109,7 +105,6 @@ func (g *waitGraph) wouldCycle(txID, firstHolder uint64) bool {
 // lockManager grants exclusive, reentrant object locks.
 type lockManager struct {
 	shards [numLockShards]lockShard
-	txs    [numLockShards]txShard
 	graph  waitGraph
 	faults *fault.Registry // nil outside the simulation harness
 }
@@ -121,9 +116,6 @@ func newLockManager(faults *fault.Registry) *lockManager {
 		lm.shards[i].waitq = make(map[store.OID][]chan struct{})
 		lm.shards[i].mirrored = make(map[store.OID]bool)
 	}
-	for i := range lm.txs {
-		lm.txs[i].held = make(map[uint64]map[store.OID]struct{})
-	}
 	lm.graph.waiting = make(map[uint64]store.OID)
 	lm.graph.holderOf = make(map[store.OID]uint64)
 	return lm
@@ -133,19 +125,17 @@ func (lm *lockManager) shardOf(oid store.OID) *lockShard {
 	return &lm.shards[uint64(oid)%numLockShards]
 }
 
-func (lm *lockManager) txShardOf(txID uint64) *txShard {
-	return &lm.txs[txID%numLockShards]
-}
-
-// lock blocks until txID holds oid exclusively. Reentrant acquisition
-// returns immediately. A request that would close a waits-for cycle
-// fails with ErrDeadlock instead of blocking.
-func (lm *lockManager) lock(txID uint64, oid store.OID) error {
+// lock blocks until txID holds oid exclusively; granted reports that
+// this call acquired the lock — the caller owes releaseAll the oid. A
+// reentrant acquisition returns immediately with granted false. A
+// request that would close a waits-for cycle fails with ErrDeadlock
+// instead of blocking.
+func (lm *lockManager) lock(txID uint64, oid store.OID) (granted bool, err error) {
 	if lm.faults != nil {
 		// Simulated lock-acquire timeout: surfaces to the requester
 		// exactly like a deadlock victim — it must abort.
 		if err := lm.faults.Check(fault.LockAcquire); err != nil {
-			return fmt.Errorf("txn: lock %d: %w", uint64(oid), err)
+			return false, fmt.Errorf("txn: lock %d: %w", uint64(oid), err)
 		}
 	}
 	sh := lm.shardOf(oid)
@@ -165,12 +155,11 @@ func (lm *lockManager) lock(txID uint64, oid store.OID) error {
 				lm.graph.mu.Unlock()
 			}
 			sh.mu.Unlock()
-			lm.noteHeld(txID, oid)
-			return nil
+			return true, nil
 		}
 		if h == txID {
 			sh.mu.Unlock()
-			return nil // reentrant
+			return false, nil // reentrant
 		}
 		// Contended: publish our waiting edge (and the holder mirror)
 		// and check for a cycle in one graph critical section.
@@ -178,7 +167,7 @@ func (lm *lockManager) lock(txID uint64, oid store.OID) error {
 		if lm.graph.wouldCycle(txID, h) {
 			lm.graph.mu.Unlock()
 			sh.mu.Unlock()
-			return ErrDeadlock
+			return false, ErrDeadlock
 		}
 		lm.graph.waiting[txID] = oid
 		lm.graph.holderOf[oid] = h
@@ -195,37 +184,16 @@ func (lm *lockManager) lock(txID uint64, oid store.OID) error {
 	}
 }
 
-// noteHeld records a freshly granted lock in txID's held set. Called
-// without any shard mutex held; safe because a transaction acquires
-// and releases its locks from a single goroutine.
-func (lm *lockManager) noteHeld(txID uint64, oid store.OID) {
-	ts := lm.txShardOf(txID)
-	ts.mu.Lock()
-	set, ok := ts.held[txID]
-	if !ok {
-		set = make(map[store.OID]struct{}, 4)
-		ts.held[txID] = set
-	}
-	set[oid] = struct{}{}
-	ts.mu.Unlock()
-}
-
-// releaseAll drops every lock txID holds and wakes one waiter per
-// freed object. O(locks held by txID).
-func (lm *lockManager) releaseAll(txID uint64) {
-	ts := lm.txShardOf(txID)
-	ts.mu.Lock()
-	held := ts.held[txID]
-	delete(ts.held, txID)
-	ts.mu.Unlock()
-
+// releaseAll drops the locks txID was granted — held lists each once —
+// and wakes one waiter per freed object. O(locks held by txID).
+func (lm *lockManager) releaseAll(txID uint64, held []store.OID) {
 	// Defensive: a victim that saw ErrDeadlock has already removed its
 	// waiting edge, but clear any leftover.
 	lm.graph.mu.Lock()
 	delete(lm.graph.waiting, txID)
 	lm.graph.mu.Unlock()
 
-	for oid := range held {
+	for _, oid := range held {
 		sh := lm.shardOf(oid)
 		sh.mu.Lock()
 		if sh.holder[oid] != txID {
@@ -283,19 +251,6 @@ func (lm *lockManager) graphSizes() (edges, mirrors int) {
 	lm.graph.mu.Lock()
 	defer lm.graph.mu.Unlock()
 	return len(lm.graph.waiting), len(lm.graph.holderOf)
-}
-
-// heldSets reports the number of transactions with a non-empty held
-// set — zero at quiescence.
-func (lm *lockManager) heldSets() int {
-	n := 0
-	for i := range lm.txs {
-		ts := &lm.txs[i]
-		ts.mu.Lock()
-		n += len(ts.held)
-		ts.mu.Unlock()
-	}
-	return n
 }
 
 func (lm *lockManager) String() string {

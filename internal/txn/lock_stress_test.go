@@ -15,8 +15,9 @@ import (
 // randomized order — a deadlock factory. Every ErrDeadlock victim must
 // roll back cleanly (no locks retained), every other transaction must
 // commit, and afterwards the lock manager must be fully quiescent: no
-// leaked holders, no queued waiters, an empty waits-for graph, and no
-// leftover held-lock sets.
+// leaked holders, no queued waiters and an empty waits-for graph (the
+// held-lock lists live on the transactions; TestAccessedAcrossInlineCrossover
+// checks what they release).
 func TestLockStressRandomizedOrder(t *testing.T) {
 	s, err := store.Open("")
 	if err != nil {
@@ -67,7 +68,7 @@ func TestLockStressRandomizedOrder(t *testing.T) {
 						tx.Abort()
 						break
 					}
-					rec.Fields["n"] = value.Int(rec.Fields["n"].AsInt() + 1)
+					rec.SetField("n", value.Int(field(rec, "n").AsInt()+1))
 					locked = append(locked, oid)
 				}
 				if aborted {
@@ -101,9 +102,6 @@ func TestLockStressRandomizedOrder(t *testing.T) {
 	edges, mirrors := m.locks.graphSizes()
 	if edges != 0 || mirrors != 0 {
 		t.Fatalf("waits-for graph not drained: edges=%d mirrors=%d", edges, mirrors)
-	}
-	if n := m.locks.heldSets(); n != 0 {
-		t.Fatalf("leaked held-lock sets for %d transactions", n)
 	}
 }
 

@@ -16,7 +16,7 @@ func TestPeekLocksWithoutAccessAccounting(t *testing.T) {
 
 	tx := m.Begin()
 	rec, err := tx.Peek(a.OID)
-	if err != nil || !rec.Fields["v"].Equal(value.Int(1)) {
+	if err != nil || !field(rec, "v").Equal(value.Int(1)) {
 		t.Fatalf("Peek: %+v, %v", rec, err)
 	}
 	// Peek locks...
@@ -43,7 +43,7 @@ func TestPeekBlocksBehindWriter(t *testing.T) {
 
 	writer := m.Begin()
 	rec, _, _ := writer.Access(a.OID)
-	rec.Fields["v"] = value.Int(2)
+	rec.SetField("v", value.Int(2))
 
 	got := make(chan int64, 1)
 	go func() {
@@ -53,7 +53,7 @@ func TestPeekBlocksBehindWriter(t *testing.T) {
 			got <- -1
 			return
 		}
-		got <- r.Fields["v"].AsInt()
+		got <- field(r, "v").AsInt()
 		reader.Abort()
 	}()
 	select {

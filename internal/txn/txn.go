@@ -71,8 +71,8 @@ func NewManagerWith(s *store.Store, faults *fault.Registry) *Manager {
 func (m *Manager) Store() *store.Store { return m.store }
 
 // SetSingleWriter switches the manager into single-writer mode: every
-// lock acquisition becomes a no-op (Holds reports true, releaseAll
-// does nothing), because exactly one goroutine — a partition's event
+// lock acquisition becomes a no-op (Holds reports true, nothing is held
+// to release), because exactly one goroutine — a partition's event
 // loop — drives all transactions over this store, so mutual exclusion
 // is structural rather than negotiated. Deadlocks cannot occur (there
 // is never a second writer to wait for) and the LockAcquire fault
@@ -81,26 +81,27 @@ func (m *Manager) Store() *store.Store { return m.store }
 // safe to toggle while transactions are in flight.
 func (m *Manager) SetSingleWriter(on bool) { m.single = on }
 
-// lock acquires oid for txID, or is a no-op in single-writer mode.
-func (m *Manager) lock(txID uint64, oid store.OID) error {
-	if m.single {
+// lock acquires oid for the transaction, noting a new grant in its held
+// list, or is a no-op in single-writer mode.
+func (tx *Tx) lock(oid store.OID) error {
+	if tx.mgr.single {
 		return nil
 	}
-	return m.locks.lock(txID, oid)
+	granted, err := tx.mgr.locks.lock(tx.id, oid)
+	if granted {
+		tx.held = append(tx.held, oid)
+	}
+	return err
 }
 
-func (m *Manager) releaseAll(txID uint64) {
-	if m.single {
-		return
+// finish records the outcome, releases the transaction's locks and wakes
+// commit-dependency waiters.
+func (tx *Tx) finish(s State) {
+	tx.setState(s)
+	if !tx.mgr.single {
+		tx.mgr.locks.releaseAll(tx.id, tx.held)
 	}
-	m.locks.releaseAll(txID)
-}
-
-func (m *Manager) holds(txID uint64, oid store.OID) bool {
-	if m.single {
-		return true
-	}
-	return m.locks.holds(txID, oid)
+	tx.mgr.broadcast()
 }
 
 // Begin starts a transaction. A Tx must be used from a single
@@ -113,7 +114,8 @@ type Tx struct {
 	state    State
 	accessed []store.OID        // first-access order
 	touched  []store.Touched    // parallel to accessed: live record and before-image
-	seen     map[store.OID]bool // objects in accessed
+	seen     map[store.OID]bool // objects in accessed, once it outgrows accessedBuf (nil until then)
+	held     []store.OID        // locks granted (lock manager mode): accessed and peeked objects
 	created  map[store.OID]bool // objects created by this transaction (nil until the first)
 	deleted  map[store.OID]bool // objects deleted by this transaction (nil until the first)
 	deps     []*Tx              // commit dependencies (footnote 6)
@@ -124,11 +126,13 @@ type Tx struct {
 	// transaction (nil until the first).
 	snaps map[store.OID]*store.Record
 
-	// Inline backing for accessed and touched: a transaction over a few
-	// objects — every system transaction posting after-tcommit for one —
-	// grows neither slice on the heap.
+	// Inline backing for accessed, touched and held: a transaction over
+	// a few objects — every system transaction posting after-tcommit for
+	// one — grows none of them on the heap, and answers "accessed
+	// already?" by scanning accessed instead of keeping the seen map.
 	accessedBuf [4]store.OID
 	touchedBuf  [4]store.Touched
+	heldBuf     [4]store.OID
 
 	// firings are the trigger firings captured by the engine during
 	// this transaction (AddFiring); Commit hands them to the store so
@@ -143,9 +147,8 @@ func (m *Manager) Begin() *Tx {
 		id:    m.nextID.Add(1),
 		mgr:   m,
 		state: Active,
-		seen:  map[store.OID]bool{},
 	}
-	tx.accessed, tx.touched = tx.accessedBuf[:0], tx.touchedBuf[:0]
+	tx.accessed, tx.touched, tx.held = tx.accessedBuf[:0], tx.touchedBuf[:0], tx.heldBuf[:0]
 	return tx
 }
 
@@ -200,14 +203,14 @@ func (tx *Tx) Access(oid store.OID) (rec *store.Record, first bool, err error) {
 	if tx.State() != Active {
 		return nil, false, ErrNotActive
 	}
-	if err := tx.mgr.lock(tx.id, oid); err != nil {
+	if err := tx.lock(oid); err != nil {
 		return nil, false, err
 	}
 	rec, err = tx.mgr.store.Get(oid)
 	if err != nil {
 		return nil, false, err
 	}
-	first = !tx.seen[oid]
+	first = !tx.has(oid)
 	if first {
 		img, ok := tx.mgr.store.GetCommitted(oid)
 		if !ok {
@@ -220,11 +223,40 @@ func (tx *Tx) Access(oid store.OID) (rec *store.Record, first bool, err error) {
 			}
 			tx.snaps[oid] = snap
 		}
-		tx.seen[oid] = true
-		tx.accessed = append(tx.accessed, oid)
-		tx.touched = append(tx.touched, store.Touched{Rec: rec, Prev: img})
+		tx.note(store.Touched{Rec: rec, Prev: img})
 	}
 	return rec, first, nil
+}
+
+// has reports whether oid is in accessed: a scan while the list fits its
+// inline buffer, the seen map once it does not.
+func (tx *Tx) has(oid store.OID) bool {
+	if tx.seen != nil {
+		return tx.seen[oid]
+	}
+	for _, o := range tx.accessed {
+		if o == oid {
+			return true
+		}
+	}
+	return false
+}
+
+// note appends a first access to accessed and touched. The append that
+// leaves the inline buffer builds the seen map, so the choice between
+// scan and map follows the size of the set.
+func (tx *Tx) note(t store.Touched) {
+	if tx.seen == nil && len(tx.accessed) == len(tx.accessedBuf) {
+		tx.seen = make(map[store.OID]bool, 2*len(tx.accessedBuf))
+		for _, o := range tx.accessed {
+			tx.seen[o] = true
+		}
+	}
+	if tx.seen != nil {
+		tx.seen[t.Rec.OID] = true
+	}
+	tx.accessed = append(tx.accessed, t.Rec.OID)
+	tx.touched = append(tx.touched, t)
 }
 
 // Create allocates a new object owned by this transaction. The object
@@ -234,7 +266,7 @@ func (tx *Tx) Create(class string, fields map[string]value.Value) (*store.Record
 		return nil, ErrNotActive
 	}
 	rec := tx.mgr.store.Create(class, fields)
-	if err := tx.mgr.lock(tx.id, rec.OID); err != nil {
+	if err := tx.lock(rec.OID); err != nil {
 		// Freshly created: the lock cannot contend, but stay defensive.
 		tx.mgr.store.Remove(rec.OID)
 		return nil, err
@@ -243,9 +275,7 @@ func (tx *Tx) Create(class string, fields map[string]value.Value) (*store.Record
 		tx.created = map[store.OID]bool{}
 	}
 	tx.created[rec.OID] = true
-	tx.seen[rec.OID] = true
-	tx.accessed = append(tx.accessed, rec.OID)
-	tx.touched = append(tx.touched, store.Touched{Rec: rec})
+	tx.note(store.Touched{Rec: rec})
 	return rec, nil
 }
 
@@ -328,9 +358,7 @@ func (tx *Tx) Commit() error {
 		tx.rollback()
 		return fmt.Errorf("txn: commit logging failed: %w", err)
 	}
-	tx.setState(Committed)
-	tx.mgr.releaseAll(tx.id)
-	tx.mgr.broadcast()
+	tx.finish(Committed)
 	return nil
 }
 
@@ -357,9 +385,7 @@ func (tx *Tx) rollback() {
 			tx.mgr.store.Restore(tx.snaps[oid])
 		}
 	}
-	tx.setState(Aborted)
-	tx.mgr.releaseAll(tx.id)
-	tx.mgr.broadcast()
+	tx.finish(Aborted)
 }
 
 func (tx *Tx) waitForDeps() error {
@@ -383,7 +409,9 @@ func (m *Manager) broadcast() {
 }
 
 // Holds reports whether the transaction currently holds oid's lock.
-func (tx *Tx) Holds(oid store.OID) bool { return tx.mgr.holds(tx.id, oid) }
+func (tx *Tx) Holds(oid store.OID) bool {
+	return tx.mgr.single || tx.mgr.locks.holds(tx.id, oid)
+}
 
 // Peek locks oid and returns its live record without counting the
 // access: no before-image, no entry in Accessed(), so no transaction
@@ -395,7 +423,7 @@ func (tx *Tx) Peek(oid store.OID) (*store.Record, error) {
 	if tx.State() != Active {
 		return nil, ErrNotActive
 	}
-	if err := tx.mgr.lock(tx.id, oid); err != nil {
+	if err := tx.lock(oid); err != nil {
 		return nil, err
 	}
 	return tx.mgr.store.Get(oid)

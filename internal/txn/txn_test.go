@@ -2,6 +2,7 @@ package txn
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -19,6 +20,13 @@ func newManager(t *testing.T) *Manager {
 	return NewManager(s)
 }
 
+// field reads a field of a record the caller may read (an image, or a
+// live record whose lock it holds); null if the object has none so named.
+func field(r *store.Record, name string) value.Value {
+	v, _ := r.Field(name)
+	return v
+}
+
 func TestCommitKeepsEffects(t *testing.T) {
 	m := newManager(t)
 	tx := m.Begin()
@@ -26,7 +34,7 @@ func TestCommitKeepsEffects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec.Fields["balance"] = value.Int(20)
+	rec.SetField("balance", value.Int(20))
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -34,8 +42,8 @@ func TestCommitKeepsEffects(t *testing.T) {
 		t.Fatalf("state %v", tx.State())
 	}
 	got, _ := m.Store().Get(rec.OID)
-	if !got.Fields["balance"].Equal(value.Int(20)) {
-		t.Fatalf("balance %v", got.Fields["balance"])
+	if !field(got, "balance").Equal(value.Int(20)) {
+		t.Fatalf("balance %v", field(got, "balance"))
 	}
 	// Locks released: another transaction can access it.
 	tx2 := m.Begin()
@@ -54,7 +62,7 @@ func TestAbortUndoesUpdatesCreatesDeletes(t *testing.T) {
 
 	tx := m.Begin()
 	ra, _, _ := tx.Access(a.OID)
-	ra.Fields["balance"] = value.Int(0)
+	ra.SetField("balance", value.Int(0))
 	ra.Trigger("t").State = 5
 	if err := tx.Delete(b.OID); err != nil {
 		t.Fatal(err)
@@ -68,7 +76,7 @@ func TestAbortUndoesUpdatesCreatesDeletes(t *testing.T) {
 	}
 
 	ga, _ := m.Store().Get(a.OID)
-	if !ga.Fields["balance"].Equal(value.Int(100)) || !ga.Trigger("t").IsZero() {
+	if !field(ga, "balance").Equal(value.Int(100)) || !ga.Trigger("t").IsZero() {
 		t.Fatalf("update not undone: %+v", ga)
 	}
 	if !m.Store().Exists(b.OID) {
@@ -121,6 +129,140 @@ func TestFirstAccessReported(t *testing.T) {
 		t.Fatalf("Accessed = %v", got)
 	}
 	tx.Commit()
+}
+
+// TestAccessedAcrossInlineCrossover: a transaction answers "accessed
+// already?" by scanning its inline list and switches to a map when the
+// list outgrows it. On both sides of the switch, in lock-manager and
+// single-writer mode, committing and aborting: Accessed() is the first-
+// access order, first is reported exactly once per object (also for a
+// created one and one peeked before its first access), every lock taken
+// — accessed or only peeked — is released, and the lock manager is empty
+// afterwards.
+func TestAccessedAcrossInlineCrossover(t *testing.T) {
+	for _, single := range []bool{false, true} {
+		for _, n := range []int{3, 4, 5, 300} {
+			for _, commit := range []bool{true, false} {
+				m := newManager(t)
+				m.SetSingleWriter(single)
+				oids := make([]store.OID, n)
+				for i := range oids {
+					oids[i] = m.Store().Create("acct", map[string]value.Value{"balance": value.Int(0)}).OID
+				}
+				peekedOnly := m.Store().Create("acct", nil).OID
+
+				tx := m.Begin()
+				if _, err := tx.Peek(oids[0]); err != nil { // locked before its first access
+					t.Fatal(err)
+				}
+				if _, err := tx.Peek(peekedOnly); err != nil {
+					t.Fatal(err)
+				}
+				created, err := tx.Create("acct", nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := []store.OID{created.OID}
+				for pass := 0; pass < 2; pass++ {
+					// Descending, so the order is not the OIDs' own.
+					for i := n - 1; i >= 0; i-- {
+						_, first, err := tx.Access(oids[i])
+						if err != nil {
+							t.Fatal(err)
+						}
+						if first != (pass == 0) {
+							t.Fatalf("single=%v n=%d pass %d: Access(%d) first = %v", single, n, pass, oids[i], first)
+						}
+						if pass == 0 {
+							want = append(want, oids[i])
+						}
+					}
+				}
+				if _, first, err := tx.Access(created.OID); err != nil || first {
+					t.Fatalf("single=%v n=%d: created object: first = %v, err = %v", single, n, first, err)
+				}
+				if got := tx.Accessed(); !slices.Equal(got, want) {
+					t.Fatalf("single=%v n=%d: Accessed() = %v, want %v", single, n, got, want)
+				}
+				if (tx.seen != nil) != (len(want) > len(tx.accessedBuf)) {
+					t.Fatalf("single=%v n=%d: seen map present = %v with %d accessed", single, n, tx.seen != nil, len(want))
+				}
+				locked := append([]store.OID{peekedOnly}, want...)
+				if !single {
+					if held := append([]store.OID(nil), tx.held...); !sameSet(held, locked) {
+						t.Fatalf("n=%d: held list %v, want the set %v", n, held, locked)
+					}
+				}
+				if commit {
+					err = tx.Commit()
+				} else {
+					err = tx.Abort()
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !single {
+					for _, oid := range locked {
+						if tx.Holds(oid) {
+							t.Fatalf("n=%d commit=%v: lock on %d survived the transaction", n, commit, oid)
+						}
+					}
+				}
+				if held, waiting := m.locks.counts(); held != 0 || waiting != 0 {
+					t.Fatalf("single=%v n=%d: lock manager not quiescent: held=%d waiting=%d", single, n, held, waiting)
+				}
+				if edges, mirrors := m.locks.graphSizes(); edges != 0 || mirrors != 0 {
+					t.Fatalf("single=%v n=%d: waits-for graph not drained: edges=%d mirrors=%d", single, n, edges, mirrors)
+				}
+			}
+		}
+	}
+}
+
+// TestSmallTxAllocBudget: a transaction that accesses up to four
+// objects and changes none of them allocates one object, itself — the
+// accessed, touched and held-lock lists sit in its inline buffers, there
+// is no seen map, and an unchanged object gets no image — with or
+// without the lock manager.
+func TestSmallTxAllocBudget(t *testing.T) {
+	for _, single := range []bool{false, true} {
+		m := newManager(t)
+		m.SetSingleWriter(single)
+		var oids [4]store.OID
+		setup := m.Begin()
+		for i := range oids {
+			rec, err := setup.Create("acct", map[string]value.Value{"balance": value.Int(0)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			oids[i] = rec.OID
+		}
+		if err := setup.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		avg := testing.AllocsPerRun(200, func() {
+			tx := m.Begin()
+			for _, oid := range oids {
+				if _, _, err := tx.Access(oid); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg != 1 {
+			t.Errorf("single-writer %v: a 4-object read-only transaction allocates %.1f objects; want 1 (the Tx)", single, avg)
+		}
+	}
+}
+
+// sameSet reports whether a and b hold the same OIDs, each once.
+func sameSet(a, b []store.OID) bool {
+	a, b = slices.Clone(a), slices.Clone(b)
+	slices.Sort(a)
+	slices.Sort(b)
+	return slices.Equal(a, b)
 }
 
 func TestLockBlocksConflictingTransaction(t *testing.T) {
@@ -336,8 +478,8 @@ func TestConcurrentTransfersSerialize(t *testing.T) {
 						tx.Abort()
 						continue
 					}
-					r1.Fields["balance"] = value.Int(r1.Fields["balance"].AsInt() - 1)
-					r2.Fields["balance"] = value.Int(r2.Fields["balance"].AsInt() + 1)
+					r1.SetField("balance", value.Int(field(r1, "balance").AsInt()-1))
+					r2.SetField("balance", value.Int(field(r2, "balance").AsInt()+1))
 					if err := tx.Commit(); err == nil {
 						break
 					}
@@ -349,7 +491,7 @@ func TestConcurrentTransfersSerialize(t *testing.T) {
 
 	ra, _ := m.Store().Get(a.OID)
 	rb, _ := m.Store().Get(b.OID)
-	total := ra.Fields["balance"].AsInt() + rb.Fields["balance"].AsInt()
+	total := field(ra, "balance").AsInt() + field(rb, "balance").AsInt()
 	if total != 2000 {
 		t.Fatalf("total %d, want 2000 (lost update)", total)
 	}

@@ -30,7 +30,10 @@
 //	            return ode.Null(), ctx.Set("balance", ode.Int(b.AsInt()-ctx.Arg("amount").AsInt()))
 //	        }).
 //	    Trigger("Large(): perpetual after withdraw(a) && a > 100 ==> report()",
-//	        func(ctx *ode.ActionCtx) error { fmt.Println("large!"); return nil })
+//	        func(ctx *ode.ActionCtx) error {
+//	            fmt.Println("large!", ctx.EventParam("amount")) // the completing happening's argument
+//	            return nil
+//	        })
 //	if err := cls.Register(); err != nil { ... }
 //
 //	var acct ode.OID
@@ -68,9 +71,13 @@ type (
 	OID = store.OID
 	// Tx is a transaction handle.
 	Tx = engine.Tx
-	// MethodCtx is passed to member-function implementations.
+	// MethodCtx is passed to member-function implementations: Arg reads
+	// one argument by declared name, Args returns them all in a map of
+	// the caller's own.
 	MethodCtx = engine.MethodCtx
-	// ActionCtx is passed to trigger actions.
+	// ActionCtx is passed to trigger actions: Param/Params read the
+	// trigger's activation parameters, EventParam/EventParams those of
+	// the happening that completed the event (maps are the caller's own).
 	ActionCtx = engine.ActionCtx
 	// MethodImpl implements a member function.
 	MethodImpl = engine.MethodImpl

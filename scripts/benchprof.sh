@@ -5,7 +5,7 @@
 # time and the allocations went, and what the heap still holds.
 #
 #   scripts/benchprof.sh <workload> [seconds]
-#   SEED=1 FOCUS='part\.\(\*Partition\)\.loop' KEEP=dir  (environment)
+#   SEED=1 FOCUS='part\.\(\*Partition\)\.loop' LIST='<regex>' KEEP=dir  (environment)
 #
 # The CPU profile covers the first [seconds] (default 10) of the process,
 # set-up included, and must end before the 12-second run does; an allocs
@@ -18,12 +18,16 @@
 # default the partition loop, which both durable workloads run in; for
 # the volatile workloads pass FOCUS='engine\.' or FOCUS=. The resident
 # listing is never focused: most of what stays was allocated by the
-# set-up. Profiles and the binary stay in KEEP (default: a temporary
-# directory, removed).
+# set-up. LIST='<regex>' adds the line-level view (pprof -list) of
+# allocated objects for every function the regex matches, unfocused —
+# the listing that says which line of Tx.Call or txn.(*Tx).Access makes
+# an allocation, e.g. LIST='engine\.\(\*Tx\)\.Call$|txn\.\(\*Tx\)\.Access$'.
+# Profiles and the binary stay in KEEP (default: a temporary directory,
+# removed).
 set -euo pipefail
 
 if [ $# -lt 1 ]; then
-	sed -n '2,23p' "$0" >&2
+	sed -n '2,26p' "$0" >&2
 	exit 2
 fi
 workload="$1" seconds="${2:-10}"
@@ -49,3 +53,7 @@ echo "== allocated objects, cumulative${focus:+, stacks through $focus}"
 top -sample_index=alloc_objects "$work/odebench" "$work/allocs.pprof"
 echo "== resident bytes by allocation site (after a GC), flat"
 go tool pprof -top -nodecount=25 -sample_index=inuse_space "$work/odebench" "$work/allocs.pprof" 2>/dev/null
+if [ -n "${LIST:-}" ]; then
+	echo "== allocated objects by line, functions matching $LIST"
+	go tool pprof -list="$LIST" -sample_index=alloc_objects "$work/odebench" "$work/allocs.pprof" 2>/dev/null
+fi
