@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race fuzz sim verify bench bench-check bench-pairs
+.PHONY: build test vet race fuzz sim verify bench bench-check bench-pairs loc
 
 build:
 	$(GO) build ./...
@@ -62,6 +62,14 @@ bench-pairs:
 	@test -n "$(PARENT)" || { echo 'usage: make bench-pairs PARENT=<sha> [WORKLOADS="…" N=10 SEED=1]'; exit 2; }
 	N=$(N) SEED=$(SEED) bash scripts/benchpairs.sh $(PARENT) $(WORKLOADS)
 
+# Non-test .go lines per internal/* package and for cmd/ — the figure a
+# refactor states before and after (ROADMAP.md: "state the non-test
+# line delta per package").
+loc:
+	@for d in internal/*/ cmd/; do \
+		printf '%-20s %6d\n' "$$d" "$$(find "$$d" -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)"; \
+	done
+
 # The tier-1 verification gate (see ROADMAP.md).
 verify: build test vet race fuzz bench-check
 
@@ -69,7 +77,6 @@ verify: build test vet race fuzz bench-check
 # single-post and E16 batch hot paths rerun with the durable firing
 # feed on vs off, plus deliverer drain throughput (committed as
 # BENCH_PR10.json; earlier baselines are regenerated with
-# `go run ./cmd/odebench -exp E12 -out BENCH_PR3.json`,
 # `go run ./cmd/odebench -exp E13 -out BENCH_PR4.json`,
 # `go run ./cmd/odebench -exp E15 -out BENCH_PR6.json`,
 # `go run ./cmd/odebench -exp E16 -out BENCH_PR7.json`,

@@ -90,37 +90,6 @@ func TestShadowOracleThroughRootAPI(t *testing.T) {
 	}
 }
 
-func TestCombinedAutomataThroughRootAPI(t *testing.T) {
-	db, err := ode.Open(ode.Options{CombinedAutomata: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	f := newFires()
-	err = balanceMethods(db.NewClass("account")).
-		Trigger("A(): perpetual after deposit ==> act", f.action("A")).
-		Trigger("B(): perpetual every 2 (after withdraw) ==> act", f.action("B")).
-		Register()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var acct ode.OID
-	db.Transact(func(tx *ode.Tx) error {
-		acct, _ = tx.NewObject("account", nil)
-		tx.Activate(acct, "A")
-		return tx.Activate(acct, "B")
-	})
-	db.Transact(func(tx *ode.Tx) error {
-		tx.Call(acct, "deposit", ode.Int(1))
-		tx.Call(acct, "withdraw", ode.Int(1))
-		tx.Call(acct, "withdraw", ode.Int(1))
-		return nil
-	})
-	if f.count("A") != 1 || f.count("B") != 1 {
-		t.Fatalf("A=%d B=%d", f.count("A"), f.count("B"))
-	}
-}
-
 func TestBuilderMethodModesAndFuncs(t *testing.T) {
 	db := openDB(t)
 	f := newFires()

@@ -189,9 +189,8 @@ func BenchmarkEngineMethodCall(b *testing.B) {
 }
 
 // E12: the posting hot path — compiled mask programs, per-kind
-// dispatch tables and dense trigger slots versus the AST-interpreter
-// baseline (Options.InterpretedMasks). "nonfiring" is the PR's target
-// case: a masked happening whose predicate rejects, i.e. pure
+// dispatch and dense trigger slots. "nonfiring" is the case that
+// matters: a masked happening whose predicate rejects, i.e. pure
 // monitoring overhead on every method call.
 func BenchmarkEngineHotPath(b *testing.B) {
 	for _, scenario := range []struct {
@@ -201,53 +200,47 @@ func BenchmarkEngineHotPath(b *testing.B) {
 		{"nonfiring", "Big(): perpetual after deposit(n) && n > 1000000 ==> act"},
 		{"firing", "Any(): perpetual after deposit(n) && n >= 0 ==> act"},
 	} {
-		for _, interpreted := range []bool{false, true} {
-			mode := "compiled"
-			if interpreted {
-				mode = "interpreted"
+		b.Run(scenario.name, func(b *testing.B) {
+			db, err := ode.Open(ode.Options{})
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.Run(fmt.Sprintf("%s/%s", scenario.name, mode), func(b *testing.B) {
-				db, err := ode.Open(ode.Options{InterpretedMasks: interpreted})
-				if err != nil {
+			defer db.Close()
+			err = db.NewClass("account").
+				Field("balance", ode.KindInt, ode.Int(0)).
+				Update("deposit", func(ctx *ode.MethodCtx) (ode.Value, error) {
+					v, _ := ctx.Get("balance")
+					return ode.Null(), ctx.Set("balance", ode.Int(v.AsInt()+ctx.Arg("n").AsInt()))
+				}, ode.P("n", ode.KindInt)).
+				Trigger(scenario.trigger, func(*ode.ActionCtx) error { return nil }).
+				Register()
+			if err != nil {
+				b.Fatal(err)
+			}
+			var acct ode.OID
+			if err := db.Transact(func(tx *ode.Tx) error {
+				name := "Big"
+				if scenario.name == "firing" {
+					name = "Any"
+				}
+				var err error
+				if acct, err = tx.NewObject("account", nil); err != nil {
+					return err
+				}
+				return tx.Activate(acct, name)
+			}); err != nil {
+				b.Fatal(err)
+			}
+			tx := db.Begin()
+			defer tx.Abort()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				if _, err := tx.Call(acct, "deposit", ode.Int(1)); err != nil {
 					b.Fatal(err)
 				}
-				defer db.Close()
-				err = db.NewClass("account").
-					Field("balance", ode.KindInt, ode.Int(0)).
-					Update("deposit", func(ctx *ode.MethodCtx) (ode.Value, error) {
-						v, _ := ctx.Get("balance")
-						return ode.Null(), ctx.Set("balance", ode.Int(v.AsInt()+ctx.Arg("n").AsInt()))
-					}, ode.P("n", ode.KindInt)).
-					Trigger(scenario.trigger, func(*ode.ActionCtx) error { return nil }).
-					Register()
-				if err != nil {
-					b.Fatal(err)
-				}
-				var acct ode.OID
-				if err := db.Transact(func(tx *ode.Tx) error {
-					name := "Big"
-					if scenario.name == "firing" {
-						name = "Any"
-					}
-					var err error
-					if acct, err = tx.NewObject("account", nil); err != nil {
-						return err
-					}
-					return tx.Activate(acct, name)
-				}); err != nil {
-					b.Fatal(err)
-				}
-				tx := db.Begin()
-				defer tx.Abort()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for n := 0; n < b.N; n++ {
-					if _, err := tx.Call(acct, "deposit", ode.Int(1)); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -390,56 +383,6 @@ func BenchmarkTimerDelivery(b *testing.B) {
 	}
 	if errs := db.Engine().TimerErrors(); len(errs) > 0 {
 		b.Fatal(errs[0])
-	}
-}
-
-// Footnote-5 monitoring end to end: the same class and workload with
-// per-trigger automata versus one combined product automaton.
-func BenchmarkEngineCombinedMonitoring(b *testing.B) {
-	for _, combined := range []bool{false, true} {
-		name := "per-trigger"
-		if combined {
-			name = "combined"
-		}
-		b.Run(name, func(b *testing.B) {
-			db, err := ode.Open(ode.Options{CombinedAutomata: combined})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer db.Close()
-			cb := db.NewClass("acct").
-				Field("balance", ode.KindInt, ode.Int(0)).
-				Update("deposit", func(ctx *ode.MethodCtx) (ode.Value, error) {
-					return ode.Null(), nil
-				}, ode.P("n", ode.KindInt))
-			for i := 0; i < 8; i++ {
-				cb = cb.Trigger(fmt.Sprintf(
-					"T%d(): perpetual relative(after deposit(n) && n > %d, after deposit) ==> act", i, i),
-					func(*ode.ActionCtx) error { return nil })
-			}
-			if err := cb.Register(); err != nil {
-				b.Fatal(err)
-			}
-			var oid ode.OID
-			db.Transact(func(tx *ode.Tx) error {
-				oid, _ = tx.NewObject("acct", nil)
-				for i := 0; i < 8; i++ {
-					if err := tx.Activate(oid, fmt.Sprintf("T%d", i)); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			tx := db.Begin()
-			defer tx.Abort()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for n := 0; n < b.N; n++ {
-				if _, err := tx.Call(oid, "deposit", ode.Int(int64(n%16))); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -15,9 +15,9 @@
 //	E11 parallel posting: ops/sec at 1/2/4/8 goroutines over disjoint
 //	    object partitions, volatile and persistent (group-commit WAL);
 //	    -out writes the rows as JSON (e.g. BENCH_PR2.json)
-//	E12 posting hot path: compiled mask programs + per-kind dispatch +
-//	    dense trigger slots vs the AST-interpreter baseline; -out also
-//	    reruns E11 and writes both as JSON (e.g. BENCH_PR3.json)
+//	E12 posting hot path (single Tx.Call: masked non-firing, sparse
+//	    relevance, firing): no table of its own — E13 and E15–E18 embed
+//	    its rows in their JSON as the single-post baseline
 //	E13 compact shared automata: resident transition-table bytes for a
 //	    100-trigger fleet sharing 10 expressions vs the unshared fat
 //	    baseline, compile-cache hit rate, and stepping cost; -out also
@@ -43,8 +43,8 @@
 //	    all three as JSON (e.g. BENCH_PR8.json)
 //	E18 timer storm: an IoT fleet arming one canonical `every`
 //	    heartbeat per object, swept whole periods at a time — cohort
-//	    delivery (timing wheel + columnar stepBatch, one system
-//	    transaction per class and tick) vs the per-object baseline
+//	    delivery (timing wheel, one system transaction and one metered
+//	    run of steps per class and tick) vs the per-object baseline
 //	    (one clock timer and one transaction per object per tick),
 //	    single-engine and partitioned; -out also reruns E12, E16 and
 //	    E17 and writes all four as JSON (e.g. BENCH_PR9.json)
@@ -56,10 +56,9 @@
 //
 // Usage:
 //
-//	odebench                               # run everything (E1..E13, E15..E19)
+//	odebench                               # run everything (E1..E11, E13, E15..E19)
 //	odebench -exp E4                       # one experiment
 //	odebench -exp E11 -out BENCH_PR2.json  # parallel numbers as JSON
-//	odebench -exp E12 -out BENCH_PR3.json  # hot-path + parallel JSON
 //	odebench -exp E13 -out BENCH_PR4.json  # compact-automata JSON
 //	odebench -exp E15 -out BENCH_PR6.json  # open-loop latency JSON
 //	odebench -exp E16 -out BENCH_PR7.json  # batch-posting JSON
@@ -91,9 +90,9 @@ func main() { os.Exit(run()) }
 // run carries the real main body; returning instead of os.Exit lets the
 // profiling defers flush before the process dies.
 func run() int {
-	exp := flag.String("exp", "", "experiment id (E1..E13, E15..E19; E14 is -sim); empty = all")
+	exp := flag.String("exp", "", "experiment id (E1..E11, E13, E15..E19; E14 is -sim); empty = all")
 	seed := flag.Int64("seed", 42, "workload seed")
-	out := flag.String("out", "", "write E11/E12/E13/-sim results as JSON to this file")
+	out := flag.String("out", "", "write E11/E13/E15..E19/-sim results as JSON to this file")
 	simMode := flag.Bool("sim", false, "run the deterministic-simulation torture campaign (E14) instead of the experiment tables")
 	iters := flag.Int("iters", 1000, "-sim: number of seeded iterations (iteration i runs seed+i)")
 	simVolatile := flag.Bool("sim-volatile", false, "-sim: use a volatile store (lock faults only, no WAL/crash cycles)")
@@ -149,7 +148,6 @@ func run() int {
 		{"E9", e9},
 		{"E10", func() error { return e10(*seed) }},
 		{"E11", func() error { return e11(*seed, *out) }},
-		{"E12", func() error { return e12(*seed, *out) }},
 		{"E13", func() error { return e13(*seed, *out) }},
 		{"E15", func() error { return e15(*seed, *out) }},
 		{"E16", func() error { return e16(*out) }},
@@ -383,56 +381,6 @@ func e11(seed int64, out string) error {
 		Volatile   []workload.E11Row `json:"volatile"`
 		Persistent []workload.E11Row `json:"persistent"`
 	}{"E11", gomaxprocs, numCPU, volatile, persistent}, "", "  ")
-	if err != nil {
-		return err
-	}
-	blob = append(blob, '\n')
-	if err := os.WriteFile(out, blob, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("  wrote %s\n", out)
-	return nil
-}
-
-func e12(seed int64, out string) error {
-	rows, err := workload.RunE12(20000)
-	if err != nil {
-		return err
-	}
-	tbl := make([][]string, 0, len(rows))
-	for _, r := range rows {
-		tbl = append(tbl, []string{
-			r.Scenario,
-			r.Mode,
-			fmt.Sprintf("%.0f", r.NsPerOp),
-			fmt.Sprintf("%.2f", r.AllocsPerOp),
-			fmt.Sprintf("%d", r.Firings),
-		})
-	}
-	table("E12 — posting hot path: compiled mask programs + dispatch tables + dense slots vs AST interpreter",
-		[]string{"scenario", "masks", "ns/op", "allocs/op", "firings"}, tbl)
-
-	if out == "" {
-		return nil
-	}
-	gs := []int{1, 2, 4, 8}
-	volatile, err := workload.RunE11(250, 32, seed, false, gs)
-	if err != nil {
-		return err
-	}
-	persistent, err := workload.RunE11(100, 32, seed, true, gs)
-	if err != nil {
-		return err
-	}
-	gomaxprocs, numCPU := workload.E11CPUs()
-	blob, err := json.MarshalIndent(struct {
-		Experiment string            `json:"experiment"`
-		GOMAXPROCS int               `json:"gomaxprocs"`
-		NumCPU     int               `json:"num_cpu"`
-		HotPath    []workload.E12Row `json:"hot_path"`
-		Volatile   []workload.E11Row `json:"e11_volatile"`
-		Persistent []workload.E11Row `json:"e11_persistent"`
-	}{"E12", gomaxprocs, numCPU, rows, volatile, persistent}, "", "  ")
 	if err != nil {
 		return err
 	}

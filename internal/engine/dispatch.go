@@ -14,19 +14,34 @@ import (
 // cost promise is one table lookup and one integer of state per posted
 // event; everything here exists to keep step() at that price):
 //
-//   - dispatch tables: per kind index, the slice of triggers a
-//     happening of that kind can affect at all, folding in the
-//     kind-relevance bitmap and the committed-view/tabort rule so
-//     step() never scans triggers that provably cannot react;
+//   - phases: per kind index, the kind as every record of it is stamped
+//     and the triggers a happening of that kind can affect at all,
+//     folding in the kind-relevance bitmap and the committed-view/tabort
+//     rule so step() never scans triggers that provably cannot react;
 //   - compiled mask programs: each §5 disjointness mask is lowered once
 //     per (trigger, kind) pair to a mask.Program with names resolved to
 //     positions in the happening's and the activation's parameter rows,
 //     so evaluation allocates nothing and does no string-keyed lookups
-//     (the AST interpreter in post.go remains the oracle; it reads the
+//     (the AST interpreter in post.go is their reference; it reads the
 //     same rows, resolving names per lookup);
+//   - calls: per method, its declaration, its body and the two phases
+//     posted around it, so a call resolves its name once;
 //   - trigger slots: each trigger resolves, by name, to its index into
 //     Record.Trigs (the store's per-class layout), so the per-happening
 //     state access is an array index instead of a map probe.
+
+// phase is a class's posting plan for one happening kind. Tx.step reads
+// nothing else about the kind.
+type phase struct {
+	kind   event.Kind
+	kindIx int
+	kindID uint16 // interned flight-recorder / provenance id of name
+	// name is the kind rendered once, for the firing path
+	// (ActionCtx.EventKind, FiringRecord.Kind): formatting it per firing
+	// would allocate.
+	name    string
+	entries []dispatchEntry
+}
 
 // dispatchEntry is one trigger's precomputed reaction to one kind.
 type dispatchEntry struct {
@@ -38,19 +53,39 @@ type dispatchEntry struct {
 	progs []*mask.Program
 }
 
-// buildDispatch fills c.dispatch. Under the shadow oracle every trigger
-// is dispatched for every kind (the oracle needs the complete symbol
-// history); committed-view triggers are never dispatched tabort events
-// (§6: the aborted history is not part of the committed history).
-func (e *Engine) buildDispatch(c *Class) error {
+// call is a method's posting plan: its declaration, its body and the
+// phases posted before and after it.
+type call struct {
+	m             *schema.Method
+	impl          MethodImpl
+	before, after *phase
+}
+
+// phaseOf returns the class's plan for a kind of its alphabet.
+func (c *Class) phaseOf(k event.Kind) (*phase, error) {
+	kix := c.Res.Alphabet.KindIndex(k)
+	if kix < 0 {
+		return nil, fmt.Errorf("engine: class %s cannot experience %s", c.Schema.Name, k)
+	}
+	return &c.phases[kix], nil
+}
+
+// buildPhases fills c.phases and c.calls. Under the shadow oracle every
+// trigger is dispatched for every kind (the oracle needs the complete
+// symbol history); committed-view triggers are never dispatched tabort
+// events (§6: the aborted history is not part of the committed history).
+func (e *Engine) buildPhases(c *Class) error {
 	kinds := c.Res.Alphabet.Kinds
-	c.dispatch = make([][]dispatchEntry, len(kinds))
+	c.phases = make([]phase, len(kinds))
 	for kix := range kinds {
+		ph := &c.phases[kix]
+		ph.kind, ph.kindIx, ph.name = kinds[kix].Kind, kix, kinds[kix].Kind.String()
+		ph.kindID = e.names.Intern(ph.name)
 		for _, t := range c.Triggers {
 			if !e.shadowOracle && !t.relevant[kix] {
 				continue
 			}
-			if t.View == schema.CommittedView && kinds[kix].Kind.Class == event.KTabort {
+			if t.View == schema.CommittedView && ph.kind.Class == event.KTabort {
 				continue
 			}
 			used := t.Res.UsedBits[kix]
@@ -58,15 +93,27 @@ func (e *Engine) buildDispatch(c *Class) error {
 			if err != nil {
 				return fmt.Errorf("engine: class %s trigger %s: %w", c.Schema.Name, t.Res.Name, err)
 			}
-			c.dispatch[kix] = append(c.dispatch[kix], dispatchEntry{t: t, used: used, progs: progs})
+			ph.entries = append(ph.entries, dispatchEntry{t: t, used: used, progs: progs})
 		}
+	}
+	c.calls = make(map[string]*call, len(c.Schema.Methods))
+	for i := range c.Schema.Methods {
+		m := &c.Schema.Methods[i]
+		cl := &call{m: m, impl: c.Impl.Methods[m.Name]}
+		var err error
+		if cl.before, err = c.phaseOf(event.MethodKind(event.Before, m.Name)); err != nil {
+			return err
+		}
+		if cl.after, err = c.phaseOf(event.MethodKind(event.After, m.Name)); err != nil {
+			return err
+		}
+		c.calls[m.Name] = cl
 	}
 	return nil
 }
 
 // compileMaskProgs compiles the used mask bits of kind kix for a
-// trigger with the given parameter list (nil for the combined monitor,
-// whose eligibility rules forbid trigger parameters).
+// trigger with the given parameter list.
 func compileMaskProgs(c *Class, kix int, used uint32, trigParams []string) ([]*mask.Program, error) {
 	if used == 0 {
 		return nil, nil
@@ -85,21 +132,6 @@ func compileMaskProgs(c *Class, kix int, used uint32, trigParams []string) ([]*m
 		progs[bit] = p
 	}
 	return progs, nil
-}
-
-// compileCombinedProgs compiles the class-wide mask-bit unions the
-// footnote-5 combined monitor evaluates.
-func (e *Engine) compileCombinedProgs(c *Class) error {
-	cm := c.monitor
-	cm.progs = make(map[int][]*mask.Program, len(cm.used))
-	for kix, used := range cm.used {
-		progs, err := compileMaskProgs(c, kix, used, nil)
-		if err != nil {
-			return fmt.Errorf("engine: class %s combined monitor: %w", c.Schema.Name, err)
-		}
-		cm.progs[kix] = progs
-	}
-	return nil
 }
 
 // maskSlotResolver resolves mask variables to dense slots, mirroring
@@ -152,8 +184,8 @@ func (r *maskSlotResolver) eventParamIx(name string) int {
 
 // progHost serves the residual dynamic operations of compiled mask
 // programs. One lives on the Tx and is reused by address so the
-// Host interface conversion never allocates; evalBitsMask saves and
-// restores it by value around each evaluation, which keeps nested
+// Host interface conversion never allocates; step saves and restores
+// it by value around each evaluation, which keeps nested
 // evaluations (a mask calling a read method whose posting evaluates
 // further masks) correct.
 type progHost struct {

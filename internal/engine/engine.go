@@ -97,12 +97,6 @@ type Options struct {
 	// on every posting. A divergence fails the posting (and aborts the
 	// transaction). Expensive — meant for tests and debugging.
 	ShadowOracle bool
-	// CombinedAutomata enables footnote-5 monitoring for eligible
-	// classes: one product automaton (and one word of per-object state
-	// in total) tracks every trigger. See internal/engine/combined.go
-	// for the eligibility rules and semantics. Ignored when
-	// ShadowOracle is on (the oracle checks per-trigger histories).
-	CombinedAutomata bool
 	// TraceBuffer, when non-zero, enables pipeline tracing at open
 	// with a ring buffer of that many events (< 0 picks the default
 	// capacity). Tracing can also be toggled later with
@@ -113,15 +107,10 @@ type Options struct {
 	// address at open; "auto" binds a free localhost port. The
 	// listener is shut down by Engine.Close.
 	DebugAddr string
-	// InterpretedMasks makes mask evaluation use the AST interpreter
-	// instead of the programs compiled at registration — the semantic
-	// baseline the compiled path is measured and cross-checked against.
-	// Meant for tests and benchmarks; production leaves it off.
-	InterpretedMasks bool
 	// PerObjectTimers restores the pre-cohort timer layout: one shared
 	// clock timer per (object, spec) and one system transaction per
 	// delivery, instead of one cohort per (class, spec, phase) delivered
-	// through the columnar batch path. This is the semantic baseline the
+	// in one system transaction per tick. This is the semantic baseline the
 	// cohort path is equivalence-tested and benchmarked against; meant
 	// for tests and benchmarks, production leaves it off.
 	PerObjectTimers bool
@@ -174,7 +163,7 @@ type Engine struct {
 
 	// Automaton memory accounting (under mu): the distinct hash-consed
 	// tables this engine's triggers reference, the resident bytes of
-	// those tables plus any combined monitors, and the trigger count.
+	// those tables, and the trigger count.
 	autoTables   map[*compile.Table]struct{}
 	autoBytes    uint64
 	autoTriggers uint64
@@ -185,8 +174,10 @@ type Engine struct {
 	whole       map[instanceKey]int
 	wholeShadow map[instanceKey][]int
 
-	shadowOracle   bool
-	combined       bool
+	shadowOracle bool
+	// interpretMasks sends mask evaluation to the AST interpreter, the
+	// reference the compiled programs are tested against. Only this
+	// package's tests set it, before the first posting.
 	interpretMasks bool
 	egressOff      bool            // Options.DisableEgress: skip firing capture
 	partition      int             // partition id (0 for unpartitioned engines)
@@ -247,19 +238,15 @@ type Class struct {
 	Triggers []*Trigger
 	byName   map[string]*Trigger
 	parser   *evlang.Parser    // retained for history queries (defines)
-	monitor  *combinedMonitor  // non-nil → footnote-5 combined monitoring
 	met      *obs.ClassMetrics // per-class counters, cached at registration
-	// nameID and kindIDs are the interned flight-recorder IDs of the
-	// class name and of each alphabet kind (indexed by kindIx), computed
-	// at registration so hot-path records never touch a string;
-	// kindNames are the same kinds' names, rendered once for the firing
-	// path (ActionCtx.EventKind, FiringRecord.Kind).
-	nameID    uint16
-	kindIDs   []uint16
-	kindNames []string
-	// dispatch[kindIx] lists the triggers a happening of that kind can
-	// affect, with their compiled mask programs (see dispatch.go).
-	dispatch [][]dispatchEntry
+	// nameID is the interned flight-recorder ID of the class name,
+	// computed at registration so hot-path records never touch a string.
+	nameID uint16
+	// phases[kindIx] is the posting plan of that alphabet kind — the
+	// triggers a happening of the kind can affect, with their compiled
+	// mask programs — and calls the same per method (see dispatch.go).
+	phases []phase
+	calls  map[string]*call
 }
 
 // Trigger is one compiled trigger of a class.
@@ -329,23 +316,21 @@ func New(opts Options) (*Engine, error) {
 		start = time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
 	}
 	e := &Engine{
-		st:             st,
-		txm:            txn.NewManagerWith(st, opts.Faults),
-		clk:            clock.NewVirtual(start),
-		classes:        map[string]*Class{},
-		funcs:          map[string]MaskFunc{},
-		autoTables:     map[*compile.Table]struct{}{},
-		whole:          map[instanceKey]int{},
-		wholeShadow:    map[instanceKey][]int{},
-		shadowOracle:   opts.ShadowOracle,
-		combined:       opts.CombinedAutomata && !opts.ShadowOracle,
-		interpretMasks: opts.InterpretedMasks,
-		egressOff:      opts.DisableEgress,
-		faults:         opts.Faults,
-		metrics:        obs.NewRegistry(),
-		names:          obs.NewInterner(),
-		provDepth:      opts.ProvenanceDepth,
-		partition:      opts.Partition,
+		st:           st,
+		txm:          txn.NewManagerWith(st, opts.Faults),
+		clk:          clock.NewVirtual(start),
+		classes:      map[string]*Class{},
+		funcs:        map[string]MaskFunc{},
+		autoTables:   map[*compile.Table]struct{}{},
+		whole:        map[instanceKey]int{},
+		wholeShadow:  map[instanceKey][]int{},
+		shadowOracle: opts.ShadowOracle,
+		egressOff:    opts.DisableEgress,
+		faults:       opts.Faults,
+		metrics:      obs.NewRegistry(),
+		names:        obs.NewInterner(),
+		provDepth:    opts.ProvenanceDepth,
+		partition:    opts.Partition,
 	}
 	if opts.SingleWriter {
 		e.txm.SetSingleWriter(true)
@@ -444,12 +429,6 @@ func (e *Engine) RegisterClass(cls *schema.Class, impl ClassImpl, ps *evlang.Par
 	}
 	c := &Class{Schema: cls, Res: res, Impl: impl, byName: map[string]*Trigger{}, parser: ps,
 		met: e.metrics.Class(cls.Name), nameID: e.names.Intern(cls.Name)}
-	c.kindIDs = make([]uint16, len(res.Alphabet.Kinds))
-	c.kindNames = make([]string, len(res.Alphabet.Kinds))
-	for kix := range res.Alphabet.Kinds {
-		c.kindNames[kix] = res.Alphabet.Kinds[kix].Kind.String()
-		c.kindIDs[kix] = e.names.Intern(c.kindNames[kix])
-	}
 	layout := e.st.Layout(cls.Name)
 	for _, tr := range res.Triggers {
 		view := schema.CommittedView
@@ -491,15 +470,7 @@ func (e *Engine) RegisterClass(cls *schema.Class, impl ClassImpl, ps *evlang.Par
 		c.Triggers = append(c.Triggers, t)
 		c.byName[tr.Name] = t
 	}
-	if e.combined {
-		c.monitor = buildCombined(c, layout)
-		if c.monitor != nil {
-			if err := e.compileCombinedProgs(c); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := e.buildDispatch(c); err != nil {
+	if err := e.buildPhases(c); err != nil {
 		return nil, err
 	}
 	e.mu.Lock()
@@ -514,9 +485,6 @@ func (e *Engine) RegisterClass(cls *schema.Class, impl ClassImpl, ps *evlang.Par
 			e.autoTables[t.Auto.Tab] = struct{}{}
 			e.autoBytes += uint64(t.Auto.Tab.Compact.Bytes())
 		}
-	}
-	if c.monitor != nil {
-		e.autoBytes += uint64(c.monitor.comb.Bytes())
 	}
 	return c, nil
 }
@@ -600,14 +568,6 @@ func (e *Engine) TriggerState(oid store.OID, trigger string) (state int, active 
 	act := rec.Trig(t.slot)
 	if act.IsZero() {
 		return t.Auto.Start(), false, nil
-	}
-	if cm := c.monitor; cm != nil {
-		// Combined monitoring: the single shared state word stands in
-		// for every trigger of the object.
-		if shared := rec.Trig(cm.slot); shared.Active {
-			return shared.State, act.Active, nil
-		}
-		return cm.comb.Start, act.Active, nil
 	}
 	if t.View == schema.WholeView {
 		e.wholeMu.Lock()

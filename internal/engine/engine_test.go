@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"ode/internal/event"
 	"ode/internal/evlang"
 	"ode/internal/schema"
 	"ode/internal/store"
@@ -95,6 +96,21 @@ func newEngine(t *testing.T, opts Options) *Engine {
 	}
 	t.Cleanup(func() { e.Close() })
 	return e
+}
+
+// stepOne posts h to an accessed object straight through Tx.step, the
+// way every one-at-a-time caller does: the class's phase for the kind,
+// every trigger, no meter.
+func (tx *Tx) stepOne(oid store.OID, rec *store.Record, h event.Happening) (bool, error) {
+	c, err := tx.e.classOf(rec)
+	if err != nil {
+		return false, err
+	}
+	ph, err := c.phaseOf(h.Kind)
+	if err != nil {
+		return false, err
+	}
+	return tx.step(c, ph, oid, rec, &h, nil, nil)
 }
 
 // setup registers the class and creates one activated account.
@@ -460,6 +476,75 @@ func TestWholeViewSurvivesAbort(t *testing.T) {
 	})
 	if rec.count() != 1 {
 		t.Fatalf("whole-view trigger fired %d times, want 1", rec.count())
+	}
+}
+
+// TestWholeViewStateDiesWithItsObject: whole-view automaton state lives
+// outside the record, so nothing but the engine frees it — when the
+// object's deletion commits, and when the transaction that created the
+// object aborts. An aborted deletion keeps it.
+func TestWholeViewStateDiesWithItsObject(t *testing.T) {
+	cls, impl := accountClass(&recorder{},
+		schema.Trigger{Name: "Two", Perpetual: true, Event: "relative(after withdraw, after withdraw)", View: schema.WholeView})
+	e := newEngine(t, Options{ShadowOracle: true})
+	oid := setup(t, e, cls, impl, "Two")
+	entries := func() (int, int) {
+		e.wholeMu.Lock()
+		defer e.wholeMu.Unlock()
+		return len(e.whole), len(e.wholeShadow)
+	}
+	create := func(tx *Tx) error {
+		o, err := tx.NewObject("account", nil)
+		if err != nil {
+			return err
+		}
+		if err := tx.Activate(o, "Two"); err != nil {
+			return err
+		}
+		_, err = tx.Call(o, "withdraw", value.Int(1))
+		return err
+	}
+
+	if err := e.Transact(func(tx *Tx) error {
+		_, err := tx.Call(oid, "withdraw", value.Int(1))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if w, s := entries(); w != 1 || s != 1 {
+		t.Fatalf("after one step: %d states, %d shadow histories; want 1, 1", w, s)
+	}
+
+	tx := e.Begin()
+	if err := create(tx); err != nil {
+		t.Fatal(err)
+	}
+	if w, _ := entries(); w != 2 {
+		t.Fatalf("inside the creating transaction: %d states, want 2", w)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if w, s := entries(); w != 1 || s != 1 {
+		t.Fatalf("after an aborted creation: %d states, %d shadow histories; want 1, 1", w, s)
+	}
+
+	tx = e.Begin()
+	if err := tx.DeleteObject(oid); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if w, s := entries(); w != 1 || s != 1 {
+		t.Fatalf("after an aborted deletion: %d states, %d shadow histories; want 1, 1", w, s)
+	}
+
+	if err := e.Transact(func(tx *Tx) error { return tx.DeleteObject(oid) }); err != nil {
+		t.Fatal(err)
+	}
+	if w, s := entries(); w != 0 || s != 0 {
+		t.Fatalf("after a committed deletion: %d states, %d shadow histories; want 0, 0", w, s)
 	}
 }
 

@@ -156,9 +156,6 @@ func (e *Engine) Explain(trigger string, oid store.OID) (*Explanation, error) {
 	if t == nil {
 		return nil, fmt.Errorf("engine: class %s has no trigger %q", rec.Class, trigger)
 	}
-	if c.monitor != nil {
-		return nil, fmt.Errorf("engine: class %s uses combined monitoring; per-trigger provenance is not recorded", rec.Class)
-	}
 	if e.provDepth < 0 {
 		return nil, fmt.Errorf("engine: provenance capture is disabled (Options.ProvenanceDepth < 0)")
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"ode/internal/algebra"
 	"ode/internal/event"
@@ -122,7 +123,7 @@ func TestExplainSequenceAgainstOracle(t *testing.T) {
 		event.MethodKind(event.After, "withdraw"),
 	} {
 		h := event.Happening{Kind: kind, TxID: tx.ID(), At: e.clk.Now()}
-		if _, err := tx.step(oid, r, h, ""); err != nil {
+		if _, err := tx.stepOne(oid, r, h); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -486,5 +487,88 @@ func TestExplainWhileRingGrows(t *testing.T) {
 	wg.Wait()
 	if rec.count() != 0 {
 		t.Fatalf("nothing should have fired: %v", rec.list())
+	}
+}
+
+// TestProvenanceTxIDIsTheSteppingTransaction pins the one rule for
+// ProvStep.TxID: it is the id of the transaction that made the step —
+// the id the flight recorder stamps on the same happening — whoever the
+// happening is about. A Tx.Call's step carries the caller's id; an
+// `after tcommit` posting, an 'after' one-shot and a cohort tick carry
+// the id of the system transaction that delivered them, never the
+// finished user transaction's and never zero.
+func TestProvenanceTxIDIsTheSteppingTransaction(t *testing.T) {
+	cls, impl := accountClass(&recorder{},
+		schema.Trigger{Name: "Dep", Perpetual: true, Event: "after deposit"},
+		schema.Trigger{Name: "Done", Perpetual: true, Event: "after tcommit"},
+		schema.Trigger{Name: "Late", Event: "after time(M=45)"},
+		schema.Trigger{Name: "Tick", Perpetual: true, Event: "every time(M=10)"})
+	e := newEngine(t, Options{})
+	oid := setup(t, e, cls, impl, "Dep", "Done", "Late", "Tick")
+
+	tx := e.Begin()
+	userTx := tx.ID()
+	if _, err := tx.Call(oid, "deposit", value.Int(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	e.Clock().Advance(50 * time.Minute) // five cohort ticks, the one-shot at +45m
+	if errs := e.TimerErrors(); len(errs) != 0 {
+		t.Fatal(errs)
+	}
+
+	// The transaction the flight recorder saw make the last happening of
+	// a kind: one record per happening for one-at-a-time steps, one
+	// summary per tick for a cohort's.
+	flightTx := func(stage obs.Stage, kind string) uint64 {
+		t.Helper()
+		evs := e.FlightEvents(0)
+		for i := len(evs) - 1; i >= 0; i-- {
+			if evs[i].Stage == stage && evs[i].Kind == kind {
+				return evs[i].TxID
+			}
+		}
+		t.Fatalf("no %v flight record of kind %q", stage, kind)
+		return 0
+	}
+	lastStep := func(trigger string) obs.ProvStep {
+		t.Helper()
+		ex, err := e.Explain(trigger, oid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ex.Steps) == 0 {
+			t.Fatalf("%s recorded no step", trigger)
+		}
+		return ex.Steps[len(ex.Steps)-1]
+	}
+
+	// Dep's only step is userTx's call; the last step of each of the
+	// others was made by a system transaction (Done's by the one that
+	// reported userTx's commit — system transactions themselves post no
+	// lifecycle events).
+	if got := lastStep("Dep").TxID; got != userTx {
+		t.Errorf("Tx.Call: step TxID = %d, want the calling transaction %d", got, userTx)
+	}
+	for _, c := range []struct {
+		what, trigger string
+		stage         obs.Stage
+		kind          string
+	}{
+		{"after tcommit posting", "Done", obs.StageHappening, "after tcommit"},
+		{"'after' one-shot", "Late", obs.StageHappening, "timer after time(M=45)"},
+		{"cohort tick", "Tick", obs.StageBatch, "timer every time(M=10)"},
+	} {
+		s := lastStep(c.trigger)
+		if s.Kind != c.kind {
+			t.Fatalf("%s: last step is a %q, want %q", c.what, s.Kind, c.kind)
+		}
+		want := flightTx(c.stage, c.kind)
+		if s.TxID != want || s.TxID == 0 || s.TxID == userTx {
+			t.Errorf("%s: step TxID = %d, want the delivering system transaction %d (user transaction was %d)",
+				c.what, s.TxID, want, userTx)
+		}
 	}
 }

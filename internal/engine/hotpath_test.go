@@ -40,7 +40,7 @@ func TestHotPathAllocBudget(t *testing.T) {
 		At:     e.clk.Now(),
 	}
 	avg := testing.AllocsPerRun(500, func() {
-		fired, err := tx.step(oid, r, h, "")
+		fired, err := tx.stepOne(oid, r, h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func TestHotPathAllocBudgetProvenance(t *testing.T) {
 	wd.Kind = event.MethodKind(event.After, "withdraw")
 	bounce := func() {
 		for _, h := range [2]event.Happening{dep, wd} {
-			fired, err := tx.step(oid, r, h, "")
+			fired, err := tx.stepOne(oid, r, h)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -320,7 +320,8 @@ func runMaskWorkload(t *testing.T, interpreted bool) ([]string, []int64) {
 		}
 	}
 
-	e := newEngine(t, Options{InterpretedMasks: interpreted})
+	e := newEngine(t, Options{})
+	e.interpretMasks = interpreted
 	if _, err := e.RegisterClass(cls, impl, nil); err != nil {
 		t.Fatal(err)
 	}

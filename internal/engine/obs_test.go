@@ -315,7 +315,7 @@ func TestPostHotPathDisabledTracerNoAllocs(t *testing.T) {
 		At:   tx.e.clk.Now(),
 	}
 	if allocs := testing.AllocsPerRun(500, func() {
-		if _, err := tx.step(oid, record, h, ""); err != nil {
+		if _, err := tx.stepOne(oid, record, h); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
@@ -325,7 +325,7 @@ func TestPostHotPathDisabledTracerNoAllocs(t *testing.T) {
 	// Sanity: the same posting with tracing enabled records events
 	// (the fast path really was the disabled branch, not dead code).
 	ring := e.EnableTracing(64)
-	if _, err := tx.step(oid, record, h, ""); err != nil {
+	if _, err := tx.stepOne(oid, record, h); err != nil {
 		t.Fatal(err)
 	}
 	if ring.Total() == 0 {

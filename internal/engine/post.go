@@ -134,80 +134,174 @@ func (c *ActionCtx) EventParams() map[string]value.Value { return namedArgs(c.ev
 // aborts the posting transaction (the paper's tabort statement).
 func (c *ActionCtx) Tabort() error { return ErrTabort }
 
-// step posts one happening to one object: it maps the happening to
-// each active trigger instance's alphabet symbol, advances the
-// instance's single integer of state, collects every trigger whose
-// automaton now accepts, and then fires them (deactivating ordinary
-// triggers first — "an ordinary trigger is automatically deactivated
-// the moment it fires", §2). Actions execute inside this transaction,
-// immediately (§5); onlyTrigger restricts delivery (used by per-
-// trigger 'after' timers).
+// counts are the engine-wide detection counters a run of steps moves.
+type counts struct {
+	happenings, steps, maskEvals, provSteps uint64
+}
+
+// publish adds n to the engine's (and the class's) counters, one atomic
+// add per counter that moved.
+func (e *Engine) publish(c *Class, n *counts) {
+	if n.happenings != 0 {
+		e.stats.happenings.Add(n.happenings)
+		c.met.HappeningN(n.happenings)
+	}
+	if n.steps != 0 {
+		e.stats.steps.Add(n.steps)
+	}
+	if n.maskEvals != 0 {
+		e.stats.maskEvals.Add(n.maskEvals)
+	}
+	if n.provSteps != 0 {
+		e.stats.provSteps.Add(n.provSteps)
+	}
+}
+
+// meter accumulates the counts of a run of steps through one phase — a
+// PostBatch's entries of one method, a cohort's tick — in plain
+// integers, so the run publishes them once (Tx.flush) instead of paying
+// atomic updates and a flight record per happening. Its owner (the
+// Batch, the cohort) keeps it across runs; a step given no meter
+// publishes its counts itself.
+type meter struct {
+	counts
+	trig []trigCounts // parallel to the phase's entries
+}
+
+// trigCounts is one trigger's share of a meter.
+type trigCounts struct {
+	steps, evals, falses uint64
+}
+
+// count records that entry i's trigger t took steps automaton steps and
+// evaluated evals masks, falses of them false: into the meter, or — on
+// a nil meter — straight into the trigger's metrics.
+func (m *meter) count(i int, t *Trigger, steps, evals, falses uint64) {
+	if m == nil {
+		t.met.StepN(steps)
+		t.met.MaskEvalN(evals, falses)
+		return
+	}
+	tc := &m.trig[i]
+	tc.steps += steps
+	tc.evals += evals
+	tc.falses += falses
+}
+
+// reset zeroes the meter for its next run.
+func (m *meter) reset() {
+	m.counts = counts{}
+	clear(m.trig)
+}
+
+// flush publishes what a run through ph accumulated in m — one atomic
+// add per engine counter, one per trigger metric stream, and the run's
+// happenings as one StageBatch flight summary (per-event stamping would
+// dominate a batch loop; see obs.StageBatch) — and resets m.
+func (tx *Tx) flush(c *Class, ph *phase, m *meter, atNs int64) {
+	if m.happenings == 0 {
+		return
+	}
+	tx.e.flightBatch(atNs, tx.tx.ID(), c.nameID, ph.kindID, m.happenings)
+	for i := range m.trig {
+		t := ph.entries[i].t
+		t.met.StepN(m.trig[i].steps)
+		t.met.MaskEvalN(m.trig[i].evals, m.trig[i].falses)
+	}
+	tx.e.publish(c, &m.counts)
+	m.reset()
+}
+
+// step posts one happening to one object — the paper's §5 procedure and
+// the only place the engine runs it. For each active trigger instance
+// the phase dispatches it maps the happening to the instance's alphabet
+// symbol (evaluating the §5 disjointness masks), advances the instance's
+// single integer of state, collects every trigger whose automaton now
+// accepts, and then fires them (deactivating ordinary triggers first —
+// "an ordinary trigger is automatically deactivated the moment it
+// fires", §2). Actions execute inside this transaction, immediately
+// (§5). only, when non-nil, restricts delivery to that trigger ('after'
+// one-shot timers); m, when non-nil, takes the counts (see meter).
+// Every record of the step — flight, trace, provenance — carries this
+// transaction's id: the transaction that made the step, which for
+// outcome and time events is a system transaction, not h.TxID.
 //
 // It reports whether any trigger fired — the commit fixpoint's
 // quiescence signal.
-func (tx *Tx) step(oid store.OID, rec *store.Record, h event.Happening, onlyTrigger string) (bool, error) {
-	c, err := tx.e.classOf(rec)
-	if err != nil {
-		return false, err
-	}
-	kindIx := c.Res.Alphabet.KindIndex(h.Kind)
-	if kindIx < 0 {
-		return false, fmt.Errorf("engine: class %s cannot experience %s", rec.Class, h.Kind)
-	}
-	tx.e.recordHappening(oid, h)
-	tx.e.stats.happenings.Add(1)
-	c.met.Happening()
-	tx.e.flightHappening(h.At.UnixNano(), tx.tx.ID(), oid, c.nameID, c.kindIDs[kindIx])
-	tx.e.traceHappening(tx.tx.ID(), oid, rec.Class, h.Kind)
-
-	// Size the record's slots to the class layout (fresh objects and
-	// recovered records may arrive shorter) before any slot is addressed.
-	// We hold the object's transaction lock here.
-	rec.Slots()
-
-	if cm := c.monitor; cm != nil {
-		// Footnote-5 combined monitoring: one transition for all
-		// triggers (eligibility rules in combined.go guarantee
-		// onlyTrigger never applies here).
-		fired, err := tx.stepCombined(c, cm, kindIx, h, oid, rec)
-		if err != nil {
-			return false, err
+func (tx *Tx) step(c *Class, ph *phase, oid store.OID, rec *store.Record,
+	h *event.Happening, only *Trigger, m *meter) (bool, error) {
+	e, txid := tx.e, tx.tx.ID()
+	e.recordHappening(oid, h)
+	var own counts
+	n := &own
+	if m == nil {
+		e.flightHappening(h.At.UnixNano(), txid, oid, c.nameID, ph.kindID)
+	} else {
+		n = &m.counts
+		if len(m.trig) != len(ph.entries) {
+			m.trig = make([]trigCounts, len(ph.entries))
 		}
-		if err := tx.fire(oid, rec, c, h, c.kindNames[kindIx], fired); err != nil {
-			return true, err
-		}
-		return len(fired) > 0, nil
 	}
+	n.happenings++
+	e.traceHappening(txid, oid, rec.Class, h.Kind)
 
+	if len(ph.entries) != 0 {
+		// Size the record's slots to the class layout (fresh objects and
+		// recovered records may arrive shorter) before any slot is
+		// addressed. We hold the object's transaction lock here.
+		rec.Slots()
+	}
 	// Fired triggers accumulate in the Tx's scratch arena with stack
 	// discipline: this call appends from base and truncates back on
-	// every return, so nested postings (from mask-called read methods
-	// or fired actions) stack above us without allocating.
+	// every return, so nested postings (from fired actions) stack above
+	// us without allocating.
 	base := len(tx.fired)
-	for i := range c.dispatch[kindIx] {
-		// The dispatch table has already folded in kind relevance
-		// (irrelevant kinds cannot change the instance's behavior; see
+	var err error
+	for i := range ph.entries {
+		// The phase has already folded in kind relevance (irrelevant
+		// kinds cannot change the instance's behavior; see
 		// compile.InertSymbol — disabled under the shadow oracle, which
 		// needs complete symbol histories) and the committed-view rule
 		// that aborted histories are invisible (§6).
-		d := &c.dispatch[kindIx][i]
+		d := &ph.entries[i]
 		t := d.t
-		if onlyTrigger != "" && t.Res.Name != onlyTrigger {
+		if only != nil && t != only {
 			continue
 		}
 		act := &rec.Trigs[t.slot]
 		if !act.Active {
 			continue
 		}
-		bits, err := tx.evalBits(c, d, kindIx, h, act, oid, rec)
-		if err != nil {
-			tx.fired = tx.fired[:base]
-			return false, fmt.Errorf("engine: trigger %s mask: %w", t.Res.Name, err)
-		}
+		// The mask valuation bits of the symbol: exactly the masks this
+		// trigger's expression depends on for the kind. Foreign triggers'
+		// bits stay zero — this trigger's automaton provably does not
+		// distinguish them.
+		var bits uint32
 		if d.used != 0 {
-			tx.e.traceMask(tx.tx.ID(), oid, rec.Class, t.Res.Name, d.used, bits)
+			var evals, falses uint32
+			if err = t.checkParams(act); err == nil {
+				if e.interpretMasks {
+					bits, evals, falses, err = tx.interpretBits(c, ph, d, h, act.Params, oid, rec)
+				} else {
+					// The Tx's progHost is reused by address (the Host
+					// interface conversion must not allocate); save/restore
+					// by value keeps nested evaluations — a mask calling a
+					// read method — correct.
+					saved := tx.penv
+					tx.penv = progHost{tx: tx, self: oid, rec: rec, cls: c}
+					bits, evals, falses, err = mask.EvalBits(d.progs, d.used, h.Params, act.Params, &tx.penv)
+					tx.penv = saved
+				}
+			}
+			n.maskEvals += uint64(evals)
+			m.count(i, t, 0, uint64(evals), uint64(falses))
+			if err != nil {
+				err = fmt.Errorf("engine: trigger %s mask: %w", t.Res.Name, err)
+				break
+			}
+			e.traceMask(txid, oid, rec.Class, t.Res.Name, d.used, bits)
 		}
-		sym := c.Res.Alphabet.Symbol(kindIx, bits)
+		sym := c.Res.Alphabet.Symbol(ph.kindIx, bits)
 
 		// The step itself runs on the compact shared table: a row-index
 		// load, a narrow cell load and a bitset probe, through the
@@ -215,82 +309,99 @@ func (tx *Tx) step(oid store.OID, rec *store.Record, h event.Happening, onlyTrig
 		var prev, next int
 		if t.View == schema.WholeView {
 			key := instanceKey{oid, t.Res.Name}
-			tx.e.wholeMu.Lock()
-			cur, ok := tx.e.whole[key]
+			e.wholeMu.Lock()
+			cur, ok := e.whole[key]
 			if !ok {
 				cur = t.Auto.Start()
 			}
 			prev = cur
 			next = t.Auto.Next(cur, sym)
-			tx.e.whole[key] = next
-			if tx.e.shadowOracle {
-				tx.e.wholeShadow[key] = append(tx.e.wholeShadow[key], sym)
+			e.whole[key] = next
+			if e.shadowOracle {
+				e.wholeShadow[key] = append(e.wholeShadow[key], sym)
 			}
-			tx.e.wholeMu.Unlock()
+			e.wholeMu.Unlock()
 		} else {
 			prev = act.State
-			next = t.Auto.Next(act.State, sym)
-			act.State = next
-			if tx.e.shadowOracle {
-				act.Shadow = append(act.Shadow, sym)
+			next = t.Auto.Next(prev, sym)
+			if next != prev || e.shadowOracle {
+				// A self-looping instance leaves the record bit-identical,
+				// so a lazily accessed one (cohort delivery) is registered
+				// with the txn layer only here, at its first in-place
+				// mutation — it then needs no undo entry and no comparison
+				// at commit. Registering is idempotent.
+				if tx.lazyAccess {
+					if _, _, err = tx.tx.Access(oid); err != nil {
+						break
+					}
+				}
+				act.State = next
+				if e.shadowOracle {
+					act.Shadow = append(act.Shadow, sym)
+				}
 			}
 		}
-		tx.e.stats.steps.Add(1)
-		t.met.Step()
+		n.steps++
+		m.count(i, t, 1, 0, 0)
 		accepted := t.Auto.Accept(next)
 		// Firing provenance: non-accepting self-loops (the masked
 		// non-firing common case) append nothing, so a ring exists only
 		// for an instance that moved and this costs one branch. Skipping
 		// them preserves the chain walk — the state is unchanged across
 		// the gap.
-		if next != prev || accepted {
-			if tx.e.provAppend(rec, t.slot, obs.ProvStep{
-				TxID: tx.tx.ID(), AtNs: h.At.UnixNano(),
-				KindID: c.kindIDs[kindIx], Bits: bits, Sym: sym,
-				From: prev, To: next, Accepted: accepted,
-			}) {
-				tx.e.stats.provSteps.Add(1)
-			}
+		if (next != prev || accepted) && e.provAppend(rec, t.slot, obs.ProvStep{
+			TxID: txid, AtNs: h.At.UnixNano(),
+			KindID: ph.kindID, Bits: bits, Sym: sym,
+			From: prev, To: next, Accepted: accepted,
+		}) {
+			n.provSteps++
 		}
-		tx.e.traceStep(tx.tx.ID(), oid, rec.Class, t.Res.Name, prev, next, accepted)
-		if tx.e.shadowOracle {
-			if err := tx.e.shadowCheck(oid, t, act, accepted); err != nil {
-				tx.fired = tx.fired[:base]
-				return false, err
+		e.traceStep(txid, oid, rec.Class, t.Res.Name, prev, next, accepted)
+		if e.shadowOracle {
+			if err = e.shadowCheck(oid, t, act, accepted); err != nil {
+				break
 			}
 		}
 		if accepted {
 			tx.fired = append(tx.fired, t)
 		}
 	}
+	if m == nil {
+		e.publish(c, n)
+	}
 
 	fired := tx.fired[base:]
+	if err == nil && len(fired) != 0 && tx.lazyAccess {
+		// The object may be pristine — an accepting self-loop — and the
+		// deactivation below mutates it in place: register it first.
+		_, _, err = tx.tx.Access(oid)
+	}
+	if err != nil || len(fired) == 0 {
+		tx.fired = tx.fired[:base]
+		return false, err
+	}
 	// "We determine all the trigger events that have occurred, and
 	// then we fire the triggers" (§5): deactivations happen before any
 	// action runs, so an action re-activating a trigger is preserved.
 	for _, t := range fired {
 		if !t.Res.Perpetual {
 			rec.Trigs[t.slot].Active = false
-			tx.e.timers.disarm(oid, t)
+			e.timers.disarm(oid, t)
 		}
 	}
-	err = tx.fire(oid, rec, c, h, c.kindNames[kindIx], fired)
-	n := len(fired)
+	err = tx.fire(c, ph, oid, rec, h, fired)
 	tx.fired = tx.fired[:base]
-	if err != nil {
-		return true, err
-	}
-	return n > 0, nil
+	// Actions run arbitrary engine operations; drop PostBatch's record
+	// cache rather than reason about what they touched.
+	tx.cachedRec = nil
+	return true, err
 }
 
 // fire executes the actions of the collected triggers, recording each
 // action's wall-clock latency in the trigger's metrics (and trace,
 // when enabled). The first action error stops the run — the engine's
-// pre-existing semantics: a failing action aborts the posting. kind is
-// h.Kind's name as the class rendered it at registration
-// (Class.kindNames): formatting it here would allocate per firing
-// posting.
-func (tx *Tx) fire(oid store.OID, rec *store.Record, c *Class, h event.Happening, kind string, fired []*Trigger) error {
+// pre-existing semantics: a failing action aborts the posting.
+func (tx *Tx) fire(c *Class, ph *phase, oid store.OID, rec *store.Record, h *event.Happening, fired []*Trigger) error {
 	evm := c.Schema.Method(h.Kind.Method) // its declaration names h.Params; nil for other kinds
 	for _, t := range fired {
 		// The ActionCtx lives on the Tx and is reused across firings;
@@ -299,7 +410,7 @@ func (tx *Tx) fire(oid store.OID, rec *store.Record, c *Class, h event.Happening
 		// retain the pointer past their return (documented on the type).
 		saved := tx.actCtx
 		tx.actCtx = ActionCtx{
-			Tx: tx, Self: oid, Trigger: t.Res.Name, EventKind: kind,
+			Tx: tx, Self: oid, Trigger: t.Res.Name, EventKind: ph.name,
 			names: t.Res.Params, act: rec.Trigs[t.slot].Params,
 			evm: evm, ev: h.Params,
 		}
@@ -324,27 +435,12 @@ func (tx *Tx) fire(oid store.OID, rec *store.Record, c *Class, h event.Happening
 				Part:    tx.e.partition,
 				Class:   c.Schema.Name,
 				Trigger: t.Res.Name,
-				Kind:    kind,
+				Kind:    ph.name,
 				AtNs:    h.At.UnixNano(),
 			})
 		}
 	}
 	return nil
-}
-
-// evalBits evaluates the §5 disjointness masks this trigger's
-// expression depends on for the happening's kind, producing the mask
-// valuation bits of the symbol. Foreign triggers' bits are left zero —
-// this trigger's automaton provably does not distinguish them.
-func (tx *Tx) evalBits(c *Class, d *dispatchEntry, kindIx int, h event.Happening,
-	act *store.TrigState, oid store.OID, rec *store.Record) (uint32, error) {
-	if d.used == 0 {
-		return 0, nil
-	}
-	if err := d.t.checkParams(act); err != nil {
-		return 0, err
-	}
-	return tx.evalBitsMask(c, d.t.Res.Params, d.progs, d.used, kindIx, h, act.Params, oid, rec, d.t.met)
 }
 
 // checkParams guards the compiled programs' indexed parameter loads: an
@@ -359,62 +455,35 @@ func (t *Trigger) checkParams(act *store.TrigState) error {
 	return nil
 }
 
-// evalBitsMask evaluates exactly the mask bits in used. The compiled
-// programs run when available (progs[bit] resolved at registration);
-// under Options.InterpretedMasks each bit goes to the AST interpreter,
-// the semantic oracle, which reads the same two parameter rows and
-// resolves names against the declarations per lookup. trigNames and trig
-// — the activation's parameters in declared order — are nil under
-// combined monitoring (it forbids trigger parameters), as is met
-// (combined monitoring evaluates the class-wide bit union, which
-// belongs to no single trigger).
-func (tx *Tx) evalBitsMask(c *Class, trigNames []string, progs []*mask.Program, used uint32, kindIx int, h event.Happening,
-	trig []value.Value, oid store.OID, rec *store.Record, met *obs.TriggerMetrics) (uint32, error) {
-	if used == 0 {
-		return 0, nil
+// interpretBits is mask.EvalBits by the AST interpreter: the same
+// verdict bits and counts for entry d's used masks, with names resolved
+// against the declarations per lookup. It is the reference the compiled
+// programs are tested against (Engine.interpretMasks).
+func (tx *Tx) interpretBits(c *Class, ph *phase, d *dispatchEntry, h *event.Happening,
+	trig []value.Value, oid store.OID, rec *store.Record) (bits, evals, falses uint32, err error) {
+	masks := c.Res.Alphabet.Kinds[ph.kindIx].Masks
+	env := maskEnv{
+		tx: tx, self: oid, rec: rec, cls: c,
+		evm: c.Schema.Method(h.Kind.Method), params: h.Params,
+		trigNames: d.t.Res.Params, trig: trig,
 	}
-	var bits uint32
-	masks := c.Res.Alphabet.Kinds[kindIx].Masks
-	compiled := progs != nil && !tx.e.interpretMasks
 	for bit := range masks {
-		if used&(1<<bit) == 0 {
+		if d.used&(1<<bit) == 0 {
 			continue
 		}
-		tx.e.stats.maskEvals.Add(1)
-		var ok bool
-		var err error
-		if compiled && progs[bit] != nil {
-			// The Tx's progHost is reused by address (the Host
-			// interface conversion must not allocate); save/restore by
-			// value keeps nested evaluations — a mask calling a read
-			// method whose postings evaluate further masks — correct.
-			saved := tx.penv
-			tx.penv = progHost{tx: tx, self: oid, rec: rec, cls: c}
-			ok, err = progs[bit].EvalBool(h.Params, trig, &tx.penv)
-			tx.penv = saved
-		} else {
-			env := &maskEnv{
-				tx:        tx,
-				self:      oid,
-				rec:       rec,
-				cls:       c,
-				evm:       c.Schema.Method(h.Kind.Method),
-				params:    h.Params,
-				rename:    masks[bit].Rename,
-				trigNames: trigNames,
-				trig:      trig,
-			}
-			ok, err = masks[bit].Expr.EvalBool(env)
-		}
+		env.rename = masks[bit].Rename
+		evals++
+		ok, err := masks[bit].Expr.EvalBool(&env)
 		if err != nil {
-			return 0, err
+			return 0, evals, falses, err
 		}
-		met.MaskEval(ok)
 		if ok {
 			bits |= 1 << bit
+		} else {
+			falses++
 		}
 	}
-	return bits, nil
+	return bits, evals, falses, nil
 }
 
 // shadowCheck re-evaluates the trigger's event expression over the
@@ -439,7 +508,7 @@ func (e *Engine) shadowCheck(oid store.OID, t *Trigger, act *store.TrigState, ac
 	return nil
 }
 
-func (e *Engine) recordHappening(oid store.OID, h event.Happening) {
+func (e *Engine) recordHappening(oid store.OID, h *event.Happening) {
 	// Written once at open, read per happening: an atomic pointer, not
 	// a mutex, so recording never serializes parallel posters.
 	book := e.book.Load()

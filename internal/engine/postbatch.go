@@ -3,24 +3,19 @@ package engine
 import (
 	"fmt"
 
-	"ode/internal/event"
-	"ode/internal/mask"
-	"ode/internal/obs"
-	"ode/internal/schema"
 	"ode/internal/store"
 	"ode/internal/value"
 )
 
-// Batch posting: the one-at-a-time hot path (tx.Call → step) already
-// avoids allocation, but it still pays per-happening costs that only
-// exist because each call arrives alone — an atomic metric update per
-// step and per mask evaluation, a flight record per happening, and
-// repeated method/kind resolution. PostBatch amortizes all of them: a
-// Batch is a columnar run of method calls against objects of one class,
-// and posting it resolves each distinct method once into a cached plan
-// (declaration, implementation, dispatch slices, kind ids), then streams the entries
-// through a tight loop that accumulates metrics in plain integers and
-// flushes them once per batch.
+// Batch posting: a Tx.Call pays per-happening costs that only exist
+// because each call arrives alone — an atomic metric update per step and
+// per mask evaluation, a flight record per happening, a clock read and
+// a method-name lookup per call. PostBatch amortizes them: a Batch is a
+// columnar run of method calls against objects of one class, and
+// posting it resolves each distinct method once to the class's call
+// plan, then runs every entry through the same Tx.call as Tx.Call does,
+// with meters that accumulate the counts in plain integers and flush
+// them once per batch.
 //
 // Semantics are exactly those of calling tx.Call for each entry in
 // order and discarding the results: identical happenings, firing
@@ -44,12 +39,21 @@ type Batch struct {
 	// it so the per-entry footprint stays fixed-width.
 	methods []string
 
-	// Cached posting plan, rebuilt lazily when the batch first meets an
-	// engine/class or after new methods were interned. Reset keeps it.
+	// plan resolves each interned method against the engine/class pair
+	// the batch last met, rebuilt when either changes or new methods
+	// were interned. Reset keeps it.
 	planE *Engine
 	planC *Class
-	planN int
-	plan  []batchMethod
+	plan  []batchCall
+}
+
+// batchCall is one interned method's class call plan (nil: the class
+// has no such method — reported when the first entry using it executes,
+// the position tx.Call would report it from) and the meters of its two
+// phases.
+type batchCall struct {
+	*call
+	before, after meter
 }
 
 // NewBatch returns an empty batch for objects of the named class, with
@@ -106,78 +110,6 @@ func (b *Batch) Reset() {
 	b.argOff = b.argOff[:1]
 }
 
-// batchPhase is the posting plan for one phase (before/after) of one
-// method: the resolved kind, its dispatch slice, and per-dispatch-entry
-// metric accumulators that flush once per batch.
-type batchPhase struct {
-	kind    event.Kind
-	kindIx  int
-	kindID  uint16
-	entries []dispatchEntry // aliases the class dispatch table
-	// count is the happenings of this kind the batch posted, flushed as
-	// one StageBatch flight summary (per-event stamping would dominate
-	// the loop; see obs.StageBatch).
-	count uint64
-	// Parallel to entries; flushed to each trigger's metrics and zeroed
-	// by flushBatch.
-	steps, evals, falses []uint64
-}
-
-// batchMethod is the cached posting plan for one interned method.
-type batchMethod struct {
-	m             *schema.Method
-	impl          MethodImpl
-	before, after batchPhase
-	// err records a plan-time failure (unknown method, kind outside the
-	// alphabet), reported when the first entry using the method
-	// executes — the position tx.Call would report it from. errStep
-	// marks errors tx.Call surfaces through propagate (aborting).
-	err     error
-	errStep bool
-}
-
-// batchCounters accumulates the engine-wide statistics one PostBatch
-// call generates, flushed with one atomic add per counter.
-type batchCounters struct {
-	happenings, steps, maskEvals, provSteps uint64
-}
-
-// buildPlan resolves every interned method against the engine/class
-// pair. Plan errors are recorded per method, not returned: a batch may
-// carry entries for a bad method that execution never reaches.
-func (b *Batch) buildPlan(e *Engine, c *Class) {
-	b.planE, b.planC, b.planN = e, c, len(b.methods)
-	b.plan = make([]batchMethod, len(b.methods))
-	for i, name := range b.methods {
-		bm := &b.plan[i]
-		m := c.Schema.Method(name)
-		if m == nil {
-			bm.err = fmt.Errorf("engine: class %s has no method %q", c.Schema.Name, name)
-			continue
-		}
-		bm.m = m
-		bm.impl = c.Impl.Methods[name]
-		bm.before.kind = event.MethodKind(event.Before, name)
-		bm.after.kind = event.MethodKind(event.After, name)
-		for _, ph := range [...]*batchPhase{&bm.before, &bm.after} {
-			kix := c.Res.Alphabet.KindIndex(ph.kind)
-			if kix < 0 {
-				// Unreachable for a schema method (the alphabet carries a
-				// before/after pair per method), but keep step()'s report.
-				bm.err = fmt.Errorf("engine: class %s cannot experience %s", c.Schema.Name, ph.kind)
-				bm.errStep = true
-				break
-			}
-			ph.kindIx = kix
-			ph.kindID = c.kindIDs[kix]
-			ph.entries = c.dispatch[kix]
-			ph.steps = make([]uint64, len(ph.entries))
-			ph.evals = make([]uint64, len(ph.entries))
-			ph.falses = make([]uint64, len(ph.entries))
-		}
-	}
-}
-
 // PostBatch executes the batch's method calls in order within this
 // transaction, exactly as tx.Call would, stopping at the first error.
 // Return values of the methods are discarded. See Batch for the
@@ -191,89 +123,42 @@ func (tx *Tx) PostBatch(b *Batch) error {
 	if c == nil {
 		return fmt.Errorf("engine: unregistered class %q", b.class)
 	}
-	if c.monitor != nil || tx.e.interpretMasks {
-		// Combined monitoring and interpreted masks take paths the batch
-		// plan does not compile; fall back to the definitionally
-		// equivalent loop.
-		return tx.postBatchSlow(b)
-	}
-	if b.planE != tx.e || b.planC != c || b.planN != len(b.methods) {
-		b.buildPlan(tx.e, c)
+	if b.planE != tx.e || b.planC != c || len(b.plan) != len(b.methods) {
+		b.planE, b.planC = tx.e, c
+		b.plan = make([]batchCall, len(b.methods))
+		for i, name := range b.methods {
+			b.plan[i].call = c.calls[name]
+		}
 	}
 
 	// One timestamp per batch: the virtual clock only advances between
 	// transactions, so every happening of this transaction already
 	// shares it.
 	now := tx.e.clk.Now()
-	txid := tx.tx.ID()
-	var bc batchCounters
-	defer tx.flushBatch(c, b, &bc, now.UnixNano(), txid)
-	base := len(tx.evArena)
-	defer func() { tx.evArena = tx.evArena[:base] }()
-
-	for i := range b.oids {
-		bm := &b.plan[b.meth[i]]
+	defer func() {
+		for i := range b.plan {
+			if bc := &b.plan[i]; bc.call != nil {
+				tx.flush(c, bc.call.before, &bc.before, now.UnixNano())
+				tx.flush(c, bc.call.after, &bc.after, now.UnixNano())
+			}
+		}
+	}()
+	for i, oid := range b.oids {
 		// Access first, as tx.Call does: an entry that fails any check
 		// below has still first-accessed its object.
-		rec, err := tx.batchAccess(b.oids[i])
+		rec, err := tx.batchAccess(oid)
 		if err != nil {
 			return err
 		}
 		if rec.Class != b.class {
 			return fmt.Errorf("engine: batch for class %s posted to object %d of class %s",
-				b.class, b.oids[i], rec.Class)
+				b.class, oid, rec.Class)
 		}
-		if bm.err != nil {
-			if bm.errStep {
-				return tx.propagate(bm.err)
-			}
-			return bm.err
+		bc := &b.plan[b.meth[i]]
+		if bc.call == nil {
+			return fmt.Errorf("engine: class %s has no method %q", b.class, b.methods[b.meth[i]])
 		}
-		// Each entry's arguments are one row of the Tx's arena, as in
-		// tx.Call; the next entry reuses the region.
-		tx.evArena = tx.evArena[:base]
-		row, err := tx.bindArgs(bm.m, b.args[b.argOff[i]:b.argOff[i+1]])
-		if err != nil {
-			return fmt.Errorf("engine: %s.%s %w", rec.Class, bm.m.Name, err)
-		}
-
-		h := event.Happening{
-			Kind:   bm.before.kind,
-			Params: row,
-			TxID:   txid,
-			At:     now,
-		}
-		// A phase no trigger listens on and no observer (history book,
-		// tracer) can see reduces to its counters; skipping the full step
-		// saves real time on before-kinds, which most triggers ignore.
-		if len(bm.before.entries) == 0 && tx.e.book.Load() == nil && tx.e.traceBox.Load() == nil {
-			bc.happenings++
-			bm.before.count++
-		} else if err := tx.stepBatch(c, &bm.before, b.oids[i], rec, &h, &bc); err != nil {
-			return tx.propagate(err)
-		}
-
-		if _, err := tx.invoke(bm.impl, b.oids[i], bm.m, row); err != nil {
-			return tx.propagate(err)
-		}
-
-		h.Kind = bm.after.kind
-		if len(bm.after.entries) == 0 && tx.e.book.Load() == nil && tx.e.traceBox.Load() == nil {
-			bc.happenings++
-			bm.after.count++
-		} else if err := tx.stepBatch(c, &bm.after, b.oids[i], rec, &h, &bc); err != nil {
-			return tx.propagate(err)
-		}
-	}
-	return nil
-}
-
-// postBatchSlow executes the batch through the one-at-a-time path —
-// the semantic definition of PostBatch.
-func (tx *Tx) postBatchSlow(b *Batch) error {
-	for i := range b.oids {
-		args := b.args[b.argOff[i]:b.argOff[i+1]]
-		if _, err := tx.Call(b.oids[i], b.methods[b.meth[i]], args...); err != nil {
+		if _, err := tx.call(c, bc.call, oid, rec, b.args[b.argOff[i]:b.argOff[i+1]], now, &bc.before, &bc.after); err != nil {
 			return err
 		}
 	}
@@ -294,174 +179,4 @@ func (tx *Tx) batchAccess(oid store.OID) (*store.Record, error) {
 	}
 	tx.cachedOID, tx.cachedRec = oid, rec
 	return rec, nil
-}
-
-// stepBatch is step() specialized to a prepared batchPhase: the kind is
-// pre-resolved, the dispatch slice is hoisted, mask programs evaluate
-// through mask.EvalBits, and metrics accumulate in the phase/counter
-// scratch instead of paying atomic updates per happening. Combined
-// monitoring and onlyTrigger delivery never reach here (PostBatch and
-// cohort timer delivery route monitored classes through the per-call
-// paths; 'after' one-shots post one-at-a-time via postTimer).
-func (tx *Tx) stepBatch(c *Class, ph *batchPhase, oid store.OID, rec *store.Record,
-	h *event.Happening, bc *batchCounters) error {
-	tx.e.recordHappening(oid, *h)
-	bc.happenings++
-	ph.count++
-	tx.e.traceHappening(h.TxID, oid, rec.Class, h.Kind)
-	rec.Slots()
-
-	base := len(tx.fired)
-	for i := range ph.entries {
-		d := &ph.entries[i]
-		t := d.t
-		act := &rec.Trigs[t.slot]
-		if !act.Active {
-			continue
-		}
-		var bits uint32
-		if d.used != 0 {
-			if err := t.checkParams(act); err != nil {
-				tx.fired = tx.fired[:base]
-				return fmt.Errorf("engine: trigger %s mask: %w", t.Res.Name, err)
-			}
-			saved := tx.penv
-			tx.penv = progHost{tx: tx, self: oid, rec: rec, cls: c}
-			got, evals, falses, err := mask.EvalBits(d.progs, d.used, h.Params, act.Params, &tx.penv)
-			tx.penv = saved
-			ph.evals[i] += uint64(evals)
-			ph.falses[i] += uint64(falses)
-			bc.maskEvals += uint64(evals)
-			if err != nil {
-				tx.fired = tx.fired[:base]
-				return fmt.Errorf("engine: trigger %s mask: %w", t.Res.Name, err)
-			}
-			bits = got
-			tx.e.traceMask(h.TxID, oid, rec.Class, t.Res.Name, d.used, bits)
-		}
-		sym := c.Res.Alphabet.Symbol(ph.kindIx, bits)
-
-		var prev, next int
-		if t.View == schema.WholeView {
-			key := instanceKey{oid, t.Res.Name}
-			tx.e.wholeMu.Lock()
-			cur, ok := tx.e.whole[key]
-			if !ok {
-				cur = t.Auto.Start()
-			}
-			prev = cur
-			next = t.Auto.Next(cur, sym)
-			tx.e.whole[key] = next
-			if tx.e.shadowOracle {
-				tx.e.wholeShadow[key] = append(tx.e.wholeShadow[key], sym)
-			}
-			tx.e.wholeMu.Unlock()
-		} else {
-			prev = act.State
-			next = t.Auto.Next(act.State, sym)
-			if next != prev || tx.e.shadowOracle {
-				// First in-place mutation of a lazily accessed record:
-				// register it (idempotent after the first call).
-				// Self-looping instances skip this entirely — the record is
-				// bit-identical after the step, so it needs no undo entry
-				// and no comparison at commit.
-				if tx.lazyAccess {
-					if _, _, err := tx.tx.Access(oid); err != nil {
-						tx.fired = tx.fired[:base]
-						return err
-					}
-				}
-				act.State = next
-				if tx.e.shadowOracle {
-					act.Shadow = append(act.Shadow, sym)
-				}
-			}
-		}
-		bc.steps++
-		ph.steps[i]++
-		accepted := t.Auto.Accept(next)
-		if next != prev || accepted {
-			if tx.e.provAppend(rec, t.slot, obs.ProvStep{
-				TxID: h.TxID, AtNs: h.At.UnixNano(),
-				KindID: ph.kindID, Bits: bits, Sym: sym,
-				From: prev, To: next, Accepted: accepted,
-			}) {
-				bc.provSteps++
-			}
-		}
-		tx.e.traceStep(h.TxID, oid, rec.Class, t.Res.Name, prev, next, accepted)
-		if tx.e.shadowOracle {
-			if err := tx.e.shadowCheck(oid, t, act, accepted); err != nil {
-				tx.fired = tx.fired[:base]
-				return err
-			}
-		}
-		if accepted {
-			tx.fired = append(tx.fired, t)
-		}
-	}
-
-	fired := tx.fired[base:]
-	if len(fired) == 0 {
-		tx.fired = tx.fired[:base]
-		return nil
-	}
-	if tx.lazyAccess {
-		// The object may be pristine — an accepting self-loop — and the
-		// deactivation below mutates it in place: register it first.
-		if _, _, err := tx.tx.Access(oid); err != nil {
-			tx.fired = tx.fired[:base]
-			return err
-		}
-	}
-	for _, t := range fired {
-		if !t.Res.Perpetual {
-			rec.Trigs[t.slot].Active = false
-			tx.e.timers.disarm(oid, t)
-		}
-	}
-	err := tx.fire(oid, rec, c, *h, c.kindNames[ph.kindIx], fired)
-	tx.fired = tx.fired[:base]
-	// Actions run arbitrary engine operations; drop the record cache
-	// rather than reason about what they touched.
-	tx.cachedRec = nil
-	return err
-}
-
-// flushBatch publishes the batch's accumulated statistics — one atomic
-// add per engine counter, one per (trigger, phase) metric stream — and
-// the per-phase StageBatch flight summaries.
-func (tx *Tx) flushBatch(c *Class, b *Batch, bc *batchCounters, atNs int64, txid uint64) {
-	if bc.happenings != 0 {
-		tx.e.stats.happenings.Add(bc.happenings)
-		c.met.HappeningN(bc.happenings)
-	}
-	if bc.steps != 0 {
-		tx.e.stats.steps.Add(bc.steps)
-	}
-	if bc.maskEvals != 0 {
-		tx.e.stats.maskEvals.Add(bc.maskEvals)
-	}
-	if bc.provSteps != 0 {
-		tx.e.stats.provSteps.Add(bc.provSteps)
-	}
-	for pi := range b.plan {
-		bm := &b.plan[pi]
-		for _, ph := range [...]*batchPhase{&bm.before, &bm.after} {
-			if ph.count != 0 {
-				tx.e.flightBatch(atNs, txid, c.nameID, ph.kindID, ph.count)
-				ph.count = 0
-			}
-			for i := range ph.entries {
-				if ph.steps[i] != 0 {
-					ph.entries[i].t.met.StepN(ph.steps[i])
-					ph.steps[i] = 0
-				}
-				if ph.evals[i] != 0 || ph.falses[i] != 0 {
-					ph.entries[i].t.met.MaskEvalN(ph.evals[i], ph.falses[i])
-					ph.evals[i], ph.falses[i] = 0, 0
-				}
-			}
-		}
-	}
 }

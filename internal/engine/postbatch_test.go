@@ -102,7 +102,8 @@ func runBatchWorkload(t *testing.T, ops []batchScriptOp, mode string, interprete
 			return nil
 		}
 	}
-	e := newEngine(t, Options{ShadowOracle: true, InterpretedMasks: interpreted})
+	e := newEngine(t, Options{ShadowOracle: true})
+	e.interpretMasks = interpreted
 	if _, err := e.RegisterClass(cls, impl, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -227,8 +228,8 @@ func runBatchWorkload(t *testing.T, ops []batchScriptOp, mode string, interprete
 // identical to issuing its calls one at a time — same firing sequence,
 // final object states, trigger automaton states and provenance chains
 // — with the §4 shadow oracle validating every automaton transition in
-// both runs. A third run posts the batches through the interpreted-
-// mask slow path, pinning the fast path to the semantic baseline.
+// both runs. A third run posts the batches with masks evaluated by the
+// AST interpreter, pinning the compiled programs to their reference.
 func TestPostBatchEquivalence(t *testing.T) {
 	for _, seed := range []int64{7, 92, 4711} {
 		ops := genBatchScript(seed, 120)

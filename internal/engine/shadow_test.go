@@ -222,7 +222,8 @@ func TestRetainedEventParamsAreDetached(t *testing.T) {
 		v value.Value
 	}
 	run := func(t *testing.T, interpreted, batch bool) ([]string, []kept) {
-		e := newEngine(t, Options{InterpretedMasks: interpreted})
+		e := newEngine(t, Options{})
+		e.interpretMasks = interpreted
 		var log []string
 		var retained []kept
 		cls := &schema.Class{

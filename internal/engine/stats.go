@@ -77,9 +77,8 @@ type Stats struct {
 	// AutomatonTriggers counts registered triggers stepping a compact
 	// table; AutomatonTables counts the distinct hash-consed tables they
 	// share in this engine, and AutomatonTableBytes is the resident
-	// footprint of those tables plus any combined monitors. Unlike the
-	// counters above these describe current registrations, not
-	// cumulative activity.
+	// footprint of those tables. Unlike the counters above these
+	// describe current registrations, not cumulative activity.
 	AutomatonTriggers   uint64
 	AutomatonTables     uint64
 	AutomatonTableBytes uint64

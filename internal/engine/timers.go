@@ -19,12 +19,11 @@ import (
 // OBJECT of a class on the same canonical specification comes due at
 // the same tick. The table exploits that with cohorts: one clock timer
 // per (class, spec, phase) holding the member OID set, instead of one
-// timer + closure per object. A due cohort delivers its tick through
-// the columnar stepBatch path in one system transaction per (class,
-// tick) — see timerbatch.go. 'after' is relative to the arming of the
-// trigger (§3.1: "scheduled to occur after a specified period ... when
-// the trigger is armed"), so it stays per (object, trigger) and its
-// happening is delivered only to that trigger.
+// timer + closure per object. A due cohort delivers its tick in one
+// system transaction per (class, tick) — see timerbatch.go. 'after' is
+// relative to the arming of the trigger (§3.1: "scheduled to occur after
+// a specified period ... when the trigger is armed"), so it stays per
+// (object, trigger) and its happening is delivered only to that trigger.
 //
 // Options.PerObjectTimers restores the pre-cohort layout — one shared
 // timer per (object, spec) delivering one system transaction per
@@ -76,7 +75,7 @@ type cohortKey struct {
 }
 
 // cohort is one shared wheel entry: the member set, the armed clock
-// timer, and the cached columnar delivery plan (timerbatch.go).
+// timer, and the meter of its deliveries (timerbatch.go).
 type cohort struct {
 	ck       cohortKey
 	mode     evlang.TimeMode
@@ -86,12 +85,11 @@ type cohort struct {
 	// members maps each member OID to the trigger names holding a
 	// reference to the spec (all of them observe the same instant).
 	members map[store.OID]map[string]bool
-	// scratch is the due-snapshot buffer, reused tick to tick; ph/phC
-	// cache the delivery plan. Both are touched only by the clock-
-	// advancing goroutine.
+	// scratch is the due-snapshot buffer and m the delivery's meter,
+	// both reused tick to tick and touched only by the clock-advancing
+	// goroutine.
 	scratch []store.OID
-	ph      *batchPhase
-	phC     *Class
+	m       meter
 }
 
 func newTimerTable(e *Engine, perObject bool) *timerTable {
@@ -111,16 +109,16 @@ func (tt *timerTable) arm(oid store.OID, c *Class, t *Trigger) {
 	for _, req := range t.Res.Timers {
 		switch req.Mode {
 		case evlang.TimeAfter:
-			tt.armAfter(oid, t.Res.Name, req)
+			tt.armAfter(oid, t, req)
 		default:
 			tt.armShared(oid, c, t.Res.Name, req)
 		}
 	}
 }
 
-func (tt *timerTable) armAfter(oid store.OID, trig string, req evlang.TimerReq) {
+func (tt *timerTable) armAfter(oid store.OID, t *Trigger, req evlang.TimerReq) {
 	id := tt.e.clk.After(req.Spec.Period(), func(time.Time) {
-		tt.e.postTimer(oid, req.Key, trig)
+		tt.e.postTimer(oid, req.Key, t)
 	})
 	tt.mu.Lock()
 	shots := tt.oneShots[oid]
@@ -128,7 +126,7 @@ func (tt *timerTable) armAfter(oid store.OID, trig string, req evlang.TimerReq) 
 		shots = map[string][]clock.TimerID{}
 		tt.oneShots[oid] = shots
 	}
-	shots[trig] = append(shots[trig], id)
+	shots[t.Res.Name] = append(shots[t.Res.Name], id)
 	tt.mu.Unlock()
 }
 
@@ -219,10 +217,9 @@ func (tt *timerTable) removeCohortLocked(co *cohort) {
 	delete(tt.cohorts, co.ck)
 }
 
-// fireCohort snapshots the due members and delivers the tick through
-// the columnar batch path (timerbatch.go). Members are delivered in
-// ascending OID order — the deterministic order the cohort-vs-
-// per-object equivalence proof pins.
+// fireCohort snapshots the due members and delivers the tick
+// (timerbatch.go). Members are delivered in ascending OID order — the
+// deterministic order the cohort-vs-per-object equivalence proof pins.
 func (tt *timerTable) fireCohort(co *cohort) {
 	tt.mu.Lock()
 	if co.canceled || len(co.members) == 0 {
@@ -263,7 +260,7 @@ func (tt *timerTable) armSharedLegacy(oid store.OID, trig string, req evlang.Tim
 			dead := st.canceled
 			tt.mu.Unlock()
 			if !dead {
-				tt.e.postTimer(oid, req.Key, "")
+				tt.e.postTimer(oid, req.Key, nil)
 			}
 		})
 	case evlang.TimeAt:
@@ -288,7 +285,7 @@ func (tt *timerTable) scheduleAtLocked(sk sharedKey, st *sharedTimer, req evlang
 		if dead {
 			return
 		}
-		tt.e.postTimer(sk.oid, req.Key, "")
+		tt.e.postTimer(sk.oid, req.Key, nil)
 		tt.mu.Lock()
 		if !st.canceled {
 			tt.scheduleAtLocked(sk, st, req)
@@ -401,26 +398,26 @@ func (tt *timerTable) disarmObject(oid store.OID) {
 }
 
 // postTimer delivers a time event to one object from a system
-// transaction (time events belong to no user transaction). An empty
-// onlyTrigger delivers to every active trigger of the object. This is
-// the per-object path: 'after' one-shots, the PerObjectTimers
-// baseline, classes outside the batch plan's reach, and the error-
-// recovery fallback of cohort delivery all come through here.
-func (e *Engine) postTimer(oid store.OID, key string, onlyTrigger string) {
+// transaction of its own (time events belong to no user transaction);
+// a nil only delivers to every active trigger of the object. 'after'
+// one-shots, the PerObjectTimers layout and the re-delivery of a cohort
+// tick that failed all come through here.
+func (e *Engine) postTimer(oid store.OID, key string, only *Trigger) {
 	if !e.st.Exists(oid) {
 		return
 	}
+	onlyName := ""
+	if only != nil {
+		onlyName = only.Res.Name
+	}
 	e.stats.timerPosts.Add(1)
-	e.traceTimer(oid, key, onlyTrigger)
+	e.traceTimer(oid, key, onlyName)
 	sys := e.beginSystem()
 	rec, err := sys.access(oid)
-	if err != nil {
-		sys.doAbort()
-		e.recordTimerErr(fmt.Errorf("engine: timer %q on object %d: %w", key, oid, err))
-		return
+	if err == nil {
+		_, err = sys.post(oid, rec, event.TimerKind(key), 0, only)
 	}
-	h := event.Happening{Kind: event.TimerKind(key), At: e.clk.Now()}
-	if _, err := sys.step(oid, rec, h, onlyTrigger); err != nil {
+	if err != nil {
 		sys.doAbort()
 		e.recordTimerErr(fmt.Errorf("engine: timer %q on object %d: %w", key, oid, err))
 		return
@@ -459,7 +456,7 @@ func (tt *timerTable) reconcile(oid store.OID, c *Class, rec *store.Record) {
 		for _, req := range t.Res.Timers {
 			if req.Mode == evlang.TimeAfter {
 				if !tt.hasOneShots(instanceKey{oid, t.Res.Name}) {
-					tt.armAfter(oid, t.Res.Name, req)
+					tt.armAfter(oid, t, req)
 				}
 			} else {
 				tt.armShared(oid, c, t.Res.Name, req)

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"ode/internal/event"
 	"ode/internal/obs"
@@ -37,10 +38,10 @@ type Tx struct {
 	actCtx  ActionCtx      // action context storage (fire)
 
 	// lazyAccess marks a cohort timer delivery transaction: members are
-	// peeked, and stepBatch registers one with the txn layer (Access)
-	// only at its first in-place mutation or firing, so a member whose
-	// instances all self-loop never reaches the txn layer. Off (the
-	// default), batchAccess has already registered the object.
+	// peeked, and step registers one with the txn layer (Access) only at
+	// its first in-place mutation or firing, so a member whose instances
+	// all self-loop never reaches the txn layer. Off (the default), the
+	// caller has already accessed the object.
 	lazyAccess bool
 
 	// Single-entry record cache, primed only by PostBatch (batchAccess).
@@ -53,9 +54,34 @@ type Tx struct {
 	cachedOID store.OID
 	cachedRec *store.Record
 
-	// deleted lists the objects DeleteObject removed; a successful Commit
-	// frees their provenance (an abort resurrects them with it).
-	deleted []store.OID
+	// created and deleted list the objects NewObject made and
+	// DeleteObject removed. Their engine-side state (Engine.forget) dies
+	// with the outcome that makes them gone for good: an abort for the
+	// created, a successful Commit for the deleted (an abort resurrects
+	// those with it).
+	created, deleted []goneObj
+}
+
+// goneObj names an object by OID and class; once the object is gone the
+// store no longer can.
+type goneObj struct {
+	oid store.OID
+	c   *Class
+}
+
+// forget frees the engine-side state of an object that no longer
+// exists: its provenance rings and its whole-view automaton states.
+func (e *Engine) forget(g goneObj) {
+	e.provDrop(g.oid)
+	for _, t := range g.c.Triggers {
+		if t.View == schema.WholeView {
+			key := instanceKey{g.oid, t.Res.Name}
+			e.wholeMu.Lock()
+			delete(e.whole, key)
+			delete(e.wholeShadow, key)
+			e.wholeMu.Unlock()
+		}
+	}
 }
 
 // Begin starts a transaction.
@@ -122,16 +148,28 @@ func (tx *Tx) access(oid store.OID) (*store.Record, error) {
 		return nil, err
 	}
 	if first && !tx.tx.System() && !tx.tx.Created(oid) {
-		h := event.Happening{
-			Kind: event.Kind{Phase: event.After, Class: event.KTbegin},
-			TxID: tx.tx.ID(),
-			At:   tx.e.clk.Now(),
-		}
-		if _, err := tx.step(oid, rec, h, ""); err != nil {
+		if _, err := tx.post(oid, rec, event.Kind{Phase: event.After, Class: event.KTbegin}, tx.tx.ID(), nil); err != nil {
 			return nil, err
 		}
 	}
 	return rec, nil
+}
+
+// post delivers a happening that carries no parameters — an object or
+// transaction lifecycle event, a time event — to one object. ofTx is
+// the transaction the happening reports (0 for time events); only
+// restricts delivery to one trigger (see step).
+func (tx *Tx) post(oid store.OID, rec *store.Record, kind event.Kind, ofTx uint64, only *Trigger) (bool, error) {
+	c, err := tx.e.classOf(rec)
+	if err != nil {
+		return false, err
+	}
+	ph, err := c.phaseOf(kind)
+	if err != nil {
+		return false, err
+	}
+	h := event.Happening{Kind: kind, TxID: ofTx, At: tx.e.clk.Now()}
+	return tx.step(c, ph, oid, rec, &h, only, nil)
 }
 
 // NewObject creates an object of the class with the given fields
@@ -157,12 +195,8 @@ func (tx *Tx) NewObject(class string, fields map[string]value.Value) (store.OID,
 	if err != nil {
 		return 0, err
 	}
-	h := event.Happening{
-		Kind: event.Kind{Phase: event.After, Class: event.KCreate},
-		TxID: tx.tx.ID(),
-		At:   tx.e.clk.Now(),
-	}
-	if _, err := tx.step(rec.OID, rec, h, ""); err != nil {
+	tx.created = append(tx.created, goneObj{rec.OID, c})
+	if _, err := tx.post(rec.OID, rec, event.Kind{Phase: event.After, Class: event.KCreate}, tx.tx.ID(), nil); err != nil {
 		return 0, tx.propagate(err)
 	}
 	return rec.OID, nil
@@ -174,12 +208,11 @@ func (tx *Tx) DeleteObject(oid store.OID) error {
 	if err != nil {
 		return err
 	}
-	h := event.Happening{
-		Kind: event.Kind{Phase: event.Before, Class: event.KDelete},
-		TxID: tx.tx.ID(),
-		At:   tx.e.clk.Now(),
+	c, err := tx.e.classOf(rec)
+	if err != nil {
+		return err
 	}
-	if _, err := tx.step(oid, rec, h, ""); err != nil {
+	if _, err := tx.post(oid, rec, event.Kind{Phase: event.Before, Class: event.KDelete}, tx.tx.ID(), nil); err != nil {
 		return tx.propagate(err)
 	}
 	tx.e.timers.disarmObject(oid)
@@ -187,7 +220,7 @@ func (tx *Tx) DeleteObject(oid store.OID) error {
 	if err := tx.tx.Delete(oid); err != nil {
 		return err
 	}
-	tx.deleted = append(tx.deleted, oid)
+	tx.deleted = append(tx.deleted, goneObj{oid, c})
 	return nil
 }
 
@@ -203,38 +236,39 @@ func (tx *Tx) Call(oid store.OID, method string, args ...value.Value) (value.Val
 	if err != nil {
 		return value.Null(), err
 	}
-	m := c.Schema.Method(method)
-	if m == nil {
+	cl := c.calls[method]
+	if cl == nil {
 		return value.Null(), fmt.Errorf("engine: class %s has no method %q", rec.Class, method)
 	}
+	return tx.call(c, cl, oid, rec, args, tx.e.clk.Now(), nil, nil)
+}
+
+// call runs one resolved method call on an accessed object: the before
+// happening, the body, the after happening, all at database time at.
+// before and after are the meters of the two steps (nil: each publishes
+// its own counts).
+func (tx *Tx) call(c *Class, cl *call, oid store.OID, rec *store.Record, args []value.Value,
+	at time.Time, before, after *meter) (value.Value, error) {
 	// The coerced arguments are one row of the Tx's arena, in declared
 	// order: both postings, the method body and any action read that row
-	// (stack discipline: nested Calls append above us, the deferred
+	// (stack discipline: nested calls append above us, the deferred
 	// truncation releases our region on return).
 	base := len(tx.evArena)
 	defer func() { tx.evArena = tx.evArena[:base] }()
-	row, err := tx.bindArgs(m, args)
+	row, err := tx.bindArgs(cl.m, args)
 	if err != nil {
-		return value.Null(), fmt.Errorf("engine: %s.%s %w", rec.Class, method, err)
+		return value.Null(), fmt.Errorf("engine: %s.%s %w", rec.Class, cl.m.Name, err)
 	}
-
-	h := event.Happening{
-		Kind:   event.MethodKind(event.Before, method),
-		Params: row,
-		TxID:   tx.tx.ID(),
-		At:     tx.e.clk.Now(),
-	}
-	if _, err := tx.step(oid, rec, h, ""); err != nil {
+	h := event.Happening{Kind: cl.before.kind, Params: row, TxID: tx.tx.ID(), At: at}
+	if _, err := tx.step(c, cl.before, oid, rec, &h, nil, before); err != nil {
 		return value.Null(), tx.propagate(err)
 	}
-
-	out, err := tx.invoke(c.Impl.Methods[method], oid, m, row)
+	out, err := tx.invoke(cl.impl, oid, cl.m, row)
 	if err != nil {
 		return value.Null(), tx.propagate(err)
 	}
-
-	h.Kind, h.At = event.MethodKind(event.After, method), tx.e.clk.Now()
-	if _, err := tx.step(oid, rec, h, ""); err != nil {
+	h.Kind = cl.after.kind
+	if _, err := tx.step(c, cl.after, oid, rec, &h, nil, after); err != nil {
 		return out, tx.propagate(err)
 	}
 	return out, nil
@@ -395,12 +429,7 @@ func (tx *Tx) Commit() error {
 				if err != nil {
 					return tx.propagate(err)
 				}
-				h := event.Happening{
-					Kind: event.Kind{Phase: event.Before, Class: event.KTcomplete},
-					TxID: tx.tx.ID(),
-					At:   tx.e.clk.Now(),
-				}
-				f, err := tx.step(oid, rec, h, "")
+				f, err := tx.post(oid, rec, event.Kind{Phase: event.Before, Class: event.KTcomplete}, tx.tx.ID(), nil)
 				if err != nil {
 					return tx.propagate(err)
 				}
@@ -418,8 +447,8 @@ func (tx *Tx) Commit() error {
 		return err
 	}
 	tx.finished = true
-	for _, oid := range tx.deleted {
-		tx.e.provDrop(oid)
+	for _, g := range tx.deleted {
+		tx.e.forget(g)
 	}
 	if !tx.tx.System() {
 		tx.e.stats.txCommitted.Add(1)
@@ -464,14 +493,9 @@ func (tx *Tx) doAbort() {
 			if err != nil {
 				continue
 			}
-			h := event.Happening{
-				Kind: event.Kind{Phase: event.Before, Class: event.KTabort},
-				TxID: tx.tx.ID(),
-				At:   tx.e.clk.Now(),
-			}
 			// Errors during abort-path posting are swallowed: the
 			// transaction is aborting regardless.
-			_, _ = tx.step(oid, rec, h, "")
+			_, _ = tx.post(oid, rec, event.Kind{Phase: event.Before, Class: event.KTabort}, tx.tx.ID(), nil)
 		}
 	}
 	tx.cachedRec = nil // abort-path postings may have re-primed it
@@ -493,14 +517,16 @@ func (tx *Tx) doAbort() {
 		if !ok {
 			// The object no longer exists — it was created by this
 			// transaction and removed by the rollback; drop whatever
-			// the transaction armed and recorded on it.
+			// the transaction armed on it.
 			tx.e.timers.disarmObject(oid)
-			tx.e.provDrop(oid)
 			continue
 		}
 		if c, err := tx.e.classOf(rec); err == nil {
 			tx.e.timers.reconcile(oid, c, rec)
 		}
+	}
+	for _, g := range tx.created {
+		tx.e.forget(g) // and whatever it recorded on them
 	}
 
 	if !tx.tx.System() {
@@ -541,12 +567,7 @@ func (e *Engine) postOutcome(accessed []store.OID, class event.Class, phase even
 			sys.doAbort()
 			return err
 		}
-		h := event.Happening{
-			Kind: event.Kind{Phase: phase, Class: class},
-			TxID: ofTx,
-			At:   e.clk.Now(),
-		}
-		if _, err := sys.step(oid, rec, h, ""); err != nil {
+		if _, err := sys.post(oid, rec, event.Kind{Phase: phase, Class: class}, ofTx, nil); err != nil {
 			sys.doAbort()
 			return err
 		}

@@ -11,12 +11,10 @@ import (
 	"ode/internal/value"
 )
 
-// E12Row is one hot-path measurement: the same posting workload run
-// with compiled mask programs (the default) and with the AST
-// interpreter baseline (engine.Options.InterpretedMasks).
+// E12Row is one hot-path measurement.
 type E12Row struct {
 	Scenario    string  `json:"scenario"`
-	Mode        string  `json:"mode"` // "compiled" or "interpreted"
+	Mode        string  `json:"mode"` // always "compiled"; the committed BENCH_PR*.json rows carry it
 	Calls       int     `json:"calls"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
@@ -74,27 +72,24 @@ func e12Scenarios() []e12Scenario {
 	}
 }
 
-// RunE12 measures the posting hot path for each scenario under the
-// compiled and interpreted mask paths. Measurements are hand-rolled
-// (time + runtime.MemStats mallocs) so the workload package does not
-// import testing; BenchmarkEngineHotPath covers the same ground under
-// `go test -bench`.
+// RunE12 measures the posting hot path for each scenario.
+// Measurements are hand-rolled (time + runtime.MemStats mallocs) so the
+// workload package does not import testing; BenchmarkEngineHotPath
+// covers the same ground under `go test -bench`.
 func RunE12(calls int) ([]E12Row, error) {
-	rows := make([]E12Row, 0, 2*len(e12Scenarios()))
+	rows := make([]E12Row, 0, len(e12Scenarios()))
 	for _, sc := range e12Scenarios() {
-		for _, interpreted := range []bool{false, true} {
-			r, err := e12Measure(sc, interpreted, calls)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, r)
+		r, err := e12Measure(sc, calls)
+		if err != nil {
+			return nil, err
 		}
+		rows = append(rows, r)
 	}
 	return rows, nil
 }
 
-func e12Measure(sc e12Scenario, interpreted bool, calls int) (E12Row, error) {
-	eng, err := engine.New(engine.Options{InterpretedMasks: interpreted})
+func e12Measure(sc e12Scenario, calls int) (E12Row, error) {
+	eng, err := engine.New(engine.Options{})
 	if err != nil {
 		return E12Row{}, err
 	}
@@ -184,13 +179,9 @@ func e12Measure(sc e12Scenario, interpreted bool, calls int) (E12Row, error) {
 		}
 	}
 
-	mode := "compiled"
-	if interpreted {
-		mode = "interpreted"
-	}
 	return E12Row{
 		Scenario:    sc.name,
-		Mode:        mode,
+		Mode:        "compiled",
 		Calls:       calls,
 		NsPerOp:     bestNs,
 		AllocsPerOp: bestAllocs,

@@ -14,8 +14,8 @@ import (
 // every object arms the same canonical periodic heartbeat, and the
 // virtual clock then sweeps whole periods at once. The cohort layout
 // (the default) tracks all members of one (class, spec, phase) in a
-// single timing-wheel entry and delivers a due cohort through the
-// columnar stepBatch path in one system transaction per (class, tick);
+// single timing-wheel entry and delivers a due cohort in one system
+// transaction per (class, tick), its counts metered once per tick;
 // the per-object baseline (Options.PerObjectTimers) arms one clock
 // timer and runs one system transaction per object per tick. The
 // heartbeat spec is monitoring-shaped: `relative(every time(M=10),

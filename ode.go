@@ -188,11 +188,6 @@ type Options struct {
 	// ShadowOracle cross-checks every automaton transition against the
 	// paper's §4 denotational semantics at runtime (slow; for tests).
 	ShadowOracle bool
-	// CombinedAutomata monitors eligible classes (all triggers
-	// perpetual, committed-view, parameterless, no 'after'-timers) with
-	// one footnote-5 product automaton: one transition and one word of
-	// per-object state in total per posted event.
-	CombinedAutomata bool
 	// TraceBuffer > 0 enables pipeline tracing from startup with a ring
 	// buffer retaining that many events; < 0 uses the default capacity.
 	// Tracing can also be toggled later with EnableTracing.
@@ -201,11 +196,6 @@ type Options struct {
 	// endpoint on that address ("auto" binds a free localhost port;
 	// see Database.ServeDebug).
 	DebugAddr string
-	// InterpretedMasks evaluates trigger masks with the AST
-	// interpreter instead of the programs compiled at class
-	// registration — the baseline the compiled hot path is benchmarked
-	// and cross-checked against. Intended for tests and benchmarks.
-	InterpretedMasks bool
 	// FlightBuffer sizes the always-on flight recorder (rounded up to a
 	// power of two; 0 = the default capacity). The recorder cannot be
 	// disabled — it is the post-incident record of recent pipeline
@@ -237,16 +227,14 @@ type Database struct {
 // Open creates or reopens a database.
 func Open(opts Options) (*Database, error) {
 	eopts := engine.Options{
-		Dir:              opts.Dir,
-		Start:            opts.Start,
-		RecordHistories:  opts.RecordHistories,
-		ShadowOracle:     opts.ShadowOracle,
-		CombinedAutomata: opts.CombinedAutomata,
-		TraceBuffer:      opts.TraceBuffer,
-		DebugAddr:        opts.DebugAddr,
-		InterpretedMasks: opts.InterpretedMasks,
-		FlightBuffer:     opts.FlightBuffer,
-		ProvenanceDepth:  opts.ProvenanceDepth,
+		Dir:             opts.Dir,
+		Start:           opts.Start,
+		RecordHistories: opts.RecordHistories,
+		ShadowOracle:    opts.ShadowOracle,
+		TraceBuffer:     opts.TraceBuffer,
+		DebugAddr:       opts.DebugAddr,
+		FlightBuffer:    opts.FlightBuffer,
+		ProvenanceDepth: opts.ProvenanceDepth,
 	}
 	if opts.Partitions >= 2 {
 		parts, err := part.Open(part.Options{N: opts.Partitions, Dir: opts.Dir, Engine: eopts})
