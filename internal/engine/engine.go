@@ -577,7 +577,7 @@ func (e *Engine) TriggerState(oid store.OID, trigger string) (state int, active 
 		}
 		return t.Auto.Start(), act.Active, nil
 	}
-	return act.State, act.Active, nil
+	return int(act.State), act.Active, nil
 }
 
 // timerErrRingCap bounds the retained timer-delivery errors; older

@@ -169,7 +169,7 @@ func (e *Engine) Explain(trigger string, oid store.OID) (*Explanation, error) {
 	}
 	if act := rec.Trig(t.slot); !act.IsZero() {
 		ex.Active = act.Active
-		ex.State = act.State
+		ex.State = int(act.State)
 	}
 	if t.View == schema.WholeView {
 		e.wholeMu.Lock()

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -76,7 +77,7 @@ func TestExplainImageRace(t *testing.T) {
 					}
 					last[i] = bal
 					for _, a := range img.Trigs {
-						_, _, _ = a.Active, a.State, len(a.Params)
+						_, _, _ = a.Active, a.State, len(a.Params())
 					}
 					if _, err := e.Explain("Pair", oid); err != nil {
 						t.Error(err)
@@ -221,5 +222,46 @@ func TestDurableCommitLogsOnlyChanges(t *testing.T) {
 	}
 	if got := heapOf(e3.Store()); !reflect.DeepEqual(got, beforeLast) {
 		t.Fatalf("heap after torn recovery\n got %v\nwant %v", got, beforeLast)
+	}
+}
+
+// TestNaNFieldIsNotPerpetuallyDirty: commit decides what changed by
+// comparing content, and a float NaN is not == to itself as a float. A
+// read-only transaction on an object holding one must log no record and
+// publish no image.
+func TestNaNFieldIsNotPerpetuallyDirty(t *testing.T) {
+	dir := t.TempDir()
+	cls, impl := accountClass(&recorder{})
+	cls.Fields = append(cls.Fields, schema.Field{Name: "rate", Kind: value.KindFloat})
+	e := newEngine(t, Options{Dir: dir})
+	defer e.Close()
+	if _, err := e.RegisterClass(cls, impl, nil); err != nil {
+		t.Fatal(err)
+	}
+	var a store.OID
+	if err := e.Transact(func(tx *Tx) (err error) {
+		a, err = tx.NewObject("account", map[string]value.Value{"rate": value.Float(math.NaN())})
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	walSize := func() int64 {
+		fi, err := os.Stat(filepath.Join(dir, "wal.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	size, epoch := walSize(), e.Store().Epoch()
+	img, _ := e.Store().GetCommitted(a)
+	if err := e.Transact(func(tx *Tx) error {
+		_, err := tx.Call(a, "getBalance")
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := e.Store().GetCommitted(a); again != img || e.Store().Epoch() != epoch || walSize() != size {
+		t.Fatalf("a read-only transaction on an object holding a NaN: new image %v, epoch %d → %d, WAL %d → %d bytes",
+			again != img, epoch, e.Store().Epoch(), size, walSize())
 	}
 }

@@ -281,7 +281,7 @@ func (tx *Tx) step(c *Class, ph *phase, oid store.OID, rec *store.Record,
 			var evals, falses uint32
 			if err = t.checkParams(act); err == nil {
 				if e.interpretMasks {
-					bits, evals, falses, err = tx.interpretBits(c, ph, d, h, act.Params, oid, rec)
+					bits, evals, falses, err = tx.interpretBits(c, ph, d, h, act.Params(), oid, rec)
 				} else {
 					// The Tx's progHost is reused by address (the Host
 					// interface conversion must not allocate); save/restore
@@ -289,7 +289,7 @@ func (tx *Tx) step(c *Class, ph *phase, oid store.OID, rec *store.Record,
 					// read method — correct.
 					saved := tx.penv
 					tx.penv = progHost{tx: tx, self: oid, rec: rec, cls: c}
-					bits, evals, falses, err = mask.EvalBits(d.progs, d.used, h.Params, act.Params, &tx.penv)
+					bits, evals, falses, err = mask.EvalBits(d.progs, d.used, h.Params, act.Params(), &tx.penv)
 					tx.penv = saved
 				}
 			}
@@ -322,7 +322,7 @@ func (tx *Tx) step(c *Class, ph *phase, oid store.OID, rec *store.Record,
 			}
 			e.wholeMu.Unlock()
 		} else {
-			prev = act.State
+			prev = int(act.State)
 			next = t.Auto.Next(prev, sym)
 			if next != prev || e.shadowOracle {
 				// A self-looping instance leaves the record bit-identical,
@@ -335,9 +335,9 @@ func (tx *Tx) step(c *Class, ph *phase, oid store.OID, rec *store.Record,
 						break
 					}
 				}
-				act.State = next
+				act.State = int32(next)
 				if e.shadowOracle {
-					act.Shadow = append(act.Shadow, sym)
+					act.AppendShadow(sym)
 				}
 			}
 		}
@@ -411,7 +411,7 @@ func (tx *Tx) fire(c *Class, ph *phase, oid store.OID, rec *store.Record, h *eve
 		saved := tx.actCtx
 		tx.actCtx = ActionCtx{
 			Tx: tx, Self: oid, Trigger: t.Res.Name, EventKind: ph.name,
-			names: t.Res.Params, act: rec.Trigs[t.slot].Params,
+			names: t.Res.Params, act: rec.Trigs[t.slot].Params(),
 			evm: evm, ev: h.Params,
 		}
 		tx.e.stats.firings.Add(1)
@@ -448,9 +448,9 @@ func (tx *Tx) fire(c *Class, ph *phase, oid store.OID, rec *store.Record, h *eve
 // count (the class changed between restarts) must be re-activated, not
 // indexed.
 func (t *Trigger) checkParams(act *store.TrigState) error {
-	if len(act.Params) != len(t.Res.Params) {
+	if n := len(act.Params()); n != len(t.Res.Params) {
 		return fmt.Errorf("activation carries %d parameter(s), the declaration %d: re-activate the trigger",
-			len(act.Params), len(t.Res.Params))
+			n, len(t.Res.Params))
 	}
 	return nil
 }
@@ -498,7 +498,7 @@ func (e *Engine) shadowCheck(oid store.OID, t *Trigger, act *store.TrigState, ac
 		hist = append([]int(nil), e.wholeShadow[instanceKey{oid, t.Res.Name}]...)
 		e.wholeMu.Unlock()
 	} else {
-		hist = act.Shadow
+		hist = act.Shadow()
 	}
 	want := algebra.Occurs(t.Res.Expr, hist)
 	if want != accepted {

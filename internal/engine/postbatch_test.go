@@ -501,7 +501,7 @@ func TestPostBatchEpochRace(t *testing.T) {
 					if !ok {
 						continue // not yet published
 					}
-					bal := field(recd, "balance").I
+					bal := field(recd, "balance").AsInt()
 					if bal%20 != 0 {
 						errs <- fmt.Sprintf("reader saw un-committed intermediate balance %d", bal)
 						return
@@ -526,7 +526,7 @@ func TestPostBatchEpochRace(t *testing.T) {
 	}
 	for _, oid := range oids {
 		recd, ok := e.Store().GetCommitted(oid)
-		if !ok || field(recd, "balance").I != 1000+20*rounds {
+		if !ok || field(recd, "balance").AsInt() != 1000+20*rounds {
 			t.Fatalf("final committed balance = %+v (ok=%v), want %d", recd, ok, 1000+20*rounds)
 		}
 	}

@@ -367,11 +367,9 @@ func (tx *Tx) Activate(oid store.OID, trigger string, params ...value.Value) err
 	}
 	// A fresh Params slice every time: slices already installed are
 	// shared with committed images and never written (store.TrigState).
-	rec.Slots()[t.slot] = store.TrigState{
-		Active: true,
-		State:  t.Auto.Start(),
-		Params: append([]value.Value(nil), params...),
-	}
+	act := store.TrigState{Active: true, State: int32(t.Auto.Start())}
+	act.SetParams(append([]value.Value(nil), params...))
+	rec.Slots()[t.slot] = act
 	// Activation restarts the automaton, so the previous incarnation's
 	// provenance no longer explains the instance: reset its ring, if it
 	// ever recorded a step and so has one.
@@ -581,7 +579,7 @@ func coerce(v value.Value, kind value.Kind) (value.Value, error) {
 		return v, nil
 	}
 	if kind == value.KindFloat && v.Kind == value.KindInt {
-		return value.Float(float64(v.I)), nil
+		return value.Float(v.AsFloat()), nil
 	}
 	if v.IsNull() {
 		return v, nil

@@ -53,8 +53,8 @@ func (e *Engine) VerifyOracle() error {
 			if act.IsZero() {
 				continue // never activated
 			}
-			hist := act.Shadow
-			state := act.State
+			hist := act.Shadow()
+			state := int(act.State)
 			if t.View == schema.WholeView {
 				e.wholeMu.Lock()
 				hist = append([]int(nil), e.wholeShadow[instanceKey{oid, name}]...)

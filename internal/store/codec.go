@@ -249,23 +249,24 @@ func (e *encoder) record(b []byte, r *Record) []byte {
 		if t.Active {
 			flags |= trigActive
 		}
-		if len(t.Params) > 0 {
+		params, shadow := t.Params(), t.Shadow()
+		if len(params) > 0 {
 			flags |= trigHasParams
 		}
-		if len(t.Shadow) > 0 {
+		if len(shadow) > 0 {
 			flags |= trigHasShadow
 		}
 		b = append(b, flags)
 		b = binary.AppendVarint(b, int64(t.State))
-		if len(t.Params) > 0 {
-			b = binary.AppendUvarint(b, uint64(len(t.Params)))
-			for j := range t.Params {
-				b = e.value(b, &t.Params[j])
+		if len(params) > 0 {
+			b = binary.AppendUvarint(b, uint64(len(params)))
+			for j := range params {
+				b = e.value(b, &params[j])
 			}
 		}
-		if len(t.Shadow) > 0 {
-			b = binary.AppendUvarint(b, uint64(len(t.Shadow)))
-			for _, sym := range t.Shadow {
+		if len(shadow) > 0 {
+			b = binary.AppendUvarint(b, uint64(len(shadow)))
+			for _, sym := range shadow {
 				b = binary.AppendVarint(b, int64(sym))
 			}
 		}
@@ -278,30 +279,32 @@ func (e *encoder) value(b []byte, v *value.Value) []byte {
 	switch v.Kind {
 	case value.KindNull:
 	case value.KindInt:
-		b = binary.AppendVarint(b, v.I)
+		b = binary.AppendVarint(b, v.AsInt())
 	case value.KindFloat:
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.F))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.AsFloat()))
 	case value.KindBool:
-		if v.B {
+		if v.AsBool() {
 			b = append(b, 1)
 		} else {
 			b = append(b, 0)
 		}
 	case value.KindString:
-		b = binary.AppendUvarint(b, uint64(len(v.S)))
-		b = append(b, v.S...)
+		s := v.AsString()
+		b = binary.AppendUvarint(b, uint64(len(s)))
+		b = append(b, s...)
 	case value.KindTime:
-		b = binary.AppendVarint(b, v.T.Unix())
-		b = binary.AppendUvarint(b, uint64(v.T.Nanosecond()))
-		if v.T.Location() == time.UTC {
+		t := v.AsTime()
+		b = binary.AppendVarint(b, t.Unix())
+		b = binary.AppendUvarint(b, uint64(t.Nanosecond()))
+		if t.Location() == time.UTC {
 			b = append(b, zoneUTC)
 		} else {
-			_, off := v.T.Zone()
+			_, off := t.Zone()
 			b = append(b, zoneFixed)
 			b = binary.AppendVarint(b, int64(off))
 		}
 	case value.KindID:
-		b = binary.AppendUvarint(b, uint64(v.I))
+		b = binary.AppendUvarint(b, v.AsID())
 	default:
 		e.fail("value of unknown kind %d", int(v.Kind))
 	}
@@ -482,26 +485,32 @@ func (d *decoder) record() *Record {
 		ni := d.uvarint()
 		name := d.name(ni)
 		flags := d.byte()
-		t := TrigState{Active: flags&trigActive != 0, State: int(d.varint())}
+		state := d.varint()
 		if flags&^trigFlagsMask != 0 {
 			d.fail("trigger flags %#x", flags)
 		}
+		if state != int64(int32(state)) {
+			d.fail("trigger state %d", state)
+		}
+		var params []value.Value
 		if flags&trigHasParams != 0 {
 			if k := d.count(minValue); k > 0 {
-				t.Params = make([]value.Value, k)
-				for j := range t.Params {
-					t.Params[j] = d.value()
+				params = make([]value.Value, k)
+				for j := range params {
+					params[j] = d.value()
 				}
 			}
 		}
+		var shadow []int
 		if flags&trigHasShadow != 0 {
 			if k := d.count(minVarint); k > 0 {
-				t.Shadow = make([]int, k)
-				for j := range t.Shadow {
-					t.Shadow[j] = int(d.varint())
+				shadow = make([]int, k)
+				for j := range shadow {
+					shadow[j] = int(d.varint())
 				}
 			}
 		}
+		t := TrigState{Active: flags&trigActive != 0, State: int32(state), ext: newExt(params, shadow)}
 		if d.err != nil {
 			return nil
 		}
@@ -548,7 +557,7 @@ func (d *decoder) value() value.Value {
 			return value.Time(t.UTC())
 		case zoneFixed:
 			off := d.varint()
-			if off < math.MinInt32 || off > math.MaxInt32 {
+			if off < -value.MaxZoneOffset || off > value.MaxZoneOffset {
 				d.fail("zone offset %d", off)
 				break
 			}

@@ -17,6 +17,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"ode/internal/fault"
 	"ode/internal/value"
@@ -52,9 +53,9 @@ func renderValue(v value.Value) string {
 	s := v.String()
 	switch v.Kind {
 	case value.KindFloat:
-		s = strconv.FormatUint(math.Float64bits(v.F), 16)
+		s = strconv.FormatUint(math.Float64bits(v.AsFloat()), 16)
 	case value.KindTime:
-		s = v.T.Format(time.RFC3339Nano)
+		s = v.AsTime().Format(time.RFC3339Nano)
 	}
 	return v.Kind.String() + ":" + s
 }
@@ -69,8 +70,8 @@ func dumpRecord(r *Record) objectDump {
 		if t.IsZero() {
 			continue
 		}
-		td := trigDump{Active: t.Active, State: t.State, Shadow: append([]int(nil), t.Shadow...)}
-		for _, p := range t.Params {
+		td := trigDump{Active: t.Active, State: int(t.State), Shadow: append([]int(nil), t.Shadow()...)}
+		for _, p := range t.Params() {
 			td.Params = append(td.Params, renderValue(p))
 		}
 		o.Triggers[r.TrigName(slot)] = td
@@ -115,7 +116,7 @@ func richStore(t testing.TB, dir string, checkpointAfter int) storeDump {
 		"none": value.Null(), "at": value.Time(zoned), "utc": value.Time(zoned.UTC()), "peer": value.ID(uint64(b.OID)),
 	})
 	c := s.Create("other", map[string]value.Value{"f": value.Float(math.Inf(-1))})
-	*a.Trigger("Over") = TrigState{Active: true, State: 2, Params: []value.Value{value.Int(9), value.Str("p"), value.Time(zoned)}, Shadow: []int{1, 0, 3}}
+	*a.Trigger("Over") = TrigState{Active: true, State: 2, ext: newExt([]value.Value{value.Int(9), value.Str("p"), value.Time(zoned)}, []int{1, 0, 3})}
 	*a.Trigger("Off") = TrigState{State: 1}
 	*b.Trigger("Big") = TrigState{Active: true}
 	firing := func(r *Record, trig string, at int64) FiringRecord {
@@ -133,8 +134,8 @@ func richStore(t testing.TB, dir string, checkpointAfter int) storeDump {
 		func() ([]OID, []OID, []FiringRecord) { s.Delete(c.OID); return nil, []OID{c.OID}, nil },
 		func() ([]OID, []OID, []FiringRecord) {
 			b.Fields["bal"] = value.Int(3)
-			*b.Trigger("Over") = TrigState{Active: true, State: 1, Params: []value.Value{value.Float(0.5)}}
-			a.Trigger("Over").Shadow = append(a.Trigger("Over").Shadow, 2)
+			*b.Trigger("Over") = TrigState{Active: true, State: 1, ext: newExt([]value.Value{value.Float(0.5)}, nil)}
+			a.Trigger("Over").AppendShadow(2)
 			return []OID{a.OID, b.OID}, nil, []FiringRecord{firing(b, "Over", 7), firing(a, "Over", 8), firing(b, "Big", 9)}
 		},
 	} {
@@ -454,7 +455,7 @@ func TestValueRoundTrip(t *testing.T) {
 	}
 	s, _ := Open("")
 	r := s.Create("c", map[string]value.Value{})
-	r.Trigger("T").Params = vals
+	r.Trigger("T").SetParams(vals)
 	var enc encoder
 	enc.idx = map[string]int{}
 	frame, err := enc.tx(1, []*Record{r}, nil, nil)
@@ -465,17 +466,104 @@ func TestValueRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := tx.recs[0].Trigger("T").Params
+	got := tx.recs[0].Trigger("T").Params()
 	if len(got) != len(vals) {
 		t.Fatalf("decoded %d values, want %d", len(got), len(vals))
 	}
 	for i, v := range vals {
-		if renderValue(got[i]) != renderValue(v) || (!got[i].Equal(v) && !(v.Kind == value.KindFloat && math.IsNaN(v.F))) {
+		if renderValue(got[i]) != renderValue(v) || (!got[i].Equal(v) && !(v.Kind == value.KindFloat && math.IsNaN(v.AsFloat()))) {
 			t.Errorf("value %d: %s came back as %s", i, renderValue(v), renderValue(got[i]))
 		}
 	}
 	if _, err := enc.tx(1, []*Record{{Fields: map[string]value.Value{"x": {Kind: 42}}}}, nil, nil); err == nil {
 		t.Error("a value of unknown kind encoded; recovery could not read that frame")
+	}
+}
+
+// codecTimes are the shapes of time the format promises to keep — the
+// instant to the nanosecond and the offset from UTC — whatever a Value
+// holds in memory.
+func codecTimes() map[string]time.Time {
+	at := time.Date(2024, 2, 29, 23, 59, 58, 123456789, time.UTC)
+	return map[string]time.Time{
+		"utc":             at,
+		"local":           at.In(time.Local),
+		"whole hour":      at.In(time.FixedZone("CET", 3600)),
+		"+05:45":          at.In(time.FixedZone("", 5*3600+45*60)),
+		"odd seconds":     at.In(time.FixedZone("LMT", -(4*3600 + 56*60 + 2))),
+		"fixed zero":      at.In(time.FixedZone("", 0)),
+		"zero time":       {},
+		"year 9999":       time.Date(9999, 12, 31, 23, 59, 59, 0, time.UTC),
+		"last nanosecond": time.Date(1969, 12, 31, 23, 59, 59, 999999999, time.FixedZone("", -3600)),
+		"monotonic":       time.Now(),
+	}
+}
+
+// timeStore commits an object holding codecTimes into a fresh durable
+// store in dir, before and after a checkpoint, so that both files carry
+// them, and closes it.
+func timeStore(t testing.TB, dir string) {
+	t.Helper()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := map[string]value.Value{}
+	for name, at := range codecTimes() {
+		fields[name] = value.Time(at)
+	}
+	r := s.Create("clock", fields)
+	for _, step := range []func() error{
+		func() error { return s.LogCommit(1, []OID{r.OID}, nil, nil) },
+		s.Checkpoint,
+		func() error { return s.LogCommit(2, []OID{r.OID}, nil, nil) },
+		s.Close,
+	} {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestTimeBytesUnchanged: a time value encodes to the bytes the codec
+// has written since PR 14, computed here from the time.Time itself, and
+// decodes to a value that is ==, renders the same and re-encodes to the
+// same bytes.
+func TestTimeBytesUnchanged(t *testing.T) {
+	for name, at := range codecTimes() {
+		want := binary.AppendVarint([]byte{byte(value.KindTime)}, at.Unix())
+		want = binary.AppendUvarint(want, uint64(at.Nanosecond()))
+		if at.Location() == time.UTC {
+			want = append(want, zoneUTC)
+		} else {
+			_, off := at.Zone()
+			want = binary.AppendVarint(append(want, zoneFixed), int64(off))
+		}
+		var enc encoder
+		v := value.Time(at)
+		first := enc.value(nil, &v)
+		if !bytes.Equal(first, want) {
+			t.Errorf("%s: %v encodes to %x, want %x", name, at, first, want)
+		}
+		d := decoder{reader: reader{b: first}}
+		back := d.value()
+		if d.err != nil || len(d.b) != 0 || back != v || back.String() != v.String() || renderValue(back) != "time:"+at.Format(time.RFC3339Nano) {
+			t.Errorf("%s: %s decoded to %s (err %v, %d bytes left)", name, renderValue(v), renderValue(back), d.err, len(d.b))
+		}
+		if again := enc.value(nil, &back); !bytes.Equal(again, first) {
+			t.Errorf("%s: re-encoded to %x, was %x", name, again, first)
+		}
+	}
+	// An offset no value can hold is a malformed frame, not another zone.
+	far := binary.AppendVarint([]byte{byte(value.KindTime), 0, 0, zoneFixed}, value.MaxZoneOffset+1)
+	if d := (decoder{reader: reader{b: far}}); d.value() != value.Null() || d.err == nil {
+		t.Error("a zone offset past value.MaxZoneOffset decoded")
+	}
+	dir := t.TempDir()
+	timeStore(t, dir)
+	got, ri, err := recoverFiles(t, dir, readFile(t, dir, walName), readFile(t, dir, snapshotName))
+	if err != nil || !ri.SnapshotLoaded || ri.TxApplied != 1 || len(got.Objects) != 1 || len(got.Objects[0].Fields) != len(codecTimes()) {
+		t.Fatalf("time store recovered as %+v (%+v, %v)", got, ri, err)
 	}
 }
 
@@ -488,9 +576,9 @@ func commitShape(n, firings int) ([]*Record, []FiringRecord) {
 	for i := range recs {
 		r := s.Create("account", map[string]value.Value{"balance": value.Int(int64(1000 + i))})
 		for j := 0; j < 8; j++ {
-			*r.Trigger(fmt.Sprintf("Trig%d", j)) = TrigState{Active: true, State: (i + j) % 5}
+			*r.Trigger(fmt.Sprintf("Trig%d", j)) = TrigState{Active: true, State: int32((i + j) % 5)}
 		}
-		r.Trigger("Trig3").Params = []value.Value{value.Int(50), value.Int(10)}
+		r.Trigger("Trig3").SetParams([]value.Value{value.Int(50), value.Int(10)})
 		recs[i] = r
 	}
 	fs := make([]FiringRecord, firings)
@@ -562,19 +650,29 @@ func dumpTx(tx *txImage) any {
 	return []any{tx.txID, recs, append([]OID{}, tx.deleted...), append([]FiringRecord{}, tx.firings...)}
 }
 
-// decodedSize estimates the memory a decoded transaction holds.
+// valueBytes is what a value holds: its cell and, for a string, the bytes.
+func valueBytes(v value.Value) int {
+	n := int(unsafe.Sizeof(v))
+	if v.Kind == value.KindString {
+		n += len(v.AsString())
+	}
+	return n
+}
+
+// decodedSize estimates the memory a decoded transaction holds; a map
+// slot is counted twice over for the table's spare capacity.
 func decodedSize(tx *txImage) int {
 	n := 64 + 8*len(tx.deleted)
 	for _, r := range tx.recs {
-		n += 128 + len(r.Class)
+		n += int(unsafe.Sizeof(*r)) + len(r.Class)
 		for k, v := range r.Fields {
-			n += 128 + len(k) + len(v.S)
+			n += 2*(int(unsafe.Sizeof(k))+valueBytes(v)) + len(k)
 		}
 		for i := range r.Trigs {
 			if t := &r.Trigs[i]; !t.IsZero() {
-				n += 64 + 8*len(t.Shadow)
-				for _, p := range t.Params {
-					n += 72 + len(p.S)
+				n += int(unsafe.Sizeof(*t)+unsafe.Sizeof(trigExt{})) + 8*len(t.Shadow())
+				for _, p := range t.Params() {
+					n += valueBytes(p)
 				}
 			}
 		}
@@ -635,6 +733,9 @@ func FuzzWALFrames(f *testing.F) {
 	f.Add(seed)
 	f.Add(seed[:len(seed)-5])
 	f.Add(append(bytes.Clone(walMagic[:]), 0xff, 0xff, 0xff, 0xff, 1, 2, 3, 4, 5))
+	times := f.TempDir()
+	timeStore(f, times)
+	f.Add(readFile(f, times, walName))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkLogImage(t, data)
 		checkLogImage(t, reseal(data))
@@ -683,6 +784,9 @@ func FuzzSnapshot(f *testing.F) {
 	seed := readFile(f, dir, snapshotName)
 	f.Add(seed)
 	f.Add(seed[:len(seed)/2])
+	times := f.TempDir()
+	timeStore(f, times)
+	f.Add(readFile(f, times, snapshotName))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkSnapshotImage(t, data)
 		checkSnapshotImage(t, reseal(data))

@@ -36,7 +36,7 @@ func TestEpochViewSeededFromRecovery(t *testing.T) {
 	defer s2.Close()
 	for i, oid := range oids {
 		rec, ok := s2.GetCommitted(oid)
-		if !ok || rec.Fields["bal"].I != int64(i)*100 {
+		if !ok || rec.Fields["bal"].AsInt() != int64(i)*100 {
 			t.Fatalf("recovered epoch view for %d: %+v ok=%v", oid, rec, ok)
 		}
 	}
@@ -63,7 +63,7 @@ func TestEpochViewPublish(t *testing.T) {
 	r.Fields["bal"] = value.Int(10)
 	s.PublishCommitted([]OID{r.OID}, nil)
 	c, ok := s.GetCommitted(r.OID)
-	if !ok || c.Fields["bal"].I != 10 {
+	if !ok || c.Fields["bal"].AsInt() != 10 {
 		t.Fatalf("after publish: got %+v ok=%v, want bal=10", c, ok)
 	}
 	if c == r {
@@ -77,14 +77,14 @@ func TestEpochViewPublish(t *testing.T) {
 	// into the already-published version.
 	r.Fields["bal"] = value.Int(999)
 	c2, _ := s.GetCommitted(r.OID)
-	if c2.Fields["bal"].I != 10 {
-		t.Fatalf("live mutation leaked into epoch view: bal=%d", c2.Fields["bal"].I)
+	if c2.Fields["bal"].AsInt() != 10 {
+		t.Fatalf("live mutation leaked into epoch view: bal=%d", c2.Fields["bal"].AsInt())
 	}
 
 	s.PublishCommitted([]OID{r.OID}, nil)
 	c3, _ := s.GetCommitted(r.OID)
-	if c3.Fields["bal"].I != 999 {
-		t.Fatalf("republish: bal=%d, want 999", c3.Fields["bal"].I)
+	if c3.Fields["bal"].AsInt() != 999 {
+		t.Fatalf("republish: bal=%d, want 999", c3.Fields["bal"].AsInt())
 	}
 
 	s.PublishCommitted(nil, []OID{r.OID})
@@ -204,9 +204,9 @@ func TestEpochViewRace(t *testing.T) {
 					// One activation moves per round; the image shares the
 					// other with its predecessor.
 					if round%2 == 0 {
-						r.Trigger("even").State = round
+						r.Trigger("even").State = int32(round)
 					} else {
-						r.Trigger("odd").State = round
+						r.Trigger("odd").State = int32(round)
 					}
 				}
 				s.PublishCommitted(oids[w], nil)
@@ -232,7 +232,7 @@ func TestEpochViewRace(t *testing.T) {
 						errs <- "published object vanished from epoch view"
 						return
 					}
-					a, b, ver := rec.Fields["a"].I, rec.Fields["b"].I, rec.Fields["ver"].I
+					a, b, ver := rec.Fields["a"].AsInt(), rec.Fields["b"].AsInt(), rec.Fields["ver"].AsInt()
 					if a != b {
 						errs <- "torn committed version: a != b"
 						return
@@ -269,7 +269,7 @@ func TestEpochViewRace(t *testing.T) {
 	// last round.
 	for _, oid := range all {
 		rec, ok := s.GetCommitted(oid)
-		if !ok || rec.Fields["ver"].I != rounds {
+		if !ok || rec.Fields["ver"].AsInt() != rounds {
 			t.Fatalf("final committed ver = %v (ok=%v), want %d", rec.Fields["ver"], ok, rounds)
 		}
 	}
@@ -288,7 +288,7 @@ func BenchmarkRecordImage(b *testing.B) {
 				s, _ := Open("")
 				r := s.Create("acct", map[string]value.Value{"bal": value.Int(1)})
 				for i := 0; i < n; i++ {
-					*r.Trigger(fmt.Sprintf("T%d", i)) = TrigState{Active: true, Params: []value.Value{value.Int(int64(i))}}
+					*r.Trigger(fmt.Sprintf("T%d", i)) = TrigState{Active: true, ext: newExt([]value.Value{value.Int(int64(i))}, nil)}
 				}
 				prev := r.image(nil)
 				switch moved {

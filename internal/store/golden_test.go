@@ -92,11 +92,11 @@ func checkGolden(t *testing.T, s *Store, want goldenWant) {
 				t.Fatalf("object %d carries trigger %s, which the directory's writer never activated", wo.OID, name)
 			}
 			var params []int64
-			for _, v := range got.Params {
+			for _, v := range got.Params() {
 				params = append(params, v.AsInt())
 			}
-			if got.Active != wt.Active || got.State != wt.State || !reflect.DeepEqual(params, wt.Params) ||
-				!reflect.DeepEqual(got.Shadow, wt.Shadow) {
+			if got.Active != wt.Active || int(got.State) != wt.State || !reflect.DeepEqual(params, wt.Params) ||
+				!reflect.DeepEqual(got.Shadow(), wt.Shadow) {
 				t.Fatalf("object %d trigger %s recovered as %+v, want %+v", wo.OID, name, *got, wt)
 			}
 		}

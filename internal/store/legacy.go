@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"time"
 
 	"ode/internal/value"
 )
@@ -40,13 +41,14 @@ type frame struct {
 	Firings []FiringRecord
 }
 
-// wireRecord and wireTrig are the gob shape of a record: trigger state
-// keyed by name. gob matches fields by name, so directories written
-// through the even older exported types decode into these.
+// wireRecord, wireTrig and wireValue are the gob shape of a record:
+// trigger state keyed by name, a value with one exported field per
+// payload. gob matches fields by name, so directories written through
+// the even older exported types decode into these.
 type wireRecord struct {
 	OID      OID
 	Class    string
-	Fields   map[string]value.Value
+	Fields   map[string]wireValue
 	Triggers map[string]*wireTrig
 }
 
@@ -55,9 +57,36 @@ type wireTrig struct {
 	State  int
 	// Params is the name-keyed copy of Dense that the oldest versions
 	// wrote next to it; read only to refuse a log old enough to lack Dense.
-	Params map[string]value.Value
-	Dense  []value.Value
+	Params map[string]wireValue
+	Dense  []wireValue
 	Shadow []int
+}
+
+type wireValue struct {
+	Kind int
+	I    int64
+	F    float64
+	B    bool
+	S    string
+	T    time.Time
+}
+
+func (w wireValue) value() value.Value {
+	switch value.Kind(w.Kind) {
+	case value.KindInt:
+		return value.Int(w.I)
+	case value.KindFloat:
+		return value.Float(w.F)
+	case value.KindBool:
+		return value.Bool(w.B)
+	case value.KindString:
+		return value.Str(w.S)
+	case value.KindTime:
+		return value.Time(w.T)
+	case value.KindID:
+		return value.ID(uint64(w.I))
+	}
+	return value.Null()
 }
 
 type snapshotImage struct {
@@ -74,9 +103,9 @@ func (s *Store) fromWire(w *wireRecord) (*Record, error) {
 		return nil, errors.New("store: put frame or snapshot entry carries no record")
 	}
 	l := s.Layout(w.Class)
-	r := &Record{OID: w.OID, Class: w.Class, Fields: w.Fields, layout: l}
-	if r.Fields == nil {
-		r.Fields = map[string]value.Value{}
+	r := &Record{OID: w.OID, Class: w.Class, Fields: make(map[string]value.Value, len(w.Fields)), layout: l}
+	for name, v := range w.Fields {
+		r.Fields[name] = v.value()
 	}
 	for name, wt := range w.Triggers {
 		if wt == nil {
@@ -88,7 +117,11 @@ func (s *Store) fromWire(w *wireRecord) (*Record, error) {
 		}
 		slot := l.Intern(name)
 		r.grow(l.Len()) // once per record, except while the layout is still learning names
-		r.Trigs[slot] = TrigState{Active: wt.Active, State: wt.State, Params: wt.Dense, Shadow: wt.Shadow}
+		var params []value.Value
+		for _, v := range wt.Dense {
+			params = append(params, v.value())
+		}
+		r.Trigs[slot] = TrigState{Active: wt.Active, State: int32(wt.State), ext: newExt(params, wt.Shadow)}
 	}
 	return r, nil
 }

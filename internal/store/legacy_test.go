@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"ode/internal/value"
 )
@@ -38,8 +39,8 @@ func legacyFrames(t *testing.T, frames ...frame) []byte {
 func TestLegacyUncommittedFramesIgnored(t *testing.T) {
 	dir := t.TempDir()
 	rec := func(v int64) *wireRecord {
-		return &wireRecord{OID: 1, Class: "x", Fields: map[string]value.Value{"v": value.Int(v)},
-			Triggers: map[string]*wireTrig{"T": {Active: true, State: int(v), Dense: []value.Value{value.Int(v)}}}}
+		return &wireRecord{OID: 1, Class: "x", Fields: map[string]wireValue{"v": {Kind: int(value.KindInt), I: v}},
+			Triggers: map[string]*wireTrig{"T": {Active: true, State: int(v), Dense: []wireValue{{Kind: int(value.KindInt), I: v}}}}}
 	}
 	log := legacyFrames(t,
 		frame{Op: opBegin, TxID: 1}, frame{Op: opPut, TxID: 1, Rec: rec(1)}, frame{Op: opCommit, TxID: 1},
@@ -58,9 +59,48 @@ func TestLegacyUncommittedFramesIgnored(t *testing.T) {
 			t.Fatalf("open %d: legacy=%v %+v", pass, s.legacy, ri)
 		}
 		r, err := s.Get(1)
-		if err != nil || r.Fields["v"].AsInt() != 3 || r.Trigger("T").State != 3 || len(r.Trigger("T").Params) != 1 || r.Trigger("T").Params[0].AsInt() != 3 {
+		if err != nil || r.Fields["v"].AsInt() != 3 || r.Trigger("T").State != 3 || len(r.Trigger("T").Params()) != 1 || r.Trigger("T").Params()[0].AsInt() != 3 {
 			t.Fatalf("open %d: recovered %+v, %v; want the third committed put", pass, r, err)
 		}
 		s.Close()
+	}
+}
+
+// TestLegacyValueKinds: what gob wrote from the value type of PR 13 and
+// earlier — one exported field per payload, rebuilt here — decodes
+// through wireValue into the same value of every kind.
+func TestLegacyValueKinds(t *testing.T) {
+	type oldKind int
+	type oldValue struct {
+		Kind oldKind
+		I    int64
+		F    float64
+		B    bool
+		S    string
+		T    time.Time
+	}
+	old := map[string]oldValue{
+		"null": {}, "int": {Kind: 1, I: -5}, "float": {Kind: 2, F: 3.25}, "bool": {Kind: 3, B: true},
+		"string": {Kind: 4, S: "hello"}, "time": {Kind: 5, T: zoned}, "utc": {Kind: 5, T: zoned.UTC()}, "id": {Kind: 6, I: 77},
+	}
+	want := map[string]value.Value{
+		"null": value.Null(), "int": value.Int(-5), "float": value.Float(3.25), "bool": value.Bool(true),
+		"string": value.Str("hello"), "time": value.Time(zoned), "utc": value.Time(zoned.UTC()), "id": value.ID(77),
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
+		t.Fatal(err)
+	}
+	var wire map[string]wireValue
+	if err := gob.NewDecoder(&buf).Decode(&wire); err != nil {
+		t.Fatal(err)
+	}
+	if len(wire) != len(want) {
+		t.Fatalf("decoded %d values, want %d", len(wire), len(want))
+	}
+	for name, w := range wire {
+		if got := w.value(); got != want[name] {
+			t.Errorf("%s: decoded as %s, want %s", name, renderValue(got), renderValue(want[name]))
+		}
 	}
 }

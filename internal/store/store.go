@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -47,49 +48,77 @@ type OID uint64
 // §6 option where "the automaton state is considered part of the object
 // data structure and hence will be restored correctly upon abort";
 // activation and deactivation are transactional for the same reason.
-// The zero value is a trigger that was never activated.
+// The zero value is a trigger that was never activated. It is 16 bytes:
+// what few instances have hangs off ext.
 type TrigState struct {
+	State  int32
 	Active bool
-	State  int
-	// Params are the activation parameters in the trigger's declared
-	// order. A Params slice is immutable: activation installs a fresh
-	// one and nothing ever writes an element of an existing one, which
-	// is what lets committed images, before-image copies and the live
-	// record share it.
-	Params []value.Value
+	ext    *trigExt // nil unless the activation has parameters or a shadow history
+}
+
+// trigExt is the rarely present part of a TrigState. One that carries
+// only Params is immutable and shared by the live record, its images
+// and their copies — activation installs a fresh slice and nothing ever
+// writes an element of an existing one; one with a Shadow belongs to a
+// single TrigState (copyTrigs), so the live record appends in place.
+type trigExt struct {
+	Params []value.Value // activation parameters, in the trigger's declared order
 	// Shadow is the instance's symbol history, kept only when the
 	// engine's shadow-oracle mode is on; stored here so it is rolled
-	// back on abort exactly like State. The live record appends to it
-	// in place, so copies never share it with the live record.
+	// back on abort exactly like State.
 	Shadow []int
 }
 
-// IsZero reports whether the trigger was never activated on the object.
-func (t *TrigState) IsZero() bool {
-	return !t.Active && t.State == 0 && len(t.Params) == 0 && len(t.Shadow) == 0
+// newExt returns the ext holding params and shadow, nil for neither.
+func newExt(params []value.Value, shadow []int) *trigExt {
+	if len(params) == 0 && len(shadow) == 0 {
+		return nil
+	}
+	return &trigExt{Params: params, Shadow: shadow}
 }
 
-// equal reports whether two trigger states have the same content.
+// Params returns the activation parameters; the slice must not be written.
+func (t *TrigState) Params() []value.Value {
+	if t.ext == nil {
+		return nil
+	}
+	return t.ext.Params
+}
+
+// Shadow returns the recorded symbol history.
+func (t *TrigState) Shadow() []int {
+	if t.ext == nil {
+		return nil
+	}
+	return t.ext.Shadow
+}
+
+// SetParams installs the parameters of a new activation, which starts
+// without a history; t takes ownership of p.
+func (t *TrigState) SetParams(p []value.Value) { t.ext = newExt(p, nil) }
+
+// AppendShadow records sym as the instance's latest symbol.
+func (t *TrigState) AppendShadow(sym int) {
+	if len(t.Shadow()) == 0 {
+		t.ext = &trigExt{Params: t.Params(), Shadow: []int{sym}} // the old ext may be shared
+		return
+	}
+	t.ext.Shadow = append(t.ext.Shadow, sym)
+}
+
+// IsZero reports whether the trigger was never activated on the object.
+func (t *TrigState) IsZero() bool { return *t == TrigState{} }
+
+// equal reports whether two trigger states have the same content. The
+// common case is one pointer comparison (no ext, or a shared one);
+// content decides when the pointers differ — a re-activation with equal
+// parameters is not a change.
 func (t *TrigState) equal(u *TrigState) bool {
-	if t.Active != u.Active || t.State != u.State || len(t.Params) != len(u.Params) || len(t.Shadow) != len(u.Shadow) {
+	if t.Active != u.Active || t.State != u.State {
 		return false
 	}
-	// Params slices are immutable and shared, so the common case is one
-	// pointer comparison; content decides when the pointers differ (a
-	// re-activation with equal parameters is not a change).
-	if len(t.Params) > 0 && &t.Params[0] != &u.Params[0] {
-		for i, v := range t.Params {
-			if u.Params[i] != v {
-				return false
-			}
-		}
-	}
-	for i, v := range t.Shadow {
-		if u.Shadow[i] != v {
-			return false
-		}
-	}
-	return true
+	return t.ext == u.ext ||
+		slices.Equal(t.Params(), u.Params()) && slices.Equal(t.Shadow(), u.Shadow())
 }
 
 // Record is the stored representation of one object.
@@ -159,7 +188,7 @@ func (r *Record) Trigger(name string) *TrigState {
 func (r *Record) TrigName(slot int) string { return r.layout.Name(slot) }
 
 // copyTrigs returns a copy of src that shares nothing mutable with it:
-// Params slices are shared (immutable), Shadow histories copied.
+// an ext is shared unless it carries a Shadow history, which is copied.
 func copyTrigs(src []TrigState) []TrigState {
 	if len(src) == 0 {
 		return nil
@@ -167,8 +196,8 @@ func copyTrigs(src []TrigState) []TrigState {
 	out := make([]TrigState, len(src))
 	copy(out, src)
 	for i := range out {
-		if sh := out[i].Shadow; len(sh) > 0 {
-			out[i].Shadow = append([]int(nil), sh...)
+		if sh := out[i].Shadow(); len(sh) > 0 {
+			out[i].ext = &trigExt{Params: out[i].ext.Params, Shadow: slices.Clone(sh)}
 		}
 	}
 	return out

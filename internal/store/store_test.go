@@ -1,9 +1,13 @@
 package store
 
 import (
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"ode/internal/value"
 )
@@ -212,8 +216,7 @@ func TestTrigStatePersisted(t *testing.T) {
 	act := a.Trigger("stockRoom.T6#1")
 	act.Active = true
 	act.State = 4
-	act.Params = []value.Value{value.Int(7)}
-	act.Shadow = []int{3, 1}
+	act.ext = newExt([]value.Value{value.Int(7)}, []int{3, 1})
 	s.LogCommit(1, []OID{a.OID}, nil, nil)
 	s.Close()
 
@@ -224,8 +227,68 @@ func TestTrigStatePersisted(t *testing.T) {
 	defer s2.Close()
 	ra, _ := s2.Get(a.OID)
 	got := ra.Trigger("stockRoom.T6#1")
-	if !got.Active || got.State != 4 || len(got.Params) != 1 || !got.Params[0].Equal(value.Int(7)) ||
-		len(got.Shadow) != 2 || got.Shadow[0] != 3 || got.Shadow[1] != 1 {
+	if !got.Active || got.State != 4 || len(got.Params()) != 1 || !got.Params()[0].Equal(value.Int(7)) ||
+		!slices.Equal(got.Shadow(), []int{3, 1}) {
 		t.Fatalf("trigger activation lost: %+v", got)
+	}
+}
+
+func TestTrigStateIs16Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(TrigState{}); n != 16 {
+		t.Fatalf("a TrigState is %d bytes, want 16", n)
+	}
+}
+
+// TestBytesPerObject pins what one committed object keeps resident: the
+// live record and its image, each a Record, a one-field map and three
+// trigger slots, plus the heap and epoch index entries — the per-object
+// figure a fleet's heap is made of (DESIGN.md §9).
+func TestBytesPerObject(t *testing.T) {
+	const n, budget = 10000, 1434 // 1.4 KiB
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := heap()
+	s, _ := Open("")
+	oids := make([]OID, n)
+	for i := range oids {
+		r := s.Create("sensor", map[string]value.Value{"v": value.Int(int64(i))})
+		for _, name := range []string{"A", "B", "C"} {
+			*r.Trigger(name) = TrigState{Active: true}
+		}
+		oids[i] = r.OID
+	}
+	if err := s.Commit(1, s.touchedOf(oids), nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	per := float64(heap()-before) / n
+	runtime.KeepAlive(s)
+	t.Logf("%.0f bytes per committed object", per)
+	if per > budget {
+		t.Fatalf("a committed one-field, three-trigger object keeps %.0f bytes, budget %d", per, budget)
+	}
+}
+
+// TestNaNFieldIsNotPerpetuallyDirty: change is detected by comparing
+// content, and a NaN must compare equal to itself there or the object
+// gets a new image, a WAL record and a publication at every commit.
+func TestNaNFieldIsNotPerpetuallyDirty(t *testing.T) {
+	s, _ := Open("")
+	r := s.Create("c", map[string]value.Value{"f": value.Float(math.NaN())})
+	r.Trigger("T").SetParams([]value.Value{value.Float(math.NaN())})
+	prev := r.image(nil)
+	if img := r.image(prev); img != prev {
+		t.Fatal("an unchanged record holding a NaN got a new image")
+	}
+	r.Trigger("T").SetParams([]value.Value{value.Float(math.NaN())}) // equal content in a fresh slice
+	if img := r.image(prev); img != prev {
+		t.Fatal("re-activation with an equal NaN parameter got a new image")
+	}
+	r.SetField("f", value.Float(0))
+	if img := r.image(prev); img == prev {
+		t.Fatal("a changed field kept the old image")
 	}
 }

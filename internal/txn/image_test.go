@@ -39,14 +39,14 @@ func TestAbortRestoresActivationScalars(t *testing.T) {
 	a := rec.Trigger("Watch")
 	a.State = 7
 	a.Active = false
-	a.Shadow = append(a.Shadow, 3)
+	a.AppendShadow(3)
 	if err := tx.Abort(); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := m.Store().Get(oid)
 	ga := got.Trigger("Watch")
-	if !ga.Active || ga.State != 1 || len(ga.Shadow) != 0 {
-		t.Fatalf("rollback left Active=%v State=%d Shadow=%v", ga.Active, ga.State, ga.Shadow)
+	if !ga.Active || ga.State != 1 || len(ga.Shadow()) != 0 {
+		t.Fatalf("rollback left Active=%v State=%d Shadow=%v", ga.Active, ga.State, ga.Shadow())
 	}
 }
 
@@ -171,7 +171,7 @@ func fingerprint(r *store.Record) string {
 	var trigs []string
 	for i := range r.Trigs {
 		if a := &r.Trigs[i]; !a.IsZero() {
-			trigs = append(trigs, fmt.Sprintf(" %s{%v %d %v %v}", r.TrigName(i), a.Active, a.State, a.Params, a.Shadow))
+			trigs = append(trigs, fmt.Sprintf(" %s{%v %d %v %v}", r.TrigName(i), a.Active, a.State, a.Params(), a.Shadow()))
 		}
 	}
 	sort.Strings(trigs)
@@ -239,17 +239,21 @@ func (h *imgHarness) apply(tx *Tx, op imgOp, created *[]store.OID, deleted, touc
 		rec.SetField("balance", value.Int(int64(op.arg%4))) // small range: writes often restore the old value
 	case "step":
 		if a := rec.Trigger(name); a.Active {
-			a.State = op.arg % 3
-			a.Shadow = append(a.Shadow, op.arg%5)
+			a.State = int32(op.arg % 3)
+			a.AppendShadow(op.arg % 5)
 		}
 	case "activate": // also re-activation: a fresh Params slice, history reset
-		*rec.Trigger(name) = store.TrigState{Active: true, Params: []value.Value{value.Int(int64(op.arg % 2))}}
+		a := rec.Trigger(name)
+		*a = store.TrigState{Active: true}
+		a.SetParams([]value.Value{value.Int(int64(op.arg % 2))})
 	case "reactivate": // the same parameters in a fresh slice: a change only if state or history moved
 		if a := rec.Trigger(name); a.Active {
-			*a = store.TrigState{Active: true, Params: append([]value.Value(nil), a.Params...)}
+			p := append([]value.Value(nil), a.Params()...)
+			*a = store.TrigState{Active: true}
+			a.SetParams(p)
 		}
 	case "grow": // a trigger name the class layout has not seen: every record is now shorter than it
-		*rec.Trigger(fmt.Sprintf("N%d", op.arg%4)) = store.TrigState{Active: true, State: op.arg % 3}
+		*rec.Trigger(fmt.Sprintf("N%d", op.arg%4)) = store.TrigState{Active: true, State: int32(op.arg % 3)}
 	case "deactivate":
 		rec.Trigger(name).Active = false
 	default:

@@ -6,14 +6,16 @@
 package value
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
 )
 
 // Kind discriminates the union.
-type Kind int
+type Kind uint8
 
 // Value kinds.
 const (
@@ -47,38 +49,62 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is a dynamically typed database value. The zero Value is null.
-// Fields are exported for the store's codecs (the legacy one is
-// encoding/gob); treat values as immutable.
+// Value is a dynamically typed database value: 32 bytes, one of them a
+// pointer. The zero Value is null. Only the payload of its Kind is set
+// and every other byte is zero, so == on two Values is bitwise equality
+// of their content (a NaN equals itself; Equal has the numeric rules).
 type Value struct {
 	Kind Kind
-	I    int64
-	F    float64
-	B    bool
-	S    string
-	T    time.Time
+	zone [3]byte // time: 0 = UTC, else seconds east of UTC + zoneBias, little-endian
+	nsec uint32  // time: nanoseconds within the second
+	n    int64   // int, ID, float bits, bool (0 or 1), a time's Unix seconds
+	s    string  // string
 }
+
+const (
+	zoneBias = 1 << 23
+	// MaxZoneOffset is the largest distance from UTC, in seconds, a time
+	// value keeps; Time stores a time whose zone is further out in UTC.
+	MaxZoneOffset = zoneBias - 1
+)
 
 // Null returns the null value.
 func Null() Value { return Value{} }
 
 // Int returns an integer value.
-func Int(i int64) Value { return Value{Kind: KindInt, I: i} }
+func Int(i int64) Value { return Value{Kind: KindInt, n: i} }
 
 // Float returns a floating-point value.
-func Float(f float64) Value { return Value{Kind: KindFloat, F: f} }
+func Float(f float64) Value { return Value{Kind: KindFloat, n: int64(math.Float64bits(f))} }
 
 // Bool returns a boolean value.
-func Bool(b bool) Value { return Value{Kind: KindBool, B: b} }
+func Bool(b bool) Value {
+	v := Value{Kind: KindBool}
+	if b {
+		v.n = 1
+	}
+	return v
+}
 
 // String returns a string value.
-func Str(s string) Value { return Value{Kind: KindString, S: s} }
+func Str(s string) Value { return Value{Kind: KindString, s: s} }
 
-// Time returns a time value.
-func Time(t time.Time) Value { return Value{Kind: KindTime, T: t} }
+// Time returns a time value. It keeps what the store's codec keeps of a
+// time: the instant to the nanosecond and the zone's offset from UTC at
+// that instant, not the zone's name or a monotonic clock reading.
+func Time(t time.Time) Value {
+	v := Value{Kind: KindTime, nsec: uint32(t.Nanosecond()), n: t.Unix()}
+	if t.Location() != time.UTC {
+		if _, off := t.Zone(); -MaxZoneOffset <= off && off <= MaxZoneOffset {
+			z := uint32(off + zoneBias)
+			v.zone = [3]byte{byte(z), byte(z >> 8), byte(z >> 16)}
+		}
+	}
+	return v
+}
 
 // ID returns an object-identity value.
-func ID(oid uint64) Value { return Value{Kind: KindID, I: int64(oid)} }
+func ID(oid uint64) Value { return Value{Kind: KindID, n: int64(oid)} }
 
 // IsNull reports whether v is null.
 func (v Value) IsNull() bool { return v.Kind == KindNull }
@@ -88,16 +114,16 @@ func (v Value) AsInt() int64 {
 	if v.Kind != KindInt {
 		panic(fmt.Sprintf("value: AsInt on %s", v.Kind))
 	}
-	return v.I
+	return v.n
 }
 
 // AsFloat returns the numeric payload as float64, promoting integers.
 func (v Value) AsFloat() float64 {
 	switch v.Kind {
 	case KindFloat:
-		return v.F
+		return math.Float64frombits(uint64(v.n))
 	case KindInt:
-		return float64(v.I)
+		return float64(v.n)
 	}
 	panic(fmt.Sprintf("value: AsFloat on %s", v.Kind))
 }
@@ -107,7 +133,7 @@ func (v Value) AsBool() bool {
 	if v.Kind != KindBool {
 		panic(fmt.Sprintf("value: AsBool on %s", v.Kind))
 	}
-	return v.B
+	return v.n != 0
 }
 
 // AsString returns the string payload; it panics unless Kind is
@@ -116,7 +142,7 @@ func (v Value) AsString() string {
 	if v.Kind != KindString {
 		panic(fmt.Sprintf("value: AsString on %s", v.Kind))
 	}
-	return v.S
+	return v.s
 }
 
 // AsID returns the object identity payload; it panics unless Kind is
@@ -125,15 +151,20 @@ func (v Value) AsID() uint64 {
 	if v.Kind != KindID {
 		panic(fmt.Sprintf("value: AsID on %s", v.Kind))
 	}
-	return uint64(v.I)
+	return uint64(v.n)
 }
 
-// AsTime returns the time payload; it panics unless Kind is KindTime.
+// AsTime returns the time payload, in UTC or in an unnamed zone of the
+// offset it was given with; it panics unless Kind is KindTime.
 func (v Value) AsTime() time.Time {
 	if v.Kind != KindTime {
 		panic(fmt.Sprintf("value: AsTime on %s", v.Kind))
 	}
-	return v.T
+	t := time.Unix(v.n, int64(v.nsec))
+	if z := int(v.zone[0]) | int(v.zone[1])<<8 | int(v.zone[2])<<16; z != 0 {
+		return t.In(time.FixedZone("", z-zoneBias))
+	}
+	return t.UTC()
 }
 
 // IsNumeric reports whether v is an int or a float.
@@ -145,26 +176,26 @@ func (v Value) String() string {
 	case KindNull:
 		return "null"
 	case KindInt:
-		return fmt.Sprintf("%d", v.I)
+		return fmt.Sprintf("%d", v.n)
 	case KindFloat:
 		// Decimal, never scientific (%g emits 1e+06): expression
 		// renderings must re-lex, and the evlang/mask lexers accept
 		// only digits '.' digits. Integral values keep a trailing ".0"
 		// so they re-lex as floats; NaN/±Inf (unreachable from parsed
 		// literals) pass through untouched.
-		s := strconv.FormatFloat(v.F, 'f', -1, 64)
+		s := strconv.FormatFloat(v.AsFloat(), 'f', -1, 64)
 		if !strings.Contains(s, ".") && !strings.ContainsAny(s, "NI") {
 			s += ".0"
 		}
 		return s
 	case KindBool:
-		return fmt.Sprintf("%t", v.B)
+		return fmt.Sprintf("%t", v.n != 0)
 	case KindString:
-		return fmt.Sprintf("%q", v.S)
+		return fmt.Sprintf("%q", v.s)
 	case KindTime:
-		return v.T.Format(time.RFC3339)
+		return v.AsTime().Format(time.RFC3339)
 	case KindID:
-		return fmt.Sprintf("@%d", uint64(v.I))
+		return fmt.Sprintf("@%d", uint64(v.n))
 	default:
 		return fmt.Sprintf("value(kind=%d)", int(v.Kind))
 	}
@@ -182,14 +213,12 @@ func (v Value) Equal(w Value) bool {
 	switch v.Kind {
 	case KindNull:
 		return true
-	case KindBool:
-		return v.B == w.B
+	case KindBool, KindID:
+		return v.n == w.n
 	case KindString:
-		return v.S == w.S
+		return v.s == w.s
 	case KindTime:
-		return v.T.Equal(w.T)
-	case KindID:
-		return v.I == w.I
+		return v.n == w.n && v.nsec == w.nsec
 	default:
 		return false
 	}
@@ -211,23 +240,12 @@ func Compare(v, w Value) (int, error) {
 			return 0, nil
 		}
 	case v.Kind == KindString && w.Kind == KindString:
-		switch {
-		case v.S < w.S:
-			return -1, nil
-		case v.S > w.S:
-			return 1, nil
-		default:
-			return 0, nil
-		}
+		return strings.Compare(v.s, w.s), nil
 	case v.Kind == KindTime && w.Kind == KindTime:
-		switch {
-		case v.T.Before(w.T):
-			return -1, nil
-		case v.T.After(w.T):
-			return 1, nil
-		default:
-			return 0, nil
+		if v.n != w.n {
+			return cmp.Compare(v.n, w.n), nil
 		}
+		return cmp.Compare(v.nsec, w.nsec), nil
 	default:
 		return 0, fmt.Errorf("value: cannot compare %s with %s", v.Kind, w.Kind)
 	}
@@ -238,13 +256,13 @@ func Compare(v, w Value) (int, error) {
 // integer zero and modulo on non-integers are errors.
 func Arith(op byte, v, w Value) (Value, error) {
 	if op == '+' && v.Kind == KindString && w.Kind == KindString {
-		return Str(v.S + w.S), nil
+		return Str(v.s + w.s), nil
 	}
 	if !v.IsNumeric() || !w.IsNumeric() {
 		return Null(), fmt.Errorf("value: %c needs numeric operands, got %s and %s", op, v.Kind, w.Kind)
 	}
 	if v.Kind == KindInt && w.Kind == KindInt {
-		a, b := v.I, w.I
+		a, b := v.n, w.n
 		switch op {
 		case '+':
 			return Int(a + b), nil
@@ -284,9 +302,9 @@ func Arith(op byte, v, w Value) (Value, error) {
 func Neg(v Value) (Value, error) {
 	switch v.Kind {
 	case KindInt:
-		return Int(-v.I), nil
+		return Int(-v.n), nil
 	case KindFloat:
-		return Float(-v.F), nil
+		return Float(-v.AsFloat()), nil
 	default:
 		return Null(), fmt.Errorf("value: cannot negate %s", v.Kind)
 	}

@@ -1,11 +1,11 @@
 package value
 
 import (
-	"bytes"
-	"encoding/gob"
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestConstructorsAndAccessors(t *testing.T) {
@@ -167,27 +167,86 @@ func TestStringRendering(t *testing.T) {
 	}
 }
 
-func TestGobRoundTrip(t *testing.T) {
-	vals := []Value{
-		Null(), Int(-5), Float(3.25), Bool(true), Str("hello"),
-		ID(77), Time(time.Unix(12345, 678).UTC()),
+func TestValueIs32Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Value{}); n != 32 {
+		t.Fatalf("a Value is %d bytes, want 32", n)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(vals); err != nil {
-		t.Fatal(err)
+}
+
+// TestStructEqualityIsBitwise: == is what the store's dirty check uses,
+// Equal what masks use. A NaN is == to itself and not Equal to itself;
+// the two zeros are Equal and not ==.
+func TestStructEqualityIsBitwise(t *testing.T) {
+	nan, negZero := Float(math.NaN()), Float(math.Copysign(0, -1))
+	if nan != nan || nan.Equal(nan) {
+		t.Fatalf("NaN: == %v (want true), Equal %v (want false)", nan == nan, nan.Equal(nan))
 	}
-	var back []Value
-	if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
-		t.Fatal(err)
+	if negZero == Float(0) || !negZero.Equal(Float(0)) {
+		t.Fatal("-0 and +0 must differ under == and be Equal")
 	}
-	if len(back) != len(vals) {
-		t.Fatalf("len %d want %d", len(back), len(vals))
+	if Bool(true) != Bool(true) || Bool(true) == Bool(false) || Str("a") != Str("a") || ID(1) == Int(1) {
+		t.Fatal("== disagrees with content")
 	}
-	for i := range vals {
-		if !vals[i].Equal(back[i]) {
-			t.Fatalf("index %d: %v != %v", i, vals[i], back[i])
+}
+
+// timeCases are the times whose fidelity the codec promises: instant to
+// the nanosecond and offset from UTC, in every zone shape.
+func timeCases() map[string]time.Time {
+	at := time.Date(2024, 2, 29, 23, 59, 58, 123456789, time.UTC)
+	return map[string]time.Time{
+		"utc":             at,
+		"local":           at.In(time.Local),
+		"whole hour":      at.In(time.FixedZone("CET", 3600)),
+		"+05:45":          at.In(time.FixedZone("", 5*3600+45*60)),
+		"odd seconds":     at.In(time.FixedZone("LMT", -(4*3600 + 56*60 + 2))),
+		"fixed zero":      at.In(time.FixedZone("", 0)),
+		"zero time":       {},
+		"year 9999":       time.Date(9999, 12, 31, 23, 59, 59, 0, time.UTC),
+		"last nanosecond": time.Date(1969, 12, 31, 23, 59, 59, 999999999, time.FixedZone("", -3600)),
+		"monotonic":       time.Now(),
+	}
+}
+
+func TestTimeFidelity(t *testing.T) {
+	for name, in := range timeCases() {
+		v := Time(in)
+		out := v.AsTime()
+		_, wantOff := in.Zone()
+		_, gotOff := out.Zone()
+		if !out.Equal(in) || out.Nanosecond() != in.Nanosecond() || gotOff != wantOff ||
+			(out.Location() == time.UTC) != (in.Location() == time.UTC) {
+			t.Errorf("%s: %v came back as %v", name, in, out)
+		}
+		if got, want := v.String(), in.Format(time.RFC3339); got != want {
+			t.Errorf("%s: String() = %s, want %s", name, got, want)
+		}
+		if again := Time(out); again != v {
+			t.Errorf("%s: Time(AsTime()) = %#v, want %#v", name, again, v)
+		}
+		if out != out.Round(0) {
+			t.Errorf("%s: a monotonic reading survived", name)
 		}
 	}
+	if !Time(time.Time{}).AsTime().IsZero() {
+		t.Error("the zero time did not come back zero")
+	}
+	// A zone further from UTC than a value keeps: the instant survives, in UTC.
+	far := time.Unix(0, 0).In(time.FixedZone("", MaxZoneOffset+1))
+	if got := Time(far).AsTime(); !got.Equal(far) || got.Location() != time.UTC {
+		t.Errorf("out-of-range zone: %v came back as %v", far, got)
+	}
+	if c, err := Compare(Time(time.Unix(5, 1)), Time(time.Unix(5, 2).In(time.FixedZone("", 7200)))); err != nil || c != -1 {
+		t.Errorf("Compare orders by instant: got %d, %v", c, err)
+	}
+}
+
+func TestAsTimeUTCAllocatesNothing(t *testing.T) {
+	v := Time(time.Date(2024, 1, 2, 3, 4, 5, 6, time.UTC))
+	var sink time.Time
+	if n := testing.AllocsPerRun(100, func() { sink = v.AsTime() }); n != 0 {
+		t.Fatalf("AsTime on a UTC value allocates %.0f object(s)", n)
+	}
+	_ = sink
 }
 
 // TestArithProperties checks ring-ish laws on int arithmetic through

@@ -63,7 +63,12 @@ import (
 
 // Core type aliases: the public API is a thin veneer over the engine.
 type (
-	// Value is a dynamically typed database value.
+	// Value is a dynamically typed database value: build one with Int,
+	// Float, Bool, Str, Time, ID or Null, switch on its Kind field and
+	// read the payload with AsInt, AsFloat, AsBool, AsString, AsTime or
+	// AsID (the payload fields themselves are not exported). A time
+	// keeps its instant and its zone's offset from UTC, not the zone's
+	// name or a monotonic reading.
 	Value = value.Value
 	// Kind discriminates Value payloads.
 	Kind = value.Kind
