@@ -80,8 +80,7 @@ verify: build test vet race fuzz bench-check
 # `go run ./cmd/odebench -exp E13 -out BENCH_PR4.json`,
 # `go run ./cmd/odebench -exp E15 -out BENCH_PR6.json`,
 # `go run ./cmd/odebench -exp E16 -out BENCH_PR7.json`,
-# `go run ./cmd/odebench -exp E17 -out BENCH_PR8.json`,
-# `go run ./cmd/odebench -exp E18 -out BENCH_PR9.json`).
+# `go run ./cmd/odebench -exp E17 -out BENCH_PR8.json`).
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngine' -benchmem .
 	$(GO) run ./cmd/odebench -exp E19 -out BENCH_PR10.json

@@ -16,7 +16,7 @@
 //	    object partitions, volatile and persistent (group-commit WAL);
 //	    -out writes the rows as JSON (e.g. BENCH_PR2.json)
 //	E12 posting hot path (single Tx.Call: masked non-firing, sparse
-//	    relevance, firing): no table of its own — E13 and E15–E18 embed
+//	    relevance, firing): no table of its own — E13 and E15–E17 embed
 //	    its rows in their JSON as the single-post baseline
 //	E13 compact shared automata: resident transition-table bytes for a
 //	    100-trigger fleet sharing 10 expressions vs the unshared fat
@@ -44,10 +44,9 @@
 //	E18 timer storm: an IoT fleet arming one canonical `every`
 //	    heartbeat per object, swept whole periods at a time — cohort
 //	    delivery (timing wheel, one system transaction and one metered
-//	    run of steps per class and tick) vs the per-object baseline
-//	    (one clock timer and one transaction per object per tick),
-//	    single-engine and partitioned; -out also reruns E12, E16 and
-//	    E17 and writes all four as JSON (e.g. BENCH_PR9.json)
+//	    run of steps per class and tick), single-engine and
+//	    partitioned; a table only — bench/'s timer_storm is the
+//	    maintained measurement
 //	E19 egress overhead: the E12 single-post and E16 batch hot paths
 //	    rerun with the durable firing feed on vs off (Options.
 //	    DisableEgress), plus deliverer drain throughput with and
@@ -63,7 +62,6 @@
 //	odebench -exp E15 -out BENCH_PR6.json  # open-loop latency JSON
 //	odebench -exp E16 -out BENCH_PR7.json  # batch-posting JSON
 //	odebench -exp E17 -out BENCH_PR8.json  # partitioned-scaling JSON
-//	odebench -exp E18 -out BENCH_PR9.json  # timer-storm JSON
 //	odebench -exp E19 -out BENCH_PR10.json # egress-overhead JSON
 //	odebench -sim -iters 10000 -seed 1     # E14 torture campaign
 //	odebench -sim -iters 1000 -out sim.json
@@ -92,7 +90,7 @@ func main() { os.Exit(run()) }
 func run() int {
 	exp := flag.String("exp", "", "experiment id (E1..E11, E13, E15..E19; E14 is -sim); empty = all")
 	seed := flag.Int64("seed", 42, "workload seed")
-	out := flag.String("out", "", "write E11/E13/E15..E19/-sim results as JSON to this file")
+	out := flag.String("out", "", "write E11/E13/E15..E17/E19/-sim results as JSON to this file")
 	simMode := flag.Bool("sim", false, "run the deterministic-simulation torture campaign (E14) instead of the experiment tables")
 	iters := flag.Int("iters", 1000, "-sim: number of seeded iterations (iteration i runs seed+i)")
 	simVolatile := flag.Bool("sim-volatile", false, "-sim: use a volatile store (lock faults only, no WAL/crash cycles)")
@@ -152,7 +150,7 @@ func run() int {
 		{"E15", func() error { return e15(*seed, *out) }},
 		{"E16", func() error { return e16(*out) }},
 		{"E17", func() error { return e17(*seed, *out) }},
-		{"E18", func() error { return e18(*seed, *out) }},
+		{"E18", e18},
 		{"E19", func() error { return e19(*out) }},
 	}
 	ran := false
@@ -591,18 +589,17 @@ func e17(seed int64, out string) error {
 	return nil
 }
 
-func e18(seed int64, out string) error {
+func e18() error {
 	rows, err := workload.RunE18([]int{10000, 100000}, 10, []int{2, 8})
 	if err != nil {
 		return err
 	}
 	gomaxprocs, numCPU := workload.E11CPUs()
-	fmt.Printf("E18 — timer storm: cohort wheel delivery vs one transaction per object per tick (GOMAXPROCS=%d, NumCPU=%d)\n",
+	fmt.Printf("E18 — timer storm: cohort wheel delivery, one engine and partitioned (GOMAXPROCS=%d, NumCPU=%d)\n",
 		gomaxprocs, numCPU)
 	tbl := make([][]string, 0, len(rows))
 	for _, r := range rows {
 		tbl = append(tbl, []string{
-			r.Layout,
 			fmt.Sprintf("%d", r.Partitions),
 			fmt.Sprintf("%d", r.Objects),
 			fmt.Sprintf("%d", r.Posts),
@@ -611,45 +608,7 @@ func e18(seed int64, out string) error {
 			fmt.Sprintf("%.2fx", r.Speedup),
 		})
 	}
-	table("", []string{"layout", "partitions", "objects", "timer posts", "firings", "posts/sec", "vs per-object"}, tbl)
-
-	if out == "" {
-		return nil
-	}
-	// The no-regression guarantees ride along: rerun E12 (single-post
-	// hot path), E16 (batch posting) and E17 (partitioned scaling) so
-	// the JSON shows none of them regressed while the timing wheel and
-	// cohort delivery replaced the timer core.
-	hot, err := workload.RunE12(20000)
-	if err != nil {
-		return err
-	}
-	batch, err := workload.RunE16(131072, []int{64, 256})
-	if err != nil {
-		return err
-	}
-	scaling, err := workload.RunE17(40000, 32, seed,
-		[]int{1, 2, 4, 8}, []int{4}, []int{1, 64})
-	if err != nil {
-		return err
-	}
-	blob, err := json.MarshalIndent(struct {
-		Experiment string            `json:"experiment"`
-		GOMAXPROCS int               `json:"gomaxprocs"`
-		NumCPU     int               `json:"num_cpu"`
-		Timer      []workload.E18Row `json:"timer_storm"`
-		HotPath    []workload.E12Row `json:"hot_path"`
-		Batch      []workload.E16Row `json:"batch"`
-		Scaling    []workload.E17Row `json:"scaling"`
-	}{"E18", gomaxprocs, numCPU, rows, hot, batch, scaling}, "", "  ")
-	if err != nil {
-		return err
-	}
-	blob = append(blob, '\n')
-	if err := os.WriteFile(out, blob, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("  wrote %s\n", out)
+	table("", []string{"partitions", "objects", "timer posts", "firings", "posts/sec", "vs one engine"}, tbl)
 	return nil
 }
 

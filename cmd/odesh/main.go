@@ -7,6 +7,9 @@
 //
 //	odesh            # interactive
 //	odesh script.ode # run a script (same commands), then exit
+//	odesh -dir DIR … # on a persistent database in DIR: objects, their
+//	                 # activations and automaton states outlive the shell
+//	                 # (declare and register the classes again)
 //
 // Commands (try `help` inside the shell):
 //
@@ -24,20 +27,23 @@ package main
 
 import (
 	"bufio"
+	"flag"
 	"fmt"
 	"os"
 )
 
 func main() {
-	sh, err := newShell(os.Stdout)
+	dir := flag.String("dir", "", "persistence directory (default: a volatile database)")
+	flag.Parse()
+	sh, err := newShell(os.Stdout, *dir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "odesh:", err)
 		os.Exit(1)
 	}
 	defer sh.close()
 
-	if len(os.Args) > 1 {
-		f, err := os.Open(os.Args[1])
+	if flag.NArg() > 0 {
+		f, err := os.Open(flag.Arg(0))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "odesh:", err)
 			os.Exit(1)

@@ -27,8 +27,9 @@ type shell struct {
 	tx      *ode.Tx // explicit transaction, if open
 }
 
-func newShell(out io.Writer) (*shell, error) {
+func newShell(out io.Writer, dir string) (*shell, error) {
 	db, err := ode.Open(ode.Options{
+		Dir:             dir,
 		Start:           time.Date(2026, 7, 6, 8, 0, 0, 0, time.UTC),
 		RecordHistories: 64,
 	})
@@ -79,6 +80,14 @@ func (sh *shell) exec(line string) error {
 		return sh.defmethod(rest)
 	case "deftrigger":
 		return sh.deftrigger(rest)
+	case "wholeview":
+		class, trigger, _ := strings.Cut(rest, " ")
+		pc, found := sh.pending[class]
+		if !found || trigger == "" {
+			return fmt.Errorf("usage: wholeview CLASS TRIGGER (of a pending class)")
+		}
+		pc.builder.View(strings.TrimSpace(trigger), ode.WholeView)
+		return nil
 	case "define":
 		name, src, ok := strings.Cut(rest, "=")
 		if !ok {
@@ -175,6 +184,7 @@ func (sh *shell) help() {
   deftrigger NAME DECL       declare a trigger, e.g.
       deftrigger account Low(): perpetual balance < 100 ==> print
       actions: print | tabort | someMethod()
+  wholeview NAME TRIGGER     the trigger sees aborted transactions' events too (§6)
   define NAME=EVENT          #define-style event abbreviation
   register NAME              compile the class (triggers become automata)
   new NAME [field=value ...] create an object            → @oid

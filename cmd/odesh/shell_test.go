@@ -11,7 +11,7 @@ import (
 func runScript(t *testing.T, lines ...string) string {
 	t.Helper()
 	var out bytes.Buffer
-	sh, err := newShell(&out)
+	sh, err := newShell(&out, "")
 	if err != nil {
 		t.Fatal(err)
 	}

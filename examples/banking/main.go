@@ -2,7 +2,8 @@
 // E-C-A coupling modes expressed as plain event expressions over
 // transaction events, on a bank-account class. It also shows the §6
 // history views: a committed-view trigger versus a whole-history
-// trigger watching aborts.
+// trigger watching aborts — whose state, like all trigger state, is in
+// the database and is there again after a restart.
 //
 //	go run ./examples/banking
 package main
@@ -11,16 +12,17 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"os"
 
 	"ode"
 )
 
-func main() {
-	db, err := ode.Open(ode.Options{})
+// open opens the database in dir and declares the account class.
+func open(dir string) *ode.Database {
+	db, err := ode.Open(ode.Options{Dir: dir})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer db.Close()
 
 	event := "after withdraw(a) && a > 1000" // E: a large withdrawal
 	cond := "balance < 5000"                 // C: the account is getting low
@@ -64,6 +66,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	return db
+}
+
+func main() {
+	dir, err := os.MkdirTemp("", "ode-banking")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	db := open(dir)
 
 	var acct ode.OID
 	must(db.Transact(func(tx *ode.Tx) error {
@@ -101,6 +113,15 @@ func main() {
 		_, err := tx.Call(acct, "withdraw", ode.Int(3600))
 		return err
 	}))
+
+	fmt.Println("restart, then tx 4: deposit 100, then abort (the activations and their state are in the database)")
+	must(db.Close())
+	db = open(dir)
+	defer db.Close()
+	db.Transact(func(tx *ode.Tx) error {
+		tx.Call(acct, "deposit", ode.Int(100))
+		return errors.New("user cancelled")
+	})
 
 	var final ode.Value
 	db.Transact(func(tx *ode.Tx) error {

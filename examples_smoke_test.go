@@ -40,7 +40,9 @@ func TestExamplesRun(t *testing.T) {
 			"[immediate-deferred]",
 			"[immediate-dependent]",
 			"[deferred-immediate]",
-			"[whole-history] a transaction touching this account aborted",
+			"[whole-history] a transaction touching this account aborted (balance 4000)",
+			// … and again after the example restarts its database.
+			"[whole-history] a transaction touching this account aborted (balance 400)\n",
 			"[state-event] balance fell below 500",
 			"final balance: 400",
 		}},

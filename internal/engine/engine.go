@@ -107,13 +107,6 @@ type Options struct {
 	// address at open; "auto" binds a free localhost port. The
 	// listener is shut down by Engine.Close.
 	DebugAddr string
-	// PerObjectTimers restores the pre-cohort timer layout: one shared
-	// clock timer per (object, spec) and one system transaction per
-	// delivery, instead of one cohort per (class, spec, phase) delivered
-	// in one system transaction per tick. This is the semantic baseline the
-	// cohort path is equivalence-tested and benchmarked against; meant
-	// for tests and benchmarks, production leaves it off.
-	PerObjectTimers bool
 	// Faults optionally installs a fault-injection registry consulted
 	// by the WAL and the lock manager (internal/fault). The simulation
 	// harness (internal/sim) arms it; nil — the production default —
@@ -168,12 +161,6 @@ type Engine struct {
 	autoBytes    uint64
 	autoTriggers uint64
 
-	// Whole-history trigger automaton state lives outside the objects,
-	// so transaction rollback does not touch it (§6).
-	wholeMu     sync.Mutex
-	whole       map[instanceKey]int
-	wholeShadow map[instanceKey][]int
-
 	shadowOracle bool
 	// interpretMasks sends mask evaluation to the AST interpreter, the
 	// reference the compiled programs are tested against. Only this
@@ -222,11 +209,6 @@ type Engine struct {
 	debugSrvs  []*http.Server
 	debugVar   sync.Once
 	expvarName string
-}
-
-type instanceKey struct {
-	oid  store.OID
-	trig string
 }
 
 // Class is a registered class: schema, compiled trigger automata and
@@ -322,8 +304,6 @@ func New(opts Options) (*Engine, error) {
 		classes:      map[string]*Class{},
 		funcs:        map[string]MaskFunc{},
 		autoTables:   map[*compile.Table]struct{}{},
-		whole:        map[instanceKey]int{},
-		wholeShadow:  map[instanceKey][]int{},
 		shadowOracle: opts.ShadowOracle,
 		egressOff:    opts.DisableEgress,
 		faults:       opts.Faults,
@@ -341,7 +321,7 @@ func New(opts Options) (*Engine, error) {
 	if !e.egressOff {
 		st.SetFiringSink(e.egressPublish)
 	}
-	e.timers = newTimerTable(e, opts.PerObjectTimers)
+	e.timers = newTimerTable(e)
 	switch {
 	case opts.RecordHistories > 0:
 		e.book.Store(history.NewBook(opts.RecordHistories))
@@ -480,6 +460,12 @@ func (e *Engine) RegisterClass(cls *schema.Class, impl ClassImpl, ps *evlang.Par
 	}
 	e.classes[cls.Name] = c
 	for _, t := range c.Triggers {
+		// The one thing a history view decides at run time is what a
+		// rollback does with the trigger's slot (§6): a whole-view
+		// automaton has seen the aborted events too.
+		if t.View == schema.WholeView {
+			layout.Keep(t.slot)
+		}
 		e.autoTriggers++
 		if _, seen := e.autoTables[t.Auto.Tab]; !seen {
 			e.autoTables[t.Auto.Tab] = struct{}{}
@@ -568,14 +554,6 @@ func (e *Engine) TriggerState(oid store.OID, trigger string) (state int, active 
 	act := rec.Trig(t.slot)
 	if act.IsZero() {
 		return t.Auto.Start(), false, nil
-	}
-	if t.View == schema.WholeView {
-		e.wholeMu.Lock()
-		defer e.wholeMu.Unlock()
-		if s, ok := e.whole[instanceKey{oid, trigger}]; ok {
-			return s, act.Active, nil
-		}
-		return t.Auto.Start(), act.Active, nil
 	}
 	return int(act.State), act.Active, nil
 }

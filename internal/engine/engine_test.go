@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -480,29 +481,23 @@ func TestWholeViewSurvivesAbort(t *testing.T) {
 }
 
 // TestWholeViewStateDiesWithItsObject: whole-view automaton state lives
-// outside the record, so nothing but the engine frees it — when the
-// object's deletion commits, and when the transaction that created the
-// object aborts. An aborted deletion keeps it.
+// in the record, so it goes where the record goes — away with the abort
+// of the transaction that created the object (which keeps nothing and
+// publishes nothing), away when the object's deletion commits, and on
+// across an aborted deletion, which the whole view has seen.
 func TestWholeViewStateDiesWithItsObject(t *testing.T) {
 	cls, impl := accountClass(&recorder{},
 		schema.Trigger{Name: "Two", Perpetual: true, Event: "relative(after withdraw, after withdraw)", View: schema.WholeView})
 	e := newEngine(t, Options{ShadowOracle: true})
 	oid := setup(t, e, cls, impl, "Two")
-	entries := func() (int, int) {
-		e.wholeMu.Lock()
-		defer e.wholeMu.Unlock()
-		return len(e.whole), len(e.wholeShadow)
-	}
-	create := func(tx *Tx) error {
-		o, err := tx.NewObject("account", nil)
-		if err != nil {
-			return err
+	slot := e.Class("account").Trigger("Two").slot
+	// committed reads the instance from the store's committed view.
+	committed := func(o store.OID) (store.TrigState, bool) {
+		rec, ok := e.st.GetCommitted(o)
+		if !ok {
+			return store.TrigState{}, false
 		}
-		if err := tx.Activate(o, "Two"); err != nil {
-			return err
-		}
-		_, err = tx.Call(o, "withdraw", value.Int(1))
-		return err
+		return rec.Trig(slot), true
 	}
 
 	if err := e.Transact(func(tx *Tx) error {
@@ -511,22 +506,37 @@ func TestWholeViewStateDiesWithItsObject(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if w, s := entries(); w != 1 || s != 1 {
-		t.Fatalf("after one step: %d states, %d shadow histories; want 1, 1", w, s)
+	before, _ := committed(oid)
+	if len(before.Shadow()) == 0 {
+		t.Fatal("one committed withdraw left no history on the instance")
 	}
 
 	tx := e.Begin()
-	if err := create(tx); err != nil {
+	o, err := tx.NewObject("account", nil)
+	if err == nil {
+		err = tx.Activate(o, "Two")
+	}
+	if err == nil {
+		_, err = tx.Call(o, "withdraw", value.Int(1))
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
-	if w, _ := entries(); w != 2 {
-		t.Fatalf("inside the creating transaction: %d states, want 2", w)
+	if rec, err := e.st.Get(o); err != nil || len(rec.Trigs[slot].Shadow()) == 0 {
+		t.Fatalf("inside the creating transaction the instance has no history: %v", err)
 	}
+	epoch := e.st.Epoch()
 	if err := tx.Abort(); err != nil {
 		t.Fatal(err)
 	}
-	if w, s := entries(); w != 1 || s != 1 {
-		t.Fatalf("after an aborted creation: %d states, %d shadow histories; want 1, 1", w, s)
+	if _, ok := committed(o); ok || e.st.Exists(o) {
+		t.Fatal("an aborted creation left the object behind")
+	}
+	if e.st.Epoch() != epoch {
+		t.Fatal("an aborted creation published something")
+	}
+	if got, _ := committed(oid); !reflect.DeepEqual(got, before) {
+		t.Fatalf("an aborted creation changed another object's instance: %+v, was %+v", got, before)
 	}
 
 	tx = e.Begin()
@@ -536,15 +546,19 @@ func TestWholeViewStateDiesWithItsObject(t *testing.T) {
 	if err := tx.Abort(); err != nil {
 		t.Fatal(err)
 	}
-	if w, s := entries(); w != 1 || s != 1 {
-		t.Fatalf("after an aborted deletion: %d states, %d shadow histories; want 1, 1", w, s)
+	after, ok := committed(oid)
+	if !ok || !after.Active || len(after.Shadow()) <= len(before.Shadow()) {
+		t.Fatalf("an aborted deletion did not keep what the whole view saw of it: %+v, was %+v", after, before)
+	}
+	if err := e.VerifyOracle(); err != nil {
+		t.Fatal(err)
 	}
 
 	if err := e.Transact(func(tx *Tx) error { return tx.DeleteObject(oid) }); err != nil {
 		t.Fatal(err)
 	}
-	if w, s := entries(); w != 0 || s != 0 {
-		t.Fatalf("after a committed deletion: %d states, %d shadow histories; want 0, 0", w, s)
+	if _, ok := committed(oid); ok || e.st.Exists(oid) {
+		t.Fatal("a committed deletion left the object behind")
 	}
 }
 

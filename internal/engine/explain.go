@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"ode/internal/obs"
-	"ode/internal/schema"
 	"ode/internal/store"
 )
 
@@ -170,13 +169,6 @@ func (e *Engine) Explain(trigger string, oid store.OID) (*Explanation, error) {
 	if act := rec.Trig(t.slot); !act.IsZero() {
 		ex.Active = act.Active
 		ex.State = int(act.State)
-	}
-	if t.View == schema.WholeView {
-		e.wholeMu.Lock()
-		if s, ok := e.whole[instanceKey{oid, trigger}]; ok {
-			ex.State = s
-		}
-		e.wholeMu.Unlock()
 	}
 
 	r := e.provLookup(oid, t.slot)

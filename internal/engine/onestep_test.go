@@ -139,8 +139,9 @@ func runOneStep(t *testing.T, script []oneStepTx, seed int64, mode string, inter
 		}
 	}
 
-	e := newEngine(t, Options{PerObjectTimers: perObject})
+	e := newEngine(t, Options{})
 	e.interpretMasks = interpreted
+	e.timers.perObject = perObject
 	c, err := e.RegisterClass(cls, impl, nil)
 	if err != nil {
 		t.Fatal(err)

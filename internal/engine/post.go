@@ -262,7 +262,8 @@ func (tx *Tx) step(c *Class, ph *phase, oid store.OID, rec *store.Record,
 		// kinds cannot change the instance's behavior; see
 		// compile.InertSymbol — disabled under the shadow oracle, which
 		// needs complete symbol histories) and the committed-view rule
-		// that aborted histories are invisible (§6).
+		// that aborted histories are invisible (§6); what a view's state
+		// does on rollback is the store's business (Layout.Keep).
 		d := &ph.entries[i]
 		t := d.t
 		if only != nil && t != only {
@@ -306,39 +307,22 @@ func (tx *Tx) step(c *Class, ph *phase, oid store.OID, rec *store.Record,
 		// The step itself runs on the compact shared table: a row-index
 		// load, a narrow cell load and a bitset probe, through the
 		// trigger's class-symbol remap.
-		var prev, next int
-		if t.View == schema.WholeView {
-			key := instanceKey{oid, t.Res.Name}
-			e.wholeMu.Lock()
-			cur, ok := e.whole[key]
-			if !ok {
-				cur = t.Auto.Start()
+		prev := int(act.State)
+		next := t.Auto.Next(prev, sym)
+		if next != prev || e.shadowOracle {
+			// A self-looping instance leaves the record bit-identical,
+			// so a lazily accessed one (cohort delivery) is registered
+			// with the txn layer only here, at its first in-place
+			// mutation — it then needs no undo entry and no comparison
+			// at commit. Registering is idempotent.
+			if tx.lazyAccess {
+				if _, _, err = tx.tx.Access(oid); err != nil {
+					break
+				}
 			}
-			prev = cur
-			next = t.Auto.Next(cur, sym)
-			e.whole[key] = next
+			act.State = int32(next)
 			if e.shadowOracle {
-				e.wholeShadow[key] = append(e.wholeShadow[key], sym)
-			}
-			e.wholeMu.Unlock()
-		} else {
-			prev = int(act.State)
-			next = t.Auto.Next(prev, sym)
-			if next != prev || e.shadowOracle {
-				// A self-looping instance leaves the record bit-identical,
-				// so a lazily accessed one (cohort delivery) is registered
-				// with the txn layer only here, at its first in-place
-				// mutation — it then needs no undo entry and no comparison
-				// at commit. Registering is idempotent.
-				if tx.lazyAccess {
-					if _, _, err = tx.tx.Access(oid); err != nil {
-						break
-					}
-				}
-				act.State = int32(next)
-				if e.shadowOracle {
-					act.AppendShadow(sym)
-				}
+				act.AppendShadow(sym)
 			}
 		}
 		n.steps++
@@ -492,14 +476,7 @@ func (tx *Tx) interpretBits(c *Class, ph *phase, d *dispatchEntry, h *event.Happ
 // .ShadowOracle; a divergence is a bug in the automaton pipeline.
 func (e *Engine) shadowCheck(oid store.OID, t *Trigger, act *store.TrigState, accepted bool) error {
 	e.stats.shadowChecks.Add(1)
-	var hist []int
-	if t.View == schema.WholeView {
-		e.wholeMu.Lock()
-		hist = append([]int(nil), e.wholeShadow[instanceKey{oid, t.Res.Name}]...)
-		e.wholeMu.Unlock()
-	} else {
-		hist = act.Shadow()
-	}
+	hist := act.Shadow()
 	want := algebra.Occurs(t.Res.Expr, hist)
 	if want != accepted {
 		return fmt.Errorf("engine: shadow oracle divergence: trigger %s at object %d: automaton=%v oracle=%v (history %v)",

@@ -37,7 +37,7 @@ type Stats struct {
 	// TimersPending gauges the timers currently armed on the virtual
 	// clock ('after' one-shots plus one per cohort or shared spec).
 	// TimerCohorts gauges the live shared-schedule entries — cohorts, or
-	// per-object shared timers under Options.PerObjectTimers. Like the
+	// per-object shared timers in the reference layout. Like the
 	// Automaton* fields below these describe current state, not
 	// cumulative activity.
 	TimersPending uint64

@@ -45,10 +45,10 @@ func timerEquivScript(t *testing.T, perObject bool) *timerEquivRun {
 		}
 	}
 	e := newEngine(t, Options{
-		ShadowOracle:    true,
-		PerObjectTimers: perObject,
-		Start:           time.Date(2026, 7, 4, 8, 0, 0, 0, time.UTC),
+		ShadowOracle: true,
+		Start:        time.Date(2026, 7, 4, 8, 0, 0, 0, time.UTC),
 	})
+	e.timers.perObject = perObject
 	if _, err := e.RegisterClass(cls, impl, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func timerEquivScript(t *testing.T, perObject bool) *timerEquivRun {
 }
 
 // TestTimerCohortEquivalence proves cohort delivery is observationally
-// equivalent to the per-object baseline (Options.PerObjectTimers):
+// equivalent to the per-object baseline (timerTable.perObject):
 // identical per-object firing sequences, balances, provenance chains,
 // and aggregate counters, with the shadow oracle cross-checking every
 // automaton step in both runs.

@@ -15,7 +15,7 @@ import (
 // transaction per (class, tick) with the cohort's meter, amortizing
 // those costs exactly as PostBatch does for method calls.
 //
-// Semantics relative to the per-object layout (Options.PerObjectTimers),
+// Semantics relative to the per-object layout (timerTable.perObject),
 // pinned by the equivalence test in timer_equiv_test.go:
 //   - each member still observes one happening of the timer kind at the
 //     cohort instant, delivered to every active trigger of the object in
@@ -77,8 +77,7 @@ func (e *Engine) deliverCohort(co *cohort, oids []store.OID) {
 		delivered++
 	}
 	if err != nil {
-		sys.doAbort()
-		e.recordTimerErr(err)
+		e.recordTimerErr(sys.doAbort(err))
 		// The abort rolled back every member's step; re-deliver the tick
 		// one object at a time so unaffected members still observe it.
 		co.m.reset()

@@ -25,10 +25,9 @@ import (
 // a specified period ... when the trigger is armed"), so it stays per
 // (object, trigger) and its happening is delivered only to that trigger.
 //
-// Options.PerObjectTimers restores the pre-cohort layout — one shared
-// timer per (object, spec) delivering one system transaction per
-// object — as the semantic baseline the cohort path is equivalence-
-// tested (and benchmarked) against.
+// perObject selects the pre-cohort layout — one shared timer per
+// (object, spec) delivering one system transaction per object — the
+// semantic baseline the cohort path is equivalence-tested against.
 type timerTable struct {
 	e  *Engine
 	mu sync.Mutex
@@ -46,7 +45,8 @@ type timerTable struct {
 	// other objects' entries.
 	oneShots map[store.OID]map[string][]clock.TimerID
 
-	// Legacy per-object layout (Options.PerObjectTimers).
+	// Pre-cohort per-object layout, the cohorts' reference. Only this
+	// package's tests set perObject, before the first activation.
 	perObject  bool
 	shared     map[sharedKey]*sharedTimer
 	sharedRefs map[sharedKey]map[string]bool
@@ -92,13 +92,12 @@ type cohort struct {
 	m       meter
 }
 
-func newTimerTable(e *Engine, perObject bool) *timerTable {
+func newTimerTable(e *Engine) *timerTable {
 	return &timerTable{
 		e:          e,
 		cohorts:    map[cohortKey]*cohort{},
 		byObj:      map[store.OID]map[string]*cohort{},
 		oneShots:   map[store.OID]map[string][]clock.TimerID{},
-		perObject:  perObject,
 		shared:     map[sharedKey]*sharedTimer{},
 		sharedRefs: map[sharedKey]map[string]bool{},
 	}
@@ -400,7 +399,7 @@ func (tt *timerTable) disarmObject(oid store.OID) {
 // postTimer delivers a time event to one object from a system
 // transaction of its own (time events belong to no user transaction);
 // a nil only delivers to every active trigger of the object. 'after'
-// one-shots, the PerObjectTimers layout and the re-delivery of a cohort
+// one-shots, the per-object layout and the re-delivery of a cohort
 // tick that failed all come through here.
 func (e *Engine) postTimer(oid store.OID, key string, only *Trigger) {
 	if !e.st.Exists(oid) {
@@ -418,8 +417,7 @@ func (e *Engine) postTimer(oid store.OID, key string, only *Trigger) {
 		_, err = sys.post(oid, rec, event.TimerKind(key), 0, only)
 	}
 	if err != nil {
-		sys.doAbort()
-		e.recordTimerErr(fmt.Errorf("engine: timer %q on object %d: %w", key, oid, err))
+		e.recordTimerErr(sys.doAbort(fmt.Errorf("engine: timer %q on object %d: %w", key, oid, err)))
 		return
 	}
 	if err := sys.Commit(); err != nil {
@@ -430,10 +428,10 @@ func (e *Engine) postTimer(oid store.OID, key string, only *Trigger) {
 // hasOneShots reports whether an 'after' timer is already pending for
 // the instance (reconciliation must not double-arm: the delay is
 // relative to the original arming).
-func (tt *timerTable) hasOneShots(ik instanceKey) bool {
+func (tt *timerTable) hasOneShots(oid store.OID, trig string) bool {
 	tt.mu.Lock()
 	defer tt.mu.Unlock()
-	return len(tt.oneShots[ik.oid][ik.trig]) > 0
+	return len(tt.oneShots[oid][trig]) > 0
 }
 
 // reconcile re-aligns the timer table with an object's (possibly just
@@ -455,7 +453,7 @@ func (tt *timerTable) reconcile(oid store.OID, c *Class, rec *store.Record) {
 		// aborted activation — so only restore them if none pending.
 		for _, req := range t.Res.Timers {
 			if req.Mode == evlang.TimeAfter {
-				if !tt.hasOneShots(instanceKey{oid, t.Res.Name}) {
+				if !tt.hasOneShots(oid, t.Res.Name) {
 					tt.armAfter(oid, t, req)
 				}
 			} else {
@@ -466,7 +464,7 @@ func (tt *timerTable) reconcile(oid store.OID, c *Class, rec *store.Record) {
 }
 
 // sharedCount returns the number of live shared-schedule entries —
-// cohorts, or per-object shared timers under PerObjectTimers.
+// cohorts, or per-object shared timers in the per-object layout.
 func (tt *timerTable) sharedCount() int {
 	tt.mu.Lock()
 	defer tt.mu.Unlock()

@@ -55,33 +55,11 @@ type Tx struct {
 	cachedRec *store.Record
 
 	// created and deleted list the objects NewObject made and
-	// DeleteObject removed. Their engine-side state (Engine.forget) dies
-	// with the outcome that makes them gone for good: an abort for the
-	// created, a successful Commit for the deleted (an abort resurrects
-	// those with it).
-	created, deleted []goneObj
-}
-
-// goneObj names an object by OID and class; once the object is gone the
-// store no longer can.
-type goneObj struct {
-	oid store.OID
-	c   *Class
-}
-
-// forget frees the engine-side state of an object that no longer
-// exists: its provenance rings and its whole-view automaton states.
-func (e *Engine) forget(g goneObj) {
-	e.provDrop(g.oid)
-	for _, t := range g.c.Triggers {
-		if t.View == schema.WholeView {
-			key := instanceKey{g.oid, t.Res.Name}
-			e.wholeMu.Lock()
-			delete(e.whole, key)
-			delete(e.wholeShadow, key)
-			e.wholeMu.Unlock()
-		}
-	}
+	// DeleteObject removed. Their provenance rings — the one thing the
+	// engine keeps about an object outside its record — are dropped with
+	// the outcome that makes them gone for good: an abort for the created,
+	// a successful Commit for the deleted (an abort resurrects those).
+	created, deleted []store.OID
 }
 
 // Begin starts a transaction.
@@ -195,7 +173,7 @@ func (tx *Tx) NewObject(class string, fields map[string]value.Value) (store.OID,
 	if err != nil {
 		return 0, err
 	}
-	tx.created = append(tx.created, goneObj{rec.OID, c})
+	tx.created = append(tx.created, rec.OID)
 	if _, err := tx.post(rec.OID, rec, event.Kind{Phase: event.After, Class: event.KCreate}, tx.tx.ID(), nil); err != nil {
 		return 0, tx.propagate(err)
 	}
@@ -208,10 +186,6 @@ func (tx *Tx) DeleteObject(oid store.OID) error {
 	if err != nil {
 		return err
 	}
-	c, err := tx.e.classOf(rec)
-	if err != nil {
-		return err
-	}
 	if _, err := tx.post(oid, rec, event.Kind{Phase: event.Before, Class: event.KDelete}, tx.tx.ID(), nil); err != nil {
 		return tx.propagate(err)
 	}
@@ -220,7 +194,7 @@ func (tx *Tx) DeleteObject(oid store.OID) error {
 	if err := tx.tx.Delete(oid); err != nil {
 		return err
 	}
-	tx.deleted = append(tx.deleted, goneObj{oid, c})
+	tx.deleted = append(tx.deleted, oid)
 	return nil
 }
 
@@ -376,12 +350,6 @@ func (tx *Tx) Activate(oid store.OID, trigger string, params ...value.Value) err
 	if r := tx.e.provLookup(oid, t.slot); r != nil {
 		r.Reset()
 	}
-	if t.View == schema.WholeView {
-		tx.e.wholeMu.Lock()
-		tx.e.whole[instanceKey{oid, trigger}] = t.Auto.Start()
-		delete(tx.e.wholeShadow, instanceKey{oid, trigger})
-		tx.e.wholeMu.Unlock()
-	}
 	tx.e.timers.arm(oid, c, t)
 	return nil
 }
@@ -415,8 +383,7 @@ func (tx *Tx) Commit() error {
 		fired := true
 		for round := 0; fired; round++ {
 			if round >= maxTcompleteRounds {
-				tx.doAbort()
-				return ErrTcompleteDiverged
+				return tx.doAbort(ErrTcompleteDiverged)
 			}
 			fired = false
 			for _, oid := range tx.tx.Accessed() {
@@ -441,12 +408,14 @@ func (tx *Tx) Commit() error {
 	accessed := tx.tx.Accessed()
 	tx.cachedRec = nil
 	if err := tx.tx.Commit(); err != nil {
-		tx.finished = true
+		// A dependency aborted or the log failed: the txn layer has
+		// already rolled the transaction back.
+		tx.aborted(accessed)
 		return err
 	}
 	tx.finished = true
-	for _, g := range tx.deleted {
-		tx.e.forget(g)
+	for _, oid := range tx.deleted {
+		tx.e.provDrop(oid)
 	}
 	if !tx.tx.System() {
 		tx.e.stats.txCommitted.Add(1)
@@ -462,18 +431,22 @@ func (tx *Tx) Commit() error {
 }
 
 // Abort posts "before tabort" to the accessed objects, rolls back, and
-// has a system transaction post "after tabort".
+// has a system transaction post "after tabort". An error other than
+// txn.ErrNotActive reports what the rollback could not make durable
+// (txn.Tx.Abort); the transaction is aborted regardless.
 func (tx *Tx) Abort() error {
 	if tx.finished {
 		return txn.ErrNotActive
 	}
-	tx.doAbort()
-	return nil
+	return tx.doAbort(nil)
 }
 
-func (tx *Tx) doAbort() {
+// doAbort aborts the transaction because of cause (nil for a plain
+// Abort) and returns cause, joined with the rollback's own error if it
+// had one.
+func (tx *Tx) doAbort(cause error) error {
 	if tx.finished {
-		return
+		return cause
 	}
 	tx.cachedRec = nil
 	accessed := tx.tx.Accessed()
@@ -482,7 +455,7 @@ func (tx *Tx) doAbort() {
 		// "Immediately before a transaction aborts" (§3.1 item 4d):
 		// posted within the aborting transaction. Whatever it changes —
 		// including trigger actions it fires — is undone by the
-		// rollback, except whole-history automaton state (§6).
+		// rollback, except what whole-history triggers saw (§6).
 		for _, oid := range accessed {
 			if !tx.e.st.Exists(oid) {
 				continue
@@ -497,7 +470,16 @@ func (tx *Tx) doAbort() {
 		}
 	}
 	tx.cachedRec = nil // abort-path postings may have re-primed it
-	_ = tx.tx.Abort()
+	if err := tx.tx.Abort(); err != nil {
+		cause = errors.Join(cause, err)
+	}
+	tx.aborted(accessed)
+	return cause
+}
+
+// aborted is what follows every rollback, whichever way the txn layer
+// was brought to it — doAbort, or a Commit that turned into an abort.
+func (tx *Tx) aborted(accessed []store.OID) {
 	tx.finished = true
 	if !tx.tx.System() {
 		tx.e.stats.txAborted.Add(1)
@@ -523,8 +505,8 @@ func (tx *Tx) doAbort() {
 			tx.e.timers.reconcile(oid, c, rec)
 		}
 	}
-	for _, g := range tx.created {
-		tx.e.forget(g) // and whatever it recorded on them
+	for _, oid := range tx.created {
+		tx.e.provDrop(oid) // and whatever it recorded on them
 	}
 
 	if !tx.tx.System() {
@@ -541,10 +523,7 @@ func (tx *Tx) propagate(err error) error {
 	if err == nil {
 		return nil
 	}
-	if !tx.finished {
-		tx.doAbort()
-	}
-	return err
+	return tx.doAbort(err)
 }
 
 // postOutcome delivers after-tcommit / after-tabort happenings from a
@@ -561,13 +540,11 @@ func (e *Engine) postOutcome(accessed []store.OID, class event.Class, phase even
 			continue // deleted by the finished transaction or later
 		}
 		rec, err := sys.access(oid)
-		if err != nil {
-			sys.doAbort()
-			return err
+		if err == nil {
+			_, err = sys.post(oid, rec, event.Kind{Phase: phase, Class: class}, ofTx, nil)
 		}
-		if _, err := sys.post(oid, rec, event.Kind{Phase: phase, Class: class}, ofTx, nil); err != nil {
-			sys.doAbort()
-			return err
+		if err != nil {
+			return sys.doAbort(err)
 		}
 	}
 	return sys.Commit()

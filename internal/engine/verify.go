@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"ode/internal/algebra"
-	"ode/internal/schema"
 	"ode/internal/store"
 )
 
@@ -21,17 +20,16 @@ var ErrOracleDivergence = errors.New("engine: oracle divergence")
 //     denotational semantics labels — the trigger-firing sequence of
 //     the instance's current activation epoch, and
 //   - the replayed automaton ends in exactly the state stored on the
-//     object (for committed-view triggers, the state that
-//     persistence carried across any crash and recovery).
+//     object — the state that persistence carried across any crash and
+//     recovery.
 //
 // It requires Options.ShadowOracle (which records the histories) and
-// a quiescent engine. Because TrigState.Shadow is part of the
-// record, it is rolled back on abort and persisted on commit exactly
-// like State — so after a crash and reopen, VerifyOracle checks that
-// recovery reconstructed automaton states consistent with the §4
-// semantics of the surviving history. Whole-view instances are
-// checked against the engine's volatile whole-history tables instead
-// (those survive aborts but not restarts, matching §6).
+// a quiescent engine. TrigState's shadow history is part of the record
+// and travels with State everywhere: committed, rolled back — or, for a
+// whole-view trigger, kept across the rollback — and logged in the same
+// frame. So after a crash and reopen, VerifyOracle checks that recovery
+// reconstructed automaton states consistent with the §4 semantics of
+// the surviving history, in either view.
 func (e *Engine) VerifyOracle() error {
 	if !e.shadowOracle {
 		return errors.New("engine: VerifyOracle requires Options.ShadowOracle")
@@ -48,24 +46,11 @@ func (e *Engine) VerifyOracle() error {
 			return err
 		}
 		for _, t := range c.Triggers {
-			name := t.Res.Name
 			act := rec.Trig(t.slot)
 			if act.IsZero() {
 				continue // never activated
 			}
-			hist := act.Shadow()
-			state := int(act.State)
-			if t.View == schema.WholeView {
-				e.wholeMu.Lock()
-				hist = append([]int(nil), e.wholeShadow[instanceKey{oid, name}]...)
-				st, ok := e.whole[instanceKey{oid, name}]
-				if !ok {
-					st = t.Auto.Start()
-				}
-				state = st
-				e.wholeMu.Unlock()
-			}
-			if err := e.verifyInstance(oid, t, hist, state); err != nil {
+			if err := e.verifyInstance(oid, t, act.Shadow(), int(act.State)); err != nil {
 				return err
 			}
 		}

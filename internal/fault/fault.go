@@ -137,10 +137,25 @@ type Registry struct {
 	consults [NumPoints]uint64
 	injected [NumPoints]uint64
 	plans    [NumPoints][]plan
+	failStop bool
+	dead     bool // fail-stop: a commit-path fault has fired
 }
 
 // New returns an empty registry with nothing armed.
 func New() *Registry { return &Registry{} }
+
+// FailStop makes the registry model a process that dies at its first
+// injected commit-path fault (WALWrite, WALSync, WALAfterSync,
+// EgressAppend) — which is what those faults stand for: from then until
+// Disarm every WALWrite consult fails before a byte is written, so
+// nothing the doomed process still does (an abort's epilogue, a timer)
+// reaches the log behind the crash point. The refusals are not counted
+// as injected faults.
+func (r *Registry) FailStop() {
+	r.mu.Lock()
+	r.failStop = true
+	r.mu.Unlock()
+}
 
 // ArmAt arms a one-shot failure at point p, firing when the point is
 // consulted for the at-th time counting from the registry's creation
@@ -216,10 +231,17 @@ func (r *Registry) CheckTear(p Point, size int) (int, error) {
 		}
 	}
 	if fired == nil {
+		dead := r.dead && p == WALWrite
 		r.mu.Unlock()
+		if dead {
+			return -1, &Error{Point: p, Consult: ord, Tear: -1}
+		}
 		return size, nil
 	}
 	r.injected[p]++
+	if r.failStop && (p <= WALAfterSync || p == EgressAppend) {
+		r.dead = true
+	}
 	r.mu.Unlock()
 	tear := fired.tear
 	if tear > size {
@@ -304,7 +326,8 @@ func (r *Registry) ArmedAt(p Point) []uint64 {
 }
 
 // Disarm removes every pending plan without touching the counters,
-// so a harness can abandon scheduled faults after a crash cycle.
+// so a harness can abandon scheduled faults after a crash cycle; under
+// FailStop it is also the restart of the process.
 func (r *Registry) Disarm() {
 	if r == nil {
 		return
@@ -313,5 +336,6 @@ func (r *Registry) Disarm() {
 	for p := range r.plans {
 		r.plans[p] = nil
 	}
+	r.dead = false
 	r.mu.Unlock()
 }

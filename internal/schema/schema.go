@@ -67,14 +67,19 @@ func (m *Method) ParamIndex(name string) int {
 
 // HistoryView selects which event history a trigger observes
 // (paper §6): the whole history including aborted transactions'
-// operations, or only committed operations. Committed-view trigger
-// state is stored with the object and rolled back on abort.
+// operations, or only committed operations. In both views the trigger's
+// state is stored with the object and is durable; the views differ in
+// what an abort does with it.
 type HistoryView int
 
 const (
-	// CommittedView sees only committed transactions' events.
+	// CommittedView sees only committed transactions' events: trigger
+	// state is rolled back on abort with the rest of the object.
 	CommittedView HistoryView = iota
-	// WholeView sees every event, aborted transactions included.
+	// WholeView sees every event, aborted transactions included: an
+	// abort keeps the automaton state (and the shadow-oracle history that
+	// goes with it) the aborted transaction left, while activation and
+	// activation parameters are rolled back like everything else.
 	WholeView
 )
 

@@ -20,9 +20,7 @@ type classDef struct {
 	name    string
 	fields  []schema.Field
 	methods []schema.Method
-	// fixed triggers; whole-view entries are dropped in persistent runs
-	// (whole-history automaton state is deliberately volatile, §6, so
-	// its restart semantics are not part of the crash contract).
+	// fixed triggers, of both history views (§6)
 	triggers []schema.Trigger
 	// apply mutates the model fields exactly as the engine method does.
 	apply func(fields map[string]int64, method string, arg int64)
@@ -133,12 +131,7 @@ func buildClass(ci int, sc *Script, fire func(class, trigger string, ctx *engine
 	cls := &schema.Class{Name: cd.name}
 	cls.Fields = append(cls.Fields, cd.fields...)
 	cls.Methods = append(cls.Methods, cd.methods...)
-	for _, tr := range cd.triggers {
-		if tr.View == schema.WholeView && sc.Persistent {
-			continue
-		}
-		cls.Triggers = append(cls.Triggers, tr)
-	}
+	cls.Triggers = append(cls.Triggers, cd.triggers...)
 	if ci < len(sc.RandTriggers) {
 		for _, rt := range sc.RandTriggers[ci] {
 			cls.Triggers = append(cls.Triggers, schema.Trigger{Name: rt.Name, Event: rt.Event})

@@ -169,6 +169,7 @@ func Execute(sc *Script, dir string) (res *Result, err error) {
 		return nil, errors.New("sim: persistent script needs a directory")
 	}
 	x := &exec{sc: sc, dir: dir, reg: fault.New()}
+	x.reg.FailStop()
 	if err := x.open(time.Time{}); err != nil {
 		return nil, fmt.Errorf("sim: open: %w", err)
 	}
@@ -334,7 +335,7 @@ func (x *exec) runFault(st Step) error {
 	default:
 		return fmt.Errorf("unknown fault point %v", st.Fault.Point)
 	}
-	err := x.runTx(st.Ops, false)
+	err := x.runTx(st.Ops, st.Abort)
 	if err == nil && (st.Fault.Point == fault.EgressCursor || st.Fault.Point == fault.EgressDeliver) {
 		// Consume the armed plans deterministically inside this fault
 		// step: the delivery pump is where these points are consulted.
@@ -368,18 +369,15 @@ func (x *exec) runTx(ops []Op, abort bool) error {
 			continue
 		}
 		if errors.Is(err, engine.ErrTabort) || errors.Is(err, fault.ErrInjected) {
-			if aerr := tx.Abort(); aerr != nil && !errors.Is(aerr, txn.ErrNotActive) {
-				return fmt.Errorf("abort after %v: %w", err, aerr)
+			if aerr := tx.Abort(); !errors.Is(aerr, txn.ErrNotActive) {
+				err = errors.Join(err, aerr)
 			}
-			return x.checkTimerErrs()
+			return x.aborted(tx, err)
 		}
 		return fmt.Errorf("op %s: %w", op, err)
 	}
 	if abort {
-		if err := tx.Abort(); err != nil {
-			return fmt.Errorf("scripted abort: %w", err)
-		}
-		return x.checkTimerErrs()
+		return x.aborted(tx, tx.Abort())
 	}
 
 	err := tx.Commit()
@@ -389,7 +387,7 @@ func (x *exec) runTx(ops []Op, abort bool) error {
 		return x.checkTimerErrs()
 	case errors.Is(err, engine.ErrTabort):
 		// a before-tcomplete trigger raised tabort; clean rollback
-		return x.checkTimerErrs()
+		return x.aborted(tx, err)
 	case errors.Is(err, fault.ErrInjected):
 		var fe *fault.Error
 		if !errors.As(err, &fe) {
@@ -401,13 +399,57 @@ func (x *exec) runTx(ops []Op, abort bool) error {
 			// or it hit post-commit outcome delivery (commit durable).
 			if committed {
 				stage.commit()
+				return x.checkTimerErrs()
 			}
-			return x.checkTimerErrs()
+			return x.aborted(tx, err)
 		}
 		return x.crashCycle(stage, fe, committed, tx.Underlying().ID())
 	default:
 		return fmt.Errorf("commit: %w", err)
 	}
+}
+
+// aborted ends a transaction that rolled back, err being what its
+// operations and its abort reported. An abort writes too — the frame
+// that carries what whole-view triggers keep of the transaction — so an
+// injected WAL fault can land there, and is a crash like one on a commit
+// frame: the model has the same state on both sides of that frame, and
+// the oracle must hold on whichever side recovery lands (state and
+// shadow travel together).
+func (x *exec) aborted(tx *engine.Tx, err error) error {
+	// … or on the "after tabort" system transaction, which reports into
+	// the timer errors.
+	outcome := errors.Join(x.eng.TimerErrors()[x.timerErrSeen:]...)
+	if fe := walFault(errors.Join(err, outcome)); fe != nil {
+		return x.crashCycle(&txStage{x: x, touched: map[int]*objState{}}, fe, false, tx.Underlying().ID())
+	}
+	if err != nil && !errors.Is(err, engine.ErrTabort) && !errors.Is(err, fault.ErrInjected) {
+		return fmt.Errorf("abort: %w", err)
+	}
+	return x.checkTimerErrs()
+}
+
+// walFault finds the injected fault in err that is not a lock timeout
+// (a transaction a lock fault aborted can meet a WAL fault in its abort;
+// errors.As would stop at the first).
+func walFault(err error) *fault.Error {
+	switch e := err.(type) {
+	case nil:
+		return nil
+	case *fault.Error:
+		if e.Point == fault.LockAcquire {
+			return nil
+		}
+		return e
+	case interface{ Unwrap() []error }:
+		for _, sub := range e.Unwrap() {
+			if fe := walFault(sub); fe != nil {
+				return fe
+			}
+		}
+		return nil
+	}
+	return walFault(errors.Unwrap(err))
 }
 
 func (x *exec) applyOp(tx *engine.Tx, stage *txStage, op Op) error {

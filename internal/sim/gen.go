@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"ode/internal/fault"
@@ -130,18 +131,10 @@ func Generate(cfg Config) *Script {
 	return sc
 }
 
-// triggerNames returns the activatable trigger names of class ci for
-// this script (whole-view triggers are absent from persistent runs,
-// generated triggers are appended).
+// triggerPool returns the activatable triggers of class ci for this
+// script: the fixed ones, then the generated ones.
 func triggerPool(sc *Script, ci int) []schema.Trigger {
-	cd := &classDefs[ci]
-	var out []schema.Trigger
-	for _, tr := range cd.triggers {
-		if tr.View == schema.WholeView && sc.Persistent {
-			continue
-		}
-		out = append(out, tr)
-	}
+	out := slices.Clone(classDefs[ci].triggers)
 	if ci < len(sc.RandTriggers) {
 		for _, rt := range sc.RandTriggers[ci] {
 			out = append(out, schema.Trigger{Name: rt.Name, Event: rt.Event})
@@ -265,8 +258,11 @@ func genFaultStep(rng *rand.Rand, cfg Config) Step {
 	}
 	switch rng.Intn(points) {
 	case 0:
-		// Crash before anything reaches the log.
-		return Step{Kind: StepFault, Ops: victim, Fault: FaultSpec{Point: fault.WALWrite, Tear: -1}}
+		// Crash before anything reaches the log — of a commit, or, one
+		// time in three, of an abort: the victim then logs only the frame
+		// that carries what its object's whole-view triggers keep of it.
+		return Step{Kind: StepFault, Ops: victim, Abort: rng.Intn(3) == 0,
+			Fault: FaultSpec{Point: fault.WALWrite, Tear: -1}}
 	case 1:
 		// Torn batch: a short prefix makes it to disk.
 		return Step{Kind: StepFault, Ops: victim,
@@ -274,8 +270,10 @@ func genFaultStep(rng *rand.Rand, cfg Config) Step {
 	case 2:
 		return Step{Kind: StepFault, Ops: victim, Fault: FaultSpec{Point: fault.WALSync, Tear: -1}}
 	case 3:
-		// Crash after durability but before the commit is acknowledged.
-		return Step{Kind: StepFault, Ops: victim, Fault: FaultSpec{Point: fault.WALAfterSync, Tear: -1}}
+		// Crash after durability but before the commit (or, as above, the
+		// abort) is acknowledged.
+		return Step{Kind: StepFault, Ops: victim, Abort: rng.Intn(3) == 0,
+			Fault: FaultSpec{Point: fault.WALAfterSync, Tear: -1}}
 	case 4:
 		// Crash mid-batch-WAL-frame: the victim is a PostBatch whose
 		// commit (two dirty acct objects when the script created them)

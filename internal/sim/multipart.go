@@ -321,7 +321,9 @@ func ExecuteMulti(sc *MultiScript, dir string) (*MultiResult, error) {
 		firings: make([][]string, sc.Partitions),
 	}
 	for p := 0; p < sc.Partitions; p++ {
-		x.regs = append(x.regs, fault.New())
+		reg := fault.New()
+		reg.FailStop()
+		x.regs = append(x.regs, reg)
 	}
 	if err := x.open(time.Time{}); err != nil {
 		return nil, fmt.Errorf("sim: multipart open: %w", err)

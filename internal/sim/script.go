@@ -101,7 +101,7 @@ type FaultSpec struct {
 type Step struct {
 	Kind    StepKind
 	Ops     []Op
-	Abort   bool          // StepTx: deliberately abort after Ops
+	Abort   bool          // StepTx, StepFault: deliberately abort after Ops
 	Advance time.Duration // StepAdvance
 	Fault   FaultSpec     // StepFault
 }
@@ -154,6 +154,9 @@ func (st Step) String() string {
 		return "checkpoint"
 	case StepFault:
 		s := fmt.Sprintf("fault %v tear=%d delay=%d; %s", st.Fault.Point, st.Fault.Tear, st.Fault.Delay, opsString(st.Ops))
+		if st.Abort {
+			s += "; abort"
+		}
 		return s
 	default:
 		verb := "tx"

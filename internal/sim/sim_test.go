@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -204,6 +205,39 @@ func TestFaultCrashAfterCommit(t *testing.T) {
 	res := runFaultScript(t, sc)
 	if res.Crashes != 1 {
 		t.Fatalf("want 1 crash, got %d", res.Crashes)
+	}
+}
+
+// TestFaultCrashDuringAbortCarry: an abort writes too — one frame with
+// what the object's whole-view trigger keeps of the aborted transaction —
+// and a crash on either side of that frame's sync is a crash like any
+// other: recovery yields all of the frame or none of it, the oracle holds
+// (state and shadow are one record), and the next transaction's tbegin
+// steps whatever survived.
+func TestFaultCrashDuringAbortCarry(t *testing.T) {
+	for _, point := range []fault.Point{fault.WALWrite, fault.WALAfterSync} {
+		sc := handScript(true,
+			Step{Kind: StepTx, Ops: []Op{dep(0, 100)}},
+			Step{Kind: StepTx, Abort: true, Ops: []Op{wdr(0, 5)}}, // Whole: tabort seen, waits for a tbegin
+			Step{Kind: StepFault, Abort: true, Ops: []Op{dep(0, 7)}, Fault: FaultSpec{Point: point, Tear: -1}},
+			Step{Kind: StepTx, Ops: []Op{wdr(0, 30)}},
+		)
+		res := runFaultScript(t, sc)
+		if res.Crashes != 1 || res.Recoveries != 1 || res.InjectedFaults != 1 {
+			t.Fatalf("%v: want 1 crash+recovery from 1 injected fault, got %d/%d from %d",
+				point, res.Crashes, res.Recoveries, res.InjectedFaults)
+		}
+		whole := 0
+		for _, f := range res.Firings {
+			if strings.Contains(f, "Whole") {
+				whole++
+			}
+		}
+		// At the victim's tbegin, and — from recovered state — at the
+		// last transaction's.
+		if whole != 2 {
+			t.Fatalf("%v: Whole fired %d times, want 2: the abort it had seen was lost (firings %v)", point, whole, res.Firings)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -16,16 +17,22 @@ import (
 // names it decodes, the engine resolves each trigger's slot once at
 // RegisterClass, and both meet in the same table.
 //
+// The layout also owns what a rollback does with a slot: restore it from
+// the before-image like the rest of the record, or — for the slots Keep
+// marked — keep what the rolled-back transaction left in it (see
+// Store.Restore). The marks are the registering engine's, not persisted.
+//
 // Readers (every posting, through Len/Slot/Name) take no lock: the
-// table is immutable and replaced wholesale by Intern.
+// table is immutable and replaced wholesale by Intern and Keep.
 type Layout struct {
-	mu  sync.Mutex // serializes Intern's copy-on-write
+	mu  sync.Mutex // serializes the copy-on-write of Intern and Keep
 	tab atomic.Pointer[layoutTab]
 }
 
 type layoutTab struct {
 	names []string       // slot → name
 	slots map[string]int // name → slot
+	kept  []int          // slots marked by Keep
 }
 
 func newLayout() *Layout {
@@ -59,7 +66,7 @@ func (l *Layout) Intern(name string) int {
 		return s
 	}
 	n := len(cur.names)
-	next := &layoutTab{names: make([]string, n+1), slots: make(map[string]int, n+1)}
+	next := &layoutTab{names: make([]string, n+1), slots: make(map[string]int, n+1), kept: cur.kept}
 	copy(next.names, cur.names)
 	next.names[n] = name
 	for k, v := range cur.slots {
@@ -68,6 +75,21 @@ func (l *Layout) Intern(name string) int {
 	next.slots[name] = n
 	l.tab.Store(next)
 	return n
+}
+
+// Keep marks slot as surviving rollback: the automaton state of a
+// whole-history-view trigger (paper §6), which has seen the events of an
+// aborted transaction too.
+func (l *Layout) Keep(slot int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	cur := l.tab.Load()
+	if slices.Contains(cur.kept, slot) {
+		return
+	}
+	next := *cur
+	next.kept = append(slices.Clip(cur.kept), slot)
+	l.tab.Store(&next)
 }
 
 // Layout returns the slot layout of the named class, creating it on

@@ -492,12 +492,33 @@ func (s *Store) Snapshot(oid OID) (*Record, error) {
 
 // Restore reinstates a before-image — normally the object's shared
 // committed image, so it is deep-copied, never installed — resurrecting
-// the object if it was deleted in the meantime.
-func (s *Store) Restore(img *Record) {
+// the object if it was deleted in the meantime. live, if not nil, is the
+// record the rolled-back transaction worked on: for each slot the class
+// layout keeps (Layout.Keep) that is active in both, State and Shadow —
+// never Active or Params — are copied from it over the copy. Restore
+// returns the installed record and whether it kept anything, that is,
+// differs from img; the caller then commits it like any other change
+// before it releases the object's lock.
+func (s *Store) Restore(img, live *Record) (rec *Record, kept bool) {
+	rec = img.clone()
+	if live != nil {
+		for _, slot := range img.layout.tab.Load().kept {
+			if slot >= len(rec.Trigs) || slot >= len(live.Trigs) {
+				continue
+			}
+			to, from := &rec.Trigs[slot], &live.Trigs[slot]
+			if to.Active && from.Active && (to.State != from.State || !slices.Equal(to.Shadow(), from.Shadow())) {
+				to.State = from.State
+				to.ext = newExt(to.Params(), slices.Clone(from.Shadow()))
+				kept = true
+			}
+		}
+	}
 	st := s.stripeOf(img.OID)
 	st.mu.Lock()
-	st.objects[img.OID] = img.clone()
+	st.objects[img.OID] = rec
 	st.mu.Unlock()
+	return rec, kept
 }
 
 // Remove unconditionally deletes oid if present; used to undo an

@@ -65,14 +65,14 @@ func TestSnapshotRestore(t *testing.T) {
 		t.Fatal("snapshot aliases live record")
 	}
 
-	s.Restore(img)
+	s.Restore(img, nil)
 	back, _ := s.Get(r.OID)
 	if !back.Fields["balance"].Equal(value.Int(100)) || back.Trigger("t1").State != 3 {
 		t.Fatal("restore did not reinstate the before-image")
 	}
 	// Restoring also resurrects a deleted object.
 	s.Delete(r.OID)
-	s.Restore(img)
+	s.Restore(img, nil)
 	if !s.Exists(r.OID) {
 		t.Fatal("restore did not resurrect")
 	}

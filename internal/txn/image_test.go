@@ -3,6 +3,7 @@ package txn
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -149,8 +150,11 @@ type imgTx struct {
 }
 
 // Trigger arg%3 is the op's target; the harness starts with "C"
-// (arg 5: lim = 1) active on object 1.
+// (arg 5: lim = 1) active on object 1. "B" is the slot the layout keeps
+// across rollbacks (store.Layout.Keep).
 var imgTriggers = [...]string{"A", "B", "C"}
+
+const imgKept = "B"
 
 // imgFields are the fields the harness's objects carry, in the order
 // fingerprint renders them (the bare object has no owner).
@@ -193,16 +197,19 @@ type imgHarness struct {
 func newImgHarness(t *testing.T, single bool) *imgHarness {
 	h := &imgHarness{t: t, m: newManager(t), kept: map[*store.Record]string{}}
 	h.m.SetSingleWriter(single)
+	layout := h.m.Store().Layout("acct")
+	layout.Keep(layout.Intern(imgKept))
 	// Object 0 is created outside any transaction and has no committed
 	// image until a transaction first commits a change to it.
 	bare := h.m.Store().Create("acct", map[string]value.Value{"balance": value.Int(7)})
 	bare.Trigger("A").Active = true
+	bare.Trigger(imgKept).Active = true // what an abort keeps of it stays in the heap
 	h.live = append(h.live, bare.OID)
 	h.run(imgTx{commit: true, ops: []imgOp{{kind: "create"}, {kind: "create"}, {kind: "activate", obj: 1, arg: 5}}})
 	return h
 }
 
-func (h *imgHarness) apply(tx *Tx, op imgOp, created *[]store.OID, deleted, touched map[store.OID]bool) {
+func (h *imgHarness) apply(tx *Tx, op imgOp, created *[]store.OID, deleted, touched map[store.OID]bool, recs map[store.OID]*store.Record) {
 	t := h.t
 	if op.kind == "create" {
 		rec, err := tx.Create("acct", map[string]value.Value{"balance": value.Int(int64(op.arg)), "owner": value.Str("o")})
@@ -221,16 +228,17 @@ func (h *imgHarness) apply(tx *Tx, op imgOp, created *[]store.OID, deleted, touc
 		return
 	}
 	touched[oid] = true
+	rec, _, err := tx.Access(oid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs[oid] = rec
 	if op.kind == "delete" {
 		if err := tx.Delete(oid); err != nil {
 			t.Fatal(err)
 		}
 		deleted[oid] = true
 		return
-	}
-	rec, _, err := tx.Access(oid)
-	if err != nil {
-		t.Fatal(err)
 	}
 	name := imgTriggers[op.arg%len(imgTriggers)]
 	switch op.kind {
@@ -261,6 +269,28 @@ func (h *imgHarness) apply(tx *Tx, op imgOp, created *[]store.OID, deleted, touc
 	}
 }
 
+// rolledBack is the oracle of an abort: before, the deep copy of the
+// object taken before the transaction, with State and Shadow of the kept
+// slot taken from rec, the record the transaction worked on (nil if it
+// never accessed the object), if the slot is active in both. It reports
+// whether that changed before.
+func rolledBack(before, rec *store.Record) (*store.Record, bool) {
+	if rec == nil {
+		return before, false
+	}
+	to, from := before.Trigger(imgKept), rec.Trigger(imgKept)
+	if !to.Active || !from.Active || to.State == from.State && fmt.Sprint(to.Shadow()) == fmt.Sprint(from.Shadow()) {
+		return before, false
+	}
+	kept := store.TrigState{Active: true, State: from.State}
+	kept.SetParams(to.Params())
+	for _, sym := range from.Shadow() {
+		kept.AppendShadow(sym)
+	}
+	*to = kept
+	return before, true
+}
+
 // deepClone is the oracle: Record.clone of the live record.
 func (h *imgHarness) deepClone(id store.OID) *store.Record {
 	r, err := h.m.Store().Snapshot(id)
@@ -287,33 +317,43 @@ func (h *imgHarness) run(x imgTx) {
 	tx := h.m.Begin()
 	var created []store.OID
 	deleted, touched := map[store.OID]bool{}, map[store.OID]bool{}
+	recs := map[store.OID]*store.Record{}
 	for _, op := range x.ops {
-		h.apply(tx, op, &created, deleted, touched)
+		h.apply(tx, op, &created, deleted, touched, recs)
 	}
 
 	if !x.commit {
 		if err := tx.Abort(); err != nil {
 			t.Fatal(err)
 		}
+		published := false
 		for _, oid := range h.live {
 			got, err := st.Get(oid)
 			if err != nil {
 				t.Fatalf("object %d gone after abort: %v", oid, err)
 			}
-			if fingerprint(got) != fingerprint(before[oid]) {
-				t.Fatalf("object %d after abort:\n got %s\nwant %s", oid, fingerprint(got), fingerprint(before[oid]))
+			want, kept := rolledBack(before[oid], recs[oid])
+			if fingerprint(got) != fingerprint(want) {
+				t.Fatalf("object %d after abort:\n got %s\nwant %s", oid, fingerprint(got), fingerprint(want))
 			}
-			if img, _ := st.GetCommitted(oid); img != prevImg[oid] {
+			// What the abort kept is committed like any change, unless
+			// the object has no image to fall out of step with.
+			img, _ := st.GetCommitted(oid)
+			if kept = kept && prevImg[oid] != nil; !kept && img != prevImg[oid] {
 				t.Fatalf("abort replaced object %d's committed image", oid)
 			}
+			if kept && (img == prevImg[oid] || fingerprint(img) != fingerprint(got)) {
+				t.Fatalf("object %d: the abort kept state it did not publish:\n  img %s\n live %s", oid, fingerprint(img), fingerprint(got))
+			}
+			published = published || kept
 		}
 		for _, oid := range created {
 			if st.Exists(oid) {
 				t.Fatalf("aborted creation %d still exists", oid)
 			}
 		}
-		if st.Epoch() != epoch {
-			t.Fatalf("abort advanced the epoch %d → %d", epoch, st.Epoch())
+		if want := epoch + map[bool]uint64{true: 1}[published]; st.Epoch() != want {
+			t.Fatalf("abort moved the epoch %d → %d, want %d", epoch, st.Epoch(), want)
 		}
 		return
 	}
@@ -375,6 +415,49 @@ func (h *imgHarness) finish() {
 	}
 }
 
+// TestKeptStateIsPublishedUnderTheLock: what an abort keeps is committed
+// before the aborting transaction's locks are released, so a transaction
+// queued on the object never sees the plain before-image.
+func TestKeptStateIsPublishedUnderTheLock(t *testing.T) {
+	m, oid := imageSetup(t)
+	layout := m.Store().Layout("acct")
+	layout.Keep(layout.Intern("Watch"))
+
+	t1 := m.Begin()
+	rec, _, err := t1.Access(oid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Trigger("Watch").State = 7
+	rec.SetField("balance", value.Int(0))
+
+	seen := make(chan int32, 1)
+	go func() {
+		t2 := m.Begin()
+		defer t2.Abort()
+		rec, _, err := t2.Access(oid) // queues behind t1
+		if err != nil {
+			t.Error(err)
+			seen <- -1
+			return
+		}
+		seen <- rec.Trigger("Watch").State
+	}()
+	for _, waiting := m.locks.counts(); waiting == 0; _, waiting = m.locks.counts() {
+		runtime.Gosched()
+	}
+	if err := t1.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if got := <-seen; got != 7 {
+		t.Fatalf("the queued transaction saw State %d, want the kept 7", got)
+	}
+	img, _ := m.Store().GetCommitted(oid)
+	if img.Trig(layout.Intern("Watch")).State != 7 || !field(img, "balance").Equal(value.Int(100)) {
+		t.Fatalf("committed image after the abort: %s", fingerprint(img))
+	}
+}
+
 func TestImageDifferential(t *testing.T) {
 	table := map[string][]imgTx{
 		"activation-only change aborts": {
@@ -414,6 +497,16 @@ func TestImageDifferential(t *testing.T) {
 			{commit: true, ops: []imgOp{{kind: "touch", obj: 0}}},
 			{commit: true, ops: []imgOp{{kind: "deactivate", obj: 0, arg: 0}}},
 			{ops: []imgOp{{kind: "delete", obj: 0}}},
+		},
+		"kept slot: state and history survive the abort, activation and fields do not": {
+			{commit: true, ops: []imgOp{{kind: "activate", obj: 1, arg: 1}}},
+			{ops: []imgOp{{kind: "step", obj: 1, arg: 4}, {kind: "set", obj: 1, arg: 3}, {kind: "deactivate", obj: 1, arg: 2}}},
+			{ops: []imgOp{{kind: "step", obj: 1, arg: 7}, {kind: "delete", obj: 1}}},
+			{ops: []imgOp{{kind: "activate", obj: 1, arg: 4}, {kind: "step", obj: 1, arg: 1}}},   // re-activation: the post-reset state, the old parameters
+			{ops: []imgOp{{kind: "step", obj: 1, arg: 4}, {kind: "deactivate", obj: 1, arg: 1}}}, // inactive at the abort: nothing kept
+			{ops: []imgOp{{kind: "activate", obj: 2, arg: 1}, {kind: "step", obj: 2, arg: 4}}},   // inactive before: nothing kept
+			{ops: []imgOp{{kind: "step", obj: 0, arg: 4}}},                                       // never committed: kept, not published
+			{commit: true, ops: []imgOp{{kind: "touch", obj: 1}}},
 		},
 		"create and delete": {
 			{commit: true, ops: []imgOp{{kind: "create", arg: 9}, {kind: "delete", obj: 3}}},

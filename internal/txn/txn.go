@@ -336,8 +336,7 @@ func (tx *Tx) Commit() error {
 		return ErrNotActive
 	}
 	if err := tx.waitForDeps(); err != nil {
-		tx.rollback()
-		return err
+		return tx.rollback(err)
 	}
 	touched, deleted := tx.touched, []store.OID(nil)
 	if len(tx.deleted) > 0 {
@@ -355,37 +354,62 @@ func (tx *Tx) Commit() error {
 	// their committed images, and a reader that sees a new image sees
 	// exactly the state the WAL just made durable.
 	if err := tx.mgr.store.Commit(tx.id, touched, deleted, tx.firings); err != nil {
-		tx.rollback()
-		return fmt.Errorf("txn: commit logging failed: %w", err)
+		return tx.rollback(fmt.Errorf("txn: commit logging failed: %w", err))
 	}
 	tx.finish(Committed)
 	return nil
 }
 
 // Abort undoes every effect of the transaction and releases its locks.
-// Aborting a finished transaction is an error.
+// Aborting a finished transaction is an error; any other error reports
+// what the abort could not make durable (see rollback) — the transaction
+// is aborted regardless.
 func (tx *Tx) Abort() error {
 	if tx.State() != Active {
 		return ErrNotActive
 	}
-	tx.rollback()
-	return nil
+	return tx.rollback(nil)
 }
 
-func (tx *Tx) rollback() {
-	// Restore before-images in reverse order of first access.
+// rollback is the one way a transaction aborts: Abort, a failed Commit
+// and an aborted dependency all end here. It restores the before-images
+// in reverse order of first access; what a restored record keeps of the
+// aborted transaction (store.Restore: whole-history-view automaton
+// state, §6) is then committed as one ordinary frame and published while
+// the locks are still held, so nobody ever steps the stale slot and
+// recovery needs to know nothing about aborts. If that frame cannot be
+// logged the objects fall back to their plain before-images — what a
+// crash before the frame would have left — and the error is returned
+// with cause, the error that forced the abort (nil for Abort); the
+// transaction is aborted either way.
+func (tx *Tx) rollback(cause error) error {
+	st := tx.mgr.store
+	var kept []store.Touched
 	for i := len(tx.accessed) - 1; i >= 0; i-- {
-		oid := tx.accessed[i]
-		switch img := tx.touched[i].Prev; {
+		oid, t := tx.accessed[i], tx.touched[i]
+		switch {
 		case tx.created[oid]:
-			tx.mgr.store.Remove(oid)
-		case img != nil:
-			tx.mgr.store.Restore(img)
+			st.Remove(oid)
+		case t.Prev != nil:
+			if rec, ok := st.Restore(t.Prev, t.Rec); ok {
+				kept = append(kept, store.Touched{Rec: rec, Prev: t.Prev})
+			}
 		default:
-			tx.mgr.store.Restore(tx.snaps[oid])
+			// Never committed, so there is no image to fall out of step
+			// with: what it keeps stays in the heap record.
+			st.Restore(tx.snaps[oid], t.Rec)
+		}
+	}
+	if len(kept) > 0 {
+		if err := st.Commit(tx.id, kept, nil, nil); err != nil {
+			for _, k := range kept {
+				st.Restore(k.Prev, nil)
+			}
+			cause = errors.Join(cause, fmt.Errorf("txn: logging the state kept across the abort failed: %w", err))
 		}
 	}
 	tx.finish(Aborted)
+	return cause
 }
 
 func (tx *Tx) waitForDeps() error {

@@ -12,13 +12,13 @@ import (
 
 // E18 measures timer-storm delivery: an IoT-fleet-shaped class where
 // every object arms the same canonical periodic heartbeat, and the
-// virtual clock then sweeps whole periods at once. The cohort layout
-// (the default) tracks all members of one (class, spec, phase) in a
-// single timing-wheel entry and delivers a due cohort in one system
-// transaction per (class, tick), its counts metered once per tick;
-// the per-object baseline (Options.PerObjectTimers) arms one clock
-// timer and runs one system transaction per object per tick. The
-// heartbeat spec is monitoring-shaped: `relative(every time(M=10),
+// virtual clock then sweeps whole periods at once. The engine tracks
+// all members of one (class, spec, phase) in a single timing-wheel
+// entry and delivers a due cohort in one system transaction per
+// (class, tick), its counts metered once per tick (the pre-cohort
+// per-object layout it replaced is the reference of the engine's
+// TestTimerCohortEquivalence; bench/'s timer_storm is the maintained
+// measurement). The heartbeat spec is monitoring-shaped: `relative(every time(M=10),
 // after report)` steps the automaton on every tick but fires only
 // when a report follows, so the sweep measures detection (the masked
 // non-firing path cohorts amortize), not the firing pipeline; a Cron
@@ -35,8 +35,7 @@ const e18CronEvery = 64
 
 // E18Row is one timer-storm measurement.
 type E18Row struct {
-	Layout     string `json:"layout"` // "per-object" | "cohort"
-	Partitions int    `json:"partitions"`
+	Partitions int `json:"partitions"`
 	// Objects is the number of armed `every` heartbeats (one per object).
 	Objects int    `json:"objects"`
 	Ticks   int    `json:"ticks"`
@@ -45,50 +44,33 @@ type E18Row struct {
 	// PostsPerSec is aggregate timer-delivery throughput: timer
 	// happenings delivered per wall-clock second during the sweep.
 	PostsPerSec float64 `json:"posts_per_sec"`
-	// Speedup is relative to the per-object row with the same object
-	// count (the P=1 per-object baseline anchors each group).
-	Speedup float64 `json:"speedup_vs_per_object"`
+	// Speedup is relative to the one-engine row with the same object
+	// count.
+	Speedup float64 `json:"speedup_vs_one_engine"`
 }
 
 // RunE18 sweeps the storm over object counts: for each N it measures
-// the per-object baseline, cohort delivery on one engine, and cohort
-// delivery on each partition count in parts (objects split evenly,
-// clocks advanced concurrently). Each cell is the best of two
-// repetitions, as in E12/E16/E17. Every cell checks the delivery
-// ledger — posts must equal objects × ticks exactly — and reconciles
-// the per-trigger metrics against the aggregate counters.
+// cohort delivery on one engine and on each partition count in parts
+// (objects split evenly, clocks advanced concurrently). Each cell is the
+// best of two repetitions, as in E12/E16/E17. Every cell checks the
+// delivery ledger — posts must equal objects × ticks exactly — and
+// reconciles the per-trigger metrics against the aggregate counters.
 func RunE18(objects []int, ticks int, parts []int) ([]E18Row, error) {
 	var rows []E18Row
 	for _, n := range objects {
 		var base float64
-		type cell struct {
-			layout string
-			p      int
-		}
-		sweep := []cell{{"per-object", 1}, {"cohort", 1}}
-		for _, p := range parts {
-			sweep = append(sweep, cell{"cohort", p})
-		}
-		for _, c := range sweep {
+		for _, p := range append([]int{1}, parts...) {
 			var row E18Row
 			for rep := 0; rep < 2; rep++ {
-				var (
-					r   E18Row
-					err error
-				)
-				if c.p == 1 {
-					r, err = runE18Single(n, ticks, c.layout == "per-object")
-				} else {
-					r, err = runE18Part(n, ticks, c.p)
-				}
+				r, err := runE18(n, ticks, p)
 				if err != nil {
-					return nil, fmt.Errorf("workload: E18 %s P=%d N=%d: %w", c.layout, c.p, n, err)
+					return nil, fmt.Errorf("workload: E18 P=%d N=%d: %w", p, n, err)
 				}
 				if rep == 0 || r.PostsPerSec > row.PostsPerSec {
 					row = r
 				}
 			}
-			if c.layout == "per-object" {
+			if p == 1 {
 				base = row.PostsPerSec
 			}
 			row.Speedup = row.PostsPerSec / base
@@ -159,13 +141,13 @@ func e18Check(posts uint64, n, ticks int, timerErrs []error) error {
 	return nil
 }
 
-// runE18Single measures one engine: the cohort layout or the
-// per-object baseline, selected by Options.PerObjectTimers.
-func runE18Single(n, ticks int, perObject bool) (E18Row, error) {
-	eng, err := engine.New(engine.Options{
-		Start:           time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC),
-		PerObjectTimers: perObject,
-	})
+// runE18 measures one cell: one engine for p = 1, a partitioned DB
+// otherwise.
+func runE18(n, ticks, p int) (E18Row, error) {
+	if p > 1 {
+		return runE18Part(n, ticks, p)
+	}
+	eng, err := engine.New(engine.Options{Start: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)})
 	if err != nil {
 		return E18Row{}, err
 	}
@@ -196,12 +178,8 @@ func runE18Single(n, ticks int, perObject bool) (E18Row, error) {
 	if err := e17Reconcile(eng.Metrics().Snapshot().Triggers, stats.Firings); err != nil {
 		return E18Row{}, err
 	}
-	layout := "cohort"
-	if perObject {
-		layout = "per-object"
-	}
 	return E18Row{
-		Layout: layout, Partitions: 1, Objects: n, Ticks: ticks,
+		Partitions: 1, Objects: n, Ticks: ticks,
 		Posts: posts, Firings: stats.Firings - before.Firings,
 		PostsPerSec: float64(posts) / elapsed.Seconds(),
 	}, nil
@@ -263,7 +241,7 @@ func runE18Part(n, ticks, p int) (E18Row, error) {
 		return E18Row{}, err
 	}
 	return E18Row{
-		Layout: "cohort", Partitions: p, Objects: n, Ticks: ticks,
+		Partitions: p, Objects: n, Ticks: ticks,
 		Posts: posts, Firings: stats.Firings - before.Firings,
 		PostsPerSec: float64(posts) / elapsed.Seconds(),
 	}, nil

@@ -2,7 +2,7 @@ package workload
 
 import "testing"
 
-// TestE18Small runs the storm at test scale: both layouts and a
+// TestE18Small runs the storm at test scale: one engine and a
 // partitioned cell must pass the delivery ledger (posts == objects ×
 // ticks) and the metric reconciliation built into every cell.
 func TestE18Small(t *testing.T) {
@@ -10,8 +10,8 @@ func TestE18Small(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(rows))
+	if len(rows) != 2 {
+		t.Fatalf("rows = %d, want 2", len(rows))
 	}
 	for _, r := range rows {
 		if r.Posts != uint64(r.Objects*r.Ticks) {
@@ -24,7 +24,7 @@ func TestE18Small(t *testing.T) {
 			t.Fatalf("row %+v: bad rates", r)
 		}
 	}
-	if rows[0].Layout != "per-object" || rows[1].Layout != "cohort" || rows[2].Partitions != 2 {
+	if rows[0].Partitions != 1 || rows[1].Partitions != 2 {
 		t.Fatalf("unexpected sweep order: %+v", rows)
 	}
 }

@@ -143,12 +143,18 @@ const (
 	StageTcomplete = obs.StageTcomplete
 )
 
-// History views (§6).
+// History views (§6). Either way a trigger's automaton state is stored
+// with the object, committed with it and durable; the view decides what
+// an abort does with it.
 const (
-	// CommittedView sees only committed transactions' events; trigger
-	// state is stored with the object and restored on abort.
+	// CommittedView sees only committed transactions' events: an abort
+	// restores the trigger's state with the rest of the object.
 	CommittedView = schema.CommittedView
-	// WholeView sees every event including aborted transactions'.
+	// WholeView sees every event including aborted transactions': an
+	// abort restores the object but keeps what the trigger's automaton
+	// has seen — its state, not its activation or its parameters, which
+	// are transactional in both views — and makes that durable before the
+	// aborting transaction's locks are released.
 	WholeView = schema.WholeView
 )
 

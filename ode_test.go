@@ -381,6 +381,55 @@ func TestBuilderErrorPropagation(t *testing.T) {
 	}
 }
 
+// TestWholeViewSurvivesReopen: what a whole-history trigger saw of an
+// aborted transaction is durable — the withdraw that was rolled back
+// before the restart is still the first of the pair after it.
+func TestWholeViewSurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	f := newFires()
+	open := func() *ode.Database {
+		db, err := ode.Open(ode.Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = balanceMethods(db.NewClass("account")).
+			Trigger("Two(): perpetual relative(after withdraw, after withdraw) ==> act", f.action("Two")).
+			View("Two", ode.WholeView).
+			Register()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	db := open()
+	var acct ode.OID
+	if err := db.Transact(func(tx *ode.Tx) error {
+		acct, _ = tx.NewObject("account", map[string]ode.Value{"balance": ode.Int(1000)})
+		return tx.Activate(acct, "Two")
+	}); err != nil {
+		t.Fatal(err)
+	}
+	db.Transact(func(tx *ode.Tx) error {
+		tx.Call(acct, "withdraw", ode.Int(1))
+		return errors.New("abort")
+	})
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db = open()
+	defer db.Close()
+	if err := db.Transact(func(tx *ode.Tx) error {
+		_, err := tx.Call(acct, "withdraw", ode.Int(1))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if f.count("Two") != 1 {
+		t.Fatalf("Two fired %d times after the reopen, want 1: the aborted withdraw was forgotten", f.count("Two"))
+	}
+}
+
 func TestPersistentReopen(t *testing.T) {
 	dir := t.TempDir()
 	f := newFires()
