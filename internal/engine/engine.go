@@ -14,9 +14,10 @@
 // happening to its class-alphabet symbol (evaluating the §5
 // disjointness masks), advances one integer of automaton state, and
 // fires when the automaton accepts. Trigger actions execute
-// immediately, inside the posting transaction; "after tcommit" and
-// "after tabort" happenings — whose transaction has already finished —
-// are posted by a system transaction, exactly as §5 prescribes.
+// immediately, inside the posting transaction. "after tcommit" and
+// "after tabort" happenings are posted by §5's system transaction: for
+// tcommit, the committing transaction's outcome phase, which shares its
+// locks and its frame; for tabort, one of its own.
 package engine
 
 import (

@@ -187,18 +187,18 @@ func wholeTxSetup(t testing.TB, n int, opts Options) func(i int) {
 
 // TestWholeTxAllocBudget bounds what the budgets above never see: the
 // first access to each object and the commit. A 4-Call transaction over
-// 4 distinct 8-trigger objects, including the system transaction that
-// posts after tcommit, measures 28 allocations (with per-call bound maps
-// and contexts and per-transaction seen / held-lock maps: 51; the
+// 4 distinct 8-trigger objects, its after-tcommit outcome phase
+// included, measures 14 allocations (28 when the outcome was a second
+// system transaction that built its own images; with per-call bound
+// maps and contexts and per-transaction seen / held-lock maps: 51; the
 // name-keyed activation maps before that: 75; record cloning before
-// that: 402). What is left is state: per object one new image for the
-// user transaction (Record, Fields map and its group, one Trigs slice)
-// and one for the system transaction (TxFirst moves back: Record and
-// Trigs slice) — 24 — and the two transactions' engine.Tx and txn.Tx —
-// 4. A call, an access and a commit allocate nothing of their own, so
-// the lock manager and the single-writer path measure the same.
+// that: 402). What is left is state: per object one new image (Record,
+// Fields map, one Trigs slice) — 12 — and the transaction's engine.Tx
+// and txn.Tx — 2. A call, an access, a commit and its outcome allocate
+// nothing of their own, so the lock manager and the single-writer path
+// measure the same.
 func TestWholeTxAllocBudget(t *testing.T) {
-	const budget = 30 // measured 28; slack for map-implementation differences between Go releases
+	const budget = 20 // measured 14; slack for map-implementation differences between Go releases
 	var got [2]float64
 	for k, single := range [2]bool{false, true} {
 		run := wholeTxSetup(t, 64, Options{SingleWriter: single})

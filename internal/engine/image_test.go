@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"ode/internal/fault"
 	"ode/internal/schema"
 	"ode/internal/store"
 	"ode/internal/value"
@@ -132,13 +133,50 @@ func heapOf(st *store.Store) map[store.OID][2]any {
 	return out
 }
 
-// TestDurableCommitLogsOnlyChanges: on a class none of whose triggers
-// mentions a transaction event, the system transaction that posts
-// after tcommit changes nothing, so a user transaction is exactly one
-// WAL batch (it used to be two, each with its own fsync), a read-only
-// transaction is none, and the log so written recovers the heap — also
-// when a crash tears the last batch off.
+// TestDurableCommitLogsOnlyChanges: a user transaction is exactly one
+// WAL batch — on a class whose triggers observe after tcommit too, since
+// its outcome phase rides the transaction's frame and fsync (it used to
+// be a second transaction with its own) — a read-only transaction is
+// none, and the log so written recovers the heap — also when a crash
+// tears the last batch off.
 func TestDurableCommitLogsOnlyChanges(t *testing.T) {
+	t.Run("observes tcommit", func(t *testing.T) {
+		dir, reg := t.TempDir(), fault.New()
+		cls, impl := accountClass(&recorder{},
+			schema.Trigger{Name: "TxFirst", Perpetual: true, Event: "fa(after tbegin, after deposit, after tcommit)"})
+		e := newEngine(t, Options{Dir: dir, Faults: reg})
+		oid := setup(t, e, cls, impl, "TxFirst")
+		first, _, _ := e.TriggerState(oid, "TxFirst")
+		size, syncs := walSizeOf(t, dir), reg.Consults(fault.WALSync)
+		if err := e.Transact(func(tx *Tx) error {
+			_, err := tx.Call(oid, "deposit", value.Int(5))
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got := reg.Consults(fault.WALSync) - syncs; got != 1 {
+			t.Fatalf("one transaction made %d fsyncs, want 1", got)
+		}
+		if walSizeOf(t, dir) == size {
+			t.Fatal("the transaction logged nothing")
+		}
+		if st, _, _ := e.TriggerState(oid, "TxFirst"); st != first {
+			t.Fatalf("TxFirst in state %d after the commit, want %d: its after-tcommit step is missing", st, first)
+		}
+		applied := e.Store().Recovery().TxApplied
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		e2, err := New(Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e2.Close()
+		if got := e2.Store().Recovery().TxApplied - applied; got != 2 {
+			t.Fatalf("the log holds %d frames, want 2: setup's and the deposit's, each with its outcome", got)
+		}
+	})
+
 	dir := t.TempDir()
 	open := func() *Engine {
 		cls, impl := accountClass(&recorder{},
@@ -223,6 +261,16 @@ func TestDurableCommitLogsOnlyChanges(t *testing.T) {
 	if got := heapOf(e3.Store()); !reflect.DeepEqual(got, beforeLast) {
 		t.Fatalf("heap after torn recovery\n got %v\nwant %v", got, beforeLast)
 	}
+}
+
+// walSizeOf returns the size of dir's WAL file.
+func walSizeOf(t *testing.T, dir string) int64 {
+	t.Helper()
+	fi, err := os.Stat(filepath.Join(dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
 }
 
 // TestNaNFieldIsNotPerpetuallyDirty: commit decides what changed by

@@ -224,7 +224,8 @@ func (tx *Tx) flush(c *Class, ph *phase, m *meter, atNs int64) {
 // one-shot timers); m, when non-nil, takes the counts (see meter).
 // Every record of the step — flight, trace, provenance — carries this
 // transaction's id: the transaction that made the step, which for
-// outcome and time events is a system transaction, not h.TxID.
+// outcome and time events is a system transaction or an outcome
+// phase, not h.TxID.
 //
 // It reports whether any trigger fired — the commit fixpoint's
 // quiescence signal.
@@ -320,6 +321,7 @@ func (tx *Tx) step(c *Class, ph *phase, oid store.OID, rec *store.Record,
 					break
 				}
 			}
+			tx.tx.Mark(rec, t.slot) // an outcome phase's savepoint, until sealed
 			act.State = int32(next)
 			if e.shadowOracle {
 				act.AppendShadow(sym)
@@ -367,6 +369,8 @@ func (tx *Tx) step(c *Class, ph *phase, oid store.OID, rec *store.Record,
 	// "We determine all the trigger events that have occurred, and
 	// then we fire the triggers" (§5): deactivations happen before any
 	// action runs, so an action re-activating a trigger is preserved.
+	// An outcome phase seals its savepoint before anything else changes.
+	tx.tx.Seal()
 	for _, t := range fired {
 		if !t.Res.Perpetual {
 			rec.Trigs[t.slot].Active = false
@@ -412,9 +416,11 @@ func (tx *Tx) fire(c *Class, ph *phase, oid store.OID, rec *store.Record, h *eve
 		// Capture the firing for the durable egress feed. Only
 		// successful actions are captured — a failed action aborts the
 		// posting transaction, and the feed carries committed firings
-		// only. Seq and TxID are stamped by the store at commit.
+		// only. Seq is stamped by the store at commit; TxID is the
+		// stepping transaction's (an outcome phase has its own).
 		if !tx.e.egressOff {
 			tx.tx.AddFiring(store.FiringRecord{
+				TxID:    tx.tx.ID(),
 				OID:     oid,
 				Part:    tx.e.partition,
 				Class:   c.Schema.Name,

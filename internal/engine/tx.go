@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"ode/internal/event"
@@ -76,8 +77,8 @@ func (e *Engine) begin(t *txn.Tx) *Tx {
 }
 
 // beginSystem starts a system transaction: it posts no transaction
-// lifecycle events of its own (§5 uses it to deliver after-tcommit and
-// after-tabort, which belong to an already-finished transaction).
+// lifecycle events of its own (§5 uses it to deliver after-tabort, which
+// belongs to an already-finished transaction, and time events).
 func (e *Engine) beginSystem() *Tx {
 	e.stats.systemTx.Add(1)
 	return e.begin(e.txm.BeginSystem())
@@ -373,8 +374,9 @@ func (tx *Tx) Deactivate(oid store.OID, trigger string) error {
 	return nil
 }
 
-// Commit runs the §6 before-tcomplete fixpoint, commits, and has a
-// system transaction post "after tcommit" to every accessed object.
+// Commit runs the §6 before-tcomplete fixpoint, then the outcome phase
+// (outcome), and commits both in one frame. Commit returns nil exactly
+// when the transaction's own effects committed.
 func (tx *Tx) Commit() error {
 	if tx.finished {
 		return txn.ErrNotActive
@@ -403,31 +405,98 @@ func (tx *Tx) Commit() error {
 			tx.e.stats.tcompleteRounds.Add(1)
 			tx.e.traceTcomplete(tx.tx.ID(), round, fired)
 		}
+		if err := tx.outcome(); err != nil || tx.finished {
+			return err
+		}
 	}
 
-	accessed := tx.tx.Accessed()
+	accessed, id := tx.tx.Accessed(), tx.tx.ID()
 	tx.cachedRec = nil
-	if err := tx.tx.Commit(); err != nil {
-		// A dependency aborted or the log failed: the txn layer has
-		// already rolled the transaction back.
+	err := tx.tx.Commit()
+	if id != tx.tx.ID() { // the outcome phase's, gone with it
+		stage := obs.StageTxCommit
+		if err != nil {
+			stage = obs.StageTxAbort
+		}
+		tx.e.traceTx(stage, id, true)
+	}
+	if err != nil {
+		// The log failed: the txn layer has already rolled back.
 		tx.aborted(accessed)
 		return err
 	}
+	tx.committed()
+	return nil
+}
+
+// outcome runs the outcome phase once the commit dependencies committed:
+// §5's system transaction posting "after tcommit" to the accessed
+// objects, under this transaction's locks and with an id of its own. An
+// outcome that aborts is rolled back alone (abortOutcome) and leaves the
+// transaction finished, with an error only if its own part could not
+// commit either.
+func (tx *Tx) outcome() error {
+	accessed, own := tx.tx.Accessed(), tx.tx.ID()
+	tx.cachedRec = nil
+	if err := tx.tx.BeginOutcome(); err != nil {
+		tx.aborted(accessed) // a dependency aborted
+		return err
+	}
+	tx.e.stats.systemTx.Add(1)
+	tx.e.traceTx(obs.StageTxBegin, tx.tx.ID(), true)
+	for _, oid := range accessed {
+		if !tx.e.st.Exists(oid) {
+			continue // deleted by the transaction
+		}
+		rec, err := tx.access(oid)
+		if err == nil {
+			_, err = tx.post(oid, rec, event.Kind{Phase: event.After, Class: event.KTcommit}, own, nil)
+		}
+		if err != nil {
+			if err = tx.doAbort(err); tx.tx.State() == txn.Committed {
+				return nil
+			}
+			return err
+		}
+	}
+	return nil
+}
+
+// committed is what follows every commit of the transaction's own part,
+// dropping the provenance of the objects it created or deleted that are
+// gone.
+func (tx *Tx) committed() {
 	tx.finished = true
-	for _, oid := range tx.deleted {
-		tx.e.provDrop(oid)
+	for _, oids := range [2][]store.OID{tx.created, tx.deleted} {
+		for _, oid := range oids {
+			if !tx.e.st.Exists(oid) {
+				tx.e.provDrop(oid)
+			}
+		}
 	}
 	if !tx.tx.System() {
 		tx.e.stats.txCommitted.Add(1)
 	}
 	tx.e.traceTx(obs.StageTxCommit, tx.tx.ID(), tx.tx.System())
+}
 
-	if !tx.tx.System() {
-		if err := tx.e.postOutcome(accessed, event.KTcommit, event.After, tx.tx.ID()); err != nil {
-			return fmt.Errorf("engine: after-tcommit delivery: %w", err)
-		}
+// abortOutcome rolls the outcome phase back alone (txn.Tx.AbortOutcome)
+// and reports cause like an after-tabort failure. It returns cause,
+// joined with the log error if the transaction's own part could not
+// commit either, which aborts the whole transaction.
+func (tx *Tx) abortOutcome(cause error) error {
+	tx.cachedRec = nil
+	accessed, id := slices.Clone(tx.tx.Accessed()), tx.tx.ID() // the rollback shortens the list
+	err := tx.tx.AbortOutcome()
+	tx.e.traceTx(obs.StageTxAbort, id, true)
+	tx.e.recordTimerErr(errors.Join(errors.New("engine: after-tcommit delivery aborted"), cause))
+	if err != nil {
+		tx.aborted(accessed)
+		return errors.Join(cause, err)
 	}
-	return nil
+	tx.committed()
+	tx.realign(accessed)
+	return cause
 }
 
 // Abort posts "before tabort" to the accessed objects, rolls back, and
@@ -447,6 +516,9 @@ func (tx *Tx) Abort() error {
 func (tx *Tx) doAbort(cause error) error {
 	if tx.finished {
 		return cause
+	}
+	if tx.tx.InOutcome() {
+		return tx.abortOutcome(cause)
 	}
 	tx.cachedRec = nil
 	accessed := tx.tx.Accessed()
@@ -485,13 +557,26 @@ func (tx *Tx) aborted(accessed []store.OID) {
 		tx.e.stats.txAborted.Add(1)
 	}
 	tx.e.traceTx(obs.StageTxAbort, tx.tx.ID(), tx.tx.System())
+	tx.realign(accessed)
+	for _, oid := range tx.created {
+		tx.e.provDrop(oid) // and whatever it recorded on them
+	}
 
-	// Rollback restored each record's activation flags, but Activate
-	// and Deactivate adjusted the timer table eagerly: re-align it. The
-	// rolled-back record is content-equal to its committed image (the
-	// txn layer's image invariant), and the image — unlike the live
-	// record, whose lock the abort just released — can be read while
-	// another transaction already mutates the object.
+	if !tx.tx.System() {
+		if err := tx.e.postOutcome(accessed, tx.tx.ID()); err != nil {
+			tx.e.recordTimerErr(err)
+		}
+	}
+}
+
+// realign re-aligns the timer table with the accessed objects' committed
+// state after a rollback: it restored each record's activation flags,
+// but Activate and Deactivate adjusted the table eagerly. The
+// rolled-back record is content-equal to its committed image (the txn
+// layer's image invariant), and the image — unlike the live record,
+// whose lock the abort just released — can be read while another
+// transaction already mutates the object.
+func (tx *Tx) realign(accessed []store.OID) {
 	for _, oid := range accessed {
 		rec, ok := tx.e.st.GetCommitted(oid)
 		if !ok {
@@ -503,15 +588,6 @@ func (tx *Tx) aborted(accessed []store.OID) {
 		}
 		if c, err := tx.e.classOf(rec); err == nil {
 			tx.e.timers.reconcile(oid, c, rec)
-		}
-	}
-	for _, oid := range tx.created {
-		tx.e.provDrop(oid) // and whatever it recorded on them
-	}
-
-	if !tx.tx.System() {
-		if err := tx.e.postOutcome(accessed, event.KTabort, event.After, tx.tx.ID()); err != nil {
-			tx.e.recordTimerErr(err)
 		}
 	}
 }
@@ -526,11 +602,12 @@ func (tx *Tx) propagate(err error) error {
 	return tx.doAbort(err)
 }
 
-// postOutcome delivers after-tcommit / after-tabort happenings from a
-// system transaction ("the events must be posted by a special 'system'
+// postOutcome delivers after-tabort happenings from a system
+// transaction ("the events must be posted by a special 'system'
 // transaction, and if a trigger fires, the action part is executed as
-// part of this 'system' transaction", §5).
-func (e *Engine) postOutcome(accessed []store.OID, class event.Class, phase event.Phase, ofTx uint64) error {
+// part of this 'system' transaction", §5; after tcommit is Commit's
+// outcome phase).
+func (e *Engine) postOutcome(accessed []store.OID, ofTx uint64) error {
 	if len(accessed) == 0 {
 		return nil
 	}
@@ -541,7 +618,7 @@ func (e *Engine) postOutcome(accessed []store.OID, class event.Class, phase even
 		}
 		rec, err := sys.access(oid)
 		if err == nil {
-			_, err = sys.post(oid, rec, event.Kind{Phase: phase, Class: class}, ofTx, nil)
+			_, err = sys.post(oid, rec, event.Kind{Phase: event.After, Class: event.KTabort}, ofTx, nil)
 		}
 		if err != nil {
 			return sys.doAbort(err)

@@ -55,8 +55,8 @@ const (
 	// commit" (phase Before). It may be posted repeatedly: the commit
 	// fixpoint re-posts it until no trigger fires.
 	KTcomplete
-	// KTcommit is transaction commit (phase After, posted by a system
-	// transaction).
+	// KTcommit is transaction commit (phase After, posted by the
+	// committing transaction's outcome phase, a system transaction).
 	KTcommit
 	// KTabort is transaction abort (phase Before within the aborting
 	// transaction, phase After from a system transaction).

@@ -2,9 +2,11 @@ package sim
 
 import (
 	"fmt"
+	"sync"
 
 	"ode/internal/engine"
 	"ode/internal/schema"
+	"ode/internal/store"
 	"ode/internal/value"
 )
 
@@ -29,6 +31,10 @@ type classDef struct {
 const (
 	classAcct = 0
 	classMtr  = 1
+
+	// vetoUnder is the balance below which acct's Veto trigger aborts a
+	// commit's outcome phase.
+	vetoUnder = 900
 )
 
 var classDefs = []classDef{
@@ -36,6 +42,7 @@ var classDefs = []classDef{
 		name: "acct",
 		fields: []schema.Field{
 			{Name: "bal", Kind: value.KindInt, Default: value.Int(1000)},
+			{Name: "tc", Kind: value.KindInt, Default: value.Int(0)}, // WholeC's count
 		},
 		methods: []schema.Method{
 			{Name: "dep", Params: []schema.Param{{Name: "n", Kind: value.KindInt}}, Mode: schema.ModeUpdate},
@@ -57,6 +64,15 @@ var classDefs = []classDef{
 			{Name: "Timer", Perpetual: true, Event: "relative(at time(HR=12), after wdr)"},
 			{Name: "Beat", Perpetual: true, Event: "every time(M=30)"},
 			{Name: "Whole", Perpetual: true, Event: "relative(after tabort, after tbegin)", View: schema.WholeView},
+			// The outcome phase: a committed-view and a whole-view observer
+			// of after tcommit — WholeC's action counts its firings in tc,
+			// a write the model sees only if the phase commits — and Veto,
+			// whose action aborts the outcome of every transaction that
+			// leaves bal below vetoUnder: the script steers it with the
+			// amounts it moves.
+			{Name: "FaC", Perpetual: true, Event: "fa(after dep, after tcommit, after tbegin)"},
+			{Name: "WholeC", Perpetual: true, Event: "every 2 (after tcommit)", View: schema.WholeView},
+			{Name: "Veto", Perpetual: true, Event: fmt.Sprintf("after tcommit && bal < %d", vetoUnder)},
 		},
 		apply: func(f map[string]int64, method string, arg int64) {
 			switch method {
@@ -103,6 +119,53 @@ var timerTrigNames = [][]string{
 	{"Poll", "Warm"},
 }
 
+// outcomeLog is what the harness saw of commit outcome phases since it
+// was last taken: the objects WholeC fired on, and whether Veto fired —
+// which rolls the whole phase back, those firings' writes included.
+type outcomeLog struct {
+	mu     sync.Mutex
+	bumped []store.OID
+	vetoed bool
+}
+
+// fired notes a firing the outcome phase's model effect depends on.
+func (l *outcomeLog) fired(trigger string, self store.OID) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	switch trigger {
+	case "WholeC":
+		l.bumped = append(l.bumped, self)
+	case "Veto":
+		l.vetoed = true
+	}
+}
+
+// take returns what was noted and starts over.
+func (l *outcomeLog) take() (bumped []store.OID, vetoed bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	bumped, vetoed = l.bumped, l.vetoed
+	l.bumped, l.vetoed = nil, false
+	return bumped, vetoed
+}
+
+// applyOutcome folds what a committed outcome phase did into its
+// transaction's model state: tc+1 on every object WholeC fired on. The
+// phase posts only to the transaction's objects, so each is live in
+// view among the first n slots.
+func applyOutcome(view func(int) *objState, put func(int, *objState), n int, bumped []store.OID) {
+	for _, oid := range bumped {
+		for i := 0; i < n; i++ {
+			if v := view(i); v != nil && v.alive && v.oid == oid {
+				ns := v.clone()
+				ns.fields["tc"]++
+				put(i, ns)
+				break
+			}
+		}
+	}
+}
+
 // newFields returns the model's initial field values for a class,
 // mirroring schema defaults.
 func (cd *classDef) newFields() map[string]int64 {
@@ -124,8 +187,9 @@ func (cd *classDef) trigger(name string) *schema.Trigger {
 
 // buildClass materializes a fresh schema.Class and impl for one
 // incarnation of the engine. fire is the harness's firing recorder;
-// the AbortBig action additionally raises tabort, exercising
-// action-driven aborts under the oracle.
+// the AbortBig and Veto actions additionally raise tabort, exercising
+// action-driven aborts of a transaction and of its outcome phase under
+// the oracle.
 func buildClass(ci int, sc *Script, fire func(class, trigger string, ctx *engine.ActionCtx)) (*schema.Class, engine.ClassImpl) {
 	cd := &classDefs[ci]
 	cls := &schema.Class{Name: cd.name}
@@ -188,10 +252,21 @@ func buildClass(ci int, sc *Script, fire func(class, trigger string, ctx *engine
 	name := cd.name
 	for _, tr := range cls.Triggers {
 		trName := tr.Name
-		if trName == "AbortBig" {
+		switch trName {
+		case "AbortBig", "Veto":
 			impl.Actions[trName] = func(ctx *engine.ActionCtx) error {
 				fire(name, trName, ctx)
 				return ctx.Tabort()
+			}
+			continue
+		case "WholeC":
+			impl.Actions[trName] = func(ctx *engine.ActionCtx) error {
+				fire(name, trName, ctx)
+				n, err := ctx.Tx.Get(ctx.Self, "tc")
+				if err != nil {
+					return err
+				}
+				return ctx.Tx.Set(ctx.Self, "tc", value.Int(n.AsInt()+1))
 			}
 			continue
 		}

@@ -156,8 +156,9 @@ func (x *exec) pumpEgress() error {
 //	    crash must be present, bit-identical, at the same position;
 //	(B) extras appear only at the tail, only when recovery landed on
 //	    the committed side (post), and only from the victim
-//	    transaction; an EgressAppend fault fires before anything
-//	    reaches the WAL, so it never adds records.
+//	    transaction or its outcome phase, whose id is drawn after it;
+//	    an EgressAppend fault fires before anything reaches the WAL,
+//	    so it never adds records.
 //
 // On success the mirror adopts the recovered feed (tail extras are
 // durable commits the crash hid from the live engine).
@@ -181,7 +182,7 @@ func (x *exec) feedRecoveryErr(fe *fault.Error, post bool, victimTx uint64) erro
 		return fmt.Errorf("pre-state recovery surfaced %d feed records (fault %v)", len(extras), fe)
 	default:
 		for _, r := range extras {
-			if r.TxID != victimTx {
+			if r.TxID < victimTx {
 				return fmt.Errorf("recovered feed extra at seq %d is from tx %d, victim was tx %d (fault %v)",
 					r.Seq, r.TxID, victimTx, fe)
 			}

@@ -109,7 +109,7 @@ func TestEgressFaultCursorTear(t *testing.T) {
 	// before the consumer crash, and the resumed deliverer must
 	// discard it and redeliver.
 	var deacts []Op
-	for _, tr := range []string{"Seq", "Rel", "Cnt", "Chz", "Neg", "FaW", "Deep", "Lim", "AbortBig", "Timer", "Beat"} {
+	for _, tr := range []string{"Seq", "Rel", "Cnt", "Chz", "Neg", "FaW", "Deep", "Lim", "AbortBig", "Timer", "Beat", "FaC", "WholeC", "Veto"} {
 		deacts = append(deacts, Op{Kind: OpDeactivate, Obj: 0, Trigger: tr})
 	}
 	sc := egressScript(

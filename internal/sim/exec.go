@@ -119,6 +119,7 @@ type exec struct {
 
 	model   []*objState
 	firings []string
+	outcome outcomeLog
 	// flight, when non-nil, is a flight-recorder capture saved just
 	// before a crashed incarnation was closed; failFlight prefers it
 	// over the live engine's (post-recovery) recorder.
@@ -266,6 +267,7 @@ func (x *exec) open(start time.Time) error {
 func (x *exec) fire(class, trigger string, ctx *engine.ActionCtx) {
 	x.firings = append(x.firings,
 		fmt.Sprintf("%s.%s oid=%d on %s", class, trigger, ctx.Self, ctx.EventKind))
+	x.outcome.fired(trigger, ctx.Self)
 }
 
 func (x *exec) runStep(st Step) error {
@@ -380,30 +382,33 @@ func (x *exec) runTx(ops []Op, abort bool) error {
 		return x.aborted(tx, tx.Abort())
 	}
 
+	// Commit returns nil exactly when the transaction's own effects
+	// committed: a fault or tabort in its outcome phase rolls back only
+	// the outcome and is reported into the timer errors. The phase's
+	// writes join the stage unless it was vetoed, or a fault was injected
+	// in a Commit that nonetheless succeeded — one that hit the phase.
+	x.outcome.take()
+	injected := x.reg.Injected()
 	err := tx.Commit()
-	switch {
+	if bumped, vetoed := x.outcome.take(); !vetoed && (err != nil || x.reg.Injected() == injected) {
+		n := len(x.model)
+		for slot := range stage.touched {
+			n = max(n, slot+1)
+		}
+		applyOutcome(stage.view, stage.put, n, bumped)
+	}
+	switch fe := walFault(err); {
 	case err == nil:
 		stage.commit()
 		return x.checkTimerErrs()
-	case errors.Is(err, engine.ErrTabort):
-		// a before-tcomplete trigger raised tabort; clean rollback
+	case fe != nil:
+		// The frame failed — the merged one, or the transaction's own
+		// part logged alone after its outcome aborted.
+		return x.crashCycle(stage, fe, tx.Underlying().ID())
+	case errors.Is(err, engine.ErrTabort) || errors.Is(err, fault.ErrInjected):
+		// a before-tcomplete trigger raised tabort, or a lock fault hit
+		// the fixpoint; clean rollback
 		return x.aborted(tx, err)
-	case errors.Is(err, fault.ErrInjected):
-		var fe *fault.Error
-		if !errors.As(err, &fe) {
-			return fmt.Errorf("injected error without fault.Error: %w", err)
-		}
-		committed := tx.Underlying().State() == txn.Committed
-		if fe.Point == fault.LockAcquire {
-			// Either the fault hit the tcomplete fixpoint (clean abort)
-			// or it hit post-commit outcome delivery (commit durable).
-			if committed {
-				stage.commit()
-				return x.checkTimerErrs()
-			}
-			return x.aborted(tx, err)
-		}
-		return x.crashCycle(stage, fe, committed, tx.Underlying().ID())
 	default:
 		return fmt.Errorf("commit: %w", err)
 	}
@@ -421,7 +426,7 @@ func (x *exec) aborted(tx *engine.Tx, err error) error {
 	// the timer errors.
 	outcome := errors.Join(x.eng.TimerErrors()[x.timerErrSeen:]...)
 	if fe := walFault(errors.Join(err, outcome)); fe != nil {
-		return x.crashCycle(&txStage{x: x, touched: map[int]*objState{}}, fe, false, tx.Underlying().ID())
+		return x.crashCycle(&txStage{x: x, touched: map[int]*objState{}}, fe, tx.Underlying().ID())
 	}
 	if err != nil && !errors.Is(err, engine.ErrTabort) && !errors.Is(err, fault.ErrInjected) {
 		return fmt.Errorf("abort: %w", err)
@@ -574,12 +579,12 @@ func applyOpTx(tx *engine.Tx, view func(int) *objState, put func(int, *objState)
 
 // crashCycle abandons the current engine at an injected WAL fault,
 // reopens the directory, and reconciles the pending transaction
-// against what recovery produced. fe is the injected fault;
-// committed reports whether the engine had already acknowledged the
-// commit (the fault then hit outcome delivery, so durability is
-// non-negotiable). victimTx is the crashed transaction's id — the only
-// id recovery may surface new egress feed records under.
-func (x *exec) crashCycle(stage *txStage, fe *fault.Error, committed bool, victimTx uint64) error {
+// against what recovery produced. fe is the injected fault; the
+// engine never acknowledged the victim (Commit returned the fault).
+// victimTx is the crashed transaction's id — recovery may surface new
+// egress feed records only under it, or under its outcome phase's,
+// drawn after it.
+func (x *exec) crashCycle(stage *txStage, fe *fault.Error, victimTx uint64) error {
 	now := x.eng.Clock().Now()
 	x.collectStats()
 	// The doomed incarnation's recorder dies with it; save the capture
@@ -611,8 +616,6 @@ func (x *exec) crashCycle(stage *txStage, fe *fault.Error, committed bool, victi
 	preErr := x.stateErr(stage, false)
 	post, pre := postErr == nil, preErr == nil
 	switch {
-	case committed && !post:
-		return fmt.Errorf("crash at %v lost an acknowledged commit: %v", fe, postErr)
 	case fe.Point == fault.WALAfterSync && !post:
 		return fmt.Errorf("crash after WAL sync lost a durable commit: %v", postErr)
 	case fe.Point == fault.WALWrite && fe.Tear < 0 && !pre:
@@ -757,17 +760,19 @@ func timerScheduleErr(e *engine.Engine) error {
 }
 
 // checkTimerErrs drains newly recorded timer-delivery errors.
-// Injected faults landing in timer or outcome-delivery system
-// transactions are expected (the system transaction rolls back
-// cleanly); anything else fails the run.
+// Injected faults landing in timer or after-tabort system transactions,
+// or in a commit's outcome phase, are expected (only that rolls back),
+// and so is Veto's tabort of an outcome phase; anything else fails the
+// run.
 func (x *exec) checkTimerErrs() error {
 	errs := x.eng.TimerErrors()
 	for _, err := range errs[x.timerErrSeen:] {
-		if errors.Is(err, fault.ErrInjected) {
+		switch {
+		case errors.Is(err, fault.ErrInjected):
 			x.injectedTimerErrs++
-			continue
+		case !errors.Is(err, engine.ErrTabort):
+			return fmt.Errorf("timer delivery: %w", err)
 		}
-		return fmt.Errorf("timer delivery: %w", err)
 	}
 	x.timerErrSeen = len(errs)
 	return nil

@@ -271,6 +271,7 @@ type mexec struct {
 
 	fireMu  sync.Mutex
 	firings [][]string
+	outcome outcomeLog
 
 	timerErrSeen []int
 	relayErrSeen int
@@ -411,6 +412,22 @@ func (x *mexec) fire(class, trigger string, ctx *engine.ActionCtx) {
 	x.fireMu.Lock()
 	x.firings[p] = append(x.firings[p], fmt.Sprintf("%s.%s oid=%d on %s", class, trigger, ctx.Self, ctx.EventKind))
 	x.fireMu.Unlock()
+	x.outcome.fired(trigger, ctx.Self)
+}
+
+// applyOutcome folds into partition p's stage what the last commit's
+// outcome phase did, unless Veto rolled it back (WAL faults, the only
+// ones multipart scripts inject, fail the frame it shares).
+func (x *mexec) applyOutcome(p int, view func(int) *objState, put func(int, *objState), touched map[int]*objState) {
+	bumped, vetoed := x.outcome.take()
+	if vetoed {
+		return
+	}
+	n := len(x.model[p])
+	for slot := range touched {
+		n = max(n, slot+1)
+	}
+	applyOutcome(view, put, n, bumped)
 }
 
 func (x *mexec) runStep(st MStep) error {
@@ -446,6 +463,7 @@ func (x *mexec) runRelay(st MStep) error {
 	if st.HasArg {
 		args = append(args, value.Int(st.Arg))
 	}
+	x.outcome.take()
 	x.db.RelayCall(st.Src, dst.oid, st.Method, args...)
 	x.db.Drain()
 	if errs := x.db.RelayErrors(); len(errs) > x.relayErrSeen {
@@ -454,6 +472,8 @@ func (x *mexec) runRelay(st MStep) error {
 	ns := dst.clone()
 	classDefs[ns.class].apply(ns.fields, st.Method, st.Arg)
 	x.setSlot(st.DstPart, st.DstSlot, ns)
+	x.applyOutcome(st.DstPart, func(i int) *objState { return x.slot(st.DstPart, i) },
+		func(i int, v *objState) { x.setSlot(st.DstPart, i, v) }, nil)
 	return x.checkErrs()
 }
 
@@ -464,7 +484,6 @@ func (x *mexec) runTx(p int, ops []Op, abort bool) error {
 	var (
 		opFail    error // unexpected op error
 		commitErr error // Commit's error (nil on clean paths)
-		committed bool
 		aborted   bool
 	)
 	doErr := x.db.Do(p, func(e *engine.Engine) error {
@@ -494,8 +513,8 @@ func (x *mexec) runTx(p int, ops []Op, abort bool) error {
 			aborted = true
 			return nil
 		}
+		x.outcome.take()
 		commitErr = tx.Commit()
-		committed = tx.Underlying().State() == txn.Committed
 		return nil
 	})
 	if doErr != nil {
@@ -507,18 +526,15 @@ func (x *mexec) runTx(p int, ops []Op, abort bool) error {
 	if aborted {
 		return x.checkErrs()
 	}
-	switch {
+	x.applyOutcome(p, stage.view, stage.put, stage.touched)
+	switch fe := walFault(commitErr); {
 	case commitErr == nil:
 		stage.commit()
 		return x.checkErrs()
+	case fe != nil:
+		return x.crashCycle(p, stage, fe)
 	case errors.Is(commitErr, engine.ErrTabort):
 		return x.checkErrs()
-	case errors.Is(commitErr, fault.ErrInjected):
-		var fe *fault.Error
-		if !errors.As(commitErr, &fe) {
-			return fmt.Errorf("injected error without fault.Error: %w", commitErr)
-		}
-		return x.crashCycle(p, stage, fe, committed)
 	default:
 		return fmt.Errorf("commit on partition %d: %w", p, commitErr)
 	}
@@ -553,7 +569,7 @@ func (x *mexec) runFault(st MStep) error {
 // partition recovering independently from its own WAL. Partition p's
 // pending transaction is reconciled post/pre; all other partitions
 // must recover to exactly their committed ledger state.
-func (x *mexec) crashCycle(p int, stage *mStage, fe *fault.Error, committed bool) error {
+func (x *mexec) crashCycle(p int, stage *mStage, fe *fault.Error) error {
 	now := x.db.Now()
 	x.db.Close()
 	for _, reg := range x.regs {
@@ -598,8 +614,6 @@ func (x *mexec) crashCycle(p int, stage *mStage, fe *fault.Error, committed bool
 	preErr := modelStateErr(victimStore, x.model[p], stage.touched, false)
 	post, pre := postErr == nil, preErr == nil
 	switch {
-	case committed && !post:
-		return fmt.Errorf("crash at %v lost an acknowledged commit on partition %d: %v", fe, p, postErr)
 	case fe.Point == fault.WALAfterSync && !post:
 		return fmt.Errorf("crash after WAL sync lost a durable commit on partition %d: %v", fe.Point, postErr)
 	case fe.Point == fault.WALWrite && fe.Tear < 0 && !pre:
@@ -624,12 +638,15 @@ func (x *mexec) crashCycle(p int, stage *mStage, fe *fault.Error, committed bool
 
 // checkErrs drains newly recorded timer and relay errors on every
 // partition; any of either fails the run (multipart scripts never arm
-// faults outside a victim transaction).
+// faults outside a victim transaction), except Veto's tabort of a
+// commit's outcome phase.
 func (x *mexec) checkErrs() error {
 	for p := 0; p < x.sc.Partitions; p++ {
 		errs := x.db.Partition(p).Engine().TimerErrors()
 		for _, err := range errs[x.timerErrSeen[p]:] {
-			return fmt.Errorf("timer delivery on partition %d: %w", p, err)
+			if !errors.Is(err, engine.ErrTabort) {
+				return fmt.Errorf("timer delivery on partition %d: %w", p, err)
+			}
 		}
 		x.timerErrSeen[p] = len(errs)
 	}

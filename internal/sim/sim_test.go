@@ -229,7 +229,7 @@ func TestFaultCrashDuringAbortCarry(t *testing.T) {
 		}
 		whole := 0
 		for _, f := range res.Firings {
-			if strings.Contains(f, "Whole") {
+			if strings.Contains(f, ".Whole ") {
 				whole++
 			}
 		}

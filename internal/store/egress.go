@@ -14,7 +14,7 @@ import (
 // is stable for the lifetime of the feed.
 type FiringRecord struct {
 	Seq     uint64
-	TxID    uint64
+	TxID    uint64 // the stepping transaction (Commit stamps its own if 0)
 	OID     OID
 	Part    int // owning partition; stamped by the partitioned layer, 0 single-engine
 	Class   string

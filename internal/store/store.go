@@ -98,12 +98,10 @@ func (t *TrigState) Shadow() []int {
 func (t *TrigState) SetParams(p []value.Value) { t.ext = newExt(p, nil) }
 
 // AppendShadow records sym as the instance's latest symbol.
+// A fresh ext every time: the old one may be shared, and a copy of the
+// slot (a savepoint's, txn.Tx.Mark) must keep its own history.
 func (t *TrigState) AppendShadow(sym int) {
-	if len(t.Shadow()) == 0 {
-		t.ext = &trigExt{Params: t.Params(), Shadow: []int{sym}} // the old ext may be shared
-		return
-	}
-	t.ext.Shadow = append(t.ext.Shadow, sym)
+	t.ext = &trigExt{Params: t.Params(), Shadow: append(t.Shadow(), sym)}
 }
 
 // IsZero reports whether the trigger was never activated on the object.
@@ -635,7 +633,9 @@ func (s *Store) logCommit(txID uint64, touched []Touched, dirty int, deleted []O
 		lo = s.egress.reserve(len(firings))
 		for i := range firings {
 			firings[i].Seq = lo + uint64(i)
-			firings[i].TxID = txID
+			if firings[i].TxID == 0 {
+				firings[i].TxID = txID
+			}
 		}
 	}
 	if s.wal == nil {

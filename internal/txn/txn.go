@@ -97,6 +97,7 @@ func (tx *Tx) lock(oid store.OID) error {
 // finish records the outcome, releases the transaction's locks and wakes
 // commit-dependency waiters.
 func (tx *Tx) finish(s State) {
+	tx.out = outcome{}
 	tx.setState(s)
 	if !tx.mgr.single {
 		tx.mgr.locks.releaseAll(tx.id, tx.held)
@@ -119,7 +120,7 @@ type Tx struct {
 	created  map[store.OID]bool // objects created by this transaction (nil until the first)
 	deleted  map[store.OID]bool // objects deleted by this transaction (nil until the first)
 	deps     []*Tx              // commit dependencies (footnote 6)
-	system   bool               // system transactions post tcommit/tabort events
+	system   bool               // system transactions post no transaction events of their own
 
 	// snaps holds the before-image of each accessed object that had no
 	// committed image — created by a bare Store.Create outside any
@@ -127,7 +128,7 @@ type Tx struct {
 	snaps map[store.OID]*store.Record
 
 	// Inline backing for accessed, touched and held: a transaction over
-	// a few objects — every system transaction posting after-tcommit for
+	// a few objects — every system transaction posting after-tabort for
 	// one — grows none of them on the heap, and answers "accessed
 	// already?" by scanning accessed instead of keeping the seen map.
 	accessedBuf [4]store.OID
@@ -139,6 +140,27 @@ type Tx struct {
 	// they ride the transaction's own WAL batch. Rollback discards
 	// them with everything else.
 	firings []store.FiringRecord
+
+	out      outcome // the outcome phase, while it runs (BeginOutcome)
+	marksBuf [8]mark // its marks' inline backing
+}
+
+// outcome is an outcome phase: its own id (0: none), its savepoint (the
+// lengths of accessed and firings), the steps it made before its first
+// action (Mark) and, once sealed, the pre-savepoint objects' images as
+// they stood at the savepoint (nil: deleted by then).
+type outcome struct {
+	id                uint64
+	accessed, firings int
+	marks             []mark
+	imgs              []*store.Record
+}
+
+// mark is a trigger slot of rec as it stood before an automaton step.
+type mark struct {
+	rec  *store.Record
+	slot int
+	old  store.TrigState
 }
 
 // Begin starts a new transaction.
@@ -153,19 +175,25 @@ func (m *Manager) Begin() *Tx {
 }
 
 // BeginSystem starts a "system" transaction — the special transaction
-// the paper uses to post "after tcommit" and "after tabort" events and
-// run the actions they trigger (§5).
+// the paper uses to post "after tabort" events and run the actions they
+// trigger (§5); "after tcommit" is a committing transaction's outcome
+// phase (BeginOutcome).
 func (m *Manager) BeginSystem() *Tx {
 	tx := m.Begin()
 	tx.system = true
 	return tx
 }
 
-// ID returns the transaction identifier.
-func (tx *Tx) ID() uint64 { return tx.id }
+// ID returns the transaction identifier — its outcome phase's, in it,
+// which is drawn later and so the greater.
+func (tx *Tx) ID() uint64 { return max(tx.id, tx.out.id) }
 
-// System reports whether this is a system transaction.
-func (tx *Tx) System() bool { return tx.system }
+// System reports whether this is a system transaction or in its outcome
+// phase, which is §5's system transaction run inside this one.
+func (tx *Tx) System() bool { return tx.system || tx.out.id != 0 }
+
+// InOutcome reports whether the transaction is in its outcome phase.
+func (tx *Tx) InOutcome() bool { return tx.out.id != 0 }
 
 // State returns the transaction state.
 func (tx *Tx) State() State {
@@ -318,9 +346,8 @@ func (tx *Tx) Accessed() []store.OID { return tx.accessed[:len(tx.accessed):len(
 func (tx *Tx) Created(oid store.OID) bool { return tx.created[oid] }
 
 // AddFiring records one trigger firing for the durable egress feed.
-// The record's Seq and TxID are stamped by the store at commit time;
-// if the transaction aborts the record is dropped, so the feed only
-// ever carries firings of committed transactions.
+// The store stamps its Seq, and its TxID if unset, at commit; if the
+// transaction aborts the record is dropped.
 func (tx *Tx) AddFiring(fr store.FiringRecord) {
 	tx.firings = append(tx.firings, fr)
 }
@@ -360,6 +387,77 @@ func (tx *Tx) Commit() error {
 	return nil
 }
 
+// BeginOutcome waits for the commit dependencies (rolling back with
+// ErrDependencyAborted if one aborted), then starts the outcome phase
+// (§5's system transaction, under this one's locks): a savepoint, its
+// own id and the system role. Commit commits both parts in one frame;
+// AbortOutcome rolls the phase back and commits the own part alone.
+func (tx *Tx) BeginOutcome() error {
+	if tx.State() != Active {
+		return ErrNotActive
+	}
+	if err := tx.waitForDeps(); err != nil {
+		return tx.rollback(err)
+	}
+	tx.out = outcome{id: tx.mgr.nextID.Add(1), accessed: len(tx.accessed), firings: len(tx.firings), marks: tx.marksBuf[:0]}
+	return nil
+}
+
+// Mark notes rec's slot before an unsealed outcome phase steps it: all
+// the phase writes before its first action.
+func (tx *Tx) Mark(rec *store.Record, slot int) {
+	if tx.out.id != 0 && tx.out.imgs == nil {
+		tx.out.marks = append(tx.out.marks, mark{rec, slot, rec.Trigs[slot]})
+	}
+}
+
+// Seal builds the savepoint's images before the outcome phase's first
+// action; a no-op outside the phase or once done.
+func (tx *Tx) Seal() {
+	if tx.out.id == 0 || tx.out.imgs != nil {
+		return
+	}
+	imgs := make([]*store.Record, tx.out.accessed)
+	of := make(map[*store.Record]*store.Record, len(imgs))
+	for i, t := range tx.touched[:len(imgs)] {
+		imgs[i], _ = tx.mgr.store.Snapshot(t.Rec.OID) // nil: deleted
+		of[t.Rec] = imgs[i]
+	}
+	for i := len(tx.out.marks) - 1; i >= 0; i-- {
+		if m := tx.out.marks[i]; of[m.rec] != nil {
+			of[m.rec].Trigs[m.slot] = m.old
+		}
+	}
+	tx.out.imgs = imgs
+}
+
+// AbortOutcome rolls the outcome phase back to its savepoint as rollback
+// would and commits the transaction's own part alone (Commit).
+func (tx *Tx) AbortOutcome() error {
+	if tx.State() != Active || tx.out.id == 0 {
+		return ErrNotActive
+	}
+	tx.Seal()
+	st, o := tx.mgr.store, tx.out
+	kept := tx.undo(o.accessed)
+	for _, oid := range tx.accessed[o.accessed:] {
+		delete(tx.deleted, oid)
+	}
+	// The phase's first accesses leave the list; what they kept stays.
+	tx.accessed, tx.touched = tx.accessed[:o.accessed], tx.touched[:o.accessed]
+	for _, t := range kept {
+		tx.note(t)
+	}
+	for i, img := range o.imgs {
+		if img != nil {
+			tx.touched[i].Rec, _ = st.Restore(img, tx.touched[i].Rec)
+			delete(tx.deleted, tx.accessed[i])
+		}
+	}
+	tx.firings, tx.out = tx.firings[:o.firings], outcome{}
+	return tx.Commit()
+}
+
 // Abort undoes every effect of the transaction and releases its locks.
 // Aborting a finished transaction is an error; any other error reports
 // what the abort could not make durable (see rollback) — the transaction
@@ -384,8 +482,23 @@ func (tx *Tx) Abort() error {
 // transaction is aborted either way.
 func (tx *Tx) rollback(cause error) error {
 	st := tx.mgr.store
-	var kept []store.Touched
-	for i := len(tx.accessed) - 1; i >= 0; i-- {
+	if kept := tx.undo(0); len(kept) > 0 {
+		if err := st.Commit(tx.id, kept, nil, nil); err != nil {
+			for _, k := range kept {
+				st.Restore(k.Prev, nil)
+			}
+			cause = errors.Join(cause, fmt.Errorf("txn: logging the state kept across the abort failed: %w", err))
+		}
+	}
+	tx.finish(Aborted)
+	return cause
+}
+
+// undo restores the objects accessed from position from on, last first,
+// and returns the restored ones that keep something (store.Restore).
+func (tx *Tx) undo(from int) (kept []store.Touched) {
+	st := tx.mgr.store
+	for i := len(tx.accessed) - 1; i >= from; i-- {
 		oid, t := tx.accessed[i], tx.touched[i]
 		switch {
 		case tx.created[oid]:
@@ -400,16 +513,7 @@ func (tx *Tx) rollback(cause error) error {
 			st.Restore(tx.snaps[oid], t.Rec)
 		}
 	}
-	if len(kept) > 0 {
-		if err := st.Commit(tx.id, kept, nil, nil); err != nil {
-			for _, k := range kept {
-				st.Restore(k.Prev, nil)
-			}
-			cause = errors.Join(cause, fmt.Errorf("txn: logging the state kept across the abort failed: %w", err))
-		}
-	}
-	tx.finish(Aborted)
-	return cause
+	return kept
 }
 
 func (tx *Tx) waitForDeps() error {

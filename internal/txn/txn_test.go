@@ -502,3 +502,80 @@ func TestStateStrings(t *testing.T) {
 		t.Fatal("state strings")
 	}
 }
+
+// TestAbortOutcomeRollsBackToTheSavepoint drives an outcome phase by
+// hand: steps before its first action (Mark), then — sealed — writes,
+// a deletion and a creation. AbortOutcome must take back exactly the
+// phase, keep what a kept slot saw of it, and commit the transaction's
+// own part, creation included.
+func TestAbortOutcomeRollsBackToTheSavepoint(t *testing.T) {
+	for _, sealed := range []bool{false, true} {
+		m := newManager(t)
+		setup := m.Begin()
+		a, _ := setup.Create("acct", map[string]value.Value{"balance": value.Int(100)})
+		b, _ := setup.Create("acct", map[string]value.Value{"balance": value.Int(200)})
+		a.Trigger("whole") // both slots interned before either pointer is taken
+		a.Trigger("com").Active, a.Trigger("whole").Active = true, true
+		setup.Commit()
+		whole, _ := m.Store().Layout("acct").Slot("whole")
+		m.Store().Layout("acct").Keep(whole)
+		com, _ := m.Store().Layout("acct").Slot("com")
+
+		tx := m.Begin()
+		own := tx.ID()
+		ra, _, _ := tx.Access(a.OID)
+		ra.SetField("balance", value.Int(150))
+		c, _ := tx.Create("acct", nil)
+		tx.AddFiring(store.FiringRecord{OID: a.OID, Trigger: "user"})
+		if err := tx.BeginOutcome(); err != nil {
+			t.Fatal(err)
+		}
+		if tx.ID() == own || !tx.System() {
+			t.Fatalf("outcome phase has id %d (own %d), system %v", tx.ID(), own, tx.System())
+		}
+		for _, slot := range []int{com, whole} {
+			tx.Mark(ra, slot)
+			ra.Trigs[slot].State = 7
+		}
+		if sealed {
+			tx.Seal()
+			ra.SetField("balance", value.Int(-1))
+			ra.Trigs[com].Active = false
+			if err := tx.Delete(b.OID); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tx.Create("acct", nil); err != nil {
+				t.Fatal(err)
+			}
+			tx.AddFiring(store.FiringRecord{OID: a.OID, Trigger: "outcome", TxID: tx.ID()})
+		}
+		if err := tx.AbortOutcome(); err != nil {
+			t.Fatal(err)
+		}
+		if tx.State() != Committed || tx.ID() != own || tx.System() {
+			t.Fatalf("sealed %v: after AbortOutcome state %v, id %d (own %d), system %v", sealed, tx.State(), tx.ID(), own, tx.System())
+		}
+		img, _ := m.Store().GetCommitted(a.OID)
+		if bal := field(img, "balance"); !bal.Equal(value.Int(150)) {
+			t.Errorf("sealed %v: balance %v, want the transaction's own 150", sealed, bal)
+		}
+		if got := img.Trig(com); got.State != 0 || !got.Active {
+			t.Errorf("sealed %v: committed-view slot %+v, want the savepoint's (state 0, active)", sealed, got)
+		}
+		if got := img.Trig(whole); got.State != 7 {
+			t.Errorf("sealed %v: kept slot state %d, want the outcome's 7", sealed, got.State)
+		}
+		if _, ok := m.Store().GetCommitted(b.OID); !ok {
+			t.Errorf("sealed %v: the outcome's deletion survived", sealed)
+		}
+		if _, ok := m.Store().GetCommitted(c.OID); !ok {
+			t.Errorf("sealed %v: the transaction's own creation was lost", sealed)
+		}
+		if n := m.Store().Count(); n != 3 {
+			t.Errorf("sealed %v: %d objects, want a, b and c", sealed, n)
+		}
+		if fs := tx.Firings(); len(fs) != 1 || fs[0].Trigger != "user" {
+			t.Errorf("sealed %v: firings %+v, want only the transaction's own", sealed, fs)
+		}
+	}
+}

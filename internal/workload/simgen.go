@@ -22,22 +22,25 @@ var simMaskBounds = []int{10, 25, 50, 100, 200, 400}
 // RandomEventSpec returns a random event-specification string in the
 // paper's §3 language over the given method atoms, suitable for
 // schema.Trigger.Event. depth bounds combinator nesting. The
-// generated specs deliberately avoid tcomplete/tcommit/tabort atoms
-// (a perpetual trigger on a bare "before tcomplete" defeats the §6
-// commit fixpoint; the simulation harness covers those kinds with its
-// fixed trigger pool instead) and timer atoms (virtual-time specs are
-// also exercised by the fixed pool).
+// generated specs deliberately avoid tcomplete/tabort atoms (a
+// perpetual trigger on a bare "before tcomplete" defeats the §6 commit
+// fixpoint; the simulation harness covers those kinds with its fixed
+// trigger pool instead) and timer atoms (virtual-time specs are also
+// exercised by the fixed pool). "after tcommit" is posted once per
+// commit, in its outcome phase, so it cannot feed the fixpoint.
 //
 // Determinism: the output is a pure function of the rng stream, the
 // method list and depth — the simulation harness relies on this to
 // regenerate identical workloads from a seed.
 func RandomEventSpec(rng *rand.Rand, methods []SimMethod, depth int) string {
 	atom := func() string {
-		switch rng.Intn(6) {
+		switch rng.Intn(7) {
 		case 0:
 			return "after access"
 		case 1:
 			return "after tbegin"
+		case 2:
+			return "after tcommit"
 		default:
 			m := methods[rng.Intn(len(methods))]
 			if m.IntParam != "" && rng.Intn(2) == 0 {
