@@ -15,6 +15,7 @@ import (
 type pendingClass struct {
 	builder  *ode.ClassBuilder
 	fields   []string
+	kinds    map[string]ode.Kind // by field name
 	methods  []string
 	triggers []string
 }
@@ -180,7 +181,8 @@ func (sh *shell) help() {
 	fmt.Fprint(sh.out, `commands:
   defclass NAME field:kind[=default] ...   declare a class (kinds: int float bool string id)
       every field gets auto methods set_<field>(v) [update] and get_<field>() [read]
-  defmethod NAME method read|update [p:kind ...]   declare an extra (no-op) method
+  defmethod NAME method read|update [p:kind ...] [field=value]
+      declare an extra method: a no-op, or one that sets field to value
   deftrigger NAME DECL       declare a trigger, e.g.
       deftrigger account Low(): perpetual balance < 100 ==> print
       actions: print | tabort | someMethod()
@@ -277,7 +279,7 @@ func (sh *shell) defclass(rest string) error {
 		return fmt.Errorf("class %s already being defined", name)
 	}
 	b := sh.db.NewClass(name).Defines(sh.defines)
-	pc := &pendingClass{builder: b}
+	pc := &pendingClass{builder: b, kinds: map[string]ode.Kind{}}
 	for _, f := range fields[1:] {
 		spec, deflt, hasDefault := strings.Cut(f, "=")
 		fname, kindName, ok := strings.Cut(spec, ":")
@@ -295,6 +297,7 @@ func (sh *shell) defclass(rest string) error {
 			}
 		}
 		b.Field(fname, kind, dv)
+		pc.kinds[fname] = kind
 		// Auto accessor methods make every field observable as events.
 		field := fname
 		b.Update("set_"+field, func(ctx *ode.MethodCtx) (ode.Value, error) {
@@ -313,7 +316,7 @@ func (sh *shell) defclass(rest string) error {
 func (sh *shell) defmethod(rest string) error {
 	fields := strings.Fields(rest)
 	if len(fields) < 3 {
-		return fmt.Errorf("usage: defmethod CLASS METHOD read|update [p:kind ...]")
+		return fmt.Errorf("usage: defmethod CLASS METHOD read|update [p:kind ...] [field=value]")
 	}
 	pc, ok := sh.pending[fields[0]]
 	if !ok {
@@ -321,7 +324,20 @@ func (sh *shell) defmethod(rest string) error {
 	}
 	method := fields[1]
 	var params []ode.Param
+	impl := func(ctx *ode.MethodCtx) (ode.Value, error) { return ode.Null(), nil }
 	for _, p := range fields[3:] {
+		if field, lit, set := strings.Cut(p, "="); set { // the body: set field to lit
+			kind, ok := pc.kinds[field]
+			if !ok {
+				return fmt.Errorf("no field %q", field)
+			}
+			v, err := parseValue(kind, lit)
+			if err != nil {
+				return err
+			}
+			impl = func(ctx *ode.MethodCtx) (ode.Value, error) { return ode.Null(), ctx.Set(field, v) }
+			continue
+		}
 		pname, kindName, ok := strings.Cut(p, ":")
 		if !ok {
 			return fmt.Errorf("param %q: want name:kind", p)
@@ -332,7 +348,6 @@ func (sh *shell) defmethod(rest string) error {
 		}
 		params = append(params, ode.P(pname, kind))
 	}
-	impl := func(ctx *ode.MethodCtx) (ode.Value, error) { return ode.Null(), nil }
 	switch fields[2] {
 	case "read":
 		pc.builder.Read(method, impl, params...)

@@ -208,3 +208,34 @@ func TestShellWhy(t *testing.T) {
 		t.Fatalf("want 2 errors, got %d:\n%s", c, out)
 	}
 }
+
+// TestShellAbortOutcomeWriteSurvivesReopen: a method declared with a
+// field=value body, called by a whole-view after-tabort trigger, writes
+// in the abort's outcome phase; the write commits with the abort and is
+// there after the database is reopened.
+func TestShellAbortOutcomeWriteSurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	decl := []string{
+		"defclass acct v:int=0 note:string",
+		"defmethod acct stamp update note=aborted",
+		"deftrigger acct Stamp(): perpetual after tabort ==> stamp()",
+		"wholeview acct Stamp",
+		"register acct",
+	}
+	run := func(lines ...string) string {
+		var out bytes.Buffer
+		sh, err := newShell(&out, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh.run(bufio.NewScanner(strings.NewReader(strings.Join(append(decl, lines...), "\n"))), false)
+		sh.close()
+		return out.String()
+	}
+	if out := run("new acct", "activate @1 Stamp", "begin", "call @1 set_v 5", "abort"); strings.Contains(out, "error:") {
+		t.Fatalf("script raised errors:\n%s", out)
+	}
+	if out := run("get @1 note", "get @1 v"); !strings.Contains(out, `"aborted"`) || !strings.Contains(out, "\n0\n") {
+		t.Fatalf("after a reopen: want note \"aborted\" and v rolled back to 0:\n%s", out)
+	}
+}

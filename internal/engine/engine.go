@@ -15,9 +15,9 @@
 // disjointness masks), advances one integer of automaton state, and
 // fires when the automaton accepts. Trigger actions execute
 // immediately, inside the posting transaction. "after tcommit" and
-// "after tabort" happenings are posted by §5's system transaction: for
-// tcommit, the committing transaction's outcome phase, which shares its
-// locks and its frame; for tabort, one of its own.
+// "after tabort" happenings are posted by §5's system transaction: the
+// ending transaction's outcome phase, which shares its locks and its one
+// frame, whichever way it ends.
 package engine
 
 import (
@@ -50,11 +50,14 @@ var (
 	// ErrTcompleteDiverged is returned when the before-tcomplete
 	// fixpoint (§6) fails to quiesce.
 	ErrTcompleteDiverged = errors.New("engine: before tcomplete loop did not quiesce")
+	// ErrCascadeDepth aborts a transaction whose method calls and trigger
+	// actions nest deeper than maxCascadeDepth (64); it names the chain.
+	ErrCascadeDepth = errors.New("engine: cascade too deep")
 )
 
 // maxTcompleteRounds bounds the §6 commit fixpoint ("this process goes
 // on until no triggers fire in response to a before tcomplete event").
-const maxTcompleteRounds = 64
+const maxTcompleteRounds, maxCascadeDepth = 64, 64
 
 // MaskFunc is a side-effect-free function callable from masks.
 type MaskFunc func(args []value.Value) (value.Value, error)

@@ -215,11 +215,18 @@ func TestNoReaderSeesACommitWithoutItsOutcome(t *testing.T) {
 
 	var stop atomic.Bool
 	var seen atomic.Int64
-	var wg sync.WaitGroup
+	var wg, ready sync.WaitGroup // ready: each reader has read once
 	for r := 0; r < 2; r++ {
 		wg.Add(1)
+		ready.Add(1)
 		go func(explain bool) {
 			defer wg.Done()
+			first := true
+			defer func() {
+				if first { // returned before its first read
+					ready.Done()
+				}
+			}()
 			for !stop.Load() {
 				st := 0
 				if explain {
@@ -238,9 +245,16 @@ func TestNoReaderSeesACommitWithoutItsOutcome(t *testing.T) {
 					return
 				}
 				seen.Add(1)
+				if first {
+					first = false
+					ready.Done()
+				}
 			}
 		}(r == 1)
 	}
+	// The writer starts only once both readers run: its 300 transactions
+	// can otherwise finish before either is scheduled.
+	ready.Wait()
 	for i := 0; i < 300; i++ {
 		if err := e.Transact(func(tx *Tx) error {
 			_, err := tx.Call(oid, "deposit", value.Int(1))
@@ -303,5 +317,158 @@ func TestBlockedTransactionRunsAfterTheOutcome(t *testing.T) {
 	}
 	if owner := <-got; owner.IsNull() {
 		t.Fatal("the blocked transaction read other's owner unset: it ran between the commit and its outcome")
+	}
+}
+
+// The tests below pin that "after tabort" is a phase of the aborting
+// transaction too: the rollback to its begin, the outcome phase and one
+// commit of both, under the same locks.
+
+// abortClass is an account whose abort keeps state and has a moving
+// after-tabort observer: Two moves on every withdraw, kept across the
+// rollback, AbC moves on after tabort and Stamp sets owner to "stamped"
+// there. All three are whole-view: a committed-view trigger never sees a
+// tabort (§6).
+func abortClass(rec *recorder, extra ...schema.Trigger) (*schema.Class, ClassImpl) {
+	cls, impl := accountClass(rec, append([]schema.Trigger{wholeTwo,
+		{Name: "AbC", Perpetual: true, Event: "relative(after tabort, after withdraw)", View: schema.WholeView},
+		{Name: "Stamp", Perpetual: true, Event: "after tabort", View: schema.WholeView}}, extra...)...)
+	impl.Actions["Stamp"] = func(ctx *ActionCtx) error {
+		return ctx.Tx.Set(ctx.Self, "owner", value.Str("stamped"))
+	}
+	return cls, impl
+}
+
+// TestAbortIsOneFrame: what the rollback kept and what the after-tabort
+// outcome did are logged in one WAL frame with one sync, and a reopen has
+// both.
+func TestAbortIsOneFrame(t *testing.T) {
+	dir := t.TempDir()
+	cls, impl := abortClass(&recorder{})
+	reg := fault.New()
+	e := newEngine(t, Options{Dir: dir, Faults: reg})
+	oid := setup(t, e, cls, impl, "Two", "AbC", "Stamp")
+	two, _, _ := e.TriggerState(oid, "Two")
+	abc, _, _ := e.TriggerState(oid, "AbC")
+	writes, syncs := reg.Consults(fault.WALWrite), reg.Consults(fault.WALSync)
+	withdrawThenAbort(t, e, oid)
+	if w, s := reg.Consults(fault.WALWrite)-writes, reg.Consults(fault.WALSync)-syncs; w != 1 || s != 1 {
+		t.Fatalf("an abort wrote %d frames and synced %d times, want 1 and 1", w, s)
+	}
+	check := func(e *Engine, when string) {
+		t.Helper()
+		if st, _, _ := e.TriggerState(oid, "Two"); st == two {
+			t.Errorf("%s: whole-view Two is back in state %d: the carry was lost", when, st)
+		}
+		if st, _, _ := e.TriggerState(oid, "AbC"); st == abc {
+			t.Errorf("%s: AbC is still in state %d: the after-tabort step was lost", when, st)
+		}
+		img, _ := e.Store().GetCommitted(oid)
+		if b := field(img, "balance").AsInt(); b != 1000 {
+			t.Errorf("%s: balance %d, want the rolled-back 1000", when, b)
+		}
+		if o := field(img, "owner"); !o.Equal(value.Str("stamped")) {
+			t.Errorf("%s: owner = %v: the after-tabort write was lost", when, o)
+		}
+	}
+	check(e, "live")
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e = reopen(t, dir, cls, impl)
+	defer e.Close()
+	check(e, "reopened")
+}
+
+// TestAbortOutcomeThatAbortsKeepsTheCarry: an after-tabort phase that
+// aborts — an action's tabort, an action's error — rolls back to its own
+// savepoint: Stamp's write is gone, what the rollback kept and what AbC
+// saw of the phase commit alone, Abort reports nothing and the cause goes
+// to TimerErrors.
+func TestAbortOutcomeThatAbortsKeepsTheCarry(t *testing.T) {
+	boom := errors.New("boom")
+	for _, veto := range []error{ErrTabort, boom} {
+		t.Run(veto.Error(), func(t *testing.T) {
+			dir := t.TempDir()
+			rec := &recorder{}
+			cls, impl := abortClass(rec, schema.Trigger{Name: "VetoA", Perpetual: true, Event: "after tabort", View: schema.WholeView})
+			impl.Actions["VetoA"] = func(*ActionCtx) error { return veto }
+			e := newEngine(t, Options{Dir: dir})
+			oid := setup(t, e, cls, impl, "Two", "AbC", "Stamp", "VetoA")
+			two, _, _ := e.TriggerState(oid, "Two")
+			abc, _, _ := e.TriggerState(oid, "AbC")
+			withdrawThenAbort(t, e, oid)
+			if errs := e.TimerErrors(); len(errs) != 1 || !errors.Is(errs[0], veto) {
+				t.Fatalf("TimerErrors = %v, want the outcome's %v", errs, veto)
+			}
+			check := func(e *Engine, when string) {
+				t.Helper()
+				img, _ := e.Store().GetCommitted(oid)
+				if o := field(img, "owner"); !o.IsNull() {
+					t.Errorf("%s: owner = %v: the aborted outcome's write survived", when, o)
+				}
+				if st, _, _ := e.TriggerState(oid, "Two"); st == two {
+					t.Errorf("%s: whole-view Two is back in state %d: the carry was lost", when, st)
+				}
+				if st, _, _ := e.TriggerState(oid, "AbC"); st == abc {
+					t.Errorf("%s: whole-view AbC is still in state %d: its step in the phase was lost", when, st)
+				}
+			}
+			check(e, "live")
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			e = reopen(t, dir, cls, impl)
+			defer e.Close()
+			check(e, "reopened")
+		})
+	}
+}
+
+// TestBlockedTransactionRunsAfterTheAbortOutcome: the after-tabort phase
+// keeps the aborting transaction's locks, so a transaction blocked on an
+// object gets it only after the outcome committed — never between an
+// abort and its after tabort. The outcome reaches the object late: Stamp
+// fires on another object and dawdles before it writes this one.
+func TestBlockedTransactionRunsAfterTheAbortOutcome(t *testing.T) {
+	var other store.OID
+	cls, impl := accountClass(&recorder{}, schema.Trigger{Name: "Stamp", Perpetual: true, Event: "after tabort", View: schema.WholeView})
+	impl.Actions["Stamp"] = func(ctx *ActionCtx) error {
+		time.Sleep(20 * time.Millisecond)
+		return ctx.Tx.Set(other, "owner", value.Str("stamped"))
+	}
+	e := newEngine(t, Options{})
+	rich := setup(t, e, cls, impl, "Stamp")
+	if err := e.Transact(func(tx *Tx) (err error) {
+		other, err = tx.NewObject("account", nil)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	tx := e.Begin()
+	if _, err := tx.Call(rich, "deposit", value.Int(10000)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Get(other, "owner"); err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan value.Value, 1)
+	go func() {
+		var owner value.Value
+		if err := e.Transact(func(b *Tx) (err error) {
+			owner, err = b.Get(other, "owner")
+			return err
+		}); err != nil {
+			t.Error(err)
+		}
+		got <- owner
+	}()
+	time.Sleep(10 * time.Millisecond) // let the second transaction block on other's lock
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if owner := <-got; owner.IsNull() {
+		t.Fatal("the blocked transaction read other's owner unset: it ran between the abort and its outcome")
 	}
 }

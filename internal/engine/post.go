@@ -404,7 +404,7 @@ func (tx *Tx) fire(c *Class, ph *phase, oid store.OID, rec *store.Record, h *eve
 		}
 		tx.e.stats.firings.Add(1)
 		start := time.Now()
-		err := t.Action(&tx.actCtx)
+		err := tx.act(c, t)
 		d := time.Since(start)
 		tx.actCtx = saved
 		t.met.Fire(d, err)
@@ -431,6 +431,15 @@ func (tx *Tx) fire(c *Class, ph *phase, oid store.OID, rec *store.Record, h *eve
 		}
 	}
 	return nil
+}
+
+// act runs t's action behind the user-code boundary (Tx.enter, leave).
+func (tx *Tx) act(c *Class, t *Trigger) (err error) {
+	if err = tx.enter(c, "trigger", t.Res.Name); err != nil {
+		return err
+	}
+	defer func() { tx.leave(recover(), c, "trigger", t.Res.Name, &err) }()
+	return t.Action(&tx.actCtx)
 }
 
 // checkParams guards the compiled programs' indexed parameter loads: an
@@ -562,9 +571,14 @@ func (tx *Tx) maskDotField(base value.Value, name string) (value.Value, error) {
 }
 
 // maskCall invokes a mask function: class-level functions first, then
-// the class's read methods, then engine-global functions. Shared by the
-// interpreter env and the compiled-program host.
-func (tx *Tx) maskCall(cls *Class, self store.OID, name string, args []value.Value) (value.Value, error) {
+// the class's read methods, then engine-global functions, behind the
+// user-code boundary (Tx.enter, leave). Shared by the interpreter env and
+// the compiled-program host.
+func (tx *Tx) maskCall(cls *Class, self store.OID, name string, args []value.Value) (_ value.Value, err error) {
+	if err = tx.enter(cls, "function", name); err != nil {
+		return value.Null(), err
+	}
+	defer func() { tx.leave(recover(), cls, "function", name, &err) }()
 	if fn, ok := cls.Impl.Funcs[name]; ok {
 		return fn(args)
 	}
@@ -581,7 +595,7 @@ func (tx *Tx) maskCall(cls *Class, self store.OID, name string, args []value.Val
 		// Invoked directly: a mask-time member call is a condition
 		// evaluation, not an event-generating access (§7 requires
 		// side-effect-free conditions).
-		return tx.invoke(cls.Impl.Methods[name], self, meth, row)
+		return tx.invoke(cls, cls.Impl.Methods[name], self, meth, row)
 	}
 	tx.e.mu.RLock()
 	fn, ok := tx.e.funcs[name]

@@ -17,8 +17,8 @@ type Stats struct {
 	// TxCommitted and TxAborted count user transaction outcomes.
 	TxCommitted uint64
 	TxAborted   uint64
-	// SystemTx counts system transactions (after-tcommit outcome phases,
-	// after-tabort and timer deliveries).
+	// SystemTx counts system transactions: the outcome phases posting
+	// after tcommit and after tabort, and timer deliveries.
 	SystemTx uint64
 	// Happenings counts events posted to objects (every history point,
 	// all objects).

@@ -3,7 +3,8 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"slices"
+	"runtime/debug"
+	"strings"
 	"time"
 
 	"ode/internal/event"
@@ -21,8 +22,10 @@ import (
 type Tx struct {
 	e        *Engine
 	tx       *txn.Tx
-	aborting bool
+	aborting bool // rolled back to its begin, or posting before tabort
 	finished bool
+	depth    int   // nested method calls and trigger actions (enter)
+	err      error // what Commit or Abort reports: a dependency's abort, a failed frame
 
 	// Hot-path scratch, reused across postings so a call allocates
 	// nothing of its own. fired and evArena follow stack discipline
@@ -77,8 +80,7 @@ func (e *Engine) begin(t *txn.Tx) *Tx {
 }
 
 // beginSystem starts a system transaction: it posts no transaction
-// lifecycle events of its own (§5 uses it to deliver after-tabort, which
-// belongs to an already-finished transaction, and time events).
+// lifecycle events of its own, and time events are delivered in it.
 func (e *Engine) beginSystem() *Tx {
 	e.stats.systemTx.Add(1)
 	return e.begin(e.txm.BeginSystem())
@@ -86,9 +88,19 @@ func (e *Engine) beginSystem() *Tx {
 
 // Transact runs fn in a fresh transaction, committing on nil and
 // aborting on error. A tabort raised by a trigger inside fn surfaces
-// as ErrTabort with the rollback already performed.
-func (e *Engine) Transact(fn func(*Tx) error) error {
+// as ErrTabort with the rollback already performed. A panic in fn, or
+// anywhere else outside the user-code boundary, aborts the transaction
+// and surfaces as a *PanicError of Kind "transaction".
+func (e *Engine) Transact(fn func(*Tx) error) (err error) {
 	tx := e.Begin()
+	defer func() {
+		if v := recover(); v != nil {
+			err = &PanicError{Kind: "transaction", Value: v, Stack: debug.Stack()}
+			if !tx.finished && tx.tx.State() == txn.Active {
+				err = tx.doAbort(err)
+			}
+		}
+	}()
 	if err := fn(tx); err != nil {
 		if !tx.finished {
 			if aerr := tx.Abort(); aerr != nil {
@@ -238,7 +250,7 @@ func (tx *Tx) call(c *Class, cl *call, oid store.OID, rec *store.Record, args []
 	if _, err := tx.step(c, cl.before, oid, rec, &h, nil, before); err != nil {
 		return value.Null(), tx.propagate(err)
 	}
-	out, err := tx.invoke(cl.impl, oid, cl.m, row)
+	out, err := tx.invoke(c, cl.impl, oid, cl.m, row)
 	if err != nil {
 		return value.Null(), tx.propagate(err)
 	}
@@ -268,16 +280,55 @@ func (tx *Tx) bindArgs(m *schema.Method, args []value.Value) ([]value.Value, err
 	return tx.evArena[base:len(tx.evArena):len(tx.evArena)], nil
 }
 
-// invoke runs a method body over a bound argument row. The MethodCtx
-// lives on the Tx and is reused by address; save/restore by value keeps
-// re-entrant calls (a body or an action calling further methods)
-// correct.
-func (tx *Tx) invoke(impl MethodImpl, self store.OID, m *schema.Method, row []value.Value) (value.Value, error) {
-	saved := tx.mctx
+// invoke runs a method body over a bound argument row, behind the
+// user-code boundary (enter, leave). The MethodCtx lives on the Tx and is
+// reused by address; save/restore by value keeps re-entrant calls (a body
+// or an action calling further methods) correct.
+func (tx *Tx) invoke(c *Class, impl MethodImpl, self store.OID, m *schema.Method, row []value.Value) (out value.Value, err error) {
+	if err = tx.enter(c, "method", m.Name); err != nil {
+		return value.Null(), err
+	}
+	defer func(saved MethodCtx) {
+		tx.mctx = saved
+		tx.leave(recover(), c, "method", m.Name, &err)
+	}(tx.mctx)
 	tx.mctx = MethodCtx{Tx: tx, Self: self, m: m, args: row}
-	out, err := impl(&tx.mctx)
-	tx.mctx = saved
-	return out, err
+	return impl(&tx.mctx)
+}
+
+// PanicError is a panic in a method body, a trigger action or a mask
+// function, recovered at the boundary user code runs behind, or one in
+// Transact's fn; its transaction is aborted.
+type PanicError struct {
+	Class, Kind, Name string // Kind is "method", "trigger", "function" or "transaction" (no Class, Name)
+	Value             any
+	Stack             []byte
+}
+
+func (e *PanicError) Error() string {
+	if e.Kind == "transaction" {
+		return fmt.Sprintf("engine: panic in transaction: %v", e.Value)
+	}
+	return fmt.Sprintf("engine: panic in %s %s.%s: %v", e.Kind, e.Class, e.Name, e.Value)
+}
+
+// enter opens a frame of user code, or refuses one past maxCascadeDepth.
+func (tx *Tx) enter(c *Class, kind, name string) error {
+	if tx.depth >= maxCascadeDepth {
+		return fmt.Errorf("%w: %s %s.%s", ErrCascadeDepth, kind, c.Schema.Name, name)
+	}
+	tx.depth++
+	return nil
+}
+
+// leave closes enter's frame: a panic (v) becomes *err, and a cascade error names the frame.
+func (tx *Tx) leave(v any, c *Class, kind, name string, err *error) {
+	tx.depth--
+	if v != nil {
+		*err = &PanicError{Class: c.Schema.Name, Kind: kind, Name: name, Value: v, Stack: debug.Stack()}
+	} else if errors.Is(*err, ErrCascadeDepth) && strings.Count((*err).Error(), "←") < 8 {
+		*err = fmt.Errorf("%w ← %s %s.%s", *err, kind, c.Schema.Name, name)
+	}
 }
 
 // Get reads a field without posting events (paper footnote 2: raw
@@ -375,7 +426,7 @@ func (tx *Tx) Deactivate(oid store.OID, trigger string) error {
 }
 
 // Commit runs the §6 before-tcomplete fixpoint, then the outcome phase
-// (outcome), and commits both in one frame. Commit returns nil exactly
+// (outcome) and the one commit of both (end). Commit returns nil exactly
 // when the transaction's own effects committed.
 func (tx *Tx) Commit() error {
 	if tx.finished {
@@ -405,13 +456,67 @@ func (tx *Tx) Commit() error {
 			tx.e.stats.tcompleteRounds.Add(1)
 			tx.e.traceTcomplete(tx.tx.ID(), round, fired)
 		}
-		if err := tx.outcome(); err != nil || tx.finished {
-			return err
+		tx.outcome(event.KTcommit)
+	}
+	if !tx.finished {
+		tx.end()
+	}
+	return tx.err
+}
+
+// outcome runs the outcome phase of the transaction's commit or abort
+// (ev tcommit or tabort): §5's system transaction posting "after ev" to
+// the accessed objects, under this transaction's locks and with an id of
+// its own. A phase that aborts rolls back alone and ends the transaction
+// (doAbort); a commit dependency that aborted rolls the transaction back
+// to its begin (txn.Tx.BeginOutcome), and it takes the abort route.
+func (tx *Tx) outcome(ev event.Class) {
+	accessed, own := tx.tx.Accessed(), tx.tx.ID()
+	tx.cachedRec = nil
+	if err := tx.tx.BeginOutcome(); err != nil {
+		tx.err = err
+		tx.aborts()
+		return
+	}
+	tx.e.stats.systemTx.Add(1)
+	tx.e.traceTx(obs.StageTxBegin, tx.tx.ID(), true)
+	for _, oid := range accessed {
+		if !tx.e.st.Exists(oid) {
+			continue // deleted by the transaction, or its creation rolled back
+		}
+		rec, err := tx.access(oid)
+		if err == nil {
+			_, err = tx.post(oid, rec, event.Kind{Phase: event.After, Class: ev}, own, nil)
+		}
+		if err != nil {
+			tx.doAbort(err)
+			return
 		}
 	}
+}
 
-	accessed, id := tx.tx.Accessed(), tx.tx.ID()
+// aborts ends a transaction rolled back to its begin: the outcome phase
+// posts "after tabort" — unless it is a system transaction or accessed
+// nothing — and the one commit logs it with what the rollback kept.
+func (tx *Tx) aborts() {
+	tx.aborting = true
+	if !tx.tx.System() && len(tx.tx.Accessed()) > 0 {
+		tx.outcome(event.KTabort)
+	}
+	if !tx.finished {
+		tx.end()
+	}
+}
+
+// end makes the transaction's one commit and runs what follows it. A
+// frame that fails is kept in tx.err; one with an outcome phase leaves the
+// transaction rolled back to its begin and open (txn.Tx.Commit), and it
+// takes the abort route. What follows either outcome drops the
+// provenance of the objects the transaction created or deleted that are
+// gone; what follows an abort also re-aligns the timer table.
+func (tx *Tx) end() {
 	tx.cachedRec = nil
+	id := tx.tx.ID()
 	err := tx.tx.Commit()
 	if id != tx.tx.ID() { // the outcome phase's, gone with it
 		stage := obs.StageTxCommit
@@ -421,51 +526,13 @@ func (tx *Tx) Commit() error {
 		tx.e.traceTx(stage, id, true)
 	}
 	if err != nil {
-		// The log failed: the txn layer has already rolled back.
-		tx.aborted(accessed)
-		return err
+		tx.err = errors.Join(tx.err, err)
 	}
-	tx.committed()
-	return nil
-}
-
-// outcome runs the outcome phase once the commit dependencies committed:
-// §5's system transaction posting "after tcommit" to the accessed
-// objects, under this transaction's locks and with an id of its own. An
-// outcome that aborts is rolled back alone (abortOutcome) and leaves the
-// transaction finished, with an error only if its own part could not
-// commit either.
-func (tx *Tx) outcome() error {
-	accessed, own := tx.tx.Accessed(), tx.tx.ID()
-	tx.cachedRec = nil
-	if err := tx.tx.BeginOutcome(); err != nil {
-		tx.aborted(accessed) // a dependency aborted
-		return err
+	state := tx.tx.State()
+	if state == txn.Active {
+		tx.aborts()
+		return
 	}
-	tx.e.stats.systemTx.Add(1)
-	tx.e.traceTx(obs.StageTxBegin, tx.tx.ID(), true)
-	for _, oid := range accessed {
-		if !tx.e.st.Exists(oid) {
-			continue // deleted by the transaction
-		}
-		rec, err := tx.access(oid)
-		if err == nil {
-			_, err = tx.post(oid, rec, event.Kind{Phase: event.After, Class: event.KTcommit}, own, nil)
-		}
-		if err != nil {
-			if err = tx.doAbort(err); tx.tx.State() == txn.Committed {
-				return nil
-			}
-			return err
-		}
-	}
-	return nil
-}
-
-// committed is what follows every commit of the transaction's own part,
-// dropping the provenance of the objects it created or deleted that are
-// gone.
-func (tx *Tx) committed() {
 	tx.finished = true
 	for _, oids := range [2][]store.OID{tx.created, tx.deleted} {
 		for _, oid := range oids {
@@ -474,35 +541,22 @@ func (tx *Tx) committed() {
 			}
 		}
 	}
+	stage, count := obs.StageTxCommit, &tx.e.stats.txCommitted
+	if state == txn.Aborted {
+		stage, count = obs.StageTxAbort, &tx.e.stats.txAborted
+		tx.realign()
+	}
 	if !tx.tx.System() {
-		tx.e.stats.txCommitted.Add(1)
+		count.Add(1)
 	}
-	tx.e.traceTx(obs.StageTxCommit, tx.tx.ID(), tx.tx.System())
+	tx.e.traceTx(stage, tx.tx.ID(), tx.tx.System())
 }
 
-// abortOutcome rolls the outcome phase back alone (txn.Tx.AbortOutcome)
-// and reports cause like an after-tabort failure. It returns cause,
-// joined with the log error if the transaction's own part could not
-// commit either, which aborts the whole transaction.
-func (tx *Tx) abortOutcome(cause error) error {
-	tx.cachedRec = nil
-	accessed, id := slices.Clone(tx.tx.Accessed()), tx.tx.ID() // the rollback shortens the list
-	err := tx.tx.AbortOutcome()
-	tx.e.traceTx(obs.StageTxAbort, id, true)
-	tx.e.recordTimerErr(errors.Join(errors.New("engine: after-tcommit delivery aborted"), cause))
-	if err != nil {
-		tx.aborted(accessed)
-		return errors.Join(cause, err)
-	}
-	tx.committed()
-	tx.realign(accessed)
-	return cause
-}
-
-// Abort posts "before tabort" to the accessed objects, rolls back, and
-// has a system transaction post "after tabort". An error other than
-// txn.ErrNotActive reports what the rollback could not make durable
-// (txn.Tx.Abort); the transaction is aborted regardless.
+// Abort posts "before tabort" to the accessed objects, rolls back, posts
+// "after tabort" in the outcome phase and commits what the rollback kept
+// with what the phase did, in one frame. An error other than
+// txn.ErrNotActive reports that frame's failure; the transaction is
+// aborted regardless.
 func (tx *Tx) Abort() error {
 	if tx.finished {
 		return txn.ErrNotActive
@@ -511,24 +565,32 @@ func (tx *Tx) Abort() error {
 }
 
 // doAbort aborts the transaction because of cause (nil for a plain
-// Abort) and returns cause, joined with the rollback's own error if it
-// had one.
+// Abort) and returns cause, joined with the error of a frame that
+// failed. In the outcome phase only the phase is rolled back, and its
+// cause is reported like a timer delivery's.
 func (tx *Tx) doAbort(cause error) error {
 	if tx.finished {
 		return cause
 	}
+	tx.depth = 0 // the abort runs afresh, however deep it began
 	if tx.tx.InOutcome() {
-		return tx.abortOutcome(cause)
-	}
-	tx.cachedRec = nil
-	accessed := tx.tx.Accessed()
-	if !tx.tx.System() && !tx.aborting {
+		id, ev := tx.tx.ID(), "tcommit"
+		if tx.aborting {
+			ev = "tabort"
+		}
+		tx.tx.Rollback()
+		tx.e.traceTx(obs.StageTxAbort, id, true)
+		tx.e.recordTimerErr(errors.Join(fmt.Errorf("engine: after-%s delivery aborted", ev), cause))
+		if tx.end(); tx.tx.State() == txn.Committed {
+			tx.realign()
+		}
+	} else if !tx.tx.System() && !tx.aborting {
 		tx.aborting = true
 		// "Immediately before a transaction aborts" (§3.1 item 4d):
 		// posted within the aborting transaction. Whatever it changes —
 		// including trigger actions it fires — is undone by the
 		// rollback, except what whole-history triggers saw (§6).
-		for _, oid := range accessed {
+		for _, oid := range tx.tx.Accessed() {
 			if !tx.e.st.Exists(oid) {
 				continue
 			}
@@ -541,53 +603,37 @@ func (tx *Tx) doAbort(cause error) error {
 			_, _ = tx.post(oid, rec, event.Kind{Phase: event.Before, Class: event.KTabort}, tx.tx.ID(), nil)
 		}
 	}
-	tx.cachedRec = nil // abort-path postings may have re-primed it
-	if err := tx.tx.Abort(); err != nil {
-		cause = errors.Join(cause, err)
+	if !tx.finished { // unless an action's own abort ended it
+		tx.cachedRec = nil // abort-path postings may have re-primed it
+		tx.tx.Rollback()
+		tx.aborts()
 	}
-	tx.aborted(accessed)
-	return cause
+	if tx.err == nil { // callers compare ErrTabort by identity
+		return cause
+	}
+	return errors.Join(cause, tx.err)
 }
 
-// aborted is what follows every rollback, whichever way the txn layer
-// was brought to it — doAbort, or a Commit that turned into an abort.
-func (tx *Tx) aborted(accessed []store.OID) {
-	tx.finished = true
-	if !tx.tx.System() {
-		tx.e.stats.txAborted.Add(1)
-	}
-	tx.e.traceTx(obs.StageTxAbort, tx.tx.ID(), tx.tx.System())
-	tx.realign(accessed)
-	for _, oid := range tx.created {
-		tx.e.provDrop(oid) // and whatever it recorded on them
-	}
-
-	if !tx.tx.System() {
-		if err := tx.e.postOutcome(accessed, tx.tx.ID()); err != nil {
-			tx.e.recordTimerErr(err)
-		}
-	}
-}
-
-// realign re-aligns the timer table with the accessed objects' committed
-// state after a rollback: it restored each record's activation flags,
-// but Activate and Deactivate adjusted the table eagerly. The
-// rolled-back record is content-equal to its committed image (the txn
-// layer's image invariant), and the image — unlike the live record,
-// whose lock the abort just released — can be read while another
-// transaction already mutates the object.
-func (tx *Tx) realign(accessed []store.OID) {
-	for _, oid := range accessed {
-		rec, ok := tx.e.st.GetCommitted(oid)
-		if !ok {
-			// The object no longer exists — it was created by this
-			// transaction and removed by the rollback; drop whatever
-			// the transaction armed on it.
-			tx.e.timers.disarmObject(oid)
-			continue
-		}
-		if c, err := tx.e.classOf(rec); err == nil {
-			tx.e.timers.reconcile(oid, c, rec)
+// realign, after a rollback, re-aligns the timer table with the committed
+// state of the objects the transaction accessed or created: the rollback
+// restored each record's activation flags, but Activate and Deactivate
+// adjusted the table eagerly. The image — unlike the live record, whose
+// lock the transaction released — can be read while another transaction
+// already mutates the object.
+func (tx *Tx) realign() {
+	for _, oids := range [2][]store.OID{tx.tx.Accessed(), tx.created} {
+		for _, oid := range oids {
+			rec, ok := tx.e.st.GetCommitted(oid)
+			if !ok {
+				// The object no longer exists — created by this transaction
+				// and removed by the rollback; drop whatever the transaction
+				// armed on it.
+				tx.e.timers.disarmObject(oid)
+				continue
+			}
+			if c, err := tx.e.classOf(rec); err == nil {
+				tx.e.timers.reconcile(oid, c, rec)
+			}
 		}
 	}
 }
@@ -600,31 +646,6 @@ func (tx *Tx) propagate(err error) error {
 		return nil
 	}
 	return tx.doAbort(err)
-}
-
-// postOutcome delivers after-tabort happenings from a system
-// transaction ("the events must be posted by a special 'system'
-// transaction, and if a trigger fires, the action part is executed as
-// part of this 'system' transaction", §5; after tcommit is Commit's
-// outcome phase).
-func (e *Engine) postOutcome(accessed []store.OID, ofTx uint64) error {
-	if len(accessed) == 0 {
-		return nil
-	}
-	sys := e.beginSystem()
-	for _, oid := range accessed {
-		if !e.st.Exists(oid) {
-			continue // deleted by the finished transaction or later
-		}
-		rec, err := sys.access(oid)
-		if err == nil {
-			_, err = sys.post(oid, rec, event.Kind{Phase: event.After, Class: event.KTabort}, ofTx, nil)
-		}
-		if err != nil {
-			return sys.doAbort(err)
-		}
-	}
-	return sys.Commit()
 }
 
 // coerce adapts v to the declared kind, promoting int to float.

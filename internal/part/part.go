@@ -32,6 +32,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -255,7 +256,7 @@ func (p *Partition) loop() {
 					p.recordRelayErr(fmt.Errorf("part: ingest flush before job: %w", err))
 				}
 			}
-			err := j.fn(p.eng)
+			err := p.run(j)
 			if j.done != nil {
 				j.done <- err
 			}
@@ -265,6 +266,30 @@ func (p *Partition) loop() {
 			p.drainBus()
 		}
 	}
+}
+
+// run executes a job: one that panics fails, not the partition. The
+// transaction the panic unwound through is already aborted when it was a
+// Transact's; an open ingest transaction is aborted here. Any other one
+// left open holds uncommitted writes in the live records, so the panic
+// goes on and stops the process, as an unrecovered one would.
+func (p *Partition) run(j job) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			if p.ingest != nil {
+				p.ingest.Abort()
+				p.ingest = nil
+			}
+			if s := p.eng.Stats(); s.TxBegun != s.TxCommitted+s.TxAborted {
+				panic(v)
+			}
+			err = fmt.Errorf("part: job panicked: %v\n%s", v, debug.Stack())
+			if j.done == nil {
+				p.recordRelayErr(err)
+			}
+		}
+	}()
+	return j.fn(p.eng)
 }
 
 // Do runs fn inside partition p's loop and waits for it. fn receives

@@ -33,8 +33,14 @@ const (
 	classMtr  = 1
 
 	// vetoUnder is the balance below which acct's Veto trigger aborts a
-	// commit's outcome phase.
-	vetoUnder = 900
+	// commit's outcome phase, vetoAOver the one above which VetoA aborts
+	// an abort's.
+	vetoUnder, vetoAOver = 900, 1100
+
+	// panicArg and recurseArg are the deposits whose Boom and Again
+	// actions abort their transaction: Boom panics, Again calls dep with
+	// the same amount until the cascade bound stops it.
+	panicArg, recurseArg = 13, 17
 )
 
 var classDefs = []classDef{
@@ -43,6 +49,7 @@ var classDefs = []classDef{
 		fields: []schema.Field{
 			{Name: "bal", Kind: value.KindInt, Default: value.Int(1000)},
 			{Name: "tc", Kind: value.KindInt, Default: value.Int(0)}, // WholeC's count
+			{Name: "ta", Kind: value.KindInt, Default: value.Int(0)}, // WholeA's count
 		},
 		methods: []schema.Method{
 			{Name: "dep", Params: []schema.Param{{Name: "n", Kind: value.KindInt}}, Mode: schema.ModeUpdate},
@@ -73,6 +80,16 @@ var classDefs = []classDef{
 			{Name: "FaC", Perpetual: true, Event: "fa(after dep, after tcommit, after tbegin)"},
 			{Name: "WholeC", Perpetual: true, Event: "every 2 (after tcommit)", View: schema.WholeView},
 			{Name: "Veto", Perpetual: true, Event: fmt.Sprintf("after tcommit && bal < %d", vetoUnder)},
+			// The same for an abort's outcome phase, whole-view because a
+			// committed-view trigger never sees a tabort (§6): WholeA counts
+			// its firings in ta and VetoA aborts the phase of every abort
+			// that leaves bal above vetoAOver.
+			{Name: "WholeA", Perpetual: true, Event: "after tabort", View: schema.WholeView},
+			{Name: "VetoA", Perpetual: true, Event: fmt.Sprintf("after tabort && bal > %d", vetoAOver), View: schema.WholeView},
+			// User code that fails: a panicking action and a runaway
+			// cascade, each steered by the amount deposited.
+			{Name: "Boom", Perpetual: true, Event: fmt.Sprintf("after dep(n) && n == %d", panicArg)},
+			{Name: "Again", Perpetual: true, Event: fmt.Sprintf("after dep(n) && n == %d", recurseArg)},
 		},
 		apply: func(f map[string]int64, method string, arg int64) {
 			switch method {
@@ -119,46 +136,61 @@ var timerTrigNames = [][]string{
 	{"Poll", "Warm"},
 }
 
-// outcomeLog is what the harness saw of commit outcome phases since it
-// was last taken: the objects WholeC fired on, and whether Veto fired —
-// which rolls the whole phase back, those firings' writes included.
+// outcomeLog is what the harness saw of outcome phases since it was last
+// taken, of commits and of aborts.
 type outcomeLog struct {
-	mu     sync.Mutex
+	mu            sync.Mutex
+	commit, abort phaseLog
+}
+
+// phaseLog is one kind of outcome phase's log: the objects its counting
+// trigger (WholeC, WholeA) fired on, and whether its veto (Veto, VetoA)
+// fired — which rolls the whole phase back, those firings' writes
+// included.
+type phaseLog struct {
 	bumped []store.OID
 	vetoed bool
 }
 
-// fired notes a firing the outcome phase's model effect depends on.
+// fired notes a firing an outcome phase's model effect depends on.
 func (l *outcomeLog) fired(trigger string, self store.OID) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	switch trigger {
 	case "WholeC":
-		l.bumped = append(l.bumped, self)
+		l.commit.bumped = append(l.commit.bumped, self)
 	case "Veto":
-		l.vetoed = true
+		l.commit.vetoed = true
+	case "WholeA":
+		l.abort.bumped = append(l.abort.bumped, self)
+	case "VetoA":
+		l.abort.vetoed = true
 	}
 }
 
 // take returns what was noted and starts over.
-func (l *outcomeLog) take() (bumped []store.OID, vetoed bool) {
+func (l *outcomeLog) take() (commit, abort phaseLog) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	bumped, vetoed = l.bumped, l.vetoed
-	l.bumped, l.vetoed = nil, false
-	return bumped, vetoed
+	commit, abort = l.commit, l.abort
+	l.commit, l.abort = phaseLog{}, phaseLog{}
+	return commit, abort
 }
 
 // applyOutcome folds what a committed outcome phase did into its
-// transaction's model state: tc+1 on every object WholeC fired on. The
-// phase posts only to the transaction's objects, so each is live in
+// transaction's model state: field+1 (tc for a commit's phase, ta for an
+// abort's) on every object its counting trigger fired on, unless vetoed.
+// The phase posts only to the transaction's objects, so each is live in
 // view among the first n slots.
-func applyOutcome(view func(int) *objState, put func(int, *objState), n int, bumped []store.OID) {
-	for _, oid := range bumped {
+func applyOutcome(view func(int) *objState, put func(int, *objState), n int, ph phaseLog, field string) {
+	if ph.vetoed {
+		return
+	}
+	for _, oid := range ph.bumped {
 		for i := 0; i < n; i++ {
 			if v := view(i); v != nil && v.alive && v.oid == oid {
 				ns := v.clone()
-				ns.fields["tc"]++
+				ns.fields[field]++
 				put(i, ns)
 				break
 			}
@@ -187,9 +219,10 @@ func (cd *classDef) trigger(name string) *schema.Trigger {
 
 // buildClass materializes a fresh schema.Class and impl for one
 // incarnation of the engine. fire is the harness's firing recorder;
-// the AbortBig and Veto actions additionally raise tabort, exercising
-// action-driven aborts of a transaction and of its outcome phase under
-// the oracle.
+// the AbortBig, Veto and VetoA actions additionally raise tabort,
+// exercising action-driven aborts of a transaction and of its outcome
+// phases under the oracle, and Boom and Again abort theirs by a panic and
+// by a cascade that does not end.
 func buildClass(ci int, sc *Script, fire func(class, trigger string, ctx *engine.ActionCtx)) (*schema.Class, engine.ClassImpl) {
 	cd := &classDefs[ci]
 	cls := &schema.Class{Name: cd.name}
@@ -253,20 +286,34 @@ func buildClass(ci int, sc *Script, fire func(class, trigger string, ctx *engine
 	for _, tr := range cls.Triggers {
 		trName := tr.Name
 		switch trName {
-		case "AbortBig", "Veto":
+		case "AbortBig", "Veto", "VetoA":
 			impl.Actions[trName] = func(ctx *engine.ActionCtx) error {
 				fire(name, trName, ctx)
 				return ctx.Tabort()
 			}
 			continue
-		case "WholeC":
+		case "WholeC", "WholeA":
+			field := map[string]string{"WholeC": "tc", "WholeA": "ta"}[trName]
 			impl.Actions[trName] = func(ctx *engine.ActionCtx) error {
 				fire(name, trName, ctx)
-				n, err := ctx.Tx.Get(ctx.Self, "tc")
+				n, err := ctx.Tx.Get(ctx.Self, field)
 				if err != nil {
 					return err
 				}
-				return ctx.Tx.Set(ctx.Self, "tc", value.Int(n.AsInt()+1))
+				return ctx.Tx.Set(ctx.Self, field, value.Int(n.AsInt()+1))
+			}
+			continue
+		case "Boom":
+			impl.Actions[trName] = func(ctx *engine.ActionCtx) error {
+				fire(name, trName, ctx)
+				panic("sim: Boom")
+			}
+			continue
+		case "Again":
+			impl.Actions[trName] = func(ctx *engine.ActionCtx) error {
+				fire(name, trName, ctx)
+				_, err := ctx.Tx.Call(ctx.Self, "dep", value.Int(recurseArg))
+				return err
 			}
 			continue
 		}

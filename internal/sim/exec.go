@@ -364,22 +364,26 @@ func (x *exec) runFault(st Step) error {
 // back; injected WAL faults escalate to a simulated crash.
 func (x *exec) runTx(ops []Op, abort bool) error {
 	stage := &txStage{x: x, touched: map[int]*objState{}}
+	x.outcome.take()
 	tx := x.eng.Begin()
 	for _, op := range ops {
 		err := x.applyOp(tx, stage, op)
 		if err == nil {
 			continue
 		}
-		if errors.Is(err, engine.ErrTabort) || errors.Is(err, fault.ErrInjected) {
+		if aborts(err) {
 			if aerr := tx.Abort(); !errors.Is(aerr, txn.ErrNotActive) {
 				err = errors.Join(err, aerr)
 			}
-			return x.aborted(tx, err)
+			_, ab := x.outcome.take()
+			return x.aborted(tx, err, ab)
 		}
 		return fmt.Errorf("op %s: %w", op, err)
 	}
 	if abort {
-		return x.aborted(tx, tx.Abort())
+		err := tx.Abort()
+		_, ab := x.outcome.take()
+		return x.aborted(tx, err, ab)
 	}
 
 	// Commit returns nil exactly when the transaction's own effects
@@ -387,15 +391,15 @@ func (x *exec) runTx(ops []Op, abort bool) error {
 	// the outcome and is reported into the timer errors. The phase's
 	// writes join the stage unless it was vetoed, or a fault was injected
 	// in a Commit that nonetheless succeeded — one that hit the phase.
-	x.outcome.take()
 	injected := x.reg.Injected()
 	err := tx.Commit()
-	if bumped, vetoed := x.outcome.take(); !vetoed && (err != nil || x.reg.Injected() == injected) {
+	commit, ab := x.outcome.take()
+	if err != nil || x.reg.Injected() == injected {
 		n := len(x.model)
 		for slot := range stage.touched {
 			n = max(n, slot+1)
 		}
-		applyOutcome(stage.view, stage.put, n, bumped)
+		applyOutcome(stage.view, stage.put, n, commit, "tc")
 	}
 	switch fe := walFault(err); {
 	case err == nil:
@@ -405,33 +409,43 @@ func (x *exec) runTx(ops []Op, abort bool) error {
 		// The frame failed — the merged one, or the transaction's own
 		// part logged alone after its outcome aborted.
 		return x.crashCycle(stage, fe, tx.Underlying().ID())
-	case errors.Is(err, engine.ErrTabort) || errors.Is(err, fault.ErrInjected):
+	case aborts(err):
 		// a before-tcomplete trigger raised tabort, or a lock fault hit
 		// the fixpoint; clean rollback
-		return x.aborted(tx, err)
+		return x.aborted(tx, err, ab)
 	default:
 		return fmt.Errorf("commit: %w", err)
 	}
 }
 
 // aborted ends a transaction that rolled back, err being what its
-// operations and its abort reported. An abort writes too — the frame
-// that carries what whole-view triggers keep of the transaction — so an
-// injected WAL fault can land there, and is a crash like one on a commit
-// frame: the model has the same state on both sides of that frame, and
-// the oracle must hold on whichever side recovery lands (state and
-// shadow travel together).
-func (x *exec) aborted(tx *engine.Tx, err error) error {
-	// … or on the "after tabort" system transaction, which reports into
-	// the timer errors.
-	outcome := errors.Join(x.eng.TimerErrors()[x.timerErrSeen:]...)
-	if fe := walFault(errors.Join(err, outcome)); fe != nil {
-		return x.crashCycle(&txStage{x: x, touched: map[int]*objState{}}, fe, tx.Underlying().ID())
+// operations and its abort reported. An abort writes too — one frame with
+// what whole-view triggers keep of the transaction and what its
+// after-tabort outcome phase did — so an injected WAL fault can land
+// there, and is a crash like one on a commit frame: the model's stage is
+// the phase's writes (WholeA's ta, unless VetoA vetoed it), and the
+// oracle must hold on whichever side recovery lands (state and shadow
+// travel together).
+func (x *exec) aborted(tx *engine.Tx, err error, abort phaseLog) error {
+	stage := &txStage{x: x, touched: map[int]*objState{}}
+	applyOutcome(stage.view, stage.put, len(x.model), abort, "ta")
+	if fe := walFault(err); fe != nil {
+		return x.crashCycle(stage, fe, tx.Underlying().ID())
 	}
-	if err != nil && !errors.Is(err, engine.ErrTabort) && !errors.Is(err, fault.ErrInjected) {
+	if err != nil && !aborts(err) {
 		return fmt.Errorf("abort: %w", err)
 	}
+	stage.commit()
 	return x.checkTimerErrs()
+}
+
+// aborts reports whether err is an abort a script may cause: a tabort, a
+// panicking action (Boom), a runaway cascade (Again) or an injected
+// fault.
+func aborts(err error) bool {
+	var pe *engine.PanicError
+	return errors.Is(err, engine.ErrTabort) || errors.As(err, &pe) ||
+		errors.Is(err, engine.ErrCascadeDepth) || errors.Is(err, fault.ErrInjected)
 }
 
 // walFault finds the injected fault in err that is not a lock timeout

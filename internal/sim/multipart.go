@@ -175,15 +175,16 @@ func GenerateMulti(cfg MultiConfig) *MultiScript {
 			sc.Steps = append(sc.Steps, genMultiFault(rng, p))
 		case r < 40:
 			// Cross-partition forwarding: a primitive occurrence relayed
-			// over the bus. Arguments stay below the AbortBig threshold so
-			// the relayed transaction always commits and the ledger applies
-			// its effect unconditionally.
+			// over the bus. Arguments stay below the AbortBig threshold and
+			// off Boom's and Again's amounts (tame), so the relayed
+			// transaction always commits and the ledger applies its effect
+			// unconditionally.
 			dstPart := rng.Intn(cfg.Partitions)
 			dstSlot := rng.Intn(len(slotClass[dstPart]))
 			st := MStep{Kind: MStepRelay, Src: p, DstPart: dstPart, DstSlot: dstSlot}
 			if slotClass[dstPart][dstSlot] == classAcct {
 				st.Method = []string{"dep", "wdr"}[rng.Intn(2)]
-				st.HasArg, st.Arg = true, int64(1+rng.Intn(400))
+				st.HasArg, st.Arg = true, tame(int64(1+rng.Intn(400)))
 			} else {
 				st.Method = "bump"
 			}
@@ -199,11 +200,21 @@ func GenerateMulti(cfg MultiConfig) *MultiScript {
 	return sc
 }
 
+// tame steps n off the amounts that make Boom and Again abort their
+// transaction: a relay must commit, and a fault victim must reach its
+// commit frame.
+func tame(n int64) int64 {
+	if n == panicArg || n == recurseArg {
+		return n + 1
+	}
+	return n
+}
+
 // genMultiFault picks a WAL fault point for partition p's registry.
 // The victim always updates reserved slot 0 (class acct) so its commit
 // writes p's WAL.
 func genMultiFault(rng *rand.Rand, p int) MStep {
-	victim := []Op{{Kind: OpCall, Obj: 0, Method: "dep", HasArg: true, Arg: int64(1 + rng.Intn(200))}}
+	victim := []Op{{Kind: OpCall, Obj: 0, Method: "dep", HasArg: true, Arg: tame(int64(1 + rng.Intn(200)))}}
 	switch rng.Intn(5) {
 	case 0:
 		return MStep{Kind: MStepFault, Part: p, Ops: victim,
@@ -221,8 +232,8 @@ func genMultiFault(rng *rand.Rand, p int) MStep {
 		// Torn multi-record frame: both reserved acct slots in one batch.
 		return MStep{Kind: MStepFault, Part: p,
 			Ops: []Op{{Kind: OpBatch, Class: classAcct, Batch: []BatchCall{
-				{Obj: 0, Method: "dep", HasArg: true, Arg: int64(1 + rng.Intn(200))},
-				{Obj: 1, Method: "dep", HasArg: true, Arg: int64(1 + rng.Intn(200))},
+				{Obj: 0, Method: "dep", HasArg: true, Arg: tame(int64(1 + rng.Intn(200)))},
+				{Obj: 1, Method: "dep", HasArg: true, Arg: tame(int64(1 + rng.Intn(200)))},
 			}}},
 			Fault: FaultSpec{Point: fault.WALWrite, Tear: 1 + rng.Intn(256)}}
 	}
@@ -415,19 +426,20 @@ func (x *mexec) fire(class, trigger string, ctx *engine.ActionCtx) {
 	x.outcome.fired(trigger, ctx.Self)
 }
 
-// applyOutcome folds into partition p's stage what the last commit's
-// outcome phase did, unless Veto rolled it back (WAL faults, the only
-// ones multipart scripts inject, fail the frame it shares).
-func (x *mexec) applyOutcome(p int, view func(int) *objState, put func(int, *objState), touched map[int]*objState) {
-	bumped, vetoed := x.outcome.take()
-	if vetoed {
-		return
-	}
+// applyOutcome folds into partition p's stage (nil: its model) what an
+// outcome phase did, field being its counter (tc or ta), unless its veto
+// rolled it back (WAL faults, the only ones multipart scripts inject,
+// fail the frame it shares).
+func (x *mexec) applyOutcome(p int, stage *mStage, ph phaseLog, field string) {
+	view, put := func(i int) *objState { return x.slot(p, i) }, func(i int, v *objState) { x.setSlot(p, i, v) }
 	n := len(x.model[p])
-	for slot := range touched {
-		n = max(n, slot+1)
+	if stage != nil {
+		view, put = stage.view, stage.put
+		for slot := range stage.touched {
+			n = max(n, slot+1)
+		}
 	}
-	applyOutcome(view, put, n, bumped)
+	applyOutcome(view, put, n, ph, field)
 }
 
 func (x *mexec) runStep(st MStep) error {
@@ -472,8 +484,8 @@ func (x *mexec) runRelay(st MStep) error {
 	ns := dst.clone()
 	classDefs[ns.class].apply(ns.fields, st.Method, st.Arg)
 	x.setSlot(st.DstPart, st.DstSlot, ns)
-	x.applyOutcome(st.DstPart, func(i int) *objState { return x.slot(st.DstPart, i) },
-		func(i int, v *objState) { x.setSlot(st.DstPart, i, v) }, nil)
+	commit, _ := x.outcome.take()
+	x.applyOutcome(st.DstPart, nil, commit, "tc")
 	return x.checkErrs()
 }
 
@@ -481,6 +493,7 @@ func (x *mexec) runRelay(st MStep) error {
 // loop, mirroring the single-engine executor's stage/commit protocol.
 func (x *mexec) runTx(p int, ops []Op, abort bool) error {
 	stage := &mStage{x: x, part: p, touched: map[int]*objState{}}
+	x.outcome.take()
 	var (
 		opFail    error // unexpected op error
 		commitErr error // Commit's error (nil on clean paths)
@@ -493,7 +506,7 @@ func (x *mexec) runTx(p int, ops []Op, abort bool) error {
 			if err == nil {
 				continue
 			}
-			if errors.Is(err, engine.ErrTabort) || errors.Is(err, fault.ErrInjected) {
+			if aborts(err) {
 				if aerr := tx.Abort(); aerr != nil && !errors.Is(aerr, txn.ErrNotActive) {
 					opFail = fmt.Errorf("abort after %v: %w", err, aerr)
 				}
@@ -513,7 +526,6 @@ func (x *mexec) runTx(p int, ops []Op, abort bool) error {
 			aborted = true
 			return nil
 		}
-		x.outcome.take()
 		commitErr = tx.Commit()
 		return nil
 	})
@@ -523,17 +535,21 @@ func (x *mexec) runTx(p int, ops []Op, abort bool) error {
 	if opFail != nil {
 		return opFail
 	}
+	// An abort's outcome phase commits with it: WholeA's ta joins the model.
+	commit, ab := x.outcome.take()
 	if aborted {
+		x.applyOutcome(p, nil, ab, "ta")
 		return x.checkErrs()
 	}
-	x.applyOutcome(p, stage.view, stage.put, stage.touched)
+	x.applyOutcome(p, stage, commit, "tc")
 	switch fe := walFault(commitErr); {
 	case commitErr == nil:
 		stage.commit()
 		return x.checkErrs()
 	case fe != nil:
 		return x.crashCycle(p, stage, fe)
-	case errors.Is(commitErr, engine.ErrTabort):
+	case aborts(commitErr):
+		x.applyOutcome(p, nil, ab, "ta")
 		return x.checkErrs()
 	default:
 		return fmt.Errorf("commit on partition %d: %w", p, commitErr)

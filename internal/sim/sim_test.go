@@ -109,6 +109,9 @@ func TestSimOracleSeeds(t *testing.T) {
 		seeds = 150
 	}
 	var checks, firings uint64
+	// Seeds that fired each trigger whose action aborts a transaction or
+	// an abort's outcome phase, or writes in one.
+	aborters := map[string]int{".Boom ": 0, ".Again ": 0, ".WholeA ": 0, ".VetoA ": 0}
 	for seed := 0; seed < seeds; seed++ {
 		cfg := Config{Seed: int64(seed), Steps: 10, Objects: 1, RandTriggers: 2, Depth: 2}
 		res, err := Run(cfg, "", false)
@@ -117,10 +120,22 @@ func TestSimOracleSeeds(t *testing.T) {
 		}
 		checks += res.Stats.ShadowChecks
 		firings += res.Stats.Firings
+		fired := strings.Join(res.Firings, "\n")
+		for k := range aborters {
+			if strings.Contains(fired, k) {
+				aborters[k]++
+			}
+		}
 	}
 	if checks == 0 || firings == 0 {
 		t.Fatalf("oracle sweep was vacuous: %d shadow checks, %d firings", checks, firings)
 	}
+	for k, n := range aborters {
+		if n == 0 {
+			t.Errorf("no seed fired %s", k)
+		}
+	}
+	t.Logf("seeds firing the aborters: %v", aborters)
 	t.Logf("%d seeds: %d shadow checks, %d firings", seeds, checks, firings)
 }
 
@@ -237,6 +252,72 @@ func TestFaultCrashDuringAbortCarry(t *testing.T) {
 		// last transaction's.
 		if whole != 2 {
 			t.Fatalf("%v: Whole fired %d times, want 2: the abort it had seen was lost (firings %v)", point, whole, res.Firings)
+		}
+	}
+}
+
+// TestFaultCrashAroundAbortFrame: an abort is one WAL frame — what its
+// object's whole-view triggers keep of it (Whole's tabort step) with what
+// its after-tabort outcome phase did (WholeA's write of ta) — so a crash
+// on either side of the frame's sync recovers both or neither. The
+// executor holds ta to the side recovery lands on; Whole fires at the
+// next tbegin exactly when the carry survived.
+func TestFaultCrashAroundAbortFrame(t *testing.T) {
+	for _, c := range []struct {
+		point fault.Point
+		whole int
+	}{{fault.WALWrite, 0}, {fault.WALAfterSync, 1}} {
+		sc := handScript(true,
+			Step{Kind: StepTx, Ops: []Op{dep(0, 50)}}, // bal 1050: VetoA stays quiet
+			Step{Kind: StepFault, Abort: true, Ops: []Op{wdr(0, 7)}, Fault: FaultSpec{Point: c.point, Tear: -1}},
+			Step{Kind: StepTx, Ops: []Op{wdr(0, 30)}},
+		)
+		res := runFaultScript(t, sc)
+		if res.Crashes != 1 || res.Recoveries != 1 || res.InjectedFaults != 1 {
+			t.Fatalf("%v: want 1 crash+recovery from 1 injected fault, got %d/%d from %d",
+				c.point, res.Crashes, res.Recoveries, res.InjectedFaults)
+		}
+		count := func(trigger string) (n int) {
+			for _, f := range res.Firings {
+				if strings.Contains(f, "."+trigger+" ") {
+					n++
+				}
+			}
+			return n
+		}
+		if count("WholeA") != 1 {
+			t.Fatalf("%v: WholeA fired %d times, want once: the abort's outcome phase did not run (firings %v)", c.point, count("WholeA"), res.Firings)
+		}
+		if count("Whole") != c.whole {
+			t.Fatalf("%v: Whole fired %d times after the crash, want %d (firings %v)", c.point, count("Whole"), c.whole, res.Firings)
+		}
+	}
+}
+
+// TestSimPanicAndRunawayCascade: a deposit whose action panics (Boom) and
+// one whose action recurses without end (Again) each abort their
+// transaction; the model keeps nothing of them and the script goes on.
+func TestSimPanicAndRunawayCascade(t *testing.T) {
+	for _, persistent := range []bool{false, true} {
+		sc := handScript(persistent,
+			Step{Kind: StepTx, Ops: []Op{dep(0, panicArg)}},
+			Step{Kind: StepTx, Ops: []Op{dep(0, recurseArg)}},
+			Step{Kind: StepTx, Ops: []Op{dep(0, 5), wdr(0, 3)}},
+		)
+		res, err := ExecuteTemp(sc, t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		boom, again := 0, 0
+		for _, f := range res.Firings {
+			boom += strings.Count(f, ".Boom ")
+			again += strings.Count(f, ".Again ")
+		}
+		if boom != 1 || again < 2 {
+			t.Fatalf("persistent %v: Boom fired %d times, Again %d: want 1 and a cascade", persistent, boom, again)
+		}
+		if res.Stats.TxAborted != 2 {
+			t.Fatalf("persistent %v: %d transactions aborted, want 2", persistent, res.Stats.TxAborted)
 		}
 	}
 }

@@ -121,6 +121,8 @@ type Tx struct {
 	deleted  map[store.OID]bool // objects deleted by this transaction (nil until the first)
 	deps     []*Tx              // commit dependencies (footnote 6)
 	system   bool               // system transactions post no transaction events of their own
+	phased   bool               // has begun an outcome phase: stays open after a failed frame
+	ends     State              // how Commit ends it: Aborted once rolled back to its begin
 
 	// snaps holds the before-image of each accessed object that had no
 	// committed image — created by a bare Store.Create outside any
@@ -128,9 +130,9 @@ type Tx struct {
 	snaps map[store.OID]*store.Record
 
 	// Inline backing for accessed, touched and held: a transaction over
-	// a few objects — every system transaction posting after-tabort for
-	// one — grows none of them on the heap, and answers "accessed
-	// already?" by scanning accessed instead of keeping the seen map.
+	// a few objects — every timer delivery to one — grows none of them on
+	// the heap, and answers "accessed already?" by scanning accessed
+	// instead of keeping the seen map.
 	accessedBuf [4]store.OID
 	touchedBuf  [4]store.Touched
 	heldBuf     [4]store.OID
@@ -169,15 +171,16 @@ func (m *Manager) Begin() *Tx {
 		id:    m.nextID.Add(1),
 		mgr:   m,
 		state: Active,
+		ends:  Committed,
 	}
 	tx.accessed, tx.touched, tx.held = tx.accessedBuf[:0], tx.touchedBuf[:0], tx.heldBuf[:0]
 	return tx
 }
 
-// BeginSystem starts a "system" transaction — the special transaction
-// the paper uses to post "after tabort" events and run the actions they
-// trigger (§5); "after tcommit" is a committing transaction's outcome
-// phase (BeginOutcome).
+// BeginSystem starts a "system" transaction: one that posts no
+// transaction events of its own, which time events are delivered in.
+// §5's system transaction posting "after tcommit" and "after tabort" is
+// a transaction's own outcome phase (BeginOutcome).
 func (m *Manager) BeginSystem() *Tx {
 	tx := m.Begin()
 	tx.system = true
@@ -355,15 +358,26 @@ func (tx *Tx) AddFiring(fr store.FiringRecord) {
 // Firings returns the firings captured so far (engine introspection).
 func (tx *Tx) Firings() []store.FiringRecord { return tx.firings }
 
-// Commit makes the transaction's effects durable and releases its
-// locks. If a commit dependency aborted, the transaction aborts
-// instead and ErrDependencyAborted is returned.
+// Commit makes the transaction's effects durable in one frame and
+// releases its locks. Once rolled back to its begin (Rollback, Abort),
+// the frame holds what the rollback kept and what the outcome phase did,
+// and the transaction ends Aborted. If a commit dependency aborted, it is
+// rolled back to its begin and ErrDependencyAborted is returned. If the
+// frame cannot be logged, the objects fall back to their plain
+// before-images — what a crash before the frame would have left — and it
+// ends Aborted. A transaction that has begun an outcome phase
+// (BeginOutcome) is instead rolled back to its begin and left open under
+// its locks, after a failed frame or an aborted dependency alike, so that
+// its "after tabort" can still be posted.
 func (tx *Tx) Commit() error {
 	if tx.State() != Active {
 		return ErrNotActive
 	}
-	if err := tx.waitForDeps(); err != nil {
-		return tx.rollback(err)
+	cause := tx.waitForDeps()
+	if cause != nil {
+		if tx.rollback(outcome{}, true); tx.phased {
+			return cause
+		}
 	}
 	touched, deleted := tx.touched, []store.OID(nil)
 	if len(tx.deleted) > 0 {
@@ -381,23 +395,32 @@ func (tx *Tx) Commit() error {
 	// their committed images, and a reader that sees a new image sees
 	// exactly the state the WAL just made durable.
 	if err := tx.mgr.store.Commit(tx.id, touched, deleted, tx.firings); err != nil {
-		return tx.rollback(fmt.Errorf("txn: commit logging failed: %w", err))
+		err = errors.Join(cause, fmt.Errorf("txn: commit logging failed: %w", err))
+		if tx.phased && tx.ends == Committed {
+			tx.rollback(outcome{}, true)
+			return err
+		}
+		tx.rollback(outcome{}, false)
+		tx.finish(Aborted)
+		return err
 	}
-	tx.finish(Committed)
-	return nil
+	tx.finish(tx.ends)
+	return cause
 }
 
-// BeginOutcome waits for the commit dependencies (rolling back with
-// ErrDependencyAborted if one aborted), then starts the outcome phase
-// (§5's system transaction, under this one's locks): a savepoint, its
-// own id and the system role. Commit commits both parts in one frame;
-// AbortOutcome rolls the phase back and commits the own part alone.
+// BeginOutcome waits for the commit dependencies (rolling back to the
+// begin with ErrDependencyAborted if one aborted), then starts the
+// outcome phase (§5's system transaction, under this one's locks): a
+// savepoint, its own id and the system role. Commit commits both parts in
+// one frame; Rollback rolls the phase back alone.
 func (tx *Tx) BeginOutcome() error {
 	if tx.State() != Active {
 		return ErrNotActive
 	}
+	tx.phased = true
 	if err := tx.waitForDeps(); err != nil {
-		return tx.rollback(err)
+		tx.rollback(outcome{}, true)
+		return err
 	}
 	tx.out = outcome{id: tx.mgr.nextID.Add(1), accessed: len(tx.accessed), firings: len(tx.firings), marks: tx.marksBuf[:0]}
 	return nil
@@ -431,89 +454,73 @@ func (tx *Tx) Seal() {
 	tx.out.imgs = imgs
 }
 
-// AbortOutcome rolls the outcome phase back to its savepoint as rollback
-// would and commits the transaction's own part alone (Commit).
-func (tx *Tx) AbortOutcome() error {
-	if tx.State() != Active || tx.out.id == 0 {
-		return ErrNotActive
-	}
+// Rollback rolls the transaction back to its latest savepoint and leaves
+// it active under its locks: in an outcome phase, the phase's, which ends
+// the phase; otherwise its begin, after which Commit ends it Aborted.
+func (tx *Tx) Rollback() {
 	tx.Seal()
-	st, o := tx.mgr.store, tx.out
-	kept := tx.undo(o.accessed)
-	for _, oid := range tx.accessed[o.accessed:] {
-		delete(tx.deleted, oid)
-	}
-	// The phase's first accesses leave the list; what they kept stays.
-	tx.accessed, tx.touched = tx.accessed[:o.accessed], tx.touched[:o.accessed]
-	for _, t := range kept {
-		tx.note(t)
-	}
-	for i, img := range o.imgs {
-		if img != nil {
-			tx.touched[i].Rec, _ = st.Restore(img, tx.touched[i].Rec)
-			delete(tx.deleted, tx.accessed[i])
-		}
-	}
-	tx.firings, tx.out = tx.firings[:o.firings], outcome{}
-	return tx.Commit()
+	tx.rollback(tx.out, true)
 }
 
-// Abort undoes every effect of the transaction and releases its locks.
-// Aborting a finished transaction is an error; any other error reports
-// what the abort could not make durable (see rollback) — the transaction
-// is aborted regardless.
+// Abort undoes every effect of the transaction and releases its locks:
+// a rollback to its begin and the Commit of what that kept. Aborting a
+// finished transaction is an error; any other error reports a frame that
+// could not be logged (Commit) — the transaction is aborted regardless.
 func (tx *Tx) Abort() error {
 	if tx.State() != Active {
 		return ErrNotActive
 	}
-	return tx.rollback(nil)
+	tx.rollback(outcome{}, true)
+	return tx.Commit()
 }
 
-// rollback is the one way a transaction aborts: Abort, a failed Commit
-// and an aborted dependency all end here. It restores the before-images
-// in reverse order of first access; what a restored record keeps of the
-// aborted transaction (store.Restore: whole-history-view automaton
-// state, §6) is then committed as one ordinary frame and published while
-// the locks are still held, so nobody ever steps the stale slot and
-// recovery needs to know nothing about aborts. If that frame cannot be
-// logged the objects fall back to their plain before-images — what a
-// crash before the frame would have left — and the error is returned
-// with cause, the error that forced the abort (nil for Abort); the
-// transaction is aborted either way.
-func (tx *Tx) rollback(cause error) error {
+// rollback rolls the transaction back to sp: its begin (sp.id 0) or its
+// outcome phase's sealed savepoint. Each object first accessed from the
+// savepoint on is restored to its before-image in place and the earlier
+// ones to sp's images; with keep, each keeps what its class layout keeps
+// of the record rolled back (store.Restore: whole-history-view automaton
+// state, §6), which the next Commit logs like any change, so nobody ever
+// steps a stale slot and recovery needs to know nothing about aborts.
+// Objects created since leave the lists and the store; objects without a
+// committed image (a bare Store.Create's) leave the lists and keep what
+// they keep in the heap record, unlogged. Firings since are dropped.
+func (tx *Tx) rollback(sp outcome, keep bool) {
 	st := tx.mgr.store
-	if kept := tx.undo(0); len(kept) > 0 {
-		if err := st.Commit(tx.id, kept, nil, nil); err != nil {
-			for _, k := range kept {
-				st.Restore(k.Prev, nil)
-			}
-			cause = errors.Join(cause, fmt.Errorf("txn: logging the state kept across the abort failed: %w", err))
-		}
+	if sp.id == 0 {
+		tx.ends, tx.deps = Aborted, nil
 	}
-	tx.finish(Aborted)
-	return cause
-}
-
-// undo restores the objects accessed from position from on, last first,
-// and returns the restored ones that keep something (store.Restore).
-func (tx *Tx) undo(from int) (kept []store.Touched) {
-	st := tx.mgr.store
-	for i := len(tx.accessed) - 1; i >= from; i-- {
+	restore := func(img, live *store.Record) *store.Record {
+		if !keep {
+			live = nil
+		}
+		rec, _ := st.Restore(img, live)
+		return rec
+	}
+	n := sp.accessed
+	for i := sp.accessed; i < len(tx.accessed); i++ {
 		oid, t := tx.accessed[i], tx.touched[i]
+		delete(tx.deleted, oid)
 		switch {
 		case tx.created[oid]:
 			st.Remove(oid)
-		case t.Prev != nil:
-			if rec, ok := st.Restore(t.Prev, t.Rec); ok {
-				kept = append(kept, store.Touched{Rec: rec, Prev: t.Prev})
-			}
+			delete(tx.created, oid)
+		case t.Prev == nil:
+			restore(tx.snaps[oid], t.Rec)
 		default:
-			// Never committed, so there is no image to fall out of step
-			// with: what it keeps stays in the heap record.
-			st.Restore(tx.snaps[oid], t.Rec)
+			tx.accessed[n], tx.touched[n] = oid, store.Touched{Rec: restore(t.Prev, t.Rec), Prev: t.Prev}
+			n++
+			continue
+		}
+		delete(tx.seen, oid)
+	}
+	tx.accessed, tx.touched = tx.accessed[:n], tx.touched[:n]
+	for i, img := range sp.imgs {
+		if img != nil {
+			tx.touched[i] = store.Touched{Rec: restore(img, tx.touched[i].Rec), Prev: tx.touched[i].Prev}
+			delete(tx.deleted, tx.accessed[i])
 		}
 	}
-	return kept
+	tx.firings, tx.out = tx.firings[:sp.firings], outcome{}
 }
 
 func (tx *Tx) waitForDeps() error {

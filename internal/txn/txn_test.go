@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"ode/internal/fault"
 	"ode/internal/store"
 	"ode/internal/value"
 )
@@ -505,9 +506,9 @@ func TestStateStrings(t *testing.T) {
 
 // TestAbortOutcomeRollsBackToTheSavepoint drives an outcome phase by
 // hand: steps before its first action (Mark), then — sealed — writes,
-// a deletion and a creation. AbortOutcome must take back exactly the
-// phase, keep what a kept slot saw of it, and commit the transaction's
-// own part, creation included.
+// a deletion and a creation. Rollback in the phase must take back
+// exactly the phase and keep what a kept slot saw of it, and Commit then
+// commits the transaction's own part, creation included.
 func TestAbortOutcomeRollsBackToTheSavepoint(t *testing.T) {
 	for _, sealed := range []bool{false, true} {
 		m := newManager(t)
@@ -549,11 +550,15 @@ func TestAbortOutcomeRollsBackToTheSavepoint(t *testing.T) {
 			}
 			tx.AddFiring(store.FiringRecord{OID: a.OID, Trigger: "outcome", TxID: tx.ID()})
 		}
-		if err := tx.AbortOutcome(); err != nil {
+		tx.Rollback()
+		if tx.State() != Active || tx.ID() != own || tx.System() {
+			t.Fatalf("sealed %v: after Rollback state %v, id %d (own %d), system %v", sealed, tx.State(), tx.ID(), own, tx.System())
+		}
+		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
 		if tx.State() != Committed || tx.ID() != own || tx.System() {
-			t.Fatalf("sealed %v: after AbortOutcome state %v, id %d (own %d), system %v", sealed, tx.State(), tx.ID(), own, tx.System())
+			t.Fatalf("sealed %v: after Commit state %v, id %d (own %d), system %v", sealed, tx.State(), tx.ID(), own, tx.System())
 		}
 		img, _ := m.Store().GetCommitted(a.OID)
 		if bal := field(img, "balance"); !bal.Equal(value.Int(150)) {
@@ -576,6 +581,140 @@ func TestAbortOutcomeRollsBackToTheSavepoint(t *testing.T) {
 		}
 		if fs := tx.Firings(); len(fs) != 1 || fs[0].Trigger != "user" {
 			t.Errorf("sealed %v: firings %+v, want only the transaction's own", sealed, fs)
+		}
+	}
+}
+
+// rollbackSetup commits objects a and b, a with an active kept slot
+// "whole" the class layout keeps, and returns both and the slot.
+func rollbackSetup(t *testing.T, m *Manager) (a, b *store.Record, whole int) {
+	t.Helper()
+	setup := m.Begin()
+	a, _ = setup.Create("acct", map[string]value.Value{"balance": value.Int(100)})
+	b, _ = setup.Create("acct", map[string]value.Value{"balance": value.Int(200)})
+	a.Trigger("whole").Active = true
+	if err := setup.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	layout := m.Store().Layout("acct")
+	whole, _ = layout.Slot("whole")
+	layout.Keep(whole)
+	return a, b, whole
+}
+
+// TestRollbackToTheBegin: Rollback outside an outcome phase takes the
+// transaction back to its begin and leaves it active under its locks —
+// its creation removed, its deletion resurrected, its write undone, its
+// firings dropped, a kept slot keeping what it saw. An outcome phase runs
+// from there, and Commit logs what the rollback kept with what the phase
+// did in one frame and ends the transaction Aborted.
+func TestRollbackToTheBegin(t *testing.T) {
+	m := newManager(t)
+	a, b, whole := rollbackSetup(t, m)
+	st := m.Store()
+
+	tx := m.Begin()
+	ra, _, _ := tx.Access(a.OID)
+	ra.SetField("balance", value.Int(150))
+	ra.Trigs[whole].State = 7
+	c, _ := tx.Create("acct", nil)
+	if err := tx.Delete(b.OID); err != nil {
+		t.Fatal(err)
+	}
+	tx.AddFiring(store.FiringRecord{OID: a.OID, Trigger: "user"})
+	epoch := st.Epoch()
+	tx.Rollback()
+	if tx.State() != Active || !tx.Holds(a.OID) || !tx.Holds(b.OID) {
+		t.Fatalf("after Rollback: state %v, holds a %v, b %v; want active under both locks", tx.State(), tx.Holds(a.OID), tx.Holds(b.OID))
+	}
+	if st.Exists(c.OID) || !st.Exists(b.OID) {
+		t.Fatalf("after Rollback: creation exists %v, deletion exists %v", st.Exists(c.OID), st.Exists(b.OID))
+	}
+	if got := tx.Accessed(); !slices.Equal(got, []store.OID{a.OID, b.OID}) {
+		t.Fatalf("Accessed() = %v, want [%d %d]: the creation leaves, the rest stays in place", got, a.OID, b.OID)
+	}
+	if len(tx.Firings()) != 0 {
+		t.Fatalf("firings %+v survived the rollback", tx.Firings())
+	}
+	if st.Epoch() != epoch {
+		t.Fatal("the rollback published: only the Commit may")
+	}
+
+	if err := tx.BeginOutcome(); err != nil {
+		t.Fatal(err)
+	}
+	rb, first, err := tx.Access(b.OID)
+	if err != nil || first {
+		t.Fatalf("outcome's Access(b): first %v, err %v; want a repeat access", first, err)
+	}
+	rb.SetField("owner", value.Str("outcome"))
+	tx.AddFiring(store.FiringRecord{OID: b.OID, Trigger: "outcome", TxID: tx.ID()})
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if tx.State() != Aborted || tx.Holds(a.OID) || tx.Holds(b.OID) {
+		t.Fatalf("after Commit: state %v, holds a %v, b %v; want aborted, locks released", tx.State(), tx.Holds(a.OID), tx.Holds(b.OID))
+	}
+	if st.Epoch() != epoch+1 {
+		t.Fatalf("epoch %d → %d: want one publication for the carry and the outcome", epoch, st.Epoch())
+	}
+	imgA, _ := st.GetCommitted(a.OID)
+	if bal := field(imgA, "balance"); !bal.Equal(value.Int(100)) || imgA.Trig(whole).State != 7 {
+		t.Errorf("a: balance %v, kept state %d; want 100 and 7", bal, imgA.Trig(whole).State)
+	}
+	imgB, _ := st.GetCommitted(b.OID)
+	if o := field(imgB, "owner"); !o.Equal(value.Str("outcome")) {
+		t.Errorf("b: owner %v, want the outcome's write", o)
+	}
+	if fs := tx.Firings(); len(fs) != 1 || fs[0].Trigger != "outcome" {
+		t.Errorf("firings %+v, want only the outcome's", fs)
+	}
+}
+
+// TestFailedFrameKeepsAnOutcomeTransactionOpen: a transaction that has
+// begun an outcome phase and cannot log its frame is rolled back to its
+// begin and left open under its locks, so its after tabort can follow;
+// the frame of that abort failing too falls back to the plain
+// before-images and ends it Aborted. Without an outcome phase a failed
+// Commit ends the transaction Aborted at once.
+func TestFailedFrameKeepsAnOutcomeTransactionOpen(t *testing.T) {
+	for _, phased := range []bool{false, true} {
+		reg := fault.New()
+		s, err := store.OpenWith(t.TempDir(), store.Options{Faults: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		m := NewManager(s)
+		a, _, whole := rollbackSetup(t, m)
+
+		tx := m.Begin()
+		ra, _, _ := tx.Access(a.OID)
+		ra.SetField("balance", value.Int(150))
+		ra.Trigs[whole].State = 7
+		if phased {
+			if err := tx.BeginOutcome(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reg.FailStop() // the first fault stops every later write too
+		reg.ArmNext(fault.WALWrite)
+		if err := tx.Commit(); !errors.Is(err, fault.ErrInjected) {
+			t.Fatalf("phased %v: Commit = %v, want the injected fault", phased, err)
+		}
+		if phased {
+			live, _ := s.Get(a.OID)
+			if tx.State() != Active || !tx.Holds(a.OID) || live.Trig(whole).State != 7 || !field(live, "balance").Equal(value.Int(100)) {
+				t.Fatalf("after the failed frame: state %v, holds %v, record %v; want open, rolled back, kept slot kept",
+					tx.State(), tx.Holds(a.OID), live)
+			}
+			if err := tx.Commit(); !errors.Is(err, fault.ErrInjected) {
+				t.Fatalf("the abort's Commit = %v, want the injected fault", err)
+			}
+		}
+		live, _ := s.Get(a.OID)
+		if tx.State() != Aborted || tx.Holds(a.OID) || live.Trig(whole).State != 0 || !field(live, "balance").Equal(value.Int(100)) {
+			t.Fatalf("phased %v: state %v, holds %v, record %v; want aborted on the plain before-image", phased, tx.State(), tx.Holds(a.OID), live)
 		}
 	}
 }

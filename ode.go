@@ -185,7 +185,15 @@ var (
 	ErrTcompleteDiverged = engine.ErrTcompleteDiverged
 	// ErrDeadlock reports a lock-wait cycle; the transaction aborted.
 	ErrDeadlock = txn.ErrDeadlock
+	// ErrCascadeDepth reports method calls and trigger actions nested too
+	// deep in one transaction — a runaway cascade; the transaction aborted.
+	ErrCascadeDepth = engine.ErrCascadeDepth
 )
+
+// PanicError is a panic in a method body, a trigger action, a mask
+// function or Transact's fn, recovered by the runtime; the transaction it
+// ran in aborted.
+type PanicError = engine.PanicError
 
 // Options configures a Database.
 type Options struct {

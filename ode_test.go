@@ -2,6 +2,7 @@ package ode_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -473,5 +474,60 @@ func TestPersistentReopen(t *testing.T) {
 	})
 	if f.count("Two") != 1 {
 		t.Fatalf("Two fired %d times after reopen", f.count("Two"))
+	}
+}
+
+// TestUserCodeFailuresAbortOnlyTheirTransaction: through the public API,
+// a panicking action is an *ode.PanicError and an action that calls the
+// method firing it is ode.ErrCascadeDepth; each aborts its transaction
+// and the account serves the next one.
+func TestUserCodeFailuresAbortOnlyTheirTransaction(t *testing.T) {
+	db := openDB(t)
+	err := balanceMethods(db.NewClass("account")).
+		Trigger("Boom(): perpetual after deposit(n) && n == 13 ==> boom", func(*ode.ActionCtx) error { panic("boom") }).
+		Trigger("Again(): perpetual after deposit(n) && n == 17 ==> again", func(ctx *ode.ActionCtx) error {
+			_, err := ctx.Tx.Call(ctx.Self, "deposit", ode.Int(17))
+			return err
+		}).
+		Register()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var acct ode.OID
+	if err := db.Transact(func(tx *ode.Tx) (err error) {
+		if acct, err = tx.NewObject("account", nil); err != nil {
+			return err
+		}
+		if err := tx.Activate(acct, "Boom"); err != nil {
+			return err
+		}
+		return tx.Activate(acct, "Again")
+	}); err != nil {
+		t.Fatal(err)
+	}
+	deposit := func(n int64) error {
+		return db.Transact(func(tx *ode.Tx) error {
+			_, err := tx.Call(acct, "deposit", ode.Int(n))
+			return err
+		})
+	}
+	var pe *ode.PanicError
+	if err := deposit(13); !errors.As(err, &pe) || pe.Value != "boom" {
+		t.Fatalf("deposit(13) = %v, want the action's *ode.PanicError", err)
+	}
+	if err := deposit(17); !errors.Is(err, ode.ErrCascadeDepth) {
+		t.Fatalf("deposit(17) = %v, want ode.ErrCascadeDepth", err)
+	}
+	if err := deposit(5); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Transact(func(tx *ode.Tx) error {
+		b, err := tx.Get(acct, "balance")
+		if err == nil && b.AsInt() != 5 {
+			err = fmt.Errorf("balance %d, want 5: only the clean deposit", b.AsInt())
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
