@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race fuzz sim verify bench bench-check bench-pairs loc
+.PHONY: build test vet race fuzz sim verify bench bench-check bench-smoke bench-pairs loc
 
 build:
 	$(GO) build ./...
@@ -21,20 +21,22 @@ race:
 	$(GO) test -race ./internal/engine/ ./internal/obs/ ./internal/txn/ ./internal/store/ ./internal/part/ ./internal/egress/
 
 # Short fuzz smoke over the event-language and mask parsers, the egress
-# record codec and the store's WAL and snapshot decoders (whose inputs
-# are whole files, so minimizing a find is capped at 2 s; they take
-# arbitrary bytes unfiltered — every count is checked against the bytes
-# that remain, see DESIGN.md §17). Longer campaigns (nightly.yml runs the
-# two store targets for 5 min each):
+# record codec, the delivery cursor file and the store's WAL and snapshot
+# decoders (whose inputs are whole files, so minimizing a find is capped
+# at 2 s; they take arbitrary bytes unfiltered — every count is checked
+# against the bytes that remain, see DESIGN.md §17). Longer campaigns
+# (nightly.yml runs the three file targets for 5 min each):
 # go test -fuzz FuzzParseEvent ./internal/evlang/
 # go test -fuzz FuzzParseMask ./internal/mask/
 # go test -fuzz FuzzRecordCodec ./internal/egress/
+# go test -fuzz FuzzCursorFile ./internal/egress/
 # go test -fuzz FuzzWALFrames ./internal/store/
 # go test -fuzz FuzzSnapshot ./internal/store/
 fuzz:
 	$(GO) test -fuzz FuzzParseEvent -fuzztime 5s -run '^$$' ./internal/evlang/
 	$(GO) test -fuzz FuzzParseMask -fuzztime 5s -run '^$$' ./internal/mask/
 	$(GO) test -fuzz FuzzRecordCodec -fuzztime 5s -run '^$$' ./internal/egress/
+	$(GO) test -fuzz FuzzCursorFile -fuzztime 5s -fuzzminimizetime 2s -run '^$$' ./internal/egress/
 	$(GO) test -fuzz FuzzWALFrames -fuzztime 5s -fuzzminimizetime 2s -run '^$$' ./internal/store/
 	$(GO) test -fuzz FuzzSnapshot -fuzztime 5s -fuzzminimizetime 2s -run '^$$' ./internal/store/
 
@@ -52,6 +54,12 @@ sim:
 # packages, so a signature change cannot break the benchmark unnoticed.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# The benchmark program end to end: every workload once, one second
+# each; it exits non-zero if any operation fails, so a change that
+# compiles but breaks a workload fails here rather than in a paired run.
+bench-smoke:
+	bash bench/run.sh -all --seed 1 --seconds 1
 
 # Paired runs of a parent commit against this tree, the table a
 # performance claim rests on (see scripts/benchpairs.sh):

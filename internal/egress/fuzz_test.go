@@ -3,6 +3,8 @@ package egress_test
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"ode/internal/egress"
@@ -64,6 +66,61 @@ func FuzzRecordCodec(f *testing.F) {
 			if re := egress.AppendRecord(nil, rec2); !bytes.Equal(re, raw[:n2]) {
 				t.Fatalf("non-canonical frame: decoded %+v, re-encodes to %x, input was %x", rec2, re, raw[:n2])
 			}
+		}
+	})
+}
+
+// FuzzCursorFile feeds arbitrary bytes to OpenCursor as the cursor
+// file. It must never panic or fail; it keeps the clean prefix — the
+// records DecodeRecord accepts one after another from the start —
+// truncates the file to it, and Last is the last of those records. A
+// Save then lands after the prefix, and a reopen returns the saved
+// record.
+func FuzzCursorFile(f *testing.F) {
+	a := store.FiringRecord{Seq: 3, TxID: 9, OID: 4, Part: 1, Class: "account", Trigger: "Big", Kind: "after withdraw", AtNs: 77}
+	b := store.FiringRecord{Seq: 5, TxID: 11, OID: 6, Class: "account", Trigger: "Pair", Kind: "after deposit", AtNs: -1}
+	two := egress.AppendRecord(egress.AppendRecord(nil, a), b)
+	f.Add([]byte{})
+	f.Add(two)
+	f.Add(two[:len(two)-3])
+	f.Add(append(bytes.Clone(two), 0xff, 0, 0, 0))
+	f.Add(append([]byte{1, 0, 0, 0, 0}, two...))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "cursor")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		clean, want, have := 0, store.FiringRecord{}, false
+		for clean < len(data) {
+			r, n, err := egress.DecodeRecord(data[clean:])
+			if err != nil {
+				break
+			}
+			clean, want, have = clean+n, r, true
+		}
+		c, err := egress.OpenCursor(path, nil)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		if got, ok := c.Last(); ok != have || got != want {
+			t.Fatalf("Last() = %+v, %v; the clean prefix ends with %+v, %v", got, ok, want, have)
+		}
+		if kept, err := os.ReadFile(path); err != nil || !bytes.Equal(kept, data[:clean]) {
+			t.Fatalf("file holds %d bytes after open, clean prefix is %d (%v)", len(kept), clean, err)
+		}
+		saved := store.FiringRecord{Seq: want.Seq + 1, Part: 2, Class: "c", Trigger: "t", Kind: "k"}
+		if err := c.Save(saved); err != nil {
+			t.Fatalf("save: %v", err)
+		}
+		c.Close()
+		c, err = egress.OpenCursor(path, nil)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		defer c.Close()
+		if got, ok := c.Last(); !ok || got != saved {
+			t.Fatalf("reopened Last() = %+v, %v, saved %+v", got, ok, saved)
 		}
 	})
 }

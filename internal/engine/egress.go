@@ -35,11 +35,11 @@ func (e *Engine) FiringHead() uint64 { return e.st.FiringSeq() }
 func (e *Engine) FiringPos(rec store.FiringRecord) uint64 { return rec.Seq }
 
 // SetFiringSink installs fn as the live-feed callback: it is invoked
-// with each batch of newly durable firing records, in sequence order,
-// from the committing goroutine (keep it fast; hand off to a channel
-// for slow consumers). Installing replaces the previous sink; nil
+// with each span of newly durable firing records, in sequence order,
+// from the committing goroutine (keep it fast; read the records with
+// Store().VisitFirings). Installing replaces the previous sink; nil
 // uninstalls.
-func (e *Engine) SetFiringSink(fn func([]store.FiringRecord)) {
+func (e *Engine) SetFiringSink(fn func(store.FiringSpan)) {
 	if fn == nil {
 		e.firingSink.Store(nil)
 		return
@@ -47,14 +47,12 @@ func (e *Engine) SetFiringSink(fn func([]store.FiringRecord)) {
 	e.firingSink.Store(&fn)
 }
 
-// egressPublish is the store-level sink: every batch of newly durable
+// egressPublish is the store-level sink: every span of newly durable
 // firing records lands here, already in sequence order. It records a
-// flight-recorder event per batch and relays to the user sink.
-func (e *Engine) egressPublish(recs []store.FiringRecord) {
-	if len(recs) > 0 {
-		e.flightEgress(recs[0].Seq, recs[len(recs)-1].Seq, len(recs))
-	}
+// flight-recorder event per span and relays to the user sink.
+func (e *Engine) egressPublish(sp store.FiringSpan) {
+	e.flightEgress(sp.First, sp.Last, sp.Hi-sp.Lo)
 	if fn := e.firingSink.Load(); fn != nil {
-		(*fn)(recs)
+		(*fn)(sp)
 	}
 }

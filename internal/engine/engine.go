@@ -175,9 +175,9 @@ type Engine struct {
 	faults         *fault.Registry // nil outside the simulation harness
 
 	// firingSink is the optional live-feed callback (SetFiringSink):
-	// invoked with each batch of newly durable firing records, in
+	// invoked with each span of newly durable firing records, in
 	// sequence order, from the committing goroutine.
-	firingSink atomic.Pointer[func([]store.FiringRecord)]
+	firingSink atomic.Pointer[func(store.FiringSpan)]
 
 	timers *timerTable
 

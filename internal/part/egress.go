@@ -1,8 +1,10 @@
 package part
 
 import (
+	"cmp"
+	"math"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 
 	"ode/internal/store"
@@ -10,7 +12,9 @@ import (
 
 // The partitioned firing feed: each partition's engine produces its
 // own durable, per-partition-sequenced egress log (riding that
-// partition's WAL); the DB merges them into one total-order feed.
+// partition's WAL); the DB orders them into one total-order feed, a
+// position index over the logs (16 bytes a record, no pointer): the
+// records themselves stay in the logs, once.
 //
 // Two kinds of stability are on offer and it matters which is which:
 //
@@ -19,59 +23,67 @@ import (
 //     before the partition's WAL write, recovered verbatim, identical
 //     across any crash/restart schedule.
 //
-//   - Global feed positions are process-lifetime stable: live batches
-//     append in durable-commit arrival order, and at Open the
-//     recovered per-partition logs are merged deterministically by
-//     (AtNs, Part, Seq) — the same tie-break the flight-recorder
+//   - Global feed positions are process-lifetime stable: live spans
+//     take the next positions in durable-commit arrival order, and at
+//     Open the recovered per-partition logs are merged deterministically
+//     by (AtNs, Part, Seq) — the same tie-break the flight-recorder
 //     merge uses — so replaying from position 0 after a restart is
-//     reproducible. Across a restart, positions of records that were
-//     racing commits at crash time may renumber; durable delivery
-//     cursors therefore store records (identity), not positions, and
-//     re-derive the position at resume via FiringPos.
-type feedKey struct {
-	part int
-	seq  uint64
+//     reproducible (AtNs is when the happening occurred, so within a
+//     partition that order need not follow Seq). Across a restart,
+//     positions of records that were racing commits at crash time may
+//     renumber; durable delivery cursors therefore store records
+//     (identity), not positions, and re-derive the position at resume
+//     via FiringPos.
+//
+// feedEntry locates one position's record.
+type feedEntry struct {
+	part uint32 // partition
+	idx  uint32 // index in the partition's log
 }
 
-// appendFeed adds one partition's newly durable batch to the merged
-// feed (the engine sink calls it from the committing goroutine).
-func (db *DB) appendFeed(recs []store.FiringRecord) {
+// appendFeed gives partition p's newly durable span the next positions
+// (the engine sink calls it from the committing goroutine).
+func (db *DB) appendFeed(p int, sp store.FiringSpan) {
 	db.feedMu.Lock()
-	for _, r := range recs {
-		db.feed = append(db.feed, r)
-		db.feedPos[feedKey{r.Part, r.Seq}] = uint64(len(db.feed))
+	for i := sp.Lo; i < sp.Hi; i++ {
+		db.feed = append(db.feed, feedEntry{uint32(p), uint32(i)})
+		db.feedAt[p] = append(db.feedAt[p], uint64(len(db.feed)))
 	}
 	db.feedMu.Unlock()
 }
 
-// seedFeed installs the recovered per-partition logs at Open, merged
-// by (AtNs, Part, Seq). Runs before the partition loops start.
+// seedFeed indexes the recovered per-partition logs at Open, merged by
+// (AtNs, Part, Seq). Runs before the partition loops start.
 func (db *DB) seedFeed() {
-	var all []store.FiringRecord
-	for _, pt := range db.parts {
-		recs, _ := pt.eng.Firings(0, 0)
-		all = append(all, recs...)
+	type key struct {
+		atNs int64
+		seq  uint64
+		feedEntry
 	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.AtNs != b.AtNs {
-			return a.AtNs < b.AtNs
-		}
-		if a.Part != b.Part {
-			return a.Part < b.Part
-		}
-		return a.Seq < b.Seq
+	var keys []key
+	db.feedAt = make([][]uint64, len(db.parts))
+	for p, pt := range db.parts {
+		n := len(keys)
+		pt.eng.Store().VisitFirings(0, math.MaxInt, func(i int, r store.FiringRecord) {
+			keys = append(keys, key{r.AtNs, r.Seq, feedEntry{uint32(p), uint32(i)}})
+		})
+		db.feedAt[p] = make([]uint64, len(keys)-n)
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		return cmp.Or(cmp.Compare(a.atNs, b.atNs), cmp.Compare(a.part, b.part), cmp.Compare(a.seq, b.seq))
 	})
-	db.feed = all
-	db.feedPos = make(map[feedKey]uint64, len(all))
-	for i, r := range all {
-		db.feedPos[feedKey{r.Part, r.Seq}] = uint64(i + 1)
+	db.feed = make([]feedEntry, len(keys))
+	for i, k := range keys {
+		db.feed[i] = k.feedEntry
+		db.feedAt[k.part][k.idx] = uint64(i + 1)
 	}
 }
 
 // FiringsAfter implements egress.Source over the merged feed:
-// positions are 1-based indexes into it. max <= 0 means no limit.
-func (db *DB) FiringsAfter(after uint64, max int) ([]store.FiringRecord, uint64) {
+// positions are 1-based. Each partition's records in the window are
+// read from its log as one run of indexes and placed by position.
+// limit <= 0 means no limit.
+func (db *DB) FiringsAfter(after uint64, limit int) ([]store.FiringRecord, uint64) {
 	db.feedMu.Lock()
 	defer db.feedMu.Unlock()
 	head := uint64(len(db.feed))
@@ -79,11 +91,24 @@ func (db *DB) FiringsAfter(after uint64, max int) ([]store.FiringRecord, uint64)
 		return nil, head
 	}
 	end := head
-	if max > 0 && after+uint64(max) < end {
-		end = after + uint64(max)
+	if limit > 0 {
+		end = min(end, after+uint64(limit))
 	}
 	out := make([]store.FiringRecord, end-after)
-	copy(out, db.feed[after:end])
+	for p, pt := range db.parts {
+		lo, hi := math.MaxInt, -1
+		for _, e := range db.feed[after:end] {
+			if int(e.part) == p {
+				lo, hi = min(lo, int(e.idx)), max(hi, int(e.idx))
+			}
+		}
+		at := db.feedAt[p]
+		pt.eng.Store().VisitFirings(lo, hi+1, func(i int, r store.FiringRecord) {
+			if pos := at[i]; pos > after && pos <= end {
+				out[pos-after-1] = r
+			}
+		})
+	}
 	return out, head
 }
 
@@ -95,11 +120,19 @@ func (db *DB) FiringHead() uint64 {
 }
 
 // FiringPos implements egress.Source: the merged-feed position of the
-// record with rec's (Part, Seq) identity, 0 if absent.
+// record with rec's (Part, Seq) identity, 0 if absent — a binary search
+// of its partition's log, then the index.
 func (db *DB) FiringPos(rec store.FiringRecord) uint64 {
+	if rec.Part < 0 || rec.Part >= len(db.parts) {
+		return 0
+	}
 	db.feedMu.Lock()
 	defer db.feedMu.Unlock()
-	return db.feedPos[feedKey{rec.Part, rec.Seq}]
+	at := db.feedAt[rec.Part]
+	if i, ok := db.parts[rec.Part].eng.Store().FiringIndex(rec.Seq); ok && i < len(at) {
+		return at[i]
+	}
+	return 0
 }
 
 // handleDebugFeed serves the merged feed:

@@ -117,12 +117,12 @@ type DB struct {
 	debugMu   sync.Mutex
 	debugSrvs []*http.Server
 
-	// Merged total-order firing feed (egress.go): every partition's
-	// durable egress batches appended in commit order, with a
-	// (Part, Seq) → position index for cursor resume.
-	feedMu  sync.Mutex
-	feed    []store.FiringRecord
-	feedPos map[feedKey]uint64
+	// Merged total-order firing feed (egress.go): a position index
+	// over the partitions' own logs. feed[pos-1] locates a position's
+	// record; feedAt[p][i] is the position of partition p's i-th.
+	feedMu sync.Mutex
+	feed   []feedEntry
+	feedAt [][]uint64
 }
 
 // Open starts a partitioned database: each partition opens (and, when
@@ -167,11 +167,11 @@ func Open(opts Options) (*DB, error) {
 		}
 		db.parts = append(db.parts, pt)
 	}
-	// Merge the recovered per-partition egress logs into the global
-	// feed and hook live batches in, before any loop can commit.
+	// Index the recovered per-partition egress logs as the global feed
+	// and hook live spans in, before any loop can commit.
 	db.seedFeed()
 	for _, pt := range db.parts {
-		pt.eng.SetFiringSink(db.appendFeed)
+		pt.eng.SetFiringSink(func(sp store.FiringSpan) { db.appendFeed(pt.id, sp) })
 	}
 	for _, pt := range db.parts {
 		go pt.loop()

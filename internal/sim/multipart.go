@@ -1,12 +1,14 @@
 package sim
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -14,6 +16,7 @@ import (
 	"ode/internal/engine"
 	"ode/internal/fault"
 	"ode/internal/part"
+	"ode/internal/store"
 	"ode/internal/txn"
 	"ode/internal/value"
 )
@@ -278,7 +281,8 @@ type mexec struct {
 	regs []*fault.Registry
 	db   *part.DB
 
-	model [][]*objState
+	model  [][]*objState
+	seeded []store.FiringRecord // the merged feed as the last open indexed it
 
 	fireMu  sync.Mutex
 	firings [][]string
@@ -365,6 +369,9 @@ func ExecuteMulti(sc *MultiScript, dir string) (*MultiResult, error) {
 	if err := x.db.CheckOwnership(); err != nil {
 		return nil, fmt.Errorf("sim: multipart seed %d: %w", sc.Seed, err)
 	}
+	if err := feedErr(x.db, x.seeded); err != nil {
+		return nil, fmt.Errorf("sim: multipart seed %d: final feed: %w", sc.Seed, err)
+	}
 
 	var injected uint64
 	for _, reg := range x.regs {
@@ -413,6 +420,73 @@ func (x *mexec) open(start time.Time) error {
 	x.db = db
 	x.timerErrSeen = make([]int, x.sc.Partitions)
 	x.relayErrSeen = 0
+	// An open indexes the recovered logs merged by (AtNs, Part, Seq).
+	x.seeded = nil
+	for p := 0; p < x.sc.Partitions; p++ {
+		recs, _ := db.Partition(p).Engine().Firings(0, 0)
+		x.seeded = append(x.seeded, recs...)
+	}
+	slices.SortFunc(x.seeded, func(a, b store.FiringRecord) int {
+		return cmp.Or(cmp.Compare(a.AtNs, b.AtNs), cmp.Compare(a.Part, b.Part), cmp.Compare(a.Seq, b.Seq))
+	})
+	if err := feedErr(db, x.seeded); err != nil {
+		return fmt.Errorf("merged feed at open: %w", err)
+	}
+	return nil
+}
+
+// feedErr checks db's merged feed against the partitions' own logs: its
+// first positions hold seeded, every later one the next record of one
+// partition's log in Seq order, and every record of every log is in it.
+// FiringsAfter over a grid of (after, max) reads slices of that feed,
+// FiringPos of each record is its position and of an absent identity 0,
+// and FiringHead is its length.
+func feedErr(db *part.DB, seeded []store.FiringRecord) error {
+	all, head := db.FiringsAfter(0, 0)
+	if n := uint64(len(all)); head != n || db.FiringHead() != n {
+		return fmt.Errorf("feed: %d records, FiringsAfter head %d, FiringHead %d", n, head, db.FiringHead())
+	}
+	if len(all) < len(seeded) || !slices.Equal(all[:len(seeded)], seeded) {
+		return fmt.Errorf("feed: positions 1..%d are not the recovered logs merged by (AtNs, Part, Seq)", len(seeded))
+	}
+	logs, next := make([][]store.FiringRecord, db.N()), make([]int, db.N())
+	for _, r := range seeded {
+		next[r.Part]++
+	}
+	for p := range logs {
+		logs[p], _ = db.Partition(p).Engine().Firings(0, 0)
+	}
+	for i, r := range all[len(seeded):] {
+		if p := r.Part; p < 0 || p >= len(logs) || next[p] >= len(logs[p]) || logs[p][next[p]] != r {
+			return fmt.Errorf("feed: position %d holds %+v, not the next record of its partition's log", len(seeded)+i+1, r)
+		}
+		next[r.Part]++
+	}
+	for p := range logs {
+		if next[p] != len(logs[p]) {
+			return fmt.Errorf("feed: holds %d of partition %d's %d records", next[p], p, len(logs[p]))
+		}
+		last := uint64(0)
+		if n := len(logs[p]); n > 0 {
+			last = logs[p][n-1].Seq
+		}
+		if pos := db.FiringPos(store.FiringRecord{Part: p, Seq: last + 1}); pos != 0 {
+			return fmt.Errorf("feed: absent record %d/%d at position %d", p, last+1, pos)
+		}
+	}
+	for i, r := range all {
+		if pos := db.FiringPos(r); pos != uint64(i+1) {
+			return fmt.Errorf("feed: FiringPos(%d/%d) = %d, want %d", r.Part, r.Seq, pos, i+1)
+		}
+	}
+	for after := 0; after <= len(all); after++ {
+		for _, max := range []int{1, 3} {
+			got, _ := db.FiringsAfter(uint64(after), max)
+			if want := all[after:min(after+max, len(all))]; !slices.Equal(got, want) {
+				return fmt.Errorf("feed: FiringsAfter(%d, %d) = %+v, want %+v", after, max, got, want)
+			}
+		}
+	}
 	return nil
 }
 

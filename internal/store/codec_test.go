@@ -748,27 +748,27 @@ func checkSnapshotImage(t *testing.T, data []byte) {
 	if f, err := formatOf(data, snapMagic); err != nil || f != formatCurrent {
 		return
 	}
-	load := func(data []byte) (storeDump, *Store, snapshotState, error) {
+	load := func(data []byte) (storeDump, *Store, error) {
 		s, _ := Open("")
 		snap, err := s.loadSnapshot(data)
 		if err != nil {
-			return storeDump{}, nil, snap, err
+			return storeDump{}, nil, err
 		}
 		s.nextOID.Store(max(s.nextOID.Load(), uint64(snap.next)))
-		s.egress.load(snap.firings, snap.firingSeq)
-		return dumpStore(s), s, snap, nil
+		s.egress.load(snap.firingSeq)
+		return dumpStore(s), s, nil
 	}
-	first, s, snap, err := load(data)
+	first, s, err := load(data)
 	if err != nil {
 		return
 	}
 	var buf bytes.Buffer
 	w := bufio.NewWriter(&buf)
-	if err := s.streamSnapshot(w, snap.firings, snap.firingSeq); err != nil {
+	if err := s.streamSnapshot(w); err != nil {
 		t.Fatalf("loaded snapshot does not encode: %v", err)
 	}
 	w.Flush()
-	again, _, _, err := load(buf.Bytes())
+	again, _, err := load(buf.Bytes())
 	if err != nil {
 		t.Fatalf("re-encoded snapshot does not load: %v", err)
 	}

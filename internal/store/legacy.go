@@ -200,7 +200,8 @@ func (s *Store) legacySnapshot(data []byte) (snap snapshotState, err error) {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&img); err != nil {
 		return snap, fmt.Errorf("store: decode snapshot: %w", err)
 	}
-	snap = snapshotState{firings: img.Firings, firingSeq: img.FiringSeq}
+	snap = snapshotState{firingSeq: img.FiringSeq}
+	s.egress.push(img.Firings...)
 	// gob writes an empty map as no map at all, and a snapshot without
 	// one always loaded as no snapshot: allocator position not restored.
 	if img.Objects != nil {

@@ -29,7 +29,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -370,7 +369,7 @@ func Open(dir string) (*Store, error) { return OpenWith(dir, Options{}) }
 
 // OpenWith is Open with explicit Options.
 func OpenWith(dir string, opts Options) (*Store, error) {
-	s := &Store{dir: dir, opts: opts}
+	s := &Store{dir: dir, opts: opts, egress: egressLog{nameIDs: map[firingName]uint32{}}}
 	s.oidStep = opts.OIDStride
 	if s.oidStep == 0 {
 		s.oidStep = 1
@@ -695,8 +694,7 @@ func (s *Store) Checkpoint() error {
 	// walMu is held exclusively, so no commit is in flight and the
 	// egress log has no pending reservation: the snapshot captures the
 	// complete feed, and the WAL reset below may discard its frames.
-	firings, firingSeq := s.egress.snapshotState()
-	err := s.writeSnapshot(firings, firingSeq)
+	err := s.writeSnapshot()
 	for i := len(s.stripes) - 1; i >= 0; i-- {
 		s.stripes[i].mu.Unlock()
 	}
@@ -743,7 +741,7 @@ func (s *Store) recover() error {
 	// the logged transactions. A crash between writeSnapshot and the WAL
 	// reset leaves frames the snapshot already absorbed, so firings at or
 	// below the snapshot's FiringSeq are duplicates and dropped.
-	firings, firingSeq := snap.firings, snap.firingSeq
+	firingSeq := snap.firingSeq
 	apply := func(tx *txImage) {
 		s.recovery.TxApplied++
 		for _, r := range tx.recs {
@@ -753,11 +751,10 @@ func (s *Store) recover() error {
 			delete(s.stripeOf(oid).objects, oid)
 		}
 		for _, fr := range tx.firings {
-			if fr.Seq <= snap.firingSeq {
-				continue
+			if fr.Seq > snap.firingSeq {
+				s.egress.push(fr)
+				firingSeq = max(firingSeq, fr.Seq)
 			}
-			firings = append(firings, fr)
-			firingSeq = max(firingSeq, fr.Seq)
 		}
 	}
 	walData, err := readStoreFile(s.dir, walName)
@@ -794,11 +791,7 @@ func (s *Store) recover() error {
 			return fmt.Errorf("store: repair torn wal tail: %w", err)
 		}
 	}
-	// Group commit can interleave transactions in the log in an order
-	// that differs from sequence order; the feed is strictly
-	// seq-ordered.
-	sort.Slice(firings, func(i, j int) bool { return firings[i].Seq < firings[j].Seq })
-	s.egress.load(firings, firingSeq)
+	s.egress.load(firingSeq)
 	return nil
 }
 

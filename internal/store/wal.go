@@ -259,13 +259,12 @@ func (s *Store) scanWAL(data []byte, apply func(*txImage)) (sc walScan, reason s
 	return sc, reason
 }
 
-// snapshotState is what a checkpoint records beside the heap: the OID
-// allocator's position and the egress feed, which lives in the WAL only
-// until the next checkpoint folds it into the snapshot.
+// snapshotState is what a checkpoint records beside the heap and the
+// feed (loading pushes both into place): the OID allocator's position
+// and the feed's.
 type snapshotState struct {
 	loaded    bool
 	next      OID
-	firings   []FiringRecord
 	firingSeq uint64
 }
 
@@ -279,7 +278,7 @@ const (
 // writeSnapshot streams the heap and the feed into a new snapshot file:
 // header frame, record chunks stripe by stripe, firing chunks, trailer
 // with the totals. The caller holds every stripe lock.
-func (s *Store) writeSnapshot(firings []FiringRecord, firingSeq uint64) error {
+func (s *Store) writeSnapshot() error {
 	if err := os.MkdirAll(s.dir, 0o755); err != nil {
 		return fmt.Errorf("store: create dir: %w", err)
 	}
@@ -289,7 +288,7 @@ func (s *Store) writeSnapshot(firings []FiringRecord, firingSeq uint64) error {
 	}
 	defer os.Remove(tmp.Name())
 	w := bufio.NewWriterSize(tmp, 1<<16)
-	werr := s.streamSnapshot(w, firings, firingSeq)
+	werr := s.streamSnapshot(w)
 	if werr == nil {
 		werr = w.Flush()
 	}
@@ -311,7 +310,8 @@ func (s *Store) writeSnapshot(firings []FiringRecord, firingSeq uint64) error {
 	return nil
 }
 
-func (s *Store) streamSnapshot(w *bufio.Writer, firings []FiringRecord, firingSeq uint64) error {
+func (s *Store) streamSnapshot(w *bufio.Writer) error {
+	cells, firingSeq := s.egress.frozen()
 	enc := encoders.Get().(*encoder)
 	defer encoders.Put(enc)
 	chunk := func(recs []*Record, firings []FiringRecord) error {
@@ -350,12 +350,18 @@ func (s *Store) streamSnapshot(w *bufio.Writer, firings []FiringRecord, firingSe
 		}
 		records += len(recs)
 	}
-	for lo := 0; lo < len(firings); lo += snapChunkFirings {
-		if err := chunk(nil, firings[lo:min(lo+snapChunkFirings, len(firings))]); err != nil {
+	// The feed goes out through one chunk-sized buffer, never copied whole.
+	firings := make([]FiringRecord, 0, min(len(cells), snapChunkFirings))
+	for lo := 0; lo < len(cells); lo += snapChunkFirings {
+		firings = firings[:0]
+		for i := lo; i < min(lo+snapChunkFirings, len(cells)); i++ {
+			firings = append(firings, s.egress.record(&cells[i]))
+		}
+		if err := chunk(nil, firings); err != nil {
 			return err
 		}
 	}
-	return pair(frameSnapTrailer, uint64(records), uint64(len(firings)))
+	return pair(frameSnapTrailer, uint64(records), uint64(len(cells)))
 }
 
 // loadSnapshot installs the heap a current-format snapshot image holds
@@ -385,10 +391,10 @@ func (s *Store) loadSnapshot(data []byte) (snap snapshotState, err error) {
 				s.install(rec)
 			}
 			records += uint64(len(tx.recs))
-			snap.firings = append(snap.firings, tx.firings...)
+			s.egress.push(tx.firings...)
 		case phase == inChunks && kind == frameSnapTrailer:
-			if nr, nf := r.uvarint(), r.uvarint(); r.err == nil && (nr != records || nf != uint64(len(snap.firings))) {
-				return fmt.Errorf("trailer counts %d record(s) and %d firing(s), chunks held %d and %d", nr, nf, records, len(snap.firings))
+			if nr, nf := r.uvarint(), r.uvarint(); r.err == nil && (nr != records || nf != s.FiringsAppended()) {
+				return fmt.Errorf("trailer counts %d record(s) and %d firing(s), chunks held %d and %d", nr, nf, records, s.FiringsAppended())
 			}
 			phase = done
 		default:
