@@ -126,6 +126,7 @@ func PromExtras(s Stats) []obs.PromMetric {
 		{Name: "ode_engine_timer_errors_dropped_total", Help: "Timer-delivery errors evicted from the bounded error ring.", Value: float64(s.TimerErrsDropped)},
 		{Name: "ode_engine_timers_pending", Help: "Timers currently armed on the virtual clock.", Type: "gauge", Value: float64(s.TimersPending)},
 		{Name: "ode_engine_timer_cohorts", Help: "Live shared timer schedules (cohorts).", Type: "gauge", Value: float64(s.TimerCohorts)},
+		{Name: "ode_engine_timer_members", Help: "Memberships in live cohorts, one per (object, cohort).", Type: "gauge", Value: float64(s.TimerMembers)},
 		{Name: "ode_engine_tcomplete_rounds_total", Help: "Rounds of the before-tcomplete commit fixpoint.", Value: float64(s.TcompleteRounds)},
 		{Name: "ode_engine_shadow_checks_total", Help: "Shadow-oracle cross-checks performed.", Value: float64(s.ShadowChecks)},
 		{Name: "ode_engine_faults_injected_total", Help: "Failures fired by the fault-injection registry.", Value: float64(s.FaultsInjected)},

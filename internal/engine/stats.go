@@ -37,11 +37,13 @@ type Stats struct {
 	// TimersPending gauges the timers currently armed on the virtual
 	// clock ('after' one-shots plus one per cohort or shared spec).
 	// TimerCohorts gauges the live shared-schedule entries — cohorts, or
-	// per-object shared timers in the reference layout. Like the
-	// Automaton* fields below these describe current state, not
-	// cumulative activity.
+	// per-object shared timers in the reference layout — and TimerMembers
+	// the memberships in them, one per (object, cohort) whatever the
+	// number of the object's triggers on the spec. Like the Automaton*
+	// fields below these describe current state, not cumulative activity.
 	TimersPending uint64
 	TimerCohorts  uint64
+	TimerMembers  uint64
 	// TcompleteRounds counts rounds of the §6 before-tcomplete commit
 	// fixpoint (every commit of a user transaction runs at least one;
 	// triggers firing on tcomplete add more, up to the divergence
@@ -113,6 +115,7 @@ type statCounters struct {
 // same per-field exactness.
 func (e *Engine) Stats() Stats {
 	cs := compile.AutomatonCacheStats()
+	cohorts, members := e.timers.sharedCount()
 	e.mu.RLock()
 	autoTriggers := e.autoTriggers
 	autoTables := uint64(len(e.autoTables))
@@ -135,7 +138,8 @@ func (e *Engine) Stats() Stats {
 		TimerPosts:          e.stats.timerPosts.Load(),
 		TimerErrsDropped:    e.stats.timerErrsDropped.Load(),
 		TimersPending:       uint64(e.clk.Pending()),
-		TimerCohorts:        uint64(e.timers.sharedCount()),
+		TimerCohorts:        uint64(cohorts),
+		TimerMembers:        uint64(members),
 		TcompleteRounds:     e.stats.tcompleteRounds.Load(),
 		ShadowChecks:        e.stats.shadowChecks.Load(),
 		FaultsInjected:      e.faults.Injected(),
@@ -166,6 +170,7 @@ func (s Stats) Delta(prev Stats) Stats {
 		TimerErrsDropped: s.TimerErrsDropped - prev.TimerErrsDropped,
 		TimersPending:    s.TimersPending - prev.TimersPending,
 		TimerCohorts:     s.TimerCohorts - prev.TimerCohorts,
+		TimerMembers:     s.TimerMembers - prev.TimerMembers,
 		TcompleteRounds:  s.TcompleteRounds - prev.TcompleteRounds,
 		ShadowChecks:     s.ShadowChecks - prev.ShadowChecks,
 		FaultsInjected:   s.FaultsInjected - prev.FaultsInjected,

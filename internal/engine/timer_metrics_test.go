@@ -49,10 +49,12 @@ func TestTimerMetricsExposition(t *testing.T) {
 	}
 	samples := promSamples(t, body)
 
-	// Two cohorts (Tick, Daily) + ten 'after' one-shots pending.
+	// Two cohorts (Tick, Daily) of ten members each + ten 'after'
+	// one-shots pending.
 	for name, want := range map[string]float64{
 		"ode_engine_timers_pending":             12,
 		"ode_engine_timer_cohorts":              2,
+		"ode_engine_timer_members":              20,
 		"ode_engine_timer_errors_dropped_total": 0,
 	} {
 		got, ok := samples[name]
@@ -64,8 +66,8 @@ func TestTimerMetricsExposition(t *testing.T) {
 		}
 	}
 	s := e.Stats()
-	if s.TimersPending != 12 || s.TimerCohorts != 2 {
-		t.Fatalf("Stats: pending=%d cohorts=%d", s.TimersPending, s.TimerCohorts)
+	if s.TimersPending != 12 || s.TimerCohorts != 2 || s.TimerMembers != 20 {
+		t.Fatalf("Stats: pending=%d cohorts=%d members=%d", s.TimersPending, s.TimerCohorts, s.TimerMembers)
 	}
 }
 

@@ -54,27 +54,27 @@ func (e *Engine) deliverCohort(co *cohort, oids []store.OID) {
 	sys := e.beginSystem()
 	// Members are peeked, not accessed: step registers a member with the
 	// txn layer only when its automaton actually changes state or a
-	// trigger fires. A member whose instances all self-loop on the tick —
-	// the steady state of a monitoring-shaped `every` fleet — costs no
-	// lock-table entry, no commit-time comparison, no WAL record and no
-	// epoch publication, which is what lets a 100k-object storm sweep at
-	// memory speed.
+	// trigger fires, and PeekStep releases the lock of one it did not
+	// register right after its step. A member whose instances all
+	// self-loop on the tick — the steady state of a monitoring-shaped
+	// `every` fleet — costs one lookup and a lock for its own step: no
+	// lock-table entry at commit, no commit-time comparison, no WAL record
+	// and no epoch publication, which is what lets a 100k-object storm
+	// sweep at memory speed. A member deleted since it was armed is
+	// skipped.
 	sys.lazyAccess = true
 	var delivered uint64
 	for _, oid := range oids {
-		if !e.st.Exists(oid) {
-			continue
-		}
-		var rec *store.Record
-		if rec, err = sys.tx.Peek(oid); err == nil {
+		err = sys.tx.PeekStep(oid, func(rec *store.Record) error {
 			e.traceTimer(oid, co.ck.key, "")
-			_, err = sys.step(c, ph, oid, rec, &h, nil, &co.m)
-		}
+			delivered++
+			_, err := sys.step(c, ph, oid, rec, &h, nil, &co.m)
+			return err
+		})
 		if err != nil {
 			err = fmt.Errorf("engine: timer %q on object %d: %w", co.ck.key, oid, err)
 			break
 		}
-		delivered++
 	}
 	if err != nil {
 		e.recordTimerErr(sys.doAbort(err))

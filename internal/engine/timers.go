@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -18,7 +20,7 @@ import (
 // history point — and, because the instants are calendar-shared, every
 // OBJECT of a class on the same canonical specification comes due at
 // the same tick. The table exploits that with cohorts: one clock timer
-// per (class, spec, phase) holding the member OID set, instead of one
+// per (class, spec, phase) holding the member OIDs, instead of one
 // timer + closure per object. A due cohort delivers its tick in one
 // system transaction per (class, tick) — see timerbatch.go. 'after' is
 // relative to the arming of the trigger (§3.1: "scheduled to occur after
@@ -33,12 +35,15 @@ type timerTable struct {
 	mu sync.Mutex
 
 	// cohorts maps (class, canonical spec key, phase) to the single
-	// wheel entry shared by all member objects. byObj indexes each
-	// object's memberships by spec key, so disarming touches only the
-	// object's own cohorts. An object has at most one cohort per key
-	// (re-arms are idempotent and keep the original schedule).
+	// wheel entry shared by all member objects; byID numbers them (free:
+	// numbers to reuse). An object has at most one cohort per spec key
+	// (re-arms are idempotent and keep the original schedule): byObj[key]
+	// maps it to its cohort's number (high 32 bits) and its position in
+	// the cohort (low 32), whatever the number of phases.
 	cohorts map[cohortKey]*cohort
-	byObj   map[store.OID]map[string]*cohort
+	byID    []*cohort
+	free    []uint32
+	byObj   map[string]map[store.OID]uint64
 
 	// oneShots holds the pending 'after' timers, indexed per object and
 	// then per trigger so disarming an object (or instance) never scans
@@ -74,29 +79,53 @@ type cohortKey struct {
 	phase int64
 }
 
-// cohort is one shared wheel entry: the member set, the armed clock
+// cohort is one shared wheel entry: the members, the armed clock
 // timer, and the meter of its deliveries (timerbatch.go).
 type cohort struct {
 	ck       cohortKey
-	mode     evlang.TimeMode
+	ix       uint32 // its number in timerTable.byID
 	spec     clock.TimeSpec
 	id       clock.TimerID
 	canceled bool
-	// members maps each member OID to the trigger names holding a
-	// reference to the spec (all of them observe the same instant).
-	members map[store.OID]map[string]bool
-	// scratch is the due-snapshot buffer and m the delivery's meter,
-	// both reused tick to tick and touched only by the clock-advancing
-	// goroutine.
-	scratch []store.OID
-	m       meter
+	// oids are the members, ascending but for those armed out of order
+	// since the last tick (settle). bits holds each one's set of trigs,
+	// the triggers referencing the spec, in words bytes; an empty set is
+	// a member that left (gone counts them) until the next settle. Nothing
+	// writes oids below its length — arms append, settle builds new
+	// arrays — so a tick delivers from it while the table changes.
+	oids        []store.OID
+	bits        []uint8
+	words, gone int
+	trigs       []string
+	// m is the delivery's meter, reused tick to tick and touched only by
+	// the clock-advancing goroutine.
+	m meter
+}
+
+// set is member i's trigger set.
+func (co *cohort) set(i int) []uint8 { return co.bits[i*co.words : (i+1)*co.words] }
+
+// bit returns trig's number in trigs, -1 if absent and not to add; adding
+// one past a multiple of 8 widens every member's set by a byte.
+func (co *cohort) bit(trig string, add bool) int {
+	if i := slices.Index(co.trigs, trig); i >= 0 || !add {
+		return i
+	}
+	if co.trigs = append(co.trigs, trig); len(co.trigs) > 8*co.words {
+		wide := make([]uint8, len(co.oids)*(co.words+1))
+		for i := range co.oids {
+			copy(wide[i*(co.words+1):], co.set(i))
+		}
+		co.bits, co.words = wide, co.words+1
+	}
+	return len(co.trigs) - 1
 }
 
 func newTimerTable(e *Engine) *timerTable {
 	return &timerTable{
 		e:          e,
 		cohorts:    map[cohortKey]*cohort{},
-		byObj:      map[store.OID]map[string]*cohort{},
+		byObj:      map[string]map[store.OID]uint64{},
 		oneShots:   map[store.OID]map[string][]clock.TimerID{},
 		shared:     map[sharedKey]*sharedTimer{},
 		sharedRefs: map[sharedKey]map[string]bool{},
@@ -136,15 +165,31 @@ func (tt *timerTable) armShared(oid store.OID, c *Class, trig string, req evlang
 	}
 	tt.mu.Lock()
 	defer tt.mu.Unlock()
-	if obj := tt.byObj[oid]; obj != nil {
-		if co := obj[req.Key]; co != nil {
-			// Already a member via another trigger or an earlier arm:
-			// keep the original schedule (idempotent re-arm, exactly as
-			// the per-object shared timer behaved).
-			co.members[oid][trig] = true
+	// Already a member via another trigger or an earlier arm, the object
+	// keeps the original schedule (idempotent re-arm, exactly as the
+	// per-object shared timer behaved).
+	at, ok := tt.byObj[req.Key][oid]
+	if !ok {
+		co := tt.cohortLocked(c, req)
+		if co == nil {
 			return
 		}
+		if tt.byObj[req.Key] == nil {
+			tt.byObj[req.Key] = map[store.OID]uint64{}
+		}
+		at = uint64(co.ix)<<32 | uint64(len(co.oids))
+		tt.byObj[req.Key][oid] = at
+		co.oids, co.bits = append(co.oids, oid), append(co.bits, make([]uint8, co.words)...)
 	}
+	co := tt.byID[at>>32]
+	b := co.bit(trig, true)
+	co.set(int(uint32(at)))[b/8] |= 1 << (b % 8)
+}
+
+// cohortLocked returns the cohort an object armed now joins for req,
+// creating it — nil for a fully-dated spec in the past, which never
+// fires again. Called with tt.mu held.
+func (tt *timerTable) cohortLocked(c *Class, req evlang.TimerReq) *cohort {
 	ck := cohortKey{class: c.Schema.Name, key: req.Key}
 	var period time.Duration
 	if req.Mode == evlang.TimeEvery {
@@ -153,32 +198,26 @@ func (tt *timerTable) armShared(oid store.OID, c *Class, trig string, req evlang
 			ck.phase = tt.e.clk.Now().UnixNano() % int64(period)
 		}
 	}
-	co := tt.cohorts[ck]
-	if co == nil {
-		co = &cohort{ck: ck, mode: req.Mode, spec: req.Spec, members: map[store.OID]map[string]bool{}}
-		switch req.Mode {
-		case evlang.TimeEvery:
-			co.id = tt.e.clk.Every(period, func(time.Time) { tt.fireCohort(co) })
-		case evlang.TimeAt:
-			if !tt.scheduleCohortAtLocked(co) {
-				// A fully-dated spec in the past never fires again.
-				return
-			}
+	if co := tt.cohorts[ck]; co != nil {
+		return co
+	}
+	co := &cohort{ck: ck, spec: req.Spec, words: 1}
+	switch req.Mode {
+	case evlang.TimeEvery:
+		co.id = tt.e.clk.Every(period, func(time.Time) { tt.fireCohort(co) })
+	case evlang.TimeAt:
+		if !tt.scheduleCohortAtLocked(co) {
+			return nil
 		}
-		tt.cohorts[ck] = co
 	}
-	mem := co.members[oid]
-	if mem == nil {
-		mem = map[string]bool{}
-		co.members[oid] = mem
+	tt.cohorts[ck] = co
+	if n := len(tt.free); n > 0 {
+		co.ix, tt.free = tt.free[n-1], tt.free[:n-1]
+	} else {
+		co.ix, tt.byID = uint32(len(tt.byID)), append(tt.byID, nil)
 	}
-	mem[trig] = true
-	obj := tt.byObj[oid]
-	if obj == nil {
-		obj = map[string]*cohort{}
-		tt.byObj[oid] = obj
-	}
-	obj[req.Key] = co
+	tt.byID[co.ix] = co
+	return co
 }
 
 // scheduleCohortAtLocked arms the next calendar match of an 'at'
@@ -194,44 +233,93 @@ func (tt *timerTable) scheduleCohortAtLocked(co *cohort) bool {
 		tt.fireCohort(co)
 		tt.mu.Lock()
 		if !co.canceled && !tt.scheduleCohortAtLocked(co) {
-			tt.removeCohortLocked(co)
+			for _, oid := range co.oids { // the last one drops the cohort
+				tt.dropLocked(oid, co.ck.key, "")
+			}
 		}
 		tt.mu.Unlock()
 	})
 	return true
 }
 
-// removeCohortLocked drops a cohort and every membership reference to
-// it. Called with tt.mu held.
-func (tt *timerTable) removeCohortLocked(co *cohort) {
-	co.canceled = true
-	for oid := range co.members {
-		if obj := tt.byObj[oid]; obj != nil {
-			delete(obj, co.ck.key)
-			if len(obj) == 0 {
-				delete(tt.byObj, oid)
-			}
-		}
+// dropLocked takes trig — every trigger, for "" — out of the object's
+// set in its cohort for key, and the object out of the cohort once its
+// set is empty; the cohort's last member takes the cohort and its clock
+// timer with it. Called with tt.mu held.
+func (tt *timerTable) dropLocked(oid store.OID, key, trig string) {
+	at, ok := tt.byObj[key][oid]
+	if !ok {
+		return
 	}
-	delete(tt.cohorts, co.ck)
+	co := tt.byID[at>>32]
+	set := co.set(int(uint32(at)))
+	if b := co.bit(trig, false); b >= 0 {
+		set[b/8] &^= 1 << (b % 8)
+	} else if trig == "" {
+		clear(set)
+	}
+	if slices.Max(set) != 0 {
+		return
+	}
+	delete(tt.byObj[key], oid)
+	switch co.gone++; {
+	case co.gone == len(co.oids):
+		co.canceled = true
+		tt.e.clk.Cancel(co.id)
+		delete(tt.cohorts, co.ck)
+		tt.byID[co.ix], tt.free = nil, append(tt.free, co.ix)
+	case 2*co.gone > len(co.oids):
+		tt.settle(co) // churn between ticks keeps the arrays ≤ 2× the members
+	}
 }
 
-// fireCohort snapshots the due members and delivers the tick
-// (timerbatch.go). Members are delivered in ascending OID order — the
+// settle drops the members that left and merges the ones armed out of
+// order — those past the ascending run the list starts with — into it,
+// moving their index positions along: O(members + late·log late), paid
+// by the next tick instead of by every arm. Called with tt.mu held.
+func (tt *timerTable) settle(co *cohort) {
+	run, n := 1, len(co.oids)
+	for run < n && co.oids[run-1] < co.oids[run] {
+		run++
+	}
+	if run >= n && co.gone == 0 {
+		return
+	}
+	late := make([]int, 0, n-run)
+	for i := run; i < n; i++ {
+		late = append(late, i)
+	}
+	slices.SortFunc(late, func(a, b int) int { return cmp.Compare(co.oids[a], co.oids[b]) })
+	oids, bits := make([]store.OID, 0, n-co.gone), make([]uint8, 0, (n-co.gone)*co.words)
+	for i, j := 0, 0; i < run || j < len(late); {
+		k := i
+		if i == run || j < len(late) && co.oids[late[j]] < co.oids[i] {
+			k, j = late[j], j+1
+		} else {
+			i++
+		}
+		if set := co.set(k); slices.Max(set) != 0 {
+			if k != len(oids) {
+				tt.byObj[co.ck.key][co.oids[k]] = uint64(co.ix)<<32 | uint64(len(oids))
+			}
+			oids, bits = append(oids, co.oids[k]), append(bits, set...)
+		}
+	}
+	co.oids, co.bits, co.gone = oids, bits, 0
+}
+
+// fireCohort settles the cohort and delivers the tick to its members
+// as they are now (timerbatch.go), in ascending OID order — the
 // deterministic order the cohort-vs-per-object equivalence proof pins.
 func (tt *timerTable) fireCohort(co *cohort) {
 	tt.mu.Lock()
-	if co.canceled || len(co.members) == 0 {
+	if co.canceled {
 		tt.mu.Unlock()
 		return
 	}
-	co.scratch = co.scratch[:0]
-	for oid := range co.members {
-		co.scratch = append(co.scratch, oid)
-	}
-	oids := co.scratch
+	tt.settle(co)
+	oids := co.oids[:len(co.oids):len(co.oids)]
 	tt.mu.Unlock()
-	sort.Slice(oids, func(i, j int) bool { return oids[i] < oids[j] })
 	tt.e.deliverCohort(co, oids)
 }
 
@@ -307,7 +395,7 @@ func (tt *timerTable) disarm(oid store.OID, t *Trigger) {
 			tt.releaseSharedLocked(oid, t.Res.Name, req.Key)
 			continue
 		}
-		tt.leaveCohortLocked(oid, t.Res.Name, req.Key)
+		tt.dropLocked(oid, req.Key, t.Res.Name)
 	}
 }
 
@@ -322,29 +410,6 @@ func (tt *timerTable) cancelOneShotsLocked(oid store.OID, trig string) {
 	delete(shots, trig)
 	if len(shots) == 0 {
 		delete(tt.oneShots, oid)
-	}
-}
-
-func (tt *timerTable) leaveCohortLocked(oid store.OID, trig, key string) {
-	obj := tt.byObj[oid]
-	co := obj[key]
-	if co == nil {
-		return
-	}
-	mem := co.members[oid]
-	delete(mem, trig)
-	if len(mem) > 0 {
-		return
-	}
-	delete(co.members, oid)
-	delete(obj, key)
-	if len(obj) == 0 {
-		delete(tt.byObj, oid)
-	}
-	if len(co.members) == 0 {
-		co.canceled = true
-		tt.e.clk.Cancel(co.id)
-		delete(tt.cohorts, co.ck)
 	}
 }
 
@@ -373,16 +438,9 @@ func (tt *timerTable) disarmObject(oid store.OID) {
 		}
 	}
 	delete(tt.oneShots, oid)
-	for key, co := range tt.byObj[oid] {
-		delete(co.members, oid)
-		if len(co.members) == 0 {
-			co.canceled = true
-			tt.e.clk.Cancel(co.id)
-			delete(tt.cohorts, co.ck)
-		}
-		_ = key
+	for key := range tt.byObj {
+		tt.dropLocked(oid, key, "")
 	}
-	delete(tt.byObj, oid)
 	if tt.perObject {
 		for sk, st := range tt.shared {
 			if sk.oid != oid {
@@ -464,11 +522,15 @@ func (tt *timerTable) reconcile(oid store.OID, c *Class, rec *store.Record) {
 }
 
 // sharedCount returns the number of live shared-schedule entries —
-// cohorts, or per-object shared timers in the per-object layout.
-func (tt *timerTable) sharedCount() int {
+// cohorts, or per-object shared timers in the per-object layout — and
+// of memberships in them: (object, cohort) pairs, or those shared timers.
+func (tt *timerTable) sharedCount() (entries, members int) {
 	tt.mu.Lock()
 	defer tt.mu.Unlock()
-	return len(tt.cohorts) + len(tt.shared)
+	for _, idx := range tt.byObj {
+		members += len(idx)
+	}
+	return len(tt.cohorts) + len(tt.shared), members + len(tt.shared)
 }
 
 // TimerSchedule returns the shared ('at'/'every') timer schedule as
@@ -484,9 +546,11 @@ func (e *Engine) TimerSchedule() []string {
 	defer tt.mu.Unlock()
 	var out []string
 	for _, co := range tt.cohorts {
-		for oid, mem := range co.members {
-			for trig := range mem {
-				out = append(out, fmt.Sprintf("%d %s %s", oid, co.ck.key, trig))
+		for i, oid := range co.oids {
+			for b, trig := range co.trigs {
+				if co.set(i)[b/8]&(1<<(b%8)) != 0 {
+					out = append(out, fmt.Sprintf("%d %s %s", oid, co.ck.key, trig))
+				}
 			}
 		}
 	}

@@ -44,8 +44,8 @@ type Tx struct {
 	// lazyAccess marks a cohort timer delivery transaction: members are
 	// peeked, and step registers one with the txn layer (Access) only at
 	// its first in-place mutation or firing, so a member whose instances
-	// all self-loop never reaches the txn layer. Off (the default), the
-	// caller has already accessed the object.
+	// all self-loop takes its lock for its step only (PeekStep). Off (the
+	// default), the caller has already accessed the object.
 	lazyAccess bool
 
 	// Single-entry record cache, primed only by PostBatch (batchAccess).

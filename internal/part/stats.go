@@ -57,6 +57,7 @@ func addStats(a, b engine.Stats) engine.Stats {
 		TimerErrsDropped: a.TimerErrsDropped + b.TimerErrsDropped,
 		TimersPending:    a.TimersPending + b.TimersPending,
 		TimerCohorts:     a.TimerCohorts + b.TimerCohorts,
+		TimerMembers:     a.TimerMembers + b.TimerMembers,
 		TcompleteRounds:  a.TcompleteRounds + b.TcompleteRounds,
 		ShadowChecks:     a.ShadowChecks + b.ShadowChecks,
 		FaultsInjected:   a.FaultsInjected + b.FaultsInjected,

@@ -192,32 +192,35 @@ func (lm *lockManager) releaseAll(txID uint64, held []store.OID) {
 	lm.graph.mu.Lock()
 	delete(lm.graph.waiting, txID)
 	lm.graph.mu.Unlock()
-
 	for _, oid := range held {
-		sh := lm.shardOf(oid)
-		sh.mu.Lock()
-		if sh.holder[oid] != txID {
-			sh.mu.Unlock()
-			continue
+		lm.release(txID, oid)
+	}
+}
+
+// release drops txID's lock on oid, if it holds it, and wakes one waiter.
+func (lm *lockManager) release(txID uint64, oid store.OID) {
+	sh := lm.shardOf(oid)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.holder[oid] != txID {
+		return
+	}
+	delete(sh.holder, oid)
+	if sh.mirrored[oid] {
+		lm.graph.mu.Lock()
+		delete(lm.graph.holderOf, oid)
+		lm.graph.mu.Unlock()
+	}
+	if q := sh.waitq[oid]; len(q) > 0 {
+		ch := q[0]
+		if len(q) == 1 {
+			delete(sh.waitq, oid)
+		} else {
+			sh.waitq[oid] = q[1:]
 		}
-		delete(sh.holder, oid)
-		if sh.mirrored[oid] {
-			lm.graph.mu.Lock()
-			delete(lm.graph.holderOf, oid)
-			lm.graph.mu.Unlock()
-		}
-		if q := sh.waitq[oid]; len(q) > 0 {
-			ch := q[0]
-			if len(q) == 1 {
-				delete(sh.waitq, oid)
-			} else {
-				sh.waitq[oid] = q[1:]
-			}
-			close(ch)
-		} else if sh.mirrored[oid] {
-			delete(sh.mirrored, oid)
-		}
-		sh.mu.Unlock()
+		close(ch)
+	} else if sh.mirrored[oid] {
+		delete(sh.mirrored, oid)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"ode/internal/store"
 	"ode/internal/value"
 )
 
@@ -88,5 +89,67 @@ func TestPeekMissingObject(t *testing.T) {
 	defer tx.Abort()
 	if _, err := tx.Peek(999); err == nil {
 		t.Fatal("peek of missing object succeeded")
+	}
+}
+
+// TestPeekStepReleasesWhatItDidNotAccess: PeekStep holds a lock it
+// granted for the step only, unless the step accessed the object; an
+// object held before the call, or accessed by an earlier step, stays
+// locked to the end, and a missing object runs no step and keeps no
+// lock.
+func TestPeekStepReleasesWhatItDidNotAccess(t *testing.T) {
+	m := newManager(t)
+	setup := m.Begin()
+	var oids []store.OID
+	for i := 0; i < 1001; i++ {
+		r, _ := setup.Create("x", nil)
+		oids = append(oids, r.OID)
+	}
+	setup.Commit()
+
+	tx := m.BeginSystem()
+	if _, _, err := tx.Access(oids[0]); err != nil { // held before the call
+		t.Fatal(err)
+	}
+	for i, oid := range oids {
+		err := tx.PeekStep(oid, func(rec *store.Record) error {
+			if rec.OID != oid {
+				t.Fatalf("step got %d for %d", rec.OID, oid)
+			}
+			var err error
+			switch i {
+			case 500: // the step accesses its own object
+				_, _, err = tx.Access(oid)
+			case 700: // and this one a later object
+				_, _, err = tx.Access(oids[900])
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.PeekStep(999_999, func(*store.Record) error {
+		t.Fatal("step ran for a missing object")
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if held, _ := m.locks.counts(); held != 3 {
+		t.Fatalf("%d locks held before commit, want 3", held)
+	}
+	for _, i := range []int{0, 500, 900} {
+		if !tx.Holds(oids[i]) {
+			t.Fatalf("object %d was released", i)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if held, waiting := m.locks.counts(); held != 0 || waiting != 0 {
+		t.Fatalf("after commit: held=%d waiting=%d", held, waiting)
+	}
+	if err := tx.PeekStep(oids[1], func(*store.Record) error { return nil }); !errors.Is(err, ErrNotActive) {
+		t.Fatalf("PeekStep on a finished transaction: %v", err)
 	}
 }

@@ -563,3 +563,28 @@ func (tx *Tx) Peek(oid store.OID) (*store.Record, error) {
 	}
 	return tx.mgr.store.Get(oid)
 }
+
+// PeekStep is Peek for one step: it locks oid, runs step on its live
+// record — not at all if oid names no object — and releases the lock
+// right after if this call granted it and step did not Access the
+// object, which holds it no longer than a transaction of its own that
+// changed nothing would. An object already held, or accessed, stays
+// locked to the end.
+func (tx *Tx) PeekStep(oid store.OID, step func(*store.Record) error) error {
+	if tx.State() != Active {
+		return ErrNotActive
+	}
+	n := len(tx.held)
+	if err := tx.lock(oid); err != nil {
+		return err
+	}
+	var err error
+	if rec, gerr := tx.mgr.store.Get(oid); gerr == nil {
+		err = step(rec)
+	}
+	if len(tx.held) > n && tx.held[n] == oid && !tx.has(oid) {
+		tx.mgr.locks.release(tx.id, oid)
+		tx.held = append(tx.held[:n], tx.held[n+1:]...)
+	}
+	return err
+}

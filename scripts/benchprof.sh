@@ -5,7 +5,7 @@
 # time and the allocations went, and what the heap still holds.
 #
 #   scripts/benchprof.sh <workload> [seconds]
-#   SEED=1 FOCUS='part\.\(\*Partition\)\.loop' LIST='<regex>' KEEP=dir  (environment)
+#   SEED=1 FOCUS='<regex>' LIST='<regex>' KEEP=dir  (environment)
 #
 # The CPU profile covers the first [seconds] (default 10) of the process,
 # set-up included, and must end before the 12-second run does; an allocs
@@ -14,25 +14,31 @@
 # (what allocs_per_happening counts) and resident bytes by allocation
 # site (-sample_index=inuse_space — the one tool that attributes
 # heap_mb_end, an end-to-end metric, to code). FOCUS restricts the CPU
-# and allocated-objects listings to stacks through a function — by
-# default the partition loop, which both durable workloads run in; for
-# the volatile workloads pass FOCUS='engine\.' or FOCUS=. The resident
-# listing is never focused: most of what stays was allocated by the
-# set-up. LIST='<regex>' adds the line-level view (pprof -list) of
-# allocated objects for every function the regex matches, unfocused —
-# the listing that says which line of Tx.Call or txn.(*Tx).Access makes
-# an allocation, e.g. LIST='engine\.\(\*Tx\)\.Call$|txn\.\(\*Tx\)\.Access$'.
+# and allocated-objects listings to stacks through a function. By
+# default that is the engine (FOCUS='engine\.') for the two volatile
+# workloads, single_masked and timer_storm, which run no partition, and
+# the partition loop (FOCUS='part\.\(\*Partition\)\.loop') for the
+# two durable ones, batch_durable and webhook_open; FOCUS= (empty) lists
+# every stack. The resident listing is never focused: most of what stays
+# was allocated by the set-up. LIST='<regex>' adds the line-level view
+# (pprof -list) of allocated objects for every function the regex
+# matches, unfocused — the listing that says which line of Tx.Call or
+# txn.(*Tx).Access makes an allocation, e.g.
+# LIST='engine\.\(\*Tx\)\.Call$|txn\.\(\*Tx\)\.Access$'.
 # Profiles and the binary stay in KEEP (default: a temporary directory,
 # removed).
 set -euo pipefail
 
 if [ $# -lt 1 ]; then
-	sed -n '2,26p' "$0" >&2
+	sed -n '2,29p' "$0" >&2
 	exit 2
 fi
 workload="$1" seconds="${2:-10}"
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-focus="${FOCUS-part\\.\\(\\*Partition\\)\\.loop}"
+case "$workload" in
+single_masked | timer_storm) focus="${FOCUS-engine\\.}" ;;
+*) focus="${FOCUS-part\\.\\(\\*Partition\\)\\.loop}" ;;
+esac
 work="${KEEP:-$(mktemp -d "${TMPDIR:-/tmp}/benchprof.XXXXXX")}"
 [ -n "${KEEP:-}" ] || trap 'rm -rf "$work"' EXIT
 mkdir -p "$work/out"
