@@ -476,11 +476,12 @@ func (d *decoder) record() *Record {
 		clear(d.slotOf)
 	}
 	n := d.count(minField)
-	r := &Record{OID: oid, Class: class, layout: d.layout, Fields: make(map[string]value.Value, n)}
+	fields := make(map[string]value.Value, n)
 	for ; n > 0; n-- {
 		name := d.name(d.uvarint())
-		r.Fields[name] = d.value()
+		fields[name] = d.value()
 	}
+	r := &Record{OID: oid, Class: class, layout: d.layout, Fields: fields}
 	for n = d.count(minTrig); n > 0; n-- {
 		ni := d.uvarint()
 		name := d.name(ni)

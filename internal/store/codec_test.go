@@ -61,10 +61,11 @@ func renderValue(v value.Value) string {
 }
 
 func dumpRecord(r *Record) objectDump {
-	o := objectDump{OID: uint64(r.OID), Class: r.Class, Fields: map[string]string{}, Triggers: map[string]trigDump{}}
+	fields := map[string]string{}
 	for k, v := range r.Fields {
-		o.Fields[k] = renderValue(v)
+		fields[k] = renderValue(v)
 	}
+	o := objectDump{OID: uint64(r.OID), Class: r.Class, Fields: fields, Triggers: map[string]trigDump{}}
 	for slot := range r.Trigs {
 		t := &r.Trigs[slot]
 		if t.IsZero() {
@@ -128,12 +129,12 @@ func richStore(t testing.TB, dir string, checkpointAfter int) storeDump {
 		},
 		func() ([]OID, []OID, []FiringRecord) {
 			a.Trigger("Over").State = 0
-			a.Fields["bal"] = value.Int(1 << 40)
+			a.SetField("bal", value.Int(1<<40))
 			return []OID{a.OID}, nil, []FiringRecord{firing(a, "Over", 6)}
 		},
 		func() ([]OID, []OID, []FiringRecord) { s.Delete(c.OID); return nil, []OID{c.OID}, nil },
 		func() ([]OID, []OID, []FiringRecord) {
-			b.Fields["bal"] = value.Int(3)
+			b.SetField("bal", value.Int(3))
 			*b.Trigger("Over") = TrigState{Active: true, State: 1, ext: newExt([]value.Value{value.Float(0.5)}, nil)}
 			a.Trigger("Over").AppendShadow(2)
 			return []OID{a.OID, b.OID}, nil, []FiringRecord{firing(b, "Over", 7), firing(a, "Over", 8), firing(b, "Big", 9)}
@@ -339,7 +340,7 @@ func TestFailedWALWriteIsSticky(t *testing.T) {
 	r := s.Create("acct", map[string]value.Value{"v": value.Int(0)})
 	commit := func(s *Store, v int64) error {
 		rec, _ := s.Get(r.OID)
-		rec.Fields["v"] = value.Int(v)
+		rec.SetField("v", value.Int(v))
 		return s.LogCommit(uint64(v), []OID{r.OID}, nil, nil)
 	}
 	walSize := func() int64 {

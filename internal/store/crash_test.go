@@ -39,8 +39,8 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		}
 		const txs = 8
 		for k := 1; k <= txs; k++ {
-			rec.Fields["v"] = value.Int(int64(k))
-			rec.Fields["sum"] = value.Int(rec.Fields["sum"].AsInt() + int64(k))
+			rec.SetField("v", value.Int(int64(k)))
+			rec.SetField("sum", value.Int(rec.Fields["sum"].AsInt()+int64(k)))
 			if err := s.LogCommit(uint64(k+1), []OID{rec.OID}, nil, nil); err != nil {
 				t.Fatal(err)
 			}
@@ -86,7 +86,7 @@ func TestCrashAfterCheckpoint(t *testing.T) {
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	rec.Fields["v"] = value.Int(2)
+	rec.SetField("v", value.Int(2))
 	s.LogCommit(2, []OID{rec.OID}, nil, nil)
 	s.Close()
 

@@ -24,14 +24,16 @@ import (
 // active transaction holds is content-equal to its image. Commit keeps
 // it by building, for every touched object that changed, the next
 // image from the live record and the previous image (Record.image:
-// whatever did not change is shared with the predecessor, and nothing
-// mutable is ever shared with the live record), logging those images, and
-// swapping them in while the committer still holds its object locks.
-// Rollback keeps it by deep-copying the image back into the heap
-// (Restore) — the copy every access used to pay is paid by the rare
-// abort. Recovery establishes it (seedEpochView). A touched object
-// that is still content-equal to its image is not dirty: it gets no new
-// image, no WAL record and no publication.
+// trigger slots that did not move are shared with the predecessor),
+// logging those images, and swapping them in while the committer still
+// holds its object locks. Rollback keeps it by copying the image's
+// trigger slots back into the heap (Restore), recovery by seeding the
+// view (seedEpochView). An image and its live record share one Fields
+// map: the record copies it before its first write after the commit,
+// rollback or recovery (Record.SetField, the only write path), so a
+// field map an image holds is never written. A touched object that is
+// still content-equal to its image is not dirty: it gets no new image,
+// no WAL record and no publication.
 //
 // Structure: one epochStripe per heap stripe. Each stripe holds an
 // atomic pointer to an immutable map[OID] → cell, where a cell is an

@@ -60,7 +60,7 @@ func TestEpochViewPublish(t *testing.T) {
 		t.Fatalf("fresh store epoch = %d, want 0", got)
 	}
 
-	r.Fields["bal"] = value.Int(10)
+	r.SetField("bal", value.Int(10))
 	s.PublishCommitted([]OID{r.OID}, nil)
 	c, ok := s.GetCommitted(r.OID)
 	if !ok || c.Fields["bal"].AsInt() != 10 {
@@ -75,7 +75,7 @@ func TestEpochViewPublish(t *testing.T) {
 
 	// Mutating the live record (an in-flight transaction) must not leak
 	// into the already-published version.
-	r.Fields["bal"] = value.Int(999)
+	r.SetField("bal", value.Int(999))
 	c2, _ := s.GetCommitted(r.OID)
 	if c2.Fields["bal"].AsInt() != 10 {
 		t.Fatalf("live mutation leaked into epoch view: bal=%d", c2.Fields["bal"].AsInt())
@@ -129,7 +129,8 @@ func TestEpochAdvancesOncePerChangingCommit(t *testing.T) {
 	step("first commit of two new objects", 1, commit(both, nil))
 	step("commit that changed nothing", 0, commit(both, nil))
 	step("publish that changed nothing", 0, func() { s.PublishCommitted(both, nil) })
-	a.Fields["bal"], b.Fields["bal"] = value.Int(1), value.Int(1)
+	a.SetField("bal", value.Int(1))
+	b.SetField("bal", value.Int(1))
 	step("commit changing two objects", 1, commit(both, nil))
 	a.Trigger("T").State = 3
 	c := s.Create("acct", nil)
@@ -198,9 +199,9 @@ func TestEpochViewRace(t *testing.T) {
 						return
 					}
 					v := int64(round)
-					r.Fields["a"] = value.Int(v * 7)
-					r.Fields["b"] = value.Int(v * 7)
-					r.Fields["ver"] = value.Int(v)
+					r.SetField("a", value.Int(v*7))
+					r.SetField("b", value.Int(v*7))
+					r.SetField("ver", value.Int(v))
 					// One activation moves per round; the image shares the
 					// other with its predecessor.
 					if round%2 == 0 {

@@ -103,10 +103,11 @@ func (s *Store) fromWire(w *wireRecord) (*Record, error) {
 		return nil, errors.New("store: put frame or snapshot entry carries no record")
 	}
 	l := s.Layout(w.Class)
-	r := &Record{OID: w.OID, Class: w.Class, Fields: make(map[string]value.Value, len(w.Fields)), layout: l}
+	fields := make(map[string]value.Value, len(w.Fields))
 	for name, v := range w.Fields {
-		r.Fields[name] = v.value()
+		fields[name] = v.value()
 	}
+	r := &Record{OID: w.OID, Class: w.Class, Fields: fields, layout: l}
 	for name, wt := range w.Triggers {
 		if wt == nil {
 			continue

@@ -26,6 +26,7 @@ package store
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -118,7 +119,9 @@ func (t *TrigState) equal(u *TrigState) bool {
 		slices.Equal(t.Params(), u.Params()) && slices.Equal(t.Shadow(), u.Shadow())
 }
 
-// Record is the stored representation of one object.
+// Record is the stored representation of one object. A live record and
+// its committed image share one Fields map until the record's next
+// write (see SetField), so Fields is written only through SetField.
 type Record struct {
 	OID    OID
 	Class  string
@@ -131,6 +134,7 @@ type Record struct {
 	Trigs []TrigState
 
 	layout *Layout
+	shared bool // Fields is also an image's or a copy's: SetField copies it first
 }
 
 // Field returns the named field's value; ok is false if the object has
@@ -141,9 +145,21 @@ func (r *Record) Field(name string) (value.Value, bool) {
 	return v, ok
 }
 
-// SetField writes the named field. The caller must hold the object's
-// transaction lock; images (GetCommitted) are never written.
-func (r *Record) SetField(name string, v value.Value) { r.Fields[name] = v }
+// SetField writes the named field: the one write path into a Fields map,
+// and so the write barrier of the map a live record shares with its
+// image. A shared map is copied before the first write that changes it;
+// writing the value a field already holds (==, so a NaN equals itself)
+// writes nothing. The caller must hold the object's transaction lock;
+// images (GetCommitted) are never written.
+func (r *Record) SetField(name string, v value.Value) {
+	if old, ok := r.Fields[name]; ok && old == v {
+		return
+	}
+	if r.shared {
+		r.Fields, r.shared = maps.Clone(r.Fields), false
+	}
+	r.Fields[name] = v
+}
 
 // Slots sizes Trigs to the class layout and returns it, so every slot a
 // registered trigger resolved to is addressable by index. The engine
@@ -200,17 +216,12 @@ func copyTrigs(src []TrigState) []TrigState {
 	return out
 }
 
-// clone deep-copies the record. It is the reference copy: Restore
-// rebuilds a live record from an image with it, Snapshot serves the
-// before-image of an object that has no committed image, and the image
-// tests use it as the oracle for what Record.image shares.
+// clone copies the record's trigger slots and shares its Fields map,
+// marking the copy so that SetField copies the map before writing it:
+// Restore rebuilds a live record from an image with it, and Snapshot
+// serves the before-image of an object that has no committed image.
 func (r *Record) clone() *Record {
-	c := &Record{OID: r.OID, Class: r.Class, layout: r.layout, Trigs: copyTrigs(r.Trigs)}
-	c.Fields = make(map[string]value.Value, len(r.Fields))
-	for k, v := range r.Fields {
-		c.Fields[k] = v
-	}
-	return c
+	return &Record{OID: r.OID, Class: r.Class, Fields: r.Fields, layout: r.layout, Trigs: copyTrigs(r.Trigs), shared: true}
 }
 
 func sameValues(a, b map[string]value.Value) bool {
@@ -246,33 +257,30 @@ func sameTrigs(a, b []TrigState) bool {
 
 // image returns the immutable committed image of r, given prev, the
 // object's previous image (nil if it has none): prev itself when r is
-// content-equal to it, otherwise a new Record that shares with prev the
-// part that did not change — the Fields map or the Trigs slice — and
-// copies the other. Change is detected by comparing content, not by
-// flags at the mutation sites (a missed flag would be silent rollback
-// corruption; a comparison cannot be bypassed). An image shares nothing
-// mutable with the live record: only Params slices, which nobody
-// writes, so nothing a later transaction does to the record can reach
-// it.
+// content-equal to it, otherwise a new Record that shares the Trigs
+// slice with prev if no slot moved, or copies it. Change is detected by
+// comparing content, never by flags (a missed flag would be silent
+// rollback corruption; a comparison cannot be bypassed): a record's
+// map may be shared and still differ from prev's — rolled back to a
+// savepoint's copy, say. The image and r share one Fields map, prev's
+// if its content is r's: r drops its duplicate and is marked shared,
+// so its next write copies the map (SetField) and never reaches the
+// image. Besides it, an image shares with the live record only Params
+// slices, which nobody writes.
 func (r *Record) image(prev *Record) *Record {
-	var pf map[string]value.Value
-	var pt []TrigState
-	if prev != nil {
-		pf, pt = prev.Fields, prev.Trigs
+	fieldsSame := prev != nil && sameValues(r.Fields, prev.Fields)
+	trigsSame := prev != nil && sameTrigs(r.Trigs, prev.Trigs)
+	if fieldsSame {
+		r.Fields = prev.Fields
 	}
-	fieldsSame := prev != nil && sameValues(r.Fields, pf)
-	trigsSame := prev != nil && sameTrigs(r.Trigs, pt)
+	r.shared = true
 	if fieldsSame && trigsSame {
 		return prev
 	}
-	img := &Record{OID: r.OID, Class: r.Class, layout: r.layout, Fields: pf, Trigs: pt}
-	if !fieldsSame {
-		img.Fields = make(map[string]value.Value, len(r.Fields))
-		for k, v := range r.Fields {
-			img.Fields[k] = v
-		}
-	}
-	if !trigsSame {
+	img := &Record{OID: r.OID, Class: r.Class, layout: r.layout, Fields: r.Fields}
+	if trigsSame {
+		img.Trigs = prev.Trigs
+	} else {
 		img.Trigs = copyTrigs(r.Trigs)
 	}
 	return img
@@ -475,7 +483,10 @@ func (s *Store) Delete(oid OID) error {
 	return nil
 }
 
-// Snapshot returns a deep copy of the live record.
+// Snapshot returns a copy of the live record with its own trigger
+// slots. It shares the record's Fields map only if the record already
+// shares it — SetField copies it before the record's next write — and
+// copies it otherwise, so the live record is left as it was.
 func (s *Store) Snapshot(oid OID) (*Record, error) {
 	st := s.stripeOf(oid)
 	st.mu.RLock()
@@ -484,15 +495,21 @@ func (s *Store) Snapshot(oid OID) (*Record, error) {
 	if !ok {
 		return nil, fmt.Errorf("store: no object %d", oid)
 	}
-	return r.clone(), nil
+	c := r.clone()
+	if !r.shared {
+		c.Fields = maps.Clone(r.Fields)
+	}
+	return c, nil
 }
 
 // Restore reinstates a before-image — normally the object's shared
-// committed image, so it is deep-copied, never installed — resurrecting
-// the object if it was deleted in the meantime. live, if not nil, is the
-// record the rolled-back transaction worked on: for each slot the class
-// layout keeps (Layout.Keep) that is active in both, State and Shadow —
-// never Active or Params — are copied from it over the copy. Restore
+// committed image, so it is copied (clone), never installed: the copy
+// gets its own trigger slots and shares the image's Fields map until its
+// first write — resurrecting the object if it was deleted in the
+// meantime. live, if not nil, is the record the rolled-back transaction
+// worked on: for each slot the class layout keeps (Layout.Keep) that is
+// active in both, State and Shadow — never Active or Params — are copied
+// from it over the copy. Restore
 // returns the installed record and whether it kept anything, that is,
 // differs from img; the caller then commits it like any other change
 // before it releases the object's lock.

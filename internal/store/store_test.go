@@ -59,7 +59,7 @@ func TestSnapshotRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Mutate the live record; the snapshot must be unaffected.
-	r.Fields["balance"] = value.Int(0)
+	r.SetField("balance", value.Int(0))
 	r.Trigger("t1").State = 9
 	if !img.Fields["balance"].Equal(value.Int(100)) || img.Trigger("t1").State != 3 {
 		t.Fatal("snapshot aliases live record")
@@ -99,7 +99,7 @@ func TestDurabilityAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Second transaction updates a and deletes b.
-	a.Fields["balance"] = value.Int(70)
+	a.SetField("balance", value.Int(70))
 	s.Delete(b.OID)
 	if err := s.LogCommit(2, []OID{a.OID}, []OID{b.OID}, nil); err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestCheckpointTruncatesWAL(t *testing.T) {
 	}
 	// A post-checkpoint commit lands in the fresh WAL and both layers
 	// recover together.
-	ra.Fields["v"] = value.Int(6)
+	ra.SetField("v", value.Int(6))
 	s2.LogCommit(2, []OID{a.OID}, nil, nil)
 	s2.Close()
 	s3, err := Open(dir)
@@ -240,11 +240,14 @@ func TestTrigStateIs16Bytes(t *testing.T) {
 }
 
 // TestBytesPerObject pins what one committed object keeps resident: the
-// live record and its image, each a Record, a one-field map and three
-// trigger slots, plus the heap and epoch index entries — the per-object
-// figure a fleet's heap is made of (DESIGN.md §9).
+// live record and its image, each a Record and three trigger slots, the
+// one-field map they share, plus the heap and epoch index entries — the
+// per-object figure a fleet's heap is made of (DESIGN.md §9). It holds
+// after the first commit, after every object was written once (the
+// write copies the map, the commit drops the old image's) and after a
+// commit that wrote nothing.
 func TestBytesPerObject(t *testing.T) {
-	const n, budget = 10000, 1434 // 1.4 KiB
+	const n, budget = 10000, 900
 	heap := func() uint64 {
 		runtime.GC()
 		var m runtime.MemStats
@@ -261,15 +264,27 @@ func TestBytesPerObject(t *testing.T) {
 		}
 		oids[i] = r.OID
 	}
-	if err := s.Commit(1, s.touchedOf(oids), nil, nil); err != nil {
-		t.Fatal(err)
+	commit := func(txID uint64, phase string) {
+		if err := s.Commit(txID, s.touchedOf(oids), nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		per := float64(heap()-before) / n
+		t.Logf("%s: %.0f bytes per committed object", phase, per)
+		if per > budget {
+			t.Errorf("%s: a committed one-field, three-trigger object keeps %.0f bytes, budget %d", phase, per, budget)
+		}
 	}
-	per := float64(heap()-before) / n
+	commit(1, "created")
+	for i, oid := range oids {
+		r, err := s.Get(oid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.SetField("v", value.Int(int64(n+i)))
+	}
+	commit(2, "written once")
+	commit(3, "no write")
 	runtime.KeepAlive(s)
-	t.Logf("%.0f bytes per committed object", per)
-	if per > budget {
-		t.Fatalf("a committed one-field, three-trigger object keeps %.0f bytes, budget %d", per, budget)
-	}
 }
 
 // TestNaNFieldIsNotPerpetuallyDirty: change is detected by comparing

@@ -2,6 +2,7 @@ package txn
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -132,14 +133,17 @@ func TestDeleteAfterStepResurrectsOnAbort(t *testing.T) {
 }
 
 // The differential image test: scripts of the mutations the engine
-// performs on records (field Set, automaton step, Activate, re-Activate,
-// Deactivate, Delete, create) run as transactions that commit or abort,
-// in both concurrency modes, against a deep-clone oracle
-// (Store.Snapshot, i.e. Record.clone — what every access and every
-// publication used to copy).
+// performs on records (field Set, a Set of the value a field holds,
+// automaton step, Activate, re-Activate, Deactivate, Delete, create, an
+// outcome phase rolled back to its savepoint) run as transactions that
+// commit or abort, in both concurrency modes, against a copy oracle
+// (Store.Snapshot — what every access and every publication used to
+// copy). Every image is fingerprinted when it is published and
+// re-checked after every later transaction: a live record shares its
+// Fields map with its image, and no write may ever reach the image.
 
 type imgOp struct {
-	kind string // set, step, activate, deactivate, delete, create, touch
+	kind string // set, same, step, activate, deactivate, delete, create, touch, outcome
 	obj  int    // index into the script's live objects (modulo their count)
 	arg  int
 }
@@ -189,8 +193,8 @@ type imgHarness struct {
 	t    *testing.T
 	m    *Manager
 	live []store.OID
-	// kept are images fetched earlier with their fingerprints at the
-	// time: sharing must never let a later commit reach them.
+	// kept are the images published so far with their fingerprints at
+	// publication: sharing must never let a later transaction reach them.
 	kept map[*store.Record]string
 }
 
@@ -245,6 +249,10 @@ func (h *imgHarness) apply(tx *Tx, op imgOp, created *[]store.OID, deleted, touc
 	case "touch":
 	case "set":
 		rec.SetField("balance", value.Int(int64(op.arg%4))) // small range: writes often restore the old value
+	case "same": // writes nothing: the map a record shares with its image stays shared
+		if v, ok := rec.Field("balance"); ok {
+			rec.SetField("balance", v)
+		}
 	case "step":
 		if a := rec.Trigger(name); a.Active {
 			a.State = int32(op.arg % 3)
@@ -269,7 +277,45 @@ func (h *imgHarness) apply(tx *Tx, op imgOp, created *[]store.OID, deleted, touc
 	}
 }
 
-// rolledBack is the oracle of an abort: before, the deep copy of the
+// outcome runs an outcome phase on tx, sealed at once, whose ops write a
+// field, write the value a field holds and step a trigger the layout
+// does not keep, on two objects, then delete an object and create one;
+// it rolls the phase back: every object must be as it stood at the
+// savepoint, and the phase's first accesses, deletions and creations
+// are forgotten.
+func (h *imgHarness) outcome(tx *Tx, op imgOp, created *[]store.OID, deleted, touched map[store.OID]bool, recs map[store.OID]*store.Record) {
+	t, st := h.t, h.m.Store()
+	at := map[store.OID]string{}
+	for _, oid := range append(append([]store.OID(nil), h.live...), *created...) {
+		if rec, err := st.Get(oid); err == nil {
+			at[oid] = fingerprint(rec)
+		}
+	}
+	nCreated, wasDeleted, wasTouched := len(*created), maps.Clone(deleted), maps.Clone(touched)
+	if err := tx.BeginOutcome(); err != nil {
+		t.Fatal(err)
+	}
+	tx.Seal()
+	for i, kind := range []string{"set", "same", "step", "set", "step", "delete", "create"} {
+		arg := 3*(op.arg+i) + 2*(i%2) // triggers A and C, never the kept B
+		h.apply(tx, imgOp{kind: kind, obj: op.obj + i/3, arg: arg}, created, deleted, touched, recs)
+	}
+	tx.Rollback()
+	*created = (*created)[:nCreated]
+	maps.DeleteFunc(deleted, func(oid store.OID, _ bool) bool { return !wasDeleted[oid] })
+	maps.DeleteFunc(touched, func(oid store.OID, _ bool) bool { return !wasTouched[oid] })
+	for oid, want := range at {
+		rec, err := st.Get(oid)
+		if err != nil {
+			t.Fatalf("object %d gone after the outcome rollback: %v", oid, err)
+		}
+		if got := fingerprint(rec); got != want {
+			t.Fatalf("object %d after the outcome rollback:\n got %s\nwant %s", oid, got, want)
+		}
+	}
+}
+
+// rolledBack is the oracle of an abort: before, the copy of the
 // object taken before the transaction, with State and Shadow of the kept
 // slot taken from rec, the record the transaction worked on (nil if it
 // never accessed the object), if the slot is active in both. It reports
@@ -291,7 +337,8 @@ func rolledBack(before, rec *store.Record) (*store.Record, bool) {
 	return before, true
 }
 
-// deepClone is the oracle: Record.clone of the live record.
+// deepClone is the oracle: Store.Snapshot of the live record, a copy
+// with its own trigger slots whose Fields map nothing writes.
 func (h *imgHarness) deepClone(id store.OID) *store.Record {
 	r, err := h.m.Store().Snapshot(id)
 	if err != nil {
@@ -300,16 +347,30 @@ func (h *imgHarness) deepClone(id store.OID) *store.Record {
 	return r
 }
 
+// run runs one transaction, checks it, fingerprints the images it
+// published and re-checks every image published so far.
 func (h *imgHarness) run(x imgTx) {
+	h.t.Helper()
+	h.runTx(x)
+	for _, oid := range h.live {
+		if img, ok := h.m.Store().GetCommitted(oid); ok {
+			if _, seen := h.kept[img]; !seen {
+				h.kept[img] = fingerprint(img)
+			}
+		}
+	}
+	h.recheck()
+}
+
+func (h *imgHarness) runTx(x imgTx) {
 	t, st := h.t, h.m.Store()
 	t.Helper()
-	before := map[store.OID]*store.Record{} // deep copies
+	before := map[store.OID]*store.Record{} // copies
 	prevImg := map[store.OID]*store.Record{}
 	for _, oid := range h.live {
 		before[oid] = h.deepClone(oid)
 		if img, ok := st.GetCommitted(oid); ok {
 			prevImg[oid] = img
-			h.kept[img] = fingerprint(img)
 		}
 	}
 	epoch := st.Epoch()
@@ -319,6 +380,10 @@ func (h *imgHarness) run(x imgTx) {
 	deleted, touched := map[store.OID]bool{}, map[store.OID]bool{}
 	recs := map[store.OID]*store.Record{}
 	for _, op := range x.ops {
+		if op.kind == "outcome" {
+			h.outcome(tx, op, &created, deleted, touched, recs)
+			continue
+		}
 		h.apply(tx, op, &created, deleted, touched, recs)
 	}
 
@@ -406,8 +471,8 @@ func (h *imgHarness) run(x imgTx) {
 	}
 }
 
-// finish proves no image handed out earlier was ever written again.
-func (h *imgHarness) finish() {
+// recheck proves no image published earlier was ever written again.
+func (h *imgHarness) recheck() {
 	for img, fp := range h.kept {
 		if got := fingerprint(img); got != fp {
 			h.t.Fatalf("image of object %d mutated after publication:\n was %s\n now %s", img.OID, fp, got)
@@ -473,6 +538,19 @@ func TestImageDifferential(t *testing.T) {
 			{commit: true, ops: []imgOp{{kind: "set", obj: 1, arg: 2}}},
 			{commit: true, ops: []imgOp{{kind: "set", obj: 1, arg: 3}, {kind: "set", obj: 1, arg: 2}}},
 		},
+		"a write of the value a field holds writes nothing": {
+			{commit: true, ops: []imgOp{{kind: "same", obj: 1}}},
+			{commit: true, ops: []imgOp{{kind: "set", obj: 1, arg: 1}, {kind: "same", obj: 1}}},
+			{ops: []imgOp{{kind: "same", obj: 2}, {kind: "set", obj: 2, arg: 3}}},
+		},
+		"outcome phase rolled back to its savepoint": {
+			// The transaction's own write comes first: the savepoint's copy
+			// shares the written map, which is not the committed image's.
+			{commit: true, ops: []imgOp{{kind: "set", obj: 1, arg: 3}, {kind: "outcome", obj: 1, arg: 2}}},
+			{ops: []imgOp{{kind: "set", obj: 2, arg: 1}, {kind: "outcome", obj: 2, arg: 2}, {kind: "step", obj: 1, arg: 5}}},
+			{commit: true, ops: []imgOp{{kind: "outcome", obj: 0, arg: 1}}}, // the bare object first accessed in the phase
+			{commit: true, ops: []imgOp{{kind: "create", arg: 2}, {kind: "outcome", obj: 3, arg: 4}, {kind: "set", obj: 3, arg: 1}}},
+		},
 		"re-activation with equal parameters but a new history": {
 			// Same State, same len(Shadow), equal Params — only the
 			// history's content tells the two incarnations apart.
@@ -514,7 +592,7 @@ func TestImageDifferential(t *testing.T) {
 			{commit: true, ops: []imgOp{{kind: "delete", obj: 1}}},
 		},
 	}
-	kinds := []string{"set", "set", "step", "step", "step", "activate", "reactivate", "grow", "deactivate", "touch", "touch", "delete", "create"}
+	kinds := []string{"set", "set", "same", "step", "step", "step", "activate", "reactivate", "grow", "deactivate", "touch", "touch", "delete", "create", "outcome"}
 	for _, single := range []bool{false, true} {
 		for name, script := range table {
 			t.Run(fmt.Sprintf("single=%v/%s", single, name), func(t *testing.T) {
@@ -522,7 +600,6 @@ func TestImageDifferential(t *testing.T) {
 				for _, x := range script {
 					h.run(x)
 				}
-				h.finish()
 			})
 		}
 		for seed := int64(1); seed <= 20; seed++ {
@@ -536,7 +613,6 @@ func TestImageDifferential(t *testing.T) {
 					}
 					h.run(x)
 				}
-				h.finish()
 			})
 		}
 	}

@@ -222,14 +222,14 @@ func (tx *Tx) setState(s State) {
 // because even reads advance committed-view trigger state stored in
 // the record. The image invariant makes it free: an object no active
 // transaction holds is content-equal to its committed image in the
-// store's epoch view — Commit publishes before it releases locks,
-// rollback restores from the image, recovery seeds the view — so the
-// before-image is a pointer to that shared immutable image, the deep
-// copy back into the heap is paid only by the rare rollback
-// (Store.Restore), and Commit hands the store the same (record, image)
-// pair to build the next image from. Only an object that was never
-// committed — created by a bare Store.Create outside any transaction —
-// is deep-copied (snaps).
+// store's epoch view and shares the image's Fields map until its next
+// write — so the before-image is a pointer to that immutable image, a
+// rollback (Store.Restore) copies only its trigger slots back into the
+// heap, and Commit hands the store the same (record, image) pair to
+// build the next image from. Only an object that was never committed —
+// created by a bare Store.Create outside any transaction — is copied
+// (snaps). Fields are written only through Record.SetField, which copies
+// a shared map first, so no write through rec reaches an image.
 func (tx *Tx) Access(oid store.OID) (rec *store.Record, first bool, err error) {
 	if tx.State() != Active {
 		return nil, false, ErrNotActive

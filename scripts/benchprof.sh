@@ -13,7 +13,9 @@
 # moment, after a runtime.GC(). It gives two listings: objects allocated
 # (what allocs_per_happening counts) and resident bytes by allocation
 # site (-sample_index=inuse_space — the one tool that attributes
-# heap_mb_end, an end-to-end metric, to code). FOCUS restricts the CPU
+# heap_mb_end, an end-to-end metric, to code), the latter flat and then
+# cumulative: a site inside a generic helper (maps.clone, say) is named
+# flat, and its caller (store.(*Record).SetField) only cumulatively. FOCUS restricts the CPU
 # and allocated-objects listings to stacks through a function. By
 # default that is the engine (FOCUS='engine\.') for the two volatile
 # workloads, single_masked and timer_storm, which run no partition, and
@@ -30,7 +32,7 @@
 set -euo pipefail
 
 if [ $# -lt 1 ]; then
-	sed -n '2,29p' "$0" >&2
+	sed -n '2,31p' "$0" >&2
 	exit 2
 fi
 workload="$1" seconds="${2:-10}"
@@ -59,6 +61,8 @@ echo "== allocated objects, cumulative${focus:+, stacks through $focus}"
 top -sample_index=alloc_objects "$work/odebench" "$work/allocs.pprof"
 echo "== resident bytes by allocation site (after a GC), flat"
 go tool pprof -top -nodecount=25 -sample_index=inuse_space "$work/odebench" "$work/allocs.pprof" 2>/dev/null
+echo "== resident bytes by allocation site (after a GC), cumulative"
+go tool pprof -top -cum -nodecount=35 -sample_index=inuse_space "$work/odebench" "$work/allocs.pprof" 2>/dev/null
 if [ -n "${LIST:-}" ]; then
 	echo "== allocated objects by line, functions matching $LIST"
 	go tool pprof -list="$LIST" -sample_index=alloc_objects "$work/odebench" "$work/allocs.pprof" 2>/dev/null
