@@ -21,17 +21,19 @@ race:
 	$(GO) test -race ./internal/engine/ ./internal/obs/ ./internal/txn/ ./internal/store/ ./internal/part/ ./internal/egress/
 
 # Short fuzz smoke over the event-language and mask parsers, the egress
-# record codec, the delivery cursor file and the store's WAL and snapshot
+# record codec, the delivery cursor file, the store's WAL and snapshot
 # decoders (whose inputs are whole files, so minimizing a find is capped
 # at 2 s; they take arbitrary bytes unfiltered — every count is checked
-# against the bytes that remain, see DESIGN.md §17). Longer campaigns
-# (nightly.yml runs the three file targets for 5 min each):
+# against the bytes that remain, see DESIGN.md §17) and the provenance
+# journal's operation scripts. Longer campaigns (nightly.yml runs the
+# three file targets and the journal for 5 min each):
 # go test -fuzz FuzzParseEvent ./internal/evlang/
 # go test -fuzz FuzzParseMask ./internal/mask/
 # go test -fuzz FuzzRecordCodec ./internal/egress/
 # go test -fuzz FuzzCursorFile ./internal/egress/
 # go test -fuzz FuzzWALFrames ./internal/store/
 # go test -fuzz FuzzSnapshot ./internal/store/
+# go test -fuzz FuzzProvJournal ./internal/obs/
 fuzz:
 	$(GO) test -fuzz FuzzParseEvent -fuzztime 5s -run '^$$' ./internal/evlang/
 	$(GO) test -fuzz FuzzParseMask -fuzztime 5s -run '^$$' ./internal/mask/
@@ -39,6 +41,7 @@ fuzz:
 	$(GO) test -fuzz FuzzCursorFile -fuzztime 5s -fuzzminimizetime 2s -run '^$$' ./internal/egress/
 	$(GO) test -fuzz FuzzWALFrames -fuzztime 5s -fuzzminimizetime 2s -run '^$$' ./internal/store/
 	$(GO) test -fuzz FuzzSnapshot -fuzztime 5s -fuzzminimizetime 2s -run '^$$' ./internal/store/
+	$(GO) test -fuzz FuzzProvJournal -fuzztime 5s -run '^$$' ./internal/obs/
 
 # Deterministic-simulation smoke (the CI sim-short job): single-engine
 # seeded runs, the multi-partition scripts (per-partition WAL faults,

@@ -150,7 +150,7 @@ func TestQueryHistoryRootErrors(t *testing.T) {
 // — firing provenance and the always-on flight recorder — through the
 // public facade, including the Options knobs.
 func TestExplainAndFlightThroughRootAPI(t *testing.T) {
-	db, err := ode.Open(ode.Options{FlightBuffer: 128, ProvenanceDepth: 8})
+	db, err := ode.Open(ode.Options{FlightBuffer: 128, ProvenanceBytes: 64 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}

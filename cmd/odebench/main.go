@@ -461,7 +461,7 @@ func e15(seed int64, out string) error {
 	}
 	// The zero-alloc posting guarantee rides along, as in E13: rerun
 	// E12 so the JSON shows the hot path did not regress under the
-	// always-on flight recorder and provenance rings.
+	// always-on flight recorder and provenance journals.
 	hot, err := workload.RunE12(20000)
 	if err != nil {
 		return err

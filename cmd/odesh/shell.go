@@ -655,13 +655,19 @@ func (sh *shell) why(rest string) error {
 	}
 	fmt.Fprintf(sh.out, "%s.%s at @%d: %s; state=%d active=%v\n",
 		ex.Class, ex.Trigger, ex.OID, status, ex.State, ex.Active)
-	if len(ex.Steps) == 0 {
+	switch {
+	case len(ex.Steps) == 0 && ex.Truncated:
+		fmt.Fprintln(sh.out, "  history cut at the journal's tail: no transition since activation retained")
+		return nil
+	case len(ex.Steps) == 0:
 		fmt.Fprintln(sh.out, "  no transitions recorded since activation")
 		return nil
-	}
-	if !ex.Complete {
-		fmt.Fprintf(sh.out, "  (chain truncated: ring holds %d of %d transitions)\n",
-			len(ex.Steps), ex.TotalSteps)
+	case ex.Complete:
+	case ex.Truncated && ex.Steps[0].Seq == 1:
+		fmt.Fprintf(sh.out, "  (history cut at the journal's tail: the chain starts at the oldest of %d retained transitions)\n",
+			ex.TotalSteps)
+	default:
+		fmt.Fprintf(sh.out, "  (chain broken by a rollback before step %d of %d)\n", ex.Steps[0].Seq, ex.TotalSteps)
 	}
 	for _, s := range ex.Steps {
 		fmt.Fprintf(sh.out, "  %4d  %-24s tx=%d %d→%d", s.Seq, s.Kind, s.TxID, s.From, s.To)

@@ -165,7 +165,8 @@ func TestShellTraceUsage(t *testing.T) {
 }
 
 // TestShellWhy: the .why command renders a fired trigger's provenance
-// chain, and an unfired one's partial state.
+// chain, an unfired one's partial state, and tells a chain broken by a
+// rollback from a history cut at the journal's tail.
 func TestShellWhy(t *testing.T) {
 	out := runScript(t,
 		"defclass account balance:int=1000",
@@ -202,6 +203,41 @@ func TestShellWhy(t *testing.T) {
 	if strings.Contains(out, "error:") {
 		t.Fatalf("script raised errors:\n%s", out)
 	}
+	// A chain that an aborted transaction's residue breaks, and one whose
+	// start the journal has overwritten, say which they are.
+	out = runScript(t,
+		"defclass account balance:int=1000",
+		"defmethod account deposit update a:int",
+		"defmethod account withdraw update a:int",
+		"deftrigger account Three(): relative(after deposit, after withdraw, after deposit) ==> print",
+		"register account",
+		"new account",
+		"activate @1 Three",
+		"call @1 deposit 1",
+		"begin", "call @1 withdraw 1", "abort",
+		"call @1 withdraw 2",
+		"call @1 deposit 3",
+		".why @1 Three",
+	)
+	if !strings.Contains(out, "chain broken by a rollback before step 3 of 4") || strings.Contains(out, "journal's tail") {
+		t.Fatalf("rollback-broken chain:\n%s", out)
+	}
+	lines := []string{
+		"defclass account balance:int=1000",
+		"defmethod account deposit update a:int",
+		"deftrigger account Fresh(): perpetual after deposit ==> print",
+		"register account",
+		"new account",
+		"activate @1 Fresh",
+	}
+	for i := 0; i < 2000; i++ { // more than the object's journal holds
+		lines = append(lines, "call @1 deposit 1")
+	}
+	out = runScript(t, append(lines, ".why @1 Fresh")...)
+	if !strings.Contains(out, "history cut at the journal's tail: the chain starts at the oldest of") || strings.Contains(out, "rollback") {
+		t.Fatalf("history past the journal's bound:\n%s", out[max(0, len(out)-400):])
+	}
+
 	// Usage and unknown-trigger errors surface as shell errors.
 	out = runScript(t, ".why @1", ".why @1 NoSuch")
 	if c := strings.Count(out, "error:"); c != 2 {

@@ -131,9 +131,9 @@ func PromExtras(s Stats) []obs.PromMetric {
 		{Name: "ode_engine_shadow_checks_total", Help: "Shadow-oracle cross-checks performed.", Value: float64(s.ShadowChecks)},
 		{Name: "ode_engine_faults_injected_total", Help: "Failures fired by the fault-injection registry.", Value: float64(s.FaultsInjected)},
 		{Name: "ode_engine_flight_events_total", Help: "Events captured by the flight recorder.", Value: float64(s.FlightEvents)},
-		{Name: "ode_engine_provenance_steps_total", Help: "Transitions appended to firing-provenance rings.", Value: float64(s.ProvenanceSteps)},
-		{Name: "ode_engine_provenance_rings", Help: "Trigger instances holding a firing-provenance buffer.", Type: "gauge", Value: float64(s.ProvRings)},
-		{Name: "ode_engine_provenance_bytes", Help: "Bytes of firing-provenance buffers resident.", Type: "gauge", Value: float64(s.ProvBytes)},
+		{Name: "ode_engine_provenance_steps_total", Help: "Transitions appended to the firing-provenance journals.", Value: float64(s.ProvenanceSteps)},
+		{Name: "ode_engine_provenance_objects", Help: "Objects with a firing-provenance head.", Type: "gauge", Value: float64(s.ProvObjects)},
+		{Name: "ode_engine_provenance_bytes", Help: "Bytes of firing-provenance journals resident.", Type: "gauge", Value: float64(s.ProvBytes)},
 		{Name: "ode_engine_automaton_triggers", Help: "Registered triggers stepping a compact table.", Type: "gauge", Value: float64(s.AutomatonTriggers)},
 		{Name: "ode_engine_automaton_tables", Help: "Distinct hash-consed automaton tables resident.", Type: "gauge", Value: float64(s.AutomatonTables)},
 		{Name: "ode_engine_automaton_table_bytes", Help: "Resident automaton table bytes.", Type: "gauge", Value: float64(s.AutomatonTableBytes)},

@@ -11,6 +11,7 @@ import (
 
 	"ode/internal/obs"
 	"ode/internal/schema"
+	"ode/internal/store"
 	"ode/internal/value"
 )
 
@@ -55,7 +56,7 @@ func debugGetBody(t *testing.T, srv *httptest.Server, path string) (int, string,
 // TestDebugWhyEndpoint: /debug/why returns the firing provenance as
 // JSON with the documented shape.
 func TestDebugWhyEndpoint(t *testing.T) {
-	_, srv, oid := debugObsServer(t)
+	e, srv, oid := debugObsServer(t)
 
 	var ex Explanation
 	debugGet(t, srv, "/debug/why?trigger=Audit&oid="+strconv.FormatUint(oid, 10), &ex)
@@ -69,6 +70,29 @@ func TestDebugWhyEndpoint(t *testing.T) {
 		if s.Seq == 0 || s.AtNs == 0 {
 			t.Fatalf("step missing seq/timestamp: %+v", s)
 		}
+	}
+	var raw map[string]any
+	debugGet(t, srv, "/debug/why?trigger=Audit&oid="+strconv.FormatUint(oid, 10), &raw)
+	if cut, ok := raw["truncated"]; !ok || cut != false {
+		t.Fatalf("truncated = %v (present %v), want false", cut, ok)
+	}
+
+	// More steps than the object's shard holds: the answer says where the
+	// history was cut.
+	cells := obs.DefaultProvenanceBytes >> provShardBits / obs.ProvCellBytes
+	if err := e.Transact(func(tx *Tx) error {
+		for i := 0; i <= cells; i++ {
+			if _, err := tx.Call(store.OID(oid), "deposit", value.Int(1)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	debugGet(t, srv, "/debug/why?trigger=AnyDep&oid="+strconv.FormatUint(oid, 10), &ex)
+	if !ex.Truncated || !ex.Fired || len(ex.Steps) == 0 || len(ex.Steps) > cells || ex.Steps[0].Seq != 1 {
+		t.Fatalf("explanation past the bound: truncated=%v fired=%v with %d steps", ex.Truncated, ex.Fired, len(ex.Steps))
 	}
 
 	// Error shapes: missing params 400, unknown trigger 404.
@@ -256,7 +280,7 @@ func TestExpvarMetricsConsistency(t *testing.T) {
 		"ode_engine_firings_total":          s.Firings,
 		"ode_engine_flight_events_total":    s.FlightEvents,
 		"ode_engine_provenance_steps_total": s.ProvenanceSteps,
-		"ode_engine_provenance_rings":       s.ProvRings,
+		"ode_engine_provenance_objects":     s.ProvObjects,
 		"ode_engine_provenance_bytes":       s.ProvBytes,
 		"ode_engine_automaton_triggers":     s.AutomatonTriggers,
 		"ode_engine_automaton_tables":       s.AutomatonTables,
@@ -269,7 +293,7 @@ func TestExpvarMetricsConsistency(t *testing.T) {
 			t.Fatalf("%s: /debug/metrics says %g, /debug/vars says %d", name, got, want)
 		}
 	}
-	if s.ProvRings == 0 || s.ProvBytes < s.ProvRings*obs.ProvCellBytes {
-		t.Fatalf("the fired instance should hold provenance: %d rings, %d bytes", s.ProvRings, s.ProvBytes)
+	if s.ProvObjects == 0 || s.ProvBytes == 0 || s.ProvBytes > obs.DefaultProvenanceBytes {
+		t.Fatalf("the fired instance should hold provenance: %d heads, %d bytes", s.ProvObjects, s.ProvBytes)
 	}
 }

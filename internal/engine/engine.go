@@ -121,10 +121,12 @@ type Options struct {
 	// cannot be disabled — its record path is a handful of atomic
 	// stores, cheap enough to leave on permanently.
 	FlightBuffer int
-	// ProvenanceDepth sets the per-(object, trigger) firing-provenance
-	// ring depth (0 picks obs.DefaultProvDepth; < 0 disables provenance
-	// capture entirely).
-	ProvenanceDepth int
+	// ProvenanceBytes bounds the engine's firing-provenance journals,
+	// which keep the most recent transitions of all its trigger
+	// instances and overwrite the oldest (0 picks
+	// obs.DefaultProvenanceBytes, at least one 48-byte cell for each of
+	// the 64 shards is kept; < 0 disables provenance capture).
+	ProvenanceBytes int
 	// OIDBase and OIDStride restrict this engine's OID allocation to an
 	// arithmetic progression (see store.Options): partition p of N runs
 	// with base p+1, stride N, so partitions allocate disjoint OID sets
@@ -200,14 +202,13 @@ type Engine struct {
 	// load); metrics, the flight recorder and firing provenance are
 	// always on. names interns class/trigger/kind strings to the
 	// uint16 IDs the flight recorder stores.
-	traceBox  atomic.Pointer[tracerBox]
-	metrics   *obs.Registry
-	flight    *obs.Flight
-	names     *obs.Interner
-	txUserID  uint16 // interned "user" / "system" for tx flight records
-	txSysID   uint16
-	prov      provTable
-	provDepth int // < 0 disables provenance capture
+	traceBox atomic.Pointer[tracerBox]
+	metrics  *obs.Registry
+	flight   *obs.Flight
+	names    *obs.Interner
+	txUserID uint16 // interned "user" / "system" for tx flight records
+	txSysID  uint16
+	prov     provTable
 
 	debugMu    sync.Mutex
 	debugSrvs  []*http.Server
@@ -313,13 +314,13 @@ func New(opts Options) (*Engine, error) {
 		faults:       opts.Faults,
 		metrics:      obs.NewRegistry(),
 		names:        obs.NewInterner(),
-		provDepth:    opts.ProvenanceDepth,
 		partition:    opts.Partition,
 	}
 	if opts.SingleWriter {
 		e.txm.SetSingleWriter(true)
 	}
 	e.flight = obs.NewFlight(opts.FlightBuffer, e.names)
+	e.prov.init(opts.ProvenanceBytes)
 	e.txUserID = e.names.Intern("user")
 	e.txSysID = e.names.Intern("system")
 	if !e.egressOff {

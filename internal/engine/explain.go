@@ -8,96 +8,100 @@ import (
 	"ode/internal/store"
 )
 
-// Firing provenance: each trigger instance that has recorded a
-// state-changing (or accepting) automaton transition keeps a small ring
-// of them, reset whenever the instance is re-activated. Non-accepting
-// self-loops — the vast majority of steps under the masked non-firing
-// workload — append nothing, so an instance that never moved has no ring
-// at all, a ring's few dozen cells span a long happening history, and
+// Firing provenance: each provenance shard keeps one bounded journal
+// (obs.ProvJournal) of the state-changing (or accepting) automaton
+// transitions of its objects, with one head per object that has moved
+// and a reset marker wherever an instance was re-activated.
+// Non-accepting self-loops — the vast majority of steps under the
+// masked non-firing workload — append nothing, so an object that never
+// moved has no head, the journal spans a long happening history, and
 // the hot path pays one branch. Explain walks the retained steps
 // backward along matching from/to states to reconstruct the exact
 // happening sequence that drove the automaton from its start state to
 // acceptance.
 
-// provShards fixes the table's shard count; objects hash by OID, the
-// same unit the lock manager serializes on.
-const provShards = 64
+// provShardBits fixes the table's shard count at 64.
+const provShardBits = 6
 
 type provTable struct {
-	shards [provShards]provShard
+	shards [1 << provShardBits]provShard
+	off    bool // provenance capture disabled
 }
 
-// provShard maps an object to its rings by trigger slot (nil where the
-// instance has recorded nothing). Rings are not persisted; an entry
-// lives until its object's deletion commits.
+// provShard is one journal and the mutex that serializes it. Journals
+// are not persisted; a head lives until its object's deletion commits.
 type provShard struct {
 	mu sync.Mutex
-	m  map[store.OID][]*obs.ProvRing
+	j  *obs.ProvJournal
 }
 
+// init gives each shard 1/64 of the engine's bound (0: the default; at
+// least one cell a shard) or, for a negative bound, turns capture off.
+func (p *provTable) init(bytes int) {
+	if p.off = bytes < 0; p.off {
+		return
+	}
+	if bytes == 0 {
+		bytes = obs.DefaultProvenanceBytes
+	}
+	for i := range p.shards {
+		p.shards[i].j = obs.NewProvJournal(bytes >> provShardBits)
+	}
+}
+
+// provShardOf picks oid's shard by a multiplicative hash: partitions
+// allocate OIDs with a stride, and a plain residue would leave all but
+// 1/stride of the shards empty.
 func (e *Engine) provShardOf(oid store.OID) *provShard {
-	return &e.prov.shards[uint64(oid)%provShards]
+	return &e.prov.shards[uint64(oid)*0x9E3779B97F4A7C15>>(64-provShardBits)]
 }
 
-// provAppend records one step of the instance in rec's slot and reports
+// provAppend records one step of oid's instance in slot and reports
 // whether provenance is on. The caller holds the object's transaction
-// lock and has sized rec to its layout. A state change costs one
-// integer-keyed probe under the shard mutex plus the ring's own append;
-// the instance's first recorded step allocates its ring (and the
-// object's first, its table entry), and the ring's buffer then grows
-// with its history (obs.ProvRing).
-func (e *Engine) provAppend(rec *store.Record, slot int, s obs.ProvStep) bool {
-	if e.provDepth < 0 {
+// lock. A state change costs two integer-keyed map operations under the
+// shard mutex and one cell write.
+func (e *Engine) provAppend(oid store.OID, slot int, s obs.ProvStep) bool {
+	if e.prov.off {
 		return false
 	}
-	sh := e.provShardOf(rec.OID)
+	sh := e.provShardOf(oid)
 	sh.mu.Lock()
-	rings := sh.m[rec.OID]
-	if slot >= len(rings) {
-		rings = append(rings, make([]*obs.ProvRing, len(rec.Trigs)-len(rings))...)
-		if sh.m == nil {
-			sh.m = map[store.OID][]*obs.ProvRing{}
-		}
-		sh.m[rec.OID] = rings
-	}
-	r := rings[slot]
-	if r == nil {
-		r = obs.NewProvRing(e.provDepth)
-		rings[slot] = r
-		e.stats.provRings.Add(1)
-	}
+	sh.j.Append(uint64(oid), slot, s)
 	sh.mu.Unlock()
-	if grew := r.Append(s); grew != 0 {
-		e.stats.provBytes.Add(int64(grew))
-	}
 	return true
 }
 
-// provLookup returns the ring of the instance in oid's slot, nil if it
-// has recorded nothing.
-func (e *Engine) provLookup(oid store.OID, slot int) *obs.ProvRing {
-	sh := e.provShardOf(oid)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if rings := sh.m[oid]; slot < len(rings) {
-		return rings[slot]
+// provReset marks the restart of oid's instance in slot, and provDrop
+// forgets the provenance of an object that no longer exists.
+func (e *Engine) provReset(oid store.OID, slot int) {
+	if !e.prov.off {
+		sh := e.provShardOf(oid)
+		sh.mu.Lock()
+		sh.j.Reset(uint64(oid), slot)
+		sh.mu.Unlock()
 	}
-	return nil
 }
 
-// provDrop frees the provenance of an object that no longer exists.
 func (e *Engine) provDrop(oid store.OID) {
-	sh := e.provShardOf(oid)
-	sh.mu.Lock()
-	rings := sh.m[oid]
-	delete(sh.m, oid)
-	sh.mu.Unlock()
-	for _, r := range rings {
-		if r != nil {
-			e.stats.provRings.Add(-1)
-			e.stats.provBytes.Add(-int64(r.Bytes()))
+	if !e.prov.off {
+		sh := e.provShardOf(oid)
+		sh.mu.Lock()
+		sh.j.Drop(uint64(oid))
+		sh.mu.Unlock()
+	}
+}
+
+// gauges sums the objects with a head and the resident bytes over
+// the journals.
+func (p *provTable) gauges() (objects, bytes uint64) {
+	for i := range p.shards {
+		if sh := &p.shards[i]; sh.j != nil {
+			sh.mu.Lock()
+			objects, bytes = objects+uint64(sh.j.Objects()), bytes+uint64(sh.j.Bytes())
+			sh.mu.Unlock()
 		}
 	}
+	return objects, bytes
 }
 
 // Explanation answers "why did (or didn't) trigger T fire on object
@@ -116,15 +120,18 @@ type Explanation struct {
 	// chain then ends at that firing.
 	Fired bool `json:"fired"`
 	// Complete reports whether the chain reaches back to the start
-	// state — false when the ring has already evicted the oldest
-	// contributing steps.
+	// state.
 	Complete bool `json:"complete"`
+	// Truncated reports that the journal has overwritten the oldest
+	// steps of the instance's history since its activation: Steps, Seq
+	// and TotalSteps then begin at the journal's tail.
+	Truncated bool `json:"truncated"`
 	// Steps is the contributing happening sequence in order: each step
 	// names the happening kind, the §5 mask valuation, the alphabet
 	// symbol and the from→to state move.
 	Steps []obs.ProvStep `json:"steps"`
-	// TotalSteps counts every step the instance ever recorded,
-	// including ones the ring has evicted.
+	// TotalSteps counts the steps the instance recorded since its
+	// activation, or since the journal's tail when Truncated.
 	TotalSteps uint64 `json:"total_steps"`
 }
 
@@ -155,8 +162,8 @@ func (e *Engine) Explain(trigger string, oid store.OID) (*Explanation, error) {
 	if t == nil {
 		return nil, fmt.Errorf("engine: class %s has no trigger %q", rec.Class, trigger)
 	}
-	if e.provDepth < 0 {
-		return nil, fmt.Errorf("engine: provenance capture is disabled (Options.ProvenanceDepth < 0)")
+	if e.prov.off {
+		return nil, fmt.Errorf("engine: provenance capture is disabled (Options.ProvenanceBytes < 0)")
 	}
 
 	ex := &Explanation{
@@ -171,14 +178,12 @@ func (e *Engine) Explain(trigger string, oid store.OID) (*Explanation, error) {
 		ex.State = int(act.State)
 	}
 
-	r := e.provLookup(oid, t.slot)
-	if r == nil {
-		return ex, nil
-	}
-	steps := r.Steps()
+	sh := e.provShardOf(oid)
+	sh.mu.Lock()
+	steps, cut := sh.j.Walk(uint64(oid), t.slot)
+	sh.mu.Unlock()
+	ex.Truncated = cut
 	if n := len(steps); n > 0 {
-		// The newest retained step is the newest recorded; reading the
-		// count separately could straddle a concurrent append or reset.
 		ex.TotalSteps = steps[n-1].Seq
 	}
 	for i := range steps {

@@ -218,20 +218,39 @@ func TestExplainErrors(t *testing.T) {
 	}
 
 	// Disabled provenance refuses with a pointed message.
-	e2 := newEngine(t, Options{ProvenanceDepth: -1})
+	e2 := newEngine(t, Options{ProvenanceBytes: -1})
 	oid2 := setup(t, e2, cls, impl, "Audit")
 	if _, err := e2.Explain("Audit", oid2); err == nil || !strings.Contains(err.Error(), "disabled") {
 		t.Fatalf("disabled provenance: %v", err)
 	}
 }
 
-// provEntries counts the objects holding provenance.
-func provEntries(e *Engine) int {
-	n := 0
+// provEntries counts the objects holding a provenance head, and
+// provResident the journals' bytes.
+func provEntries(e *Engine) (n int) {
 	for i := range e.prov.shards {
 		sh := &e.prov.shards[i]
 		sh.mu.Lock()
-		n += len(sh.m)
+		n += sh.j.Objects()
+		sh.mu.Unlock()
+	}
+	return n
+}
+
+// provSteps walks the journal for oid's instance in slot.
+func provSteps(e *Engine, oid store.OID, slot int) []obs.ProvStep {
+	sh := e.provShardOf(oid)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	steps, _ := sh.j.Walk(uint64(oid), slot)
+	return steps
+}
+
+func provResident(e *Engine) (n uint64) {
+	for i := range e.prov.shards {
+		sh := &e.prov.shards[i]
+		sh.mu.Lock()
+		n += uint64(sh.j.Bytes())
 		sh.mu.Unlock()
 	}
 	return n
@@ -249,8 +268,9 @@ func methodTriggers(n int) ([]schema.Trigger, []string) {
 	return trigs, names
 }
 
-// TestActivateAllocatesNoProvenance: arming costs no provenance — a ring
-// is born at an instance's first recorded step, not at activation.
+// TestActivateAllocatesNoProvenance: arming costs no provenance — an
+// object's head and its journal's cells come with its first recorded
+// step, not with activation.
 func TestActivateAllocatesNoProvenance(t *testing.T) {
 	rec := &recorder{}
 	trigs, names := methodTriggers(8)
@@ -281,13 +301,13 @@ func TestActivateAllocatesNoProvenance(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s := e.Stats(); s.ProvRings != 0 || s.ProvBytes != 0 || provEntries(e) != 0 {
-		t.Fatalf("%d armed, never stepped instances hold %d rings, %d bytes, %d table entries",
-			objects*len(names), s.ProvRings, s.ProvBytes, provEntries(e))
+	if s := e.Stats(); s.ProvObjects != 0 || s.ProvBytes != 0 || provEntries(e) != 0 {
+		t.Fatalf("%d armed, never stepped instances hold %d heads, %d bytes, %d table entries",
+			objects*len(names), s.ProvObjects, s.ProvBytes, provEntries(e))
 	}
 
-	// Re-arming a different object each run: were a ring laid down per
-	// activation, every run would allocate one.
+	// Re-arming a different object each run: were provenance laid down
+	// per activation, every run would allocate.
 	tx := e.Begin()
 	defer tx.Abort()
 	for _, oid := range oids[:300] {
@@ -306,20 +326,21 @@ func TestActivateAllocatesNoProvenance(t *testing.T) {
 		t.Fatalf("Activate allocates %.1f objects; want 0", avg)
 	}
 
-	// One moved instance: one ring, one first-size buffer, and the gauges
-	// agree with the ring.
+	// One moved object: one head, one first-size journal, and the gauges
+	// agree with the journals.
 	if _, err := tx.Call(oids[0], "deposit", value.Int(1000)); err != nil {
 		t.Fatal(err)
 	}
 	s := e.Stats()
-	if s.ProvRings == 0 || s.ProvRings > uint64(len(names)) || s.ProvBytes != s.ProvRings*4*obs.ProvCellBytes {
-		t.Fatalf("after one accepted deposit: %d rings, %d bytes", s.ProvRings, s.ProvBytes)
+	if s.ProvObjects != 1 || s.ProvBytes == 0 || s.ProvBytes != provResident(e) || s.ProvBytes > 64*obs.ProvCellBytes {
+		t.Fatalf("after one accepted deposit: %d heads, %d bytes (journals hold %d)", s.ProvObjects, s.ProvBytes, provResident(e))
 	}
 }
 
-// TestProvenanceFreedWithObject: the provenance of a deleted object is
-// freed when the deleting transaction commits; an aborted delete — and
-// an aborted creation — leave the table as the abort leaves the store.
+// TestProvenanceFreedWithObject: the provenance head of a deleted object
+// is dropped when the deleting transaction commits (its cells stay in
+// the bounded journal until overwritten); an aborted delete — and an
+// aborted creation — leave the heads as the abort leaves the store.
 func TestProvenanceFreedWithObject(t *testing.T) {
 	rec := &recorder{}
 	trigs, names := methodTriggers(3)
@@ -358,8 +379,8 @@ func TestProvenanceFreedWithObject(t *testing.T) {
 		}
 	}
 	s := e.Stats()
-	if provEntries(e) != objects || s.ProvRings != objects*3 || s.ProvBytes == 0 {
-		t.Fatalf("before deletion: %d entries, %d rings, %d bytes", provEntries(e), s.ProvRings, s.ProvBytes)
+	if provEntries(e) != objects || s.ProvObjects != objects || s.ProvBytes == 0 {
+		t.Fatalf("before deletion: %d entries, %d heads, %d bytes", provEntries(e), s.ProvObjects, s.ProvBytes)
 	}
 
 	// An aborted delete keeps the provenance it would have dropped.
@@ -385,8 +406,8 @@ func TestProvenanceFreedWithObject(t *testing.T) {
 	if err := tx.Abort(); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Stats().ProvRings; got != objects*3 || provEntries(e) != objects {
-		t.Fatalf("after an aborted creation: %d rings, %d entries", got, provEntries(e))
+	if got := e.Stats().ProvObjects; got != objects || provEntries(e) != objects {
+		t.Fatalf("after an aborted creation: %d heads, %d entries", got, provEntries(e))
 	}
 	if _, err := e.Explain("T0", created); err == nil {
 		t.Fatal("Explain on a rolled-back creation should fail")
@@ -407,8 +428,8 @@ func TestProvenanceFreedWithObject(t *testing.T) {
 		}
 	}
 	s = e.Stats()
-	if provEntries(e) != 0 || s.ProvRings != 0 || s.ProvBytes != 0 {
-		t.Fatalf("after deletion: %d entries, %d rings, %d bytes", provEntries(e), s.ProvRings, s.ProvBytes)
+	if provEntries(e) != 0 || s.ProvObjects != 0 || s.ProvBytes != provResident(e) || s.ProvBytes > obs.DefaultProvenanceBytes {
+		t.Fatalf("after deletion: %d entries, %d heads, %d bytes", provEntries(e), s.ProvObjects, s.ProvBytes)
 	}
 	_, err := e.Explain("T0", oids[1])
 	if err == nil || wantErr == nil ||
@@ -417,10 +438,10 @@ func TestProvenanceFreedWithObject(t *testing.T) {
 	}
 }
 
-// TestExplainWhileRingGrows polls Explain while the instance's ring is
-// born, grows through every doubling to its depth, wraps, and is reset
-// by a re-activation — under -race. Every answer must be a consistent
-// chain: consecutive step numbers ending at the total, states linked.
+// TestExplainWhileRingGrows polls Explain while the instance's journal
+// is born, grows through its doublings, and the instance is reset by a
+// re-activation — under -race. Every answer must be a consistent chain:
+// consecutive step numbers ending at the total, states linked.
 func TestExplainWhileRingGrows(t *testing.T) {
 	rec := &recorder{}
 	cls, impl := accountClass(rec,
@@ -460,8 +481,7 @@ func TestExplainWhileRingGrows(t *testing.T) {
 		}()
 	}
 	for round := 0; round < 20; round++ {
-		// 40 state changes per round: past every doubling and, from the
-		// second round on, around a ring that is already at depth.
+		// 40 state changes per round: past the journal's first doublings.
 		for i := 0; i < 20; i++ {
 			err := e.Transact(func(tx *Tx) error {
 				if _, err := tx.Call(oid, "deposit", value.Int(1)); err != nil {
@@ -475,8 +495,8 @@ func TestExplainWhileRingGrows(t *testing.T) {
 			}
 		}
 		if round == 0 {
-			if got := e.Stats().ProvBytes; got != obs.DefaultProvDepth*obs.ProvCellBytes {
-				t.Fatalf("ring at depth holds %d bytes", got)
+			if got := e.Stats().ProvBytes; got == 0 || got > obs.DefaultProvenanceBytes {
+				t.Fatalf("journals hold %d bytes, bound %d", got, obs.DefaultProvenanceBytes)
 			}
 		}
 		if err := e.Transact(func(tx *Tx) error { return tx.Activate(oid, "Chain") }); err != nil {
@@ -487,6 +507,118 @@ func TestExplainWhileRingGrows(t *testing.T) {
 	wg.Wait()
 	if rec.count() != 0 {
 		t.Fatalf("nothing should have fired: %v", rec.list())
+	}
+}
+
+// TestExplainTruncatedHistory: a history ten times the provenance bound
+// keeps its most recent steps, and the gauge stays within the bound.
+// Explain returns the retained suffix as a linked chain numbered from
+// the cut and reports the cut — also for a firing whose first step was
+// overwritten, which is then not Complete; after a re-activation the
+// walk stops at the reset marker and the history is whole again.
+func TestExplainTruncatedHistory(t *testing.T) {
+	rec := &recorder{}
+	cls, impl := accountClass(rec,
+		schema.Trigger{Name: "Chain", Perpetual: true,
+			Event: "sequence(after deposit, after withdraw(a) && a > 100)"},
+		schema.Trigger{Name: "Big", Event: "prior(after deposit, after withdraw(a) && a > 100)"})
+	const bound = 8 * obs.ProvCellBytes << provShardBits // 8 cells a shard
+	e := newEngine(t, Options{ProvenanceBytes: bound})
+	if _, err := e.RegisterClass(cls, impl, nil); err != nil {
+		t.Fatal(err)
+	}
+	oids := make([]store.OID, 16)
+	for i := range oids {
+		err := e.Transact(func(tx *Tx) error {
+			oid, err := tx.NewObject("account", nil)
+			oids[i] = oid
+			for _, trig := range []string{"Chain", "Big"} {
+				if err == nil {
+					err = tx.Activate(oid, trig)
+				}
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Two state changes per bounce: 10 × the bound in all.
+	for round := 0; round < 10*bound/obs.ProvCellBytes/2/len(oids); round++ {
+		err := e.Transact(func(tx *Tx) error {
+			for _, oid := range oids {
+				if _, err := tx.Call(oid, "deposit", value.Int(1)); err != nil {
+					return err
+				}
+				if _, err := tx.Call(oid, "withdraw", value.Int(1)); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := e.Stats(); s.ProvBytes == 0 || s.ProvBytes > bound || s.ProvBytes != provResident(e) || s.ProvenanceSteps < 10*bound/obs.ProvCellBytes {
+		t.Fatalf("%d steps recorded in %d bytes; bound %d", s.ProvenanceSteps, s.ProvBytes, bound)
+	}
+	for _, oid := range oids {
+		ex, err := e.Explain("Chain", oid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(ex.Steps)
+		if !ex.Truncated || ex.Fired || n == 0 || ex.TotalSteps > 8 {
+			t.Fatalf("@%d: %+v; want a cut suffix of at most 8 steps", oid, ex)
+		}
+		for i, s := range ex.Steps {
+			if i > 0 && (s.Seq != ex.Steps[i-1].Seq+1 || s.From != ex.Steps[i-1].To) {
+				t.Fatalf("@%d: broken chain at %d: %+v", oid, i, ex.Steps)
+			}
+		}
+		if last := ex.Steps[n-1]; last.Seq != ex.TotalSteps || last.To != ex.State {
+			t.Fatalf("@%d: the chain does not end at the newest retained step: %+v", oid, ex)
+		}
+	}
+
+	// Big moved once, at the first deposit, and that step is gone: its
+	// firing is explained from the cut, not from the start state.
+	fire := func() {
+		t.Helper()
+		err := e.Transact(func(tx *Tx) error {
+			if _, err := tx.Call(oids[0], "deposit", value.Int(1)); err != nil {
+				return err
+			}
+			_, err := tx.Call(oids[0], "withdraw", value.Int(500))
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	fire()
+	ex, err := e.Explain("Big", oids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ex.Truncated || !ex.Fired || ex.Complete || len(ex.Steps) != 1 || ex.Steps[0].From == ex.Start {
+		t.Fatalf("firing whose first step was overwritten: %+v", ex)
+	}
+	// Re-activated, Big's walk stops at its reset marker: whole again.
+	if err := e.Transact(func(tx *Tx) error { return tx.Activate(oids[0], "Big") }); err != nil {
+		t.Fatal(err)
+	}
+	fire()
+	if ex, err = e.Explain("Big", oids[0]); err != nil {
+		t.Fatal(err)
+	}
+	if ex.Truncated || !ex.Fired || !ex.Complete || len(ex.Steps) != 2 || ex.TotalSteps != 2 {
+		t.Fatalf("firing after a re-activation: %+v", ex)
+	}
+	big := e.Class("account").Trigger("Big")
+	if final := replayChain(t, big, ex); !big.Oracle().Accept[final] {
+		t.Fatalf("replayed chain ends in non-accepting state %d", final)
 	}
 }
 

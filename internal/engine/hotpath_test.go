@@ -64,7 +64,8 @@ func TestHotPathAllocBudget(t *testing.T) {
 // TestHotPathAllocBudgetProvenance extends the contract to
 // state-changing non-firing steps: with firing provenance on (the
 // default), a composite trigger bouncing between states appends to its
-// provenance ring on every transition and must still allocate nothing.
+// shard's provenance journal on every transition and must still
+// allocate nothing.
 func TestHotPathAllocBudgetProvenance(t *testing.T) {
 	rec := &recorder{}
 	cls, impl := accountClass(rec,
@@ -101,18 +102,21 @@ func TestHotPathAllocBudgetProvenance(t *testing.T) {
 			}
 		}
 	}
-	// The ring is born at the first step and doubles up to its depth;
-	// the budget is for a ring at depth.
-	for i := 0; i < obs.DefaultProvDepth; i++ {
+	// The shard's journal is born at the first step and doubles up to
+	// its cap; the budget is for a journal that has wrapped.
+	sh, full := e.provShardOf(oid), obs.DefaultProvenanceBytes>>provShardBits/obs.ProvCellBytes*obs.ProvCellBytes
+	for sh.j.Bytes() < full {
+		bounce()
+	}
+	for i := 0; i < full/obs.ProvCellBytes; i++ {
 		bounce()
 	}
 	avg := testing.AllocsPerRun(500, bounce)
 	if avg != 0 {
 		t.Fatalf("state-changing non-firing steps allocate %.2f objects/op; want 0", avg)
 	}
-	ring := e.provLookup(oid, e.Class(cls.Name).Trigger("Chain").slot)
-	if ring == nil || ring.Total() < 1000 {
-		t.Fatalf("provenance did not record the state churn (ring=%v)", ring)
+	if ex, err := e.Explain("Chain", oid); err != nil || !ex.Truncated || e.Stats().ProvenanceSteps < 1000 {
+		t.Fatalf("provenance did not record the state churn past the journal's cap (%+v, %v)", ex, err)
 	}
 	if rec.count() != 0 {
 		t.Fatalf("no trigger should have fired, got %v", rec.list())
@@ -203,7 +207,7 @@ func TestWholeTxAllocBudget(t *testing.T) {
 	for k, single := range [2]bool{false, true} {
 		run := wholeTxSetup(t, 64, Options{SingleWriter: single})
 		i := 0
-		for ; i < 32; i++ { // every object past its first provenance-ring allocation
+		for ; i < 32; i++ { // every object past its first provenance allocation
 			run(i)
 		}
 		got[k] = testing.AllocsPerRun(200, func() { run(i); i++ })
@@ -256,9 +260,9 @@ func TestCallAllocatesNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// First access, and every provenance ring the call moves grown
-		// to its depth.
-		for i := 0; i < 2*obs.DefaultProvDepth; i++ {
+		// First access, and the provenance journal the call moves past
+		// its first doublings.
+		for i := 0; i < 64; i++ {
 			call()
 		}
 		if avg := testing.AllocsPerRun(200, call); avg != 0 {

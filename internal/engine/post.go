@@ -331,11 +331,11 @@ func (tx *Tx) step(c *Class, ph *phase, oid store.OID, rec *store.Record,
 		m.count(i, t, 1, 0, 0)
 		accepted := t.Auto.Accept(next)
 		// Firing provenance: non-accepting self-loops (the masked
-		// non-firing common case) append nothing, so a ring exists only
-		// for an instance that moved and this costs one branch. Skipping
+		// non-firing common case) append nothing, so only an object
+		// that moved has a journal head and this costs one branch. Skipping
 		// them preserves the chain walk — the state is unchanged across
 		// the gap.
-		if (next != prev || accepted) && e.provAppend(rec, t.slot, obs.ProvStep{
+		if (next != prev || accepted) && e.provAppend(oid, t.slot, obs.ProvStep{
 			TxID: txid, AtNs: h.At.UnixNano(),
 			KindID: ph.kindID, Bits: bits, Sym: sym,
 			From: prev, To: next, Accepted: accepted,

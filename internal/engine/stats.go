@@ -6,10 +6,13 @@ import (
 	"ode/internal/compile"
 )
 
-// Stats are cumulative engine counters, readable at any time with
-// Engine.Stats. They are monotone except for being zero at startup;
-// cross-field arithmetic (e.g. commits+aborts vs begun) is only
-// consistent when the engine is quiescent.
+// Stats are engine counters and gauges, readable at any time with
+// Engine.Stats. Counters are cumulative and monotone except for being
+// zero at startup. The gauges — TimersPending, TimerCohorts,
+// TimerMembers, ProvObjects, ProvBytes and the Automaton* fields —
+// describe current state and may fall. Cross-field arithmetic (e.g.
+// commits+aborts vs begun) is only consistent when the engine is
+// quiescent.
 type Stats struct {
 	// TxBegun counts user transactions started (system transactions
 	// excluded).
@@ -59,20 +62,20 @@ type Stats struct {
 	// FlightEvents counts events captured by the always-on flight
 	// recorder (including ones its ring has overwritten).
 	FlightEvents uint64
-	// ProvenanceSteps counts transitions appended to firing-provenance
-	// rings — state-changing or accepting steps only; non-accepting
+	// ProvenanceSteps counts transitions appended to the firing-provenance
+	// journals — state-changing or accepting steps only; non-accepting
 	// self-loops are skipped by design.
 	ProvenanceSteps uint64
-	// ProvRings gauges the trigger instances holding a provenance buffer
-	// — those that have recorded at least one step on a live object — and
-	// ProvBytes the bytes of those buffers: what firing provenance costs
-	// right now.
-	ProvRings uint64
-	ProvBytes uint64
+	// ProvObjects gauges the live objects with a provenance head — those
+	// that have recorded at least one step — and ProvBytes the journals'
+	// resident bytes, at most Options.ProvenanceBytes: what firing
+	// provenance costs right now.
+	ProvObjects uint64
+	ProvBytes   uint64
 	// EgressAppended counts firing records made durable on the egress
 	// feed since open (including records recovered from disk).
-	// EgressSeq gauges the feed head — the highest firing sequence
-	// number visible to consumers.
+	// EgressSeq is the feed head — the highest firing sequence number
+	// visible to consumers, monotone like a counter.
 	EgressAppended uint64
 	EgressSeq      uint64
 
@@ -97,9 +100,6 @@ type statCounters struct {
 	happenings, steps, maskEvals, firings     atomic.Uint64
 	timerPosts, tcompleteRounds, shadowChecks atomic.Uint64
 	provSteps, timerErrsDropped               atomic.Uint64
-	// Gauges, moved where a ring's buffer is born, grown or freed —
-	// never on the append path.
-	provRings, provBytes atomic.Int64
 }
 
 // Stats returns a snapshot of the cumulative counters.
@@ -116,6 +116,7 @@ type statCounters struct {
 func (e *Engine) Stats() Stats {
 	cs := compile.AutomatonCacheStats()
 	cohorts, members := e.timers.sharedCount()
+	provObjects, provBytes := e.prov.gauges()
 	e.mu.RLock()
 	autoTriggers := e.autoTriggers
 	autoTables := uint64(len(e.autoTables))
@@ -145,49 +146,40 @@ func (e *Engine) Stats() Stats {
 		FaultsInjected:      e.faults.Injected(),
 		FlightEvents:        e.flight.Total(),
 		ProvenanceSteps:     e.stats.provSteps.Load(),
-		ProvRings:           uint64(e.stats.provRings.Load()),
-		ProvBytes:           uint64(e.stats.provBytes.Load()),
+		ProvObjects:         provObjects,
+		ProvBytes:           provBytes,
 		EgressAppended:      e.st.FiringsAppended(),
 		EgressSeq:           e.st.FiringSeq(),
 	}
 }
 
-// Delta returns the field-wise difference s - prev. Use it to diff
-// two snapshots taken around a measured interval; because counters
-// are monotone, every field of the result is the exact number of
-// operations counted between the two per-field load instants.
+// Delta returns the activity between two snapshots taken around a
+// measured interval: every counter of the result is s - prev, the exact
+// number of operations counted between the two per-field load instants,
+// and every gauge is s's current value.
 func (s Stats) Delta(prev Stats) Stats {
-	return Stats{
-		TxBegun:          s.TxBegun - prev.TxBegun,
-		TxCommitted:      s.TxCommitted - prev.TxCommitted,
-		TxAborted:        s.TxAborted - prev.TxAborted,
-		SystemTx:         s.SystemTx - prev.SystemTx,
-		Happenings:       s.Happenings - prev.Happenings,
-		Steps:            s.Steps - prev.Steps,
-		MaskEvals:        s.MaskEvals - prev.MaskEvals,
-		Firings:          s.Firings - prev.Firings,
-		TimerPosts:       s.TimerPosts - prev.TimerPosts,
-		TimerErrsDropped: s.TimerErrsDropped - prev.TimerErrsDropped,
-		TimersPending:    s.TimersPending - prev.TimersPending,
-		TimerCohorts:     s.TimerCohorts - prev.TimerCohorts,
-		TimerMembers:     s.TimerMembers - prev.TimerMembers,
-		TcompleteRounds:  s.TcompleteRounds - prev.TcompleteRounds,
-		ShadowChecks:     s.ShadowChecks - prev.ShadowChecks,
-		FaultsInjected:   s.FaultsInjected - prev.FaultsInjected,
-		FlightEvents:     s.FlightEvents - prev.FlightEvents,
-		ProvenanceSteps:  s.ProvenanceSteps - prev.ProvenanceSteps,
-		ProvRings:        s.ProvRings - prev.ProvRings,
-		ProvBytes:        s.ProvBytes - prev.ProvBytes,
-		EgressAppended:   s.EgressAppended - prev.EgressAppended,
-		EgressSeq:        s.EgressSeq - prev.EgressSeq,
-
-		AutomatonTriggers:   s.AutomatonTriggers - prev.AutomatonTriggers,
-		AutomatonTables:     s.AutomatonTables - prev.AutomatonTables,
-		AutomatonTableBytes: s.AutomatonTableBytes - prev.AutomatonTableBytes,
-		CompileCacheHits:    s.CompileCacheHits - prev.CompileCacheHits,
-		CompileCacheMisses:  s.CompileCacheMisses - prev.CompileCacheMisses,
-	}
+	d := s
+	d.TxBegun -= prev.TxBegun
+	d.TxCommitted -= prev.TxCommitted
+	d.TxAborted -= prev.TxAborted
+	d.SystemTx -= prev.SystemTx
+	d.Happenings -= prev.Happenings
+	d.Steps -= prev.Steps
+	d.MaskEvals -= prev.MaskEvals
+	d.Firings -= prev.Firings
+	d.TimerPosts -= prev.TimerPosts
+	d.TimerErrsDropped -= prev.TimerErrsDropped
+	d.TcompleteRounds -= prev.TcompleteRounds
+	d.ShadowChecks -= prev.ShadowChecks
+	d.FaultsInjected -= prev.FaultsInjected
+	d.FlightEvents -= prev.FlightEvents
+	d.ProvenanceSteps -= prev.ProvenanceSteps
+	d.EgressAppended -= prev.EgressAppended
+	d.EgressSeq -= prev.EgressSeq
+	d.CompileCacheHits -= prev.CompileCacheHits
+	d.CompileCacheMisses -= prev.CompileCacheMisses
+	return d
 }
 
-// StatsDelta is Delta as a free function: cur - prev, field-wise.
+// StatsDelta is Delta as a free function: cur.Delta(prev).
 func StatsDelta(cur, prev Stats) Stats { return cur.Delta(prev) }

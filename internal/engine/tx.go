@@ -59,7 +59,7 @@ type Tx struct {
 	cachedRec *store.Record
 
 	// created and deleted list the objects NewObject made and
-	// DeleteObject removed. Their provenance rings — the one thing the
+	// DeleteObject removed. Their provenance heads — the one thing the
 	// engine keeps about an object outside its record — are dropped with
 	// the outcome that makes them gone for good: an abort for the created,
 	// a successful Commit for the deleted (an abort resurrects those).
@@ -397,11 +397,8 @@ func (tx *Tx) Activate(oid store.OID, trigger string, params ...value.Value) err
 	act.SetParams(append([]value.Value(nil), params...))
 	rec.Slots()[t.slot] = act
 	// Activation restarts the automaton, so the previous incarnation's
-	// provenance no longer explains the instance: reset its ring, if it
-	// ever recorded a step and so has one.
-	if r := tx.e.provLookup(oid, t.slot); r != nil {
-		r.Reset()
-	}
+	// provenance no longer explains the instance.
+	tx.e.provReset(oid, t.slot)
 	tx.e.timers.arm(oid, c, t)
 	return nil
 }

@@ -174,7 +174,7 @@ func TestFailedCommitRunsTheAbortEpilogue(t *testing.T) {
 			if err := t2.Deactivate(oid, "T"); err != nil {
 				t.Fatal(err)
 			}
-			// An object of t2's own, with a provenance ring to leak.
+			// An object of t2's own, with a provenance head to leak.
 			made, err := t2.NewObject("account", nil)
 			if err == nil {
 				err = t2.Activate(made, "Seq")
@@ -186,7 +186,7 @@ func TestFailedCommitRunsTheAbortEpilogue(t *testing.T) {
 				t.Fatal(err)
 			}
 			seq := e.Class("account").Trigger("Seq").slot
-			if e.provLookup(made, seq) == nil {
+			if len(provSteps(e, made, seq)) == 0 {
 				t.Fatal("the created object recorded no provenance: the test proves nothing about dropping it")
 			}
 			got, want := tc.commit(e, t2)
@@ -197,8 +197,8 @@ func TestFailedCommitRunsTheAbortEpilogue(t *testing.T) {
 			if _, active, err := e.TriggerState(oid, "T"); err != nil || !active {
 				t.Fatalf("T active = %v, %v after the rollback; want true", active, err)
 			}
-			if e.provLookup(made, seq) != nil {
-				t.Error("the aborted creation's provenance ring leaked")
+			if len(provSteps(e, made, seq)) != 0 {
+				t.Error("the aborted creation's provenance head leaked")
 			}
 			if rec.count() != 1 || rec.list()[0] != "Ab" {
 				t.Errorf("firings after the failed commit = %v, want [Ab]: after tabort was not posted", rec.list())
@@ -234,7 +234,7 @@ func TestAbortWithoutWholeViewAllocBudget(t *testing.T) {
 		schema.Trigger{Name: "Two", Perpetual: true, Event: "relative(after withdraw, after withdraw)"})
 	e := newEngine(t, Options{Dir: dir})
 	oid := setup(t, e, cls, impl, "Two")
-	for i := 0; i < 8; i++ { // past the provenance ring's growth
+	for i := 0; i < 8; i++ { // past the provenance journal's first growth
 		withdrawThenAbort(t, e, oid)
 	}
 	wal, err := os.Stat(filepath.Join(dir, "wal.log"))

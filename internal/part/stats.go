@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"reflect"
 	"sort"
 	"strconv"
 
@@ -42,38 +43,14 @@ func (db *DB) PartitionStats() []engine.Stats {
 	return out
 }
 
-// addStats sums two snapshots field-wise (Delta's inverse).
+// addStats sums two snapshots field-wise, counters and gauges alike
+// (every field of engine.Stats is a uint64).
 func addStats(a, b engine.Stats) engine.Stats {
-	return engine.Stats{
-		TxBegun:          a.TxBegun + b.TxBegun,
-		TxCommitted:      a.TxCommitted + b.TxCommitted,
-		TxAborted:        a.TxAborted + b.TxAborted,
-		SystemTx:         a.SystemTx + b.SystemTx,
-		Happenings:       a.Happenings + b.Happenings,
-		Steps:            a.Steps + b.Steps,
-		MaskEvals:        a.MaskEvals + b.MaskEvals,
-		Firings:          a.Firings + b.Firings,
-		TimerPosts:       a.TimerPosts + b.TimerPosts,
-		TimerErrsDropped: a.TimerErrsDropped + b.TimerErrsDropped,
-		TimersPending:    a.TimersPending + b.TimersPending,
-		TimerCohorts:     a.TimerCohorts + b.TimerCohorts,
-		TimerMembers:     a.TimerMembers + b.TimerMembers,
-		TcompleteRounds:  a.TcompleteRounds + b.TcompleteRounds,
-		ShadowChecks:     a.ShadowChecks + b.ShadowChecks,
-		FaultsInjected:   a.FaultsInjected + b.FaultsInjected,
-		FlightEvents:     a.FlightEvents + b.FlightEvents,
-		ProvenanceSteps:  a.ProvenanceSteps + b.ProvenanceSteps,
-		ProvRings:        a.ProvRings + b.ProvRings,
-		ProvBytes:        a.ProvBytes + b.ProvBytes,
-		EgressAppended:   a.EgressAppended + b.EgressAppended,
-		EgressSeq:        a.EgressSeq + b.EgressSeq,
-
-		AutomatonTriggers:   a.AutomatonTriggers + b.AutomatonTriggers,
-		AutomatonTables:     a.AutomatonTables + b.AutomatonTables,
-		AutomatonTableBytes: a.AutomatonTableBytes + b.AutomatonTableBytes,
-		CompileCacheHits:    a.CompileCacheHits + b.CompileCacheHits,
-		CompileCacheMisses:  a.CompileCacheMisses + b.CompileCacheMisses,
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(b)
+	for i := 0; i < va.NumField(); i++ {
+		va.Field(i).SetUint(va.Field(i).Uint() + vb.Field(i).Uint())
 	}
+	return a
 }
 
 // Metrics returns the aggregate per-trigger/per-class metrics view:

@@ -220,10 +220,11 @@ type Options struct {
 	// disabled — it is the post-incident record of recent pipeline
 	// events and costs a handful of atomic stores per happening.
 	FlightBuffer int
-	// ProvenanceDepth sets how many automaton transitions are retained
-	// per (object, trigger) instance for Explain (0 = the default
-	// depth); a negative value disables provenance capture.
-	ProvenanceDepth int
+	// ProvenanceBytes bounds the memory, per engine (per partition when
+	// partitioned), that keeps recent automaton transitions for Explain;
+	// the oldest are overwritten first (0 = 4 MiB, a negative value
+	// disables provenance capture).
+	ProvenanceBytes int
 	// Partitions splits the database into that many single-writer
 	// partitions, each an event-loop goroutine owning a disjoint OID
 	// residue class with its own store, WAL and committed view; a
@@ -253,7 +254,7 @@ func Open(opts Options) (*Database, error) {
 		TraceBuffer:     opts.TraceBuffer,
 		DebugAddr:       opts.DebugAddr,
 		FlightBuffer:    opts.FlightBuffer,
-		ProvenanceDepth: opts.ProvenanceDepth,
+		ProvenanceBytes: opts.ProvenanceBytes,
 	}
 	if opts.Partitions >= 2 {
 		parts, err := part.Open(part.Options{N: opts.Partitions, Dir: opts.Dir, Engine: eopts})
@@ -483,8 +484,8 @@ func (db *Database) Stats() Stats {
 	return db.eng.Stats()
 }
 
-// StatsDelta returns cur - prev field-wise: the activity between two
-// Stats snapshots.
+// StatsDelta returns the activity between two Stats snapshots: each
+// counter as cur - prev, each gauge at its value in cur (see Stats).
 func StatsDelta(cur, prev Stats) Stats { return engine.StatsDelta(cur, prev) }
 
 // EnableTracing turns on pipeline tracing into a fresh ring buffer
