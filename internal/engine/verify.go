@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"ode/internal/algebra"
 	"ode/internal/store"
@@ -34,9 +33,7 @@ func (e *Engine) VerifyOracle() error {
 	if !e.shadowOracle {
 		return errors.New("engine: VerifyOracle requires Options.ShadowOracle")
 	}
-	oids := e.st.OIDs()
-	sort.Slice(oids, func(i, j int) bool { return oids[i] < oids[j] })
-	for _, oid := range oids {
+	for _, oid := range e.st.OIDs() { // ascending
 		rec, err := e.st.Get(oid)
 		if err != nil {
 			return err

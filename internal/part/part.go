@@ -1,8 +1,8 @@
 // Package part is the partitioned scale-out layer over the engine: N
 // single-writer partitions, each a blocking-FIFO event loop that owns
-// a disjoint OID residue class with its own store stripe set, its own
-// WAL (recovery runs per-partition) and its own lock-free committed
-// epoch view. Because exactly one goroutine — the partition's loop —
+// a disjoint OID residue class with its own object table, its own WAL
+// (recovery runs per-partition and rejects another class's objects) and
+// its own lock-free committed epoch view. Because exactly one goroutine — the partition's loop —
 // drives every transaction over a partition's engine, the in-partition
 // hot path drops per-object lock acquisition entirely (the engine runs
 // with txn single-writer mode on) and the compiled batch posting path

@@ -2,6 +2,7 @@ package part
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -224,6 +225,31 @@ func TestPartitionedRecoveryIndependent(t *testing.T) {
 		}
 	}
 	if err := db2.CheckOwnership(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReopenWithOtherPartitionCountFails: a partition's store accepts
+// only the OIDs of its residue class, so opening a directory with
+// another N fails and names an object instead of routing it elsewhere.
+func TestReopenWithOtherPartitionCountFails(t *testing.T) {
+	dir := t.TempDir()
+	log := &fireLog{}
+	db := openBank(t, 2, dir, log, engine.Options{})
+	newAccounts(t, db)
+	newAccounts(t, db) // partition 0 now holds objects 1 and 3
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err := Open(Options{N: 3, Dir: dir}); err == nil {
+		db.Close()
+		t.Fatal("a 2-partition directory opened with 3 partitions")
+	} else if !strings.Contains(err.Error(), "object 3 ") {
+		t.Fatalf("reopen with 3 partitions: %v, want an error naming object 3", err)
+	}
+	db = openBank(t, 2, dir, log, engine.Options{})
+	defer db.Close()
+	if err := db.CheckOwnership(); err != nil {
 		t.Fatal(err)
 	}
 }

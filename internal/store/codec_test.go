@@ -737,6 +737,10 @@ func FuzzWALFrames(f *testing.F) {
 	times := f.TempDir()
 	timeStore(f, times)
 	f.Add(readFile(f, times, walName))
+	logs, _ := farOIDImages()
+	for _, log := range logs {
+		f.Add(log)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkLogImage(t, data)
 		checkLogImage(t, reseal(data))
@@ -757,6 +761,7 @@ func checkSnapshotImage(t *testing.T, data []byte) {
 		}
 		s.nextOID.Store(max(s.nextOID.Load(), uint64(snap.next)))
 		s.egress.load(snap.firingSeq)
+		s.seedEpochView() // as Open does: the writer streams the committed view
 		return dumpStore(s), s, nil
 	}
 	first, s, err := load(data)
@@ -788,6 +793,10 @@ func FuzzSnapshot(f *testing.F) {
 	times := f.TempDir()
 	timeStore(f, times)
 	f.Add(readFile(f, times, snapshotName))
+	_, snaps := farOIDImages()
+	for _, snap := range snaps {
+		f.Add(snap)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkSnapshotImage(t, data)
 		checkSnapshotImage(t, reseal(data))

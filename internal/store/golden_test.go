@@ -3,6 +3,7 @@ package store
 import (
 	"encoding/json"
 	"flag"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -76,7 +77,7 @@ func checkGolden(t *testing.T, s *Store, want goldenWant) {
 			t.Fatalf("object %d recovered as %s %v, want %s balance=%d", wo.OID, r.Class, r.Fields, wo.Class, wo.Balance)
 		}
 		img, ok := s.GetCommitted(r.OID)
-		if !ok || !sameTrigs(img.Trigs, r.Trigs) || !sameValues(img.Fields, r.Fields) {
+		if !ok || !sameTrigs(img.Trigs, r.Trigs) || !maps.Equal(img.Fields, r.Fields) {
 			t.Fatalf("object %d: committed image does not match the recovered record", wo.OID)
 		}
 		seen := 0

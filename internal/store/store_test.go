@@ -241,13 +241,13 @@ func TestTrigStateIs16Bytes(t *testing.T) {
 
 // TestBytesPerObject pins what one committed object keeps resident: the
 // live record and its image, each a Record and three trigger slots, the
-// one-field map they share, plus the heap and epoch index entries — the
+// one-field map they share, plus the object's table slot — the
 // per-object figure a fleet's heap is made of (DESIGN.md §9). It holds
 // after the first commit, after every object was written once (the
 // write copies the map, the commit drops the old image's) and after a
 // commit that wrote nothing.
 func TestBytesPerObject(t *testing.T) {
-	const n, budget = 10000, 900
+	const n, budget = 10000, 800
 	heap := func() uint64 {
 		runtime.GC()
 		var m runtime.MemStats
