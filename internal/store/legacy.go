@@ -213,7 +213,9 @@ func (s *Store) legacySnapshot(data []byte) (snap snapshotState, err error) {
 		if err != nil {
 			return snap, err
 		}
-		s.install(r)
+		if err := s.install(r); err != nil {
+			return snap, err
+		}
 	}
 	return snap, nil
 }
