@@ -245,8 +245,8 @@ func BenchmarkEngineHotPath(b *testing.B) {
 }
 
 // E11: concurrent posting throughput over disjoint object partitions.
-// Each goroutine owns its own objects, so the sharded lock manager and
-// striped store should let throughput scale with goroutines on a
+// Each goroutine owns its own objects, so the per-object lock words and
+// the object table should let throughput scale with goroutines on a
 // multi-core machine (ops are independent end to end). GOMAXPROCS is
 // pinned to the goroutine count so "goroutines1" is a true serial
 // baseline.

@@ -379,8 +379,9 @@ func (c *Virtual) Advance(d time.Duration) {
 			delete(c.index, t.id)
 			c.live--
 		}
+		fn := t.fn // Cancel clears it under the lock
 		c.mu.Unlock()
-		t.fn(fireAt)
+		fn(fireAt)
 		c.mu.Lock()
 	}
 	if deadline.After(c.now) {

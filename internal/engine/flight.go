@@ -53,16 +53,14 @@ func (e *Engine) flightFire(txid uint64, oid store.OID, classID, trigID uint16, 
 	e.flight.Record(obs.StageFire, e.clk.Now().UnixNano(), txid, uint64(oid), classID, trigID, 0, 0, 0, ok, durNs)
 }
 
-// flightTimer records one time-event delivery; the timer key is
-// interned (a mutexed map probe — timer posts are off the zero-alloc
-// path).
-func (e *Engine) flightTimer(oid store.OID, key, onlyTrigger string) {
+// flightTimer records one time-event delivery of the timer interned as
+// keyID; the caller interns the key once per tick, not per member.
+func (e *Engine) flightTimer(atNs int64, keyID uint16, oid store.OID, onlyTrigger string) {
 	var trigID uint16
 	if onlyTrigger != "" {
 		trigID = e.names.Intern(onlyTrigger)
 	}
-	e.flight.Record(obs.StageTimer, e.clk.Now().UnixNano(), 0, uint64(oid),
-		0, trigID, e.names.Intern(key), 0, 0, true, 0)
+	e.flight.Record(obs.StageTimer, atNs, 0, uint64(oid), 0, trigID, keyID, 0, 0, true, 0)
 }
 
 // flightEgress records one batch of firing records becoming visible on

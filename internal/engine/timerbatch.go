@@ -64,9 +64,10 @@ func (e *Engine) deliverCohort(co *cohort, oids []store.OID) {
 	// skipped.
 	sys.lazyAccess = true
 	var delivered uint64
+	keyID := e.names.Intern(co.ck.key)
 	for _, oid := range oids {
 		err = sys.tx.PeekStep(oid, func(rec *store.Record) error {
-			e.traceTimer(oid, co.ck.key, "")
+			e.traceTimer(h.At, keyID, oid, co.ck.key, "")
 			delivered++
 			_, err := sys.step(c, ph, oid, rec, &h, nil, &co.m)
 			return err

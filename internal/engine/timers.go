@@ -468,7 +468,7 @@ func (e *Engine) postTimer(oid store.OID, key string, only *Trigger) {
 		onlyName = only.Res.Name
 	}
 	e.stats.timerPosts.Add(1)
-	e.traceTimer(oid, key, onlyName)
+	e.traceTimer(e.clk.Now(), e.names.Intern(key), oid, key, onlyName)
 	sys := e.beginSystem()
 	rec, err := sys.access(oid)
 	if err == nil {

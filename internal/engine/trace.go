@@ -117,17 +117,18 @@ func (e *Engine) traceFire(txid uint64, oid store.OID, class, trigger string, d 
 	t.Trace(ev)
 }
 
-// traceTimer instruments one time-event delivery (before its happening
-// enters the pipeline). The always-on flight recorder captures the
-// delivery too, tracer or no tracer.
-func (e *Engine) traceTimer(oid store.OID, key, onlyTrigger string) {
-	e.flightTimer(oid, key, onlyTrigger)
+// traceTimer instruments one time-event delivery at at of the timer key,
+// interned as keyID (before its happening enters the pipeline). The
+// always-on flight recorder captures the delivery too, tracer or no
+// tracer.
+func (e *Engine) traceTimer(at time.Time, keyID uint16, oid store.OID, key, onlyTrigger string) {
+	e.flightTimer(at.UnixNano(), keyID, oid, onlyTrigger)
 	t := e.tracer()
 	if t == nil {
 		return
 	}
 	t.Trace(obs.Event{
-		At: e.clk.Now(), Stage: obs.StageTimer,
+		At: at, Stage: obs.StageTimer,
 		OID: uint64(oid), Trigger: onlyTrigger, Kind: key, OK: true,
 	})
 }

@@ -420,6 +420,14 @@ func (s *Store) Get(oid OID) (*Record, error) {
 	return nil, fmt.Errorf("store: no object %d", oid)
 }
 
+// LockWord returns oid's lock word, which package txn owns; nil: no slot.
+func (s *Store) LockWord(oid OID) *atomic.Uint64 {
+	if sl := s.tab.slot(oid); sl != nil {
+		return &sl.lock
+	}
+	return nil
+}
+
 // Exists reports whether oid names a live object.
 func (s *Store) Exists(oid OID) bool { return s.live(oid) != nil }
 

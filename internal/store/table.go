@@ -7,14 +7,14 @@ import (
 
 // table holds the objects. OIDs are base + k·stride and never reused,
 // so OID base+k·stride is slot k, slot k%chunkSize of chunk k/chunkSize:
-// its live record and its committed image (epoch.go), two atomic
-// pointers. Chunks hang off a radix tree of fan-way nodes whose height
-// grows with the largest index — one node up to 2^20 objects — so a far
-// OID costs one path of nodes and one chunk, never a directory sized by
-// its value. A lookup takes no lock and hashes nothing; a walk goes in
-// ascending OID order. Growing the tree, installing a chunk and freeing
-// one run under growMu. A slot is dead once its object can never exist
-// again — its creation undone (Remove) or its deletion committed
+// its live record, its committed image (epoch.go) and its lock word
+// (Store.LockWord). Chunks hang off a radix tree of fan-way nodes whose
+// height grows with the largest index — one node up to 2^20 objects — so
+// a far OID costs one path of nodes and one chunk, never a directory
+// sized by its value. A lookup takes no lock and hashes nothing; a walk
+// goes in ascending OID order. Growing the tree, installing a chunk and
+// freeing one run under growMu. A slot is dead once its object can never
+// exist again — its creation undone (Remove) or its deletion committed
 // (publish) — and its image is then the tombstone. A chunk of dead slots
 // is freed, and so is every node it leaves empty below the root, so what
 // the table holds follows the objects it holds, not how many the store
@@ -34,7 +34,10 @@ const (
 	maxHeight = (64 - chunkBits + fanBits - 1) / fanBits // covers every uint64 index
 )
 
-type slot struct{ live, img atomic.Pointer[Record] }
+type slot struct {
+	live, img atomic.Pointer[Record]
+	lock      atomic.Uint64
+}
 
 type chunk struct {
 	slots [chunkSize]slot

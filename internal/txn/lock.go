@@ -14,39 +14,53 @@
 //
 // # Concurrency scheme
 //
-// The lock table is sharded by OID across numLockShards shards, each
-// with its own mutex, so transactions touching different objects never
-// contend on lock-manager state. Blocked requests sleep on a
-// per-object FIFO of wake channels; a release wakes exactly one waiter
-// of that object (no global broadcast, no thundering herd). A woken
-// waiter re-checks under the shard mutex — a barging third transaction
-// may have taken the lock in between, in which case the waiter
-// re-queues.
+// An object's lock is one word in its store slot (store.LockWord):
+// holder<<1 | waitBit, where holder is the locking transaction's tag and
+// 0 means free. An uncontended lock is CAS(0, me), a reentrant request
+// one load, and a release CAS(me, 0): no mutex and no map. The tag is
+// drawn from one counter for the whole process (lockTags), because the
+// words live in the store and two managers over one store must never
+// tag them alike.
 //
-// Deadlock detection uses a small dedicated waits-for structure
-// (waitGraph) with its own mutex. It records tx→OID waiting edges and,
-// only for contended objects, a mirror of the object's current holder.
-// Both are updated while holding the owning shard's mutex, and the
-// lock order is always shard mutex → graph mutex (the graph mutex is a
-// leaf), so the cycle walk sees a consistent graph without touching
-// any shard. Uncontended acquisitions and releases never touch the
-// graph at all. Publishing the waiting edge and checking for a cycle
-// happen atomically under the graph mutex, so of two transactions
-// closing a cycle, the later one always sees the earlier one's edge —
-// a real deadlock is always detected, and a stale edge can only cause
-// a conservative (spurious) victim, never a missed cycle.
+// Only contention takes a mutex. The waiters of an object queue on a
+// per-object FIFO of wake channels in one of numLockShards shards, under
+// the shard's mutex; waitBit says the word may have waiters, and it is
+// set and cleared only under that mutex. A holder whose release CAS
+// fails because the bit is set takes the mutex, wakes exactly one
+// waiter (no broadcast, no thundering herd) and leaves the word free: 0
+// if no waiter remains, waitBit if one does. A woken waiter re-checks
+// under the mutex — a barging transaction may have taken the word in
+// between, in which case the waiter re-queues. A deadlock victim may
+// leave the bit set over an empty queue; the holder's release clears it.
 //
-// Each transaction keeps the list of locks it was granted (Tx.held; lock
-// reports a new grant, releaseAll takes the list), making releaseAll
-// O(locks held) instead of O(all locks in the system) without a table
-// of held sets here: a transaction acquires and releases its locks from
-// one goroutine, so it is the list's only writer.
+// Deadlock detection uses a small waits-for structure (waitGraph) with
+// its own mutex: one edge per blocked transaction, to the word it waits
+// on. The cycle walk reads each waited-on word's holder from the word
+// itself. A word's holder cannot change while that holder is blocked —
+// only the holder releases it — and the first holder cannot release
+// while the requester holds the shard mutex over a word with the bit
+// set, so the chain holds still while the walk reads it. Edges are
+// published and removed under the owning shard's mutex and the lock
+// order is always shard mutex → graph mutex (the graph mutex is a leaf).
+// Publishing the edge and checking for a cycle happen atomically under
+// the graph mutex, so of two transactions closing a cycle, the later one
+// always sees the earlier one's edge — a real deadlock is always
+// detected, and a stale edge can only cause a conservative (spurious)
+// victim, never a missed cycle.
+//
+// Each transaction keeps the words it was granted, with their OIDs
+// (Tx.held), and releases through them, never through a second lookup:
+// an undone creation or a committed deletion may free the object's
+// chunk before the release, and the word lives on until its last
+// holder or waiter lets go of it. A transaction acquires and releases
+// its locks from one goroutine, so it is the list's only writer.
 package txn
 
 import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"ode/internal/fault"
 	"ode/internal/store"
@@ -56,48 +70,46 @@ import (
 // waits-for cycle. The requesting transaction must abort.
 var ErrDeadlock = errors.New("txn: deadlock detected")
 
-// numLockShards is the number of lock-table shards (power of two).
+// numLockShards is the number of wait-queue shards (power of two).
 const numLockShards = 64
 
-// lockShard holds the lock table for one slice of the OID space.
+// waitBit marks a lock word whose object may have queued waiters.
+const waitBit = 1
+
+// lockTags numbers the transactions that take a lock, process-wide.
+var lockTags atomic.Uint64
+
+// lockShard holds the wait queues of one slice of the OID space.
 type lockShard struct {
-	mu     sync.Mutex
-	holder map[store.OID]uint64          // object → holding transaction
-	waitq  map[store.OID][]chan struct{} // FIFO of blocked requesters
-	// mirrored marks objects whose holder is mirrored into the wait
-	// graph because they have (or recently had) waiters.
-	mirrored map[store.OID]bool
+	mu    sync.Mutex
+	waitq map[store.OID][]chan struct{} // FIFO of blocked requesters
 }
 
-// waitGraph is the dedicated cross-shard waits-for structure. waiting
-// has one edge per blocked transaction; holderOf mirrors the holder of
-// contended objects only. Guarded by its own mutex, which is only ever
-// acquired while holding at most one shard mutex (shard → graph
-// order).
+// waitGraph is the cross-shard waits-for structure: one edge per
+// blocked transaction, to the lock word it waits on. Guarded by its own
+// mutex, which is only ever acquired while holding at most one shard
+// mutex (shard → graph order).
 type waitGraph struct {
-	mu       sync.Mutex
-	waiting  map[uint64]store.OID
-	holderOf map[store.OID]uint64
+	mu      sync.Mutex
+	waiting map[uint64]*atomic.Uint64
 }
 
-// wouldCycle reports whether firstHolder (transitively) waits for
-// txID. Called with g.mu held. Each transaction waits on at most one
-// object, so the graph is a set of chains; walk ours.
-func (g *waitGraph) wouldCycle(txID, firstHolder uint64) bool {
+// wouldCycle reports whether firstHolder (transitively) waits for me.
+// Called with g.mu held. Each transaction waits on at most one object,
+// so the graph is a set of chains; walk ours.
+func (g *waitGraph) wouldCycle(me, firstHolder uint64) bool {
 	cur := firstHolder
 	for steps := 0; steps <= len(g.waiting)+1; steps++ {
-		if cur == txID {
+		if cur == me {
 			return true
 		}
-		oid, waits := g.waiting[cur]
+		w, waits := g.waiting[cur]
 		if !waits {
 			return false
 		}
-		next, held := g.holderOf[oid]
-		if !held {
+		if cur = w.Load() >> 1; cur == 0 {
 			return false
 		}
-		cur = next
 	}
 	return true // defensive: treat an over-long walk as a cycle
 }
@@ -112,12 +124,9 @@ type lockManager struct {
 func newLockManager(faults *fault.Registry) *lockManager {
 	lm := &lockManager{faults: faults}
 	for i := range lm.shards {
-		lm.shards[i].holder = make(map[store.OID]uint64)
 		lm.shards[i].waitq = make(map[store.OID][]chan struct{})
-		lm.shards[i].mirrored = make(map[store.OID]bool)
 	}
-	lm.graph.waiting = make(map[uint64]store.OID)
-	lm.graph.holderOf = make(map[store.OID]uint64)
+	lm.graph.waiting = make(map[uint64]*atomic.Uint64)
 	return lm
 }
 
@@ -125,12 +134,12 @@ func (lm *lockManager) shardOf(oid store.OID) *lockShard {
 	return &lm.shards[uint64(oid)%numLockShards]
 }
 
-// lock blocks until txID holds oid exclusively; granted reports that
-// this call acquired the lock — the caller owes releaseAll the oid. A
-// reentrant acquisition returns immediately with granted false. A
-// request that would close a waits-for cycle fails with ErrDeadlock
-// instead of blocking.
-func (lm *lockManager) lock(txID uint64, oid store.OID) (granted bool, err error) {
+// lock blocks until the transaction tagged me holds w, oid's lock word;
+// granted reports that this call acquired it — the caller owes release
+// the word. A reentrant acquisition returns immediately with granted
+// false. A request that would close a waits-for cycle fails with
+// ErrDeadlock instead of blocking.
+func (lm *lockManager) lock(me uint64, oid store.OID, w *atomic.Uint64) (granted bool, err error) {
 	if lm.faults != nil {
 		// Simulated lock-acquire timeout: surfaces to the requester
 		// exactly like a deadlock victim — it must abort.
@@ -138,125 +147,88 @@ func (lm *lockManager) lock(txID uint64, oid store.OID) (granted bool, err error
 			return false, fmt.Errorf("txn: lock %d: %w", uint64(oid), err)
 		}
 	}
+	if w.CompareAndSwap(0, me<<1) {
+		return true, nil
+	} else if w.Load()>>1 == me {
+		return false, nil // reentrant
+	}
 	sh := lm.shardOf(oid)
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	for {
-		h, held := sh.holder[oid]
-		if !held {
-			sh.holder[oid] = txID
-			if sh.mirrored[oid] {
-				lm.graph.mu.Lock()
-				if len(sh.waitq[oid]) > 0 {
-					lm.graph.holderOf[oid] = txID
-				} else {
-					delete(lm.graph.holderOf, oid)
-					delete(sh.mirrored, oid)
-				}
-				lm.graph.mu.Unlock()
+		v := w.Load()
+		h := v >> 1
+		if h == 0 {
+			// Free; a waiter still queued keeps the bit.
+			if w.CompareAndSwap(v, me<<1|v&waitBit) {
+				return true, nil
 			}
-			sh.mu.Unlock()
-			return true, nil
+			continue
 		}
-		if h == txID {
-			sh.mu.Unlock()
-			return false, nil // reentrant
+		if v&waitBit == 0 && !w.CompareAndSwap(v, v|waitBit) {
+			continue // released or barged meanwhile
 		}
-		// Contended: publish our waiting edge (and the holder mirror)
-		// and check for a cycle in one graph critical section.
+		// The bit is set, so h cannot release without this mutex: publish
+		// our waiting edge and check for a cycle in one graph critical
+		// section.
 		lm.graph.mu.Lock()
-		if lm.graph.wouldCycle(txID, h) {
+		if lm.graph.wouldCycle(me, h) {
 			lm.graph.mu.Unlock()
-			sh.mu.Unlock()
 			return false, ErrDeadlock
 		}
-		lm.graph.waiting[txID] = oid
-		lm.graph.holderOf[oid] = h
+		lm.graph.waiting[me] = w
 		lm.graph.mu.Unlock()
-		sh.mirrored[oid] = true
 		ch := make(chan struct{})
 		sh.waitq[oid] = append(sh.waitq[oid], ch)
 		sh.mu.Unlock()
 		<-ch
 		sh.mu.Lock()
 		lm.graph.mu.Lock()
-		delete(lm.graph.waiting, txID)
+		delete(lm.graph.waiting, me)
 		lm.graph.mu.Unlock()
 	}
 }
 
-// releaseAll drops the locks txID was granted — held lists each once —
-// and wakes one waiter per freed object. O(locks held by txID).
-func (lm *lockManager) releaseAll(txID uint64, held []store.OID) {
-	// Defensive: a victim that saw ErrDeadlock has already removed its
-	// waiting edge, but clear any leftover.
-	lm.graph.mu.Lock()
-	delete(lm.graph.waiting, txID)
-	lm.graph.mu.Unlock()
-	for _, oid := range held {
-		lm.release(txID, oid)
-	}
-}
-
-// release drops txID's lock on oid, if it holds it, and wakes one waiter.
-func (lm *lockManager) release(txID uint64, oid store.OID) {
-	sh := lm.shardOf(oid)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.holder[oid] != txID {
+// release drops w, oid's lock word, if the transaction tagged me holds
+// it, and wakes one waiter if the word says it may have some.
+func (lm *lockManager) release(me uint64, oid store.OID, w *atomic.Uint64) {
+	if w.CompareAndSwap(me<<1, 0) {
 		return
 	}
-	delete(sh.holder, oid)
-	if sh.mirrored[oid] {
-		lm.graph.mu.Lock()
-		delete(lm.graph.holderOf, oid)
-		lm.graph.mu.Unlock()
-	}
-	if q := sh.waitq[oid]; len(q) > 0 {
-		ch := q[0]
-		if len(q) == 1 {
-			delete(sh.waitq, oid)
-		} else {
-			sh.waitq[oid] = q[1:]
-		}
-		close(ch)
-	} else if sh.mirrored[oid] {
-		delete(sh.mirrored, oid)
-	}
-}
-
-// holds reports whether txID currently holds oid (for tests and
-// assertions).
-func (lm *lockManager) holds(txID uint64, oid store.OID) bool {
 	sh := lm.shardOf(oid)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.holder[oid] == txID
+	if w.Load()>>1 != me {
+		return // released already: a step that ended its transaction
+	}
+	var left uint64
+	if q := sh.waitq[oid]; len(q) > 1 {
+		close(q[0])
+		sh.waitq[oid], left = q[1:], waitBit
+	} else if len(q) == 1 {
+		close(q[0])
+		delete(sh.waitq, oid)
+	}
+	w.Store(left)
 }
 
-// counts reports the total number of held locks and queued waiters
-// across all shards — the quiescence check used by stress tests.
-func (lm *lockManager) counts() (held, waiting int) {
+// waiters reports the number of queued waiters across all shards — the
+// quiescence check used by tests, with their own objects' words.
+func (lm *lockManager) waiters() (n int) {
 	for i := range lm.shards {
 		sh := &lm.shards[i]
 		sh.mu.Lock()
-		held += len(sh.holder)
 		for _, q := range sh.waitq {
-			waiting += len(q)
+			n += len(q)
 		}
 		sh.mu.Unlock()
 	}
-	return held, waiting
+	return n
 }
 
-// graphSizes reports the waits-for graph population (edges, mirrored
-// holders) — zero at quiescence.
-func (lm *lockManager) graphSizes() (edges, mirrors int) {
+// edges reports the waits-for graph population — zero at quiescence.
+func (lm *lockManager) edges() int {
 	lm.graph.mu.Lock()
 	defer lm.graph.mu.Unlock()
-	return len(lm.graph.waiting), len(lm.graph.holderOf)
-}
-
-func (lm *lockManager) String() string {
-	held, waiting := lm.counts()
-	return fmt.Sprintf("lockManager{held=%d, waiting=%d}", held, waiting)
+	return len(lm.graph.waiting)
 }

@@ -135,7 +135,7 @@ func TestPeekStepReleasesWhatItDidNotAccess(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if held, _ := m.locks.counts(); held != 3 {
+	if held := heldOf(m, oids...); held != 3 {
 		t.Fatalf("%d locks held before commit, want 3", held)
 	}
 	for _, i := range []int{0, 500, 900} {
@@ -146,7 +146,7 @@ func TestPeekStepReleasesWhatItDidNotAccess(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if held, waiting := m.locks.counts(); held != 0 || waiting != 0 {
+	if held, waiting := heldOf(m, oids...), m.locks.waiters(); held != 0 || waiting != 0 {
 		t.Fatalf("after commit: held=%d waiting=%d", held, waiting)
 	}
 	if err := tx.PeekStep(oids[1], func(*store.Record) error { return nil }); !errors.Is(err, ErrNotActive) {

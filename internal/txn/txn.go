@@ -3,6 +3,7 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -82,25 +83,39 @@ func (m *Manager) Store() *store.Store { return m.store }
 func (m *Manager) SetSingleWriter(on bool) { m.single = on }
 
 // lock acquires oid for the transaction, noting a new grant in its held
-// list, or is a no-op in single-writer mode.
+// list, or is a no-op in single-writer mode. An OID without a store slot
+// names no object, and there is nothing to lock.
 func (tx *Tx) lock(oid store.OID) error {
 	if tx.mgr.single {
 		return nil
 	}
-	granted, err := tx.mgr.locks.lock(tx.id, oid)
+	w := tx.mgr.store.LockWord(oid)
+	if w == nil {
+		return nil
+	}
+	if tx.tag == 0 {
+		tx.tag = lockTags.Add(1)
+	}
+	granted, err := tx.mgr.locks.lock(tx.tag, oid, w)
 	if granted {
-		tx.held = append(tx.held, oid)
+		tx.held = append(tx.held, heldLock{oid, w})
 	}
 	return err
+}
+
+// heldLock is a lock a transaction was granted: the object and its word.
+type heldLock struct {
+	oid store.OID
+	w   *atomic.Uint64
 }
 
 // finish records the outcome, releases the transaction's locks and wakes
 // commit-dependency waiters.
 func (tx *Tx) finish(s State) {
 	tx.out = outcome{}
-	tx.setState(s)
-	if !tx.mgr.single {
-		tx.mgr.locks.releaseAll(tx.id, tx.held)
+	tx.state.Store(int32(s))
+	for _, l := range tx.held {
+		tx.mgr.locks.release(tx.tag, l.oid, l.w)
 	}
 	tx.mgr.broadcast()
 }
@@ -109,14 +124,14 @@ func (tx *Tx) finish(s State) {
 // goroutine.
 type Tx struct {
 	id  uint64
+	tag uint64 // its lock words' holder (lockTags; 0 until its first lock)
 	mgr *Manager
 
-	mu       sync.Mutex // guards state for cross-goroutine State() reads
-	state    State
+	state    atomic.Int32       // a State, read across goroutines
 	accessed []store.OID        // first-access order
 	touched  []store.Touched    // parallel to accessed: live record and before-image
 	seen     map[store.OID]bool // objects in accessed, once it outgrows accessedBuf (nil until then)
-	held     []store.OID        // locks granted (lock manager mode): accessed and peeked objects
+	held     []heldLock         // locks granted (lock manager mode): accessed and peeked objects
 	created  map[store.OID]bool // objects created by this transaction (nil until the first)
 	deleted  map[store.OID]bool // objects deleted by this transaction (nil until the first)
 	deps     []*Tx              // commit dependencies (footnote 6)
@@ -135,7 +150,7 @@ type Tx struct {
 	// instead of keeping the seen map.
 	accessedBuf [4]store.OID
 	touchedBuf  [4]store.Touched
-	heldBuf     [4]store.OID
+	heldBuf     [4]heldLock
 
 	// firings are the trigger firings captured by the engine during
 	// this transaction (AddFiring); Commit hands them to the store so
@@ -168,10 +183,9 @@ type mark struct {
 // Begin starts a new transaction.
 func (m *Manager) Begin() *Tx {
 	tx := &Tx{
-		id:    m.nextID.Add(1),
-		mgr:   m,
-		state: Active,
-		ends:  Committed,
+		id:   m.nextID.Add(1),
+		mgr:  m,
+		ends: Committed,
 	}
 	tx.accessed, tx.touched, tx.held = tx.accessedBuf[:0], tx.touchedBuf[:0], tx.heldBuf[:0]
 	return tx
@@ -199,17 +213,7 @@ func (tx *Tx) System() bool { return tx.system || tx.out.id != 0 }
 func (tx *Tx) InOutcome() bool { return tx.out.id != 0 }
 
 // State returns the transaction state.
-func (tx *Tx) State() State {
-	tx.mu.Lock()
-	defer tx.mu.Unlock()
-	return tx.state
-}
-
-func (tx *Tx) setState(s State) {
-	tx.mu.Lock()
-	tx.state = s
-	tx.mu.Unlock()
-}
+func (tx *Tx) State() State { return State(tx.state.Load()) }
 
 // Access locks oid for this transaction, records its before-image on
 // first access, and returns the live record. first reports whether
@@ -545,7 +549,11 @@ func (m *Manager) broadcast() {
 
 // Holds reports whether the transaction currently holds oid's lock.
 func (tx *Tx) Holds(oid store.OID) bool {
-	return tx.mgr.single || tx.mgr.locks.holds(tx.id, oid)
+	if tx.mgr.single {
+		return true
+	}
+	w := tx.mgr.store.LockWord(oid)
+	return w != nil && tx.tag != 0 && w.Load()>>1 == tx.tag
 }
 
 // Peek locks oid and returns its live record without counting the
@@ -569,12 +577,14 @@ func (tx *Tx) Peek(oid store.OID) (*store.Record, error) {
 // right after if this call granted it and step did not Access the
 // object, which holds it no longer than a transaction of its own that
 // changed nothing would. An object already held, or accessed, stays
-// locked to the end.
+// locked to the end. A lock this call granted was on an object not
+// accessed before, so only the accesses step appended are searched (a
+// step whose action aborted the transaction may have rolled them back).
 func (tx *Tx) PeekStep(oid store.OID, step func(*store.Record) error) error {
 	if tx.State() != Active {
 		return ErrNotActive
 	}
-	n := len(tx.held)
+	a0, n := len(tx.accessed), len(tx.held)
 	if err := tx.lock(oid); err != nil {
 		return err
 	}
@@ -582,9 +592,9 @@ func (tx *Tx) PeekStep(oid store.OID, step func(*store.Record) error) error {
 	if rec, gerr := tx.mgr.store.Get(oid); gerr == nil {
 		err = step(rec)
 	}
-	if len(tx.held) > n && tx.held[n] == oid && !tx.has(oid) {
-		tx.mgr.locks.release(tx.id, oid)
-		tx.held = append(tx.held[:n], tx.held[n+1:]...)
+	if l := tx.held[n:]; len(l) > 0 && l[0].oid == oid && !slices.Contains(tx.accessed[min(a0, len(tx.accessed)):], oid) {
+		tx.mgr.locks.release(tx.tag, oid, l[0].w)
+		tx.held = append(tx.held[:n], l[1:]...)
 	}
 	return err
 }

@@ -190,7 +190,11 @@ func TestAccessedAcrossInlineCrossover(t *testing.T) {
 				}
 				locked := append([]store.OID{peekedOnly}, want...)
 				if !single {
-					if held := append([]store.OID(nil), tx.held...); !sameSet(held, locked) {
+					var held []store.OID
+					for _, l := range tx.held {
+						held = append(held, l.oid)
+					}
+					if !sameSet(held, locked) {
 						t.Fatalf("n=%d: held list %v, want the set %v", n, held, locked)
 					}
 				}
@@ -209,11 +213,11 @@ func TestAccessedAcrossInlineCrossover(t *testing.T) {
 						}
 					}
 				}
-				if held, waiting := m.locks.counts(); held != 0 || waiting != 0 {
+				if held, waiting := heldOf(m, locked...), m.locks.waiters(); held != 0 || waiting != 0 {
 					t.Fatalf("single=%v n=%d: lock manager not quiescent: held=%d waiting=%d", single, n, held, waiting)
 				}
-				if edges, mirrors := m.locks.graphSizes(); edges != 0 || mirrors != 0 {
-					t.Fatalf("single=%v n=%d: waits-for graph not drained: edges=%d mirrors=%d", single, n, edges, mirrors)
+				if edges := m.locks.edges(); edges != 0 {
+					t.Fatalf("single=%v n=%d: waits-for graph not drained: edges=%d", single, n, edges)
 				}
 			}
 		}
