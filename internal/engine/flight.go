@@ -10,10 +10,11 @@ import (
 // handful of atomic stores with interned uint16 name IDs, no
 // allocation and no lock, so the masked non-firing posting hot path
 // keeps its zero-alloc budget. The recorder captures pipeline-level
-// events only — happenings, firings, timer deliveries and transaction
-// lifecycle — one record per happening regardless of how many triggers
-// it touches; per-trigger transition detail lives in the provenance
-// rings (explain.go).
+// events only — happenings, firings, egress batches and transaction
+// lifecycle — by one rule: one record per individually posted happening
+// however many triggers it touches, one StageBatch per PostBatch run or
+// cohort tick (Tx.flush; class, kind, count and the transaction's id).
+// Per-trigger transition detail lives in the provenance rings (explain.go).
 
 // Flight exposes the engine's flight recorder.
 func (e *Engine) Flight() *obs.Flight { return e.flight }
@@ -51,16 +52,6 @@ func (e *Engine) flightBatch(atNs int64, txid uint64, classID, kindID uint16, co
 // flightFire records one trigger firing with its action latency.
 func (e *Engine) flightFire(txid uint64, oid store.OID, classID, trigID uint16, ok bool, durNs int64) {
 	e.flight.Record(obs.StageFire, e.clk.Now().UnixNano(), txid, uint64(oid), classID, trigID, 0, 0, 0, ok, durNs)
-}
-
-// flightTimer records one time-event delivery of the timer interned as
-// keyID; the caller interns the key once per tick, not per member.
-func (e *Engine) flightTimer(atNs int64, keyID uint16, oid store.OID, onlyTrigger string) {
-	var trigID uint16
-	if onlyTrigger != "" {
-		trigID = e.names.Intern(onlyTrigger)
-	}
-	e.flight.Record(obs.StageTimer, atNs, 0, uint64(oid), 0, trigID, keyID, 0, 0, true, 0)
 }
 
 // flightEgress records one batch of firing records becoming visible on

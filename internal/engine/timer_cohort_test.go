@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"ode/internal/obs"
 	"ode/internal/schema"
 	"ode/internal/store"
 	"ode/internal/value"
@@ -334,15 +333,11 @@ func TestTimerTickHoldsNoLockForSelfLoops(t *testing.T) {
 		e.Clock().Advance(10 * time.Minute)
 		close(ticked)
 	}()
-	// Wait for the tick to reach x: it has stepped the member before it.
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		if slices.ContainsFunc(e.FlightEvents(4), func(ev obs.FlightEvent) bool {
-			return ev.Stage == obs.StageTimer && ev.OID == uint64(oids[n/2-1])
-		}) {
-			break
-		}
+	// Wait for the tick to reach x and block on it: x's lock word shows a
+	// queued waiter (bit 0, package txn's waitBit).
+	for deadline := time.Now().Add(10 * time.Second); e.st.LockWord(x).Load()&1 == 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatal("the tick never reached the member before x")
+			t.Fatal("the tick never blocked on x")
 		}
 	}
 	within("a transaction over every other member during the tick", readAll(x))

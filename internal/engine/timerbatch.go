@@ -10,10 +10,11 @@ import (
 // Cohort delivery: when a cohort comes due, every member observes the
 // same time event at the same instant (§3.1 — 'at'/'every' denote
 // shared history points). Delivering member-by-member through postTimer
-// pays a system transaction, a lock acquire, and atomic metric updates
-// per object; deliverCohort steps the due members in ONE system
-// transaction per (class, tick) with the cohort's meter, amortizing
-// those costs exactly as PostBatch does for method calls.
+// pays a system transaction, a lock acquire, atomic metric updates and
+// a flight record per object; deliverCohort steps the due members in
+// ONE system transaction per (class, tick) with the cohort's meter,
+// amortizing those costs exactly as PostBatch does for method calls.
+// The tick's happenings share one flight record, the StageBatch flush writes.
 //
 // Semantics relative to the per-object layout (timerTable.perObject),
 // pinned by the equivalence test in timer_equiv_test.go:
@@ -64,10 +65,10 @@ func (e *Engine) deliverCohort(co *cohort, oids []store.OID) {
 	// skipped.
 	sys.lazyAccess = true
 	var delivered uint64
-	keyID := e.names.Intern(co.ck.key)
+	tr := e.tracer()
 	for _, oid := range oids {
 		err = sys.tx.PeekStep(oid, func(rec *store.Record) error {
-			e.traceTimer(h.At, keyID, oid, co.ck.key, "")
+			traceTimer(tr, h.At, oid, co.ck.key, nil)
 			delivered++
 			_, err := sys.step(c, ph, oid, rec, &h, nil, &co.m)
 			return err

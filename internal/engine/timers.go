@@ -463,12 +463,8 @@ func (e *Engine) postTimer(oid store.OID, key string, only *Trigger) {
 	if !e.st.Exists(oid) {
 		return
 	}
-	onlyName := ""
-	if only != nil {
-		onlyName = only.Res.Name
-	}
 	e.stats.timerPosts.Add(1)
-	e.traceTimer(e.clk.Now(), e.names.Intern(key), oid, key, onlyName)
+	traceTimer(e.tracer(), e.clk.Now(), oid, key, only)
 	sys := e.beginSystem()
 	rec, err := sys.access(oid)
 	if err == nil {

@@ -117,20 +117,19 @@ func (e *Engine) traceFire(txid uint64, oid store.OID, class, trigger string, d 
 	t.Trace(ev)
 }
 
-// traceTimer instruments one time-event delivery at at of the timer key,
-// interned as keyID (before its happening enters the pipeline). The
-// always-on flight recorder captures the delivery too, tracer or no
-// tracer.
-func (e *Engine) traceTimer(at time.Time, keyID uint16, oid store.OID, key, onlyTrigger string) {
-	e.flightTimer(at.UnixNano(), keyID, oid, onlyTrigger)
-	t := e.tracer()
+// traceTimer gives t (nil: tracing is off; a tick loads it once for all
+// members) one time-event delivery at at of the timer key to only (nil:
+// every trigger), before its happening enters the pipeline. The flight
+// recorder has no record of its own for it (flight.go).
+func traceTimer(t obs.Tracer, at time.Time, oid store.OID, key string, only *Trigger) {
 	if t == nil {
 		return
 	}
-	t.Trace(obs.Event{
-		At: at, Stage: obs.StageTimer,
-		OID: uint64(oid), Trigger: onlyTrigger, Kind: key, OK: true,
-	})
+	ev := obs.Event{At: at, Stage: obs.StageTimer, OID: uint64(oid), Kind: key, OK: true}
+	if only != nil {
+		ev.Trigger = only.Res.Name
+	}
+	t.Trace(ev)
 }
 
 // traceTx instruments transaction lifecycle stages. The always-on

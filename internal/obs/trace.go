@@ -38,8 +38,9 @@ const (
 	// wall-clock latency, Err its error if any ("then we fire the
 	// triggers").
 	StageFire
-	// StageTimer: a time event was delivered to an object by the
-	// timer table (§3.1 item 3).
+	// StageTimer: a time event was delivered to an object by the timer
+	// table (§3.1 item 3). Tracer only: the flight recorder sees a time
+	// event as its StageHappening or as its cohort tick's StageBatch.
 	StageTimer
 	// StageTxBegin: a transaction began (Kind is "user" or "system").
 	StageTxBegin
@@ -51,12 +52,11 @@ const (
 	// fixpoint ran; From is the round number, OK whether any trigger
 	// fired (another round follows while OK).
 	StageTcomplete
-	// StageBatch: a PostBatch run of happenings of one kind; From holds
-	// the happening count. The batch path records one such summary per
-	// (method, phase) instead of a flight event per happening — the
-	// recorder is a lossy diagnostic ring, and per-event stamping is the
-	// dominant cost of an otherwise tight loop. Firings within the batch
-	// still record individual StageFire events.
+	// StageBatch: a PostBatch run of happenings of one kind, or a cohort
+	// tick; From holds the happening count. The recorder keeps one such
+	// summary per run or tick instead of a flight event per happening:
+	// per-event stamping is the dominant cost of an otherwise tight
+	// loop. Firings within it still record individual StageFire events.
 	StageBatch
 	// StageEgress: a batch of firing records became visible on the
 	// durable egress feed; From holds the first sequence number of the

@@ -422,9 +422,10 @@ func TestTortureSmoke(t *testing.T) {
 }
 
 // TestSimFlightDump: every run counts its flight-recorder events (at
-// least one per happening, across crash incarnations), and a Failure
-// built mid-run carries the recorder's recent events — the pre-crash
-// capture when one exists, the live engine's otherwise.
+// least the begin record of every user and system transaction, across
+// crash incarnations), and a Failure built mid-run carries the
+// recorder's recent events — the pre-crash capture when one exists, the
+// live engine's otherwise.
 func TestSimFlightDump(t *testing.T) {
 	cfg := Defaults(7)
 	cfg.Persistent = true
@@ -435,8 +436,8 @@ func TestSimFlightDump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.FlightEvents < res.Stats.Happenings || res.Stats.FlightEvents == 0 {
-		t.Fatalf("flight events %d < happenings %d", res.Stats.FlightEvents, res.Stats.Happenings)
+	if begun := res.Stats.TxBegun + res.Stats.SystemTx; res.Stats.FlightEvents < begun || begun == 0 {
+		t.Fatalf("flight events %d < transactions begun %d (user and system)", res.Stats.FlightEvents, begun)
 	}
 
 	x := &exec{sc: sc, dir: t.TempDir(), reg: fault.New()}
