@@ -144,6 +144,9 @@ func (c *Cursor) compact(rec store.FiringRecord) error {
 	if err := os.Rename(tmp.Name(), c.path); err != nil {
 		return fmt.Errorf("egress: publish cursor: %w", err)
 	}
+	if err := store.SyncDir(filepath.Dir(c.path)); err != nil {
+		return fmt.Errorf("egress: sync cursor dir: %w", err)
+	}
 	f, err := os.OpenFile(c.path, os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("egress: reopen cursor: %w", err)

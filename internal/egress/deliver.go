@@ -244,22 +244,32 @@ func (d *Deliverer) send(rec store.FiringRecord, key string) error {
 	return d.snd.Send(rec, key)
 }
 
-// Run pumps until stop closes, polling the feed every poll interval
-// when caught up. Delivery errors are retained in the bounded ring
-// (see Errors); Run keeps going — the deliverer re-attempts the
-// stalled record on the next cycle.
+// Run pumps until stop closes. It registers with the source before
+// its first Pump, so it drains whatever each publication makes readable
+// as soon as the source announces it (Source.NotifyFirings). poll is the
+// fallback cadence (default 50ms): Run also pumps on every tick, and
+// after a Pump that gave up on a record it ignores wakes until the next
+// tick, so a stalled record is retried once per poll, not once per
+// commit. Delivery errors are retained in the bounded ring (see
+// Errors); Run keeps going.
 func (d *Deliverer) Run(stop <-chan struct{}, poll time.Duration) {
 	if poll <= 0 {
 		poll = 50 * time.Millisecond
 	}
+	wake := make(chan struct{}, 1)
+	defer d.src.NotifyFirings(wake)()
 	t := time.NewTicker(poll)
 	defer t.Stop()
 	for {
+		woken := (<-chan struct{})(wake)
+		if _, err := d.Pump(0); err != nil {
+			woken = nil
+		}
 		select {
 		case <-stop:
 			return
+		case <-woken:
 		case <-t.C:
-			d.Pump(0)
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package egress
 
 import (
+	"slices"
+	"sync"
+	"sync/atomic"
+
 	"ode/internal/store"
 )
 
@@ -20,6 +24,57 @@ type Source interface {
 	// FiringPos returns the position of rec in this source's cursor
 	// domain (0 if the record is not on the feed).
 	FiringPos(rec store.FiringRecord) uint64
+	// NotifyFirings registers ch, a reader's 1-buffered channel, and
+	// returns the function that unregisters it. After each span of
+	// records becomes readable through FiringsAfter, the publishing
+	// goroutine makes a non-blocking send on every registered channel:
+	// a full channel already holds a wake its reader has not consumed,
+	// so dropping the send loses nothing. A publication neither blocks
+	// nor allocates, and costs one branch when nothing is registered.
+	NotifyFirings(ch chan<- struct{}) (unregister func())
+}
+
+// Notifier is the wake list behind a Source's NotifyFirings. The list
+// is copied on every registration change and read with one atomic load,
+// so Publish takes no lock. The zero value is ready to use.
+type Notifier struct {
+	mu  sync.Mutex
+	chs atomic.Pointer[[]chan<- struct{}]
+}
+
+// Add registers ch and returns the function that unregisters it.
+func (n *Notifier) Add(ch chan<- struct{}) (unregister func()) {
+	n.edit(func(l []chan<- struct{}) []chan<- struct{} { return append(l, ch) })
+	return func() {
+		n.edit(func(l []chan<- struct{}) []chan<- struct{} {
+			return slices.DeleteFunc(l, func(c chan<- struct{}) bool { return c == ch })
+		})
+	}
+}
+
+// edit replaces the list with fn applied to a private copy of it.
+func (n *Notifier) edit(fn func([]chan<- struct{}) []chan<- struct{}) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	var l []chan<- struct{}
+	if p := n.chs.Load(); p != nil {
+		l = slices.Clone(*p)
+	}
+	l = fn(l)
+	n.chs.Store(&l)
+}
+
+// Publish makes a non-blocking send on every registered channel. Call
+// it after the published records are readable.
+func (n *Notifier) Publish() {
+	if p := n.chs.Load(); p != nil {
+		for _, ch := range *p {
+			select {
+			case ch <- struct{}{}:
+			default:
+			}
+		}
+	}
 }
 
 // Subscription is a pull consumer over a Source: it streams historical

@@ -226,6 +226,7 @@ func TestCursorCompaction(t *testing.T) {
 type memFeed struct {
 	mu   sync.Mutex
 	recs []store.FiringRecord
+	wake egress.Notifier
 }
 
 func (m *memFeed) push(n int) {
@@ -234,6 +235,7 @@ func (m *memFeed) push(n int) {
 		m.recs = append(m.recs, rec(uint64(len(m.recs)+1), "Big", 42))
 	}
 	m.mu.Unlock()
+	m.wake.Publish()
 }
 
 func (m *memFeed) FiringsAfter(after uint64, max int) ([]store.FiringRecord, uint64) {
@@ -257,6 +259,8 @@ func (m *memFeed) FiringHead() uint64 {
 }
 
 func (m *memFeed) FiringPos(r store.FiringRecord) uint64 { return r.Seq }
+
+func (m *memFeed) NotifyFirings(ch chan<- struct{}) func() { return m.wake.Add(ch) }
 
 func TestDelivererRetriesThenDelivers(t *testing.T) {
 	src := &memFeed{}
@@ -668,5 +672,74 @@ func TestConcurrentSubscribersPartitioned(t *testing.T) {
 				t.Fatalf("subscriber %d diverged at %d: %+v != %+v", i, j, r, full[j])
 			}
 		}
+	}
+}
+
+// --- Run: woken by publication, retried at the poll cadence ---
+
+// TestRunWakesOnPublish: with a poll of an hour, only a publication's
+// wake can make Run deliver a firing committed after its first Pump,
+// on a single engine's feed and on a 2-partition DB's merged feed.
+func TestRunWakesOnPublish(t *testing.T) {
+	db, oids := bankDB(t, 2)
+	for _, src := range []egress.Source{db.Partition(0).Engine(), db} {
+		got := make(chan store.FiringRecord, 4)
+		d := egress.NewDeliverer(src, egress.SenderFunc(func(r store.FiringRecord, _ string) error {
+			got <- r
+			return nil
+		}), egress.DelivererOptions{From: src.FiringHead() + 1})
+		stop, done := make(chan struct{}), make(chan struct{})
+		go func() { defer close(done); d.Run(stop, time.Hour) }()
+		for i := 0; i < 2; i++ { // the first may be the first Pump's, the second is a wake's
+			if _, err := db.Call(oids[0], "withdraw", value.Int(20)); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case r := <-got:
+				if r.Trigger != "Big" || r.OID != oids[0] {
+					t.Fatalf("%T delivered %+v", src, r)
+				}
+			case <-time.After(time.Second):
+				t.Fatalf("%T: firing %d not delivered within 1s of its commit", src, i+1)
+			}
+		}
+		close(stop)
+		<-done
+	}
+}
+
+// TestRunRetriesAtThePollCadence: a record the sender always refuses
+// is retried once per poll tick, however many publications wake the
+// deliverer meanwhile.
+func TestRunRetriesAtThePollCadence(t *testing.T) {
+	const (
+		poll        = 20 * time.Millisecond
+		maxAttempts = 2
+		pubs        = 200
+	)
+	src := &memFeed{}
+	d := egress.NewDeliverer(src, egress.SenderFunc(func(store.FiringRecord, string) error {
+		return errors.New("endpoint down")
+	}), egress.DelivererOptions{MaxAttempts: maxAttempts, Sleep: func(time.Duration) {}})
+	stop, done := make(chan struct{}), make(chan struct{})
+	start := time.Now()
+	go func() { defer close(done); d.Run(stop, poll) }()
+	for i := 0; i < pubs; i++ {
+		src.push(1)
+		time.Sleep(500 * time.Microsecond)
+	}
+	close(stop)
+	<-done
+	elapsed := time.Since(start)
+	s := d.Stats()
+	// One Pump at start, at most one a tick since, each of MaxAttempts.
+	bound := (uint64(elapsed/poll) + 2) * maxAttempts
+	t.Logf("%d attempts in %v for %d publications (bound %d)", s.Attempts, elapsed, pubs, bound)
+	if s.Delivered != 0 || s.Attempts == 0 {
+		t.Fatalf("stats %+v", s)
+	}
+	if s.Attempts > bound {
+		t.Fatalf("%d send attempts in %v at a %v poll: the stalled record was retried per publication (bound %d)",
+			s.Attempts, elapsed, poll, bound)
 	}
 }

@@ -166,7 +166,7 @@ func (e *Engine) handleDebugFeed(w http.ResponseWriter, r *http.Request) {
 		}
 		max = n
 	}
-	recs, head := e.Firings(after, max)
+	recs, head := e.FiringsAfter(after, max)
 	if recs == nil {
 		recs = []store.FiringRecord{}
 	}

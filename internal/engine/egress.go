@@ -13,16 +13,9 @@ import (
 // EgressEnabled reports whether commit-time firing capture is on.
 func (e *Engine) EgressEnabled() bool { return !e.egressOff }
 
-// Firings returns up to max durable firing records with Seq > after,
-// plus the feed head (the highest sequence number a reader may see).
-// max <= 0 means no limit. Records belong to committed transactions
-// only, in strict sequence order.
-func (e *Engine) Firings(after uint64, max int) ([]store.FiringRecord, uint64) {
-	return e.st.FiringsFrom(after, max)
-}
-
-// FiringsAfter implements egress.Source over the engine's feed: the
-// cursor is the record sequence number itself.
+// FiringsAfter implements egress.Source over the engine's feed: up to
+// max (<= 0: no limit) committed firing records with Seq > after, in
+// sequence order, plus the feed head. The cursor is the Seq itself.
 func (e *Engine) FiringsAfter(after uint64, max int) ([]store.FiringRecord, uint64) {
 	return e.st.FiringsFrom(after, max)
 }
@@ -33,6 +26,9 @@ func (e *Engine) FiringHead() uint64 { return e.st.FiringSeq() }
 // FiringPos implements egress.Source: on a single engine the cursor
 // position of a record is its sequence number.
 func (e *Engine) FiringPos(rec store.FiringRecord) uint64 { return rec.Seq }
+
+// NotifyFirings implements egress.Source: egressPublish wakes ch.
+func (e *Engine) NotifyFirings(ch chan<- struct{}) func() { return e.feedWake.Add(ch) }
 
 // SetFiringSink installs fn as the live-feed callback: it is invoked
 // with each span of newly durable firing records, in sequence order,
@@ -48,10 +44,11 @@ func (e *Engine) SetFiringSink(fn func(store.FiringSpan)) {
 }
 
 // egressPublish is the store-level sink: every span of newly durable
-// firing records lands here, already in sequence order. It records a
-// flight-recorder event per span and relays to the user sink.
+// firing records lands here, in sequence order. It records a flight
+// event, wakes the feed's readers and relays to the user sink.
 func (e *Engine) egressPublish(sp store.FiringSpan) {
 	e.flightEgress(sp.First, sp.Last, sp.Hi-sp.Lo)
+	e.feedWake.Publish()
 	if fn := e.firingSink.Load(); fn != nil {
 		(*fn)(sp)
 	}

@@ -85,7 +85,7 @@ func TestFeedProvenanceEquivalence(t *testing.T) {
 		}
 	}
 
-	feed, head := e.Firings(0, 0)
+	feed, head := e.FiringsAfter(0, 0)
 	if len(feed) == 0 {
 		t.Fatal("workload produced an empty feed")
 	}
@@ -173,7 +173,7 @@ func TestFeedProvenanceEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e2.Close()
-	feed2, head2 := e2.Firings(0, 0)
+	feed2, head2 := e2.FiringsAfter(0, 0)
 	if head2 != head || len(feed2) != len(feed) {
 		t.Fatalf("recovered feed head=%d len=%d, want head=%d len=%d", head2, len(feed2), head, len(feed))
 	}
@@ -181,5 +181,30 @@ func TestFeedProvenanceEquivalence(t *testing.T) {
 		if feed2[i] != feed[i] {
 			t.Fatalf("recovered feed diverged at %d: %+v != %+v", i, feed2[i], feed[i])
 		}
+	}
+}
+
+// TestPublishWithAWaiterAllocatesNothing: the engine's publication
+// (flight event, reader wake, sink relay) allocates nothing, with or
+// without a reader registered.
+func TestPublishWithAWaiterAllocatesNothing(t *testing.T) {
+	e, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	sp := store.FiringSpan{Lo: 0, Hi: 1, First: 1, Last: 1}
+	if a := testing.AllocsPerRun(100, func() { e.egressPublish(sp) }); a != 0 {
+		t.Fatalf("egressPublish without a waiter allocates %.1f objects", a)
+	}
+	wake := make(chan struct{}, 1)
+	defer e.NotifyFirings(wake)()
+	if a := testing.AllocsPerRun(100, func() { e.egressPublish(sp) }); a != 0 {
+		t.Fatalf("egressPublish with a waiter allocates %.1f objects", a)
+	}
+	select {
+	case <-wake:
+	default:
+		t.Fatal("egressPublish did not wake the registered reader")
 	}
 }

@@ -30,6 +30,7 @@ import (
 
 	"ode/internal/clock"
 	"ode/internal/compile"
+	"ode/internal/egress"
 	"ode/internal/evlang"
 	"ode/internal/fa"
 	"ode/internal/fault"
@@ -180,6 +181,7 @@ type Engine struct {
 	// invoked with each span of newly durable firing records, in
 	// sequence order, from the committing goroutine.
 	firingSink atomic.Pointer[func(store.FiringSpan)]
+	feedWake   egress.Notifier // NotifyFirings' readers
 
 	timers *timerTable
 

@@ -114,7 +114,7 @@ func TestCommitSucceedsWhenItsOutcomeAborts(t *testing.T) {
 				if st, active, _ := e.TriggerState(oid, "WholeC"); st == start || !active {
 					t.Errorf("%s: whole-view WholeC state %d (active %v): its after-tcommit step was lost", when, st, active)
 				}
-				feed, _ := e.Firings(0, 0)
+				feed, _ := e.FiringsAfter(0, 0)
 				for _, fr := range feed {
 					if fr.Kind == "after tcommit" {
 						t.Errorf("%s: the aborted outcome's firing %s is on the feed", when, fr.Trigger)
@@ -173,7 +173,7 @@ func TestFaultCrashAroundMergedFrame(t *testing.T) {
 			img, _ := e.Store().GetCommitted(oid)
 			user := field(img, "balance").AsInt() == 11000
 			outcome := !field(img, "owner").IsNull()
-			feed, _ := e.Firings(0, 0)
+			feed, _ := e.FiringsAfter(0, 0)
 			if outcome != (len(feed) == 1) {
 				t.Fatalf("owner stamped %v, but the feed holds %d firings", outcome, len(feed))
 			}

@@ -42,7 +42,8 @@ type feedEntry struct {
 }
 
 // appendFeed gives partition p's newly durable span the next positions
-// (the engine sink calls it from the committing goroutine).
+// (the engine sink calls it from the committing goroutine), then wakes
+// the merged feed's readers.
 func (db *DB) appendFeed(p int, sp store.FiringSpan) {
 	db.feedMu.Lock()
 	for i := sp.Lo; i < sp.Hi; i++ {
@@ -50,6 +51,7 @@ func (db *DB) appendFeed(p int, sp store.FiringSpan) {
 		db.feedAt[p] = append(db.feedAt[p], uint64(len(db.feed)))
 	}
 	db.feedMu.Unlock()
+	db.feedWake.Publish()
 }
 
 // seedFeed indexes the recovered per-partition logs at Open, merged by
@@ -134,6 +136,9 @@ func (db *DB) FiringPos(rec store.FiringRecord) uint64 {
 	}
 	return 0
 }
+
+// NotifyFirings implements egress.Source: appendFeed wakes ch.
+func (db *DB) NotifyFirings(ch chan<- struct{}) func() { return db.feedWake.Add(ch) }
 
 // handleDebugFeed serves the merged feed:
 // /debug/feed?after=N&max=M (after defaults to 0, max to 1000).

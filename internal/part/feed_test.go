@@ -2,12 +2,14 @@ package part
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
 	"time"
 	"unsafe"
 
+	"ode/internal/egress"
 	"ode/internal/engine"
 	"ode/internal/store"
 	"ode/internal/value"
@@ -33,7 +35,7 @@ type refFeed struct {
 func hookRef(db *DB) *refFeed {
 	ref := &refFeed{pos: map[refKey]uint64{}}
 	for _, pt := range db.parts {
-		recs, _ := pt.eng.Firings(0, 0)
+		recs, _ := pt.eng.FiringsAfter(0, 0)
 		ref.recs = append(ref.recs, recs...)
 	}
 	sort.Slice(ref.recs, func(i, j int) bool {
@@ -231,5 +233,117 @@ func TestFiringPosAllocatesNothing(t *testing.T) {
 		}
 	}); a != 0 {
 		t.Fatalf("FiringPos + FiringHead allocate %.1f objects", a)
+	}
+}
+
+// TestPublishWithAWaiterAllocatesNothing: indexing a span and waking the
+// merged feed's readers allocates nothing, with or without a reader
+// registered. The index is grown beforehand: its amortised growth is
+// TestFeedIndexBytesPerFiring's subject, not this test's.
+func TestPublishWithAWaiterAllocatesNothing(t *testing.T) {
+	db := openBank(t, 2, "", nil, engine.Options{})
+	defer db.Close()
+	db.feed = slices.Grow(db.feed, 512)
+	db.feedAt[0] = slices.Grow(db.feedAt[0], 512)
+	i := 0
+	publish := func() { db.appendFeed(0, store.FiringSpan{Lo: i, Hi: i + 1}); i++ }
+	if a := testing.AllocsPerRun(100, publish); a != 0 {
+		t.Fatalf("appendFeed without a waiter allocates %.1f objects", a)
+	}
+	wake := make(chan struct{}, 1)
+	defer db.NotifyFirings(wake)()
+	if a := testing.AllocsPerRun(100, publish); a != 0 {
+		t.Fatalf("appendFeed with a waiter allocates %.1f objects", a)
+	}
+	select {
+	case <-wake:
+	default:
+		t.Fatal("appendFeed did not wake the registered reader")
+	}
+}
+
+// TestRunDeliversOnceWhileReadersComeAndGo is the -race test of
+// wake-driven delivery: two partitions commit firings while Run
+// delivers them, woken only by publication (its poll is an hour), and a
+// second reader registers and unregisters throughout. Every record is
+// delivered exactly once, and Run returns on stop.
+func TestRunDeliversOnceWhileReadersComeAndGo(t *testing.T) {
+	const perPart = 100
+	db := openBank(t, 2, "", nil, engine.Options{})
+	defer db.Close()
+	oids := newAccounts(t, db)
+
+	var mu sync.Mutex
+	seen := map[refKey]int{}
+	d := egress.NewDeliverer(db, egress.SenderFunc(func(r store.FiringRecord, _ string) error {
+		mu.Lock()
+		seen[refKey{r.Part, r.Seq}]++
+		mu.Unlock()
+		return nil
+	}), egress.DelivererOptions{})
+	stop, ran := make(chan struct{}), make(chan struct{})
+	go func() { defer close(ran); d.Run(stop, time.Hour) }()
+
+	var producers, reader sync.WaitGroup
+	quit := make(chan struct{})
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-quit:
+				return
+			default:
+			}
+			ch := make(chan struct{}, 1)
+			unregister := db.NotifyFirings(ch)
+			select {
+			case <-ch:
+			case <-time.After(time.Millisecond):
+			}
+			unregister()
+		}
+	}()
+	for _, oid := range oids {
+		producers.Add(1)
+		go func(oid store.OID) {
+			defer producers.Done()
+			for i := 0; i < perPart; i++ {
+				if _, err := db.Call(oid, "withdraw", value.Int(200)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(oid)
+	}
+	producers.Wait()
+	close(quit)
+	reader.Wait()
+
+	head := db.FiringHead()
+	if head < 2*perPart {
+		t.Fatalf("feed head %d, want at least %d firings", head, 2*perPart)
+	}
+	for deadline := time.Now().Add(10 * time.Second); d.Pos() < head; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("delivered through %d of %d positions after 10s", d.Pos(), head)
+		}
+	}
+	close(stop)
+	select {
+	case <-ran:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run did not return on stop")
+	}
+	recs, _ := db.FiringsAfter(0, 0)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(seen) != len(recs) {
+		t.Fatalf("delivered %d distinct records, the feed holds %d", len(seen), len(recs))
+	}
+	for _, r := range recs {
+		if n := seen[refKey{r.Part, r.Seq}]; n != 1 {
+			t.Fatalf("record (part %d, seq %d) delivered %d times", r.Part, r.Seq, n)
+		}
 	}
 }

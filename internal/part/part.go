@@ -37,6 +37,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ode/internal/egress"
 	"ode/internal/engine"
 	"ode/internal/store"
 )
@@ -120,9 +121,10 @@ type DB struct {
 	// Merged total-order firing feed (egress.go): a position index
 	// over the partitions' own logs. feed[pos-1] locates a position's
 	// record; feedAt[p][i] is the position of partition p's i-th.
-	feedMu sync.Mutex
-	feed   []feedEntry
-	feedAt [][]uint64
+	feedMu   sync.Mutex
+	feed     []feedEntry
+	feedAt   [][]uint64
+	feedWake egress.Notifier // NotifyFirings' readers
 }
 
 // Open starts a partitioned database: each partition opens (and, when

@@ -127,7 +127,7 @@ func (x *exec) pollFeed() {
 	if n := len(x.feedSeen); n > 0 {
 		after = x.feedSeen[n-1].Seq
 	}
-	recs, _ := x.eng.Firings(after, 0)
+	recs, _ := x.eng.FiringsAfter(after, 0)
 	x.feedSeen = append(x.feedSeen, recs...)
 }
 
@@ -163,7 +163,7 @@ func (x *exec) pumpEgress() error {
 // On success the mirror adopts the recovered feed (tail extras are
 // durable commits the crash hid from the live engine).
 func (x *exec) feedRecoveryErr(fe *fault.Error, post bool, victimTx uint64) error {
-	recovered, _ := x.eng.Firings(0, 0)
+	recovered, _ := x.eng.FiringsAfter(0, 0)
 	if len(recovered) < len(x.feedSeen) {
 		return fmt.Errorf("recovery lost egress records: feed holds %d, %d were observed (fault %v)",
 			len(recovered), len(x.feedSeen), fe)
@@ -218,7 +218,7 @@ func (x *exec) egressFinalErr() error {
 	if lag := x.delv.Stats().Lag; lag != 0 {
 		return fmt.Errorf("deliverer still lags %d positions after the final drain", lag)
 	}
-	final, head := x.eng.Firings(0, 0)
+	final, head := x.eng.FiringsAfter(0, 0)
 	if len(final) != len(x.feedSeen) {
 		return fmt.Errorf("feed mirror drift: observed %d records, final feed holds %d (head %d)",
 			len(x.feedSeen), len(final), head)

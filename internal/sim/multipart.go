@@ -423,7 +423,7 @@ func (x *mexec) open(start time.Time) error {
 	// An open indexes the recovered logs merged by (AtNs, Part, Seq).
 	x.seeded = nil
 	for p := 0; p < x.sc.Partitions; p++ {
-		recs, _ := db.Partition(p).Engine().Firings(0, 0)
+		recs, _ := db.Partition(p).Engine().FiringsAfter(0, 0)
 		x.seeded = append(x.seeded, recs...)
 	}
 	slices.SortFunc(x.seeded, func(a, b store.FiringRecord) int {
@@ -454,7 +454,7 @@ func feedErr(db *part.DB, seeded []store.FiringRecord) error {
 		next[r.Part]++
 	}
 	for p := range logs {
-		logs[p], _ = db.Partition(p).Engine().Firings(0, 0)
+		logs[p], _ = db.Partition(p).Engine().FiringsAfter(0, 0)
 	}
 	for i, r := range all[len(seeded):] {
 		if p := r.Part; p < 0 || p >= len(logs) || next[p] >= len(logs[p]) || logs[p][next[p]] != r {

@@ -307,3 +307,67 @@ func TestNaNFieldIsNotPerpetuallyDirty(t *testing.T) {
 		t.Fatal("a changed field kept the old image")
 	}
 }
+
+// TestCheckpointSyncsTheDirectoryBeforeTruncating pins a checkpoint's
+// order: rename the snapshot, fsync the directory, truncate the WAL. A
+// truncation made durable while the rename is not could leave the old
+// snapshot beside an empty log after a crash, losing every transaction
+// since the previous checkpoint. A failed directory sync leaves the WAL
+// whole.
+func TestCheckpointSyncsTheDirectoryBeforeTruncating(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	commit := func(id uint64) {
+		r := s.Create("c", map[string]value.Value{"a": value.Int(int64(id))})
+		if err := s.LogCommit(id, []OID{r.OID}, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	walLen := func() int64 {
+		fi, err := os.Stat(filepath.Join(dir, walName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	defer func() { syncDir = SyncDir }()
+
+	commit(1)
+	full, calls := walLen(), 0
+	syncDir = func(d string) error {
+		calls++
+		if d != dir {
+			t.Errorf("synced %s, want the store's directory %s", d, dir)
+		}
+		if _, err := os.Stat(filepath.Join(dir, snapshotName)); err != nil {
+			t.Errorf("directory synced before the snapshot was renamed into place: %v", err)
+		}
+		if n := walLen(); n != full {
+			t.Errorf("WAL truncated to %d of %d bytes before the directory sync", n, full)
+		}
+		return SyncDir(d)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 {
+		t.Fatalf("checkpoint synced the directory %d times, want 1", calls)
+	}
+	if n := walLen(); n >= full {
+		t.Fatalf("checkpoint left the WAL at %d bytes (was %d)", n, full)
+	}
+
+	commit(2)
+	full = walLen()
+	syncDir = func(string) error { return os.ErrPermission }
+	if err := s.Checkpoint(); err == nil {
+		t.Fatal("checkpoint succeeded although its directory sync failed")
+	}
+	if n := walLen(); n != full {
+		t.Fatalf("a checkpoint whose directory sync failed truncated the WAL to %d of %d bytes", n, full)
+	}
+}

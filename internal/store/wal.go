@@ -305,10 +305,29 @@ func (s *Store) writeSnapshot() error {
 		return fmt.Errorf("store: close snapshot: %w", err)
 	}
 	// Atomic publish: a crash leaves either the old or the new snapshot.
+	// The rename is durable before the caller truncates the WAL, or a
+	// crash could leave the old snapshot beside an empty log.
 	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, snapshotName)); err != nil {
 		return fmt.Errorf("store: publish snapshot: %w", err)
 	}
+	if err := syncDir(s.dir); err != nil {
+		return fmt.Errorf("store: sync dir: %w", err)
+	}
 	return nil
+}
+
+// syncDir is SyncDir, swapped by a test that pins where it runs.
+var syncDir = SyncDir
+
+// SyncDir fsyncs directory dir, making the entries renamed or created
+// in it durable.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 func (s *Store) streamSnapshot(w *bufio.Writer) error {

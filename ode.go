@@ -550,7 +550,7 @@ func (db *Database) Firings(after uint64, max int) ([]FiringRecord, uint64) {
 	if db.parts != nil {
 		return db.parts.FiringsAfter(after, max)
 	}
-	return db.eng.Firings(after, max)
+	return db.eng.FiringsAfter(after, max)
 }
 
 // FeedSource returns the database's firing feed as an egress.Source —
