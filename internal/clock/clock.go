@@ -138,11 +138,18 @@ func (c *Virtual) After(d time.Duration, fn func(time.Time)) TimerID {
 // Every schedules fn every period, first firing one period from now.
 // The period must be positive.
 func (c *Virtual) Every(period time.Duration, fn func(time.Time)) TimerID {
+	return c.EveryFrom(c.Now(), period, fn)
+}
+
+// EveryFrom schedules fn at each instant from + k·period (k ≥ 1) that
+// is after now: the phase is from's, which must not be after now. The
+// period must be positive.
+func (c *Virtual) EveryFrom(from time.Time, period time.Duration, fn func(time.Time)) TimerID {
 	if period <= 0 {
 		panic("clock: non-positive period")
 	}
 	c.mu.Lock()
-	at := c.now.Add(period)
+	at := from.Add(period * (c.now.Sub(from)/period + 1))
 	c.mu.Unlock()
 	return c.schedule(at, period, fn)
 }

@@ -1,6 +1,7 @@
 package clock
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -46,6 +47,20 @@ func TestOneShotTimers(t *testing.T) {
 	c.Advance(24 * time.Hour)
 	if len(fired) != 2 {
 		t.Fatalf("one-shot refired: %v", fired)
+	}
+}
+
+// TestEveryFromKeepsItsPhase: a periodic timer anchored 25 minutes in
+// the past on a 10-minute period first fires at the next instant of its
+// phase, 5 minutes from now, and never for the instants already past.
+func TestEveryFromKeepsItsPhase(t *testing.T) {
+	c := NewVirtual(t0)
+	c.Advance(25 * time.Minute)
+	var fired []string
+	c.EveryFrom(t0, 10*time.Minute, func(at time.Time) { fired = append(fired, at.Format("15:04")) })
+	c.Advance(30 * time.Minute)
+	if got := fmt.Sprint(fired); got != "[08:30 08:40 08:50]" {
+		t.Fatalf("fired at %s, want [08:30 08:40 08:50]", got)
 	}
 }
 

@@ -329,6 +329,7 @@ func New(opts Options) (*Engine, error) {
 		st.SetFiringSink(e.egressPublish)
 	}
 	e.timers = newTimerTable(e)
+	e.txm.OnCommit(e.applyTimers)
 	switch {
 	case opts.RecordHistories > 0:
 		e.book.Store(history.NewBook(opts.RecordHistories))
@@ -597,32 +598,29 @@ func (e *Engine) recordTimerErr(err error) {
 
 // RearmTimers re-creates the volatile timer schedule for every active
 // trigger after reopening a persistent database: activations are
-// durable but clock state is not. Every object must resolve: a failing
-// lookup or an unregistered class aborts the rearm with an error
-// (rearming a subset silently would leave some activations without
-// their timers).
+// durable but clock state is not. It applies an activate intent, at the
+// current instant, for each active timed trigger of each committed
+// image. Every object must resolve: an unregistered class fails the
+// rearm with an error before anything is armed (rearming a subset
+// silently would leave some activations without their timers).
 func (e *Engine) RearmTimers() error {
-	for _, oid := range e.st.OIDs() {
-		if err := e.rearmObject(oid); err != nil {
+	var ins []txn.Intent
+	now := e.clk.Now()
+	for _, oid := range e.st.CommittedOIDs() {
+		rec, ok := e.st.GetCommitted(oid)
+		if !ok {
+			continue // deleted since CommittedOIDs
+		}
+		c, err := e.classOf(rec)
+		if err != nil {
 			return fmt.Errorf("engine: rearm timers: object %d: %w", oid, err)
 		}
-	}
-	return nil
-}
-
-func (e *Engine) rearmObject(oid store.OID) error {
-	rec, err := e.st.Get(oid)
-	if err != nil {
-		return err
-	}
-	c, err := e.classOf(rec)
-	if err != nil {
-		return err
-	}
-	for _, t := range c.Triggers {
-		if rec.Trig(t.slot).Active {
-			e.timers.arm(oid, c, t)
+		for _, t := range c.Triggers {
+			if rec.Trig(t.slot).Active && len(t.Res.Timers) > 0 {
+				ins = append(ins, txn.Intent{OID: oid, Slot: t.slot, Op: txn.Activate, At: now})
+			}
 		}
 	}
+	e.applyTimers(ins)
 	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"ode/internal/obs"
 	"ode/internal/schema"
 	"ode/internal/store"
+	"ode/internal/txn"
 	"ode/internal/value"
 )
 
@@ -374,7 +375,7 @@ func (tx *Tx) step(c *Class, ph *phase, oid store.OID, rec *store.Record,
 	for _, t := range fired {
 		if !t.Res.Perpetual {
 			rec.Trigs[t.slot].Active = false
-			e.timers.disarm(oid, t)
+			tx.schedule(oid, t, txn.Deactivate)
 		}
 	}
 	err = tx.fire(c, ph, oid, rec, h, fired)

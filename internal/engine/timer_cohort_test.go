@@ -35,7 +35,7 @@ func TestTimerBytesPerMember(t *testing.T) {
 	}
 	before := heap()
 	for oid := store.OID(1); oid <= n; oid++ {
-		e.timers.arm(oid, c, tick)
+		e.timers.arm(oid, c, tick, e.clk.Now())
 	}
 	per := float64(heap()-before) / n
 	runtime.KeepAlive(e)
@@ -71,7 +71,7 @@ type timerChurnRun struct {
 // timerChurnScript arms a fleet in descending and in shuffled OID order,
 // gives one spec 66 triggers, and churns the cohorts — deactivation and
 // re-activation (members re-joining below the list's end), deletions
-// and an aborted activation (reconcile) — between ticks. Every advance
+// and an aborted activation (intents dropped) — between ticks. Every advance
 // is a whole number of periods, so no instant is shared by two specs.
 func timerChurnScript(t *testing.T, perObject bool) *timerChurnRun {
 	t.Helper()
@@ -165,7 +165,7 @@ func timerChurnScript(t *testing.T, perObject bool) *timerChurnRun {
 	}
 	activate(back, "Tick")
 
-	// An aborted activation: reconcile must take its memberships back.
+	// An aborted activation: its memberships are never taken.
 	boom := errors.New("boom")
 	if err := e.Transact(func(tx *Tx) error {
 		for _, trig := range []string{"Tick", "Daily", "W64"} {
@@ -370,11 +370,11 @@ func TestTimerChurnBetweenTicksStaysBounded(t *testing.T) {
 	}
 	tick := c.Trigger("Tick")
 	for oid := store.OID(1); oid <= 10; oid++ {
-		e.timers.arm(oid, c, tick)
+		e.timers.arm(oid, c, tick, e.clk.Now())
 	}
 	for i := 0; i < 1000; i++ {
 		e.timers.disarm(store.OID(1+i%10), tick)
-		e.timers.arm(store.OID(1+i%10), c, tick)
+		e.timers.arm(store.OID(1+i%10), c, tick, e.clk.Now())
 	}
 	for _, co := range e.timers.cohorts {
 		if len(co.oids) > 20 {

@@ -26,7 +26,8 @@ type timerEquivRun struct {
 // timerEquivScript runs the mixed timer workload against a fresh
 // engine: periodic, calendar, and 'after' one-shot specs across many
 // objects, interleaved with method calls, partial deactivation, object
-// deletion, and an aborted activation (exercising reconcile).
+// deletion, and an aborted activation (whose timer intents the
+// rollback drops).
 func timerEquivScript(t *testing.T, perObject bool) *timerEquivRun {
 	t.Helper()
 	rec := &recorder{}
@@ -120,8 +121,8 @@ func timerEquivScript(t *testing.T, perObject bool) *timerEquivRun {
 		t.Fatal(err)
 	}
 
-	// An aborted activation: reconcile must restore the pre-transaction
-	// schedule (the activation's timers disappear with the rollback).
+	// An aborted activation leaves the schedule as it was: the
+	// activation's timer intents disappear with the rollback.
 	boom := fmt.Errorf("boom")
 	if err := e.Transact(func(tx *Tx) error {
 		if err := tx.Activate(oids[1], "Daily"); err != nil {

@@ -15,11 +15,12 @@ import (
 )
 
 // TestTimerTableStress hammers the timer table from concurrent
-// transactions — activation, deactivation, and aborts (reconcile) —
-// while another goroutine advances the clock, delivering cohort ticks
-// in parallel. Run under -race it guards the table's locking; the
-// final check proves the schedule converged to exactly the active
-// trigger instances.
+// transactions — activation, deactivation, and aborts, whose timer
+// intents are dropped with the rollback — while another goroutine
+// advances the clock, delivering cohort ticks in parallel. Run under
+// -race it guards the table's locking; the final check proves the
+// schedule, changed only at commits under the objects' locks, converged
+// to exactly the active trigger instances.
 func TestTimerTableStress(t *testing.T) {
 	rec := &recorder{}
 	cls, impl := accountClass(rec,

@@ -35,7 +35,10 @@ import (
 //   - on any member error the shared transaction aborts (rolling back
 //     every member) and the whole tick is re-delivered member by member
 //     through postTimer, giving each its own transaction and any
-//     per-object failure its own recorded error.
+//     per-object failure its own recorded error;
+//   - a member's fired non-perpetual trigger leaves the cohort when the
+//     tick's transaction commits (its deactivation is a timer intent,
+//     timers.go), so an aborted tick leaves every membership in place.
 
 // deliverCohort posts one due tick of a cohort to the given members
 // (sorted ascending) in one system transaction.

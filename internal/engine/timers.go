@@ -12,6 +12,7 @@ import (
 	"ode/internal/event"
 	"ode/internal/evlang"
 	"ode/internal/store"
+	"ode/internal/txn"
 )
 
 // timerTable schedules the time events of active trigger instances
@@ -26,6 +27,11 @@ import (
 // relative to the arming of the trigger (§3.1: "scheduled to occur after
 // a specified period ... when the trigger is armed"), so it stays per
 // (object, trigger) and its happening is delivered only to that trigger.
+//
+// The schedule follows commits: Activate, Deactivate, DeleteObject and a
+// fired trigger's self-deactivation record a txn.Intent, which a rollback
+// drops and a commit hands to applyTimers under the objects' locks — so
+// the table changes only with commits, in their order per object.
 //
 // perObject selects the pre-cohort layout — one shared timer per
 // (object, spec) delivering one system transaction per object — the
@@ -132,70 +138,90 @@ func newTimerTable(e *Engine) *timerTable {
 	}
 }
 
-// arm schedules every time event of a freshly activated trigger.
-func (tt *timerTable) arm(oid store.OID, c *Class, t *Trigger) {
-	for _, req := range t.Res.Timers {
-		switch req.Mode {
-		case evlang.TimeAfter:
-			tt.armAfter(oid, t, req)
-		default:
-			tt.armShared(oid, c, t.Res.Name, req)
+// applyTimers is the transaction manager's commit function
+// (txn.Manager.OnCommit): it applies a committed transaction's intents
+// to the table, in the order they were recorded.
+func (e *Engine) applyTimers(ins []txn.Intent) {
+	for _, in := range ins {
+		if in.Op == txn.Delete {
+			e.timers.disarmObject(in.OID)
+			continue
+		}
+		rec, err := e.st.Get(in.OID)
+		if err != nil {
+			continue // deleted later in the transaction: its Delete follows
+		}
+		c := e.Class(rec.Class) // registered: the intent's trigger resolved in it
+		if t := c.Trigger(rec.TrigName(in.Slot)); in.Op == txn.Activate {
+			e.timers.arm(in.OID, c, t, in.At)
+		} else {
+			e.timers.disarm(in.OID, t)
 		}
 	}
 }
 
-func (tt *timerTable) armAfter(oid store.OID, t *Trigger, req evlang.TimerReq) {
-	id := tt.e.clk.After(req.Spec.Period(), func(time.Time) {
-		tt.e.postTimer(oid, req.Key, t)
-	})
-	tt.mu.Lock()
-	shots := tt.oneShots[oid]
-	if shots == nil {
-		shots = map[string][]clock.TimerID{}
-		tt.oneShots[oid] = shots
-	}
-	shots[t.Res.Name] = append(shots[t.Res.Name], id)
-	tt.mu.Unlock()
-}
-
-func (tt *timerTable) armShared(oid store.OID, c *Class, trig string, req evlang.TimerReq) {
-	if tt.perObject {
-		tt.armSharedLegacy(oid, trig, req)
-		return
-	}
+// arm schedules every time event of a trigger instance activated at
+// the instant at. An 'after' one-shot comes due a period after at —
+// at the next Advance if that has passed — and replaces any the
+// instance has pending: re-activation restarts it.
+func (tt *timerTable) arm(oid store.OID, c *Class, t *Trigger, at time.Time) {
 	tt.mu.Lock()
 	defer tt.mu.Unlock()
+	tt.cancelOneShotsLocked(oid, t.Res.Name)
+	for _, req := range t.Res.Timers {
+		switch {
+		case req.Mode == evlang.TimeAfter:
+			id := tt.e.clk.At(at.Add(req.Spec.Period()), func(time.Time) {
+				tt.e.postTimer(oid, req.Key, t)
+			})
+			shots := tt.oneShots[oid]
+			if shots == nil {
+				shots = map[string][]clock.TimerID{}
+				tt.oneShots[oid] = shots
+			}
+			shots[t.Res.Name] = append(shots[t.Res.Name], id)
+		case tt.perObject:
+			tt.armSharedLegacyLocked(oid, t.Res.Name, req, at)
+		default:
+			tt.armSharedLocked(oid, c, t.Res.Name, req, at)
+		}
+	}
+}
+
+// armSharedLocked makes the object a member of its cohort for req.
+// Called with tt.mu held.
+func (tt *timerTable) armSharedLocked(oid store.OID, c *Class, trig string, req evlang.TimerReq, at time.Time) {
 	// Already a member via another trigger or an earlier arm, the object
 	// keeps the original schedule (idempotent re-arm, exactly as the
 	// per-object shared timer behaved).
-	at, ok := tt.byObj[req.Key][oid]
+	pos, ok := tt.byObj[req.Key][oid]
 	if !ok {
-		co := tt.cohortLocked(c, req)
+		co := tt.cohortLocked(c, req, at)
 		if co == nil {
 			return
 		}
 		if tt.byObj[req.Key] == nil {
 			tt.byObj[req.Key] = map[store.OID]uint64{}
 		}
-		at = uint64(co.ix)<<32 | uint64(len(co.oids))
-		tt.byObj[req.Key][oid] = at
+		pos = uint64(co.ix)<<32 | uint64(len(co.oids))
+		tt.byObj[req.Key][oid] = pos
 		co.oids, co.bits = append(co.oids, oid), append(co.bits, make([]uint8, co.words)...)
 	}
-	co := tt.byID[at>>32]
+	co := tt.byID[pos>>32]
 	b := co.bit(trig, true)
-	co.set(int(uint32(at)))[b/8] |= 1 << (b % 8)
+	co.set(int(uint32(pos)))[b/8] |= 1 << (b % 8)
 }
 
-// cohortLocked returns the cohort an object armed now joins for req,
-// creating it — nil for a fully-dated spec in the past, which never
-// fires again. Called with tt.mu held.
-func (tt *timerTable) cohortLocked(c *Class, req evlang.TimerReq) *cohort {
+// cohortLocked returns the cohort an object activated at the instant
+// at joins for req, creating it — nil for a fully-dated spec in the
+// past, which never fires again. Called with tt.mu held.
+func (tt *timerTable) cohortLocked(c *Class, req evlang.TimerReq, at time.Time) *cohort {
 	ck := cohortKey{class: c.Schema.Name, key: req.Key}
 	var period time.Duration
 	if req.Mode == evlang.TimeEvery {
 		period = req.Spec.Period()
 		if period > 0 {
-			ck.phase = tt.e.clk.Now().UnixNano() % int64(period)
+			ck.phase = at.UnixNano() % int64(period)
 		}
 	}
 	if co := tt.cohorts[ck]; co != nil {
@@ -204,7 +230,7 @@ func (tt *timerTable) cohortLocked(c *Class, req evlang.TimerReq) *cohort {
 	co := &cohort{ck: ck, spec: req.Spec, words: 1}
 	switch req.Mode {
 	case evlang.TimeEvery:
-		co.id = tt.e.clk.Every(period, func(time.Time) { tt.fireCohort(co) })
+		co.id = tt.e.clk.EveryFrom(at, period, func(time.Time) { tt.fireCohort(co) })
 	case evlang.TimeAt:
 		if !tt.scheduleCohortAtLocked(co) {
 			return nil
@@ -323,12 +349,11 @@ func (tt *timerTable) fireCohort(co *cohort) {
 	tt.e.deliverCohort(co, oids)
 }
 
-// armSharedLegacy is the pre-cohort layout: one shared timer per
-// (object, spec), one system transaction per delivery.
-func (tt *timerTable) armSharedLegacy(oid store.OID, trig string, req evlang.TimerReq) {
+// armSharedLegacyLocked is the pre-cohort layout: one shared timer per
+// (object, spec), one system transaction per delivery. Called with tt.mu
+// held.
+func (tt *timerTable) armSharedLegacyLocked(oid store.OID, trig string, req evlang.TimerReq, at time.Time) {
 	sk := sharedKey{oid, req.Key}
-	tt.mu.Lock()
-	defer tt.mu.Unlock()
 	refs := tt.sharedRefs[sk]
 	if refs == nil {
 		refs = map[string]bool{}
@@ -342,7 +367,7 @@ func (tt *timerTable) armSharedLegacy(oid store.OID, trig string, req evlang.Tim
 	tt.shared[sk] = st
 	switch req.Mode {
 	case evlang.TimeEvery:
-		st.id = tt.e.clk.Every(req.Spec.Period(), func(time.Time) {
+		st.id = tt.e.clk.EveryFrom(at, req.Spec.Period(), func(time.Time) {
 			tt.mu.Lock()
 			dead := st.canceled
 			tt.mu.Unlock()
@@ -432,24 +457,16 @@ func (tt *timerTable) releaseSharedLocked(oid store.OID, trig, key string) {
 func (tt *timerTable) disarmObject(oid store.OID) {
 	tt.mu.Lock()
 	defer tt.mu.Unlock()
-	for _, ids := range tt.oneShots[oid] {
-		for _, id := range ids {
-			tt.e.clk.Cancel(id)
-		}
+	for trig := range tt.oneShots[oid] {
+		tt.cancelOneShotsLocked(oid, trig)
 	}
-	delete(tt.oneShots, oid)
 	for key := range tt.byObj {
 		tt.dropLocked(oid, key, "")
 	}
-	if tt.perObject {
-		for sk, st := range tt.shared {
-			if sk.oid != oid {
-				continue
-			}
-			st.canceled = true
-			tt.e.clk.Cancel(st.id)
-			delete(tt.shared, sk)
-			delete(tt.sharedRefs, sk)
+	for sk, refs := range tt.sharedRefs { // the per-object layout's
+		if sk.oid == oid {
+			clear(refs)
+			tt.releaseSharedLocked(oid, "", sk.key)
 		}
 	}
 }
@@ -476,44 +493,6 @@ func (e *Engine) postTimer(oid store.OID, key string, only *Trigger) {
 	}
 	if err := sys.Commit(); err != nil {
 		e.recordTimerErr(fmt.Errorf("engine: timer %q on object %d commit: %w", key, oid, err))
-	}
-}
-
-// hasOneShots reports whether an 'after' timer is already pending for
-// the instance (reconciliation must not double-arm: the delay is
-// relative to the original arming).
-func (tt *timerTable) hasOneShots(oid store.OID, trig string) bool {
-	tt.mu.Lock()
-	defer tt.mu.Unlock()
-	return len(tt.oneShots[oid][trig]) > 0
-}
-
-// reconcile re-aligns the timer table with an object's (possibly just
-// rolled back) activation record: triggers now inactive lose their
-// timers, triggers now active regain their shared ones. Activation and
-// deactivation arm and disarm eagerly inside the transaction, so an
-// abort leaves the table out of step until this runs.
-func (tt *timerTable) reconcile(oid store.OID, c *Class, rec *store.Record) {
-	for _, t := range c.Triggers {
-		if len(t.Res.Timers) == 0 {
-			continue
-		}
-		if !rec.Trig(t.slot).Active {
-			tt.disarm(oid, t)
-			continue
-		}
-		// Re-arm shared timers (idempotent). 'after' one-shots cannot
-		// be faithfully re-created — their delay was anchored at the
-		// aborted activation — so only restore them if none pending.
-		for _, req := range t.Res.Timers {
-			if req.Mode == evlang.TimeAfter {
-				if !tt.hasOneShots(oid, t.Res.Name) {
-					tt.armAfter(oid, t, req)
-				}
-			} else {
-				tt.armShared(oid, c, t.Res.Name, req)
-			}
-		}
 	}
 }
 

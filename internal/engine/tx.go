@@ -202,7 +202,7 @@ func (tx *Tx) DeleteObject(oid store.OID) error {
 	if _, err := tx.post(oid, rec, event.Kind{Phase: event.Before, Class: event.KDelete}, tx.tx.ID(), nil); err != nil {
 		return tx.propagate(err)
 	}
-	tx.e.timers.disarmObject(oid)
+	tx.tx.AddIntent(txn.Intent{OID: oid, Op: txn.Delete})
 	tx.cachedRec = nil
 	if err := tx.tx.Delete(oid); err != nil {
 		return err
@@ -371,9 +371,9 @@ func (tx *Tx) Set(oid store.OID, field string, v value.Value) error {
 
 // Activate arms a trigger on an object with the given activation
 // parameters, as O++ does by invoking the trigger name (paper §2).
-// Activation resets the instance to the beginning of its history and
-// schedules its time events; re-activating an active trigger restarts
-// it.
+// Activation resets the instance to the beginning of its history and,
+// once the transaction commits, schedules its time events; re-activating
+// an active trigger restarts it, an 'after' period included.
 func (tx *Tx) Activate(oid store.OID, trigger string, params ...value.Value) error {
 	rec, err := tx.access(oid)
 	if err != nil {
@@ -399,11 +399,20 @@ func (tx *Tx) Activate(oid store.OID, trigger string, params ...value.Value) err
 	// Activation restarts the automaton, so the previous incarnation's
 	// provenance no longer explains the instance.
 	tx.e.provReset(oid, t.slot)
-	tx.e.timers.arm(oid, c, t)
+	tx.schedule(oid, t, txn.Activate)
 	return nil
 }
 
-// Deactivate disarms a trigger instance and cancels its timers.
+// schedule records the change to t's instance on oid for the timer
+// table, which takes it when the transaction commits — if t has time
+// events.
+func (tx *Tx) schedule(oid store.OID, t *Trigger, op txn.IntentOp) {
+	if len(t.Res.Timers) > 0 {
+		tx.tx.AddIntent(txn.Intent{OID: oid, Slot: t.slot, Op: op, At: tx.e.clk.Now()})
+	}
+}
+
+// Deactivate disarms a trigger instance; its timers go at commit.
 func (tx *Tx) Deactivate(oid store.OID, trigger string) error {
 	rec, err := tx.access(oid)
 	if err != nil {
@@ -418,7 +427,7 @@ func (tx *Tx) Deactivate(oid store.OID, trigger string) error {
 		return fmt.Errorf("engine: class %s has no trigger %q", rec.Class, trigger)
 	}
 	rec.Slots()[t.slot].Active = false
-	tx.e.timers.disarm(oid, t)
+	tx.schedule(oid, t, txn.Deactivate)
 	return nil
 }
 
@@ -510,7 +519,7 @@ func (tx *Tx) aborts() {
 // transaction rolled back to its begin and open (txn.Tx.Commit), and it
 // takes the abort route. What follows either outcome drops the
 // provenance of the objects the transaction created or deleted that are
-// gone; what follows an abort also re-aligns the timer table.
+// gone.
 func (tx *Tx) end() {
 	tx.cachedRec = nil
 	id := tx.tx.ID()
@@ -541,7 +550,6 @@ func (tx *Tx) end() {
 	stage, count := obs.StageTxCommit, &tx.e.stats.txCommitted
 	if state == txn.Aborted {
 		stage, count = obs.StageTxAbort, &tx.e.stats.txAborted
-		tx.realign()
 	}
 	if !tx.tx.System() {
 		count.Add(1)
@@ -578,9 +586,7 @@ func (tx *Tx) doAbort(cause error) error {
 		tx.tx.Rollback()
 		tx.e.traceTx(obs.StageTxAbort, id, true)
 		tx.e.recordTimerErr(errors.Join(fmt.Errorf("engine: after-%s delivery aborted", ev), cause))
-		if tx.end(); tx.tx.State() == txn.Committed {
-			tx.realign()
-		}
+		tx.end()
 	} else if !tx.tx.System() && !tx.aborting {
 		tx.aborting = true
 		// "Immediately before a transaction aborts" (§3.1 item 4d):
@@ -609,30 +615,6 @@ func (tx *Tx) doAbort(cause error) error {
 		return cause
 	}
 	return errors.Join(cause, tx.err)
-}
-
-// realign, after a rollback, re-aligns the timer table with the committed
-// state of the objects the transaction accessed or created: the rollback
-// restored each record's activation flags, but Activate and Deactivate
-// adjusted the table eagerly. The image — unlike the live record, whose
-// lock the transaction released — can be read while another transaction
-// already mutates the object.
-func (tx *Tx) realign() {
-	for _, oids := range [2][]store.OID{tx.tx.Accessed(), tx.created} {
-		for _, oid := range oids {
-			rec, ok := tx.e.st.GetCommitted(oid)
-			if !ok {
-				// The object no longer exists — created by this transaction
-				// and removed by the rollback; drop whatever the transaction
-				// armed on it.
-				tx.e.timers.disarmObject(oid)
-				continue
-			}
-			if c, err := tx.e.classOf(rec); err == nil {
-				tx.e.timers.reconcile(oid, c, rec)
-			}
-		}
-	}
 }
 
 // propagate converts an action-raised tabort (or any posting error)

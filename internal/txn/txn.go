@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"ode/internal/fault"
 	"ode/internal/store"
@@ -52,9 +53,29 @@ type Manager struct {
 	single bool // single-writer mode: bypass the lock manager entirely
 	nextID atomic.Uint64
 
-	mu   sync.Mutex
-	cond *sync.Cond // broadcast on any commit/abort, for dependency waits
+	mu    sync.Mutex
+	cond  *sync.Cond     // broadcast on any commit/abort, for dependency waits
+	apply func([]Intent) // OnCommit's
 }
+
+// Intent is a change to the engine's timer schedule that takes effect if
+// its transaction commits (Manager.OnCommit): trigger Slot of OID
+// activated at instant At, deactivated, or gone with the object.
+type Intent struct {
+	OID  store.OID
+	Slot int
+	Op   IntentOp
+	At   time.Time
+}
+
+// IntentOp is what an Intent does to the schedule.
+type IntentOp uint8
+
+const (
+	Activate IntentOp = iota
+	Deactivate
+	Delete
+)
 
 // NewManager returns a transaction manager over s.
 func NewManager(s *store.Store) *Manager { return NewManagerWith(s, nil) }
@@ -67,6 +88,10 @@ func NewManagerWith(s *store.Store, faults *fault.Registry) *Manager {
 	m.cond = sync.NewCond(&m.mu)
 	return m
 }
+
+// OnCommit sets the function Commit hands the committed intents to, in
+// recorded order, after logging the frame and before releasing the locks.
+func (m *Manager) OnCommit(apply func([]Intent)) { m.apply = apply }
 
 // Store returns the underlying object store.
 func (m *Manager) Store() *store.Store { return m.store }
@@ -157,20 +182,21 @@ type Tx struct {
 	// they ride the transaction's own WAL batch. Rollback discards
 	// them with everything else.
 	firings []store.FiringRecord
+	intents []Intent
 
 	out      outcome // the outcome phase, while it runs (BeginOutcome)
 	marksBuf [8]mark // its marks' inline backing
 }
 
 // outcome is an outcome phase: its own id (0: none), its savepoint (the
-// lengths of accessed and firings), the steps it made before its first
-// action (Mark) and, once sealed, the pre-savepoint objects' images as
-// they stood at the savepoint (nil: deleted by then).
+// lengths of accessed, firings and intents), the steps it made before its
+// first action (Mark) and, once sealed, the pre-savepoint objects' images
+// as they stood at the savepoint (nil: deleted by then).
 type outcome struct {
-	id                uint64
-	accessed, firings int
-	marks             []mark
-	imgs              []*store.Record
+	id                         uint64
+	accessed, firings, intents int
+	marks                      []mark
+	imgs                       []*store.Record
 }
 
 // mark is a trigger slot of rec as it stood before an automaton step.
@@ -359,20 +385,23 @@ func (tx *Tx) AddFiring(fr store.FiringRecord) {
 	tx.firings = append(tx.firings, fr)
 }
 
+// AddIntent records an intent; a rollback drops it like a firing.
+func (tx *Tx) AddIntent(in Intent) { tx.intents = append(tx.intents, in) }
+
 // Firings returns the firings captured so far (engine introspection).
 func (tx *Tx) Firings() []store.FiringRecord { return tx.firings }
 
-// Commit makes the transaction's effects durable in one frame and
-// releases its locks. Once rolled back to its begin (Rollback, Abort),
-// the frame holds what the rollback kept and what the outcome phase did,
-// and the transaction ends Aborted. If a commit dependency aborted, it is
-// rolled back to its begin and ErrDependencyAborted is returned. If the
-// frame cannot be logged, the objects fall back to their plain
-// before-images — what a crash before the frame would have left — and it
-// ends Aborted. A transaction that has begun an outcome phase
-// (BeginOutcome) is instead rolled back to its begin and left open under
-// its locks, after a failed frame or an aborted dependency alike, so that
-// its "after tabort" can still be posted.
+// Commit makes the transaction's effects durable in one frame, hands its
+// intents to the OnCommit function and releases its locks. Once rolled
+// back to its begin (Rollback, Abort), the frame holds what the rollback
+// kept and what the outcome phase did, and the transaction ends Aborted.
+// If a commit dependency aborted, it is rolled back to its begin and
+// ErrDependencyAborted is returned. If the frame cannot be logged, the
+// objects fall back to their plain before-images — what a crash before
+// the frame would have left — and it ends Aborted. A transaction that has
+// begun an outcome phase (BeginOutcome) is instead rolled back to its
+// begin and left open under its locks, after a failed frame or an aborted
+// dependency alike, so that its "after tabort" can still be posted.
 func (tx *Tx) Commit() error {
 	if tx.State() != Active {
 		return ErrNotActive
@@ -408,6 +437,9 @@ func (tx *Tx) Commit() error {
 		tx.finish(Aborted)
 		return err
 	}
+	if len(tx.intents) > 0 && tx.mgr.apply != nil {
+		tx.mgr.apply(tx.intents)
+	}
 	tx.finish(tx.ends)
 	return cause
 }
@@ -426,7 +458,7 @@ func (tx *Tx) BeginOutcome() error {
 		tx.rollback(outcome{}, true)
 		return err
 	}
-	tx.out = outcome{id: tx.mgr.nextID.Add(1), accessed: len(tx.accessed), firings: len(tx.firings), marks: tx.marksBuf[:0]}
+	tx.out = outcome{id: tx.mgr.nextID.Add(1), accessed: len(tx.accessed), firings: len(tx.firings), intents: len(tx.intents), marks: tx.marksBuf[:0]}
 	return nil
 }
 
@@ -487,7 +519,8 @@ func (tx *Tx) Abort() error {
 // steps a stale slot and recovery needs to know nothing about aborts.
 // Objects created since leave the lists and the store; objects without a
 // committed image (a bare Store.Create's) leave the lists and keep what
-// they keep in the heap record, unlogged. Firings since are dropped.
+// they keep in the heap record, unlogged. Firings and intents since are
+// dropped.
 func (tx *Tx) rollback(sp outcome, keep bool) {
 	st := tx.mgr.store
 	if sp.id == 0 {
@@ -524,7 +557,7 @@ func (tx *Tx) rollback(sp outcome, keep bool) {
 			delete(tx.deleted, tx.accessed[i])
 		}
 	}
-	tx.firings, tx.out = tx.firings[:sp.firings], outcome{}
+	tx.firings, tx.intents, tx.out = tx.firings[:sp.firings], tx.intents[:sp.intents], outcome{}
 }
 
 func (tx *Tx) waitForDeps() error {
