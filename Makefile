@@ -48,7 +48,7 @@ fuzz:
 # independent recovery, bus determinism), and the egress family
 # (deliverer crashes, cursor tears, exactly-once ledger; -short keeps
 # the egress torture at smoke size). Full torture campaigns run via
-# `go run ./cmd/odebench -sim -iters N`.
+# `go run ./cmd/odesim -iters N -seed S` (nightly.yml runs 10 000).
 sim:
 	$(GO) test -race -short -run 'TestSimShort|TestMultipart|TestEgress' ./internal/sim/
 
@@ -84,14 +84,9 @@ loc:
 # The tier-1 verification gate (see ROADMAP.md).
 verify: build test vet race fuzz bench-check
 
-# Engine benchmarks plus the E19 egress-overhead sweep: the E12
-# single-post and E16 batch hot paths rerun with the durable firing
-# feed on vs off, plus deliverer drain throughput (committed as
-# BENCH_PR10.json; earlier baselines are regenerated with
-# `go run ./cmd/odebench -exp E13 -out BENCH_PR4.json`,
-# `go run ./cmd/odebench -exp E15 -out BENCH_PR6.json`,
-# `go run ./cmd/odebench -exp E16 -out BENCH_PR7.json`,
-# `go run ./cmd/odebench -exp E17 -out BENCH_PR8.json`).
+# The root package's Go benchmarks: the paper-claim experiments E1–E9
+# (DESIGN.md §5) and the engine's posting paths. Writes nothing; the
+# end-to-end numbers a performance claim rests on come from bench/
+# (bench-smoke, bench-pairs).
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngine' -benchmem .
-	$(GO) run ./cmd/odebench -exp E19 -out BENCH_PR10.json
+	$(GO) test -run '^$$' -bench . -benchmem .

@@ -1,12 +1,14 @@
 // Benchmarks backing the experiment suite in EXPERIMENTS.md. Each
 // experiment id (E1..E9) of DESIGN.md §5 has a corresponding bench
-// here; cmd/odebench prints the same measurements as tables.
+// here (`make bench` runs them all); the paper's expressions are in
+// paper_test.go.
 package ode_test
 
 import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,15 +17,14 @@ import (
 	"ode/internal/algebra"
 	"ode/internal/compile"
 	"ode/internal/fa"
-	"ode/internal/workload"
 )
 
 // E1: cost of recognizing one posted event with the compiled automaton.
 func BenchmarkDetectionAutomaton(b *testing.B) {
-	paper := workload.Paper()
-	h := workload.RandomHistory(rand.New(rand.NewSource(1)), workload.NumPaperSymbols, 4096)
+	paper := paper()
+	h := randomHistory(rand.New(rand.NewSource(1)), numPaperSymbols, 4096)
 	for i, e := range paper.Exprs {
-		d := compile.Compile(e, workload.NumPaperSymbols)
+		d := compile.Compile(e, numPaperSymbols)
 		b.Run(paper.Names[i], func(b *testing.B) {
 			det := compile.NewDetector(d)
 			b.ReportAllocs()
@@ -37,10 +38,10 @@ func BenchmarkDetectionAutomaton(b *testing.B) {
 // E1 baseline: re-evaluating the §4 denotational semantics over the
 // whole history on every posting, at two fixed history lengths.
 func BenchmarkDetectionNaive(b *testing.B) {
-	paper := workload.Paper()
+	paper := paper()
 	rng := rand.New(rand.NewSource(1))
 	for _, histLen := range []int{100, 1000} {
-		h := workload.RandomHistory(rng, workload.NumPaperSymbols, histLen)
+		h := randomHistory(rng, numPaperSymbols, histLen)
 		for i, e := range paper.Exprs {
 			b.Run(fmt.Sprintf("%s/hist%d", paper.Names[i], histLen), func(b *testing.B) {
 				b.ReportAllocs()
@@ -55,24 +56,36 @@ func BenchmarkDetectionNaive(b *testing.B) {
 // E3: full compilation cost per paper trigger (resolution excluded;
 // algebra → minimized DFA).
 func BenchmarkCompilePaperTriggers(b *testing.B) {
-	paper := workload.Paper()
+	paper := paper()
 	for i, e := range paper.Exprs {
 		b.Run(paper.Names[i], func(b *testing.B) {
 			b.ReportAllocs()
 			for n := 0; n < b.N; n++ {
-				compile.Compile(e, workload.NumPaperSymbols)
+				compile.Compile(e, numPaperSymbols)
 			}
 		})
 	}
 }
 
-// E4: the §5 mask-disjointness rewrite at k overlapping masks.
+// E4: the §5 mask-disjointness rewrite at k overlapping masks: the
+// union of k masked variants of one method, resolved over the class
+// alphabet (a 2^k-symbol block) and compiled.
 func BenchmarkMaskRewrite(b *testing.B) {
+	cls := &ode.Class{
+		Name:    "m",
+		Fields:  []ode.Field{{Name: "x", Kind: ode.KindInt}},
+		Methods: []ode.Method{{Name: "f", Params: []ode.Param{ode.P("q", ode.KindInt)}, Mode: ode.ModeUpdate}},
+	}
 	for _, k := range []int{2, 4, 8} {
+		union := make([]string, k)
+		for i := range union {
+			union[i] = fmt.Sprintf("after f(q) && q > %d", i*10)
+		}
+		event := strings.Join(union, " | ")
 		b.Run(fmt.Sprintf("masks%d", k), func(b *testing.B) {
 			b.ReportAllocs()
 			for n := 0; n < b.N; n++ {
-				if _, err := workload.RunE4(k); err != nil {
+				if _, err := ode.CompileEvent(cls, event, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -82,27 +95,27 @@ func BenchmarkMaskRewrite(b *testing.B) {
 
 // E5: the §6 pair construction.
 func BenchmarkPairConstruction(b *testing.B) {
-	paper := workload.Paper()
+	paper := paper()
 	dfas := make([]*fa.DFA, len(paper.Exprs))
 	for i, e := range paper.Exprs {
-		dfas[i] = compile.Compile(e, workload.NumPaperSymbols)
+		dfas[i] = compile.Compile(e, numPaperSymbols)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		compile.PairConstruction(dfas[n%len(dfas)], 7, 8)
+		compile.PairConstruction(dfas[n%len(dfas)], paperTcommit, paperTabort)
 	}
 }
 
 // E8: stepping nine separate trigger automata per event versus one
 // combined product automaton (footnote 5).
 func BenchmarkPerTriggerVsCombined(b *testing.B) {
-	paper := workload.Paper()
+	paper := paper()
 	dfas := make([]*fa.DFA, len(paper.Exprs))
 	for i, e := range paper.Exprs {
-		dfas[i] = compile.Compile(e, workload.NumPaperSymbols)
+		dfas[i] = compile.Compile(e, numPaperSymbols)
 	}
-	h := workload.RandomHistory(rand.New(rand.NewSource(2)), workload.NumPaperSymbols, 4096)
+	h := randomHistory(rand.New(rand.NewSource(2)), numPaperSymbols, 4096)
 
 	b.Run("separate", func(b *testing.B) {
 		dets := make([]*compile.Detector, len(dfas))

@@ -1,6 +1,7 @@
 package evlang
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -319,6 +320,40 @@ func TestSymbolName(t *testing.T) {
 	}
 	if got := cr.Alphabet.SymbolName(9999); got != "sym9999" {
 		t.Fatalf("SymbolName out of range = %q", got)
+	}
+}
+
+// TestMaskBlockDoublesPerMask pins §5's disjointness rewrite (E4): k
+// distinct masks on one kind make that kind a block of 2^k symbols, so
+// the class alphabet is the 12 other kinds plus 2^k, and the union of
+// the masked variants still compiles to a small automaton.
+func TestMaskBlockDoublesPerMask(t *testing.T) {
+	for k := 1; k <= 6; k++ {
+		var trigs []schema.Trigger
+		union := ""
+		for i := 0; i < k; i++ {
+			ev := fmt.Sprintf("after withdraw(i, q) && q > %d", i*10)
+			trigs = append(trigs, schema.Trigger{Name: fmt.Sprintf("T%d", i), Event: ev})
+			if i > 0 {
+				union += " | "
+			}
+			union += ev
+		}
+		cls := testClass(append(trigs, schema.Trigger{Name: "U", Event: union})...)
+		cr, err := ResolveClass(cls, ForClass(cls))
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		kix := cr.Alphabet.KindIndex(event.MethodKind(event.After, "withdraw"))
+		if got := cr.Alphabet.Kinds[kix].Block(); got != 1<<k {
+			t.Fatalf("k=%d: block = %d, want %d", k, got, 1<<k)
+		}
+		if cr.Alphabet.NumSymbols != 12+1<<k {
+			t.Fatalf("k=%d: symbols = %d, want %d", k, cr.Alphabet.NumSymbols, 12+1<<k)
+		}
+		if d := compile.Compile(cr.Trigger("U").Expr, cr.Alphabet.NumSymbols); d.NumStates < 2 {
+			t.Fatalf("k=%d: the union compiled to %d state(s)", k, d.NumStates)
+		}
 	}
 }
 

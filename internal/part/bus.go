@@ -29,7 +29,7 @@ import (
 // on multi-partition runs unchanged.
 
 // ExternalSource is the Relay source id for senders that are not a
-// partition (tests, ingest adapters). Its messages sort after any
+// partition (tests, adapters). Its messages sort after any
 // partition's at equal sequence numbers.
 const ExternalSource = 1 << 30
 
@@ -97,11 +97,6 @@ func (p *Partition) drainBus() {
 		p.busMu.Unlock()
 		if len(msgs) == 0 {
 			return
-		}
-		// Bus messages run their own transactions; commit any open
-		// ingest window first (see ingest.go).
-		if err := p.flushIngest(); err != nil {
-			p.recordRelayErr(err)
 		}
 		sort.Slice(msgs, func(i, j int) bool {
 			if msgs[i].seq != msgs[j].seq {

@@ -63,9 +63,9 @@ func TestPanicFailsOnlyItsJob(t *testing.T) {
 
 // TestPanicInATransactionLeavesNoWrites: partitions run lock-free, so a
 // transaction a panic leaves open would hand its writes to the next one.
-// A panic in Transact's fn after a write, a mask function panicking in an
-// ingest window, and an ingest job panicking with its window open each
-// abort their transaction: the next one reads the committed balance.
+// A panic in Transact's fn after a write and a mask function panicking
+// on a batch's second entry each abort their transaction: the next one
+// reads the committed balance.
 func TestPanicInATransactionLeavesNoWrites(t *testing.T) {
 	db, err := Open(Options{N: 1})
 	if err != nil {
@@ -109,34 +109,12 @@ func TestPanicInATransactionLeavesNoWrites(t *testing.T) {
 		t.Fatalf("Transact = %v, want a *engine.PanicError of Kind transaction", err)
 	}
 	committed("a panicking Transact")
-	batch := func(n int64) *engine.Batch {
-		b := engine.NewBatch("account", 1)
-		b.Call(oid, "deposit", value.Int(n))
-		return b
+	b := depositBatch(5, oid)
+	b.Call(oid, "deposit", value.Int(13))
+	if err := db.PostBatch(b); !errors.As(err, &pe) || pe.Kind != "function" || pe.Name != "odd" {
+		t.Fatalf("PostBatch = %v, want odd's *engine.PanicError", err)
 	}
-	if err := db.PostBatchIngest(batch(5)); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.PostBatchIngest(batch(13)); !errors.As(err, &pe) || pe.Kind != "function" || pe.Name != "odd" {
-		t.Fatalf("PostBatchIngest = %v, want odd's *engine.PanicError", err)
-	}
-	if err := db.FlushIngest(); err != nil {
-		t.Fatal(err)
-	}
-	committed("a mask function's panic in an ingest window")
-	pt := db.parts[0]
-	done := make(chan error, 1)
-	db.pending.Add(1)
-	pt.in <- job{ingest: true, done: done, fn: func(e *engine.Engine) error {
-		if err := pt.postIngest(e, batch(5)); err != nil {
-			return err
-		}
-		panic("mid-window")
-	}}
-	if err := <-done; err == nil || !strings.Contains(err.Error(), "job panicked: mid-window") {
-		t.Fatalf("the ingest job reported %v", err)
-	}
-	committed("an ingest job's panic")
+	committed("a mask function's panic in a batch")
 }
 
 // TestPanicWithAnOpenTransactionStopsTheProcess: a job that panics while a

@@ -62,22 +62,12 @@ type Options struct {
 	// distinct fault registry per partition so WAL faults can target
 	// one partition's log.
 	PerPartition func(p int, eo *engine.Options)
-	// IngestWindow is how many PostBatchIngest pieces a partition
-	// coalesces into one transaction before committing (values < 1 mean
-	// 16). Larger windows amortize copy-on-write record cloning and
-	// commit fan-out across more happenings at the price of a longer
-	// window of uncommitted ingest state.
-	IngestWindow int
 }
 
-// job is one unit of work executed inside a partition's loop. ingest
-// marks batch posts that may join the partition's open ingest
-// transaction; any other job first flushes it, so at most one
-// transaction is ever open on the lock-free engine (ingest.go).
+// job is one unit of work executed inside a partition's loop.
 type job struct {
-	fn     func(*engine.Engine) error
-	done   chan error // nil → fire-and-forget
-	ingest bool
+	fn   func(*engine.Engine) error
+	done chan error // nil → fire-and-forget
 }
 
 // Partition is one single-writer slice of the database: an engine
@@ -100,11 +90,6 @@ type Partition struct {
 
 	relayMu   sync.Mutex
 	relayErrs []error
-
-	// Ingest coalescing state (ingest.go): owned exclusively by the
-	// loop goroutine, like every transaction over the engine.
-	ingest      *engine.Tx
-	ingestPosts int
 }
 
 // DB is a partitioned database: a router over N partitions plus the
@@ -242,21 +227,8 @@ func (p *Partition) loop() {
 		case j, ok := <-p.in:
 			if !ok {
 				p.drainBus()
-				// A still-open ingest transaction is committed on
-				// shutdown — PostBatchIngest promises its posts become
-				// durable at the latest when the database closes.
-				if err := p.flushIngest(); err != nil {
-					p.recordRelayErr(fmt.Errorf("part: ingest flush on close: %w", err))
-				}
 				close(p.stopped)
 				return
-			}
-			if !j.ingest {
-				// Non-ingest work must not overlap the open ingest
-				// transaction on a lock-free engine: commit it first.
-				if err := p.flushIngest(); err != nil {
-					p.recordRelayErr(fmt.Errorf("part: ingest flush before job: %w", err))
-				}
 			}
 			err := p.run(j)
 			if j.done != nil {
@@ -272,16 +244,12 @@ func (p *Partition) loop() {
 
 // run executes a job: one that panics fails, not the partition. The
 // transaction the panic unwound through is already aborted when it was a
-// Transact's; an open ingest transaction is aborted here. Any other one
-// left open holds uncommitted writes in the live records, so the panic
-// goes on and stops the process, as an unrecovered one would.
+// Transact's. Any other one left open holds uncommitted writes in the
+// live records, so the panic goes on and stops the process, as an
+// unrecovered one would.
 func (p *Partition) run(j job) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			if p.ingest != nil {
-				p.ingest.Abort()
-				p.ingest = nil
-			}
 			if s := p.eng.Stats(); s.TxBegun != s.TxCommitted+s.TxAborted {
 				panic(v)
 			}
@@ -357,32 +325,6 @@ func (db *DB) Advance(d time.Duration) error {
 			return nil
 		})
 		if err != nil && first == nil {
-			first = err
-		}
-	}
-	db.Drain() // timers may have relayed cross-partition work
-	return first
-}
-
-// AdvanceConcurrent moves every partition's virtual clock forward by d
-// with all loops advancing — and delivering their due timers — in
-// parallel, then drains relayed work. Per-partition semantics match
-// Advance exactly (due timers post from the owning loop); only the
-// cross-partition interleaving is relaxed from Advance's partition
-// order, which no single partition can observe anyway. This is the
-// path a timer storm needs at P>1: with Advance, one slow partition's
-// delivery serializes everyone behind it.
-func (db *DB) AdvanceConcurrent(d time.Duration) error {
-	done := make(chan error, len(db.parts))
-	for p := range db.parts {
-		db.DoAsync(p, func(e *engine.Engine) error {
-			e.Clock().Advance(d)
-			return nil
-		}, done)
-	}
-	var first error
-	for range db.parts {
-		if err := <-done; err != nil && first == nil {
 			first = err
 		}
 	}

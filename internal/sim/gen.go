@@ -8,7 +8,6 @@ import (
 
 	"ode/internal/fault"
 	"ode/internal/schema"
-	"ode/internal/workload"
 )
 
 // Config parameterizes script generation. The zero value is not
@@ -40,9 +39,9 @@ func Defaults(seed int64) Config {
 	return Config{Seed: seed, Steps: 30, Objects: 2, RandTriggers: 2, Depth: 2}
 }
 
-// simMethods lists, per class, the method atoms RandomEventSpec may
+// simMethods lists, per class, the method atoms randomEventSpec may
 // use (must stay in sync with classDefs).
-var simMethods = [][]workload.SimMethod{
+var simMethods = [][]simMethod{
 	{{Name: "dep", IntParam: "n"}, {Name: "wdr", IntParam: "n"}, {Name: "png"}},
 	{{Name: "bump"}, {Name: "scan"}},
 }
@@ -76,7 +75,7 @@ func Generate(cfg Config) *Script {
 		for i := 0; i < cfg.RandTriggers; i++ {
 			sc.RandTriggers[ci] = append(sc.RandTriggers[ci], RandTrigger{
 				Name:  fmt.Sprintf("R%d", i),
-				Event: workload.RandomEventSpec(rng, simMethods[ci], cfg.Depth),
+				Event: randomEventSpec(rng, simMethods[ci], cfg.Depth),
 			})
 		}
 	}

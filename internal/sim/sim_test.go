@@ -406,7 +406,7 @@ func TestScriptString(t *testing.T) {
 }
 
 // TestTortureSmoke runs a miniature campaign through the Torture
-// entry point (the odebench -sim mode calls this).
+// entry point (cmd/odesim calls this).
 func TestTortureSmoke(t *testing.T) {
 	cfg := Defaults(0)
 	cfg.Persistent = true

@@ -1,12 +1,12 @@
-package workload
+package sim
 
 import (
 	"fmt"
 	"math/rand"
 )
 
-// SimMethod describes one method atom available to RandomEventSpec.
-type SimMethod struct {
+// simMethod describes one method atom available to randomEventSpec.
+type simMethod struct {
 	Name string
 	// IntParam, when non-empty, is an integer event parameter the
 	// generator may constrain with a disjointness mask ("after m(x) &&
@@ -19,7 +19,7 @@ type SimMethod struct {
 // argument distributions.
 var simMaskBounds = []int{10, 25, 50, 100, 200, 400}
 
-// RandomEventSpec returns a random event-specification string in the
+// randomEventSpec returns a random event-specification string in the
 // paper's §3 language over the given method atoms, suitable for
 // schema.Trigger.Event. depth bounds combinator nesting. The
 // generated specs deliberately avoid tcomplete/tabort atoms (a
@@ -32,7 +32,7 @@ var simMaskBounds = []int{10, 25, 50, 100, 200, 400}
 // Determinism: the output is a pure function of the rng stream, the
 // method list and depth — the simulation harness relies on this to
 // regenerate identical workloads from a seed.
-func RandomEventSpec(rng *rand.Rand, methods []SimMethod, depth int) string {
+func randomEventSpec(rng *rand.Rand, methods []simMethod, depth int) string {
 	atom := func() string {
 		switch rng.Intn(7) {
 		case 0:
@@ -57,7 +57,7 @@ func RandomEventSpec(rng *rand.Rand, methods []SimMethod, depth int) string {
 	if depth <= 0 || rng.Intn(3) == 0 {
 		return atom()
 	}
-	sub := func() string { return RandomEventSpec(rng, methods, depth-1) }
+	sub := func() string { return randomEventSpec(rng, methods, depth-1) }
 	switch rng.Intn(11) {
 	case 0:
 		return fmt.Sprintf("(%s | %s)", sub(), sub())

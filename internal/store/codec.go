@@ -56,10 +56,12 @@ const (
 	formatEmpty      fileFormat = iota // no bytes: a new or just-reset file
 	formatCurrent                      // starts with magic
 	formatTornHeader                   // a proper prefix of magic: crash while the header was written
-	formatLegacy                       // anything else: the gob files of PR 13 and earlier (legacy.go)
 )
 
-func formatOf(data []byte, magic [fileHdrLen]byte) (fileFormat, error) {
+// formatOf classifies data, the contents of the store file path. Any
+// other start is refused with an error naming the file, before anything
+// is read or repaired: a damaged header is not an empty log.
+func formatOf(path string, data []byte, magic [fileHdrLen]byte) (fileFormat, error) {
 	switch {
 	case len(data) == 0:
 		return formatEmpty, nil
@@ -67,11 +69,11 @@ func formatOf(data []byte, magic [fileHdrLen]byte) (fileFormat, error) {
 		return formatTornHeader, nil
 	case len(data) >= fileHdrLen && string(data[:fileHdrLen-1]) == string(magic[:fileHdrLen-1]):
 		if data[fileHdrLen-1] != magic[fileHdrLen-1] {
-			return 0, fmt.Errorf("store: file format version %d, this build reads %d", data[fileHdrLen-1], magic[fileHdrLen-1])
+			return 0, fmt.Errorf("store: %s: file format version %d, this build reads %d", path, data[fileHdrLen-1], magic[fileHdrLen-1])
 		}
 		return formatCurrent, nil
 	}
-	return formatLegacy, nil
+	return 0, fmt.Errorf("store: %s: not a store file (header % x, want % x)", path, data[:min(len(data), fileHdrLen)], magic)
 }
 
 // txImage is one decoded transaction (or snapshot chunk): what a frameTx

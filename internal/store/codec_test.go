@@ -272,11 +272,9 @@ func TestFlippedByteDropsSuffix(t *testing.T) {
 			bad[i] ^= mask
 			got, ri, err := recoverFiles(t, dir, bad, nil)
 			if i < fileHdrLen {
-				// A damaged file header is refused (unknown version) or
-				// read as an undecodable legacy log: nothing recovered,
-				// nothing invented.
-				if err == nil && !reflect.DeepEqual(got, dumps[0]) {
-					t.Fatalf("byte %d ^ %#x (file header): recovered %+v", i, mask, got)
+				// A damaged file header fails the open, naming the log.
+				if err == nil || !strings.Contains(err.Error(), filepath.Join(dir, walName)) {
+					t.Fatalf("byte %d ^ %#x (file header): %v, recovered %+v", i, mask, err, got)
 				}
 				continue
 			}
@@ -285,6 +283,66 @@ func TestFlippedByteDropsSuffix(t *testing.T) {
 				t.Fatalf("byte %d ^ %#x (frame %d): %+v, %v; recovered\n got %+v\nwant %+v", i, mask, k, ri, err, got, dumps[k])
 			}
 		}
+	}
+}
+
+// TestDamagedHeaderFailsOpen: a store file whose 8-byte header is
+// damaged is not read as an empty or foreign log. Open fails with an
+// error naming the file and leaves both files byte-identical, where
+// reading a damaged log header as a header-less log used to recover
+// nothing and then truncate every logged commit away. An empty or
+// missing log still opens.
+func TestDamagedHeaderFailsOpen(t *testing.T) {
+	src := t.TempDir()
+	richStore(t, src, 2)
+	files := map[string][]byte{walName: readFile(t, src, walName), snapshotName: readFile(t, src, snapshotName)}
+	for name := range files {
+		for i := 0; i < fileHdrLen; i++ {
+			for _, mask := range []byte{0xff, 0x01, 0x80} {
+				dir := t.TempDir()
+				for n, data := range files {
+					if n == name {
+						data = bytes.Clone(data)
+						data[i] ^= mask
+					}
+					if err := os.WriteFile(filepath.Join(dir, n), data, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				before := map[string][]byte{walName: readFile(t, dir, walName), snapshotName: readFile(t, dir, snapshotName)}
+				s, err := Open(dir)
+				if err == nil {
+					s.Close()
+				}
+				if err == nil || !strings.Contains(err.Error(), filepath.Join(dir, name)) {
+					t.Fatalf("%s byte %d ^ %#x: Open = %v, want an error naming the file", name, i, mask, err)
+				}
+				for n, data := range before {
+					if !bytes.Equal(readFile(t, dir, n), data) {
+						t.Fatalf("%s byte %d ^ %#x: the failed open changed %s", name, i, mask, n)
+					}
+				}
+			}
+		}
+	}
+	for _, wal := range [][]byte{{}, nil} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, snapshotName), files[snapshotName], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if wal != nil {
+			if err := os.WriteFile(filepath.Join(dir, walName), wal, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatalf("wal.log empty=%v: %v", wal != nil, err)
+		}
+		if ri := s.Recovery(); !ri.SnapshotLoaded || ri.TxApplied != 0 || ri.TornTail {
+			t.Fatalf("wal.log empty=%v: recovery %+v, want the snapshot alone", wal != nil, ri)
+		}
+		s.Close()
 	}
 }
 
@@ -689,7 +747,7 @@ func decodedSize(tx *txImage) int {
 // times the input, and decode → encode → decode is a fixed point on
 // content.
 func checkLogImage(t *testing.T, data []byte) {
-	if f, err := formatOf(data, walMagic); err != nil || f != formatCurrent {
+	if f, err := formatOf(walName, data, walMagic); err != nil || f != formatCurrent {
 		return
 	}
 	s, _ := Open("")
@@ -750,7 +808,7 @@ func FuzzWALFrames(f *testing.F) {
 // checkSnapshotImage is the snapshot fuzz property: an image the loader
 // accepts, the writer writes back and the loader reads back unchanged.
 func checkSnapshotImage(t *testing.T, data []byte) {
-	if f, err := formatOf(data, snapMagic); err != nil || f != formatCurrent {
+	if f, err := formatOf(snapshotName, data, snapMagic); err != nil || f != formatCurrent {
 		return
 	}
 	load := func(data []byte) (storeDump, *Store, error) {

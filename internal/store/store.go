@@ -312,7 +312,6 @@ type Store struct {
 	dir      string        // "" → volatile
 	opts     Options
 	recovery RecoveryInfo // filled by recover() at Open
-	legacy   bool         // recover() read a file in the pre-PR-14 format (legacy.go)
 
 	// walMu orders WAL lifecycle against commits: a commit holds the
 	// read side for its whole append and publication, Close/Checkpoint
@@ -361,14 +360,6 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 		return nil, err
 	}
 	s.wal = w
-	if s.legacy {
-		// Rewrite the directory in the current format before accepting a
-		// commit, so no file ever holds both.
-		if err := s.Checkpoint(); err != nil {
-			s.Close()
-			return nil, fmt.Errorf("store: upgrade directory format: %w", err)
-		}
-	}
 	return s, nil
 }
 
@@ -636,23 +627,20 @@ func (s *Store) Checkpoint() error {
 // truncating the file to its clean prefix — appending after a torn
 // tail would leave garbage in the middle of the log, and the next
 // recovery would then silently stop at the tear and drop every later
-// committed transaction. Each file is read in the format its first
-// bytes announce; one in the legacy format marks the store for rewriting
-// (see OpenWith).
+// committed transaction. A file whose header is neither empty, a torn
+// prefix of its magic nor the magic fails the open with both files
+// untouched (formatOf).
 func (s *Store) recover() error {
 	snapData, err := readStoreFile(s.dir, snapshotName)
 	if err != nil {
 		return err
 	}
 	var snap snapshotState
-	format, err := formatOf(snapData, snapMagic)
+	format, err := formatOf(filepath.Join(s.dir, snapshotName), snapData, snapMagic)
 	switch {
 	case err != nil:
 	case format == formatCurrent:
 		snap, err = s.loadSnapshot(snapData)
-	case format == formatLegacy:
-		s.legacy = true
-		snap, err = s.legacySnapshot(snapData)
 	case format == formatTornHeader:
 		err = fmt.Errorf("store: snapshot corrupt: %d-byte file", len(snapData))
 	}
@@ -692,21 +680,9 @@ func (s *Store) recover() error {
 	}
 	var sc walScan
 	var reason string
-	switch format, err = formatOf(walData, walMagic); {
+	switch format, err = formatOf(filepath.Join(s.dir, walName), walData, walMagic); {
 	case err != nil:
 		return err
-	case format == formatLegacy:
-		s.legacy = true
-		var frames []frame
-		frames, sc, reason = legacyScanWAL(walData)
-		txs, err := s.legacyTxs(frames)
-		if err != nil {
-			return err
-		}
-		s.recovery.WALFrames = len(frames)
-		for i := range txs {
-			apply(&txs[i])
-		}
 	case format != formatEmpty:
 		sc, reason = s.scanWAL(walData, apply)
 		s.recovery.WALFrames = s.recovery.TxApplied

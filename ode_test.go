@@ -189,19 +189,42 @@ func TestCouplingCombinatorStrings(t *testing.T) {
 	if s := ode.CouplingImmediateImmediate("after deposit", ""); s != "(after deposit)" {
 		t.Fatalf("ImmediateImmediate no-cond = %q", s)
 	}
-	for name, s := range map[string]string{
-		"II":   ode.CouplingImmediateImmediate("after deposit", "balance > 0"),
-		"ID":   ode.CouplingImmediateDeferred("after deposit", "balance > 0"),
-		"IDep": ode.CouplingImmediateDependent("after deposit", "balance > 0"),
-		"IInd": ode.CouplingImmediateIndependent("after deposit", "balance > 0"),
-		"DI":   ode.CouplingDeferredImmediate("after deposit", "balance > 0"),
-		"DDep": ode.CouplingDeferredDependent("after deposit", "balance > 0"),
-		"DInd": ode.CouplingDeferredIndependent("after deposit", "balance > 0"),
-		"DepI": ode.CouplingDependentImmediate("after deposit", "balance > 0"),
-		"IndI": ode.CouplingIndependentImmediate("after deposit", "balance > 0"),
+}
+
+// TestCouplingEncodingsCompile: all nine §7 encodings of an E-C-A
+// coupling are ordinary event expressions (E6) — each compiles over the
+// class alphabet to a small automaton, the masked logical event of
+// Immediate-Immediate to two states.
+func TestCouplingEncodingsCompile(t *testing.T) {
+	cls := &ode.Class{
+		Name:   "account",
+		Fields: []ode.Field{{Name: "balance", Kind: ode.KindInt, Default: ode.Int(0)}},
+		Methods: []ode.Method{
+			{Name: "deposit", Params: []ode.Param{ode.P("a", ode.KindInt)}, Mode: ode.ModeUpdate},
+			{Name: "withdraw", Params: []ode.Param{ode.P("a", ode.KindInt)}, Mode: ode.ModeUpdate},
+		},
+	}
+	const e, c = "after withdraw(a) && a > 100", "balance < 5000"
+	for _, enc := range []struct{ mode, event string }{
+		{"Immediate-Immediate", ode.CouplingImmediateImmediate(e, c)},
+		{"Immediate-Deferred", ode.CouplingImmediateDeferred(e, c)},
+		{"Immediate-Dependent", ode.CouplingImmediateDependent(e, c)},
+		{"Immediate-Independent", ode.CouplingImmediateIndependent(e, c)},
+		{"Deferred-Immediate", ode.CouplingDeferredImmediate(e, c)},
+		{"Deferred-Dependent", ode.CouplingDeferredDependent(e, c)},
+		{"Deferred-Independent", ode.CouplingDeferredIndependent(e, c)},
+		{"Dependent-Immediate", ode.CouplingDependentImmediate(e, c)},
+		{"Independent-Immediate", ode.CouplingIndependentImmediate(e, c)},
 	} {
-		if s == "" {
-			t.Fatalf("%s empty", name)
+		a, err := ode.CompileEvent(cls, enc.event, nil)
+		if err != nil {
+			t.Fatalf("%s %q: %v", enc.mode, enc.event, err)
+		}
+		if a.States < 2 || a.States > 16 {
+			t.Errorf("%s: %d states, want 2..16", enc.mode, a.States)
+		}
+		if enc.mode == "Immediate-Immediate" && a.States != 2 {
+			t.Errorf("Immediate-Immediate: %d states, want 2", a.States)
 		}
 	}
 }

@@ -46,24 +46,24 @@ work="${KEEP:-$(mktemp -d "${TMPDIR:-/tmp}/benchprof.XXXXXX")}"
 mkdir -p "$work/out"
 
 printf '{"Replace":{"%s":"%s"}}\n' "$root/bench/zz_benchprof_hook.go" "$root/scripts/benchprof/hook.go" >"$work/overlay.json"
-(cd "$root/bench" && GOTOOLCHAIN=local GOPROXY=off go build -tags benchprof -overlay "$work/overlay.json" -o "$work/odebench" .)
+(cd "$root/bench" && GOTOOLCHAIN=local GOPROXY=off go build -tags benchprof -overlay "$work/overlay.json" -o "$work/benchbin" .)
 
 ODE_BENCHPROF_DIR="$work" ODE_BENCHPROF_SECONDS="$seconds" \
-	"$work/odebench" -out "$work/out" --workload "$workload" --seed "${SEED:-1}" --seconds 12 --trace 0 | tail -n 1 |
+	"$work/benchbin" -out "$work/out" --workload "$workload" --seed "${SEED:-1}" --seconds 12 --trace 0 | tail -n 1 |
 	grep -o '"\(setup_s\|happenings_per_s\|effect_p50_us\|allocs_per_happening\|heap_mb_end\)":{"value":[^,}]*' | tr '\n' ' '
 echo
 [ -s "$work/allocs.pprof" ] || { echo "benchprof: the run ended before ${seconds}s — no profile written; pass a shorter time" >&2; exit 1; }
 
 top() { go tool pprof -top -cum -nodecount=45 ${focus:+-focus="$focus"} "$@" 2>/dev/null; }
 echo "== CPU, cumulative${focus:+, stacks through $focus}"
-top "$work/odebench" "$work/cpu.pprof"
+top "$work/benchbin" "$work/cpu.pprof"
 echo "== allocated objects, cumulative${focus:+, stacks through $focus}"
-top -sample_index=alloc_objects "$work/odebench" "$work/allocs.pprof"
+top -sample_index=alloc_objects "$work/benchbin" "$work/allocs.pprof"
 echo "== resident bytes by allocation site (after a GC), flat"
-go tool pprof -top -nodecount=25 -sample_index=inuse_space "$work/odebench" "$work/allocs.pprof" 2>/dev/null
+go tool pprof -top -nodecount=25 -sample_index=inuse_space "$work/benchbin" "$work/allocs.pprof" 2>/dev/null
 echo "== resident bytes by allocation site (after a GC), cumulative"
-go tool pprof -top -cum -nodecount=35 -sample_index=inuse_space "$work/odebench" "$work/allocs.pprof" 2>/dev/null
+go tool pprof -top -cum -nodecount=35 -sample_index=inuse_space "$work/benchbin" "$work/allocs.pprof" 2>/dev/null
 if [ -n "${LIST:-}" ]; then
 	echo "== allocated objects by line, functions matching $LIST"
-	go tool pprof -list="$LIST" -sample_index=alloc_objects "$work/odebench" "$work/allocs.pprof" 2>/dev/null
+	go tool pprof -list="$LIST" -sample_index=alloc_objects "$work/benchbin" "$work/allocs.pprof" 2>/dev/null
 fi
