@@ -12,12 +12,38 @@ import (
 
 // TestOneStateWordPerActiveTrigger pins §5's storage claim on the live
 // engine (E2): an object with k active triggers holds k trigger states,
-// each one automaton-state integer with no parameters and no history,
-// and that stays so however long the object's history grows.
+// each one automaton-state integer with no parameters and no history.
 func TestOneStateWordPerActiveTrigger(t *testing.T) {
+	e, oids, trigs, _ := couplingAccounts(t, 16)
+	checkOneWordPerTrigger(t, e, oids, len(trigs), "after activation")
+}
+
+// TestStateWordsConstantInHistoryLength: the per-object trigger state of
+// TestOneStateWordPerActiveTrigger stays one word per active trigger
+// however long the objects' histories grow (E2).
+func TestStateWordsConstantInHistoryLength(t *testing.T) {
 	const objects, calls = 16, 500
-	// The nine §7 coupling encodings over E = a large withdrawal and
-	// C = a low balance: one trigger per E-C-A mode.
+	e, oids, trigs, rec := couplingAccounts(t, objects)
+	for i := 0; i < calls; i++ {
+		err := e.Transact(func(tx *Tx) error {
+			_, err := tx.Call(oids[i%objects], "withdraw", value.Int(int64(50+i%200)))
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rec.count() == 0 {
+		t.Fatal("no trigger fired: the history did not move any automaton")
+	}
+	checkOneWordPerTrigger(t, e, oids, len(trigs), fmt.Sprintf("after %d calls", calls))
+}
+
+// couplingAccounts creates n accounts, each with the nine §7 coupling
+// encodings over E = a large withdrawal and C = a low balance active:
+// one trigger per E-C-A mode.
+func couplingAccounts(t *testing.T, n int) (*Engine, []store.OID, []schema.Trigger, *recorder) {
+	t.Helper()
 	const ev, cond = "after withdraw(a) && a > 100", "balance < 5000"
 	ec := "(" + ev + ") && " + cond
 	def := "fa((" + ev + "), before tcomplete, after tbegin)"
@@ -41,7 +67,7 @@ func TestOneStateWordPerActiveTrigger(t *testing.T) {
 	if _, err := e.RegisterClass(cls, impl, nil); err != nil {
 		t.Fatal(err)
 	}
-	oids := make([]store.OID, objects)
+	oids := make([]store.OID, n)
 	err := e.Transact(func(tx *Tx) error {
 		for i := range oids {
 			oid, err := tx.NewObject("account", nil)
@@ -60,43 +86,33 @@ func TestOneStateWordPerActiveTrigger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := func(when string) {
-		t.Helper()
-		for _, oid := range oids {
-			r, err := e.Store().Get(oid)
-			if err != nil {
-				t.Fatal(err)
-			}
-			active := 0
-			for i := range r.Trigs {
-				ts := &r.Trigs[i]
-				if ts.Active {
-					active++
-				}
-				if ts.Params() != nil || ts.Shadow() != nil {
-					t.Fatalf("%s: object %d trigger slot %d holds more than its state word", when, oid, i)
-				}
-			}
-			if active != len(trigs) || len(r.Trigs) != len(trigs) {
-				t.Fatalf("%s: object %d has %d slots, %d active, want %d of each",
-					when, oid, len(r.Trigs), active, len(trigs))
-			}
-		}
-	}
-	check("after activation")
-	for i := 0; i < calls; i++ {
-		err := e.Transact(func(tx *Tx) error {
-			_, err := tx.Call(oids[i%objects], "withdraw", value.Int(int64(50+i%200)))
-			return err
-		})
+	return e, oids, trigs, rec
+}
+
+// checkOneWordPerTrigger fails unless each object has k trigger slots,
+// all active, and none holds parameters or a shadow beside its state.
+func checkOneWordPerTrigger(t *testing.T, e *Engine, oids []store.OID, k int, when string) {
+	t.Helper()
+	for _, oid := range oids {
+		r, err := e.Store().Get(oid)
 		if err != nil {
 			t.Fatal(err)
 		}
+		active := 0
+		for i := range r.Trigs {
+			ts := &r.Trigs[i]
+			if ts.Active {
+				active++
+			}
+			if ts.Params() != nil || ts.Shadow() != nil {
+				t.Fatalf("%s: object %d trigger slot %d holds more than its state word", when, oid, i)
+			}
+		}
+		if active != k || len(r.Trigs) != k {
+			t.Fatalf("%s: object %d has %d slots, %d active, want %d of each",
+				when, oid, len(r.Trigs), active, k)
+		}
 	}
-	if rec.count() == 0 {
-		t.Fatal("no trigger fired: the history did not move any automaton")
-	}
-	check(fmt.Sprintf("after %d calls", calls))
 }
 
 // TestTimeEventsOverTwoDays drives the three time-event forms on the

@@ -1,12 +1,14 @@
 package engine
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
 	"ode/internal/event"
 	"ode/internal/obs"
 	"ode/internal/schema"
+	"ode/internal/store"
 	"ode/internal/value"
 )
 
@@ -201,6 +203,86 @@ func TestPerTriggerMetrics(t *testing.T) {
 	// Trigger handles expose the same counters.
 	if e.Class("account").Trigger("Large").Metrics().Firings() != 1 {
 		t.Fatal("Trigger.Metrics() disagrees with snapshot")
+	}
+}
+
+// TestPerTriggerMetricsOnSeededWorkload: over 50 seeded transactions
+// of random deposits and withdrawals on four objects, the per-trigger
+// firings and latency counts each sum to Stats().Firings, the trace
+// ring keeps what it can of what it saw, and a second engine fed the
+// same seed counts the same happenings and firings.
+func TestPerTriggerMetricsOnSeededWorkload(t *testing.T) {
+	run := func() Stats {
+		t.Helper()
+		cls, impl := accountClass(&recorder{},
+			schema.Trigger{Name: "Large", Perpetual: true, Event: "after withdraw(a) && a > 100"},
+			schema.Trigger{Name: "Pair", Perpetual: true, Event: "prior(after deposit, after withdraw)"},
+			schema.Trigger{Name: "AnyDep", Perpetual: true, Event: "after deposit"})
+		e := newEngine(t, Options{})
+		ring := e.EnableTracing(1024)
+		if _, err := e.RegisterClass(cls, impl, nil); err != nil {
+			t.Fatal(err)
+		}
+		oids := make([]store.OID, 4)
+		err := e.Transact(func(tx *Tx) error {
+			for i := range oids {
+				oid, err := tx.NewObject("account", nil)
+				if err != nil {
+					return err
+				}
+				oids[i] = oid
+				for _, tr := range cls.Triggers {
+					if err := tx.Activate(oid, tr.Name); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < 50; i++ {
+			err := e.Transact(func(tx *Tx) error {
+				for j := 0; j < 4; j++ {
+					oid, amount, method := oids[rng.Intn(len(oids))], value.Int(int64(rng.Intn(300))), "deposit"
+					if rng.Intn(2) == 0 {
+						method = "withdraw"
+					}
+					if _, err := tx.Call(oid, method, amount); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		stats := e.Stats()
+		snap := e.Metrics().Snapshot()
+		if len(snap.Triggers) != 3 {
+			t.Fatalf("trigger snapshots = %d, want 3", len(snap.Triggers))
+		}
+		var firings, latCount uint64
+		for _, ts := range snap.Triggers {
+			firings += ts.Firings
+			latCount += ts.Latency.Count
+		}
+		if stats.Firings == 0 || firings != stats.Firings || latCount != stats.Firings {
+			t.Fatalf("per-trigger firings %d, latency counts %d, Stats().Firings %d",
+				firings, latCount, stats.Firings)
+		}
+		if ring.Len() == 0 || ring.Total() < uint64(ring.Len()) {
+			t.Fatalf("trace retained %d of %d", ring.Len(), ring.Total())
+		}
+		return stats
+	}
+	a, b := run(), run()
+	if a.Happenings != b.Happenings || a.Firings != b.Firings {
+		t.Fatalf("seeded runs differ: %d/%d happenings, %d/%d firings",
+			a.Happenings, b.Happenings, a.Firings, b.Firings)
 	}
 }
 

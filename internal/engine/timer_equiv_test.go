@@ -295,3 +295,45 @@ func TestTimerCohortSharing(t *testing.T) {
 		t.Fatalf("after full deactivation: cohorts=%d pending=%d", s.TimerCohorts, s.TimersPending)
 	}
 }
+
+// TestDifferentTriggersOnOneSpecShareACohort: two different triggers
+// whose time events have the same canonical periodic spec, a heartbeat
+// `relative(every …, after deposit)` on a fleet of 512 and a plain
+// `every …` on every 64th object, armed in one instant, occupy one
+// cohort and one pending clock timer (§3.1).
+func TestDifferentTriggersOnOneSpecShareACohort(t *testing.T) {
+	rec := &recorder{}
+	cls, impl := accountClass(rec,
+		schema.Trigger{Name: "Heartbeat", Perpetual: true, Event: "relative(every time(M=10), after deposit)"},
+		schema.Trigger{Name: "Cron", Perpetual: true, Event: "every time(M=10)"})
+	e := newEngine(t, Options{Start: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)})
+	if _, err := e.RegisterClass(cls, impl, nil); err != nil {
+		t.Fatal(err)
+	}
+	err := e.Transact(func(tx *Tx) error {
+		for i := 0; i < 512; i++ {
+			oid, err := tx.NewObject("account", nil)
+			if err != nil {
+				return err
+			}
+			if err := tx.Activate(oid, "Heartbeat"); err != nil {
+				return err
+			}
+			if i%64 == 0 {
+				if err := tx.Activate(oid, "Cron"); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := e.Stats(); s.TimerCohorts != 1 || s.TimersPending != 1 {
+		t.Fatalf("fleet of 512: cohorts=%d pending=%d, want 1/1", s.TimerCohorts, s.TimersPending)
+	}
+	if sched := e.TimerSchedule(); len(sched) != 512+8 {
+		t.Fatalf("TimerSchedule entries = %d, want %d", len(sched), 512+8)
+	}
+}

@@ -7,6 +7,7 @@ import (
 
 	"ode/internal/algebra"
 	"ode/internal/compile"
+	"ode/internal/fa"
 )
 
 // The composite events of the paper's running examples over an abstract
@@ -90,8 +91,7 @@ func randomHistory(rng *rand.Rand, numSymbols, length int) []int {
 
 // TestPaperExprsAgreeWithOracle: each of the paper's triggers, compiled
 // to its minimized automaton, signals exactly at the history points the
-// §4 denotational semantics says it occurs, and its transition table is
-// one 8-byte cell per state and symbol (E3 on the paper's own set).
+// §4 denotational semantics says it occurs.
 func TestPaperExprsAgreeWithOracle(t *testing.T) {
 	p := paper()
 	if len(p.Exprs) != len(p.Names) {
@@ -100,10 +100,6 @@ func TestPaperExprsAgreeWithOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i, e := range p.Exprs {
 		d := compile.Compile(e, numPaperSymbols)
-		if bytes := len(d.Trans) * int(unsafe.Sizeof(d.Trans[0])); d.NumSymbols != numPaperSymbols ||
-			bytes != d.NumStates*d.NumSymbols*8 {
-			t.Fatalf("%s: %d states × %d symbols in a %d-byte table", p.Names[i], d.NumStates, d.NumSymbols, bytes)
-		}
 		for iter := 0; iter < 20; iter++ {
 			h := randomHistory(rng, numPaperSymbols, 1+rng.Intn(12))
 			want := algebra.Eval(e, h)
@@ -127,6 +123,64 @@ func TestPaperPairConstructionBound(t *testing.T) {
 		ap := compile.PairConstruction(a, paperTcommit, paperTabort)
 		if ap.NumStates > a.NumStates*a.NumStates {
 			t.Errorf("%s: |A'| = %d exceeds |A|² = %d", p.Names[i], ap.NumStates, a.NumStates*a.NumStates)
+		}
+	}
+}
+
+// TestPaperTableSizes: each of the paper's triggers compiles over the
+// full 12-symbol alphabet to a transition table of one 8-byte cell per
+// state and symbol (E3 on the paper's own set).
+func TestPaperTableSizes(t *testing.T) {
+	p := paper()
+	for i, e := range p.Exprs {
+		d := compile.Compile(e, numPaperSymbols)
+		if bytes := len(d.Trans) * int(unsafe.Sizeof(d.Trans[0])); d.NumStates < 1 ||
+			d.NumSymbols != numPaperSymbols || bytes != d.NumStates*d.NumSymbols*8 {
+			t.Fatalf("%s: %d states × %d symbols in a %d-byte table", p.Names[i], d.NumStates, d.NumSymbols, bytes)
+		}
+	}
+}
+
+// TestPaperCombinedMatchesIndividuals: the product automaton of all the
+// paper's triggers signals, bit by bit, exactly where each trigger's own
+// automaton does (E8 on the paper's own set).
+func TestPaperCombinedMatchesIndividuals(t *testing.T) {
+	p := paper()
+	dfas := make([]*fa.DFA, len(p.Exprs))
+	for i, e := range p.Exprs {
+		dfas[i] = compile.Compile(e, numPaperSymbols)
+	}
+	comb := compile.Combine(dfas)
+	if comb.Triggers != len(p.Exprs) || comb.NumStates < 2 {
+		t.Fatalf("combined automaton: %d triggers, %d states", comb.Triggers, comb.NumStates)
+	}
+	dets := make([]*compile.Detector, len(dfas))
+	for i, d := range dfas {
+		dets[i] = compile.NewDetector(d)
+	}
+	state := comb.Start
+	for at, sym := range randomHistory(rand.New(rand.NewSource(7)), numPaperSymbols, 5000) {
+		var fires uint64
+		state, fires = comb.Post(state, sym)
+		for i, det := range dets {
+			if want := det.Post(sym); (fires>>i)&1 == 1 != want {
+				t.Fatalf("%s: point %d: combined %v, own automaton %v", p.Names[i], at, !want, want)
+			}
+		}
+	}
+}
+
+// TestPaperAblationSameFinalAutomata: compiling the paper's triggers
+// without minimizing at every operator node yields the same final
+// automata, equal in language and in size (E9 on the paper's own set).
+func TestPaperAblationSameFinalAutomata(t *testing.T) {
+	p := paper()
+	for i, e := range p.Exprs {
+		with := compile.Compile(e, numPaperSymbols)
+		without := compile.CompileNoIntermediateMin(e, numPaperSymbols)
+		if !fa.Equivalent(with, without) || with.NumStates != without.NumStates {
+			t.Fatalf("%s: %d states with per-node minimization, %d without (equivalent %v)",
+				p.Names[i], with.NumStates, without.NumStates, fa.Equivalent(with, without))
 		}
 	}
 }
