@@ -20,13 +20,14 @@ vet:
 race:
 	$(GO) test -race ./internal/engine/ ./internal/obs/ ./internal/txn/ ./internal/store/ ./internal/part/ ./internal/egress/
 
-# Short fuzz smoke over the event-language and mask parsers, the egress
+# Short fuzz smoke over the event-language and mask parsers (one lexer
+# and one mask grammar, package mask's, reached from both), the egress
 # record codec, the delivery cursor file, the store's WAL and snapshot
 # decoders (whose inputs are whole files, so minimizing a find is capped
 # at 2 s; they take arbitrary bytes unfiltered — every count is checked
 # against the bytes that remain, see DESIGN.md §17) and the provenance
-# journal's operation scripts. Longer campaigns (nightly.yml runs the
-# three file targets and the journal for 5 min each):
+# journal's operation scripts. Longer campaigns (nightly.yml runs the two
+# parsers, the three file targets and the journal for 5 min each):
 # go test -fuzz FuzzParseEvent ./internal/evlang/
 # go test -fuzz FuzzParseMask ./internal/mask/
 # go test -fuzz FuzzRecordCodec ./internal/egress/

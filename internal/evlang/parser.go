@@ -1,3 +1,20 @@
+// Package evlang implements the O++ event-specification sub-language
+// of the paper (§2–§3): parsing trigger declarations
+//
+//	T6(): perpetual after withdraw(i, q) && q > 100 ==> log()
+//
+// and event expressions
+//
+//	relative(dayBegin, prior(choose 5 (after tcommit), after tcommit)
+//	         & !prior(dayBegin, after tcommit))
+//
+// into surface syntax trees, and resolving them against a class schema
+// into algebra expressions over a per-class alphabet of disjoint
+// logical events (the §5 mask-disjointness rewrite).
+//
+// The front end is package mask's: the source is tokenized by mask.Lex,
+// the event grammar below runs on a mask.Cursor, and every mask inside
+// an event is parsed by mask.Cursor.ParseMask, the one mask grammar.
 package evlang
 
 import (
@@ -15,7 +32,7 @@ import (
 // shorthand of §3.3 ("balance < 500.00").
 var eventKeywords = map[string]bool{
 	"before": true, "after": true, "at": true, "every": true,
-	"relative": true, "relative+": true, "prior": true, "sequence": true,
+	"relative": true, "prior": true, "sequence": true,
 	"choose": true, "fa": true, "faAbs": true,
 }
 
@@ -84,99 +101,109 @@ func (ps *Parser) Define(name, src string) error {
 // shorthand and parses as
 //
 //	(after update | after create) && mask
-func (ps *Parser) ParseEvent(src string) (*Event, error) {
-	toks, err := lexAll(src)
+func (ps *Parser) ParseEvent(src string) (_ *Event, err error) {
+	defer prefix(&err)
+	p, err := ps.start(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{src: src, toks: toks, defines: ps.Defines, methods: ps.Methods}
-	if !p.regionIsEvent(0, len(toks)-1) {
-		return p.parseStateShorthand()
+	end := len(p.Toks) - 1
+	if !p.regionIsEvent(0, end) {
+		return p.parseStateShorthand(end)
 	}
 	e, err := p.parseEvent()
 	if err != nil {
 		return nil, err
 	}
-	if p.peek().kind != tEOF {
-		return nil, p.errorf("trailing input %q", p.peek().text)
+	if p.Peek().Kind != mask.TokEOF {
+		return nil, p.Errorf("trailing input %q", p.Peek().Text)
 	}
 	return e, nil
+}
+
+// start lexes src and returns a parser at its first token.
+func (ps *Parser) start(src string) (*parser, error) {
+	toks, err := mask.Lex(src)
+	if err != nil {
+		return nil, err
+	}
+	return &parser{Cursor: mask.Cursor{Src: src, Toks: toks}, defines: ps.Defines, methods: ps.Methods}, nil
+}
+
+// prefix names this package in an error from ParseEvent or ParseTrigger.
+func prefix(err *error) {
+	if *err != nil {
+		*err = fmt.Errorf("evlang: %w", *err)
+	}
 }
 
 // ParseTrigger parses a full trigger declaration:
 //
 //	name(params): [perpetual] event ==> action
-func (ps *Parser) ParseTrigger(src string) (*TriggerDecl, error) {
-	toks, err := lexAll(src)
+func (ps *Parser) ParseTrigger(src string) (_ *TriggerDecl, err error) {
+	defer prefix(&err)
+	p, err := ps.start(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{src: src, toks: toks, defines: ps.Defines, methods: ps.Methods}
 	d := &TriggerDecl{}
-	name := p.next()
-	if name.kind != tIdent {
-		return nil, p.errorf("expected trigger name, found %q", name.text)
+	name := p.Next()
+	if name.Kind != mask.TokIdent {
+		return nil, p.Errorf("expected trigger name, found %q", name.Text)
 	}
-	d.Name = name.text
-	if err := p.expect("("); err != nil {
+	d.Name = name.Text
+	if err := p.Expect("("); err != nil {
 		return nil, err
 	}
-	if !p.accept(")") {
+	if !p.Accept(")") {
 		for {
 			names, err := p.parseFormal()
 			if err != nil {
 				return nil, err
 			}
 			d.Params = append(d.Params, names)
-			if p.accept(")") {
+			if p.Accept(")") {
 				break
 			}
-			if err := p.expect(","); err != nil {
+			if err := p.Expect(","); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if err := p.expect(":"); err != nil {
+	if err := p.Expect(":"); err != nil {
 		return nil, err
 	}
-	if t := p.peek(); t.kind == tIdent && t.text == "perpetual" {
-		p.next()
+	if t := p.Peek(); t.Kind == mask.TokIdent && t.Text == "perpetual" {
+		p.Next()
 		d.Perpetual = true
 	}
 	// The event runs until the ==> marker; find it to classify the
 	// event region for the state shorthand.
 	arrow := -1
-	for i := p.pos; i < len(p.toks); i++ {
-		if p.toks[i].kind == tPunct && p.toks[i].text == "==>" {
+	for i := p.Pos; i < len(p.Toks); i++ {
+		if p.Toks[i].Kind == mask.TokOp && p.Toks[i].Text == "==>" {
 			arrow = i
 			break
 		}
 	}
 	if arrow < 0 {
-		return nil, p.errorf("missing ==> in trigger declaration")
+		return nil, p.Errorf("missing ==> in trigger declaration")
 	}
-	var ev *Event
-	if p.regionIsEvent(p.pos, arrow) {
-		ev, err = p.parseEvent()
-		if err != nil {
-			return nil, err
-		}
+	if p.regionIsEvent(p.Pos, arrow) {
+		d.Event, err = p.parseEvent()
 	} else {
-		sub := &parser{src: p.src, toks: append(append([]tok{}, p.toks[p.pos:arrow]...), tok{kind: tEOF}), defines: p.defines, methods: p.methods}
-		ev, err = sub.parseStateShorthand()
-		if err != nil {
-			return nil, err
-		}
-		p.pos = arrow
+		d.Event, err = p.parseStateShorthand(arrow)
 	}
-	d.Event = ev
-	if err := p.expect("==>"); err != nil {
+	if err != nil {
+		return nil, err
+	}
+	if err := p.Expect("==>"); err != nil {
 		return nil, err
 	}
 	// The action is the raw remainder of the source text.
-	at := p.peek().pos
-	if p.peek().kind == tEOF {
-		return nil, p.errorf("missing action after ==>")
+	at := p.Peek().Pos
+	if p.Peek().Kind == mask.TokEOF {
+		return nil, p.Errorf("missing action after ==>")
 	}
 	d.Action = trimSpace(src[at:])
 	return d, nil
@@ -193,59 +220,29 @@ func trimSpace(s string) string {
 	return s[i:j]
 }
 
+// parser is the event grammar on package mask's token cursor.
 type parser struct {
-	src     string
-	toks    []tok
-	pos     int
+	mask.Cursor
 	defines map[string]*Event
 	methods map[string]bool
 }
 
-func (p *parser) peek() tok { return p.toks[p.pos] }
-func (p *parser) peek2() tok {
-	if p.pos+1 < len(p.toks) {
-		return p.toks[p.pos+1]
+func (p *parser) peek2() mask.Token {
+	if p.Pos+1 < len(p.Toks) {
+		return p.Toks[p.Pos+1]
 	}
-	return tok{kind: tEOF}
-}
-
-func (p *parser) next() tok {
-	t := p.toks[p.pos]
-	if t.kind != tEOF {
-		p.pos++
-	}
-	return t
-}
-
-func (p *parser) accept(punct string) bool {
-	if t := p.peek(); t.kind == tPunct && t.text == punct {
-		p.pos++
-		return true
-	}
-	return false
-}
-
-func (p *parser) expect(punct string) error {
-	if !p.accept(punct) {
-		return p.errorf("expected %q, found %q", punct, p.peek().text)
-	}
-	return nil
-}
-
-func (p *parser) errorf(format string, args ...any) error {
-	return fmt.Errorf("evlang: %s (at offset %d in %q)",
-		fmt.Sprintf(format, args...), p.peek().pos, p.src)
+	return mask.Token{Kind: mask.TokEOF}
 }
 
 // regionIsEvent reports whether toks[from:to] contains event syntax:
 // an event keyword, a define name, or the ';' sequencing punctuation.
 func (p *parser) regionIsEvent(from, to int) bool {
-	for i := from; i < to && i < len(p.toks); i++ {
-		t := p.toks[i]
-		if t.kind == tIdent && (eventKeywords[t.text] || p.defines[t.text] != nil || p.methods[t.text]) {
+	for i := from; i < to && i < len(p.Toks); i++ {
+		t := p.Toks[i]
+		if t.Kind == mask.TokIdent && (eventKeywords[t.Text] || p.defines[t.Text] != nil || p.methods[t.Text]) {
 			return true
 		}
-		if t.kind == tPunct && t.text == ";" {
+		if t.Kind == mask.TokOp && t.Text == ";" {
 			return true
 		}
 	}
@@ -255,11 +252,11 @@ func (p *parser) regionIsEvent(from, to int) bool {
 // matchParen returns the index of the ')' matching the '(' at open.
 func (p *parser) matchParen(open int) int {
 	depth := 0
-	for i := open; i < len(p.toks); i++ {
-		if p.toks[i].kind != tPunct {
+	for i := open; i < len(p.Toks); i++ {
+		if p.Toks[i].Kind != mask.TokOp {
 			continue
 		}
-		switch p.toks[i].text {
+		switch p.Toks[i].Text {
 		case "(":
 			depth++
 		case ")":
@@ -272,15 +269,15 @@ func (p *parser) matchParen(open int) int {
 	return -1
 }
 
-// parseStateShorthand parses the whole remaining input as a mask and
-// wraps it as the paper's object-state event shorthand.
-func (p *parser) parseStateShorthand() (*Event, error) {
-	m, err := p.parseMask()
+// parseStateShorthand parses the tokens up to index end as one mask
+// and wraps it as the paper's object-state event shorthand.
+func (p *parser) parseStateShorthand(end int) (*Event, error) {
+	m, err := p.ParseMask()
 	if err != nil {
 		return nil, err
 	}
-	if p.peek().kind != tEOF {
-		return nil, p.errorf("trailing input %q", p.peek().text)
+	if p.Pos != end {
+		return nil, p.Errorf("trailing input %q", p.Peek().Text)
 	}
 	return stateEvent(m), nil
 }
@@ -301,12 +298,16 @@ func stateEvent(m *mask.Expr) *Event {
 //	seq     = unary { ";" unary }
 //	unary   = "!" unary | postfix
 //	postfix = primary [ "&&" mask ]
+//
+// where mask is the grammar of mask.Cursor.ParseMask, run at this
+// parser's cursor; it stops before "&", "|", ";", "==>" and an unmatched
+// ")" or ",", so the event grammar resumes there.
 func (p *parser) parseEvent() (*Event, error) {
 	e, err := p.parseAndEvent()
 	if err != nil {
 		return nil, err
 	}
-	for p.accept("|") {
+	for p.Accept("|") {
 		r, err := p.parseAndEvent()
 		if err != nil {
 			return nil, err
@@ -325,7 +326,7 @@ func (p *parser) parseAndEvent() (*Event, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.accept("&") {
+	for p.Accept("&") {
 		r, err := p.parseSeqEvent()
 		if err != nil {
 			return nil, err
@@ -344,7 +345,7 @@ func (p *parser) parseSeqEvent() (*Event, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.accept(";") {
+	for p.Accept(";") {
 		r, err := p.parseUnaryEvent()
 		if err != nil {
 			return nil, err
@@ -359,7 +360,7 @@ func (p *parser) parseSeqEvent() (*Event, error) {
 }
 
 func (p *parser) parseUnaryEvent() (*Event, error) {
-	if p.accept("!") {
+	if p.Accept("!") {
 		e, err := p.parseUnaryEvent()
 		if err != nil {
 			return nil, err
@@ -374,8 +375,8 @@ func (p *parser) parsePostfixEvent() (*Event, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.accept("&&") {
-		m, err := p.parseMask()
+	if p.Accept("&&") {
+		m, err := p.ParseMask()
 		if err != nil {
 			return nil, err
 		}
@@ -396,40 +397,40 @@ func (p *parser) parsePostfixEvent() (*Event, error) {
 }
 
 func (p *parser) parsePrimaryEvent() (*Event, error) {
-	t := p.peek()
-	if t.kind == tPunct && t.text == "(" {
+	t := p.Peek()
+	if t.Kind == mask.TokOp && t.Text == "(" {
 		// Parenthesized event or parenthesized bare mask: classify the
 		// group's contents.
-		close := p.matchParen(p.pos)
+		close := p.matchParen(p.Pos)
 		if close < 0 {
-			return nil, p.errorf("unbalanced parenthesis")
+			return nil, p.Errorf("unbalanced parenthesis")
 		}
-		if !p.regionIsEvent(p.pos+1, close) {
-			m, err := p.parseMask() // consumes the whole group
+		if !p.regionIsEvent(p.Pos+1, close) {
+			m, err := p.ParseMask() // consumes the whole group
 			if err != nil {
 				return nil, err
 			}
 			return stateEvent(m), nil
 		}
-		p.next()
+		p.Next()
 		e, err := p.parseEvent()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(")"); err != nil {
+		if err := p.Expect(")"); err != nil {
 			return nil, err
 		}
 		return e, nil
 	}
-	if t.kind != tIdent {
-		return nil, p.errorf("expected event, found %q", t.text)
+	if t.Kind != mask.TokIdent {
+		return nil, p.Errorf("expected event, found %q", t.Text)
 	}
 
-	switch t.text {
+	switch t.Text {
 	case "before", "after":
 		return p.parseQualifiedBasic()
 	case "at":
-		p.next()
+		p.Next()
 		spec, err := p.parseTimeSpec()
 		if err != nil {
 			return nil, err
@@ -437,8 +438,8 @@ func (p *parser) parsePrimaryEvent() (*Event, error) {
 		return &Event{Op: EvTime, Time: &TimeEvent{Mode: TimeAt, Spec: spec}}, nil
 	case "every":
 		// every N (E) vs every time(...).
-		if p.peek2().kind == tInt {
-			p.next()
+		if p.peek2().Kind == mask.TokInt {
+			p.Next()
 			n, err := p.parseCount()
 			if err != nil {
 				return nil, err
@@ -449,14 +450,14 @@ func (p *parser) parsePrimaryEvent() (*Event, error) {
 			}
 			return &Event{Op: EvEvery, N: n, Args: args}, nil
 		}
-		p.next()
+		p.Next()
 		spec, err := p.parseTimeSpec()
 		if err != nil {
 			return nil, err
 		}
 		return &Event{Op: EvTime, Time: &TimeEvent{Mode: TimeEvery, Spec: spec}}, nil
 	case "choose":
-		p.next()
+		p.Next()
 		n, err := p.parseCount()
 		if err != nil {
 			return nil, err
@@ -467,10 +468,19 @@ func (p *parser) parsePrimaryEvent() (*Event, error) {
 		}
 		return &Event{Op: EvChoose, N: n, Args: args}, nil
 	case "relative", "prior", "sequence":
-		p.next()
-		op := map[string]EvOp{"relative": EvRelative, "prior": EvPrior, "sequence": EvSequence}[t.text]
+		p.Next()
+		// relative+ is "relative" written directly against "+".
+		if plus := p.Peek(); t.Text == "relative" && plus.Text == "+" && plus.Pos == t.Pos+len(t.Text) {
+			p.Next()
+			args, err := p.parseEventArgs(1, 1)
+			if err != nil {
+				return nil, err
+			}
+			return &Event{Op: EvRelPlus, Args: args}, nil
+		}
+		op := map[string]EvOp{"relative": EvRelative, "prior": EvPrior, "sequence": EvSequence}[t.Text]
 		n := 0
-		if p.peek().kind == tInt {
+		if p.Peek().Kind == mask.TokInt {
 			var err error
 			n, err = p.parseCount()
 			if err != nil {
@@ -486,17 +496,10 @@ func (p *parser) parsePrimaryEvent() (*Event, error) {
 			return nil, err
 		}
 		return &Event{Op: op, N: n, Args: args}, nil
-	case "relative+":
-		p.next()
-		args, err := p.parseEventArgs(1, 1)
-		if err != nil {
-			return nil, err
-		}
-		return &Event{Op: EvRelPlus, Args: args}, nil
 	case "fa", "faAbs":
-		p.next()
+		p.Next()
 		op := EvFa
-		if t.text == "faAbs" {
+		if t.Text == "faAbs" {
 			op = EvFaAbs
 		}
 		args, err := p.parseEventArgs(3, 3)
@@ -506,22 +509,22 @@ func (p *parser) parsePrimaryEvent() (*Event, error) {
 		return &Event{Op: op, Args: args}, nil
 	}
 
-	if def, ok := p.defines[t.text]; ok {
-		p.next()
+	if def, ok := p.defines[t.Text]; ok {
+		p.Next()
 		return def, nil
 	}
 
 	// Bare identifier: either the method shorthand f ≡ (before f |
 	// after f) — recognizable only when the parser knows the class's
 	// methods — or the start of a bare mask (object-state shorthand).
-	if p.methods[t.text] && p.bareIdentIsMethodShorthand() {
-		p.next()
+	if p.methods[t.Text] && p.bareIdentIsMethodShorthand() {
+		p.Next()
 		return &Event{Op: EvOr, Args: []*Event{
-			{Op: EvBasic, Basic: &Basic{Phase: event.Before, Method: t.text}},
-			{Op: EvBasic, Basic: &Basic{Phase: event.After, Method: t.text}},
+			{Op: EvBasic, Basic: &Basic{Phase: event.Before, Method: t.Text}},
+			{Op: EvBasic, Basic: &Basic{Phase: event.After, Method: t.Text}},
 		}}, nil
 	}
-	m, err := p.parseMask()
+	m, err := p.ParseMask()
 	if err != nil {
 		return nil, err
 	}
@@ -533,11 +536,11 @@ func (p *parser) parsePrimaryEvent() (*Event, error) {
 // event; anything else starts a mask expression.
 func (p *parser) bareIdentIsMethodShorthand() bool {
 	nxt := p.peek2()
-	if nxt.kind == tEOF {
+	if nxt.Kind == mask.TokEOF {
 		return true
 	}
-	if nxt.kind == tPunct {
-		switch nxt.text {
+	if nxt.Kind == mask.TokOp {
+		switch nxt.Text {
 		case ")", ",", ";", "|", "&", "&&":
 			return true
 		}
@@ -547,20 +550,20 @@ func (p *parser) bareIdentIsMethodShorthand() bool {
 
 func (p *parser) parseQualifiedBasic() (*Event, error) {
 	phase := event.Before
-	if p.next().text == "after" {
+	if p.Next().Text == "after" {
 		phase = event.After
 	}
-	t := p.next()
-	if t.kind != tIdent {
-		return nil, p.errorf("expected event name after qualifier, found %q", t.text)
+	t := p.Next()
+	if t.Kind != mask.TokIdent {
+		return nil, p.Errorf("expected event name after qualifier, found %q", t.Text)
 	}
-	if t.text == "time" {
+	if t.Text == "time" {
 		// after time(...) — the delayed one-shot time event. Rewind so
 		// parseTimeSpec sees the 'time' keyword.
 		if phase == event.Before {
-			return nil, p.errorf("before time(...) is not a valid event")
+			return nil, p.Errorf("before time(...) is not a valid event")
 		}
-		p.pos--
+		p.Pos--
 		spec, err := p.parseTimeSpec()
 		if err != nil {
 			return nil, err
@@ -568,22 +571,22 @@ func (p *parser) parseQualifiedBasic() (*Event, error) {
 		return &Event{Op: EvTime, Time: &TimeEvent{Mode: TimeAfter, Spec: spec}}, nil
 	}
 	b := &Basic{Phase: phase}
-	if basicKeywords[t.text] {
-		b.Keyword = t.text
+	if basicKeywords[t.Text] {
+		b.Keyword = t.Text
 	} else {
-		b.Method = t.text
-		if p.accept("(") {
-			if !p.accept(")") {
+		b.Method = t.Text
+		if p.Accept("(") {
+			if !p.Accept(")") {
 				for {
 					name, err := p.parseFormal()
 					if err != nil {
 						return nil, err
 					}
 					b.Formals = append(b.Formals, name)
-					if p.accept(")") {
+					if p.Accept(")") {
 						break
 					}
-					if err := p.expect(","); err != nil {
+					if err := p.Expect(","); err != nil {
 						return nil, err
 					}
 				}
@@ -598,31 +601,31 @@ func (p *parser) parseQualifiedBasic() (*Event, error) {
 // The type, when present, is recorded nowhere — the schema is
 // authoritative for kinds.
 func (p *parser) parseFormal() (string, error) {
-	first := p.next()
-	if first.kind != tIdent {
-		return "", p.errorf("expected parameter name, found %q", first.text)
+	first := p.Next()
+	if first.Kind != mask.TokIdent {
+		return "", p.Errorf("expected parameter name, found %q", first.Text)
 	}
-	if t := p.peek(); t.kind == tIdent {
-		p.next()
-		return t.text, nil
+	if t := p.Peek(); t.Kind == mask.TokIdent {
+		p.Next()
+		return t.Text, nil
 	}
-	return first.text, nil
+	return first.Text, nil
 }
 
 func (p *parser) parseCount() (int, error) {
-	t := p.next()
-	if t.kind != tInt {
-		return 0, p.errorf("expected integer count, found %q", t.text)
+	t := p.Next()
+	if t.Kind != mask.TokInt {
+		return 0, p.Errorf("expected integer count, found %q", t.Text)
 	}
-	n, err := strconv.Atoi(t.text)
+	n, err := strconv.Atoi(t.Text)
 	if err != nil || n < 1 {
-		return 0, p.errorf("count must be a positive integer, got %q", t.text)
+		return 0, p.Errorf("count must be a positive integer, got %q", t.Text)
 	}
 	return n, nil
 }
 
 func (p *parser) parseEventArgs(min, max int) ([]*Event, error) {
-	if err := p.expect("("); err != nil {
+	if err := p.Expect("("); err != nil {
 		return nil, err
 	}
 	var args []*Event
@@ -632,18 +635,18 @@ func (p *parser) parseEventArgs(min, max int) ([]*Event, error) {
 			return nil, err
 		}
 		args = append(args, e)
-		if p.accept(")") {
+		if p.Accept(")") {
 			break
 		}
-		if err := p.expect(","); err != nil {
+		if err := p.Expect(","); err != nil {
 			return nil, err
 		}
 	}
 	if len(args) < min {
-		return nil, p.errorf("operator needs at least %d operand(s), got %d", min, len(args))
+		return nil, p.Errorf("operator needs at least %d operand(s), got %d", min, len(args))
 	}
 	if max >= 0 && len(args) > max {
-		return nil, p.errorf("operator takes at most %d operand(s), got %d", max, len(args))
+		return nil, p.Errorf("operator takes at most %d operand(s), got %d", max, len(args))
 	}
 	return args, nil
 }
@@ -652,30 +655,30 @@ func (p *parser) parseEventArgs(min, max int) ([]*Event, error) {
 // SEC MS (paper §3.1).
 func (p *parser) parseTimeSpec() (clock.TimeSpec, error) {
 	spec := clock.EmptyTimeSpec()
-	t := p.next()
-	if t.kind != tIdent || t.text != "time" {
-		return spec, p.errorf("expected time(...), found %q", t.text)
+	t := p.Next()
+	if t.Kind != mask.TokIdent || t.Text != "time" {
+		return spec, p.Errorf("expected time(...), found %q", t.Text)
 	}
-	if err := p.expect("("); err != nil {
+	if err := p.Expect("("); err != nil {
 		return spec, err
 	}
-	if p.accept(")") {
+	if p.Accept(")") {
 		return spec, nil
 	}
 	for {
-		name := p.next()
-		if name.kind != tIdent {
-			return spec, p.errorf("expected time field, found %q", name.text)
+		name := p.Next()
+		if name.Kind != mask.TokIdent {
+			return spec, p.Errorf("expected time field, found %q", name.Text)
 		}
-		if err := p.expect("="); err != nil {
+		if err := p.Expect("="); err != nil {
 			return spec, err
 		}
-		vt := p.next()
-		if vt.kind != tInt {
-			return spec, p.errorf("expected integer for %s, found %q", name.text, vt.text)
+		vt := p.Next()
+		if vt.Kind != mask.TokInt {
+			return spec, p.Errorf("expected integer for %s, found %q", name.Text, vt.Text)
 		}
-		v, _ := strconv.Atoi(vt.text)
-		switch name.text {
+		v, _ := strconv.Atoi(vt.Text)
+		switch name.Text {
 		case "YR":
 			spec.Year = v
 		case "MO":
@@ -691,12 +694,12 @@ func (p *parser) parseTimeSpec() (clock.TimeSpec, error) {
 		case "MS":
 			spec.Ms = v
 		default:
-			return spec, p.errorf("unknown time field %q", name.text)
+			return spec, p.Errorf("unknown time field %q", name.Text)
 		}
-		if p.accept(")") {
+		if p.Accept(")") {
 			return spec, nil
 		}
-		if err := p.expect(","); err != nil {
+		if err := p.Expect(","); err != nil {
 			return spec, err
 		}
 	}

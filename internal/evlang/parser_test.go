@@ -1,6 +1,7 @@
 package evlang
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -269,6 +270,7 @@ func TestParseErrors(t *testing.T) {
 		"relative 2 (after a, after b)",
 		"after a ==> foo",
 		"after a | ",
+		"relative +(after a)", // relative+ is written without a space
 	} {
 		if _, err := ps.ParseEvent(src); err == nil {
 			t.Errorf("ParseEvent(%q) succeeded", src)
@@ -310,6 +312,82 @@ func TestEventStringRoundTrip(t *testing.T) {
 		}
 		if e.String() != again.String() {
 			t.Errorf("%q: unstable rendering %q vs %q", src, e.String(), again.String())
+		}
+	}
+}
+
+// eventMasks returns the rendering of every mask in e, in pre-order.
+func eventMasks(e *Event) []string {
+	var out []string
+	if e.Mask != nil {
+		out = append(out, e.Mask.String())
+	}
+	for _, a := range e.Args {
+		out = append(out, eventMasks(a)...)
+	}
+	return out
+}
+
+// TestMaskEndsWhereEventSyntaxResumes: a mask inside an event is parsed
+// by package mask's grammar at the event parser's cursor, and it ends
+// before the first token that cannot continue a mask — the event
+// operators "&", "|" and ";", the "==>" of a trigger, and the ")" or ","
+// of an operator's argument list — while "&&" and "||" stay inside it.
+func TestMaskEndsWhereEventSyntaxResumes(t *testing.T) {
+	for _, tc := range []struct {
+		src   string
+		op    EvOp
+		masks []string
+	}{
+		{"after a && x > 1 & after b", EvAnd, []string{"(x > 1)"}},
+		{"after a && x > 1 | after b", EvOr, []string{"(x > 1)"}},
+		{"after a && x > 1; after b", EvSequence, []string{"(x > 1)"}},
+		{"relative(after a && x > 1, after b)", EvRelative, []string{"(x > 1)"}},
+		{"relative(after b, after a && f(x, 2) > 1)", EvRelative, []string{"(f(x, 2) > 1)"}},
+		{"after a && x > 1 && y < 2 || z", EvBasic, []string{"(((x > 1) && (y < 2)) || z)"}},
+		{"(after a | after b) && n > 0 & after c", EvAnd, []string{"(n > 0)"}},
+		{"relative+(after a && x > 1)", EvRelPlus, []string{"(x > 1)"}},
+		{"T(): after a && x > 1 ==> act", EvBasic, []string{"(x > 1)"}},
+		{"T(): after a && x > 1 | after b && y == 'z' ==> act", EvOr, []string{"(x > 1)", `(y == "z")`}},
+	} {
+		ps := NewParser()
+		var e *Event
+		var err error
+		if strings.Contains(tc.src, "==>") {
+			var d *TriggerDecl
+			if d, err = ps.ParseTrigger(tc.src); err == nil {
+				e = d.Event
+				if d.Action != "act" {
+					t.Errorf("%q: action %q", tc.src, d.Action)
+				}
+			}
+		} else {
+			e, err = ps.ParseEvent(tc.src)
+		}
+		if err != nil {
+			t.Errorf("%q: %v", tc.src, err)
+			continue
+		}
+		if got := eventMasks(e); e.Op != tc.op || strings.Join(got, " ") != strings.Join(tc.masks, " ") {
+			t.Errorf("%q: op %d masks %q, want op %d masks %q", tc.src, e.Op, got, tc.op, tc.masks)
+		}
+	}
+}
+
+// TestMaskErrorOffsetInTrigger: a malformed mask inside a trigger is
+// reported at its offset in the whole declaration, for a mask on a
+// basic event and for the object-state shorthand alike.
+func TestMaskErrorOffsetInTrigger(t *testing.T) {
+	for _, tc := range []struct{ src, at string }{
+		{"T(): after withdraw(i, q) && q > * 3 ==> log()", "*"},
+		{"T(): relative(after a && x >, after b) ==> act", ","},
+		{"Low(): balance < ==> warn()", "==>"},
+		{`T(): after a && s == "\q" ==> act`, `q"`},
+	} {
+		_, err := NewParser().ParseTrigger(tc.src)
+		want := fmt.Sprintf("at offset %d in", strings.Index(tc.src, tc.at))
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("ParseTrigger(%q) = %v, want an error %s", tc.src, err, want)
 		}
 	}
 }

@@ -10,222 +10,182 @@
 // A mask attached to a logical event is evaluated at the instant its
 // basic event is posted; a mask attached to a whole composite event is
 // evaluated at detection time against the then-current state.
+//
+// The package is also the front end of the event language: its lexer
+// tokenizes whole trigger declarations, and package evlang parses event
+// syntax over the same tokens with the same Cursor, calling
+// Cursor.ParseMask wherever a mask begins. There is one tokenizer and
+// one mask grammar.
 package mask
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode"
 )
 
-type tokenKind int
+// TokenKind classifies a Token.
+type TokenKind int
 
+// Token kinds.
 const (
-	tokEOF tokenKind = iota
-	tokIdent
-	tokInt
-	tokFloat
-	tokString
-	tokOp // one of the operator strings below
+	TokEOF TokenKind = iota
+	TokIdent
+	TokInt
+	TokFloat
+	TokString
+	TokOp // one of the operator strings below
 )
 
-type token struct {
-	kind tokenKind
-	text string
-	pos  int
+// Token is one lexeme: its kind, its text (a string literal's decoded
+// value) and its byte offset in the source.
+type Token struct {
+	Kind TokenKind
+	Text string
+	Pos  int
 }
 
-// operators, longest first so the lexer is greedy.
+// operators, longest first so the lexer is greedy: "==>" precedes "=="
+// and "=". "==>", ";", ":", "=", "|" and "&" are event and trigger
+// syntax; the mask grammar uses the rest.
 var operators = []string{
-	"&&", "||", "==", "!=", "<=", ">=",
+	"==>", "&&", "||", "==", "!=", "<=", ">=",
 	"(", ")", ",", ".", "!", "<", ">", "+", "-", "*", "/", "%",
+	";", ":", "=", "|", "&",
 }
 
-type lexer struct {
-	src    string
-	pos    int
-	tokens []token
+// escapes are the single-letter string escapes. With \x, \u and \U the
+// set mirrors what Go's %q renderer emits, so any accepted literal's
+// rendering re-parses (parse ∘ render is the identity; FuzzParseMask
+// and FuzzParseEvent pin this).
+var escapes = map[byte]byte{
+	'n': '\n', 't': '\t', 'r': '\r', 'a': '\a', 'b': '\b', 'f': '\f', 'v': '\v',
+	'\\': '\\', '"': '"', '\'': '\'',
 }
 
-func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+// hexWidths are the digit counts of the \x, \u and \U escapes.
+var hexWidths = map[byte]int{'x': 2, 'u': 4, 'U': 8}
+
+// Lex tokenizes src. The slice ends with one TokEOF token.
+func Lex(src string) ([]Token, error) {
+	var out []Token
+	pos := 0
 	for {
-		l.skipSpace()
-		if l.pos >= len(l.src) {
-			l.tokens = append(l.tokens, token{kind: tokEOF, pos: l.pos})
-			return l.tokens, nil
+		for pos < len(src) && unicode.IsSpace(rune(src[pos])) {
+			pos++
 		}
-		start := l.pos
-		c := l.src[l.pos]
+		if pos >= len(src) {
+			return append(out, Token{Kind: TokEOF, Pos: pos}), nil
+		}
+		start, c := pos, src[pos]
 		switch {
 		case isIdentStart(rune(c)):
-			l.lexIdent()
-		case c >= '0' && c <= '9':
-			if err := l.lexNumber(); err != nil {
-				return nil, err
+			for pos < len(src) && isIdentPart(rune(src[pos])) {
+				pos++
 			}
+			out = append(out, Token{Kind: TokIdent, Text: src[start:pos], Pos: start})
+		case isDigit(c):
+			kind := TokInt
+			pos = skipDigits(src, pos)
+			// A dot not followed by a digit is not part of the number.
+			if pos+1 < len(src) && src[pos] == '.' && isDigit(src[pos+1]) {
+				kind = TokFloat
+				pos = skipDigits(src, pos+1)
+			}
+			out = append(out, Token{Kind: kind, Text: src[start:pos], Pos: start})
 		case c == '"' || c == '\'':
-			if err := l.lexString(); err != nil {
+			s, end, err := lexString(src, pos)
+			if err != nil {
 				return nil, err
 			}
+			out = append(out, Token{Kind: TokString, Text: s, Pos: start})
+			pos = end
 		default:
-			if !l.lexOperator() {
-				return nil, fmt.Errorf("mask: unexpected character %q at offset %d", c, start)
+			op := ""
+			for _, o := range operators {
+				if strings.HasPrefix(src[pos:], o) {
+					op = o
+					break
+				}
 			}
-		}
-	}
-}
-
-func (l *lexer) skipSpace() {
-	for l.pos < len(l.src) && unicode.IsSpace(rune(l.src[l.pos])) {
-		l.pos++
-	}
-}
-
-func isIdentStart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r)
-}
-
-func isIdentPart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r)
-}
-
-func (l *lexer) lexIdent() {
-	start := l.pos
-	for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
-		l.pos++
-	}
-	l.tokens = append(l.tokens, token{kind: tokIdent, text: l.src[start:l.pos], pos: start})
-}
-
-func (l *lexer) lexNumber() error {
-	start := l.pos
-	seenDot := false
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == '.' {
-			// A dot followed by a non-digit is field access on an int
-			// literal — not valid here, but let the parser complain.
-			if seenDot || l.pos+1 >= len(l.src) || l.src[l.pos+1] < '0' || l.src[l.pos+1] > '9' {
-				break
+			if op == "" {
+				return nil, errorAt(src, pos, "unexpected character %q", c)
 			}
-			seenDot = true
-			l.pos++
-			continue
+			out = append(out, Token{Kind: TokOp, Text: op, Pos: pos})
+			pos += len(op)
 		}
-		if c < '0' || c > '9' {
-			break
-		}
-		l.pos++
 	}
-	kind := tokInt
-	if seenDot {
-		kind = tokFloat
-	}
-	l.tokens = append(l.tokens, token{kind: kind, text: l.src[start:l.pos], pos: start})
-	return nil
 }
 
-func (l *lexer) lexString() error {
-	quote := l.src[l.pos]
-	start := l.pos
-	l.pos++
+func isIdentStart(r rune) bool { return r == '_' || unicode.IsLetter(r) }
+func isIdentPart(r rune) bool  { return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r) }
+func isDigit(c byte) bool      { return c >= '0' && c <= '9' }
+
+func skipDigits(src string, pos int) int {
+	for pos < len(src) && isDigit(src[pos]) {
+		pos++
+	}
+	return pos
+}
+
+// lexString decodes the quoted literal starting at src[start] and
+// returns its value and the offset just past the closing quote.
+func lexString(src string, start int) (string, int, error) {
+	quote := src[start]
 	var b strings.Builder
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
+	for pos := start + 1; pos < len(src); pos++ {
+		c := src[pos]
 		if c == quote {
-			l.pos++
-			l.tokens = append(l.tokens, token{kind: tokString, text: b.String(), pos: start})
-			return nil
+			return b.String(), pos + 1, nil
 		}
-		if c == '\\' && l.pos+1 < len(l.src) {
-			l.pos++
-			// The escape set mirrors what Go's %q renderer emits, so any
-			// accepted literal's rendering re-parses (parse ∘ render is
-			// the identity; the FuzzParseMask harness pins this).
-			switch l.src[l.pos] {
-			case 'n':
-				b.WriteByte('\n')
-			case 't':
-				b.WriteByte('\t')
-			case 'r':
-				b.WriteByte('\r')
-			case 'a':
-				b.WriteByte('\a')
-			case 'b':
-				b.WriteByte('\b')
-			case 'f':
-				b.WriteByte('\f')
-			case 'v':
-				b.WriteByte('\v')
-			case '\\', '"', '\'':
-				b.WriteByte(l.src[l.pos])
-			case 'x':
-				n, err := l.hexEscape(2)
-				if err != nil {
-					return err
-				}
-				b.WriteByte(byte(n))
-			case 'u':
-				n, err := l.hexEscape(4)
-				if err != nil {
-					return err
-				}
-				b.WriteRune(rune(n))
-			case 'U':
-				n, err := l.hexEscape(8)
-				if err != nil {
-					return err
-				}
-				if n > 0x10FFFF {
-					return fmt.Errorf("mask: rune escape out of range at offset %d", l.pos)
-				}
-				b.WriteRune(rune(n))
-			default:
-				return fmt.Errorf("mask: unknown escape \\%c at offset %d", l.src[l.pos], l.pos)
-			}
-			l.pos++
+		if c != '\\' || pos+1 >= len(src) {
+			b.WriteByte(c)
 			continue
 		}
-		b.WriteByte(c)
-		l.pos++
-	}
-	return fmt.Errorf("mask: unterminated string starting at offset %d", start)
-}
-
-// hexEscape consumes exactly width hex digits following the escape
-// letter at l.pos and returns their value.
-func (l *lexer) hexEscape(width int) (uint32, error) {
-	if l.pos+width >= len(l.src) {
-		return 0, fmt.Errorf("mask: truncated hex escape at offset %d", l.pos)
-	}
-	var n uint32
-	for i := 1; i <= width; i++ {
-		c := l.src[l.pos+i]
-		var d uint32
+		pos++
+		if e, ok := escapes[src[pos]]; ok {
+			b.WriteByte(e)
+			continue
+		}
+		width := hexWidths[src[pos]]
+		if width == 0 {
+			return "", 0, errorAt(src, pos, "unknown escape \\%c", src[pos])
+		}
+		n, err := hexEscape(src, pos, width)
+		if err != nil {
+			return "", 0, err
+		}
 		switch {
-		case c >= '0' && c <= '9':
-			d = uint32(c - '0')
-		case c >= 'a' && c <= 'f':
-			d = uint32(c-'a') + 10
-		case c >= 'A' && c <= 'F':
-			d = uint32(c-'A') + 10
+		case width == 2:
+			b.WriteByte(byte(n))
+		case n > 0x10FFFF:
+			return "", 0, errorAt(src, pos, "rune escape out of range")
 		default:
-			return 0, fmt.Errorf("mask: bad hex digit %q in escape at offset %d", c, l.pos+i)
+			b.WriteRune(rune(n))
 		}
-		n = n<<4 | d
+		pos += width
 	}
-	l.pos += width
-	return n, nil
+	return "", 0, errorAt(src, start, "unterminated string")
 }
 
-func (l *lexer) lexOperator() bool {
-	for _, op := range operators {
-		if strings.HasPrefix(l.src[l.pos:], op) {
-			l.tokens = append(l.tokens, token{kind: tokOp, text: op, pos: l.pos})
-			l.pos += len(op)
-			return true
-		}
+// hexEscape decodes exactly width hex digits following the escape
+// letter at src[pos].
+func hexEscape(src string, pos, width int) (uint32, error) {
+	if pos+width >= len(src) {
+		return 0, errorAt(src, pos, "truncated hex escape")
 	}
-	return false
+	digits := src[pos+1 : pos+1+width]
+	n, err := strconv.ParseUint(digits, 16, 32)
+	if err != nil {
+		return 0, errorAt(src, pos, "bad hex escape %q", digits)
+	}
+	return uint32(n), nil
+}
+
+// errorAt formats a front-end error at byte offset pos of src. The
+// entry points (Parse here, ParseEvent and ParseTrigger in evlang) add
+// their package's prefix.
+func errorAt(src string, pos int, format string, args ...any) error {
+	return fmt.Errorf("%s (at offset %d in %q)", fmt.Sprintf(format, args...), pos, src)
 }

@@ -1,32 +1,24 @@
 package mask
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
-// Parse parses a mask expression. The grammar, tightest-binding last:
-//
-//	expr    = and { "||" and }
-//	and     = cmp { "&&" cmp }
-//	cmp     = add [ ("=="|"!="|"<"|"<="|">"|">=") add ]
-//	add     = mul { ("+"|"-") mul }
-//	mul     = unary { ("*"|"/"|"%") unary }
-//	unary   = "!" unary | "-" unary | postfix
-//	postfix = primary { "." ident }
-//	primary = int | float | string | "true" | "false" | "null"
-//	        | ident "(" [ expr { "," expr } ] ")"
-//	        | ident
-//	        | "(" expr ")"
+// Parse parses a mask expression: the grammar of Cursor.ParseMask over
+// the whole of src, which must end where the mask does.
 func Parse(src string) (*Expr, error) {
-	toks, err := lex(src)
+	toks, err := Lex(src)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("mask: %w", err)
 	}
-	p := &parser{src: src, toks: toks}
-	e, err := p.parseExpr()
+	c := &Cursor{Src: src, Toks: toks}
+	e, err := c.ParseMask()
+	if err == nil && c.Peek().Kind != TokEOF {
+		err = c.Errorf("trailing input %q", c.Peek().Text)
+	}
 	if err != nil {
-		return nil, err
-	}
-	if p.peek().kind != tokEOF {
-		return nil, p.errorf("trailing input %q", p.peek().text)
+		return nil, fmt.Errorf("mask: %w", err)
 	}
 	return e, nil
 }
@@ -40,134 +32,90 @@ func MustParse(src string) *Expr {
 	return e
 }
 
-type parser struct {
-	src  string
-	toks []token
-	pos  int
+// Cursor is a position in a token slice from Lex. Parse runs the mask
+// grammar with one; evlang runs its event grammar with one and hands it
+// to ParseMask wherever a mask begins.
+type Cursor struct {
+	Src  string  // the source Toks came from, quoted in errors
+	Toks []Token // ends with TokEOF
+	Pos  int     // index of the next token
 }
 
-func (p *parser) peek() token { return p.toks[p.pos] }
+// Peek returns the next token without consuming it.
+func (c *Cursor) Peek() Token { return c.Toks[c.Pos] }
 
-func (p *parser) next() token {
-	t := p.toks[p.pos]
-	if t.kind != tokEOF {
-		p.pos++
+// Next consumes and returns the next token; TokEOF is never consumed.
+func (c *Cursor) Next() Token {
+	t := c.Toks[c.Pos]
+	if t.Kind != TokEOF {
+		c.Pos++
 	}
 	return t
 }
 
-func (p *parser) acceptOp(op string) bool {
-	if t := p.peek(); t.kind == tokOp && t.text == op {
-		p.pos++
+// Accept consumes the next token if it is the operator op.
+func (c *Cursor) Accept(op string) bool {
+	if t := c.Peek(); t.Kind == TokOp && t.Text == op {
+		c.Pos++
 		return true
 	}
 	return false
 }
 
-func (p *parser) expectOp(op string) error {
-	if !p.acceptOp(op) {
-		return p.errorf("expected %q, found %q", op, p.peek().text)
+// Expect consumes the operator op or fails.
+func (c *Cursor) Expect(op string) error {
+	if !c.Accept(op) {
+		return c.Errorf("expected %q, found %q", op, c.Peek().Text)
 	}
 	return nil
 }
 
-func (p *parser) errorf(format string, args ...any) error {
-	return fmt.Errorf("mask: %s (at offset %d in %q)",
-		fmt.Sprintf(format, args...), p.peek().pos, p.src)
+// Errorf reports an error at the next token's offset in Src.
+func (c *Cursor) Errorf(format string, args ...any) error {
+	return errorAt(c.Src, c.Peek().Pos, format, args...)
 }
 
-func (p *parser) parseExpr() (*Expr, error) {
-	e, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.acceptOp("||") {
-		r, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		e = Binary("||", e, r)
-	}
-	return e, nil
+// ParseMask parses one mask at the cursor and leaves the cursor on the
+// first token that cannot continue it. That is how a mask ends inside
+// event syntax: the single "&" and "|" (event operators), ";", ":",
+// "==>", and an unmatched ")" or "," are never consumed here, while
+// "&&" and "||" are mask conjunction and disjunction. The grammar,
+// tightest-binding last:
+//
+//	mask    = and { "||" and }
+//	and     = cmp { "&&" cmp }
+//	cmp     = add [ ("=="|"!="|"<"|"<="|">"|">=") add ]
+//	add     = mul { ("+"|"-") mul }
+//	mul     = unary { ("*"|"/"|"%") unary }
+//	unary   = "!" unary | "-" unary | postfix
+//	postfix = primary { "." ident }
+//	primary = int | float | string | "true" | "false" | "null"
+//	        | ident "(" [ mask { "," mask } ] ")"
+//	        | ident
+//	        | "(" mask ")"
+func (c *Cursor) ParseMask() (*Expr, error) {
+	return c.binaryLeft(c.parseAnd, "||")
 }
 
-func (p *parser) parseAnd() (*Expr, error) {
-	e, err := p.parseCmp()
-	if err != nil {
-		return nil, err
-	}
-	for p.acceptOp("&&") {
-		r, err := p.parseCmp()
-		if err != nil {
-			return nil, err
-		}
-		e = Binary("&&", e, r)
-	}
-	return e, nil
-}
+func (c *Cursor) parseAnd() (*Expr, error) { return c.binaryLeft(c.parseCmp, "&&") }
 
-var cmpOps = []string{"==", "!=", "<=", ">=", "<", ">"}
+func (c *Cursor) parseAdd() (*Expr, error) { return c.binaryLeft(c.parseMul, "+", "-") }
 
-func (p *parser) parseCmp() (*Expr, error) {
-	e, err := p.parseAdd()
-	if err != nil {
-		return nil, err
-	}
-	for _, op := range cmpOps {
-		if p.acceptOp(op) {
-			r, err := p.parseAdd()
-			if err != nil {
-				return nil, err
-			}
-			return Binary(op, e, r), nil
-		}
-	}
-	return e, nil
-}
+func (c *Cursor) parseMul() (*Expr, error) { return c.binaryLeft(c.parseUnary, "*", "/", "%") }
 
-func (p *parser) parseAdd() (*Expr, error) {
-	e, err := p.parseMul()
+// binaryLeft parses operand { op operand } for the given operators,
+// associating to the left.
+func (c *Cursor) binaryLeft(operand func() (*Expr, error), ops ...string) (*Expr, error) {
+	e, err := operand()
 	if err != nil {
 		return nil, err
 	}
 	for {
-		switch {
-		case p.acceptOp("+"):
-			r, err := p.parseMul()
-			if err != nil {
-				return nil, err
-			}
-			e = Binary("+", e, r)
-		case p.acceptOp("-"):
-			r, err := p.parseMul()
-			if err != nil {
-				return nil, err
-			}
-			e = Binary("-", e, r)
-		default:
+		op := c.acceptAny(ops)
+		if op == "" {
 			return e, nil
 		}
-	}
-}
-
-func (p *parser) parseMul() (*Expr, error) {
-	e, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op string
-		switch {
-		case p.acceptOp("*"):
-			op = "*"
-		case p.acceptOp("/"):
-			op = "/"
-		case p.acceptOp("%"):
-			op = "%"
-		default:
-			return e, nil
-		}
-		r, err := p.parseUnary()
+		r, err := operand()
 		if err != nil {
 			return nil, err
 		}
@@ -175,96 +123,114 @@ func (p *parser) parseMul() (*Expr, error) {
 	}
 }
 
-func (p *parser) parseUnary() (*Expr, error) {
-	if p.acceptOp("!") {
-		e, err := p.parseUnary()
-		if err != nil {
-			return nil, err
+// acceptAny consumes the next token if it is one of ops and returns it.
+func (c *Cursor) acceptAny(ops []string) string {
+	for _, op := range ops {
+		if c.Accept(op) {
+			return op
 		}
-		return Unary("!", e), nil
 	}
-	if p.acceptOp("-") {
-		e, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return Unary("-", e), nil
-	}
-	return p.parsePostfix()
+	return ""
 }
 
-func (p *parser) parsePostfix() (*Expr, error) {
-	e, err := p.parsePrimary()
+var cmpOps = []string{"==", "!=", "<=", ">=", "<", ">"}
+
+// parseCmp allows at most one comparison: a < b < c does not parse.
+func (c *Cursor) parseCmp() (*Expr, error) {
+	e, err := c.parseAdd()
 	if err != nil {
 		return nil, err
 	}
-	for p.acceptOp(".") {
-		t := p.next()
-		if t.kind != tokIdent {
-			return nil, p.errorf("expected field name after '.', found %q", t.text)
+	if op := c.acceptAny(cmpOps); op != "" {
+		r, err := c.parseAdd()
+		if err != nil {
+			return nil, err
 		}
-		e = Field(e, t.text)
+		return Binary(op, e, r), nil
 	}
 	return e, nil
 }
 
-func (p *parser) parsePrimary() (*Expr, error) {
-	t := p.next()
-	switch t.kind {
-	case tokInt:
-		var i int64
-		if _, err := fmt.Sscanf(t.text, "%d", &i); err != nil {
-			return nil, p.errorf("bad integer %q", t.text)
+func (c *Cursor) parseUnary() (*Expr, error) {
+	if op := c.acceptAny([]string{"!", "-"}); op != "" {
+		e, err := c.parseUnary()
+		if err != nil {
+			return nil, err
+		}
+		return Unary(op, e), nil
+	}
+	return c.parsePostfix()
+}
+
+func (c *Cursor) parsePostfix() (*Expr, error) {
+	e, err := c.parsePrimary()
+	if err != nil {
+		return nil, err
+	}
+	for c.Accept(".") {
+		t := c.Next()
+		if t.Kind != TokIdent {
+			return nil, errorAt(c.Src, t.Pos, "expected field name after '.', found %q", t.Text)
+		}
+		e = Field(e, t.Text)
+	}
+	return e, nil
+}
+
+// parsePrimary reports its errors at the offending token, which it has
+// consumed.
+func (c *Cursor) parsePrimary() (*Expr, error) {
+	t := c.Next()
+	switch t.Kind {
+	case TokInt:
+		i, err := strconv.ParseInt(t.Text, 10, 64)
+		if err != nil {
+			return nil, errorAt(c.Src, t.Pos, "bad integer %q", t.Text)
 		}
 		return Lit(intVal(i)), nil
-	case tokFloat:
-		var f float64
-		if _, err := fmt.Sscanf(t.text, "%g", &f); err != nil {
-			return nil, p.errorf("bad float %q", t.text)
+	case TokFloat:
+		f, err := strconv.ParseFloat(t.Text, 64)
+		if err != nil {
+			return nil, errorAt(c.Src, t.Pos, "bad float %q", t.Text)
 		}
 		return Lit(floatVal(f)), nil
-	case tokString:
-		return Lit(strVal(t.text)), nil
-	case tokIdent:
-		switch t.text {
-		case "true":
-			return Lit(boolVal(true)), nil
-		case "false":
-			return Lit(boolVal(false)), nil
+	case TokString:
+		return Lit(strVal(t.Text)), nil
+	case TokIdent:
+		switch t.Text {
+		case "true", "false":
+			return Lit(boolVal(t.Text == "true")), nil
 		case "null":
 			return Lit(nullVal()), nil
 		}
-		if p.acceptOp("(") {
-			var args []*Expr
-			if !p.acceptOp(")") {
-				for {
-					a, err := p.parseExpr()
-					if err != nil {
-						return nil, err
-					}
-					args = append(args, a)
-					if p.acceptOp(")") {
-						break
-					}
-					if err := p.expectOp(","); err != nil {
-						return nil, err
-					}
+		if !c.Accept("(") {
+			return Var(t.Text), nil
+		}
+		var args []*Expr
+		for !c.Accept(")") {
+			if len(args) > 0 {
+				if err := c.Expect(","); err != nil {
+					return nil, err
 				}
 			}
-			return Call(t.text, args...), nil
-		}
-		return Var(t.text), nil
-	case tokOp:
-		if t.text == "(" {
-			e, err := p.parseExpr()
+			a, err := c.ParseMask()
 			if err != nil {
 				return nil, err
 			}
-			if err := p.expectOp(")"); err != nil {
+			args = append(args, a)
+		}
+		return Call(t.Text, args...), nil
+	case TokOp:
+		if t.Text == "(" {
+			e, err := c.ParseMask()
+			if err != nil {
+				return nil, err
+			}
+			if err := c.Expect(")"); err != nil {
 				return nil, err
 			}
 			return e, nil
 		}
 	}
-	return nil, p.errorf("unexpected token %q", t.text)
+	return nil, errorAt(c.Src, t.Pos, "expected mask expression, found %q", t.Text)
 }
