@@ -48,10 +48,11 @@ fuzz:
 # seeded runs, the multi-partition scripts (per-partition WAL faults,
 # independent recovery, bus determinism), and the egress family
 # (deliverer crashes, cursor tears, exactly-once ledger; -short keeps
-# the egress torture at smoke size). Full torture campaigns run via
+# the egress torture at smoke size), and fault-free scripts with the
+# shadow oracle on and off. Full torture campaigns run via
 # `go run ./cmd/odesim -iters N -seed S` (nightly.yml runs 10 000).
 sim:
-	$(GO) test -race -short -run 'TestSimShort|TestMultipart|TestEgress' ./internal/sim/
+	$(GO) test -race -short -run 'TestSimShort|TestMultipart|TestEgress|TestOracleOff' ./internal/sim/
 
 # bench/ is a module of its own (ode/bench), so build/test/vet above
 # never compile it: vet and test it here, against this tree's internal/
@@ -74,12 +75,14 @@ bench-pairs:
 	@test -n "$(PARENT)" || { echo 'usage: make bench-pairs PARENT=<sha> [WORKLOADS="…" N=10 SEED=1]'; exit 2; }
 	N=$(N) SEED=$(SEED) bash scripts/benchpairs.sh $(PARENT) $(WORKLOADS)
 
-# Non-test .go lines per internal/* package and for cmd/ — the figure a
-# refactor states before and after (ROADMAP.md: "state the non-test
-# line delta per package").
+# Non-test .go lines per internal/* package and for cmd/, then the same
+# without blank and //-comment lines — the figures a refactor states
+# before and after (ROADMAP.md: "state the non-test line delta per
+# package").
 loc:
 	@for d in internal/*/ cmd/; do \
-		printf '%-20s %6d\n' "$$d" "$$(find "$$d" -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)"; \
+		src() { find "$$d" -name '*.go' ! -name '*_test.go' -exec cat {} +; }; \
+		printf '%-20s %6d %6d\n' "$$d" "$$(src | wc -l)" "$$(src | grep -Ecv '^[[:space:]]*(//|$$)')"; \
 	done
 
 # The tier-1 verification gate (see ROADMAP.md).

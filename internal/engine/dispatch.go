@@ -25,7 +25,9 @@ import (
 //     (the AST interpreter in post.go is their reference; it reads the
 //     same rows, resolving names per lookup);
 //   - calls: per method, its declaration, its body and the two phases
-//     posted around it, so a call resolves its name once;
+//     posted around it, so a call resolves its name once; life: the
+//     phases of the transaction lifecycle kinds, so a lifecycle run
+//     (Tx.lifeRun) resolves nothing per object;
 //   - trigger slots: each trigger resolves, by name, to its index into
 //     Record.Trigs (the store's per-class layout), so the per-happening
 //     state access is an array index instead of a map probe.
@@ -61,6 +63,25 @@ type call struct {
 	before, after *phase
 }
 
+// lifeKinds are the transaction lifecycle kinds a transaction posts to
+// the objects it accesses (§3.1), in Class.life order.
+var lifeKinds = [...]event.Kind{
+	{Phase: event.After, Class: event.KTbegin},
+	{Phase: event.Before, Class: event.KTcomplete},
+	{Phase: event.After, Class: event.KTcommit},
+	{Phase: event.Before, Class: event.KTabort},
+	{Phase: event.After, Class: event.KTabort},
+}
+
+// Indices into lifeKinds and Class.life.
+const (
+	lifeTbegin = iota
+	lifeTcomplete
+	lifeTcommit
+	lifeBeforeTabort
+	lifeTabort
+)
+
 // phaseOf returns the class's plan for a kind of its alphabet.
 func (c *Class) phaseOf(k event.Kind) (*phase, error) {
 	kix := c.Res.Alphabet.KindIndex(k)
@@ -70,7 +91,7 @@ func (c *Class) phaseOf(k event.Kind) (*phase, error) {
 	return &c.phases[kix], nil
 }
 
-// buildPhases fills c.phases and c.calls. Under the shadow oracle every
+// buildPhases fills c.phases, c.calls and c.life. Under the shadow oracle every
 // trigger is dispatched for every kind (the oracle needs the complete
 // symbol history); committed-view triggers are never dispatched tabort
 // events (§6: the aborted history is not part of the committed history).
@@ -108,6 +129,12 @@ func (e *Engine) buildPhases(c *Class) error {
 			return err
 		}
 		c.calls[m.Name] = cl
+	}
+	for i, k := range lifeKinds {
+		var err error
+		if c.life[i], err = c.phaseOf(k); err != nil {
+			return err
+		}
 	}
 	return nil
 }

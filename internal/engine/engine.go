@@ -233,9 +233,11 @@ type Class struct {
 	nameID uint16
 	// phases[kindIx] is the posting plan of that alphabet kind — the
 	// triggers a happening of the kind can affect, with their compiled
-	// mask programs — and calls the same per method (see dispatch.go).
+	// mask programs — calls the same per method and life per lifecycle
+	// kind (see dispatch.go).
 	phases []phase
 	calls  map[string]*call
+	life   [len(lifeKinds)]*phase
 }
 
 // Trigger is one compiled trigger of a class.

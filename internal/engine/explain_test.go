@@ -689,7 +689,7 @@ func TestProvenanceTxIDIsTheSteppingTransaction(t *testing.T) {
 		stage         obs.Stage
 		kind          string
 	}{
-		{"after tcommit posting", "Done", obs.StageHappening, "after tcommit"},
+		{"after tcommit posting", "Done", obs.StageBatch, "after tcommit"},
 		{"'after' one-shot", "Late", obs.StageHappening, "timer after time(M=45)"},
 		{"cohort tick", "Tick", obs.StageBatch, "timer every time(M=10)"},
 	} {

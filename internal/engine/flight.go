@@ -12,8 +12,9 @@ import (
 // keeps its zero-alloc budget. The recorder captures pipeline-level
 // events only — happenings, firings, egress batches and transaction
 // lifecycle — by one rule: one record per individually posted happening
-// however many triggers it touches, one StageBatch per PostBatch run or
-// cohort tick (Tx.flush; class, kind, count and the transaction's id).
+// however many triggers it touches, one StageBatch per PostBatch run,
+// cohort tick or class of a lifecycle run (Tx.flush; class, kind, count
+// and the transaction's id).
 // Per-trigger transition detail lives in the provenance rings (explain.go).
 
 // Flight exposes the engine's flight recorder.
@@ -42,7 +43,7 @@ func (e *Engine) flightHappening(atNs int64, txid uint64, oid store.OID, classID
 	e.flight.Record(obs.StageHappening, atNs, txid, uint64(oid), classID, 0, kindID, 0, 0, true, 0)
 }
 
-// flightBatch records one PostBatch happening run: count happenings of
+// flightBatch records one run of happenings (Tx.flush): count happenings of
 // one kind, summarized as a single StageBatch event (count rides in the
 // from slot).
 func (e *Engine) flightBatch(atNs int64, txid uint64, classID, kindID uint16, count uint64) {

@@ -159,7 +159,8 @@ func (e *Engine) publish(c *Class, n *counts) {
 }
 
 // meter accumulates the counts of a run of steps through one phase — a
-// PostBatch's entries of one method, a cohort's tick — in plain
+// PostBatch's entries of one method, a cohort's tick, one class's
+// objects in a lifecycle run — in plain
 // integers, so the run publishes them once (Tx.flush) instead of paying
 // atomic updates and a flight record per happening. Its owner (the
 // Batch, the cohort) keeps it across runs; a step given no meter
@@ -167,6 +168,10 @@ func (e *Engine) publish(c *Class, n *counts) {
 type meter struct {
 	counts
 	trig []trigCounts // parallel to the phase's entries
+	// direct sends the trigger counts straight to the triggers' metrics:
+	// a lifecycle run's meter (Tx.lifeRun) lives for one run, and sizing
+	// trig for it would allocate per transaction.
+	direct bool
 }
 
 // trigCounts is one trigger's share of a meter.
@@ -176,9 +181,9 @@ type trigCounts struct {
 
 // count records that entry i's trigger t took steps automaton steps and
 // evaluated evals masks, falses of them false: into the meter, or — on
-// a nil meter — straight into the trigger's metrics.
+// a nil or direct meter — straight into the trigger's metrics.
 func (m *meter) count(i int, t *Trigger, steps, evals, falses uint64) {
-	if m == nil {
+	if m == nil || m.direct {
 		t.met.StepN(steps)
 		t.met.MaskEvalN(evals, falses)
 		return
@@ -240,7 +245,7 @@ func (tx *Tx) step(c *Class, ph *phase, oid store.OID, rec *store.Record,
 		e.flightHappening(h.At.UnixNano(), txid, oid, c.nameID, ph.kindID)
 	} else {
 		n = &m.counts
-		if len(m.trig) != len(ph.entries) {
+		if len(m.trig) != len(ph.entries) && !m.direct {
 			m.trig = make([]trigCounts, len(ph.entries))
 		}
 	}
@@ -384,6 +389,16 @@ func (tx *Tx) step(c *Class, ph *phase, oid store.OID, rec *store.Record,
 	// cache rather than reason about what they touched.
 	tx.cachedRec = nil
 	return true, err
+}
+
+// skip stands in for step where no trigger of the class can be moved by
+// the happening (its phase has no entries; compile.InertSymbol): it
+// counts the happening into n and records it where step would, in the
+// history book and the tracer when either is on.
+func (tx *Tx) skip(oid store.OID, rec *store.Record, h *event.Happening, n *counts) {
+	n.happenings++
+	tx.e.recordHappening(oid, h)
+	tx.e.traceHappening(tx.tx.ID(), oid, rec.Class, h.Kind)
 }
 
 // fire executes the actions of the collected triggers, recording each

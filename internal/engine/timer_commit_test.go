@@ -111,6 +111,26 @@ func TestReactivatedAfterRestartsItsDeadline(t *testing.T) {
 	}
 }
 
+// TestPerpetualAfterLeavesNoOneShot: a perpetual 'after' trigger records
+// no deactivation when it fires, so its one-shot must leave the timer
+// table when it comes due, not linger until the instance goes.
+func TestPerpetualAfterLeavesNoOneShot(t *testing.T) {
+	rec := &recorder{}
+	e, oid := newTimed(t, rec, []schema.Trigger{{Name: "Soon", Perpetual: true, Event: "after time(M=5)"}},
+		map[string]ActionFunc{"Soon": func(*ActionCtx) error { rec.add("Soon"); return nil }}, "Soon")
+	e.Clock().Advance(time.Hour)
+	if got := rec.list(); fmt.Sprint(got) != "[Soon]" {
+		t.Fatalf("firings = %v, want [Soon]", got)
+	}
+	e.timers.mu.Lock()
+	shots := e.timers.oneShots
+	e.timers.mu.Unlock()
+	if len(shots) != 0 || e.Clock().Pending() != 0 || len(scheduled(e, oid)) != 0 {
+		t.Fatalf("after the one-shot fired: oneShots = %v, %d clock timers pending, schedule %v; want none",
+			shots, e.Clock().Pending(), scheduled(e, oid))
+	}
+}
+
 // TestAbortedDeactivateKeepsAfterDeadline: a Deactivate or DeleteObject
 // that aborts leaves the 'after' one-shot due when it was.
 func TestAbortedDeactivateKeepsAfterDeadline(t *testing.T) {

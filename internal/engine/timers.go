@@ -171,7 +171,9 @@ func (tt *timerTable) arm(oid store.OID, c *Class, t *Trigger, at time.Time) {
 	for _, req := range t.Res.Timers {
 		switch {
 		case req.Mode == evlang.TimeAfter:
-			id := tt.e.clk.At(at.Add(req.Spec.Period()), func(time.Time) {
+			var id clock.TimerID
+			id = tt.e.clk.At(at.Add(req.Spec.Period()), func(time.Time) {
+				tt.shotDue(oid, t.Res.Name, id)
 				tt.e.postTimer(oid, req.Key, t)
 			})
 			shots := tt.oneShots[oid]
@@ -421,6 +423,22 @@ func (tt *timerTable) disarm(oid store.OID, t *Trigger) {
 			continue
 		}
 		tt.dropLocked(oid, req.Key, t.Res.Name)
+	}
+}
+
+// shotDue forgets a one-shot that came due, and any map that leaves
+// empty: a perpetual trigger's firing records no deactivation to do it.
+func (tt *timerTable) shotDue(oid store.OID, trig string, id clock.TimerID) {
+	tt.mu.Lock()
+	defer tt.mu.Unlock()
+	shots := tt.oneShots[oid]
+	if ids := slices.DeleteFunc(shots[trig], func(x clock.TimerID) bool { return x == id }); len(ids) > 0 {
+		shots[trig] = ids
+		return
+	}
+	delete(shots, trig)
+	if len(shots) == 0 {
+		delete(tt.oneShots, oid)
 	}
 }
 

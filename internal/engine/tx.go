@@ -129,27 +129,38 @@ func (tx *Tx) DependOn(other *Tx) { tx.tx.DependOn(other.tx) }
 
 // access locks the object and posts "after tbegin" on the
 // transaction's first access to it (§3.1: posted "only immediately
-// before the object is first accessed by the transaction").
+// before the object is first accessed by the transaction") — or only
+// counts it, where no trigger of the class can be moved by it (skip).
 func (tx *Tx) access(oid store.OID) (*store.Record, error) {
 	if tx.cachedRec != nil && oid == tx.cachedOID {
 		return tx.cachedRec, nil
 	}
 	rec, first, err := tx.tx.Access(oid)
+	if err != nil || !first || tx.tx.System() || tx.tx.Created(oid) {
+		return rec, err
+	}
+	c, err := tx.e.classOf(rec)
 	if err != nil {
 		return nil, err
 	}
-	if first && !tx.tx.System() && !tx.tx.Created(oid) {
-		if _, err := tx.post(oid, rec, event.Kind{Phase: event.After, Class: event.KTbegin}, tx.tx.ID(), nil); err != nil {
-			return nil, err
-		}
+	h := event.Happening{Kind: lifeKinds[lifeTbegin], TxID: tx.tx.ID(), At: tx.e.clk.Now()}
+	if ph := c.life[lifeTbegin]; len(ph.entries) != 0 {
+		_, err = tx.step(c, ph, oid, rec, &h, nil, nil)
+	} else {
+		var n counts
+		tx.skip(oid, rec, &h, &n)
+		tx.e.publish(c, &n)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return rec, nil
 }
 
-// post delivers a happening that carries no parameters — an object or
-// transaction lifecycle event, a time event — to one object. ofTx is
-// the transaction the happening reports (0 for time events); only
-// restricts delivery to one trigger (see step).
+// post delivers a happening that carries no parameters — an object
+// lifecycle event, a time event — to one object. ofTx is the transaction
+// the happening reports (0 for time events); only restricts delivery to
+// one trigger (see step).
 func (tx *Tx) post(oid store.OID, rec *store.Record, kind event.Kind, ofTx uint64, only *Trigger) (bool, error) {
 	c, err := tx.e.classOf(rec)
 	if err != nil {
@@ -444,25 +455,14 @@ func (tx *Tx) Commit() error {
 			if round >= maxTcompleteRounds {
 				return tx.doAbort(ErrTcompleteDiverged)
 			}
-			fired = false
-			for _, oid := range tx.tx.Accessed() {
-				if !tx.e.st.Exists(oid) {
-					continue // deleted within this transaction
-				}
-				rec, err := tx.access(oid)
-				if err != nil {
-					return tx.propagate(err)
-				}
-				f, err := tx.post(oid, rec, event.Kind{Phase: event.Before, Class: event.KTcomplete}, tx.tx.ID(), nil)
-				if err != nil {
-					return tx.propagate(err)
-				}
-				fired = fired || f
+			var err error
+			if fired, err = tx.lifeRun(lifeTcomplete, tx.tx.ID(), false); err != nil {
+				return tx.propagate(err)
 			}
 			tx.e.stats.tcompleteRounds.Add(1)
 			tx.e.traceTcomplete(tx.tx.ID(), round, fired)
 		}
-		tx.outcome(event.KTcommit)
+		tx.outcome(lifeTcommit)
 	}
 	if !tx.finished {
 		tx.end()
@@ -471,13 +471,14 @@ func (tx *Tx) Commit() error {
 }
 
 // outcome runs the outcome phase of the transaction's commit or abort
-// (ev tcommit or tabort): §5's system transaction posting "after ev" to
-// the accessed objects, under this transaction's locks and with an id of
-// its own. A phase that aborts rolls back alone and ends the transaction
-// (doAbort); a commit dependency that aborted rolls the transaction back
-// to its begin (txn.Tx.BeginOutcome), and it takes the abort route.
-func (tx *Tx) outcome(ev event.Class) {
-	accessed, own := tx.tx.Accessed(), tx.tx.ID()
+// (lifeKinds[k], after tcommit or after tabort): §5's system transaction
+// posting it to the accessed objects, under this transaction's locks and
+// with an id of its own. A phase that aborts rolls back alone and ends
+// the transaction (doAbort); a commit dependency that aborted rolls the
+// transaction back to its begin (txn.Tx.BeginOutcome), and it takes the
+// abort route.
+func (tx *Tx) outcome(k int) {
+	own := tx.tx.ID()
 	tx.cachedRec = nil
 	if err := tx.tx.BeginOutcome(); err != nil {
 		tx.err = err
@@ -486,19 +487,69 @@ func (tx *Tx) outcome(ev event.Class) {
 	}
 	tx.e.stats.systemTx.Add(1)
 	tx.e.traceTx(obs.StageTxBegin, tx.tx.ID(), true)
-	for _, oid := range accessed {
-		if !tx.e.st.Exists(oid) {
-			continue // deleted by the transaction, or its creation rolled back
+	if _, err := tx.lifeRun(k, own, false); err != nil {
+		tx.doAbort(err)
+	}
+}
+
+// lifeShare is one class's meter in a lifecycle run.
+type lifeShare struct {
+	c *Class
+	m meter
+}
+
+// lifeRun posts lifecycle kind lifeKinds[k], reporting transaction ofTx,
+// to the objects the transaction had accessed when the run began, in
+// that order, as one run with a meter per class, as a cohort tick is
+// posted. It takes each live record from the transaction's list at its
+// turn, since an earlier action may have shortened the list or deleted
+// the object (skipped then), and never re-accesses one: the transaction
+// holds its lock. A class whose phase for the kind has no entries is only
+// counted (skip). The run publishes each class's counts once, with one
+// StageBatch flight record, when it returns. It stops at the transaction's
+// end and, unless keepGoing, at the first error; it reports whether any
+// trigger fired.
+func (tx *Tx) lifeRun(k int, ofTx uint64, keepGoing bool) (fired bool, err error) {
+	h := event.Happening{Kind: lifeKinds[k], TxID: ofTx, At: tx.e.clk.Now()}
+	var buf [2]lifeShare // a class's meter; the run's own, so an action's nested run has its own
+	shares := buf[:0]
+	defer func() {
+		for i := range shares {
+			tx.flush(shares[i].c, shares[i].c.life[k], &shares[i].m, h.At.UnixNano())
 		}
-		rec, err := tx.access(oid)
-		if err == nil {
-			_, err = tx.post(oid, rec, event.Kind{Phase: event.After, Class: ev}, own, nil)
+	}()
+	for i, n := 0, len(tx.tx.Accessed()); i < n && (err == nil || keepGoing); i++ {
+		if tx.tx.State() != txn.Active {
+			return fired, txn.ErrNotActive
 		}
-		if err != nil {
-			tx.doAbort(err)
-			return
+		rec := tx.tx.Live(i)
+		if rec == nil {
+			continue
+		}
+		si := 0
+		for si < len(shares) && shares[si].c.Schema.Name != rec.Class {
+			si++
+		}
+		if si == len(shares) {
+			var c *Class
+			if c, err = tx.e.classOf(rec); err != nil {
+				continue
+			}
+			shares = append(shares, lifeShare{c: c, m: meter{direct: true}})
+		}
+		s := &shares[si]
+		if ph := s.c.life[k]; len(ph.entries) != 0 {
+			var f bool
+			f, err = tx.step(s.c, ph, rec.OID, rec, &h, nil, &s.m)
+			fired = fired || f
+		} else {
+			tx.skip(rec.OID, rec, &h, &s.m.counts)
 		}
 	}
+	if keepGoing {
+		err = nil
+	}
+	return fired, err
 }
 
 // aborts ends a transaction rolled back to its begin: the outcome phase
@@ -507,7 +558,7 @@ func (tx *Tx) outcome(ev event.Class) {
 func (tx *Tx) aborts() {
 	tx.aborting = true
 	if !tx.tx.System() && len(tx.tx.Accessed()) > 0 {
-		tx.outcome(event.KTabort)
+		tx.outcome(lifeTabort)
 	}
 	if !tx.finished {
 		tx.end()
@@ -592,19 +643,9 @@ func (tx *Tx) doAbort(cause error) error {
 		// "Immediately before a transaction aborts" (§3.1 item 4d):
 		// posted within the aborting transaction. Whatever it changes —
 		// including trigger actions it fires — is undone by the
-		// rollback, except what whole-history triggers saw (§6).
-		for _, oid := range tx.tx.Accessed() {
-			if !tx.e.st.Exists(oid) {
-				continue
-			}
-			rec, _, err := tx.tx.Access(oid)
-			if err != nil {
-				continue
-			}
-			// Errors during abort-path posting are swallowed: the
-			// transaction is aborting regardless.
-			_, _ = tx.post(oid, rec, event.Kind{Phase: event.Before, Class: event.KTabort}, tx.tx.ID(), nil)
-		}
+		// rollback, except what whole-history triggers saw (§6). Its
+		// errors are swallowed: the transaction is aborting regardless.
+		_, _ = tx.lifeRun(lifeBeforeTabort, tx.tx.ID(), true)
 	}
 	if !tx.finished { // unless an action's own abort ended it
 		tx.cachedRec = nil // abort-path postings may have re-primed it

@@ -103,7 +103,7 @@ func (ps *Parser) Define(name, src string) error {
 //	(after update | after create) && mask
 func (ps *Parser) ParseEvent(src string) (_ *Event, err error) {
 	defer prefix(&err)
-	p, err := ps.start(src)
+	p, err := ps.start(src, "")
 	if err != nil {
 		return nil, err
 	}
@@ -121,9 +121,10 @@ func (ps *Parser) ParseEvent(src string) (_ *Event, err error) {
 	return e, nil
 }
 
-// start lexes src and returns a parser at its first token.
-func (ps *Parser) start(src string) (*parser, error) {
-	toks, err := mask.Lex(src)
+// start lexes src, up to the first operator stop if one is given
+// (mask.LexUntil), and returns a parser at its first token.
+func (ps *Parser) start(src, stop string) (*parser, error) {
+	toks, err := mask.LexUntil(src, stop)
 	if err != nil {
 		return nil, err
 	}
@@ -142,14 +143,14 @@ func prefix(err *error) {
 //	name(params): [perpetual] event ==> action
 func (ps *Parser) ParseTrigger(src string) (_ *TriggerDecl, err error) {
 	defer prefix(&err)
-	p, err := ps.start(src)
+	p, err := ps.start(src, "==>")
 	if err != nil {
 		return nil, err
 	}
 	d := &TriggerDecl{}
 	name := p.Next()
 	if name.Kind != mask.TokIdent {
-		return nil, p.Errorf("expected trigger name, found %q", name.Text)
+		return nil, p.ErrorAt(name, "expected trigger name, found %q", name.Text)
 	}
 	d.Name = name.Text
 	if err := p.Expect("("); err != nil {
@@ -200,9 +201,9 @@ func (ps *Parser) ParseTrigger(src string) (_ *TriggerDecl, err error) {
 	if err := p.Expect("==>"); err != nil {
 		return nil, err
 	}
-	// The action is the raw remainder of the source text.
+	// The action is the raw remainder of the source text, never lexed.
 	at := p.Peek().Pos
-	if p.Peek().Kind == mask.TokEOF {
+	if at == len(src) {
 		return nil, p.Errorf("missing action after ==>")
 	}
 	d.Action = trimSpace(src[at:])
@@ -555,13 +556,13 @@ func (p *parser) parseQualifiedBasic() (*Event, error) {
 	}
 	t := p.Next()
 	if t.Kind != mask.TokIdent {
-		return nil, p.Errorf("expected event name after qualifier, found %q", t.Text)
+		return nil, p.ErrorAt(t, "expected event name after qualifier, found %q", t.Text)
 	}
 	if t.Text == "time" {
 		// after time(...) — the delayed one-shot time event. Rewind so
 		// parseTimeSpec sees the 'time' keyword.
 		if phase == event.Before {
-			return nil, p.Errorf("before time(...) is not a valid event")
+			return nil, p.ErrorAt(t, "before time(...) is not a valid event")
 		}
 		p.Pos--
 		spec, err := p.parseTimeSpec()
@@ -603,7 +604,7 @@ func (p *parser) parseQualifiedBasic() (*Event, error) {
 func (p *parser) parseFormal() (string, error) {
 	first := p.Next()
 	if first.Kind != mask.TokIdent {
-		return "", p.Errorf("expected parameter name, found %q", first.Text)
+		return "", p.ErrorAt(first, "expected parameter name, found %q", first.Text)
 	}
 	if t := p.Peek(); t.Kind == mask.TokIdent {
 		p.Next()
@@ -615,11 +616,11 @@ func (p *parser) parseFormal() (string, error) {
 func (p *parser) parseCount() (int, error) {
 	t := p.Next()
 	if t.Kind != mask.TokInt {
-		return 0, p.Errorf("expected integer count, found %q", t.Text)
+		return 0, p.ErrorAt(t, "expected integer count, found %q", t.Text)
 	}
 	n, err := strconv.Atoi(t.Text)
 	if err != nil || n < 1 {
-		return 0, p.Errorf("count must be a positive integer, got %q", t.Text)
+		return 0, p.ErrorAt(t, "count must be a positive integer, got %q", t.Text)
 	}
 	return n, nil
 }
@@ -657,7 +658,7 @@ func (p *parser) parseTimeSpec() (clock.TimeSpec, error) {
 	spec := clock.EmptyTimeSpec()
 	t := p.Next()
 	if t.Kind != mask.TokIdent || t.Text != "time" {
-		return spec, p.Errorf("expected time(...), found %q", t.Text)
+		return spec, p.ErrorAt(t, "expected time(...), found %q", t.Text)
 	}
 	if err := p.Expect("("); err != nil {
 		return spec, err
@@ -668,14 +669,14 @@ func (p *parser) parseTimeSpec() (clock.TimeSpec, error) {
 	for {
 		name := p.Next()
 		if name.Kind != mask.TokIdent {
-			return spec, p.Errorf("expected time field, found %q", name.Text)
+			return spec, p.ErrorAt(name, "expected time field, found %q", name.Text)
 		}
 		if err := p.Expect("="); err != nil {
 			return spec, err
 		}
 		vt := p.Next()
 		if vt.Kind != mask.TokInt {
-			return spec, p.Errorf("expected integer for %s, found %q", name.Text, vt.Text)
+			return spec, p.ErrorAt(vt, "expected integer for %s, found %q", name.Text, vt.Text)
 		}
 		v, _ := strconv.Atoi(vt.Text)
 		switch name.Text {
@@ -694,7 +695,7 @@ func (p *parser) parseTimeSpec() (clock.TimeSpec, error) {
 		case "MS":
 			spec.Ms = v
 		default:
-			return spec, p.Errorf("unknown time field %q", name.Text)
+			return spec, p.ErrorAt(name, "unknown time field %q", name.Text)
 		}
 		if p.Accept(")") {
 			return spec, nil

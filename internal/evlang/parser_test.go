@@ -391,3 +391,50 @@ func TestMaskErrorOffsetInTrigger(t *testing.T) {
 		}
 	}
 }
+
+// TestEventErrorOffset: each of the event grammar's own errors points at
+// the token it names, one row per reporting site.
+func TestEventErrorOffset(t *testing.T) {
+	for _, tc := range []struct {
+		src     string
+		trigger bool
+		at      int
+	}{
+		{"choose x (after a)", false, 7},    // parseCount: not an integer
+		{"choose 0 (after a)", false, 7},    // parseCount: not positive
+		{"every x (after a)", false, 6},     // parseTimeSpec: not time(...)
+		{"at time(1=2)", false, 8},          // parseTimeSpec: not a field name
+		{"at time(HR=x)", false, 11},        // parseTimeSpec: not an integer
+		{"at time(WK=2)", false, 8},         // parseTimeSpec: unknown field
+		{"after deposit(1)", false, 14},     // parseFormal
+		{"after 5", false, 6},               // parseQualifiedBasic: not a name
+		{"before time(M=5)", false, 7},      // parseQualifiedBasic: before time
+		{"5(): after a ==> x", true, 0},     // trigger name
+		{"T(n, 3): after a ==> x", true, 5}, // parseFormal in a trigger's parameters
+	} {
+		var err error
+		if tc.trigger {
+			_, err = NewParser().ParseTrigger(tc.src)
+		} else {
+			_, err = NewParser().ParseEvent(tc.src)
+		}
+		want := fmt.Sprintf("at offset %d in", tc.at)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("parsing %q = %v, want an error %s", tc.src, err, want)
+		}
+	}
+}
+
+// TestTriggerActionIsNotLexed: a declaration is lexed only up to its
+// ==>, so the action may hold what the mask lexer rejects, and a ==>
+// inside a mask's string literal is not the arrow.
+func TestTriggerActionIsNotLexed(t *testing.T) {
+	d, err := NewParser().ParseTrigger("T(): after a ==> x@y")
+	if err != nil || d.Action != "x@y" {
+		t.Fatalf(`ParseTrigger("T(): after a ==> x@y") = %+v, %v; want action "x@y"`, d, err)
+	}
+	d, err = NewParser().ParseTrigger(`T(): after a && s == "==>" ==> act`)
+	if err != nil || d.Action != "act" || !strings.Contains(d.Event.String(), `"==>"`) {
+		t.Fatalf("ParseTrigger with ==> in a string literal = %+v, %v", d, err)
+	}
+}

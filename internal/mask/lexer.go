@@ -68,14 +68,18 @@ var escapes = map[byte]byte{
 var hexWidths = map[byte]int{'x': 2, 'u': 4, 'U': 8}
 
 // Lex tokenizes src. The slice ends with one TokEOF token.
-func Lex(src string) ([]Token, error) {
+func Lex(src string) ([]Token, error) { return LexUntil(src, "") }
+
+// LexUntil is Lex that stops after the first operator token stop: the
+// text after it is left unlexed, and the TokEOF sits where it begins.
+func LexUntil(src, stop string) ([]Token, error) {
 	var out []Token
-	pos := 0
+	pos, done := 0, false
 	for {
 		for pos < len(src) && unicode.IsSpace(rune(src[pos])) {
 			pos++
 		}
-		if pos >= len(src) {
+		if pos >= len(src) || done {
 			return append(out, Token{Kind: TokEOF, Pos: pos}), nil
 		}
 		start, c := pos, src[pos]
@@ -114,6 +118,7 @@ func Lex(src string) ([]Token, error) {
 			}
 			out = append(out, Token{Kind: TokOp, Text: op, Pos: pos})
 			pos += len(op)
+			done = op == stop
 		}
 	}
 }

@@ -72,7 +72,13 @@ func (c *Cursor) Expect(op string) error {
 
 // Errorf reports an error at the next token's offset in Src.
 func (c *Cursor) Errorf(format string, args ...any) error {
-	return errorAt(c.Src, c.Peek().Pos, format, args...)
+	return c.ErrorAt(c.Peek(), format, args...)
+}
+
+// ErrorAt reports an error at token t's offset in Src: a token already
+// consumed.
+func (c *Cursor) ErrorAt(t Token, format string, args ...any) error {
+	return errorAt(c.Src, t.Pos, format, args...)
 }
 
 // ParseMask parses one mask at the cursor and leaves the cursor on the

@@ -52,11 +52,17 @@ const (
 	// fixpoint ran; From is the round number, OK whether any trigger
 	// fired (another round follows while OK).
 	StageTcomplete
-	// StageBatch: a PostBatch run of happenings of one kind, or a cohort
-	// tick; From holds the happening count. The recorder keeps one such
-	// summary per run or tick instead of a flight event per happening:
-	// per-event stamping is the dominant cost of an otherwise tight
-	// loop. Firings within it still record individual StageFire events.
+	// StageBatch: a PostBatch run of happenings of one kind, a cohort
+	// tick, or one class's share of a transaction lifecycle run (a
+	// before-tcomplete round, an outcome phase's after tcommit or after
+	// tabort, an abort's before tabort, each posted to the transaction's
+	// accessed objects); From holds the happening count. The recorder
+	// keeps one such summary per run or tick instead of a flight event
+	// per happening: per-event stamping is the dominant cost of an
+	// otherwise tight loop. A lifecycle happening that no trigger of its
+	// class can be moved by is only counted, inside its run's summary or,
+	// for an after tbegin, without a record. Firings within it still
+	// record individual StageFire events.
 	StageBatch
 	// StageEgress: a batch of firing records became visible on the
 	// durable egress feed; From holds the first sequence number of the

@@ -32,6 +32,8 @@ type Result struct {
 	InjectedFaults    uint64
 	InjectedTimerErrs int
 	Fingerprint       string
+	// objects renders the live objects at the end of the run (exec.objects).
+	objects []string
 
 	// Egress summary (populated for Script.Egress runs): the final
 	// durable feed length, the distinct effects the ledger receiver
@@ -112,10 +114,11 @@ func (s *txStage) commit() {
 }
 
 type exec struct {
-	sc  *Script
-	dir string
-	reg *fault.Registry
-	eng *engine.Engine
+	sc     *Script
+	dir    string
+	reg    *fault.Registry
+	eng    *engine.Engine
+	oracle bool // engine.Options.ShadowOracle, and VerifyOracle after recoveries and at the end
 
 	model   []*objState
 	firings []string
@@ -165,11 +168,16 @@ func (x *exec) setSlot(i int, v *objState) {
 // Execute runs a script to completion, checking the model, the §4
 // oracle and recovery atomicity along the way. The returned error, if
 // any, is a *Failure embedding the reproduction script.
-func Execute(sc *Script, dir string) (res *Result, err error) {
+func Execute(sc *Script, dir string) (*Result, error) { return execute(sc, dir, true) }
+
+// execute is Execute with the shadow oracle on or off. Off, the engine
+// dispatches a kind only to the triggers it can move, as it does outside
+// the simulation, and nothing consults the oracle.
+func execute(sc *Script, dir string, oracle bool) (res *Result, err error) {
 	if sc.Persistent && dir == "" {
 		return nil, errors.New("sim: persistent script needs a directory")
 	}
-	x := &exec{sc: sc, dir: dir, reg: fault.New()}
+	x := &exec{sc: sc, dir: dir, reg: fault.New(), oracle: oracle}
 	x.reg.FailStop()
 	if err := x.open(time.Time{}); err != nil {
 		return nil, fmt.Errorf("sim: open: %w", err)
@@ -208,7 +216,7 @@ func Execute(sc *Script, dir string) (res *Result, err error) {
 	if err := x.stateErr(nil, false); err != nil {
 		return nil, &Failure{Seed: sc.Seed, Step: final, Script: sc, Err: err, Flight: x.failFlight()}
 	}
-	if err := x.eng.VerifyOracle(); err != nil {
+	if err := x.verifyOracle(); err != nil {
 		return nil, &Failure{Seed: sc.Seed, Step: final, Script: sc, Err: err, Flight: x.failFlight()}
 	}
 	if err := timerScheduleErr(x.eng); err != nil {
@@ -237,14 +245,36 @@ func Execute(sc *Script, dir string) (res *Result, err error) {
 		DelivererCrashes:  x.delvCrashes,
 		DelivererResumes:  x.delvResumes,
 	}
-	res.Fingerprint = x.fingerprint()
+	res.Fingerprint, res.objects = x.fingerprint(), x.objects()
 	return res, nil
+}
+
+// objects renders every live object — its class, its fields and
+// whether each trigger slot is active — in OID order. Automaton state
+// numbers are left out: a step skipped for a kind that cannot change a
+// trigger's behaviour (compile.InertSymbol) may leave an equivalent
+// state of another number.
+func (x *exec) objects() []string {
+	st := x.eng.Store()
+	var out []string
+	for _, oid := range st.OIDs() {
+		rec, err := st.Get(oid)
+		if err != nil {
+			continue
+		}
+		s := fmt.Sprintf("%d %s %v", oid, rec.Class, rec.Fields)
+		for _, ts := range rec.Trigs {
+			s += fmt.Sprintf(" %v", ts.Active)
+		}
+		out = append(out, s)
+	}
+	return out
 }
 
 // open builds an engine incarnation over the script's classes. start
 // carries the virtual clock across simulated crashes.
 func (x *exec) open(start time.Time) error {
-	opts := engine.Options{Start: start, ShadowOracle: true, Faults: x.reg}
+	opts := engine.Options{Start: start, ShadowOracle: x.oracle, Faults: x.reg}
 	if x.sc.Persistent {
 		opts.Dir = x.dir
 	}
@@ -262,6 +292,14 @@ func (x *exec) open(start time.Time) error {
 	x.eng = eng
 	x.timerErrSeen = 0
 	return nil
+}
+
+// verifyOracle is engine.VerifyOracle, which needs the shadow oracle.
+func (x *exec) verifyOracle() error {
+	if !x.oracle {
+		return nil
+	}
+	return x.eng.VerifyOracle()
 }
 
 func (x *exec) fire(class, trigger string, ctx *engine.ActionCtx) {
@@ -425,8 +463,15 @@ func (x *exec) runTx(ops []Op, abort bool) error {
 // there, and is a crash like one on a commit frame: the model's stage is
 // the phase's writes (WholeA's ta, unless VetoA vetoed it), and the
 // oracle must hold on whichever side recovery lands (state and shadow
-// travel together).
+// travel together). A lock fault can land in the phase too (in WholeA's
+// field access): the engine then rolls the phase back alone, its writes
+// with it, and reports it as a timer error.
 func (x *exec) aborted(tx *engine.Tx, err error, abort phaseLog) error {
+	for _, terr := range x.eng.TimerErrors()[x.timerErrSeen:] {
+		if errors.Is(terr, fault.ErrInjected) {
+			abort.vetoed = true
+		}
+	}
 	stage := &txStage{x: x, touched: map[int]*objState{}}
 	applyOutcome(stage.view, stage.put, len(x.model), abort, "ta")
 	if fe := walFault(err); fe != nil {
@@ -654,7 +699,7 @@ func (x *exec) crashCycle(stage *txStage, fe *fault.Error, victimTx uint64) erro
 		x.delvResumes++
 	}
 
-	if err := x.eng.VerifyOracle(); err != nil {
+	if err := x.verifyOracle(); err != nil {
 		return fmt.Errorf("oracle after recovery from %v: %w", fe, err)
 	}
 	return x.checkTimerErrs()

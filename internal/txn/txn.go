@@ -375,6 +375,17 @@ func (tx *Tx) DependOn(other *Tx) {
 // accesses append past its end and are not reflected in it.
 func (tx *Tx) Accessed() []store.OID { return tx.accessed[:len(tx.accessed):len(tx.accessed)] }
 
+// Live returns the live record of the i-th object in Accessed's order,
+// whose lock the transaction holds, without a lock or store lookup: nil
+// once a rollback has shortened the list below i, or the transaction
+// deleted the object.
+func (tx *Tx) Live(i int) *store.Record {
+	if i >= len(tx.touched) || tx.deleted[tx.accessed[i]] {
+		return nil
+	}
+	return tx.touched[i].Rec
+}
+
 // Created reports whether the transaction created oid.
 func (tx *Tx) Created(oid store.OID) bool { return tx.created[oid] }
 
