@@ -26,8 +26,9 @@ import (
 //     same rows, resolving names per lookup);
 //   - calls: per method, its declaration, its body and the two phases
 //     posted around it, so a call resolves its name once; life: the
-//     phases of the transaction lifecycle kinds, so a lifecycle run
-//     (Tx.lifeRun) resolves nothing per object;
+//     phases of the lifecycle kinds, so creating an object, first
+//     accessing one or a transaction's lifecycle run (Tx.lifeRun)
+//     resolves no kind;
 //   - trigger slots: each trigger resolves, by name, to its index into
 //     Record.Trigs (the store's per-class layout), so the per-happening
 //     state access is an array index instead of a map probe.
@@ -63,9 +64,12 @@ type call struct {
 	before, after *phase
 }
 
-// lifeKinds are the transaction lifecycle kinds a transaction posts to
-// the objects it accesses (§3.1), in Class.life order.
+// lifeKinds are the lifecycle kinds of every object (§3.1): its creation
+// and deletion, and the transaction events a transaction posts to the
+// objects it accesses, in Class.life order.
 var lifeKinds = [...]event.Kind{
+	{Phase: event.After, Class: event.KCreate},
+	{Phase: event.Before, Class: event.KDelete},
 	{Phase: event.After, Class: event.KTbegin},
 	{Phase: event.Before, Class: event.KTcomplete},
 	{Phase: event.After, Class: event.KTcommit},
@@ -75,7 +79,9 @@ var lifeKinds = [...]event.Kind{
 
 // Indices into lifeKinds and Class.life.
 const (
-	lifeTbegin = iota
+	lifeCreate = iota
+	lifeDelete
+	lifeTbegin
 	lifeTcomplete
 	lifeTcommit
 	lifeBeforeTabort
@@ -91,10 +97,11 @@ func (c *Class) phaseOf(k event.Kind) (*phase, error) {
 	return &c.phases[kix], nil
 }
 
-// buildPhases fills c.phases, c.calls and c.life. Under the shadow oracle every
-// trigger is dispatched for every kind (the oracle needs the complete
-// symbol history); committed-view triggers are never dispatched tabort
-// events (§6: the aborted history is not part of the committed history).
+// buildPhases fills c.phases, c.calls and c.life. Under the shadow
+// oracle every trigger is dispatched for every kind (the oracle needs
+// the complete symbol history); committed-view triggers are never
+// dispatched tabort events (§6: the aborted history is not part of the
+// committed history).
 func (e *Engine) buildPhases(c *Class) error {
 	kinds := c.Res.Alphabet.Kinds
 	c.phases = make([]phase, len(kinds))

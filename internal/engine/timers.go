@@ -503,7 +503,7 @@ func (e *Engine) postTimer(oid store.OID, key string, only *Trigger) {
 	sys := e.beginSystem()
 	rec, err := sys.access(oid)
 	if err == nil {
-		_, err = sys.post(oid, rec, event.TimerKind(key), 0, only)
+		_, err = sys.post(oid, rec, event.TimerKind(key), only)
 	}
 	if err != nil {
 		e.recordTimerErr(sys.doAbort(fmt.Errorf("engine: timer %q on object %d: %w", key, oid, err)))

@@ -129,8 +129,7 @@ func (tx *Tx) DependOn(other *Tx) { tx.tx.DependOn(other.tx) }
 
 // access locks the object and posts "after tbegin" on the
 // transaction's first access to it (§3.1: posted "only immediately
-// before the object is first accessed by the transaction") — or only
-// counts it, where no trigger of the class can be moved by it (skip).
+// before the object is first accessed by the transaction").
 func (tx *Tx) access(oid store.OID) (*store.Record, error) {
 	if tx.cachedRec != nil && oid == tx.cachedOID {
 		return tx.cachedRec, nil
@@ -140,16 +139,8 @@ func (tx *Tx) access(oid store.OID) (*store.Record, error) {
 		return rec, err
 	}
 	c, err := tx.e.classOf(rec)
-	if err != nil {
-		return nil, err
-	}
-	h := event.Happening{Kind: lifeKinds[lifeTbegin], TxID: tx.tx.ID(), At: tx.e.clk.Now()}
-	if ph := c.life[lifeTbegin]; len(ph.entries) != 0 {
-		_, err = tx.step(c, ph, oid, rec, &h, nil, nil)
-	} else {
-		var n counts
-		tx.skip(oid, rec, &h, &n)
-		tx.e.publish(c, &n)
+	if err == nil {
+		err = tx.postLife(c, lifeTbegin, oid, rec)
 	}
 	if err != nil {
 		return nil, err
@@ -157,11 +148,25 @@ func (tx *Tx) access(oid store.OID) (*store.Record, error) {
 	return rec, nil
 }
 
-// post delivers a happening that carries no parameters — an object
-// lifecycle event, a time event — to one object. ofTx is the transaction
-// the happening reports (0 for time events); only restricts delivery to
+// postLife posts lifecycle kind lifeKinds[k] of this transaction to one
+// object by itself: a step with no meter where the class's phase has
+// entries, and otherwise only a count on the engine's and the class's
+// counters (skip), with no flight record.
+func (tx *Tx) postLife(c *Class, k int, oid store.OID, rec *store.Record) error {
+	h := event.Happening{Kind: lifeKinds[k], TxID: tx.tx.ID(), At: tx.e.clk.Now()}
+	if ph := c.life[k]; len(ph.entries) != 0 {
+		_, err := tx.step(c, ph, oid, rec, &h, nil, nil)
+		return err
+	}
+	var n counts
+	tx.skip(oid, rec, &h, &n)
+	tx.e.publish(c, &n)
+	return nil
+}
+
+// post delivers a time event to one object; only restricts delivery to
 // one trigger (see step).
-func (tx *Tx) post(oid store.OID, rec *store.Record, kind event.Kind, ofTx uint64, only *Trigger) (bool, error) {
+func (tx *Tx) post(oid store.OID, rec *store.Record, kind event.Kind, only *Trigger) (bool, error) {
 	c, err := tx.e.classOf(rec)
 	if err != nil {
 		return false, err
@@ -170,7 +175,8 @@ func (tx *Tx) post(oid store.OID, rec *store.Record, kind event.Kind, ofTx uint6
 	if err != nil {
 		return false, err
 	}
-	h := event.Happening{Kind: kind, TxID: ofTx, At: tx.e.clk.Now()}
+	// TxID stays zero: time events belong to no user transaction.
+	h := event.Happening{Kind: kind, At: tx.e.clk.Now()}
 	return tx.step(c, ph, oid, rec, &h, only, nil)
 }
 
@@ -198,7 +204,7 @@ func (tx *Tx) NewObject(class string, fields map[string]value.Value) (store.OID,
 		return 0, err
 	}
 	tx.created = append(tx.created, rec.OID)
-	if _, err := tx.post(rec.OID, rec, event.Kind{Phase: event.After, Class: event.KCreate}, tx.tx.ID(), nil); err != nil {
+	if err := tx.postLife(c, lifeCreate, rec.OID, rec); err != nil {
 		return 0, tx.propagate(err)
 	}
 	return rec.OID, nil
@@ -210,7 +216,11 @@ func (tx *Tx) DeleteObject(oid store.OID) error {
 	if err != nil {
 		return err
 	}
-	if _, err := tx.post(oid, rec, event.Kind{Phase: event.Before, Class: event.KDelete}, tx.tx.ID(), nil); err != nil {
+	c, err := tx.e.classOf(rec)
+	if err == nil {
+		err = tx.postLife(c, lifeDelete, oid, rec)
+	}
+	if err != nil {
 		return tx.propagate(err)
 	}
 	tx.tx.AddIntent(txn.Intent{OID: oid, Op: txn.Delete})
@@ -511,7 +521,7 @@ type lifeShare struct {
 // trigger fired.
 func (tx *Tx) lifeRun(k int, ofTx uint64, keepGoing bool) (fired bool, err error) {
 	h := event.Happening{Kind: lifeKinds[k], TxID: ofTx, At: tx.e.clk.Now()}
-	var buf [2]lifeShare // a class's meter; the run's own, so an action's nested run has its own
+	var buf [2]lifeShare // the run's meters, local: a run nested in an action keeps its own
 	shares := buf[:0]
 	defer func() {
 		for i := range shares {

@@ -60,9 +60,10 @@ const (
 	// keeps one such summary per run or tick instead of a flight event
 	// per happening: per-event stamping is the dominant cost of an
 	// otherwise tight loop. A lifecycle happening that no trigger of its
-	// class can be moved by is only counted, inside its run's summary or,
-	// for an after tbegin, without a record. Firings within it still
-	// record individual StageFire events.
+	// class can be moved by is only counted: inside its run's summary, or
+	// with no record where it is posted to one object by itself (after
+	// create, before delete, a first access's after tbegin). Firings
+	// within it still record individual StageFire events.
 	StageBatch
 	// StageEgress: a batch of firing records became visible on the
 	// durable egress feed; From holds the first sequence number of the
