@@ -173,7 +173,7 @@ func (tt *timerTable) arm(oid store.OID, c *Class, t *Trigger, at time.Time) {
 		case req.Mode == evlang.TimeAfter:
 			var id clock.TimerID
 			id = tt.e.clk.At(at.Add(req.Spec.Period()), func(time.Time) {
-				tt.shotDue(oid, t.Res.Name, id)
+				tt.shotDue(oid, t.Res.Name, &id)
 				tt.e.postTimer(oid, req.Key, t)
 			})
 			shots := tt.oneShots[oid]
@@ -428,11 +428,13 @@ func (tt *timerTable) disarm(oid store.OID, t *Trigger) {
 
 // shotDue forgets a one-shot that came due, and any map that leaves
 // empty: a perpetual trigger's firing records no deactivation to do it.
-func (tt *timerTable) shotDue(oid store.OID, trig string, id clock.TimerID) {
+// It reads the id under tt.mu, which arm holds while it writes it: a
+// deadline already past can come due in an Advance before arm returns.
+func (tt *timerTable) shotDue(oid store.OID, trig string, id *clock.TimerID) {
 	tt.mu.Lock()
 	defer tt.mu.Unlock()
 	shots := tt.oneShots[oid]
-	if ids := slices.DeleteFunc(shots[trig], func(x clock.TimerID) bool { return x == id }); len(ids) > 0 {
+	if ids := slices.DeleteFunc(shots[trig], func(x clock.TimerID) bool { return x == *id }); len(ids) > 0 {
 		shots[trig] = ids
 		return
 	}
@@ -502,8 +504,18 @@ func (e *Engine) postTimer(oid store.OID, key string, only *Trigger) {
 	traceTimer(e.tracer(), e.clk.Now(), oid, key, only)
 	sys := e.beginSystem()
 	rec, err := sys.access(oid)
+	var c *Class
 	if err == nil {
-		_, err = sys.post(oid, rec, event.TimerKind(key), only)
+		c, err = e.classOf(rec)
+	}
+	var ph *phase
+	if err == nil {
+		ph, err = c.phaseOf(event.TimerKind(key))
+	}
+	if err == nil {
+		// TxID stays zero: time events belong to no user transaction.
+		h := event.Happening{Kind: event.TimerKind(key), At: e.clk.Now()}
+		_, err = sys.step(c, ph, oid, rec, &h, only, nil)
 	}
 	if err != nil {
 		e.recordTimerErr(sys.doAbort(fmt.Errorf("engine: timer %q on object %d: %w", key, oid, err)))
