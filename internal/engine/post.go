@@ -391,16 +391,6 @@ func (tx *Tx) step(c *Class, ph *phase, oid store.OID, rec *store.Record,
 	return true, err
 }
 
-// skip stands in for step where no trigger of the class can be moved by
-// the happening (its phase has no entries; compile.InertSymbol): it
-// counts the happening into n and records it where step would, in the
-// history book and the tracer when either is on.
-func (tx *Tx) skip(oid store.OID, rec *store.Record, h *event.Happening, n *counts) {
-	n.happenings++
-	tx.e.recordHappening(oid, h)
-	tx.e.traceHappening(tx.tx.ID(), oid, rec.Class, h.Kind)
-}
-
 // fire executes the actions of the collected triggers, recording each
 // action's wall-clock latency in the trigger's metrics (and trace,
 // when enabled). The first action error stops the run — the engine's

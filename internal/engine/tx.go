@@ -138,11 +138,7 @@ func (tx *Tx) access(oid store.OID) (*store.Record, error) {
 	if err != nil || !first || tx.tx.System() || tx.tx.Created(oid) {
 		return rec, err
 	}
-	c, err := tx.e.classOf(rec)
-	if err == nil {
-		err = tx.postLife(c, lifeTbegin, oid, rec)
-	}
-	if err != nil {
+	if err := tx.postLife(lifeTbegin, rec); err != nil {
 		return nil, err
 	}
 	return rec, nil
@@ -150,34 +146,24 @@ func (tx *Tx) access(oid store.OID) (*store.Record, error) {
 
 // postLife posts lifecycle kind lifeKinds[k] of this transaction to one
 // object by itself: a step with no meter where the class's phase has
-// entries, and otherwise only a count on the engine's and the class's
-// counters (skip), with no flight record.
-func (tx *Tx) postLife(c *Class, k int, oid store.OID, rec *store.Record) error {
-	h := event.Happening{Kind: lifeKinds[k], TxID: tx.tx.ID(), At: tx.e.clk.Now()}
-	if ph := c.life[k]; len(ph.entries) != 0 {
-		_, err := tx.step(c, ph, oid, rec, &h, nil, nil)
-		return err
-	}
-	var n counts
-	tx.skip(oid, rec, &h, &n)
-	tx.e.publish(c, &n)
-	return nil
-}
-
-// post delivers a time event to one object; only restricts delivery to
-// one trigger (see step).
-func (tx *Tx) post(oid store.OID, rec *store.Record, kind event.Kind, only *Trigger) (bool, error) {
+// entries, and otherwise a step with a meter of its own, which publishes
+// the count on the engine's and the class's counters with no flight
+// record.
+func (tx *Tx) postLife(k int, rec *store.Record) error {
 	c, err := tx.e.classOf(rec)
 	if err != nil {
-		return false, err
+		return err
 	}
-	ph, err := c.phaseOf(kind)
-	if err != nil {
-		return false, err
+	h := event.Happening{Kind: lifeKinds[k], TxID: tx.tx.ID(), At: tx.e.clk.Now()}
+	ph := c.life[k]
+	if len(ph.entries) != 0 {
+		_, err = tx.step(c, ph, rec.OID, rec, &h, nil, nil)
+		return err
 	}
-	// TxID stays zero: time events belong to no user transaction.
-	h := event.Happening{Kind: kind, At: tx.e.clk.Now()}
-	return tx.step(c, ph, oid, rec, &h, only, nil)
+	var m meter
+	_, err = tx.step(c, ph, rec.OID, rec, &h, nil, &m)
+	tx.e.publish(c, &m.counts)
+	return err
 }
 
 // NewObject creates an object of the class with the given fields
@@ -204,7 +190,7 @@ func (tx *Tx) NewObject(class string, fields map[string]value.Value) (store.OID,
 		return 0, err
 	}
 	tx.created = append(tx.created, rec.OID)
-	if err := tx.postLife(c, lifeCreate, rec.OID, rec); err != nil {
+	if err := tx.postLife(lifeCreate, rec); err != nil {
 		return 0, tx.propagate(err)
 	}
 	return rec.OID, nil
@@ -216,11 +202,7 @@ func (tx *Tx) DeleteObject(oid store.OID) error {
 	if err != nil {
 		return err
 	}
-	c, err := tx.e.classOf(rec)
-	if err == nil {
-		err = tx.postLife(c, lifeDelete, oid, rec)
-	}
-	if err != nil {
+	if err := tx.postLife(lifeDelete, rec); err != nil {
 		return tx.propagate(err)
 	}
 	tx.tx.AddIntent(txn.Intent{OID: oid, Op: txn.Delete})
@@ -466,7 +448,7 @@ func (tx *Tx) Commit() error {
 				return tx.doAbort(ErrTcompleteDiverged)
 			}
 			var err error
-			if fired, err = tx.lifeRun(lifeTcomplete, tx.tx.ID(), false); err != nil {
+			if fired, err = tx.lifeRun(lifeTcomplete, tx.tx.ID()); err != nil {
 				return tx.propagate(err)
 			}
 			tx.e.stats.tcompleteRounds.Add(1)
@@ -497,7 +479,7 @@ func (tx *Tx) outcome(k int) {
 	}
 	tx.e.stats.systemTx.Add(1)
 	tx.e.traceTx(obs.StageTxBegin, tx.tx.ID(), true)
-	if _, err := tx.lifeRun(k, own, false); err != nil {
+	if _, err := tx.lifeRun(k, own); err != nil {
 		tx.doAbort(err)
 	}
 }
@@ -515,11 +497,12 @@ type lifeShare struct {
 // turn, since an earlier action may have shortened the list or deleted
 // the object (skipped then), and never re-accesses one: the transaction
 // holds its lock. A class whose phase for the kind has no entries is only
-// counted (skip). The run publishes each class's counts once, with one
-// StageBatch flight record, when it returns. It stops at the transaction's
-// end and, unless keepGoing, at the first error; it reports whether any
+// counted (step does no more then). The run publishes each class's counts
+// once, with one StageBatch flight record, when it returns. It stops at
+// the transaction's end and at the first error, but for "before tabort",
+// whose errors the aborting transaction swallows; it reports whether any
 // trigger fired.
-func (tx *Tx) lifeRun(k int, ofTx uint64, keepGoing bool) (fired bool, err error) {
+func (tx *Tx) lifeRun(k int, ofTx uint64) (fired bool, err error) {
 	h := event.Happening{Kind: lifeKinds[k], TxID: ofTx, At: tx.e.clk.Now()}
 	var buf [2]lifeShare // the run's meters, local: a run nested in an action keeps its own
 	shares := buf[:0]
@@ -528,7 +511,7 @@ func (tx *Tx) lifeRun(k int, ofTx uint64, keepGoing bool) (fired bool, err error
 			tx.flush(shares[i].c, shares[i].c.life[k], &shares[i].m, h.At.UnixNano())
 		}
 	}()
-	for i, n := 0, len(tx.tx.Accessed()); i < n && (err == nil || keepGoing); i++ {
+	for i, n := 0, len(tx.tx.Accessed()); i < n && (err == nil || k == lifeBeforeTabort); i++ {
 		if tx.tx.State() != txn.Active {
 			return fired, txn.ErrNotActive
 		}
@@ -547,17 +530,9 @@ func (tx *Tx) lifeRun(k int, ofTx uint64, keepGoing bool) (fired bool, err error
 			}
 			shares = append(shares, lifeShare{c: c, m: meter{direct: true}})
 		}
-		s := &shares[si]
-		if ph := s.c.life[k]; len(ph.entries) != 0 {
-			var f bool
-			f, err = tx.step(s.c, ph, rec.OID, rec, &h, nil, &s.m)
-			fired = fired || f
-		} else {
-			tx.skip(rec.OID, rec, &h, &s.m.counts)
-		}
-	}
-	if keepGoing {
-		err = nil
+		var f bool
+		f, err = tx.step(shares[si].c, shares[si].c.life[k], rec.OID, rec, &h, nil, &shares[si].m)
+		fired = fired || f
 	}
 	return fired, err
 }
@@ -655,7 +630,7 @@ func (tx *Tx) doAbort(cause error) error {
 		// including trigger actions it fires — is undone by the
 		// rollback, except what whole-history triggers saw (§6). Its
 		// errors are swallowed: the transaction is aborting regardless.
-		_, _ = tx.lifeRun(lifeBeforeTabort, tx.tx.ID(), true)
+		_, _ = tx.lifeRun(lifeBeforeTabort, tx.tx.ID())
 	}
 	if !tx.finished { // unless an action's own abort ended it
 		tx.cachedRec = nil // abort-path postings may have re-primed it
