@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"ode/internal/egress"
@@ -465,10 +466,11 @@ func (x *exec) runTx(ops []Op, abort bool) error {
 // oracle must hold on whichever side recovery lands (state and shadow
 // travel together). A lock fault can land in the phase too (in WholeA's
 // field access): the engine then rolls the phase back alone, its writes
-// with it, and reports it as a timer error.
+// with it, and reports it as an after-tabort timer error — this abort's,
+// the only after-tabort phase since the errors were last drained.
 func (x *exec) aborted(tx *engine.Tx, err error, abort phaseLog) error {
 	for _, terr := range x.eng.TimerErrors()[x.timerErrSeen:] {
-		if errors.Is(terr, fault.ErrInjected) {
+		if errors.Is(terr, fault.ErrInjected) && strings.HasPrefix(terr.Error(), "engine: after-tabort delivery aborted") {
 			abort.vetoed = true
 		}
 	}
