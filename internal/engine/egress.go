@@ -10,9 +10,6 @@ import (
 // engine surfaces the feed for consumers (internal/egress) and relays
 // newly durable batches to an optional live sink.
 
-// EgressEnabled reports whether commit-time firing capture is on.
-func (e *Engine) EgressEnabled() bool { return !e.egressOff }
-
 // FiringsAfter implements egress.Source over the engine's feed: up to
 // max (<= 0: no limit) committed firing records with Seq > after, in
 // sequence order, plus the feed head. The cursor is the Seq itself.

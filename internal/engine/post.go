@@ -385,9 +385,6 @@ func (tx *Tx) step(c *Class, ph *phase, oid store.OID, rec *store.Record,
 	}
 	err = tx.fire(c, ph, oid, rec, h, fired)
 	tx.fired = tx.fired[:base]
-	// Actions run arbitrary engine operations; drop PostBatch's record
-	// cache rather than reason about what they touched.
-	tx.cachedRec = nil
 	return true, err
 }
 

@@ -146,7 +146,7 @@ func (tx *Tx) PostBatch(b *Batch) error {
 	for i, oid := range b.oids {
 		// Access first, as tx.Call does: an entry that fails any check
 		// below has still first-accessed its object.
-		rec, err := tx.batchAccess(oid)
+		rec, err := tx.access(oid)
 		if err != nil {
 			return err
 		}
@@ -163,20 +163,4 @@ func (tx *Tx) PostBatch(b *Batch) error {
 		}
 	}
 	return nil
-}
-
-// batchAccess is tx.access with the transaction's single-entry record
-// cache primed, so consecutive batch entries (and the field accesses
-// of the method implementations they run) hitting the same object skip
-// the lock-table and store lookups.
-func (tx *Tx) batchAccess(oid store.OID) (*store.Record, error) {
-	if tx.cachedRec != nil && oid == tx.cachedOID {
-		return tx.cachedRec, nil
-	}
-	rec, err := tx.access(oid)
-	if err != nil {
-		return nil, err
-	}
-	tx.cachedOID, tx.cachedRec = oid, rec
-	return rec, nil
 }

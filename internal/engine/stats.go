@@ -38,11 +38,11 @@ type Stats struct {
 	// bounded TimerErrors ring.
 	TimerErrsDropped uint64
 	// TimersPending gauges the timers currently armed on the virtual
-	// clock ('after' one-shots plus one per cohort or shared spec).
-	// TimerCohorts gauges the live shared-schedule entries — cohorts, or
-	// per-object shared timers in the reference layout — and TimerMembers
-	// the memberships in them, one per (object, cohort) whatever the
-	// number of the object's triggers on the spec. Like the Automaton*
+	// clock ('after' one-shots plus one per cohort). TimerCohorts gauges
+	// the live cohorts — one per object and spec in the per-object
+	// reference (timerTable.perObject) — and TimerMembers the memberships
+	// in them, one per (object, cohort) whatever the number of the
+	// object's triggers on the spec. Like the Automaton*
 	// fields below these describe current state, not cumulative activity.
 	TimersPending uint64
 	TimerCohorts  uint64

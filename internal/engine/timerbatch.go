@@ -16,22 +16,23 @@ import (
 // amortizing those costs exactly as PostBatch does for method calls.
 // The tick's happenings share one flight record, the StageBatch flush writes.
 //
-// Semantics relative to the per-object layout (timerTable.perObject),
-// pinned by the equivalence test in timer_equiv_test.go:
+// Semantics relative to the reference, timerTable.perObject — a cohort of
+// one per object, posted through postTimer — pinned by the equivalence
+// tests in timer_equiv_test.go and timer_cohort_test.go:
 //   - each member still observes one happening of the timer kind at the
 //     cohort instant, delivered to every active trigger of the object in
 //     dispatch order — identical automaton steps, firings, provenance
 //     symbols, and action effects;
-//   - members are visited in ascending OID order. The per-object layout
-//     orders same-instant deliveries by timer-registration order, which
-//     for a fleet armed in creation order is the same thing; programs
-//     must not rely on cross-OBJECT delivery order either way (the paper
-//     orders events within an object's history, not across objects);
+//   - members are visited in ascending OID order. The reference orders
+//     same-instant deliveries by arming order, which for a fleet armed
+//     in creation order is the same thing; programs must not rely on
+//     cross-OBJECT delivery order either way (the paper orders events
+//     within an object's history, not across objects);
 //   - the members share the system transaction, so an action may read
 //     co-members' same-tick updates before commit, and every member's
-//     step carries that one transaction's id where the per-object layout
-//     numbers one per member. System transactions post no transaction
-//     lifecycle events, so happening streams are unchanged;
+//     step carries that one transaction's id where the reference numbers
+//     one per member. System transactions post no transaction lifecycle
+//     events, so happening streams are unchanged;
 //   - on any member error the shared transaction aborts (rolling back
 //     every member) and the whole tick is re-delivered member by member
 //     through postTimer, giving each its own transaction and any

@@ -23,15 +23,6 @@ func (e *Engine) EnableTracing(capacity int) *obs.Ring {
 	return r
 }
 
-// SetTracer installs an arbitrary tracer; nil disables tracing.
-func (e *Engine) SetTracer(t obs.Tracer) {
-	if t == nil {
-		e.traceBox.Store(nil)
-		return
-	}
-	e.traceBox.Store(&tracerBox{t: t})
-}
-
 // DisableTracing turns tracing off.
 func (e *Engine) DisableTracing() { e.traceBox.Store(nil) }
 

@@ -48,16 +48,6 @@ type Tx struct {
 	// default), the caller has already accessed the object.
 	lazyAccess bool
 
-	// Single-entry record cache, primed only by PostBatch (batchAccess).
-	// A non-nil cachedRec certifies the transaction is active and has
-	// already accessed cachedOID — so the lock is held, the before-image
-	// exists, and after-tbegin was posted — which makes returning it
-	// from access equivalent to a repeat Access. Every site that could
-	// break the certificate (commit, abort, delete, trigger firing)
-	// clears it.
-	cachedOID store.OID
-	cachedRec *store.Record
-
 	// created and deleted list the objects NewObject made and
 	// DeleteObject removed. Their provenance heads — the one thing the
 	// engine keeps about an object outside its record — are dropped with
@@ -131,9 +121,6 @@ func (tx *Tx) DependOn(other *Tx) { tx.tx.DependOn(other.tx) }
 // transaction's first access to it (§3.1: posted "only immediately
 // before the object is first accessed by the transaction").
 func (tx *Tx) access(oid store.OID) (*store.Record, error) {
-	if tx.cachedRec != nil && oid == tx.cachedOID {
-		return tx.cachedRec, nil
-	}
 	rec, first, err := tx.tx.Access(oid)
 	if err != nil || !first || tx.tx.System() || tx.tx.Created(oid) {
 		return rec, err
@@ -206,7 +193,6 @@ func (tx *Tx) DeleteObject(oid store.OID) error {
 		return tx.propagate(err)
 	}
 	tx.tx.AddIntent(txn.Intent{OID: oid, Op: txn.Delete})
-	tx.cachedRec = nil
 	if err := tx.tx.Delete(oid); err != nil {
 		return err
 	}
@@ -471,7 +457,6 @@ func (tx *Tx) Commit() error {
 // abort route.
 func (tx *Tx) outcome(k int) {
 	own := tx.tx.ID()
-	tx.cachedRec = nil
 	if err := tx.tx.BeginOutcome(); err != nil {
 		tx.err = err
 		tx.aborts()
@@ -557,7 +542,6 @@ func (tx *Tx) aborts() {
 // provenance of the objects the transaction created or deleted that are
 // gone.
 func (tx *Tx) end() {
-	tx.cachedRec = nil
 	id := tx.tx.ID()
 	err := tx.tx.Commit()
 	if id != tx.tx.ID() { // the outcome phase's, gone with it
@@ -633,7 +617,6 @@ func (tx *Tx) doAbort(cause error) error {
 		_, _ = tx.lifeRun(lifeBeforeTabort, tx.tx.ID())
 	}
 	if !tx.finished { // unless an action's own abort ended it
-		tx.cachedRec = nil // abort-path postings may have re-primed it
 		tx.tx.Rollback()
 		tx.aborts()
 	}

@@ -260,9 +260,14 @@ func (tx *Tx) State() State { return State(tx.state.Load()) }
 // created by a bare Store.Create outside any transaction — is copied
 // (snaps). Fields are written only through Record.SetField, which copies
 // a shared map first, so no write through rec reaches an image.
+// A repeat access to the latest first-accessed object, not deleted, is
+// answered from its touched entry, whose record every rollback keeps live.
 func (tx *Tx) Access(oid store.OID) (rec *store.Record, first bool, err error) {
 	if tx.State() != Active {
 		return nil, false, ErrNotActive
+	}
+	if n := len(tx.accessed); n > 0 && tx.accessed[n-1] == oid && !tx.deleted[oid] {
+		return tx.touched[n-1].Rec, false, nil
 	}
 	if err := tx.lock(oid); err != nil {
 		return nil, false, err

@@ -722,3 +722,64 @@ func TestFailedFrameKeepsAnOutcomeTransactionOpen(t *testing.T) {
 		}
 	}
 }
+
+// TestAccessAgainAnswersFromTheLatestEntry: a repeat access to the latest
+// first-accessed object is answered from the transaction's own entry, and
+// that answer is the store's: after Delete it fails, after Commit it is
+// ErrNotActive, and after an outcome phase's Rollback it is the live
+// record the rollback restored — in lock-manager and single-writer mode.
+func TestAccessAgainAnswersFromTheLatestEntry(t *testing.T) {
+	for _, single := range []bool{false, true} {
+		m := newManager(t)
+		m.SetSingleWriter(single)
+		setup := m.Begin()
+		a, _ := setup.Create("acct", map[string]value.Value{"balance": value.Int(100)})
+		if err := setup.Commit(); err != nil {
+			t.Fatal(err)
+		}
+
+		tx := m.Begin()
+		if _, _, err := tx.Access(a.OID); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Delete(a.OID); err != nil {
+			t.Fatal(err)
+		}
+		if rec, _, err := tx.Access(a.OID); err == nil {
+			t.Fatalf("single %v: repeat access after Delete returned %+v", single, rec)
+		}
+		if err := tx.Abort(); err != nil {
+			t.Fatal(err)
+		}
+
+		tx = m.Begin()
+		ra, _, err := tx.Access(a.OID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ra.SetField("balance", value.Int(150))
+		if err := tx.BeginOutcome(); err != nil {
+			t.Fatal(err)
+		}
+		tx.Seal()
+		ra.SetField("balance", value.Int(-1))
+		if err := tx.Delete(a.OID); err != nil {
+			t.Fatal(err)
+		}
+		tx.Rollback()
+		rec, first, err := tx.Access(a.OID)
+		live, _ := m.Store().Get(a.OID)
+		if err != nil || first || rec != live || rec == ra {
+			t.Fatalf("single %v: repeat access after Rollback = %p, first %v, %v; want the restored live %p, not %p", single, rec, first, err, live, ra)
+		}
+		if bal := field(rec, "balance"); !bal.Equal(value.Int(150)) {
+			t.Fatalf("single %v: restored balance %v, want the savepoint's 150", single, bal)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := tx.Access(a.OID); !errors.Is(err, ErrNotActive) {
+			t.Fatalf("single %v: repeat access after Commit: %v", single, err)
+		}
+	}
+}
