@@ -383,7 +383,7 @@ func TestPostBatchErrors(t *testing.T) {
 // the batch path: posting a batch of masked, non-firing method calls —
 // with provenance capture and the flight recorder live — allocates
 // nothing, including the method implementations' own field accesses
-// (served by the transaction's primed record cache).
+// (repeat accesses txn.Tx.Access answers from the transaction's entry).
 func TestHotPathAllocBudgetPostBatch(t *testing.T) {
 	rec := &recorder{}
 	cls, impl := accountClass(rec,
@@ -532,11 +532,11 @@ func TestPostBatchEpochRace(t *testing.T) {
 	}
 }
 
-// TestPostBatchAccessCacheInvalidation proves the transaction's record
-// cache cannot serve stale records across the operations that break it:
+// TestPostBatchAccessCacheInvalidation proves a repeat access cannot
+// serve a stale record across the operations that end its validity:
 // a delete inside the batch makes later entries for the object fail
 // exactly as singles would, and a finished transaction rejects further
-// operations instead of answering from cache.
+// operations instead of answering from its access list.
 func TestPostBatchAccessCacheInvalidation(t *testing.T) {
 	rec := &recorder{}
 	cls, impl := accountClass(rec,
