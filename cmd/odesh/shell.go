@@ -602,9 +602,6 @@ func (sh *shell) trace(rest string) error {
 			case ode.StageTcomplete:
 				fmt.Fprintf(sh.out, " round=%d fired=%v", ev.From, ev.OK)
 			}
-			if ev.Err != "" {
-				fmt.Fprintf(sh.out, " err=%s", ev.Err)
-			}
 			fmt.Fprintln(sh.out)
 		}
 		return nil

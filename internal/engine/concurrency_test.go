@@ -170,7 +170,8 @@ func TestConcurrentSharedObjectSerializes(t *testing.T) {
 // surface under the race detector. Afterwards the per-trigger firing
 // counts must still sum to the engine's firing counter.
 func TestConcurrentTracingAndMetrics(t *testing.T) {
-	e := newEngine(t, Options{TraceBuffer: 512})
+	e := newEngine(t, Options{})
+	e.EnableTracing(512)
 	rec := &recorder{}
 	cls, impl := accountClass(rec,
 		schema.Trigger{Name: "AnyDep", Perpetual: true, Event: "after deposit"},
@@ -250,7 +251,7 @@ func TestConcurrentTracingAndMetrics(t *testing.T) {
 	if latCount != stats.Firings {
 		t.Fatalf("latency counts %d != stats %d", latCount, stats.Firings)
 	}
-	// One more post lands in the freshly enabled ring.
+	// One more post lands in the freshly enabled trace.
 	if err := e.Transact(func(tx *Tx) error {
 		_, err := tx.Call(oid, "deposit", value.Int(1))
 		return err

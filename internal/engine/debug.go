@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"encoding/json"
 	"expvar"
 	"fmt"
 	"net"
@@ -98,7 +97,7 @@ func (e *Engine) ExpvarName() string {
 }
 
 func (e *Engine) handleDebugStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, e.Stats())
+	obs.WriteJSON(w, e.Stats())
 }
 
 // promExtras renders the engine-global Stats as exposition-format
@@ -148,29 +147,19 @@ func PromExtras(s Stats) []obs.PromMetric {
 // /debug/feed?after=N&max=M returns up to M records with Seq > N
 // (after defaults to 0, max to 1000).
 func (e *Engine) handleDebugFeed(w http.ResponseWriter, r *http.Request) {
-	var after uint64
-	if s := r.URL.Query().Get("after"); s != "" {
-		n, err := strconv.ParseUint(s, 10, 64)
-		if err != nil {
-			http.Error(w, "bad after parameter", http.StatusBadRequest)
-			return
-		}
-		after = n
+	after, ok := obs.QueryUint(w, r, "after", 0)
+	if !ok {
+		return
 	}
-	max := 1000
-	if s := r.URL.Query().Get("max"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil {
-			http.Error(w, "bad max parameter", http.StatusBadRequest)
-			return
-		}
-		max = n
+	max, ok := obs.QueryUint(w, r, "max", 1000)
+	if !ok {
+		return
 	}
-	recs, head := e.FiringsAfter(after, max)
+	recs, head := e.FiringsAfter(after, int(max))
 	if recs == nil {
 		recs = []store.FiringRecord{}
 	}
-	writeJSON(w, struct {
+	obs.WriteJSON(w, struct {
 		Head    uint64               `json:"head"`
 		Records []store.FiringRecord `json:"records"`
 	}{Head: head, Records: recs})
@@ -198,35 +187,24 @@ func (e *Engine) handleDebugWhy(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
-	writeJSON(w, ex)
+	obs.WriteJSON(w, ex)
 }
 
 func (e *Engine) handleDebugFlight(w http.ResponseWriter, r *http.Request) {
-	last := 0
-	if s := r.URL.Query().Get("last"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil {
-			http.Error(w, "bad last parameter", http.StatusBadRequest)
-			return
-		}
-		last = n
+	if events, ok := obs.QueryEvents(w, r, 0, e.FlightEvents); ok {
+		obs.WriteJSON(w, struct {
+			Total  uint64            `json:"total"`
+			Events []obs.FlightEvent `json:"events"`
+		}{Total: e.flight.Total(), Events: events})
 	}
-	events := e.FlightEvents(last)
-	if events == nil {
-		events = []obs.FlightEvent{}
-	}
-	writeJSON(w, struct {
-		Total  uint64            `json:"total"`
-		Events []obs.FlightEvent `json:"events"`
-	}{Total: e.flight.Total(), Events: events})
 }
 
 func (e *Engine) handleDebugTriggers(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, e.metrics.Snapshot())
+	obs.WriteJSON(w, e.metrics.Snapshot())
 }
 
 func (e *Engine) handleDebugFaults(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, struct {
+	obs.WriteJSON(w, struct {
 		Installed bool               `json:"installed"`
 		Points    []fault.PointStats `json:"points,omitempty"`
 		Recovery  store.RecoveryInfo `json:"recovery"`
@@ -238,23 +216,12 @@ func (e *Engine) handleDebugFaults(w http.ResponseWriter, r *http.Request) {
 }
 
 func (e *Engine) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
-	last := 100
-	if s := r.URL.Query().Get("last"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil {
-			http.Error(w, "bad last parameter", http.StatusBadRequest)
-			return
-		}
-		last = n
+	if events, ok := obs.QueryEvents(w, r, 100, e.TraceEvents); ok {
+		obs.WriteJSON(w, struct {
+			Enabled bool              `json:"enabled"`
+			Events  []obs.FlightEvent `json:"events"`
+		}{Enabled: e.TracingEnabled(), Events: events})
 	}
-	events := e.TraceEvents(last)
-	if events == nil {
-		events = []obs.Event{}
-	}
-	writeJSON(w, struct {
-		Enabled bool        `json:"enabled"`
-		Events  []obs.Event `json:"events"`
-	}{Enabled: e.TracingEnabled(), Events: events})
 }
 
 // debugAutomaton is one trigger's row in /debug/automata.
@@ -327,14 +294,5 @@ func (e *Engine) handleDebugAutomata(w http.ResponseWriter, r *http.Request) {
 		}
 		return a.Trigger < b.Trigger
 	})
-	writeJSON(w, summary)
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	obs.WriteJSON(w, summary)
 }

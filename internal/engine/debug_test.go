@@ -45,7 +45,8 @@ func TestDebugEndpoint(t *testing.T) {
 	cls, impl := accountClass(rec,
 		schema.Trigger{Name: "Large", Perpetual: true, Event: "after withdraw(a) && a > 100"},
 		schema.Trigger{Name: "AnyDep", Perpetual: true, Event: "after deposit"})
-	e := newEngine(t, Options{TraceBuffer: 256})
+	e := newEngine(t, Options{})
+	e.EnableTracing(256)
 	oid := setup(t, e, cls, impl, "Large", "AnyDep")
 
 	if err := e.Transact(func(tx *Tx) error {
@@ -81,8 +82,8 @@ func TestDebugEndpoint(t *testing.T) {
 	}
 
 	var trace struct {
-		Enabled bool        `json:"enabled"`
-		Events  []obs.Event `json:"events"`
+		Enabled bool              `json:"enabled"`
+		Events  []obs.FlightEvent `json:"events"`
 	}
 	debugGet(t, srv, "/debug/trace?last=5", &trace)
 	if !trace.Enabled || len(trace.Events) != 5 {
@@ -143,20 +144,5 @@ func TestServeDebug(t *testing.T) {
 	}
 	if _, err := http.Get("http://" + addr + "/debug/stats"); err == nil {
 		t.Fatal("debug endpoint still serving after Close")
-	}
-}
-
-// TestOptionsDebugAddr starts the endpoint from Options.
-func TestOptionsDebugAddr(t *testing.T) {
-	e, err := New(Options{DebugAddr: "auto"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	e.debugMu.Lock()
-	n := len(e.debugSrvs)
-	e.debugMu.Unlock()
-	if n != 1 {
-		t.Fatalf("%d debug servers", n)
 	}
 }

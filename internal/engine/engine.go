@@ -102,16 +102,6 @@ type Options struct {
 	// on every posting. A divergence fails the posting (and aborts the
 	// transaction). Expensive — meant for tests and debugging.
 	ShadowOracle bool
-	// TraceBuffer, when non-zero, enables pipeline tracing at open
-	// with a ring buffer of that many events (< 0 picks the default
-	// capacity). Tracing can also be toggled later with
-	// Engine.EnableTracing / DisableTracing.
-	TraceBuffer int
-	// DebugAddr, when set, starts the /debug introspection endpoint
-	// (stats, per-trigger metrics, trace, expvar, pprof) on that
-	// address at open; "auto" binds a free localhost port. The
-	// listener is shut down by Engine.Close.
-	DebugAddr string
 	// Faults optionally installs a fault-injection registry consulted
 	// by the WAL and the lock manager (internal/fault). The simulation
 	// harness (internal/sim) arms it; nil — the production default —
@@ -144,11 +134,6 @@ type Options struct {
 	// Partition is this engine's partition id, stamped onto flight-
 	// recorder dumps and debug output. 0 for unpartitioned engines.
 	Partition int
-	// DisableEgress turns off commit-time capture of trigger firings
-	// for the durable egress feed (see internal/egress). The default —
-	// egress on — costs nothing on the masked non-firing hot path: the
-	// capture happens only when a trigger actually fires.
-	DisableEgress bool
 }
 
 // Engine is an active object database.
@@ -173,7 +158,6 @@ type Engine struct {
 	// reference the compiled programs are tested against. Only this
 	// package's tests set it, before the first posting.
 	interpretMasks bool
-	egressOff      bool            // Options.DisableEgress: skip firing capture
 	partition      int             // partition id (0 for unpartitioned engines)
 	faults         *fault.Registry // nil outside the simulation harness
 
@@ -199,12 +183,12 @@ type Engine struct {
 
 	stats statCounters
 
-	// Observability: traceBox is nil when tracing is disabled (the
-	// hot-path emit helpers in trace.go check it with one atomic
-	// load); metrics, the flight recorder and firing provenance are
-	// always on. names interns class/trigger/kind strings to the
-	// uint16 IDs the flight recorder stores.
-	traceBox atomic.Pointer[tracerBox]
+	// Observability: trace is nil when tracing is disabled (the record
+	// sites in flight.go and step check it with one atomic load);
+	// metrics, the flight recorder and firing provenance are always on.
+	// names interns class/trigger/kind strings to the uint16 IDs both
+	// recorders store.
+	trace    atomic.Pointer[obs.Flight]
 	metrics  *obs.Registry
 	flight   *obs.Flight
 	names    *obs.Interner
@@ -314,7 +298,6 @@ func New(opts Options) (*Engine, error) {
 		funcs:        map[string]MaskFunc{},
 		autoTables:   map[*compile.Table]struct{}{},
 		shadowOracle: opts.ShadowOracle,
-		egressOff:    opts.DisableEgress,
 		faults:       opts.Faults,
 		metrics:      obs.NewRegistry(),
 		names:        obs.NewInterner(),
@@ -327,9 +310,7 @@ func New(opts Options) (*Engine, error) {
 	e.prov.init(opts.ProvenanceBytes)
 	e.txUserID = e.names.Intern("user")
 	e.txSysID = e.names.Intern("system")
-	if !e.egressOff {
-		st.SetFiringSink(e.egressPublish)
-	}
+	st.SetFiringSink(e.egressPublish)
 	e.timers = newTimerTable(e)
 	e.txm.OnCommit(e.applyTimers)
 	switch {
@@ -337,15 +318,6 @@ func New(opts Options) (*Engine, error) {
 		e.book.Store(history.NewBook(opts.RecordHistories))
 	case opts.RecordHistories < 0:
 		e.book.Store(history.NewBook(0))
-	}
-	if opts.TraceBuffer != 0 {
-		e.EnableTracing(opts.TraceBuffer)
-	}
-	if opts.DebugAddr != "" {
-		if _, err := e.ServeDebug(opts.DebugAddr); err != nil {
-			st.Close()
-			return nil, err
-		}
 	}
 	return e, nil
 }

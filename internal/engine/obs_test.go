@@ -43,7 +43,7 @@ func TestTracePipelineOrder(t *testing.T) {
 	// its mask evaluation, the automaton step, the firing, and finally
 	// the commit fixpoint and commit.
 	next := 0
-	expect := func(want obs.Stage, match func(obs.Event) bool) obs.Event {
+	expect := func(want obs.Stage, match func(obs.FlightEvent) bool) obs.FlightEvent {
 		t.Helper()
 		for ; next < len(evs); next++ {
 			ev := evs[next]
@@ -53,18 +53,18 @@ func TestTracePipelineOrder(t *testing.T) {
 			}
 		}
 		t.Fatalf("stage %v not found in pipeline order (trace: %+v)", want, evs)
-		return obs.Event{}
+		return obs.FlightEvent{}
 	}
-	expect(obs.StageTxBegin, func(ev obs.Event) bool { return ev.Kind == "user" })
-	expect(obs.StageHappening, func(ev obs.Event) bool { return ev.Kind == "after withdraw" })
-	expect(obs.StageMask, func(ev obs.Event) bool { return ev.Trigger == "Large" })
-	expect(obs.StageStep, func(ev obs.Event) bool { return ev.Trigger == "Large" && ev.OK })
+	expect(obs.StageTxBegin, func(ev obs.FlightEvent) bool { return ev.Kind == "user" })
+	expect(obs.StageHappening, func(ev obs.FlightEvent) bool { return ev.Kind == "after withdraw" })
+	expect(obs.StageMask, func(ev obs.FlightEvent) bool { return ev.Trigger == "Large" })
+	expect(obs.StageStep, func(ev obs.FlightEvent) bool { return ev.Trigger == "Large" && ev.OK })
 	expect(obs.StageFire, nil)
 	expect(obs.StageTcomplete, nil)
 	expect(obs.StageTxCommit, nil)
 
 	// The fire event names the trigger and carries a latency.
-	var fire *obs.Event
+	var fire *obs.FlightEvent
 	for i := range evs {
 		if evs[i].Stage == obs.StageFire {
 			fire = &evs[i]
@@ -209,7 +209,7 @@ func TestPerTriggerMetrics(t *testing.T) {
 // TestPerTriggerMetricsOnSeededWorkload: over 50 seeded transactions
 // of random deposits and withdrawals on four objects, the per-trigger
 // firings and latency counts each sum to Stats().Firings, the trace
-// ring keeps what it can of what it saw, and a second engine fed the
+// keeps what it can of what it saw, and a second engine fed the
 // same seed counts the same happenings and firings.
 func TestPerTriggerMetricsOnSeededWorkload(t *testing.T) {
 	run := func() Stats {
@@ -274,8 +274,8 @@ func TestPerTriggerMetricsOnSeededWorkload(t *testing.T) {
 			t.Fatalf("per-trigger firings %d, latency counts %d, Stats().Firings %d",
 				firings, latCount, stats.Firings)
 		}
-		if ring.Len() == 0 || ring.Total() < uint64(ring.Len()) {
-			t.Fatalf("trace retained %d of %d", ring.Len(), ring.Total())
+		if n := len(ring.Events(0)); n == 0 || ring.Total() < uint64(n) {
+			t.Fatalf("trace retained %d of %d", n, ring.Total())
 		}
 		return stats
 	}
@@ -313,15 +313,13 @@ func TestStatsTcompleteAndShadow(t *testing.T) {
 	}
 }
 
-// TestTimerTraceAndOptions: timer deliveries appear as StageTimer, and
-// the Options.TraceBuffer knob enables tracing at open.
+// TestTimerTraceAndOptions: timer deliveries appear as StageTimer in a
+// trace enabled before any class is registered.
 func TestTimerTraceAndOptions(t *testing.T) {
-	e := newEngine(t, Options{
-		Start:       time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC),
-		TraceBuffer: 512,
-	})
+	e := newEngine(t, Options{Start: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)})
+	e.EnableTracing(512)
 	if !e.TracingEnabled() {
-		t.Fatal("Options.TraceBuffer did not enable tracing")
+		t.Fatal("EnableTracing did not enable tracing")
 	}
 	cls := &schema.Class{
 		Name:    "mon",
@@ -412,5 +410,86 @@ func TestPostHotPathDisabledTracerNoAllocs(t *testing.T) {
 	}
 	if ring.Total() == 0 {
 		t.Fatal("no events traced once enabled")
+	}
+}
+
+// TestTracingOnAllocatesNothing: with tracing on, a Tx.Call whose
+// happening a masked trigger rejects writes its happening, mask and step
+// records into the trace without allocating.
+func TestTracingOnAllocatesNothing(t *testing.T) {
+	cls, impl := accountClass(&recorder{},
+		schema.Trigger{Name: "Large", Perpetual: true, Event: "after withdraw(a) && a > 100"})
+	e := newEngine(t, Options{})
+	oid := setup(t, e, cls, impl, "Large")
+	tr := e.EnableTracing(64)
+
+	tx := e.Begin()
+	defer tx.Abort()
+	call := func() {
+		if _, err := tx.Call(oid, "withdraw", value.Int(5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	call() // the first access
+	before := tr.Total()
+	if avg := testing.AllocsPerRun(200, call); avg != 0 {
+		t.Fatalf("a traced Tx.Call allocates %.1f objects; want 0", avg)
+	}
+	if tr.Total() == before {
+		t.Fatal("the traced calls recorded nothing")
+	}
+}
+
+// TestTracingLeavesTheFlightWindowAlone: the same script run with
+// tracing off and on writes the same number of flight records, and the
+// trace holds those and the mask and step records of the masked
+// triggers that the flight recorder leaves out.
+func TestTracingLeavesTheFlightWindowAlone(t *testing.T) {
+	triggers := eightTriggers()
+	names := make([]string, len(triggers))
+	for i, tr := range triggers {
+		names[i] = tr.Name
+	}
+	run := func(trace bool) (uint64, *obs.Flight) {
+		cls, impl := accountClass(&recorder{}, triggers...)
+		e := newEngine(t, Options{})
+		oid := setup(t, e, cls, impl, names...)
+		var tr *obs.Flight
+		if trace {
+			tr = e.EnableTracing(4096)
+		}
+		before := e.Flight().Total()
+		for i := 0; i < 10; i++ {
+			if err := e.Transact(func(tx *Tx) error {
+				if _, err := tx.Call(oid, "deposit", value.Int(1)); err != nil {
+					return err
+				}
+				_, err := tx.Call(oid, "withdraw", value.Int(1))
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return e.Flight().Total() - before, tr
+	}
+	off, _ := run(false)
+	on, tr := run(true)
+	if off == 0 || on != off {
+		t.Fatalf("the flight recorder took %d records with tracing off and %d with it on", off, on)
+	}
+	var masks, steps int
+	for _, ev := range tr.Events(0) {
+		switch ev.Stage {
+		case obs.StageMask:
+			masks++
+			if ev.OK || ev.Trigger == "" {
+				t.Fatalf("mask record %+v, want a named trigger's rejection", ev)
+			}
+		case obs.StageStep:
+			steps++
+		}
+	}
+	if masks == 0 || steps == 0 || tr.Total() < on+uint64(masks+steps) {
+		t.Fatalf("the trace took %d records, %d of them masks and %d steps, beside %d flight records", tr.Total(), masks, steps, on)
 	}
 }

@@ -237,12 +237,13 @@ func (tx *Tx) flush(c *Class, ph *phase, m *meter, atNs int64) {
 // quiescence signal.
 func (tx *Tx) step(c *Class, ph *phase, oid store.OID, rec *store.Record,
 	h *event.Happening, only *Trigger, m *meter) (bool, error) {
-	e, txid := tx.e, tx.tx.ID()
+	e, txid, atNs := tx.e, tx.tx.ID(), h.At.UnixNano()
 	e.recordHappening(oid, h)
+	tr := e.trace.Load() // nil while tracing is off
 	var own counts
 	n := &own
 	if m == nil {
-		e.flightHappening(h.At.UnixNano(), txid, oid, c.nameID, ph.kindID)
+		e.flight.Record(obs.StageHappening, atNs, txid, uint64(oid), c.nameID, 0, ph.kindID, 0, 0, true, 0)
 	} else {
 		n = &m.counts
 		if len(m.trig) != len(ph.entries) && !m.direct {
@@ -250,7 +251,9 @@ func (tx *Tx) step(c *Class, ph *phase, oid store.OID, rec *store.Record,
 		}
 	}
 	n.happenings++
-	e.traceHappening(txid, oid, rec.Class, h.Kind)
+	if tr != nil {
+		tr.Record(obs.StageHappening, atNs, txid, uint64(oid), c.nameID, 0, ph.kindID, 0, 0, true, 0)
+	}
 
 	if len(ph.entries) != 0 {
 		// Size the record's slots to the class layout (fresh objects and
@@ -307,7 +310,9 @@ func (tx *Tx) step(c *Class, ph *phase, oid store.OID, rec *store.Record,
 				err = fmt.Errorf("engine: trigger %s mask: %w", t.Res.Name, err)
 				break
 			}
-			e.traceMask(txid, oid, rec.Class, t.Res.Name, d.used, bits)
+			if tr != nil {
+				tr.Record(obs.StageMask, atNs, txid, uint64(oid), c.nameID, t.nameID, ph.kindID, int(d.used), int(bits), bits != 0, 0)
+			}
 		}
 		sym := c.Res.Alphabet.Symbol(ph.kindIx, bits)
 
@@ -342,13 +347,15 @@ func (tx *Tx) step(c *Class, ph *phase, oid store.OID, rec *store.Record,
 		// them preserves the chain walk — the state is unchanged across
 		// the gap.
 		if (next != prev || accepted) && e.provAppend(oid, t.slot, obs.ProvStep{
-			TxID: txid, AtNs: h.At.UnixNano(),
+			TxID: txid, AtNs: atNs,
 			KindID: ph.kindID, Bits: bits, Sym: sym,
 			From: prev, To: next, Accepted: accepted,
 		}) {
 			n.provSteps++
 		}
-		e.traceStep(txid, oid, rec.Class, t.Res.Name, prev, next, accepted)
+		if tr != nil {
+			tr.Record(obs.StageStep, atNs, txid, uint64(oid), c.nameID, t.nameID, ph.kindID, prev, next, accepted, 0)
+		}
 		if e.shadowOracle {
 			if err = e.shadowCheck(oid, t, act, accepted); err != nil {
 				break
@@ -412,7 +419,6 @@ func (tx *Tx) fire(c *Class, ph *phase, oid store.OID, rec *store.Record, h *eve
 		tx.actCtx = saved
 		t.met.Fire(d, err)
 		tx.e.flightFire(tx.tx.ID(), oid, c.nameID, t.nameID, err == nil, d.Nanoseconds())
-		tx.e.traceFire(tx.tx.ID(), oid, c.Schema.Name, t.Res.Name, d, err)
 		if err != nil {
 			return err
 		}
@@ -421,17 +427,15 @@ func (tx *Tx) fire(c *Class, ph *phase, oid store.OID, rec *store.Record, h *eve
 		// posting transaction, and the feed carries committed firings
 		// only. Seq is stamped by the store at commit; TxID is the
 		// stepping transaction's (an outcome phase has its own).
-		if !tx.e.egressOff {
-			tx.tx.AddFiring(store.FiringRecord{
-				TxID:    tx.tx.ID(),
-				OID:     oid,
-				Part:    tx.e.partition,
-				Class:   c.Schema.Name,
-				Trigger: t.Res.Name,
-				Kind:    ph.name,
-				AtNs:    h.At.UnixNano(),
-			})
-		}
+		tx.tx.AddFiring(store.FiringRecord{
+			TxID:    tx.tx.ID(),
+			OID:     oid,
+			Part:    tx.e.partition,
+			Class:   c.Schema.Name,
+			Trigger: t.Res.Name,
+			Kind:    ph.name,
+			AtNs:    h.At.UnixNano(),
+		})
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ode/internal/event"
+	"ode/internal/obs"
 	"ode/internal/store"
 )
 
@@ -69,10 +70,12 @@ func (e *Engine) deliverCohort(co *cohort, oids []store.OID) {
 	// skipped.
 	sys.lazyAccess = true
 	var delivered uint64
-	tr := e.tracer()
+	tr := e.trace.Load() // nil while tracing is off
 	for _, oid := range oids {
 		err = sys.tx.PeekStep(oid, func(rec *store.Record) error {
-			traceTimer(tr, h.At, oid, co.ck.key, nil)
+			if tr != nil {
+				tr.Record(obs.StageTimer, h.At.UnixNano(), sys.tx.ID(), uint64(oid), c.nameID, 0, ph.kindID, 0, 0, true, 0)
+			}
 			delivered++
 			_, err := sys.step(c, ph, oid, rec, &h, nil, &co.m)
 			return err

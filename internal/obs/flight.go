@@ -5,10 +5,10 @@ import (
 	"sync/atomic"
 )
 
-// Flight is the always-on flight recorder: a fixed-size ring of recent
-// pipeline events kept even when tracing is disabled, so a crash or a
-// debugging session can always reconstruct "what was the engine doing
-// just now". It is lock-free on the record path — one atomic cursor
+// Flight is the event recorder: a fixed-size ring of recent pipeline
+// events. The engine keeps one always on, so a crash or a debugging
+// session can always reconstruct "what was the engine doing just now",
+// and a second one as its trace while tracing is on. It is lock-free on the record path — one atomic cursor
 // add plus a handful of atomic word stores per event, no allocation,
 // no mutex — which is what lets the engine leave it on permanently
 // without breaking the zero-alloc posting budget.

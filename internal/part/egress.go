@@ -5,8 +5,8 @@ import (
 	"math"
 	"net/http"
 	"slices"
-	"strconv"
 
+	"ode/internal/obs"
 	"ode/internal/store"
 )
 
@@ -143,29 +143,19 @@ func (db *DB) NotifyFirings(ch chan<- struct{}) func() { return db.feedWake.Add(
 // handleDebugFeed serves the merged feed:
 // /debug/feed?after=N&max=M (after defaults to 0, max to 1000).
 func (db *DB) handleDebugFeed(w http.ResponseWriter, r *http.Request) {
-	var after uint64
-	if s := r.URL.Query().Get("after"); s != "" {
-		n, err := strconv.ParseUint(s, 10, 64)
-		if err != nil {
-			http.Error(w, "bad after parameter", http.StatusBadRequest)
-			return
-		}
-		after = n
+	after, ok := obs.QueryUint(w, r, "after", 0)
+	if !ok {
+		return
 	}
-	max := 1000
-	if s := r.URL.Query().Get("max"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil {
-			http.Error(w, "bad max parameter", http.StatusBadRequest)
-			return
-		}
-		max = n
+	max, ok := obs.QueryUint(w, r, "max", 1000)
+	if !ok {
+		return
 	}
-	recs, head := db.FiringsAfter(after, max)
+	recs, head := db.FiringsAfter(after, int(max))
 	if recs == nil {
 		recs = []store.FiringRecord{}
 	}
-	writeJSON(w, struct {
+	obs.WriteJSON(w, struct {
 		Partitions int                  `json:"partitions"`
 		Head       uint64               `json:"head"`
 		Records    []store.FiringRecord `json:"records"`

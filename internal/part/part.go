@@ -53,8 +53,8 @@ type Options struct {
 	// Dir/p<p>. Empty means every partition is volatile.
 	Dir string
 	// Engine is the per-partition engine template. Dir, OIDBase,
-	// OIDStride, SingleWriter, Partition and DebugAddr are overridden
-	// per partition; everything else (ShadowOracle, Faults, flight and
+	// OIDStride, SingleWriter and Partition are overridden per
+	// partition; everything else (ShadowOracle, Faults, flight and
 	// provenance sizing, …) applies to each partition alike.
 	Engine engine.Options
 	// PerPartition, when set, customizes partition p's engine options
@@ -135,7 +135,6 @@ func Open(opts Options) (*DB, error) {
 		eo.OIDStride = uint64(n)
 		eo.SingleWriter = true
 		eo.Partition = p
-		eo.DebugAddr = "" // the DB serves an aggregate debug endpoint
 		if opts.PerPartition != nil {
 			opts.PerPartition(p, &eo)
 		}

@@ -1,13 +1,11 @@
 package part
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"reflect"
 	"sort"
-	"strconv"
 
 	"ode/internal/engine"
 	"ode/internal/obs"
@@ -111,7 +109,7 @@ func (db *DB) ExpvarNames() []string {
 func (db *DB) DebugHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, struct {
+		obs.WriteJSON(w, struct {
 			Partitions int            `json:"partitions"`
 			Aggregate  engine.Stats   `json:"aggregate"`
 			PerPart    []engine.Stats `json:"per_partition"`
@@ -122,23 +120,12 @@ func (db *DB) DebugHandler() http.Handler {
 		obs.WriteProm(w, db.Metrics(), engine.PromExtras(db.Stats()))
 	})
 	mux.HandleFunc("/debug/flight", func(w http.ResponseWriter, r *http.Request) {
-		last := 0
-		if s := r.URL.Query().Get("last"); s != "" {
-			n, err := strconv.Atoi(s)
-			if err != nil {
-				http.Error(w, "bad last parameter", http.StatusBadRequest)
-				return
-			}
-			last = n
+		if events, ok := obs.QueryEvents(w, r, 0, db.FlightEvents); ok {
+			obs.WriteJSON(w, struct {
+				Partitions int               `json:"partitions"`
+				Events     []obs.FlightEvent `json:"events"`
+			}{len(db.parts), events})
 		}
-		events := db.FlightEvents(last)
-		if events == nil {
-			events = []obs.FlightEvent{}
-		}
-		writeJSON(w, struct {
-			Partitions int               `json:"partitions"`
-			Events     []obs.FlightEvent `json:"events"`
-		}{len(db.parts), events})
 	})
 	mux.HandleFunc("/debug/feed", db.handleDebugFeed)
 	for p, pt := range db.parts {
@@ -165,13 +152,4 @@ func (db *DB) ServeDebug(addr string) (string, error) {
 	db.debugMu.Unlock()
 	go srv.Serve(ln)
 	return ln.Addr().String(), nil
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
 }
