@@ -400,7 +400,7 @@ func BenchmarkTimerDelivery(b *testing.B) {
 }
 
 // Observability cost: the same posting hot path with tracing disabled
-// (the default), with tracing into a ring buffer, and the disabled
+// (the default), with tracing into a second flight recorder, and the disabled
 // path's allocation guarantee. Per-trigger metrics are always on, so
 // "disabled" here is the production configuration.
 func BenchmarkEngineTracing(b *testing.B) {

@@ -80,7 +80,7 @@ func stageCount(evs []obs.FlightEvent, st obs.Stage) (n int) {
 // its StageBatch, whatever the cohort's size — it carries the class, the
 // timer kind, the member count and the id of the system transaction that
 // made the steps, and no member writes a StageTimer. An 'after' one-shot
-// writes the one StageHappening of its step. A tracer still gets one
+// writes the one StageHappening of its step. A trace still gets one
 // StageTimer event per member.
 func TestCohortTickIsOneFlightRecord(t *testing.T) {
 	tick := schema.Trigger{Name: "Rich", Perpetual: true, Event: "every time(M=10) && balance > 100"}
@@ -128,7 +128,7 @@ func TestCohortTickIsOneFlightRecord(t *testing.T) {
 		}
 	}
 	if timers != 10 || steps != 10 {
-		t.Fatalf("the tracer saw %d StageTimer and %d StageHappening events over 10 members, want 10 each", timers, steps)
+		t.Fatalf("the trace saw %d StageTimer and %d StageHappening events over 10 members, want 10 each", timers, steps)
 	}
 
 	// An 'after' one-shot is an individually posted happening.
