@@ -583,7 +583,7 @@ func (sh *shell) trace(rest string) error {
 			if ev.TxID != 0 {
 				fmt.Fprintf(sh.out, " tx=%d", ev.TxID)
 			}
-			if ev.OID != 0 {
+			if ev.OID != 0 && ev.Stage != ode.StageEgress {
 				fmt.Fprintf(sh.out, " @%d", ev.OID)
 			}
 			if ev.Trigger != "" {
@@ -601,6 +601,8 @@ func (sh *shell) trace(rest string) error {
 				fmt.Fprintf(sh.out, " %s ok=%v", time.Duration(ev.DurNs), ev.OK)
 			case ode.StageTcomplete:
 				fmt.Fprintf(sh.out, " round=%d fired=%v", ev.From, ev.OK)
+			case ode.StageEgress: // the OID slot carries the batch's size
+				fmt.Fprintf(sh.out, " n=%d seq=%d..%d", ev.OID, ev.From, ev.To)
 			}
 			fmt.Fprintln(sh.out)
 		}

@@ -157,6 +157,30 @@ func TestShellTraceAndStats(t *testing.T) {
 	}
 }
 
+// TestShellTraceEgress: the record of a firing reaching the egress feed
+// shows the batch's size and sequence numbers, not an object.
+func TestShellTraceEgress(t *testing.T) {
+	out := runScript(t,
+		"defclass acct v:int=0",
+		"deftrigger acct Big(): perpetual after set_v(x) && x > 100 ==> print",
+		"register acct",
+		"new acct",
+		"activate @1 Big",
+		".trace on",
+		"call @1 set_v 500",
+		".trace show",
+	)
+	var egress []string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.Contains(line, " egress ") {
+			egress = append(egress, line)
+		}
+	}
+	if len(egress) != 1 || !strings.HasSuffix(egress[0], " n=1 seq=1..1") || strings.Contains(egress[0], "@") {
+		t.Fatalf("egress lines %q, want one ending n=1 seq=1..1 with no object:\n%s", egress, out)
+	}
+}
+
 func TestShellTraceUsage(t *testing.T) {
 	out := runScript(t, ".trace sideways", ".trace on", ".trace show notanumber")
 	if n := strings.Count(out, "error:"); n != 2 {

@@ -22,8 +22,7 @@ import (
 //     per (trigger, kind) pair to a mask.Program with names resolved to
 //     positions in the happening's and the activation's parameter rows,
 //     so evaluation allocates nothing and does no string-keyed lookups
-//     (the AST interpreter in post.go is their reference; it reads the
-//     same rows, resolving names per lookup);
+//     (they are the posting path's only mask evaluator);
 //   - calls: per method, its declaration, its body and the two phases
 //     posted around it, so a call resolves its name once; life: the
 //     phases of the lifecycle kinds, so creating an object, first
@@ -168,11 +167,11 @@ func compileMaskProgs(c *Class, kix int, used uint32, trigParams []string) ([]*m
 	return progs, nil
 }
 
-// maskSlotResolver resolves mask variables to dense slots, mirroring
-// maskEnv.Lookup's precedence exactly: a declared formal renames to the
-// schema parameter (no fallthrough on a miss), then the happening's
-// parameters by schema name, then the trigger's activation parameters,
-// then the object's fields.
+// maskSlotResolver resolves mask variables to dense slots, nearest scope
+// first: a declared formal renames to the schema parameter (no
+// fallthrough on a miss), then the happening's parameters by schema
+// name, then the trigger's activation parameters, then the object's
+// fields. scope_test.go pins the order.
 type maskSlotResolver struct {
 	cls    *schema.Class
 	kind   event.Kind
@@ -183,8 +182,8 @@ type maskSlotResolver struct {
 func (r *maskSlotResolver) ResolveVar(name string) (mask.Slot, bool) {
 	if r.rename != nil {
 		if schemaName, ok := r.rename[name]; ok {
-			// Like maskEnv: a formal that renames to a name the kind
-			// does not bind is absent, never something else.
+			// A formal that renames to a name the kind does not
+			// bind is absent, never something else.
 			if ix := r.eventParamIx(schemaName); ix >= 0 {
 				return mask.Slot{Kind: mask.SlotEventParam, Index: ix, Name: schemaName}, true
 			}

@@ -154,12 +154,8 @@ type Engine struct {
 	autoTriggers uint64
 
 	shadowOracle bool
-	// interpretMasks sends mask evaluation to the AST interpreter, the
-	// reference the compiled programs are tested against. Only this
-	// package's tests set it, before the first posting.
-	interpretMasks bool
-	partition      int             // partition id (0 for unpartitioned engines)
-	faults         *fault.Registry // nil outside the simulation harness
+	partition    int             // partition id (0 for unpartitioned engines)
+	faults       *fault.Registry // nil outside the simulation harness
 
 	// firingSink is the optional live-feed callback (SetFiringSink):
 	// invoked with each span of newly durable firing records, in

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -19,7 +21,7 @@ import (
 // TestHotPathAllocBudget pins the PR's allocation contract: posting a
 // masked happening that does not fire allocates zero heap objects on
 // the volatile path (compiled mask program, dense trigger slot, no
-// maskEnv, no firing scratch).
+// firing scratch).
 func TestHotPathAllocBudget(t *testing.T) {
 	rec := &recorder{}
 	cls, impl := accountClass(rec,
@@ -291,10 +293,38 @@ func BenchmarkWholeTx(b *testing.B) {
 // errInject aborts a workload transaction on purpose.
 var errInject = errors.New("injected abort")
 
-// runMaskWorkload drives a deterministic randomized mix of deposits,
-// withdrawals, re-activations and aborts against three accounts and
-// returns the firing log and final balances.
-func runMaskWorkload(t *testing.T, interpreted bool) ([]string, []int64) {
+// maskOp is one transaction of runMaskWorkload's script.
+type maskOp struct {
+	acct int
+	kind int   // 0–2 deposit, 3–4 withdraw, 5 re-arm, 6 deposit then abort, 7 getBalance
+	n    int64 // the amount, or Big's new limit
+}
+
+// genMaskOps draws a deterministic randomized mix of deposits,
+// withdrawals, re-activations and aborts against three accounts.
+func genMaskOps(seed int64, n int) []maskOp {
+	rng := rand.New(rand.NewSource(seed))
+	ops := make([]maskOp, n)
+	for i := range ops {
+		op := &ops[i]
+		op.acct, op.kind = rng.Intn(3), rng.Intn(8)
+		switch op.kind {
+		case 0, 1, 2, 6:
+			op.n = int64(rng.Intn(400))
+		case 3, 4:
+			op.n = int64(rng.Intn(300))
+		case 5:
+			op.n = int64(50 + rng.Intn(300))
+		}
+	}
+	return ops
+}
+
+// runMaskWorkload runs ops, one transaction each, against three
+// accounts (balance 600, Big's limits 100, 200 and 300, every trigger
+// active) and returns the firing log, the final balances and the
+// accounts.
+func runMaskWorkload(t *testing.T, ops []maskOp) ([]string, []int64, []store.OID) {
 	t.Helper()
 	rec := &recorder{}
 	triggers := []schema.Trigger{
@@ -319,15 +349,13 @@ func runMaskWorkload(t *testing.T, interpreted bool) ([]string, []int64) {
 		},
 	}
 	for _, tr := range triggers {
-		name := tr.Name
-		impl.Actions[name] = func(ctx *ActionCtx) error {
+		impl.Actions[tr.Name] = func(ctx *ActionCtx) error {
 			rec.add(fmt.Sprintf("%s@%d %s", ctx.Trigger, ctx.Self, ctx.EventKind))
 			return nil
 		}
 	}
 
 	e := newEngine(t, Options{})
-	e.interpretMasks = interpreted
 	if _, err := e.RegisterClass(cls, impl, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -354,16 +382,15 @@ func runMaskWorkload(t *testing.T, interpreted bool) ([]string, []int64) {
 		t.Fatal(err)
 	}
 
-	rng := rand.New(rand.NewSource(92))
-	for i := 0; i < 300; i++ {
+	for i, op := range ops {
 		err := e.Transact(func(tx *Tx) error {
-			oid := accts[rng.Intn(len(accts))]
-			switch rng.Intn(8) {
+			oid := accts[op.acct]
+			switch op.kind {
 			case 0, 1, 2:
-				_, err := tx.Call(oid, "deposit", value.Int(int64(rng.Intn(400))))
+				_, err := tx.Call(oid, "deposit", value.Int(op.n))
 				return err
 			case 3, 4:
-				_, err := tx.Call(oid, "withdraw", value.Int(int64(rng.Intn(300))))
+				_, err := tx.Call(oid, "withdraw", value.Int(op.n))
 				return err
 			case 5:
 				// Restart the composite (it deactivates on firing) and
@@ -371,10 +398,9 @@ func runMaskWorkload(t *testing.T, interpreted bool) ([]string, []int64) {
 				if err := tx.Activate(oid, "Seq"); err != nil {
 					return err
 				}
-				return tx.Activate(oid, "Big", value.Int(int64(50+rng.Intn(300))))
+				return tx.Activate(oid, "Big", value.Int(op.n))
 			case 6:
-				_, err := tx.Call(oid, "deposit", value.Int(int64(rng.Intn(400))))
-				if err != nil {
+				if _, err := tx.Call(oid, "deposit", value.Int(op.n)); err != nil {
 					return err
 				}
 				return errInject // exercise the abort path mid-history
@@ -402,27 +428,82 @@ func runMaskWorkload(t *testing.T, interpreted bool) ([]string, []int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rec.list(), balances
+	return rec.list(), balances, accts
 }
 
-// TestCompiledMasksMatchInterpreter is the acceptance check that the
-// compiled hot path (mask programs + dispatch tables + dense slots)
-// produces firing sequences identical to the AST-interpreter baseline
-// over a randomized workload.
-func TestCompiledMasksMatchInterpreter(t *testing.T) {
-	logC, balC := runMaskWorkload(t, false)
-	logI, balI := runMaskWorkload(t, true)
-	if !reflect.DeepEqual(logC, logI) {
-		t.Fatalf("firing sequences diverge:\ncompiled:    %d firings %v\ninterpreted: %d firings %v",
-			len(logC), logC, len(logI), logI)
+// maskModel is runMaskWorkload's four triggers in plain Go: the firing
+// log ops must produce — an aborted transaction's firings included, its
+// actions ran — and the final balances.
+func maskModel(ops []maskOp, accts []store.OID) ([]string, []int64) {
+	type acct struct {
+		balance, lim   int64 // the field; Big's activation parameter
+		seqOn, seqSeen bool  // Seq active; its deposit over 200 seen
 	}
-	if !reflect.DeepEqual(balC, balI) {
-		t.Fatalf("final balances diverge: compiled %v, interpreted %v", balC, balI)
+	as := make([]acct, len(accts))
+	for i := range as {
+		as[i] = acct{balance: 600, lim: int64(100 + 100*i), seqOn: true}
 	}
-	if len(logC) == 0 {
-		t.Fatal("workload fired nothing; equivalence untested")
+	var log []string
+	for _, op := range ops {
+		a := &as[op.acct]
+		committed := *a
+		fire := func(trigger, kind string) {
+			log = append(log, fmt.Sprintf("%s@%d %s", trigger, accts[op.acct], kind))
+		}
+		switch op.kind {
+		case 0, 1, 2, 6:
+			a.balance += op.n
+			if op.n > a.lim {
+				fire("Big", "after deposit")
+			}
+			a.seqSeen = a.seqSeen || op.n > 200
+			if 2*op.n > 300 {
+				fire("Dbl", "after deposit")
+			}
+			if op.kind == 6 {
+				*a = committed
+			}
+		case 3, 4:
+			a.balance -= op.n
+			if a.balance < 500 {
+				fire("Poor", "after withdraw")
+			}
+			if a.seqOn && a.seqSeen {
+				fire("Seq", "after withdraw")
+				a.seqOn = false
+			}
+		case 5:
+			a.seqOn, a.seqSeen, a.lim = true, false, op.n
+		}
 	}
-	t.Logf("identical firing sequences (%d firings)", len(logC))
+	balances := make([]int64, len(as))
+	for i, a := range as {
+		balances[i] = a.balance
+	}
+	return log, balances
+}
+
+// TestCompiledMasksMatchModel is the acceptance check for the compiled
+// hot path (mask programs + dispatch tables + dense slots): over a
+// randomized workload it fires what a plain-Go model of the triggers
+// says, in the model's order, and leaves the model's balances.
+func TestCompiledMasksMatchModel(t *testing.T) {
+	ops := genMaskOps(92, 300)
+	log, balances, accts := runMaskWorkload(t, ops)
+	wantLog, wantBalances := maskModel(ops, accts)
+	if !reflect.DeepEqual(log, wantLog) {
+		t.Fatalf("firing sequences diverge:\ncompiled: %d firings %v\nmodel:    %d firings %v",
+			len(log), log, len(wantLog), wantLog)
+	}
+	if !reflect.DeepEqual(balances, wantBalances) {
+		t.Fatalf("final balances diverge: compiled %v, model %v", balances, wantBalances)
+	}
+	for _, name := range []string{"Big", "Poor", "Seq", "Dbl"} {
+		if !slices.ContainsFunc(log, func(f string) bool { return strings.HasPrefix(f, name+"@") }) {
+			t.Fatalf("%s never fired; the model is untested for it", name)
+		}
+	}
+	t.Logf("identical firing sequences (%d firings)", len(log))
 }
 
 // TestRegisterClassSharedParserConcurrent: registering two classes that

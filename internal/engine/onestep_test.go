@@ -89,10 +89,9 @@ type oneStepRun struct {
 // runOneStep executes the script on a fresh engine. mode is how a
 // transaction's calls are posted: "call" (one Tx.Call each), "batch"
 // (one PostBatch) or "chunks" (PostBatch in random chunks);
-// interpreted evaluates masks through the AST-interpreter seam;
 // perObject delivers ticks through postTimer, one member at a time,
 // instead of one cohort tick.
-func runOneStep(t *testing.T, script []oneStepTx, seed int64, mode string, interpreted, perObject bool) oneStepRun {
+func runOneStep(t *testing.T, script []oneStepTx, seed int64, mode string, perObject bool) oneStepRun {
 	t.Helper()
 	var run oneStepRun
 	bodies := 0
@@ -140,7 +139,6 @@ func runOneStep(t *testing.T, script []oneStepTx, seed int64, mode string, inter
 	}
 
 	e := newEngine(t, Options{})
-	e.interpretMasks = interpreted
 	e.timers.perObject = perObject
 	c, err := e.RegisterClass(cls, impl, nil)
 	if err != nil {
@@ -261,9 +259,8 @@ func runOneStep(t *testing.T, script []oneStepTx, seed int64, mode string, inter
 
 // TestOneStepDifferential: posting a script one Tx.Call at a time, as
 // one PostBatch per transaction, or as PostBatches of random chunks —
-// with compiled masks or through the AST-interpreter seam, with ticks
-// delivered as one cohort tick or by postTimer member by member — is
-// one execution: the same firings in the same order, the same
+// with ticks delivered as one cohort tick or by postTimer member by
+// member — is one execution: the same firings in the same order, the same
 // provenance chains (but for the id of the delivering transaction), the
 // same final trigger states, detection counters and per-trigger metrics,
 // and the same errors at the same entries. The script's class has a
@@ -273,7 +270,7 @@ func runOneStep(t *testing.T, script []oneStepTx, seed int64, mode string, inter
 func TestOneStepDifferential(t *testing.T) {
 	for _, seed := range []int64{3, 58, 2024, 77001} {
 		script := genOneStepScript(seed, 80)
-		want := runOneStep(t, script, seed, "call", false, false)
+		want := runOneStep(t, script, seed, "call", false)
 		var maskFailed, aborted bool
 		for _, o := range want.outcomes {
 			maskFailed = maskFailed || strings.Contains(o, "trigger Bad mask: odd: unlucky")
@@ -289,13 +286,11 @@ func TestOneStepDifferential(t *testing.T) {
 			}
 		}
 		for _, perObject := range []bool{false, true} {
-			for _, interpreted := range []bool{false, true} {
-				for _, mode := range []string{"call", "batch", "chunks"} {
-					got := runOneStep(t, script, seed, mode, interpreted, perObject)
-					if diff := oneStepDiff(got, want); diff != "" {
-						t.Errorf("seed %d, %s, interpreted %v, per-object timers %v: diverges from Tx.Call / compiled / cohort%s",
-							seed, mode, interpreted, perObject, diff)
-					}
+			for _, mode := range []string{"call", "batch", "chunks"} {
+				got := runOneStep(t, script, seed, mode, perObject)
+				if diff := oneStepDiff(got, want); diff != "" {
+					t.Errorf("seed %d, %s, per-object timers %v: diverges from Tx.Call / cohort%s",
+						seed, mode, perObject, diff)
 				}
 			}
 		}

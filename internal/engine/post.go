@@ -291,18 +291,14 @@ func (tx *Tx) step(c *Class, ph *phase, oid store.OID, rec *store.Record,
 		if d.used != 0 {
 			var evals, falses uint32
 			if err = t.checkParams(act); err == nil {
-				if e.interpretMasks {
-					bits, evals, falses, err = tx.interpretBits(c, ph, d, h, act.Params(), oid, rec)
-				} else {
-					// The Tx's progHost is reused by address (the Host
-					// interface conversion must not allocate); save/restore
-					// by value keeps nested evaluations — a mask calling a
-					// read method — correct.
-					saved := tx.penv
-					tx.penv = progHost{tx: tx, self: oid, rec: rec, cls: c}
-					bits, evals, falses, err = mask.EvalBits(d.progs, d.used, h.Params, act.Params(), &tx.penv)
-					tx.penv = saved
-				}
+				// The Tx's progHost is reused by address (the Host
+				// interface conversion must not allocate); save/restore
+				// by value keeps nested evaluations — a mask calling a
+				// read method — correct.
+				saved := tx.penv
+				tx.penv = progHost{tx: tx, self: oid, rec: rec, cls: c}
+				bits, evals, falses, err = mask.EvalBits(d.progs, d.used, h.Params, act.Params(), &tx.penv)
+				tx.penv = saved
 			}
 			n.maskEvals += uint64(evals)
 			m.count(i, t, 0, uint64(evals), uint64(falses))
@@ -461,37 +457,6 @@ func (t *Trigger) checkParams(act *store.TrigState) error {
 	return nil
 }
 
-// interpretBits is mask.EvalBits by the AST interpreter: the same
-// verdict bits and counts for entry d's used masks, with names resolved
-// against the declarations per lookup. It is the reference the compiled
-// programs are tested against (Engine.interpretMasks).
-func (tx *Tx) interpretBits(c *Class, ph *phase, d *dispatchEntry, h *event.Happening,
-	trig []value.Value, oid store.OID, rec *store.Record) (bits, evals, falses uint32, err error) {
-	masks := c.Res.Alphabet.Kinds[ph.kindIx].Masks
-	env := maskEnv{
-		tx: tx, self: oid, rec: rec, cls: c,
-		evm: c.Schema.Method(h.Kind.Method), params: h.Params,
-		trigNames: d.t.Res.Params, trig: trig,
-	}
-	for bit := range masks {
-		if d.used&(1<<bit) == 0 {
-			continue
-		}
-		env.rename = masks[bit].Rename
-		evals++
-		ok, err := masks[bit].Expr.EvalBool(&env)
-		if err != nil {
-			return 0, evals, falses, err
-		}
-		if ok {
-			bits |= 1 << bit
-		} else {
-			falses++
-		}
-	}
-	return bits, evals, falses, nil
-}
-
 // shadowCheck re-evaluates the trigger's event expression over the
 // instance's recorded symbol history with the §4 denotational
 // semantics and compares the verdicts. It implements Options
@@ -517,51 +482,11 @@ func (e *Engine) recordHappening(oid store.OID, h *event.Happening) {
 	book.Log(oid).Append(history.Entry{Kind: h.Kind, Symbol: -1, TxID: h.TxID, At: h.At})
 }
 
-// maskEnv resolves names during mask evaluation: declared formals
-// (renamed to schema parameter names), the happening's parameters,
-// the trigger's activation parameters, then the object's fields —
-// maskSlotResolver (dispatch.go) is the same precedence, resolved once.
-// Masks "may access the state of any object in the database" (§3.2)
-// through object-reference field paths and calls; those reads are
-// isolated (locked) but post no events.
-type maskEnv struct {
-	tx        *Tx
-	self      store.OID
-	rec       *store.Record
-	cls       *Class
-	evm       *schema.Method // the happening's method: names params (nil for other kinds)
-	params    []value.Value
-	rename    map[string]string
-	trigNames []string // the trigger's declared parameters: names trig
-	trig      []value.Value
-}
-
-func (m *maskEnv) Lookup(name string) (value.Value, bool) {
-	if schemaName, ok := m.rename[name]; ok {
-		// A formal that renames to a name the kind does not bind is
-		// absent, never something else.
-		return paramAt(m.params, m.evm.ParamIndex(schemaName))
-	}
-	if v, ok := paramAt(m.params, m.evm.ParamIndex(name)); ok {
-		return v, true
-	}
-	if v, ok := paramAt(m.trig, slices.Index(m.trigNames, name)); ok {
-		return v, true
-	}
-	return m.rec.Field(name)
-}
-
-func (m *maskEnv) Field(base value.Value, name string) (value.Value, error) {
-	return m.tx.maskDotField(base, name)
-}
-
-func (m *maskEnv) Call(name string, args []value.Value) (value.Value, error) {
-	return m.tx.maskCall(m.cls, m.self, name, args)
-}
-
-// maskDotField resolves base.name during mask evaluation — shared by
-// the interpreter env above and the compiled-program host (dispatch.go)
-// so the two paths cannot drift.
+// maskDotField resolves base.name during mask evaluation, for the
+// compiled programs' host (progHost, dispatch.go). Masks "may access the
+// state of any object in the database" (§3.2) through object-reference
+// field paths and calls; those reads are isolated (locked) but post no
+// events.
 func (tx *Tx) maskDotField(base value.Value, name string) (value.Value, error) {
 	if base.Kind != value.KindID {
 		return value.Null(), fmt.Errorf("engine: field access on %s (need an object reference)", base.Kind)
@@ -579,8 +504,7 @@ func (tx *Tx) maskDotField(base value.Value, name string) (value.Value, error) {
 
 // maskCall invokes a mask function: class-level functions first, then
 // the class's read methods, then engine-global functions, behind the
-// user-code boundary (Tx.enter, leave). Shared by the interpreter env and
-// the compiled-program host.
+// user-code boundary (Tx.enter, leave), for the compiled programs' host.
 func (tx *Tx) maskCall(cls *Class, self store.OID, name string, args []value.Value) (_ value.Value, err error) {
 	if err = tx.enter(cls, "function", name); err != nil {
 		return value.Null(), err

@@ -84,7 +84,7 @@ type batchWorkloadResult struct {
 // tx.Call per entry, "batch" builds a Batch and posts it with
 // tx.PostBatch. The shadow oracle cross-checks every automaton step
 // against the §4 denotational semantics in both modes.
-func runBatchWorkload(t *testing.T, ops []batchScriptOp, mode string, interpreted bool) batchWorkloadResult {
+func runBatchWorkload(t *testing.T, ops []batchScriptOp, mode string) batchWorkloadResult {
 	t.Helper()
 	rec := &recorder{}
 	triggers := []schema.Trigger{
@@ -103,7 +103,6 @@ func runBatchWorkload(t *testing.T, ops []batchScriptOp, mode string, interprete
 		}
 	}
 	e := newEngine(t, Options{ShadowOracle: true})
-	e.interpretMasks = interpreted
 	if _, err := e.RegisterClass(cls, impl, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -228,14 +227,12 @@ func runBatchWorkload(t *testing.T, ops []batchScriptOp, mode string, interprete
 // identical to issuing its calls one at a time — same firing sequence,
 // final object states, trigger automaton states and provenance chains
 // — with the §4 shadow oracle validating every automaton transition in
-// both runs. A third run posts the batches with masks evaluated by the
-// AST interpreter, pinning the compiled programs to their reference.
+// both runs.
 func TestPostBatchEquivalence(t *testing.T) {
 	for _, seed := range []int64{7, 92, 4711} {
 		ops := genBatchScript(seed, 120)
-		single := runBatchWorkload(t, ops, "single", false)
-		batch := runBatchWorkload(t, ops, "batch", false)
-		slow := runBatchWorkload(t, ops, "batch", true)
+		single := runBatchWorkload(t, ops, "single")
+		batch := runBatchWorkload(t, ops, "batch")
 
 		if !reflect.DeepEqual(single.fires, batch.fires) {
 			t.Fatalf("seed %d: firing sequences diverge:\nsingle: %v\nbatch:  %v", seed, single.fires, batch.fires)
@@ -248,9 +245,6 @@ func TestPostBatchEquivalence(t *testing.T) {
 		}
 		if !reflect.DeepEqual(single.prov, batch.prov) {
 			t.Fatalf("seed %d: provenance chains diverge:\nsingle: %v\nbatch:  %v", seed, single.prov, batch.prov)
-		}
-		if !reflect.DeepEqual(single.fires, slow.fires) || !reflect.DeepEqual(single.balances, slow.balances) {
-			t.Fatalf("seed %d: interpreted batch path diverges from singles", seed)
 		}
 		if len(batch.fires) == 0 {
 			t.Fatalf("seed %d: workload fired nothing; equivalence untested", seed)

@@ -212,18 +212,15 @@ func TestActionEventParamsExtension(t *testing.T) {
 // happening's parameters is its own. A method body that alters the
 // argument map it is handed — between the before- and the after-posting —
 // changes neither what the before-action retained nor what the
-// after-posting's masks read, compiled or interpreted (the two used to
-// read different copies: the interpreter the shared map, compiled masks
-// the row); and on the batch path a later entry overwriting the plan's
+// after-posting's masks read; and on the batch path a later entry overwriting the plan's
 // parameter row changes nothing an earlier entry's action kept.
 func TestRetainedEventParamsAreDetached(t *testing.T) {
 	type kept struct {
 		m map[string]value.Value
 		v value.Value
 	}
-	run := func(t *testing.T, interpreted, batch bool) ([]string, []kept) {
+	run := func(t *testing.T, batch bool) ([]string, []kept) {
 		e := newEngine(t, Options{})
-		e.interpretMasks = interpreted
 		var log []string
 		var retained []kept
 		cls := &schema.Class{
@@ -292,21 +289,19 @@ func TestRetainedEventParamsAreDetached(t *testing.T) {
 	}
 
 	want := []string{"Seen 10", "Seen 20", "Seen 600", "Huge 600"}
-	for _, interpreted := range []bool{false, true} {
-		for _, batch := range []bool{false, true} {
-			log, retained := run(t, interpreted, batch)
-			if !slices.Equal(log, want) {
-				t.Errorf("interpreted=%v batch=%v: firings %v, want %v", interpreted, batch, log, want)
+	for _, batch := range []bool{false, true} {
+		log, retained := run(t, batch)
+		if !slices.Equal(log, want) {
+			t.Errorf("batch=%v: firings %v, want %v", batch, log, want)
+		}
+		for i, n := range []int64{10, 20, 600} {
+			if i >= len(retained) {
+				break
 			}
-			for i, n := range []int64{10, 20, 600} {
-				if i >= len(retained) {
-					break
-				}
-				k := retained[i]
-				if len(k.m) != 1 || !k.m["n"].Equal(value.Int(n)) || !k.v.Equal(value.Int(n)) {
-					t.Errorf("interpreted=%v batch=%v: action %d retained %v / %s, want n=%d",
-						interpreted, batch, i, k.m, k.v, n)
-				}
+			k := retained[i]
+			if len(k.m) != 1 || !k.m["n"].Equal(value.Int(n)) || !k.v.Equal(value.Int(n)) {
+				t.Errorf("batch=%v: action %d retained %v / %s, want n=%d",
+					batch, i, k.m, k.v, n)
 			}
 		}
 	}

@@ -70,7 +70,7 @@ const (
 	StageBatch
 	// StageEgress: a batch of firing records became visible on the
 	// durable egress feed; From holds the first sequence number of the
-	// batch, To the last.
+	// batch, To the last, and the OID slot the batch's size.
 	StageEgress
 )
 

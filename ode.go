@@ -140,6 +140,7 @@ const (
 	StageTxCommit  = obs.StageTxCommit
 	StageTxAbort   = obs.StageTxAbort
 	StageTcomplete = obs.StageTcomplete
+	StageEgress    = obs.StageEgress
 )
 
 // History views (§6). Either way a trigger's automaton state is stored
