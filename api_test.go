@@ -208,3 +208,45 @@ func TestExplainAndFlightThroughRootAPI(t *testing.T) {
 		t.Fatalf("stats missing obs counters: %+v", s)
 	}
 }
+
+// TestPostBatchTraceRecordIsStageBatch: a PostBatch run is traced as one
+// record per kind, which a library caller matches by ode.StageBatch; the
+// record's From holds the run's count.
+func TestPostBatchTraceRecordIsStageBatch(t *testing.T) {
+	db := openDB(t)
+	if err := balanceMethods(db.NewClass("account")).Register(); err != nil {
+		t.Fatal(err)
+	}
+	oids := make([]ode.OID, 3)
+	err := db.Transact(func(tx *ode.Tx) (err error) {
+		for i := range oids {
+			if oids[i], err = tx.NewObject("account", nil); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.EnableTracing(256)
+	b := ode.NewBatch("account", len(oids))
+	for _, oid := range oids {
+		b.Call(oid, "deposit", ode.Int(5))
+	}
+	if err := db.PostBatch(b); err != nil {
+		t.Fatal(err)
+	}
+	var runs []ode.FlightEvent
+	for _, ev := range db.TraceEvents(0) {
+		if ev.Stage == ode.StageBatch && ev.Class == "account" && ev.Kind == "after deposit" {
+			runs = append(runs, ev)
+		}
+	}
+	if len(runs) != 1 || runs[0].From != len(oids) || runs[0].OID != 0 {
+		t.Fatalf("after-deposit batch records %+v, want one with From %d and no object", runs, len(oids))
+	}
+	if got := ode.StageBatch.String(); got != "batch" {
+		t.Fatalf("StageBatch is %q, want batch", got)
+	}
+}

@@ -601,6 +601,8 @@ func (sh *shell) trace(rest string) error {
 				fmt.Fprintf(sh.out, " %s ok=%v", time.Duration(ev.DurNs), ev.OK)
 			case ode.StageTcomplete:
 				fmt.Fprintf(sh.out, " round=%d fired=%v", ev.From, ev.OK)
+			case ode.StageBatch:
+				fmt.Fprintf(sh.out, " n=%d", ev.From)
 			case ode.StageEgress: // the OID slot carries the batch's size
 				fmt.Fprintf(sh.out, " n=%d seq=%d..%d", ev.OID, ev.From, ev.To)
 			}

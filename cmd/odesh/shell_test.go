@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -178,6 +179,35 @@ func TestShellTraceEgress(t *testing.T) {
 	}
 	if len(egress) != 1 || !strings.HasSuffix(egress[0], " n=1 seq=1..1") || strings.Contains(egress[0], "@") {
 		t.Fatalf("egress lines %q, want one ending n=1 seq=1..1 with no object:\n%s", egress, out)
+	}
+}
+
+// TestShellTraceBatch: a lifecycle run's batch record shows its count:
+// the before tcomplete and after tcommit runs over two objects.
+func TestShellTraceBatch(t *testing.T) {
+	out := runScript(t,
+		"defclass acct v:int=0",
+		"register acct",
+		"new acct",
+		"new acct",
+		".trace on",
+		"begin",
+		"call @1 set_v 1",
+		"call @2 set_v 2",
+		"commit",
+		".trace show",
+	)
+	var runs []string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.Contains(line, " batch ") {
+			_, run, _ := strings.Cut(line, " tx=")
+			_, run, _ = strings.Cut(run, " ") // past the transaction id
+			runs = append(runs, run)
+		}
+	}
+	want := []string{"before tcomplete n=2", "after tcommit n=2"}
+	if !slices.Equal(runs, want) {
+		t.Fatalf("batch lines %q, want %q:\n%s", runs, want, out)
 	}
 }
 

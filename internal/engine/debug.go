@@ -246,15 +246,15 @@ type debugAutomaton struct {
 
 func (e *Engine) handleDebugAutomata(w http.ResponseWriter, r *http.Request) {
 	cs := compile.AutomatonCacheStats()
-	e.mu.RLock()
+	reg := e.reg.Load()
 	sharers := map[*compile.Table]int{}
-	for _, c := range e.classes {
+	for _, c := range reg.classes {
 		for _, t := range c.Triggers {
 			sharers[t.Auto.Tab]++
 		}
 	}
 	var rows []debugAutomaton
-	for _, c := range e.classes {
+	for _, c := range reg.classes {
 		for _, t := range c.Triggers {
 			tab := t.Auto.Tab
 			rows = append(rows, debugAutomaton{
@@ -271,6 +271,7 @@ func (e *Engine) handleDebugAutomata(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 	}
+	triggers, tables, bytes := reg.automata()
 	summary := struct {
 		Triggers   uint64           `json:"triggers"`
 		Tables     uint64           `json:"distinct_tables"`
@@ -279,14 +280,13 @@ func (e *Engine) handleDebugAutomata(w http.ResponseWriter, r *http.Request) {
 		CacheMiss  uint64           `json:"compile_cache_misses"`
 		Automata   []debugAutomaton `json:"automata"`
 	}{
-		Triggers:   e.autoTriggers,
-		Tables:     uint64(len(e.autoTables)),
-		TableBytes: e.autoBytes,
+		Triggers:   triggers,
+		Tables:     tables,
+		TableBytes: bytes,
 		CacheHits:  cs.Hits,
 		CacheMiss:  cs.Misses,
 		Automata:   rows,
 	}
-	e.mu.RUnlock()
 	sort.Slice(summary.Automata, func(i, j int) bool {
 		a, b := summary.Automata[i], summary.Automata[j]
 		if a.Class != b.Class {

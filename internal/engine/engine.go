@@ -23,6 +23,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -142,16 +143,8 @@ type Engine struct {
 	txm *txn.Manager
 	clk *clock.Virtual
 
-	mu      sync.RWMutex
-	classes map[string]*Class
-	funcs   map[string]MaskFunc
-
-	// Automaton memory accounting (under mu): the distinct hash-consed
-	// tables this engine's triggers reference, the resident bytes of
-	// those tables, and the trigger count.
-	autoTables   map[*compile.Table]struct{}
-	autoBytes    uint64
-	autoTriggers uint64
+	mu  sync.Mutex               // serializes registration, which replaces reg
+	reg atomic.Pointer[registry] // read with no lock; a record's class is its layout's owner (classOf)
 
 	shadowOracle bool
 	partition    int             // partition id (0 for unpartitioned engines)
@@ -198,6 +191,29 @@ type Engine struct {
 	expvarName string
 }
 
+// registry is what resolves by name: classes and engine-global functions.
+type registry struct {
+	classes map[string]*Class
+	funcs   map[string]MaskFunc
+}
+
+// automata counts the registered triggers, the distinct hash-consed
+// tables they step and those tables' resident bytes.
+func (r *registry) automata() (triggers, tables, bytes uint64) {
+	seen := map[*compile.Table]bool{}
+	for _, c := range r.classes {
+		for _, t := range c.Triggers {
+			triggers++
+			if !seen[t.Auto.Tab] {
+				seen[t.Auto.Tab] = true
+				tables++
+				bytes += uint64(t.Auto.Tab.Compact.Bytes())
+			}
+		}
+	}
+	return triggers, tables, bytes
+}
+
 // Class is a registered class: schema, compiled trigger automata and
 // bound implementations.
 type Class struct {
@@ -218,6 +234,9 @@ type Class struct {
 	phases []phase
 	calls  map[string]*call
 	life   [len(lifeKinds)]*phase
+	// defaults holds the declared defaults (null where none is): every
+	// object created without fields shares them until its first write.
+	defaults map[string]value.Value
 }
 
 // Trigger is one compiled trigger of a class.
@@ -290,15 +309,13 @@ func New(opts Options) (*Engine, error) {
 		st:           st,
 		txm:          txn.NewManagerWith(st, opts.Faults),
 		clk:          clock.NewVirtual(start),
-		classes:      map[string]*Class{},
-		funcs:        map[string]MaskFunc{},
-		autoTables:   map[*compile.Table]struct{}{},
 		shadowOracle: opts.ShadowOracle,
 		faults:       opts.Faults,
 		metrics:      obs.NewRegistry(),
 		names:        obs.NewInterner(),
 		partition:    opts.Partition,
 	}
+	e.reg.Store(&registry{classes: map[string]*Class{}, funcs: map[string]MaskFunc{}})
 	if opts.SingleWriter {
 		e.txm.SetSingleWriter(true)
 	}
@@ -352,7 +369,10 @@ func (e *Engine) Checkpoint() error { return e.st.Checkpoint() }
 func (e *Engine) RegisterFunc(name string, fn MaskFunc) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.funcs[name] = fn
+	cur := e.reg.Load()
+	funcs := maps.Clone(cur.funcs)
+	funcs[name] = fn
+	e.reg.Store(&registry{classes: cur.classes, funcs: funcs})
 }
 
 // RegisterClass validates, resolves and compiles a class: every
@@ -386,7 +406,11 @@ func (e *Engine) RegisterClass(cls *schema.Class, impl ClassImpl, ps *evlang.Par
 		return nil, err
 	}
 	c := &Class{Schema: cls, Res: res, Impl: impl, byName: map[string]*Trigger{}, parser: ps,
-		met: e.metrics.Class(cls.Name), nameID: e.names.Intern(cls.Name)}
+		met: e.metrics.Class(cls.Name), nameID: e.names.Intern(cls.Name),
+		defaults: make(map[string]value.Value, len(cls.Fields))}
+	for _, f := range cls.Fields {
+		c.defaults[f.Name] = f.Default
+	}
 	layout := e.st.Layout(cls.Name)
 	for _, tr := range res.Triggers {
 		view := schema.CommittedView
@@ -433,21 +457,20 @@ func (e *Engine) RegisterClass(cls *schema.Class, impl ClassImpl, ps *evlang.Par
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if _, dup := e.classes[cls.Name]; dup {
+	cur := e.reg.Load()
+	if _, dup := cur.classes[cls.Name]; dup {
 		return nil, fmt.Errorf("engine: class %s already registered", cls.Name)
 	}
-	e.classes[cls.Name] = c
+	classes := maps.Clone(cur.classes)
+	classes[cls.Name] = c
+	e.reg.Store(&registry{classes: classes, funcs: cur.funcs})
+	layout.SetOwner(c)
 	for _, t := range c.Triggers {
 		// The one thing a history view decides at run time is what a
 		// rollback does with the trigger's slot (§6): a whole-view
 		// automaton has seen the aborted events too.
 		if t.View == schema.WholeView {
 			layout.Keep(t.slot)
-		}
-		e.autoTriggers++
-		if _, seen := e.autoTables[t.Auto.Tab]; !seen {
-			e.autoTables[t.Auto.Tab] = struct{}{}
-			e.autoBytes += uint64(t.Auto.Tab.Compact.Bytes())
 		}
 	}
 	return c, nil
@@ -488,15 +511,11 @@ func (e *Engine) bindAction(cls *schema.Class, impl ClassImpl, tr *evlang.Trigge
 }
 
 // Class returns a registered class, or nil.
-func (e *Engine) Class(name string) *Class {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.classes[name]
-}
+func (e *Engine) Class(name string) *Class { return e.reg.Load().classes[name] }
 
-// classOf resolves the class of a record.
+// classOf resolves the class of a record: its layout's owner.
 func (e *Engine) classOf(rec *store.Record) (*Class, error) {
-	c := e.Class(rec.Class)
+	c, _ := rec.Owner().(*Class)
 	if c == nil {
 		return nil, fmt.Errorf("engine: object %d has unregistered class %q", rec.OID, rec.Class)
 	}

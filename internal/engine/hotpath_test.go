@@ -541,3 +541,53 @@ func TestRegisterClassSharedParserConcurrent(t *testing.T) {
 		t.Fatalf("shared parser's Methods mutated in place: %v", ps.Methods)
 	}
 }
+
+// TestNewObjectAllocBudget: creating an object without fields,
+// activating a trigger on it and committing allocates no map for its
+// fields — the object shares its class's defaults until its first write
+// — so what it costs does not depend on how many fields the class
+// declares, and stays within a per-object budget. The comparison is
+// exact on every map implementation: at one allocation per fields map,
+// a class with 40 fields would cost at least one more than a class with
+// two.
+func TestNewObjectAllocBudget(t *testing.T) {
+	const budget = 6 // measured 4.5 per object; slack for map-implementation differences between Go releases
+	const objects = 64
+	perTx := func(extra int) float64 {
+		cls, impl := accountClass(&recorder{}, schema.Trigger{Name: "Big", Perpetual: true, Event: "after deposit(n) && n > 100"})
+		for i := 0; i < extra; i++ {
+			cls.Fields = append(cls.Fields, schema.Field{Name: fmt.Sprintf("f%d", i), Kind: value.KindInt, Default: value.Int(int64(i))})
+		}
+		e := newEngine(t, Options{})
+		if _, err := e.RegisterClass(cls, impl, nil); err != nil {
+			t.Fatal(err)
+		}
+		create := func() {
+			err := e.Transact(func(tx *Tx) error {
+				for i := 0; i < objects; i++ {
+					oid, err := tx.NewObject("account", nil)
+					if err != nil {
+						return err
+					}
+					if err := tx.Activate(oid, "Big"); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		create() // the store's tables past their first growth
+		return testing.AllocsPerRun(20, create)
+	}
+	two, many := perTx(0), perTx(38)
+	t.Logf("a transaction creating %d objects allocates %.0f objects (%.2f per object), %.0f with 40 fields", objects, two, two/objects, many)
+	if many != two {
+		t.Errorf("a transaction creating %d objects allocates %.0f objects with 2 fields, %.0f with 40: new objects allocate their fields", objects, two, many)
+	}
+	if per := two / objects; per > budget {
+		t.Errorf("NewObject + Activate + commit allocates %.2f objects per object; budget %d", per, budget)
+	}
+}

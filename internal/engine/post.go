@@ -528,10 +528,7 @@ func (tx *Tx) maskCall(cls *Class, self store.OID, name string, args []value.Val
 		// side-effect-free conditions).
 		return tx.invoke(cls, cls.Impl.Methods[name], self, meth, row)
 	}
-	tx.e.mu.RLock()
-	fn, ok := tx.e.funcs[name]
-	tx.e.mu.RUnlock()
-	if ok {
+	if fn, ok := tx.e.reg.Load().funcs[name]; ok {
 		return fn(args)
 	}
 	return value.Null(), fmt.Errorf("engine: unknown mask function %q", name)

@@ -117,11 +117,7 @@ func (e *Engine) Stats() Stats {
 	cs := compile.AutomatonCacheStats()
 	cohorts, members := e.timers.sharedCount()
 	provObjects, provBytes := e.prov.gauges()
-	e.mu.RLock()
-	autoTriggers := e.autoTriggers
-	autoTables := uint64(len(e.autoTables))
-	autoBytes := e.autoBytes
-	e.mu.RUnlock()
+	autoTriggers, autoTables, autoBytes := e.reg.Load().automata()
 	return Stats{
 		AutomatonTriggers:   autoTriggers,
 		AutomatonTables:     autoTables,

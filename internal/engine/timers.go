@@ -139,7 +139,7 @@ func (e *Engine) applyTimers(ins []txn.Intent) {
 		if err != nil {
 			continue // deleted later in the transaction: its Delete follows
 		}
-		c := e.Class(rec.Class) // registered: the intent's trigger resolved in it
+		c, _ := e.classOf(rec) // registered: the intent's trigger resolved in it
 		if t := c.Trigger(rec.TrigName(in.Slot)); in.Op == txn.Activate {
 			e.timers.arm(in.OID, c, t, in.At)
 		} else {
@@ -414,11 +414,7 @@ func (e *Engine) postTimer(oid store.OID, key string, only *Trigger) {
 	}
 	e.stats.timerPosts.Add(1)
 	sys := e.beginSystem()
-	rec, err := sys.access(oid)
-	var c *Class
-	if err == nil {
-		c, err = e.classOf(rec)
-	}
+	rec, c, err := sys.accessClass(oid)
 	var ph *phase
 	if err == nil {
 		ph, err = c.phaseOf(event.TimerKind(key))

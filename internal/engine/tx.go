@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"runtime/debug"
 	"strings"
 	"time"
@@ -122,13 +123,23 @@ func (tx *Tx) DependOn(other *Tx) { tx.tx.DependOn(other.tx) }
 // before the object is first accessed by the transaction").
 func (tx *Tx) access(oid store.OID) (*store.Record, error) {
 	rec, first, err := tx.tx.Access(oid)
-	if err != nil || !first || tx.tx.System() || tx.tx.Created(oid) {
+	if err != nil || !first || tx.tx.System() {
 		return rec, err
 	}
 	if err := tx.postLife(lifeTbegin, rec); err != nil {
 		return nil, err
 	}
 	return rec, nil
+}
+
+// accessClass is access, and the class of the record.
+func (tx *Tx) accessClass(oid store.OID) (*store.Record, *Class, error) {
+	rec, err := tx.access(oid)
+	if err != nil {
+		return nil, nil, err
+	}
+	c, err := tx.e.classOf(rec)
+	return rec, c, err
 }
 
 // postLife posts lifecycle kind lifeKinds[k] of this transaction to one
@@ -154,13 +165,17 @@ func (tx *Tx) postLife(k int, rec *store.Record) error {
 }
 
 // NewObject creates an object of the class with the given fields
-// merged over the schema defaults, posting "after create".
+// merged over a copy of the schema defaults — without fields, it shares
+// them until its first write — posting "after create".
 func (tx *Tx) NewObject(class string, fields map[string]value.Value) (store.OID, error) {
 	c := tx.e.Class(class)
 	if c == nil {
 		return 0, fmt.Errorf("engine: unregistered class %q", class)
 	}
-	init := c.Schema.DefaultFields()
+	init := c.defaults
+	if len(fields) > 0 {
+		init = maps.Clone(c.defaults)
+	}
 	for k, v := range fields {
 		f := c.Schema.Field(k)
 		if f == nil {
@@ -204,11 +219,7 @@ func (tx *Tx) DeleteObject(oid store.OID) error {
 // the before- and after-method happenings around the execution
 // (paper §3.1, item 2).
 func (tx *Tx) Call(oid store.OID, method string, args ...value.Value) (value.Value, error) {
-	rec, err := tx.access(oid)
-	if err != nil {
-		return value.Null(), err
-	}
-	c, err := tx.e.classOf(rec)
+	rec, c, err := tx.accessClass(oid)
 	if err != nil {
 		return value.Null(), err
 	}
@@ -338,11 +349,7 @@ func (tx *Tx) Get(oid store.OID, field string) (value.Value, error) {
 // Set writes a field without posting events; the schema kind is
 // enforced.
 func (tx *Tx) Set(oid store.OID, field string, v value.Value) error {
-	rec, err := tx.access(oid)
-	if err != nil {
-		return err
-	}
-	c, err := tx.e.classOf(rec)
+	rec, c, err := tx.accessClass(oid)
 	if err != nil {
 		return err
 	}
@@ -364,11 +371,7 @@ func (tx *Tx) Set(oid store.OID, field string, v value.Value) error {
 // once the transaction commits, schedules its time events; re-activating
 // an active trigger restarts it, an 'after' period included.
 func (tx *Tx) Activate(oid store.OID, trigger string, params ...value.Value) error {
-	rec, err := tx.access(oid)
-	if err != nil {
-		return err
-	}
-	c, err := tx.e.classOf(rec)
+	rec, c, err := tx.accessClass(oid)
 	if err != nil {
 		return err
 	}
@@ -403,11 +406,7 @@ func (tx *Tx) schedule(oid store.OID, t *Trigger, op txn.IntentOp) {
 
 // Deactivate disarms a trigger instance; its timers go at commit.
 func (tx *Tx) Deactivate(oid store.OID, trigger string) error {
-	rec, err := tx.access(oid)
-	if err != nil {
-		return err
-	}
-	c, err := tx.e.classOf(rec)
+	rec, c, err := tx.accessClass(oid)
 	if err != nil {
 		return err
 	}

@@ -216,13 +216,3 @@ func (c *Class) Trigger(name string) *Trigger {
 	}
 	return nil
 }
-
-// DefaultFields materializes a fresh field map with declared defaults
-// (null when absent).
-func (c *Class) DefaultFields() map[string]value.Value {
-	m := make(map[string]value.Value, len(c.Fields))
-	for _, f := range c.Fields {
-		m[f.Name] = f.Default
-	}
-	return m
-}

@@ -84,19 +84,6 @@ func TestLookups(t *testing.T) {
 	}
 }
 
-func TestDefaultFields(t *testing.T) {
-	m := stockRoom().DefaultFields()
-	if len(m) != 2 {
-		t.Fatalf("DefaultFields = %v", m)
-	}
-	if !m["n"].Equal(value.Int(0)) {
-		t.Fatalf("n default = %v", m["n"])
-	}
-	if !m["balance"].IsNull() {
-		t.Fatalf("balance default = %v", m["balance"])
-	}
-}
-
 func TestModeAndViewStrings(t *testing.T) {
 	if ModeRead.String() != "read" || ModeUpdate.String() != "update" {
 		t.Fatal("AccessMode strings")

@@ -89,3 +89,34 @@ func TestOutOfOrderResolve(t *testing.T) {
 		t.Fatal("FiringIndex found an unissued seq")
 	}
 }
+
+// TestFiringSpanMayCrossABurnedGap: a span's sequence numbers need not
+// be contiguous. A reservation burned while a lower one is pending
+// (resolveFail without reclaim) leaves a gap that the span covering both
+// neighbours spans, so a span's record count is Hi−Lo, never
+// Last−First+1.
+func TestFiringSpanMayCrossABurnedGap(t *testing.T) {
+	s, _ := Open("")
+	var spans []FiringSpan
+	s.SetFiringSink(func(sp FiringSpan) { spans = append(spans, sp) })
+	resolve := func(lo uint64, n int) {
+		recs := make([]FiringRecord, n)
+		for i := range recs {
+			recs[i] = FiringRecord{Seq: lo + uint64(i), OID: 1, Class: "c", Trigger: "t", Kind: "after k"}
+		}
+		s.egress.resolveOK(lo, recs)
+	}
+	a := s.egress.reserve(2) // 1..2
+	b := s.egress.reserve(2) // 3..4, burned
+	c := s.egress.reserve(2) // 5..6
+	s.egress.resolveFail(b, false)
+	resolve(c, 2)
+	resolve(a, 2)
+	want := FiringSpan{Lo: 0, Hi: 4, First: 1, Last: 6}
+	if len(spans) != 1 || spans[0] != want {
+		t.Fatalf("spans %+v, want one %+v", spans, want)
+	}
+	if sp := spans[0]; uint64(sp.Hi-sp.Lo) == sp.Last-sp.First+1 {
+		t.Fatalf("span %+v is contiguous", sp)
+	}
+}

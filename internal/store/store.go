@@ -191,6 +191,9 @@ func (r *Record) Trigger(name string) *TrigState {
 	return &r.Slots()[slot]
 }
 
+// Owner returns its layout's owner (Layout.SetOwner), nil if it has none.
+func (r *Record) Owner() any { return r.layout.owner.Load() }
+
 // TrigName returns the trigger name of a slot of Trigs.
 func (r *Record) TrigName(slot int) string { return r.layout.Name(slot) }
 
@@ -382,14 +385,15 @@ func (s *Store) Close() error {
 
 // Create allocates a new object with the given class and fields and
 // returns its identity. Durability happens when the creating
-// transaction commits (LogCommit).
+// transaction commits (LogCommit). The record shares fields until its
+// first write (SetField): the caller must not write the map afterwards.
 func (s *Store) Create(class string, fields map[string]value.Value) *Record {
 	stride := s.tab.stride
 	oid := OID(s.nextOID.Add(stride) - stride)
 	if fields == nil {
 		fields = map[string]value.Value{}
 	}
-	r := &Record{OID: oid, Class: class, Fields: fields, layout: s.Layout(class)}
+	r := &Record{OID: oid, Class: class, Fields: fields, layout: s.Layout(class), shared: true}
 	s.tab.setLive(oid, r)
 	return r
 }

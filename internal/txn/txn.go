@@ -157,7 +157,6 @@ type Tx struct {
 	touched  []store.Touched    // parallel to accessed: live record and before-image
 	seen     map[store.OID]bool // objects in accessed, once it outgrows accessedBuf (nil until then)
 	held     []heldLock         // locks granted (lock manager mode): accessed and peeked objects
-	created  map[store.OID]bool // objects created by this transaction (nil until the first)
 	deleted  map[store.OID]bool // objects deleted by this transaction (nil until the first)
 	deps     []*Tx              // commit dependencies (footnote 6)
 	system   bool               // system transactions post no transaction events of their own
@@ -166,7 +165,8 @@ type Tx struct {
 
 	// snaps holds the before-image of each accessed object that had no
 	// committed image — created by a bare Store.Create outside any
-	// transaction (nil until the first).
+	// transaction (nil until the first). An entry of touched with neither
+	// a Prev nor a snap is an object this transaction created.
 	snaps map[store.OID]*store.Record
 
 	// Inline backing for accessed, touched and held: a transaction over
@@ -337,10 +337,6 @@ func (tx *Tx) Create(class string, fields map[string]value.Value) (*store.Record
 		tx.mgr.store.Remove(rec.OID)
 		return nil, err
 	}
-	if tx.created == nil {
-		tx.created = map[store.OID]bool{}
-	}
-	tx.created[rec.OID] = true
 	tx.note(store.Touched{Rec: rec})
 	return rec, nil
 }
@@ -390,9 +386,6 @@ func (tx *Tx) Live(i int) *store.Record {
 	}
 	return tx.touched[i].Rec
 }
-
-// Created reports whether the transaction created oid.
-func (tx *Tx) Created(oid store.OID) bool { return tx.created[oid] }
 
 // AddFiring records one trigger firing for the durable egress feed.
 // The store stamps its Seq, and its TxID if unset, at commit; if the
@@ -553,16 +546,15 @@ func (tx *Tx) rollback(sp outcome, keep bool) {
 	for i := sp.accessed; i < len(tx.accessed); i++ {
 		oid, t := tx.accessed[i], tx.touched[i]
 		delete(tx.deleted, oid)
-		switch {
-		case tx.created[oid]:
-			st.Remove(oid)
-			delete(tx.created, oid)
-		case t.Prev == nil:
-			restore(tx.snaps[oid], t.Rec)
-		default:
+		if t.Prev != nil {
 			tx.accessed[n], tx.touched[n] = oid, store.Touched{Rec: restore(t.Prev, t.Rec), Prev: t.Prev}
 			n++
 			continue
+		}
+		if snap := tx.snaps[oid]; snap != nil {
+			restore(snap, t.Rec)
+		} else { // created since
+			st.Remove(oid)
 		}
 		delete(tx.seen, oid)
 	}

@@ -783,3 +783,118 @@ func TestAccessAgainAnswersFromTheLatestEntry(t *testing.T) {
 		}
 	}
 }
+
+// TestRollbackPastTheInlineBuffer: a transaction that creates more
+// objects than accessedBuf holds, interleaved, in no OID order, with
+// first accesses to committed objects and to objects a bare Store.Create
+// made, rolls back every object it created out of the store and restores
+// every other one — to an outcome phase's savepoint, then to its begin.
+func TestRollbackPastTheInlineBuffer(t *testing.T) {
+	for _, single := range []bool{false, true} {
+		m := newManager(t)
+		m.SetSingleWriter(single)
+		st := m.Store()
+		balance := func(oid store.OID) value.Value {
+			rec, err := st.Get(oid)
+			if err != nil {
+				return value.Null()
+			}
+			return field(rec, "balance")
+		}
+		setup := m.Begin()
+		var committed [6]store.OID
+		for i := range committed {
+			rec, err := setup.Create("acct", map[string]value.Value{"balance": value.Int(int64(100 + i))})
+			if err != nil {
+				t.Fatal(err)
+			}
+			committed[i] = rec.OID
+		}
+		if err := setup.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		bare := [2]store.OID{st.Create("acct", map[string]value.Value{"balance": value.Int(50)}).OID,
+			st.Create("acct", map[string]value.Value{"balance": value.Int(51)}).OID}
+
+		tx := m.Begin()
+		var created []store.OID
+		create := func() {
+			rec, err := tx.Create("acct", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec.SetField("balance", value.Int(-1))
+			created = append(created, rec.OID)
+		}
+		access := func(oid store.OID) {
+			rec, _, err := tx.Access(oid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec.SetField("balance", value.Int(-2))
+		}
+		create()
+		access(committed[3])
+		create()
+		access(bare[1])
+		create()
+		create()
+		access(committed[0])
+		create()
+		access(bare[0])
+		access(committed[2])
+		create()
+		access(committed[3]) // again
+		before := len(created)
+		if err := tx.BeginOutcome(); err != nil {
+			t.Fatal(err)
+		}
+		tx.Seal() // the phase's writes below are an action's
+		access(committed[5])
+		create()
+		access(created[1])
+		create()
+		access(committed[4])
+		create()
+		tx.Rollback()
+		for i, oid := range created {
+			if kept := i < before; st.Exists(oid) != kept {
+				t.Fatalf("single=%v: created object %d (#%d, %d before the phase) exists=%v after the phase's rollback", single, oid, i, before, !kept)
+			}
+		}
+		for _, c := range []struct {
+			oid  store.OID
+			want int64
+		}{{committed[3], -2}, {committed[0], -2}, {committed[5], 105}, {committed[4], 104}, {bare[0], -2}, {created[1], -1}} {
+			if got := balance(c.oid); !got.Equal(value.Int(c.want)) {
+				t.Fatalf("single=%v: object %d balance %v after the phase's rollback, want %d", single, c.oid, got, c.want)
+			}
+		}
+		if n := len(tx.Accessed()); n != before+5+2 {
+			t.Fatalf("single=%v: %d objects accessed after the phase's rollback, want %d", single, n, before+5+2)
+		}
+
+		if err := tx.Abort(); err != nil {
+			t.Fatal(err)
+		}
+		for _, oid := range created {
+			if st.Exists(oid) {
+				t.Fatalf("single=%v: created object %d survived the abort", single, oid)
+			}
+		}
+		for i, oid := range committed {
+			img, _ := st.GetCommitted(oid)
+			if got, want := balance(oid), value.Int(int64(100+i)); !got.Equal(want) || !field(img, "balance").Equal(want) {
+				t.Fatalf("single=%v: committed object %d balance %v (image %v) after the abort, want %v", single, oid, got, field(img, "balance"), want)
+			}
+		}
+		for i, oid := range bare {
+			if got, want := balance(oid), value.Int(int64(50+i)); !got.Equal(want) {
+				t.Fatalf("single=%v: bare object %d balance %v after the abort, want %v", single, oid, got, want)
+			}
+		}
+		if n := st.Count(); n != len(committed)+len(bare) {
+			t.Fatalf("single=%v: %d objects after the abort, want %d", single, n, len(committed)+len(bare))
+		}
+	}
+}

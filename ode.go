@@ -141,6 +141,10 @@ const (
 	StageTxAbort   = obs.StageTxAbort
 	StageTcomplete = obs.StageTcomplete
 	StageEgress    = obs.StageEgress
+	// StageBatch is one run of happenings of one kind on one class — a
+	// PostBatch run, a cohort tick, a transaction's lifecycle run —
+	// recorded once; From holds the run's count.
+	StageBatch = obs.StageBatch
 )
 
 // History views (§6). Either way a trigger's automaton state is stored
