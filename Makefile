@@ -48,8 +48,9 @@ fuzz:
 # seeded runs, the multi-partition scripts (per-partition WAL faults,
 # independent recovery, bus determinism), and the egress family
 # (deliverer crashes, cursor tears, exactly-once ledger; -short keeps
-# the egress torture at smoke size), and fault-free scripts with the
-# shadow oracle on and off. Full torture campaigns run via
+# the egress torture at smoke size), and generated scripts, faulted ones
+# included, with the trace checker attached and detached. Full torture
+# campaigns run via
 # `go run ./cmd/odesim -iters N -seed S` (nightly.yml runs 10 000).
 sim:
 	$(GO) test -race -short -run 'TestSimShort|TestMultipart|TestEgress|TestOracleOff' ./internal/sim/

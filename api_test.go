@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"ode"
+	"ode/internal/oracle"
+	"ode/internal/sim"
 )
 
 func TestValueConstructorsAndRef(t *testing.T) {
@@ -60,12 +62,16 @@ func TestStatsThroughRootAPI(t *testing.T) {
 	}
 }
 
-func TestShadowOracleThroughRootAPI(t *testing.T) {
-	db, err := ode.Open(ode.Options{ShadowOracle: true})
+// TestTraceCheckerThroughRootAPI attaches the §4 / §6 trace checker
+// (internal/oracle) to a database opened through the root API.
+func TestTraceCheckerThroughRootAPI(t *testing.T) {
+	db, err := ode.Open(ode.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
+	chk := oracle.New()
+	sim.Attach(chk, db.Engine())
 	f := newFires()
 	err = balanceMethods(db.NewClass("account")).
 		Trigger("Seq(): perpetual after deposit; before withdraw; after withdraw ==> act", f.action("Seq")).
@@ -83,10 +89,19 @@ func TestShadowOracleThroughRootAPI(t *testing.T) {
 		_, err := tx.Call(acct, "withdraw", ode.Int(1))
 		return err
 	}); err != nil {
-		t.Fatalf("shadow oracle flagged a divergence: %v", err)
+		t.Fatal(err)
 	}
 	if f.count("Seq") != 1 {
 		t.Fatalf("fires = %d", f.count("Seq"))
+	}
+	if err := chk.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if err := chk.Verify(db.Engine().Store()); err != nil {
+		t.Fatal(err)
+	}
+	if s := chk.Stats(); s.Steps == 0 {
+		t.Fatalf("the checker checked no step: %+v", s)
 	}
 }
 

@@ -619,8 +619,8 @@ func (sh *shell) stats() error {
 		s.TxBegun, s.TxCommitted, s.TxAborted, s.SystemTx)
 	fmt.Fprintf(sh.out, "pipeline: %d happenings, %d mask evals, %d steps, %d firings\n",
 		s.Happenings, s.MaskEvals, s.Steps, s.Firings)
-	fmt.Fprintf(sh.out, "timers: %d posted; tcomplete rounds: %d; shadow checks: %d\n",
-		s.TimerPosts, s.TcompleteRounds, s.ShadowChecks)
+	fmt.Fprintf(sh.out, "timers: %d posted; tcomplete rounds: %d\n",
+		s.TimerPosts, s.TcompleteRounds)
 	snap := sh.db.Metrics()
 	for _, ts := range snap.Triggers {
 		fmt.Fprintf(sh.out, "  %s.%s: %d firings, %d steps, %d/%d masks true",

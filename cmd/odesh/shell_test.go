@@ -144,11 +144,12 @@ func TestShellTraceAndStats(t *testing.T) {
 	)
 	for _, want := range []string{
 		"tracing on",
-		"happening",           // trace event for the posted method call
-		"0→1 accept=true",     // the Big automaton accepting
-		"fire",                // the firing event
-		"pipeline:",           // .stats counters line
-		"acct.Big: 1 firings", // per-trigger metrics line
+		"happening",       // trace event for the posted method call
+		"0→1 accept=true", // the Big automaton accepting
+		"fire",            // the firing event
+		"pipeline:",       // .stats counters line
+		"timers: 0 posted; tcomplete rounds: 3\n", // .stats timers line
+		"acct.Big: 1 firings",                     // per-trigger metrics line
 		"tracing off",
 		"error: tracing is off", // show after off fails
 	} {

@@ -198,9 +198,9 @@ func Eval(e *Expr, h []int) []bool {
 // operators like relative and fa only ever truncate prefixes away),
 // so evaluating the full history labels each point exactly as
 // evaluating the prefix ending there would. TestPrefixStability pins
-// the property; replay oracles (internal/sim, Engine.VerifyOracle)
-// rely on it to check a whole recorded history in one pass instead of
-// re-evaluating every prefix.
+// the property; the trace checker (internal/oracle) relies on it to
+// label a whole history in one pass instead of re-evaluating every
+// prefix.
 func FiringPoints(e *Expr, h []int) []bool { return Eval(e, h) }
 
 // Occurs reports whether the event has just occurred at the end of the

@@ -127,7 +127,6 @@ func PromExtras(s Stats) []obs.PromMetric {
 		{Name: "ode_engine_timer_cohorts", Help: "Live shared timer schedules (cohorts).", Type: "gauge", Value: float64(s.TimerCohorts)},
 		{Name: "ode_engine_timer_members", Help: "Memberships in live cohorts, one per (object, cohort).", Type: "gauge", Value: float64(s.TimerMembers)},
 		{Name: "ode_engine_tcomplete_rounds_total", Help: "Rounds of the before-tcomplete commit fixpoint.", Value: float64(s.TcompleteRounds)},
-		{Name: "ode_engine_shadow_checks_total", Help: "Shadow-oracle cross-checks performed.", Value: float64(s.ShadowChecks)},
 		{Name: "ode_engine_faults_injected_total", Help: "Failures fired by the fault-injection registry.", Value: float64(s.FaultsInjected)},
 		{Name: "ode_engine_flight_events_total", Help: "Events captured by the flight recorder.", Value: float64(s.FlightEvents)},
 		{Name: "ode_engine_provenance_steps_total", Help: "Transitions appended to the firing-provenance journals.", Value: float64(s.ProvenanceSteps)},

@@ -96,11 +96,10 @@ func (c *Class) phaseOf(k event.Kind) (*phase, error) {
 	return &c.phases[kix], nil
 }
 
-// buildPhases fills c.phases, c.calls and c.life. Under the shadow
-// oracle every trigger is dispatched for every kind (the oracle needs
-// the complete symbol history); committed-view triggers are never
-// dispatched tabort events (§6: the aborted history is not part of the
-// committed history).
+// buildPhases fills c.phases, c.calls and c.life. A trigger is
+// dispatched only the kinds that can move it (Trigger.relevant);
+// committed-view triggers are never dispatched tabort events (§6: the
+// aborted history is not part of the committed history).
 func (e *Engine) buildPhases(c *Class) error {
 	kinds := c.Res.Alphabet.Kinds
 	c.phases = make([]phase, len(kinds))
@@ -109,7 +108,7 @@ func (e *Engine) buildPhases(c *Class) error {
 		ph.kind, ph.kindIx, ph.name = kinds[kix].Kind, kix, kinds[kix].Kind.String()
 		ph.kindID = e.names.Intern(ph.name)
 		for _, t := range c.Triggers {
-			if !e.shadowOracle && !t.relevant[kix] {
+			if !t.relevant[kix] {
 				continue
 			}
 			if t.View == schema.CommittedView && ph.kind.Class == event.KTabort {

@@ -39,10 +39,11 @@ func TestFeedProvenanceEquivalence(t *testing.T) {
 			return nil
 		}
 	}
-	e, err := New(Options{Dir: dir, ShadowOracle: true})
+	e, err := New(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
+	chk := attachChecker(e, 1<<16)
 	a := setup(t, e, cls, impl, "Audit", "Big")
 	var b store.OID
 	err = e.Transact(func(tx *Tx) error {
@@ -84,6 +85,7 @@ func TestFeedProvenanceEquivalence(t *testing.T) {
 			t.Fatalf("tx %d: %v", i, err)
 		}
 	}
+	checkTrace(t, chk, e)
 
 	feed, head := e.FiringsAfter(0, 0)
 	if len(feed) == 0 {

@@ -97,12 +97,6 @@ type Options struct {
 	// RecordHistories, when positive, keeps each object's last N
 	// happenings for inspection; negative keeps everything.
 	RecordHistories int
-	// ShadowOracle cross-checks every automaton transition against the
-	// §4 denotational semantics at runtime: each trigger instance also
-	// records its symbol history and re-evaluates the event expression
-	// on every posting. A divergence fails the posting (and aborts the
-	// transaction). Expensive — meant for tests and debugging.
-	ShadowOracle bool
 	// Faults optionally installs a fault-injection registry consulted
 	// by the WAL and the lock manager (internal/fault). The simulation
 	// harness (internal/sim) arms it; nil — the production default —
@@ -146,9 +140,8 @@ type Engine struct {
 	mu  sync.Mutex               // serializes registration, which replaces reg
 	reg atomic.Pointer[registry] // read with no lock; a record's class is its layout's owner (classOf)
 
-	shadowOracle bool
-	partition    int             // partition id (0 for unpartitioned engines)
-	faults       *fault.Registry // nil outside the simulation harness
+	partition int             // partition id (0 for unpartitioned engines)
+	faults    *fault.Registry // nil outside the simulation harness
 
 	// firingSink is the optional live-feed callback (SetFiringSink):
 	// invoked with each span of newly durable firing records, in
@@ -246,12 +239,7 @@ type Trigger struct {
 	// table shared process-wide between equivalent triggers, bound to
 	// this class's alphabet by a symbol remap. The posting hot path
 	// steps only this form.
-	Auto *compile.Shared
-	// DFA is the fat class-alphabet oracle automaton (identical state
-	// numbering). It is materialized only under Options.ShadowOracle —
-	// retaining it per trigger would forfeit the shared tables' memory
-	// win — and is nil otherwise; use Oracle() for an on-demand copy.
-	DFA    *fa.DFA
+	Auto   *compile.Shared
 	View   schema.HistoryView
 	Action ActionFunc
 	met    *obs.TriggerMetrics // per-trigger counters, cached at registration
@@ -275,15 +263,10 @@ type Trigger struct {
 func (t *Trigger) RelevantKind(kindIx int) bool { return t.relevant[kindIx] }
 
 // Oracle returns the trigger's fat class-alphabet DFA with state
-// numbering identical to the compact stepping form: the retained
-// shadow copy under Options.ShadowOracle, otherwise a fresh expansion.
+// numbering identical to the compact stepping form, expanded afresh:
+// retaining it per trigger would forfeit the shared tables' memory win.
 // Introspection and tests use it; the hot path never does.
-func (t *Trigger) Oracle() *fa.DFA {
-	if t.DFA != nil {
-		return t.DFA
-	}
-	return t.Auto.Expand()
-}
+func (t *Trigger) Oracle() *fa.DFA { return t.Auto.Expand() }
 
 // Metrics exposes the trigger's live counters.
 func (t *Trigger) Metrics() *obs.TriggerMetrics { return t.met }
@@ -306,14 +289,13 @@ func New(opts Options) (*Engine, error) {
 		start = time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
 	}
 	e := &Engine{
-		st:           st,
-		txm:          txn.NewManagerWith(st, opts.Faults),
-		clk:          clock.NewVirtual(start),
-		shadowOracle: opts.ShadowOracle,
-		faults:       opts.Faults,
-		metrics:      obs.NewRegistry(),
-		names:        obs.NewInterner(),
-		partition:    opts.Partition,
+		st:        st,
+		txm:       txn.NewManagerWith(st, opts.Faults),
+		clk:       clock.NewVirtual(start),
+		faults:    opts.Faults,
+		metrics:   obs.NewRegistry(),
+		names:     obs.NewInterner(),
+		partition: opts.Partition,
 	}
 	e.reg.Store(&registry{classes: map[string]*Class{}, funcs: map[string]MaskFunc{}})
 	if opts.SingleWriter {
@@ -434,12 +416,8 @@ func (e *Engine) RegisterClass(cls *schema.Class, impl ClassImpl, ps *evlang.Par
 			slot:   layout.Intern(tr.Name),
 		}
 		// The registration-time analyses below want the fat
-		// class-alphabet form; expand it once here and drop it (except
-		// under the shadow oracle, which keeps it as the §5 shadow).
+		// class-alphabet form; expand it once here and drop it.
 		oracle := t.Auto.Expand()
-		if e.shadowOracle {
-			t.DFA = oracle
-		}
 		// Kind-relevance bitmap: a kind matters if the trigger's
 		// expression evaluates a mask on it, or if its (mask-free)
 		// symbol is not inert for the automaton. step() skips the

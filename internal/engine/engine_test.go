@@ -488,9 +488,11 @@ func TestWholeViewSurvivesAbort(t *testing.T) {
 func TestWholeViewStateDiesWithItsObject(t *testing.T) {
 	cls, impl := accountClass(&recorder{},
 		schema.Trigger{Name: "Two", Perpetual: true, Event: "relative(after withdraw, after withdraw)", View: schema.WholeView})
-	e := newEngine(t, Options{ShadowOracle: true})
+	e := newEngine(t, Options{})
+	chk := attachChecker(e, 1<<10)
 	oid := setup(t, e, cls, impl, "Two")
-	slot := e.Class("account").Trigger("Two").slot
+	two := e.Class("account").Trigger("Two")
+	slot, start := two.slot, int32(two.Auto.Start())
 	// committed reads the instance from the store's committed view.
 	committed := func(o store.OID) (store.TrigState, bool) {
 		rec, ok := e.st.GetCommitted(o)
@@ -507,8 +509,8 @@ func TestWholeViewStateDiesWithItsObject(t *testing.T) {
 		t.Fatal(err)
 	}
 	before, _ := committed(oid)
-	if len(before.Shadow()) == 0 {
-		t.Fatal("one committed withdraw left no history on the instance")
+	if before.State == start {
+		t.Fatal("one committed withdraw left the instance in its start state")
 	}
 
 	tx := e.Begin()
@@ -522,8 +524,8 @@ func TestWholeViewStateDiesWithItsObject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec, err := e.st.Get(o); err != nil || len(rec.Trigs[slot].Shadow()) == 0 {
-		t.Fatalf("inside the creating transaction the instance has no history: %v", err)
+	if rec, err := e.st.Get(o); err != nil || rec.Trigs[slot].State == start {
+		t.Fatalf("inside the creating transaction the instance did not move: %v", err)
 	}
 	epoch := e.st.Epoch()
 	if err := tx.Abort(); err != nil {
@@ -540,6 +542,9 @@ func TestWholeViewStateDiesWithItsObject(t *testing.T) {
 	}
 
 	tx = e.Begin()
+	if _, err := tx.Call(oid, "withdraw", value.Int(1)); err != nil {
+		t.Fatal(err)
+	}
 	if err := tx.DeleteObject(oid); err != nil {
 		t.Fatal(err)
 	}
@@ -547,12 +552,10 @@ func TestWholeViewStateDiesWithItsObject(t *testing.T) {
 		t.Fatal(err)
 	}
 	after, ok := committed(oid)
-	if !ok || !after.Active || len(after.Shadow()) <= len(before.Shadow()) {
+	if !ok || !after.Active || after.State == before.State {
 		t.Fatalf("an aborted deletion did not keep what the whole view saw of it: %+v, was %+v", after, before)
 	}
-	if err := e.VerifyOracle(); err != nil {
-		t.Fatal(err)
-	}
+	checkTrace(t, chk, e)
 
 	if err := e.Transact(func(tx *Tx) error { return tx.DeleteObject(oid) }); err != nil {
 		t.Fatal(err)

@@ -40,13 +40,13 @@ func replayChain(t *testing.T, tr *Trigger, ex *Explanation) int {
 
 // TestExplainPriorAgainstOracle is the acceptance check: for a fired
 // prior trigger, Explain returns the exact contributing happening
-// sequence — verified by replaying the chain through the shadow
-// oracle's DFA and the §4 denotational semantics.
+// sequence — verified by replaying the chain through the trigger's fat
+// DFA (Trigger.Oracle) and the §4 denotational semantics.
 func TestExplainPriorAgainstOracle(t *testing.T) {
 	rec := &recorder{}
 	cls, impl := accountClass(rec,
 		schema.Trigger{Name: "Audit", Event: "prior(after deposit, after withdraw)"})
-	e := newEngine(t, Options{ShadowOracle: true})
+	e := newEngine(t, Options{})
 	oid := setup(t, e, cls, impl, "Audit")
 
 	err := e.Transact(func(tx *Tx) error {
@@ -110,7 +110,7 @@ func TestExplainSequenceAgainstOracle(t *testing.T) {
 	rec := &recorder{}
 	cls, impl := accountClass(rec,
 		schema.Trigger{Name: "Pair", Event: "sequence(after deposit, after withdraw)"})
-	e := newEngine(t, Options{ShadowOracle: true})
+	e := newEngine(t, Options{})
 	oid := setup(t, e, cls, impl, "Pair")
 
 	tx := e.Begin()

@@ -22,9 +22,11 @@ import (
 // record the flight recorder gets, and the per-trigger detail it leaves
 // out: each happening of a metered run, each mask evaluation and
 // automaton step (step loads the pointer inline, so tracing off costs
-// one atomic load and a branch there), each time-event delivery and
-// each commit-fixpoint round. Per-trigger transition history lives in
-// the provenance journals (explain.go).
+// one atomic load and a branch there), each time-event delivery, each
+// commit-fixpoint round, and each activation, deactivation and rollback
+// — what a reader needs to rebuild every trigger instance's history
+// (internal/oracle). Per-trigger transition history lives in the
+// provenance journals (explain.go).
 
 // Flight exposes the engine's flight recorder.
 func (e *Engine) Flight() *obs.Flight { return e.flight }

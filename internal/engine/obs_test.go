@@ -286,12 +286,12 @@ func TestPerTriggerMetricsOnSeededWorkload(t *testing.T) {
 	}
 }
 
-// TestStatsTcompleteAndShadow covers the new Stats counters.
-func TestStatsTcompleteAndShadow(t *testing.T) {
+// TestStatsTcompleteRounds covers the tcomplete-round counter.
+func TestStatsTcompleteRounds(t *testing.T) {
 	rec := &recorder{}
 	cls, impl := accountClass(rec,
 		schema.Trigger{Name: "Any", Perpetual: true, Event: "after deposit"})
-	e := newEngine(t, Options{ShadowOracle: true})
+	e := newEngine(t, Options{})
 	oid := setup(t, e, cls, impl, "Any")
 
 	base := e.Stats()
@@ -304,9 +304,6 @@ func TestStatsTcompleteAndShadow(t *testing.T) {
 	d := e.Stats().Delta(base)
 	if d.TcompleteRounds < 1 {
 		t.Fatalf("TcompleteRounds Δ=%d", d.TcompleteRounds)
-	}
-	if d.ShadowChecks < 1 {
-		t.Fatalf("ShadowChecks Δ=%d (shadow oracle on)", d.ShadowChecks)
 	}
 	if got := StatsDelta(e.Stats(), base); got != d && got.Happenings < d.Happenings {
 		t.Fatal("StatsDelta disagrees with Delta")

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"time"
 
-	"ode/internal/algebra"
 	"ode/internal/event"
 	"ode/internal/history"
 	"ode/internal/mask"
@@ -270,10 +269,9 @@ func (tx *Tx) step(c *Class, ph *phase, oid store.OID, rec *store.Record,
 	for i := range ph.entries {
 		// The phase has already folded in kind relevance (irrelevant
 		// kinds cannot change the instance's behavior; see
-		// compile.InertSymbol — disabled under the shadow oracle, which
-		// needs complete symbol histories) and the committed-view rule
-		// that aborted histories are invisible (§6); what a view's state
-		// does on rollback is the store's business (Layout.Keep).
+		// compile.InertSymbol) and the committed-view rule that aborted
+		// histories are invisible (§6); what a view's state does on
+		// rollback is the store's business (Layout.Keep).
 		d := &ph.entries[i]
 		t := d.t
 		if only != nil && t != only {
@@ -317,7 +315,7 @@ func (tx *Tx) step(c *Class, ph *phase, oid store.OID, rec *store.Record,
 		// trigger's class-symbol remap.
 		prev := int(act.State)
 		next := t.Auto.Next(prev, sym)
-		if next != prev || e.shadowOracle {
+		if next != prev {
 			// A self-looping instance leaves the record bit-identical,
 			// so a lazily accessed one (cohort delivery) is registered
 			// with the txn layer only here, at its first in-place
@@ -330,9 +328,6 @@ func (tx *Tx) step(c *Class, ph *phase, oid store.OID, rec *store.Record,
 			}
 			tx.tx.Mark(rec, t.slot) // an outcome phase's savepoint, until sealed
 			act.State = int32(next)
-			if e.shadowOracle {
-				act.AppendShadow(sym)
-			}
 		}
 		n.steps++
 		m.count(i, t, 1, 0, 0)
@@ -351,11 +346,6 @@ func (tx *Tx) step(c *Class, ph *phase, oid store.OID, rec *store.Record,
 		}
 		if tr != nil {
 			tr.Record(obs.StageStep, atNs, txid, uint64(oid), c.nameID, t.nameID, ph.kindID, prev, next, accepted, 0)
-		}
-		if e.shadowOracle {
-			if err = e.shadowCheck(oid, t, act, accepted); err != nil {
-				break
-			}
 		}
 		if accepted {
 			tx.fired = append(tx.fired, t)
@@ -384,6 +374,7 @@ func (tx *Tx) step(c *Class, ph *phase, oid store.OID, rec *store.Record,
 		if !t.Res.Perpetual {
 			rec.Trigs[t.slot].Active = false
 			tx.schedule(oid, t, txn.Deactivate)
+			e.recordTrace(obs.StageDeactivate, txid, oid, c.nameID, t.nameID, 0, 0, 0, true)
 		}
 	}
 	err = tx.fire(c, ph, oid, rec, h, fired)
@@ -453,21 +444,6 @@ func (t *Trigger) checkParams(act *store.TrigState) error {
 	if n := len(act.Params()); n != len(t.Res.Params) {
 		return fmt.Errorf("activation carries %d parameter(s), the declaration %d: re-activate the trigger",
 			n, len(t.Res.Params))
-	}
-	return nil
-}
-
-// shadowCheck re-evaluates the trigger's event expression over the
-// instance's recorded symbol history with the §4 denotational
-// semantics and compares the verdicts. It implements Options
-// .ShadowOracle; a divergence is a bug in the automaton pipeline.
-func (e *Engine) shadowCheck(oid store.OID, t *Trigger, act *store.TrigState, accepted bool) error {
-	e.stats.shadowChecks.Add(1)
-	hist := act.Shadow()
-	want := algebra.Occurs(t.Res.Expr, hist)
-	if want != accepted {
-		return fmt.Errorf("engine: shadow oracle divergence: trigger %s at object %d: automaton=%v oracle=%v (history %v)",
-			t.Res.Name, oid, accepted, want, hist)
 	}
 	return nil
 }

@@ -21,7 +21,7 @@ import (
 // order and discarding the results: identical happenings, firing
 // order, provenance, traces, and error positions; execution stops at
 // the first error. The equivalence is tested against randomized
-// workloads run both ways under the §4 shadow oracle.
+// workloads run both ways with the §4 / §6 trace checker attached.
 
 // Batch is a columnar buffer of method calls against objects of one
 // class. Build it with NewBatch and Call, post it with Tx.PostBatch or

@@ -102,7 +102,8 @@ func runBatchWorkload(t *testing.T, ops []batchScriptOp, mode string) batchWorkl
 			return nil
 		}
 	}
-	e := newEngine(t, Options{ShadowOracle: true})
+	e := newEngine(t, Options{})
+	chk := attachChecker(e, 1<<14)
 	if _, err := e.RegisterClass(cls, impl, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -178,6 +179,7 @@ func runBatchWorkload(t *testing.T, ops []batchScriptOp, mode string) batchWorkl
 				t.Fatalf("op %d: %v", i, err)
 			}
 		}
+		checkTrace(t, chk, e)
 	}
 
 	res := batchWorkloadResult{

@@ -71,19 +71,6 @@ func TestCrossClassTableSharing(t *testing.T) {
 	if oracle.NumStates != a.Auto.Tab.Compact.NumStates() {
 		t.Fatal("oracle and compact state counts differ")
 	}
-	if a.DFA != nil {
-		t.Fatal("fat DFA should not be resident without ShadowOracle")
-	}
-}
-
-// TestShadowOracleKeepsFatDFA: under the shadow option the fat oracle
-// stays materialized for cross-checking.
-func TestShadowOracleKeepsFatDFA(t *testing.T) {
-	e := newEngine(t, Options{ShadowOracle: true})
-	twoClasses(t, e)
-	if e.Class("checking").Triggers[0].DFA == nil {
-		t.Fatal("ShadowOracle should materialize the fat DFA")
-	}
 }
 
 // TestDebugAutomataEndpoint exercises /debug/automata end to end.

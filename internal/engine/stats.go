@@ -52,9 +52,6 @@ type Stats struct {
 	// triggers firing on tcomplete add more, up to the divergence
 	// bound).
 	TcompleteRounds uint64
-	// ShadowChecks counts §4 shadow-oracle cross-checks performed
-	// (zero unless Options.ShadowOracle is on).
-	ShadowChecks uint64
 	// FaultsInjected counts failures fired by the fault-injection
 	// registry (zero unless Options.Faults is installed — i.e. under
 	// the simulation harness).
@@ -98,7 +95,7 @@ type Stats struct {
 type statCounters struct {
 	txBegun, txCommitted, txAborted, systemTx atomic.Uint64
 	happenings, steps, maskEvals, firings     atomic.Uint64
-	timerPosts, tcompleteRounds, shadowChecks atomic.Uint64
+	timerPosts, tcompleteRounds               atomic.Uint64
 	provSteps, timerErrsDropped               atomic.Uint64
 }
 
@@ -138,7 +135,6 @@ func (e *Engine) Stats() Stats {
 		TimerCohorts:        uint64(cohorts),
 		TimerMembers:        uint64(members),
 		TcompleteRounds:     e.stats.tcompleteRounds.Load(),
-		ShadowChecks:        e.stats.shadowChecks.Load(),
 		FaultsInjected:      e.faults.Injected(),
 		FlightEvents:        e.flight.Total(),
 		ProvenanceSteps:     e.stats.provSteps.Load(),
@@ -166,7 +162,6 @@ func (s Stats) Delta(prev Stats) Stats {
 	d.TimerPosts -= prev.TimerPosts
 	d.TimerErrsDropped -= prev.TimerErrsDropped
 	d.TcompleteRounds -= prev.TcompleteRounds
-	d.ShadowChecks -= prev.ShadowChecks
 	d.FaultsInjected -= prev.FaultsInjected
 	d.FlightEvents -= prev.FlightEvents
 	d.ProvenanceSteps -= prev.ProvenanceSteps

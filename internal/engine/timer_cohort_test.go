@@ -86,7 +86,8 @@ func timerChurnScript(t *testing.T, perObject bool) *timerChurnRun {
 	// The provenance bound holds every history whole: the two layouts
 	// interleave a shard's objects differently, so where a journal cuts
 	// a history may differ between them.
-	e := newEngine(t, Options{ShadowOracle: true, Start: time.Date(2026, 7, 4, 8, 0, 0, 0, time.UTC), ProvenanceBytes: 64 << 20})
+	e := newEngine(t, Options{Start: time.Date(2026, 7, 4, 8, 0, 0, 0, time.UTC), ProvenanceBytes: 64 << 20})
+	chk := attachChecker(e, 1<<17)
 	for _, tr := range triggers {
 		name := tr.Name
 		impl.Actions[name] = func(ctx *ActionCtx) error {
@@ -144,6 +145,7 @@ func timerChurnScript(t *testing.T, perObject bool) *timerChurnRun {
 		activate(shuffled()[:n/4], tr.Name)
 	}
 	e.Clock().Advance(30 * time.Minute)
+	checkTrace(t, chk, e)
 
 	// Members leave and re-join below the end of the list.
 	must(e.Transact(func(tx *Tx) error {
@@ -157,6 +159,7 @@ func timerChurnScript(t *testing.T, perObject bool) *timerChurnRun {
 		return tx.DeleteObject(oids[11])
 	}))
 	e.Clock().Advance(20 * time.Minute)
+	checkTrace(t, chk, e)
 	var back []store.OID
 	for _, oid := range shuffled() {
 		if i := slices.Index(oids, oid); i%3 == 0 && i%2 == 0 {
@@ -179,6 +182,7 @@ func timerChurnScript(t *testing.T, perObject bool) *timerChurnRun {
 	}
 	must(e.Transact(func(tx *Tx) error { return tx.DeleteObject(oids[0]) }))
 	e.Clock().Advance(10 * time.Hour)
+	checkTrace(t, chk, e)
 
 	for _, f := range rec.list() {
 		var oid store.OID

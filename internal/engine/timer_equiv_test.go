@@ -45,10 +45,8 @@ func timerEquivScript(t *testing.T, perObject bool) *timerEquivRun {
 			return nil
 		}
 	}
-	e := newEngine(t, Options{
-		ShadowOracle: true,
-		Start:        time.Date(2026, 7, 4, 8, 0, 0, 0, time.UTC),
-	})
+	e := newEngine(t, Options{Start: time.Date(2026, 7, 4, 8, 0, 0, 0, time.UTC)})
+	chk := attachChecker(e, 1<<17)
 	e.timers.perObject = perObject
 	if _, err := e.RegisterClass(cls, impl, nil); err != nil {
 		t.Fatal(err)
@@ -89,6 +87,7 @@ func timerEquivScript(t *testing.T, perObject bool) *timerEquivRun {
 	}
 
 	e.Clock().Advance(30 * time.Minute) // 3 Ticks; Late still pending
+	checkTrace(t, chk, e)
 
 	err = e.Transact(func(tx *Tx) error {
 		for i, oid := range oids {
@@ -105,6 +104,7 @@ func timerEquivScript(t *testing.T, perObject bool) *timerEquivRun {
 	}
 
 	e.Clock().Advance(20 * time.Minute) // Late fires at +45m; more Ticks
+	checkTrace(t, chk, e)
 
 	// Partial deactivation and a deletion while cohorts are live.
 	err = e.Transact(func(tx *Tx) error {
@@ -137,7 +137,9 @@ func timerEquivScript(t *testing.T, perObject bool) *timerEquivRun {
 	}
 
 	e.Clock().Advance(10 * time.Hour) // crosses 17:00 → Daily
+	checkTrace(t, chk, e)
 	e.Clock().Advance(24 * time.Hour) // second Daily, many Ticks
+	checkTrace(t, chk, e)
 
 	run := &timerEquivRun{
 		fires:    map[store.OID][]string{},

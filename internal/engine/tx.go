@@ -388,6 +388,7 @@ func (tx *Tx) Activate(oid store.OID, trigger string, params ...value.Value) err
 	act := store.TrigState{Active: true, State: int32(t.Auto.Start())}
 	act.SetParams(append([]value.Value(nil), params...))
 	rec.Slots()[t.slot] = act
+	tx.e.recordTrace(obs.StageActivate, tx.tx.ID(), oid, c.nameID, t.nameID, 0, 0, 0, true)
 	// Activation restarts the automaton, so the previous incarnation's
 	// provenance no longer explains the instance.
 	tx.e.provReset(oid, t.slot)
@@ -415,6 +416,7 @@ func (tx *Tx) Deactivate(oid store.OID, trigger string) error {
 		return fmt.Errorf("engine: class %s has no trigger %q", rec.Class, trigger)
 	}
 	rec.Slots()[t.slot].Active = false
+	tx.e.recordTrace(obs.StageDeactivate, tx.tx.ID(), oid, c.nameID, t.nameID, 0, 0, 0, true)
 	tx.schedule(oid, t, txn.Deactivate)
 	return nil
 }
@@ -457,12 +459,15 @@ func (tx *Tx) Commit() error {
 func (tx *Tx) outcome(k int) {
 	own := tx.tx.ID()
 	if err := tx.tx.BeginOutcome(); err != nil {
+		tx.e.recordTrace(obs.StageRollback, own, 0, 0, 0, 0, 0, 0, true)
 		tx.err = err
 		tx.aborts()
 		return
 	}
 	tx.e.stats.systemTx.Add(1)
-	tx.e.flightTx(obs.StageTxBegin, tx.tx.ID(), true)
+	// A system transaction's begin; the from slot names the transaction
+	// whose outcome phase it is.
+	tx.e.record(obs.StageTxBegin, tx.e.clk.Now().UnixNano(), tx.tx.ID(), 0, 0, 0, tx.e.txSysID, int(own), 0, true, 0)
 	if _, err := tx.lifeRun(k, own); err != nil {
 		tx.doAbort(err)
 	}
@@ -543,6 +548,17 @@ func (tx *Tx) aborts() {
 func (tx *Tx) end() {
 	id := tx.tx.ID()
 	err := tx.tx.Commit()
+	if err != nil {
+		// Commit rolled the transaction back to its begin: a commit
+		// dependency aborted, or the frame could not be logged — which
+		// keeps whole-view state only while the transaction stays open to
+		// post its "after tabort" (txn.Tx.Commit).
+		frame := 0
+		if !errors.Is(err, txn.ErrDependencyAborted) {
+			frame = 1
+		}
+		tx.e.recordTrace(obs.StageRollback, tx.tx.ID(), 0, 0, 0, 0, frame, 0, frame == 0 || tx.tx.State() == txn.Active)
+	}
 	if id != tx.tx.ID() { // the outcome phase's, gone with it
 		stage := obs.StageTxCommit
 		if err != nil {
@@ -603,6 +619,7 @@ func (tx *Tx) doAbort(cause error) error {
 			ev = "tabort"
 		}
 		tx.tx.Rollback()
+		tx.e.recordTrace(obs.StageRollback, id, 0, 0, 0, 0, 0, 0, true)
 		tx.e.flightTx(obs.StageTxAbort, id, true)
 		tx.e.recordTimerErr(errors.Join(fmt.Errorf("engine: after-%s delivery aborted", ev), cause))
 		tx.end()
@@ -617,6 +634,7 @@ func (tx *Tx) doAbort(cause error) error {
 	}
 	if !tx.finished { // unless an action's own abort ended it
 		tx.tx.Rollback()
+		tx.e.recordTrace(obs.StageRollback, tx.tx.ID(), 0, 0, 0, 0, 0, 0, true)
 		tx.aborts()
 	}
 	if tx.err == nil { // callers compare ErrTabort by identity

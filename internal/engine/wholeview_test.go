@@ -83,7 +83,8 @@ func TestConcurrentAbortsKeepWholeViewState(t *testing.T) {
 		mu.Unlock()
 		return nil
 	}
-	e := newEngine(t, Options{Dir: t.TempDir(), ShadowOracle: true})
+	e := newEngine(t, Options{Dir: t.TempDir()})
+	chk := attachChecker(e, 1<<14)
 	if _, err := e.RegisterClass(cls, impl, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -128,9 +129,7 @@ func TestConcurrentAbortsKeepWholeViewState(t *testing.T) {
 			t.Errorf("object %d: Two fired %d times over %d aborted withdraws, want %d", oid, fires[oid], rounds, rounds-1)
 		}
 	}
-	if err := e.VerifyOracle(); err != nil {
-		t.Fatal(err)
-	}
+	checkTrace(t, chk, e)
 }
 
 // TestFailedCommitRunsTheAbortEpilogue: a Commit that turns into an

@@ -9,8 +9,8 @@
 // keeps those stages: the engine's always-on recorder holds
 // pipeline-level events (happenings, run summaries, firings,
 // transactions, egress), and while tracing is on a second Flight also
-// holds each mask evaluation, automaton step, time-event delivery and
-// commit-fixpoint round. Both record interned IDs with a handful of
+// holds each mask evaluation, automaton step, time-event delivery,
+// commit-fixpoint round, activation, deactivation and rollback. Both record interned IDs with a handful of
 // atomic stores; tracing off costs one atomic load and a branch.
 package obs
 
@@ -72,20 +72,38 @@ const (
 	// durable egress feed; From holds the first sequence number of the
 	// batch, To the last, and the OID slot the batch's size.
 	StageEgress
+	// StageActivate: a transaction activated a trigger on an object,
+	// which restarts its automaton (§2). Trace only.
+	StageActivate
+	// StageDeactivate: a transaction deactivated a trigger on an
+	// object, explicitly or because it fired and is not perpetual.
+	// Trace only.
+	StageDeactivate
+	// StageRollback: a transaction's work since a savepoint was undone;
+	// TxID is the outcome phase's id for the phase's savepoint and the
+	// transaction's own for its begin. OK reports whether whole-view
+	// trigger state survived the rollback (§6): it does, but for a frame
+	// that could not be logged, which falls back to plain before-images.
+	// From is 1 when what is undone is a frame that failed to log — what
+	// a crash may still have made durable. Trace only.
+	StageRollback
 )
 
 var stageNames = [...]string{
-	StageHappening: "happening",
-	StageMask:      "mask",
-	StageStep:      "step",
-	StageFire:      "fire",
-	StageTimer:     "timer",
-	StageTxBegin:   "tx-begin",
-	StageTxCommit:  "tx-commit",
-	StageTxAbort:   "tx-abort",
-	StageTcomplete: "tcomplete",
-	StageBatch:     "batch",
-	StageEgress:    "egress",
+	StageHappening:  "happening",
+	StageMask:       "mask",
+	StageStep:       "step",
+	StageFire:       "fire",
+	StageTimer:      "timer",
+	StageTxBegin:    "tx-begin",
+	StageTxCommit:   "tx-commit",
+	StageTxAbort:    "tx-abort",
+	StageTcomplete:  "tcomplete",
+	StageBatch:      "batch",
+	StageEgress:     "egress",
+	StageActivate:   "activate",
+	StageDeactivate: "deactivate",
+	StageRollback:   "rollback",
 }
 
 func (s Stage) String() string {

@@ -18,7 +18,7 @@ func TestStageJSON(t *testing.T) {
 		t.Fatalf("stage marshaled as %v", m["stage"])
 	}
 	seen := map[string]bool{}
-	for s := StageHappening; s <= StageTcomplete; s++ {
+	for s := StageHappening; s <= StageRollback; s++ {
 		name := s.String()
 		if name == "" || seen[name] {
 			t.Fatalf("stage %d has bad or duplicate name %q", s, name)

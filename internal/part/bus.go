@@ -23,10 +23,10 @@ import (
 // set of messages is pending at a drain point — so for a fixed
 // schedule (the sim harness submits jobs synchronously and inserts
 // Drain barriers), the pending set at every drain point, and therefore
-// the merged order, is a pure function of the schedule. The §4 shadow
-// oracle replays per (object, trigger) instance and sees exactly the
-// per-instance subsequence this order induces, so VerifyOracle passes
-// on multi-partition runs unchanged.
+// the merged order, is a pure function of the schedule. The trace
+// checker (internal/oracle) models each (object, trigger) instance and
+// sees exactly the per-instance subsequence this order induces, so it
+// passes on multi-partition runs unchanged.
 
 // ExternalSource is the Relay source id for senders that are not a
 // partition (tests, adapters). Its messages sort after any

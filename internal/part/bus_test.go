@@ -28,7 +28,7 @@ func (l *partLog) add(p int, s string) {
 	l.mu.Unlock()
 }
 
-// runBusSchedule opens an n-partition DB with the shadow oracle on,
+// runBusSchedule opens an n-partition DB with the trace checker attached,
 // wires the Large action to relay deposits to a deterministic set of
 // partner accounts on other partitions, and drives a fixed seeded
 // schedule of withdraw bursts with Drain barriers. It returns the
@@ -36,11 +36,12 @@ func (l *partLog) add(p int, s string) {
 func runBusSchedule(t *testing.T, n int, seed int64, steps int) (map[int][]string, map[store.OID]int64) {
 	t.Helper()
 	plog := newPartLog()
-	db, err := Open(Options{N: n, Engine: engine.Options{ShadowOracle: true}})
+	db, err := Open(Options{N: n})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
+	chks := attachCheckers(db)
 
 	var oids []store.OID
 	cls, impl := bankClass(nil)
@@ -105,14 +106,13 @@ func runBusSchedule(t *testing.T, n int, seed int64, steps int) (map[int][]strin
 			}
 		}
 		db.Drain()
+		checkTraces(t, db, chks)
 	}
 	db.Drain()
 	if errs := db.RelayErrors(); len(errs) != 0 {
 		t.Fatalf("relay errors: %v", errs)
 	}
-	if err := db.VerifyOracle(); err != nil {
-		t.Fatalf("shadow oracle diverged on multi-partition run: %v", err)
-	}
+	checkTraces(t, db, chks)
 
 	bals := map[store.OID]int64{}
 	for _, oid := range oids {
@@ -133,7 +133,7 @@ func runBusSchedule(t *testing.T, n int, seed int64, steps int) (map[int][]strin
 
 // TestBusDeterministicReplay runs the same seeded cross-partition
 // schedule twice on fresh databases: per-partition firing sequences,
-// final balances and the shadow oracle must all agree — the bus's
+// final balances and the trace checkers must all agree — the bus's
 // (seq, src) merge makes forwarded-event order a function of the
 // schedule, not of goroutine timing.
 func TestBusDeterministicReplay(t *testing.T) {

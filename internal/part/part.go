@@ -21,8 +21,8 @@
 // partition, sequence) stamp and each loop merges its pending inbox in
 // (seq, source) order between jobs, so for a fixed schedule the order
 // in which forwarded events reach a partition's automata is a pure
-// function of the schedule — shadow-oracle replay passes unchanged on
-// multi-partition runs.
+// function of the schedule — the trace checker (internal/oracle), one per
+// partition, passes unchanged on multi-partition runs.
 package part
 
 import (
@@ -54,8 +54,8 @@ type Options struct {
 	Dir string
 	// Engine is the per-partition engine template. Dir, OIDBase,
 	// OIDStride, SingleWriter and Partition are overridden per
-	// partition; everything else (ShadowOracle, Faults, flight and
-	// provenance sizing, …) applies to each partition alike.
+	// partition; everything else (Faults, flight and provenance sizing,
+	// …) applies to each partition alike.
 	Engine engine.Options
 	// PerPartition, when set, customizes partition p's engine options
 	// after the standard overrides — e.g. the sim harness installs a
@@ -396,16 +396,4 @@ func (db *DB) Explain(trigger string, oid store.OID) (*engine.Explanation, error
 		return ierr
 	})
 	return ex, err
-}
-
-// VerifyOracle replays every partition's shadow-oracle histories (§4)
-// inside the owning loops; any divergence is returned. Requires the DB
-// to have been opened with Engine.ShadowOracle.
-func (db *DB) VerifyOracle() error {
-	for p := range db.parts {
-		if err := db.Do(p, (*engine.Engine).VerifyOracle); err != nil {
-			return fmt.Errorf("part: partition %d: %w", p, err)
-		}
-	}
-	return nil
 }

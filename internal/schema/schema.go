@@ -77,9 +77,9 @@ const (
 	// state is rolled back on abort with the rest of the object.
 	CommittedView HistoryView = iota
 	// WholeView sees every event, aborted transactions included: an
-	// abort keeps the automaton state (and the shadow-oracle history that
-	// goes with it) the aborted transaction left, while activation and
-	// activation parameters are rolled back like everything else.
+	// abort keeps the automaton state the aborted transaction left, while
+	// activation and activation parameters are rolled back like
+	// everything else.
 	WholeView
 )
 

@@ -14,6 +14,7 @@ import (
 	"ode/internal/evlang"
 	"ode/internal/fault"
 	"ode/internal/obs"
+	"ode/internal/oracle"
 	"ode/internal/store"
 	"ode/internal/txn"
 	"ode/internal/value"
@@ -27,6 +28,7 @@ type Result struct {
 	Seed              int64
 	Firings           []string
 	Stats             engine.Stats
+	Checks            oracle.Stats // what the trace checker checked
 	Crashes           int
 	Recoveries        int
 	TornTails         int
@@ -35,6 +37,8 @@ type Result struct {
 	Fingerprint       string
 	// objects renders the live objects at the end of the run (exec.objects).
 	objects []string
+	// faults is the fault registry's per-point counters at the end.
+	faults []fault.PointStats
 
 	// Egress summary (populated for Script.Egress runs): the final
 	// durable feed length, the distinct effects the ledger receiver
@@ -115,11 +119,11 @@ func (s *txStage) commit() {
 }
 
 type exec struct {
-	sc     *Script
-	dir    string
-	reg    *fault.Registry
-	eng    *engine.Engine
-	oracle bool // engine.Options.ShadowOracle, and VerifyOracle after recoveries and at the end
+	sc  *Script
+	dir string
+	reg *fault.Registry
+	eng *engine.Engine
+	chk *oracle.Checker // reads each incarnation's trace; nil runs the script unchecked
 
 	model   []*objState
 	firings []string
@@ -166,19 +170,21 @@ func (x *exec) setSlot(i int, v *objState) {
 	x.model[i] = v
 }
 
-// Execute runs a script to completion, checking the model, the §4
-// oracle and recovery atomicity along the way. The returned error, if
-// any, is a *Failure embedding the reproduction script.
+// Execute runs a script to completion, checking the model, the §4 / §6
+// trace checker and recovery atomicity along the way. The returned
+// error, if any, is a *Failure embedding the reproduction script.
 func Execute(sc *Script, dir string) (*Result, error) { return execute(sc, dir, true) }
 
-// execute is Execute with the shadow oracle on or off. Off, the engine
-// dispatches a kind only to the triggers it can move, as it does outside
-// the simulation, and nothing consults the oracle.
-func execute(sc *Script, dir string, oracle bool) (res *Result, err error) {
+// execute is Execute with the trace checker attached or not. The engine
+// runs the same either way: the checker only reads its trace.
+func execute(sc *Script, dir string, checked bool) (res *Result, err error) {
 	if sc.Persistent && dir == "" {
 		return nil, errors.New("sim: persistent script needs a directory")
 	}
-	x := &exec{sc: sc, dir: dir, reg: fault.New(), oracle: oracle}
+	x := &exec{sc: sc, dir: dir, reg: fault.New()}
+	if checked {
+		x.chk = oracle.New()
+	}
 	x.reg.FailStop()
 	if err := x.open(time.Time{}); err != nil {
 		return nil, fmt.Errorf("sim: open: %w", err)
@@ -202,7 +208,11 @@ func execute(sc *Script, dir string, oracle bool) (res *Result, err error) {
 
 	for i, st := range sc.Steps {
 		x.flight = nil
-		if err := x.runStep(st); err != nil {
+		err := x.runStep(st)
+		if err == nil {
+			err = x.drain()
+		}
+		if err != nil {
 			return nil, &Failure{Seed: sc.Seed, Step: i, Script: sc, Err: err, Flight: x.failFlight()}
 		}
 		if err := x.pumpEgress(); err != nil {
@@ -217,7 +227,7 @@ func execute(sc *Script, dir string, oracle bool) (res *Result, err error) {
 	if err := x.stateErr(nil, false); err != nil {
 		return nil, &Failure{Seed: sc.Seed, Step: final, Script: sc, Err: err, Flight: x.failFlight()}
 	}
-	if err := x.verifyOracle(); err != nil {
+	if err := x.verify(); err != nil {
 		return nil, &Failure{Seed: sc.Seed, Step: final, Script: sc, Err: err, Flight: x.failFlight()}
 	}
 	if err := timerScheduleErr(x.eng); err != nil {
@@ -231,6 +241,7 @@ func execute(sc *Script, dir string, oracle bool) (res *Result, err error) {
 		Seed:              sc.Seed,
 		Firings:           x.firings,
 		Stats:             x.stats,
+		Checks:            x.checks(),
 		Crashes:           x.crashes,
 		Recoveries:        x.recoveries,
 		TornTails:         x.tornTails,
@@ -246,7 +257,7 @@ func execute(sc *Script, dir string, oracle bool) (res *Result, err error) {
 		DelivererCrashes:  x.delvCrashes,
 		DelivererResumes:  x.delvResumes,
 	}
-	res.Fingerprint, res.objects = x.fingerprint(), x.objects()
+	res.Fingerprint, res.objects, res.faults = x.fingerprint(), x.objects(), x.reg.Snapshot()
 	return res, nil
 }
 
@@ -275,13 +286,16 @@ func (x *exec) objects() []string {
 // open builds an engine incarnation over the script's classes. start
 // carries the virtual clock across simulated crashes.
 func (x *exec) open(start time.Time) error {
-	opts := engine.Options{Start: start, ShadowOracle: x.oracle, Faults: x.reg}
+	opts := engine.Options{Start: start, Faults: x.reg}
 	if x.sc.Persistent {
 		opts.Dir = x.dir
 	}
 	eng, err := engine.New(opts)
 	if err != nil {
 		return err
+	}
+	if x.chk != nil {
+		Attach(x.chk, eng)
 	}
 	for ci := range classDefs {
 		cls, impl := buildClass(ci, x.sc, x.fire)
@@ -295,12 +309,31 @@ func (x *exec) open(start time.Time) error {
 	return nil
 }
 
-// verifyOracle is engine.VerifyOracle, which needs the shadow oracle.
-func (x *exec) verifyOracle() error {
-	if !x.oracle {
+// drain has the checker read the trace so far.
+func (x *exec) drain() error {
+	if x.chk == nil {
 		return nil
 	}
-	return x.eng.VerifyOracle()
+	return x.chk.Drain()
+}
+
+// verify has the checker read the rest of the trace and check the
+// stored trigger state.
+func (x *exec) verify() error {
+	if x.chk == nil {
+		return nil
+	}
+	if err := x.chk.Drain(); err != nil {
+		return err
+	}
+	return x.chk.Verify(x.eng.Store())
+}
+
+func (x *exec) checks() oracle.Stats {
+	if x.chk == nil {
+		return oracle.Stats{}
+	}
+	return x.chk.Stats()
 }
 
 func (x *exec) fire(class, trigger string, ctx *engine.ActionCtx) {
@@ -408,6 +441,10 @@ func (x *exec) runTx(ops []Op, abort bool) error {
 	for _, op := range ops {
 		err := x.applyOp(tx, stage, op)
 		if err == nil {
+			err = x.drain()
+			if err != nil {
+				return fmt.Errorf("op %s: %w", op, err)
+			}
 			continue
 		}
 		if aborts(err) {
@@ -463,11 +500,11 @@ func (x *exec) runTx(ops []Op, abort bool) error {
 // after-tabort outcome phase did — so an injected WAL fault can land
 // there, and is a crash like one on a commit frame: the model's stage is
 // the phase's writes (WholeA's ta, unless VetoA vetoed it), and the
-// oracle must hold on whichever side recovery lands (state and shadow
-// travel together). A lock fault can land in the phase too (in WholeA's
-// field access): the engine then rolls the phase back alone, its writes
-// with it, and reports it as an after-tabort timer error — this abort's,
-// the only after-tabort phase since the errors were last drained.
+// trace checker must find the stored trigger state on the same side. A
+// lock fault can land in the phase too (in WholeA's field access): the
+// engine then rolls the phase back alone, its writes with it, and
+// reports it as an after-tabort timer error — this abort's, the only
+// after-tabort phase since the errors were last drained.
 func (x *exec) aborted(tx *engine.Tx, err error, abort phaseLog) error {
 	for _, terr := range x.eng.TimerErrors()[x.timerErrSeen:] {
 		if errors.Is(terr, fault.ErrInjected) && strings.HasPrefix(terr.Error(), "engine: after-tabort delivery aborted") {
@@ -652,12 +689,20 @@ func (x *exec) crashCycle(stage *txStage, fe *fault.Error, victimTx uint64) erro
 	// so a failure diagnosed after recovery still shows the pipeline
 	// events leading into the crash.
 	x.flight = x.eng.FlightEvents(0)
+	// The dying engine's trace holds the failed frame, what recovery may
+	// still land on.
+	if err := x.drain(); err != nil {
+		return fmt.Errorf("trace before the crash at %v: %w", fe, err)
+	}
 	// Capture the dying engine's published feed and fold the deliverer
 	// (it dies with the process; its durable cursor survives).
 	x.pollFeed()
 	x.teardownDeliverer()
 	x.eng.Close()
 	x.reg.Disarm()
+	if x.chk != nil {
+		x.chk.Crash()
+	}
 	x.crashes++
 	if err := x.open(now); err != nil {
 		return fmt.Errorf("recovery open after %v: %w", fe, err)
@@ -701,8 +746,10 @@ func (x *exec) crashCycle(stage *txStage, fe *fault.Error, victimTx uint64) erro
 		x.delvResumes++
 	}
 
-	if err := x.verifyOracle(); err != nil {
-		return fmt.Errorf("oracle after recovery from %v: %w", fe, err)
+	if x.chk != nil {
+		if err := x.chk.Recover(x.eng.Store()); err != nil {
+			return fmt.Errorf("trace checker after recovery from %v: %w", fe, err)
+		}
 	}
 	return x.checkTimerErrs()
 }
@@ -855,7 +902,6 @@ func (x *exec) collectStats() {
 	x.stats.Firings += s.Firings
 	x.stats.TimerPosts += s.TimerPosts
 	x.stats.TcompleteRounds += s.TcompleteRounds
-	x.stats.ShadowChecks += s.ShadowChecks
 	x.stats.FlightEvents += s.FlightEvents
 	x.stats.ProvenanceSteps += s.ProvenanceSteps
 }

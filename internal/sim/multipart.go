@@ -15,6 +15,7 @@ import (
 
 	"ode/internal/engine"
 	"ode/internal/fault"
+	"ode/internal/oracle"
 	"ode/internal/part"
 	"ode/internal/store"
 	"ode/internal/txn"
@@ -24,7 +25,7 @@ import (
 // The multi-partition harness drives a part.DB — N single-writer
 // engines behind the router and the sequenced bus — through seeded
 // scripts, under the same three oracles as the single-engine harness:
-// the §4 shadow oracle (replayed per partition across the bus), a
+// the §4 / §6 trace checker (one per partition, across the bus), a
 // per-partition ledger of object state, and per-fault crash-recovery
 // contracts. Each partition carries its own fault registry
 // (part.Options.PerPartition), so a WAL fault targets exactly one
@@ -288,6 +289,7 @@ type mexec struct {
 	firings [][]string
 	outcome outcomeLog
 
+	chks         []*oracle.Checker // the trace checker, per partition
 	timerErrSeen []int
 	relayErrSeen int
 	crashes      int
@@ -340,6 +342,7 @@ func ExecuteMulti(sc *MultiScript, dir string) (*MultiResult, error) {
 		reg := fault.New()
 		reg.FailStop()
 		x.regs = append(x.regs, reg)
+		x.chks = append(x.chks, oracle.New())
 	}
 	if err := x.open(time.Time{}); err != nil {
 		return nil, fmt.Errorf("sim: multipart open: %w", err)
@@ -347,7 +350,11 @@ func ExecuteMulti(sc *MultiScript, dir string) (*MultiResult, error) {
 	defer func() { x.db.Close() }()
 
 	for i, st := range sc.Steps {
-		if err := x.runStep(st); err != nil {
+		err := x.runStep(st)
+		if err == nil {
+			err = x.drain()
+		}
+		if err != nil {
 			return nil, fmt.Errorf("sim: multipart seed %d failed at step %d (%s): %w\nreproduce with:\n%s",
 				sc.Seed, i, st, err, sc.String())
 		}
@@ -363,8 +370,8 @@ func ExecuteMulti(sc *MultiScript, dir string) (*MultiResult, error) {
 			return nil, fmt.Errorf("sim: multipart seed %d: partition %d: %w", sc.Seed, p, err)
 		}
 	}
-	if err := x.db.VerifyOracle(); err != nil {
-		return nil, fmt.Errorf("sim: multipart seed %d: final oracle: %w", sc.Seed, err)
+	if err := x.verify(); err != nil {
+		return nil, fmt.Errorf("sim: multipart seed %d: final trace check: %w", sc.Seed, err)
 	}
 	if err := x.db.CheckOwnership(); err != nil {
 		return nil, fmt.Errorf("sim: multipart seed %d: %w", sc.Seed, err)
@@ -395,7 +402,7 @@ func (x *mexec) open(start time.Time) error {
 	db, err := part.Open(part.Options{
 		N:      x.sc.Partitions,
 		Dir:    x.dir,
-		Engine: engine.Options{Start: start, ShadowOracle: true},
+		Engine: engine.Options{Start: start},
 		PerPartition: func(p int, eo *engine.Options) {
 			eo.Faults = x.regs[p]
 		},
@@ -416,6 +423,9 @@ func (x *mexec) open(start time.Time) error {
 	if err != nil {
 		db.Close()
 		return err
+	}
+	for p, chk := range x.chks {
+		Attach(chk, db.Partition(p).Engine())
 	}
 	x.db = db
 	x.timerErrSeen = make([]int, x.sc.Partitions)
@@ -661,7 +671,13 @@ func (x *mexec) runFault(st MStep) error {
 // must recover to exactly their committed ledger state.
 func (x *mexec) crashCycle(p int, stage *mStage, fe *fault.Error) error {
 	now := x.db.Now()
+	if err := x.drain(); err != nil {
+		return fmt.Errorf("trace before the crash at %v: %w", fe, err)
+	}
 	x.db.Close()
+	for _, chk := range x.chks {
+		chk.Crash()
+	}
 	for _, reg := range x.regs {
 		reg.Disarm()
 	}
@@ -717,13 +733,41 @@ func (x *mexec) crashCycle(p int, stage *mStage, fe *fault.Error) error {
 			p, fe, postErr, preErr)
 	}
 
-	if err := x.db.VerifyOracle(); err != nil {
-		return fmt.Errorf("oracle after recovery from %v: %w", fe, err)
+	for q, chk := range x.chks {
+		if err := chk.Recover(x.db.Partition(q).Engine().Store()); err != nil {
+			return fmt.Errorf("trace checker on partition %d after recovery from %v: %w", q, fe, err)
+		}
 	}
 	if err := x.db.CheckOwnership(); err != nil {
 		return fmt.Errorf("ownership after recovery from %v: %w", fe, err)
 	}
 	return x.checkErrs()
+}
+
+// drain has every partition's checker read its trace so far, once the
+// partitions are idle.
+func (x *mexec) drain() error {
+	x.db.Drain()
+	for p, chk := range x.chks {
+		if err := chk.Drain(); err != nil {
+			return fmt.Errorf("trace checker, partition %d: %w", p, err)
+		}
+	}
+	return nil
+}
+
+// verify drains every partition's trace and checks its stored trigger
+// state.
+func (x *mexec) verify() error {
+	if err := x.drain(); err != nil {
+		return err
+	}
+	for p, chk := range x.chks {
+		if err := chk.Verify(x.db.Partition(p).Engine().Store()); err != nil {
+			return fmt.Errorf("trace checker, partition %d: %w", p, err)
+		}
+	}
+	return nil
 }
 
 // checkErrs drains newly recorded timer and relay errors on every

@@ -4,11 +4,13 @@
 // against a real engine under a virtual clock, and check three
 // oracles throughout:
 //
-//   - the §4 denotational semantics: every automaton transition is
-//     cross-checked at posting time (engine.Options.ShadowOracle) and
-//     every recorded instance history is replayed against
-//     algebra.FiringPoints at the end of the run and after every
-//     simulated crash (engine.VerifyOracle);
+//   - the §4 denotational semantics under the §6 history views: the
+//     trace checker (internal/oracle, attached by Attach) reads the
+//     engine's trace after every operation, keeps each trigger
+//     instance's history under its own model of the views, and checks
+//     every step — and every point the engine skipped — against
+//     algebra.FiringPoints, and the stored trigger states against the
+//     replay after every simulated crash and at the end of the run;
 //   - a ledger model of object state: committed effects must be
 //     exactly present, aborted and crashed-away effects exactly absent,
 //     and recovery must be atomic per transaction;

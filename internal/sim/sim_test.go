@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ode/internal/fault"
+	"ode/internal/oracle"
 )
 
 // handScript builds a script with the standard init transaction (one
@@ -55,8 +56,8 @@ func TestSimShort(t *testing.T) {
 		if res.Stats.Firings == 0 {
 			t.Errorf("seed %d: no trigger fired — workload too weak to test anything", seed)
 		}
-		if res.Stats.ShadowChecks == 0 {
-			t.Errorf("seed %d: shadow oracle never consulted", seed)
+		if res.Checks.Steps == 0 || res.Checks.Inert == 0 {
+			t.Errorf("seed %d: the trace checker checked %d steps and %d skipped history points", seed, res.Checks.Steps, res.Checks.Inert)
 		}
 	}
 }
@@ -99,16 +100,18 @@ func TestSimDeterminism(t *testing.T) {
 	}
 }
 
-// TestSimOracleSeeds replays the engine against the §4 denotational
-// semantics across many randomized seeds: every posting is
-// shadow-checked and every instance history is replayed through
-// algebra.FiringPoints at the end of each run.
+// TestSimOracleSeeds checks the engine against the §4 denotational
+// semantics across many randomized seeds: the trace checker labels every
+// instance history with algebra.FiringPoints and compares each step's
+// verdict, the points the engine skipped (inert kinds) included, and the
+// stored states at the end of each run.
 func TestSimOracleSeeds(t *testing.T) {
 	seeds := 1000
 	if testing.Short() {
 		seeds = 150
 	}
-	var checks, firings uint64
+	var checks oracle.Stats
+	var firings uint64
 	// Seeds that fired each trigger whose action aborts a transaction or
 	// an abort's outcome phase, or writes in one.
 	aborters := map[string]int{".Boom ": 0, ".Again ": 0, ".WholeA ": 0, ".VetoA ": 0}
@@ -118,7 +121,8 @@ func TestSimOracleSeeds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		checks += res.Stats.ShadowChecks
+		checks.Steps += res.Checks.Steps
+		checks.Inert += res.Checks.Inert
 		firings += res.Stats.Firings
 		fired := strings.Join(res.Firings, "\n")
 		for k := range aborters {
@@ -127,8 +131,8 @@ func TestSimOracleSeeds(t *testing.T) {
 			}
 		}
 	}
-	if checks == 0 || firings == 0 {
-		t.Fatalf("oracle sweep was vacuous: %d shadow checks, %d firings", checks, firings)
+	if checks.Steps == 0 || checks.Inert == 0 || firings == 0 {
+		t.Fatalf("oracle sweep was vacuous: %d steps and %d skipped points checked, %d firings", checks.Steps, checks.Inert, firings)
 	}
 	for k, n := range aborters {
 		if n == 0 {
@@ -136,7 +140,7 @@ func TestSimOracleSeeds(t *testing.T) {
 		}
 	}
 	t.Logf("seeds firing the aborters: %v", aborters)
-	t.Logf("%d seeds: %d shadow checks, %d firings", seeds, checks, firings)
+	t.Logf("%d seeds: %d steps and %d skipped points checked, %d firings", seeds, checks.Steps, checks.Inert, firings)
 }
 
 // --- per-fault-class tests -------------------------------------------------
@@ -226,9 +230,9 @@ func TestFaultCrashAfterCommit(t *testing.T) {
 // TestFaultCrashDuringAbortCarry: an abort writes too — one frame with
 // what the object's whole-view trigger keeps of the aborted transaction —
 // and a crash on either side of that frame's sync is a crash like any
-// other: recovery yields all of the frame or none of it, the oracle holds
-// (state and shadow are one record), and the next transaction's tbegin
-// steps whatever survived.
+// other: recovery yields all of the frame or none of it, the trace
+// checker finds the stored trigger state on the same side, and the next
+// transaction's tbegin steps whatever survived.
 func TestFaultCrashDuringAbortCarry(t *testing.T) {
 	for _, point := range []fault.Point{fault.WALWrite, fault.WALAfterSync} {
 		sc := handScript(true,

@@ -108,6 +108,9 @@ const (
 const (
 	trigActive byte = 1 << iota
 	trigHasParams
+	// trigHasShadow marks a symbol history (a count, then the symbols as
+	// varints) that frames of earlier versions carried after the
+	// parameters; it is read and dropped, and never written.
 	trigHasShadow
 	trigFlagsMask = trigActive | trigHasParams | trigHasShadow
 )
@@ -269,12 +272,9 @@ func (e *encoder) record(b []byte, r *Record) []byte {
 		if t.Active {
 			flags |= trigActive
 		}
-		params, shadow := t.Params(), t.Shadow()
+		params := t.Params()
 		if len(params) > 0 {
 			flags |= trigHasParams
-		}
-		if len(shadow) > 0 {
-			flags |= trigHasShadow
 		}
 		b = append(b, flags)
 		b = binary.AppendVarint(b, int64(t.State))
@@ -282,12 +282,6 @@ func (e *encoder) record(b []byte, r *Record) []byte {
 			b = binary.AppendUvarint(b, uint64(len(params)))
 			for j := range params {
 				b = e.value(b, &params[j])
-			}
-		}
-		if len(shadow) > 0 {
-			b = binary.AppendUvarint(b, uint64(len(shadow)))
-			for _, sym := range shadow {
-				b = binary.AppendVarint(b, int64(sym))
 			}
 		}
 	}
@@ -522,16 +516,12 @@ func (d *decoder) record() *Record {
 				}
 			}
 		}
-		var shadow []int
 		if flags&trigHasShadow != 0 {
-			if k := d.count(minVarint); k > 0 {
-				shadow = make([]int, k)
-				for j := range shadow {
-					shadow[j] = int(d.varint())
-				}
+			for k := d.count(minVarint); k > 0; k-- {
+				d.varint()
 			}
 		}
-		t := TrigState{Active: flags&trigActive != 0, State: int32(state), ext: newExt(params, shadow)}
+		t := TrigState{Active: flags&trigActive != 0, State: int32(state), ext: newExt(params)}
 		if d.err != nil {
 			return nil
 		}

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -44,7 +45,6 @@ type trigDump struct {
 	Active bool     `json:"active"`
 	State  int      `json:"state"`
 	Params []string `json:"params,omitempty"`
-	Shadow []int    `json:"shadow,omitempty"`
 }
 
 // renderValue is exact: float bits, time instant to the nanosecond and
@@ -71,7 +71,7 @@ func dumpRecord(r *Record) objectDump {
 		if t.IsZero() {
 			continue
 		}
-		td := trigDump{Active: t.Active, State: int(t.State), Shadow: append([]int(nil), t.Shadow()...)}
+		td := trigDump{Active: t.Active, State: int(t.State)}
 		for _, p := range t.Params() {
 			td.Params = append(td.Params, renderValue(p))
 		}
@@ -101,7 +101,7 @@ var zoned = time.Date(2001, 2, 3, 4, 5, 6, 789, time.FixedZone("", 5*3600+1800))
 
 // richStore commits a little of everything the codec carries into a
 // fresh durable store in dir and closes it: every value kind,
-// activations with and without parameters and history, a deactivated
+// activations with and without parameters, a deactivated
 // trigger, a multi-object transaction, firings, a deletion. It
 // checkpoints after transaction checkpointAfter (0 = never), so the
 // snapshot and the log both hold something.
@@ -117,7 +117,7 @@ func richStore(t testing.TB, dir string, checkpointAfter int) storeDump {
 		"none": value.Null(), "at": value.Time(zoned), "utc": value.Time(zoned.UTC()), "peer": value.ID(uint64(b.OID)),
 	})
 	c := s.Create("other", map[string]value.Value{"f": value.Float(math.Inf(-1))})
-	*a.Trigger("Over") = TrigState{Active: true, State: 2, ext: newExt([]value.Value{value.Int(9), value.Str("p"), value.Time(zoned)}, []int{1, 0, 3})}
+	*a.Trigger("Over") = TrigState{Active: true, State: 2, ext: newExt([]value.Value{value.Int(9), value.Str("p"), value.Time(zoned)})}
 	*a.Trigger("Off") = TrigState{State: 1}
 	*b.Trigger("Big") = TrigState{Active: true}
 	firing := func(r *Record, trig string, at int64) FiringRecord {
@@ -135,8 +135,7 @@ func richStore(t testing.TB, dir string, checkpointAfter int) storeDump {
 		func() ([]OID, []OID, []FiringRecord) { s.Delete(c.OID); return nil, []OID{c.OID}, nil },
 		func() ([]OID, []OID, []FiringRecord) {
 			b.SetField("bal", value.Int(3))
-			*b.Trigger("Over") = TrigState{Active: true, State: 1, ext: newExt([]value.Value{value.Float(0.5)}, nil)}
-			a.Trigger("Over").AppendShadow(2)
+			*b.Trigger("Over") = TrigState{Active: true, State: 1, ext: newExt([]value.Value{value.Float(0.5)})}
 			return []OID{a.OID, b.OID}, nil, []FiringRecord{firing(b, "Over", 7), firing(a, "Over", 8), firing(b, "Big", 9)}
 		},
 	} {
@@ -460,6 +459,56 @@ func sealedLog(bodies ...[]byte) []byte {
 	return out
 }
 
+// TestDecodeDropsShadowField: a trigger slot of an earlier version's
+// frame may carry a symbol history after its parameters (trigHasShadow);
+// the decoder reads and drops it, keeping Active, State and Params, and
+// the record re-encodes to the same frame without the flag or the
+// history.
+func TestDecodeDropsShadowField(t *testing.T) {
+	s, _ := Open("")
+	params := []value.Value{value.Int(9), value.Str("p")}
+	e := &encoder{idx: map[string]int{}}
+	var vals []byte
+	for i := range params {
+		vals = e.value(vals, &params[i])
+	}
+	uv := func(vs ...uint64) (b []byte) {
+		for _, v := range vs {
+			b = binary.AppendUvarint(b, v)
+		}
+		return b
+	}
+	sv := func(vs ...int64) (b []byte) {
+		for _, v := range vs {
+			b = binary.AppendVarint(b, v)
+		}
+		return b
+	}
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	body := func(flags byte, shadow []byte) []byte {
+		return cat(uv(1, 2, 4), []byte("acct"), uv(4), []byte("Over"), // tx 1; names acct, Over
+			uv(1, 7, 0, 0, 1, 1), []byte{flags}, sv(3), // object 7 of acct, no fields, trigger Over in state 3
+			uv(uint64(len(params))), vals, shadow,
+			uv(0, 0)) // no deletions, no firings
+	}
+	old := body(trigActive|trigHasParams|trigHasShadow, cat(uv(4), sv(1, 0, 3, 2)))
+	tx, err := s.decodeTx(old)
+	if err != nil || len(tx.recs) != 1 {
+		t.Fatalf("decode: %v, %d record(s)", err, len(tx.recs))
+	}
+	got := tx.recs[0].Trigger("Over")
+	if !got.Active || got.State != 3 || !slices.EqualFunc(got.Params(), params, value.Value.Equal) {
+		t.Fatalf("decoded %+v params %v, want active in state 3 with %v", *got, got.Params(), params)
+	}
+	frame, err := e.tx(1, tx.recs, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := body(trigActive|trigHasParams, nil); !bytes.Equal(frame[frameHdrLen+1:], want) {
+		t.Fatalf("re-encoded\n% x\nwant\n% x", frame[frameHdrLen+1:], want)
+	}
+}
+
 // TestDecodeBoundsCounts: a frame that passes its checksum but promises
 // more items than its bytes could hold is refused before anything is
 // sized from the count.
@@ -729,7 +778,7 @@ func decodedSize(tx *txImage) int {
 		}
 		for i := range r.Trigs {
 			if t := &r.Trigs[i]; !t.IsZero() {
-				n += int(unsafe.Sizeof(*t)+unsafe.Sizeof(trigExt{})) + 8*len(t.Shadow())
+				n += int(unsafe.Sizeof(*t) + unsafe.Sizeof(trigExt{}))
 				for _, p := range t.Params() {
 					n += valueBytes(p)
 				}

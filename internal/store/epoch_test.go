@@ -289,7 +289,7 @@ func BenchmarkRecordImage(b *testing.B) {
 				s, _ := Open("")
 				r := s.Create("acct", map[string]value.Value{"bal": value.Int(1)})
 				for i := 0; i < n; i++ {
-					*r.Trigger(fmt.Sprintf("T%d", i)) = TrigState{Active: true, ext: newExt([]value.Value{value.Int(int64(i))}, nil)}
+					*r.Trigger(fmt.Sprintf("T%d", i)) = TrigState{Active: true, ext: newExt([]value.Value{value.Int(int64(i))})}
 				}
 				prev := r.image(nil)
 				switch moved {

@@ -26,7 +26,6 @@ type goldenWant struct {
 			Active bool    `json:"active"`
 			State  int     `json:"state"`
 			Params []int64 `json:"params"`
-			Shadow []int   `json:"shadow"`
 		} `json:"triggers"`
 	} `json:"objects"`
 	Firings   []FiringRecord `json:"firings"`
@@ -95,8 +94,7 @@ func checkGolden(t *testing.T, s *Store, want goldenWant) {
 			for _, v := range got.Params() {
 				params = append(params, v.AsInt())
 			}
-			if got.Active != wt.Active || int(got.State) != wt.State || !reflect.DeepEqual(params, wt.Params) ||
-				!reflect.DeepEqual(got.Shadow(), wt.Shadow) {
+			if got.Active != wt.Active || int(got.State) != wt.State || !reflect.DeepEqual(params, wt.Params) {
 				t.Fatalf("object %d trigger %s recovered as %+v, want %+v", wo.OID, name, *got, wt)
 			}
 		}

@@ -47,28 +47,23 @@ type OID uint64
 type TrigState struct {
 	State  int32
 	Active bool
-	ext    *trigExt // nil unless the activation has parameters or a shadow history
+	ext    *trigExt // nil unless the activation has parameters
 }
 
-// trigExt is the rarely present part of a TrigState. One that carries
-// only Params is immutable and shared by the live record, its images
-// and their copies — activation installs a fresh slice and nothing ever
-// writes an element of an existing one; one with a Shadow belongs to a
-// single TrigState (copyTrigs), so the live record appends in place.
+// trigExt is the rarely present part of a TrigState. It is immutable and
+// shared by the live record, its images and their copies — activation
+// installs a fresh slice and nothing ever writes an element of an
+// existing one.
 type trigExt struct {
 	Params []value.Value // activation parameters, in the trigger's declared order
-	// Shadow is the instance's symbol history, kept only when the
-	// engine's shadow-oracle mode is on; stored here so it is rolled
-	// back on abort exactly like State.
-	Shadow []int
 }
 
-// newExt returns the ext holding params and shadow, nil for neither.
-func newExt(params []value.Value, shadow []int) *trigExt {
-	if len(params) == 0 && len(shadow) == 0 {
+// newExt returns the ext holding params, nil for none.
+func newExt(params []value.Value) *trigExt {
+	if len(params) == 0 {
 		return nil
 	}
-	return &trigExt{Params: params, Shadow: shadow}
+	return &trigExt{Params: params}
 }
 
 // Params returns the activation parameters; the slice must not be written.
@@ -79,24 +74,9 @@ func (t *TrigState) Params() []value.Value {
 	return t.ext.Params
 }
 
-// Shadow returns the recorded symbol history.
-func (t *TrigState) Shadow() []int {
-	if t.ext == nil {
-		return nil
-	}
-	return t.ext.Shadow
-}
-
 // SetParams installs the parameters of a new activation, which starts
 // without a history; t takes ownership of p.
-func (t *TrigState) SetParams(p []value.Value) { t.ext = newExt(p, nil) }
-
-// AppendShadow records sym as the instance's latest symbol.
-// A fresh ext every time: the old one may be shared, and a copy of the
-// slot (a savepoint's, txn.Tx.Mark) must keep its own history.
-func (t *TrigState) AppendShadow(sym int) {
-	t.ext = &trigExt{Params: t.Params(), Shadow: append(t.Shadow(), sym)}
-}
+func (t *TrigState) SetParams(p []value.Value) { t.ext = newExt(p) }
 
 // IsZero reports whether the trigger was never activated on the object.
 func (t *TrigState) IsZero() bool { return *t == TrigState{} }
@@ -109,8 +89,7 @@ func (t *TrigState) equal(u *TrigState) bool {
 	if t.Active != u.Active || t.State != u.State {
 		return false
 	}
-	return t.ext == u.ext ||
-		slices.Equal(t.Params(), u.Params()) && slices.Equal(t.Shadow(), u.Shadow())
+	return t.ext == u.ext || slices.Equal(t.Params(), u.Params())
 }
 
 // Record is the stored representation of one object. A live record and
@@ -197,20 +176,12 @@ func (r *Record) Owner() any { return r.layout.owner.Load() }
 // TrigName returns the trigger name of a slot of Trigs.
 func (r *Record) TrigName(slot int) string { return r.layout.Name(slot) }
 
-// copyTrigs returns a copy of src that shares nothing mutable with it:
-// an ext is shared unless it carries a Shadow history, which is copied.
+// copyTrigs returns a copy of src, sharing its (immutable) exts.
 func copyTrigs(src []TrigState) []TrigState {
 	if len(src) == 0 {
 		return nil
 	}
-	out := make([]TrigState, len(src))
-	copy(out, src)
-	for i := range out {
-		if sh := out[i].Shadow(); len(sh) > 0 {
-			out[i].ext = &trigExt{Params: out[i].ext.Params, Shadow: slices.Clone(sh)}
-		}
-	}
-	return out
+	return slices.Clone(src)
 }
 
 // clone copies the record's trigger slots and shares its Fields map,
@@ -457,8 +428,8 @@ func (s *Store) Snapshot(oid OID) (*Record, error) {
 // first write — resurrecting the object if it was deleted in the
 // meantime. live, if not nil, is the record the rolled-back transaction
 // worked on: for each slot the class layout keeps (Layout.Keep) that is
-// active in both, State and Shadow — never Active or Params — are copied
-// from it over the copy. Restore
+// active in both, State — never Active or Params — is copied from it over
+// the copy. Restore
 // returns the installed record and whether it kept anything, that is,
 // differs from img; the caller then commits it like any other change
 // before it releases the object's lock.
@@ -470,9 +441,8 @@ func (s *Store) Restore(img, live *Record) (rec *Record, kept bool) {
 				continue
 			}
 			to, from := &rec.Trigs[slot], &live.Trigs[slot]
-			if to.Active && from.Active && (to.State != from.State || !slices.Equal(to.Shadow(), from.Shadow())) {
+			if to.Active && from.Active && to.State != from.State {
 				to.State = from.State
-				to.ext = newExt(to.Params(), slices.Clone(from.Shadow()))
 				kept = true
 			}
 		}

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"testing"
 	"unsafe"
 
@@ -216,7 +215,7 @@ func TestTrigStatePersisted(t *testing.T) {
 	act := a.Trigger("stockRoom.T6#1")
 	act.Active = true
 	act.State = 4
-	act.ext = newExt([]value.Value{value.Int(7)}, []int{3, 1})
+	act.ext = newExt([]value.Value{value.Int(7)})
 	s.LogCommit(1, []OID{a.OID}, nil, nil)
 	s.Close()
 
@@ -227,8 +226,7 @@ func TestTrigStatePersisted(t *testing.T) {
 	defer s2.Close()
 	ra, _ := s2.Get(a.OID)
 	got := ra.Trigger("stockRoom.T6#1")
-	if !got.Active || got.State != 4 || len(got.Params()) != 1 || !got.Params()[0].Equal(value.Int(7)) ||
-		!slices.Equal(got.Shadow(), []int{3, 1}) {
+	if !got.Active || got.State != 4 || len(got.Params()) != 1 || !got.Params()[0].Equal(value.Int(7)) {
 		t.Fatalf("trigger activation lost: %+v", got)
 	}
 }

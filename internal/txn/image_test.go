@@ -40,14 +40,13 @@ func TestAbortRestoresActivationScalars(t *testing.T) {
 	a := rec.Trigger("Watch")
 	a.State = 7
 	a.Active = false
-	a.AppendShadow(3)
 	if err := tx.Abort(); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := m.Store().Get(oid)
 	ga := got.Trigger("Watch")
-	if !ga.Active || ga.State != 1 || len(ga.Shadow()) != 0 {
-		t.Fatalf("rollback left Active=%v State=%d Shadow=%v", ga.Active, ga.State, ga.Shadow())
+	if !ga.Active || ga.State != 1 {
+		t.Fatalf("rollback left Active=%v State=%d", ga.Active, ga.State)
 	}
 }
 
@@ -178,7 +177,7 @@ func fingerprint(r *store.Record) string {
 	var trigs []string
 	for i := range r.Trigs {
 		if a := &r.Trigs[i]; !a.IsZero() {
-			trigs = append(trigs, fmt.Sprintf(" %s{%v %d %v %v}", r.TrigName(i), a.Active, a.State, a.Params(), a.Shadow()))
+			trigs = append(trigs, fmt.Sprintf(" %s{%v %d %v}", r.TrigName(i), a.Active, a.State, a.Params()))
 		}
 	}
 	sort.Strings(trigs)
@@ -255,13 +254,12 @@ func (h *imgHarness) apply(tx *Tx, op imgOp, created *[]store.OID, deleted, touc
 	case "step":
 		if a := rec.Trigger(name); a.Active {
 			a.State = int32(op.arg % 3)
-			a.AppendShadow(op.arg % 5)
 		}
-	case "activate": // also re-activation: a fresh Params slice, history reset
+	case "activate": // also re-activation: a fresh Params slice, state reset
 		a := rec.Trigger(name)
 		*a = store.TrigState{Active: true}
 		a.SetParams([]value.Value{value.Int(int64(op.arg % 2))})
-	case "reactivate": // the same parameters in a fresh slice: a change only if state or history moved
+	case "reactivate": // the same parameters in a fresh slice: a change only if the state moved
 		if a := rec.Trigger(name); a.Active {
 			p := append([]value.Value(nil), a.Params()...)
 			*a = store.TrigState{Active: true}
@@ -315,7 +313,7 @@ func (h *imgHarness) outcome(tx *Tx, op imgOp, created *[]store.OID, deleted, to
 }
 
 // rolledBack is the oracle of an abort: before, the copy of the
-// object taken before the transaction, with State and Shadow of the kept
+// object taken before the transaction, with State of the kept
 // slot taken from rec, the record the transaction worked on (nil if it
 // never accessed the object), if the slot is active in both. It reports
 // whether that changed before.
@@ -324,15 +322,10 @@ func rolledBack(before, rec *store.Record) (*store.Record, bool) {
 		return before, false
 	}
 	to, from := before.Trigger(imgKept), rec.Trigger(imgKept)
-	if !to.Active || !from.Active || to.State == from.State && fmt.Sprint(to.Shadow()) == fmt.Sprint(from.Shadow()) {
+	if !to.Active || !from.Active || to.State == from.State {
 		return before, false
 	}
-	kept := store.TrigState{Active: true, State: from.State}
-	kept.SetParams(to.Params())
-	for _, sym := range from.Shadow() {
-		kept.AppendShadow(sym)
-	}
-	*to = kept
+	to.State = from.State
 	return before, true
 }
 
@@ -549,8 +542,8 @@ func TestImageDifferential(t *testing.T) {
 			{commit: true, ops: []imgOp{{kind: "create", arg: 2}, {kind: "outcome", obj: 3, arg: 4}, {kind: "set", obj: 3, arg: 1}}},
 		},
 		"re-activation with equal parameters but a new history": {
-			// Same State, same len(Shadow), equal Params — only the
-			// history's content tells the two incarnations apart.
+			// Same State, equal Params: the two incarnations' records
+			// are equal, so the second commit changes nothing.
 			{commit: true, ops: []imgOp{{kind: "step", obj: 1, arg: 8}}},
 			{commit: true, ops: []imgOp{{kind: "activate", obj: 1, arg: 5}, {kind: "step", obj: 1, arg: 2}}},
 		},

@@ -208,9 +208,6 @@ type Options struct {
 	// RecordHistories > 0 retains each object's last N happenings for
 	// inspection; < 0 retains everything; 0 disables recording.
 	RecordHistories int
-	// ShadowOracle cross-checks every automaton transition against the
-	// paper's §4 denotational semantics at runtime (slow; for tests).
-	ShadowOracle bool
 	// FlightBuffer sizes the always-on flight recorder (rounded up to a
 	// power of two; 0 = the default capacity). The recorder cannot be
 	// disabled — it is the post-incident record of recent pipeline
@@ -246,7 +243,6 @@ func Open(opts Options) (*Database, error) {
 		Dir:             opts.Dir,
 		Start:           opts.Start,
 		RecordHistories: opts.RecordHistories,
-		ShadowOracle:    opts.ShadowOracle,
 		FlightBuffer:    opts.FlightBuffer,
 		ProvenanceBytes: opts.ProvenanceBytes,
 	}
