@@ -145,7 +145,7 @@ func TestBuilderMethodModesAndFuncs(t *testing.T) {
 }
 
 func TestQueryHistoryRootErrors(t *testing.T) {
-	db := openDB(t) // recording off
+	db := openDB(t) // tracing off
 	err := balanceMethods(db.NewClass("account")).Register()
 	if err != nil {
 		t.Fatal(err)
@@ -156,8 +156,8 @@ func TestQueryHistoryRootErrors(t *testing.T) {
 		return nil
 	})
 	_, err = db.QueryHistory(acct, "after deposit")
-	if err == nil || !strings.Contains(err.Error(), "RecordHistories") {
-		t.Fatalf("query without recording: %v", err)
+	if err == nil || !strings.Contains(err.Error(), "tracing is off") {
+		t.Fatalf("query with tracing off: %v", err)
 	}
 }
 

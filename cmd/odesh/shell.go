@@ -29,14 +29,11 @@ type shell struct {
 }
 
 func newShell(out io.Writer, dir string) (*shell, error) {
-	db, err := ode.Open(ode.Options{
-		Dir:             dir,
-		Start:           time.Date(2026, 7, 6, 8, 0, 0, 0, time.UTC),
-		RecordHistories: 64,
-	})
+	db, err := ode.Open(ode.Options{Dir: dir, Start: time.Date(2026, 7, 6, 8, 0, 0, 0, time.UTC)})
 	if err != nil {
 		return nil, err
 	}
+	db.EnableTracing(0) // history reads the trace
 	return &shell{
 		db:      db,
 		out:     out,
@@ -196,7 +193,8 @@ func (sh *shell) help() {
   begin | commit | abort     explicit transaction (otherwise one per command)
   advance DUR | now          virtual clock (e.g. advance 2h30m)
   state @oid TRIGGER         automaton state (one integer, paper §5)
-  history @oid               recent happenings
+  history @oid               the last 20 happenings (point, then trace record;
+                             needs tracing on since before the object's creation)
   automata NAME              trigger automaton sizes for a class
   .trace on|off|show [N]     pipeline tracing (show prints the last N events, default 20)
   .stats                     engine counters and per-trigger metrics
@@ -545,12 +543,12 @@ func (sh *shell) historyCmd(rest string) error {
 	if err != nil {
 		return err
 	}
-	log := sh.db.History(oid)
-	if log == nil {
-		return fmt.Errorf("no history recorded for @%d", oid)
+	hist, err := sh.db.History(oid)
+	if err != nil {
+		return err
 	}
-	for _, e := range log.Tail(20) {
-		fmt.Fprintf(sh.out, "  %4d  %-24s tx=%d\n", e.Seq, e.Kind, e.TxID)
+	for i := max(0, len(hist)-20); i < len(hist); i++ {
+		fmt.Fprintf(sh.out, "  %4d %s\n", i+1, hist[i])
 	}
 	return nil
 }
@@ -579,34 +577,7 @@ func (sh *shell) trace(rest string) error {
 			last = n
 		}
 		for _, ev := range sh.db.TraceEvents(last) {
-			fmt.Fprintf(sh.out, "  %5d %-9s", ev.Seq, ev.Stage)
-			if ev.TxID != 0 {
-				fmt.Fprintf(sh.out, " tx=%d", ev.TxID)
-			}
-			if ev.OID != 0 && ev.Stage != ode.StageEgress {
-				fmt.Fprintf(sh.out, " @%d", ev.OID)
-			}
-			if ev.Trigger != "" {
-				fmt.Fprintf(sh.out, " %s", ev.Trigger)
-			}
-			if ev.Kind != "" {
-				fmt.Fprintf(sh.out, " %s", ev.Kind)
-			}
-			switch ev.Stage {
-			case ode.StageMask:
-				fmt.Fprintf(sh.out, " bits=%#x→%#x ok=%v", ev.From, ev.To, ev.OK)
-			case ode.StageStep:
-				fmt.Fprintf(sh.out, " %d→%d accept=%v", ev.From, ev.To, ev.OK)
-			case ode.StageFire:
-				fmt.Fprintf(sh.out, " %s ok=%v", time.Duration(ev.DurNs), ev.OK)
-			case ode.StageTcomplete:
-				fmt.Fprintf(sh.out, " round=%d fired=%v", ev.From, ev.OK)
-			case ode.StageBatch:
-				fmt.Fprintf(sh.out, " n=%d", ev.From)
-			case ode.StageEgress: // the OID slot carries the batch's size
-				fmt.Fprintf(sh.out, " n=%d seq=%d..%d", ev.OID, ev.From, ev.To)
-			}
-			fmt.Fprintln(sh.out)
+			fmt.Fprintln(sh.out, " ", ev)
 		}
 		return nil
 	}

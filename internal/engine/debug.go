@@ -36,16 +36,13 @@ var debugEngineSeq atomic.Uint64
 // The handler reads live state; it never blocks posting.
 func (e *Engine) DebugHandler() http.Handler {
 	e.publishExpvar()
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/stats", e.handleDebugStats)
+	mux := DebugView{Partitions: 1, Stats: e.Stats, Metrics: e.metrics.Snapshot,
+		Flight: e.FlightEvents, FlightTotal: e.flight.Total, Feed: e.FiringsAfter}.Mux()
 	mux.HandleFunc("/debug/triggers", e.handleDebugTriggers)
 	mux.HandleFunc("/debug/trace", e.handleDebugTrace)
 	mux.HandleFunc("/debug/automata", e.handleDebugAutomata)
 	mux.HandleFunc("/debug/faults", e.handleDebugFaults)
-	mux.HandleFunc("/debug/metrics", e.handleDebugMetrics)
 	mux.HandleFunc("/debug/why", e.handleDebugWhy)
-	mux.HandleFunc("/debug/flight", e.handleDebugFlight)
-	mux.HandleFunc("/debug/feed", e.handleDebugFeed)
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -96,22 +93,81 @@ func (e *Engine) ExpvarName() string {
 	return e.expvarName
 }
 
-func (e *Engine) handleDebugStats(w http.ResponseWriter, r *http.Request) {
-	obs.WriteJSON(w, e.Stats())
+// DebugView is what the /debug/stats, /debug/metrics, /debug/flight
+// and /debug/feed bodies read: one engine, or a partitioned database's
+// aggregate over its engines (internal/part), so both serve the same
+// documents and series.
+type DebugView struct {
+	Partitions int
+	Stats      func() Stats
+	// PerPartition, when set, makes /debug/stats the aggregate Stats
+	// beside each partition's; without it /debug/stats is Stats itself.
+	PerPartition func() []Stats
+	Metrics      func() obs.Snapshot
+	Flight       func(last int) []obs.FlightEvent
+	FlightTotal  func() uint64
+	Feed         func(after uint64, max int) ([]store.FiringRecord, uint64)
 }
 
-// promExtras renders the engine-global Stats as exposition-format
-// series alongside the registry's per-trigger families.
-func (e *Engine) promExtras() []obs.PromMetric {
-	return PromExtras(e.Stats())
+// Mux returns a mux serving v's four routes:
+//
+//	/debug/stats       Stats (JSON)
+//	/debug/metrics     OpenMetrics: the per-trigger families and Stats
+//	/debug/flight?last=N  flight-recorder dump (JSON)
+//	/debug/feed?after=N&max=M  up to M firing-egress feed records after
+//	                   position N (after defaults to 0, max to 1000)
+func (v DebugView) Mux() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/stats", func(w http.ResponseWriter, r *http.Request) {
+		if v.PerPartition == nil {
+			obs.WriteJSON(w, v.Stats())
+			return
+		}
+		obs.WriteJSON(w, struct {
+			Partitions int     `json:"partitions"`
+			Aggregate  Stats   `json:"aggregate"`
+			PerPart    []Stats `json:"per_partition"`
+		}{v.Partitions, v.Stats(), v.PerPartition()})
+	})
+	mux.HandleFunc("/debug/metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		obs.WriteProm(w, v.Metrics(), promExtras(v.Stats()))
+	})
+	mux.HandleFunc("/debug/flight", func(w http.ResponseWriter, r *http.Request) {
+		if events, ok := obs.QueryEvents(w, r, 0, v.Flight); ok {
+			obs.WriteJSON(w, struct {
+				Partitions int               `json:"partitions"`
+				Total      uint64            `json:"total"`
+				Events     []obs.FlightEvent `json:"events"`
+			}{v.Partitions, v.FlightTotal(), events})
+		}
+	})
+	mux.HandleFunc("/debug/feed", func(w http.ResponseWriter, r *http.Request) {
+		after, ok := obs.QueryUint(w, r, "after", 0)
+		if !ok {
+			return
+		}
+		max, ok := obs.QueryUint(w, r, "max", 1000)
+		if !ok {
+			return
+		}
+		recs, head := v.Feed(after, int(max))
+		if recs == nil {
+			recs = []store.FiringRecord{}
+		}
+		obs.WriteJSON(w, struct {
+			Partitions int                  `json:"partitions"`
+			Head       uint64               `json:"head"`
+			Records    []store.FiringRecord `json:"records"`
+		}{v.Partitions, head, recs})
+	})
+	return mux
 }
 
-// PromExtras renders a Stats snapshot as exposition-format series —
-// shared by the engine's own /debug/metrics and the partitioned
-// aggregate endpoint (internal/part), so both expose the same family
-// names. Counters keep the _total suffix; the registration-state
-// automaton fields are gauges.
-func PromExtras(s Stats) []obs.PromMetric {
+// promExtras renders a Stats snapshot as exposition-format series.
+// Counters keep the _total suffix; the registration-state automaton
+// fields are gauges.
+func promExtras(s Stats) []obs.PromMetric {
 	return []obs.PromMetric{
 		{Name: "ode_engine_tx_begun_total", Help: "User transactions started.", Value: float64(s.TxBegun)},
 		{Name: "ode_engine_tx_committed_total", Help: "User transactions committed.", Value: float64(s.TxCommitted)},
@@ -142,33 +198,6 @@ func PromExtras(s Stats) []obs.PromMetric {
 	}
 }
 
-// handleDebugFeed serves the durable firing-egress feed:
-// /debug/feed?after=N&max=M returns up to M records with Seq > N
-// (after defaults to 0, max to 1000).
-func (e *Engine) handleDebugFeed(w http.ResponseWriter, r *http.Request) {
-	after, ok := obs.QueryUint(w, r, "after", 0)
-	if !ok {
-		return
-	}
-	max, ok := obs.QueryUint(w, r, "max", 1000)
-	if !ok {
-		return
-	}
-	recs, head := e.FiringsAfter(after, int(max))
-	if recs == nil {
-		recs = []store.FiringRecord{}
-	}
-	obs.WriteJSON(w, struct {
-		Head    uint64               `json:"head"`
-		Records []store.FiringRecord `json:"records"`
-	}{Head: head, Records: recs})
-}
-
-func (e *Engine) handleDebugMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	obs.WriteProm(w, e.metrics.Snapshot(), e.promExtras())
-}
-
 func (e *Engine) handleDebugWhy(w http.ResponseWriter, r *http.Request) {
 	trigger := r.URL.Query().Get("trigger")
 	oidStr := r.URL.Query().Get("oid")
@@ -187,15 +216,6 @@ func (e *Engine) handleDebugWhy(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	obs.WriteJSON(w, ex)
-}
-
-func (e *Engine) handleDebugFlight(w http.ResponseWriter, r *http.Request) {
-	if events, ok := obs.QueryEvents(w, r, 0, e.FlightEvents); ok {
-		obs.WriteJSON(w, struct {
-			Total  uint64            `json:"total"`
-			Events []obs.FlightEvent `json:"events"`
-		}{Total: e.flight.Total(), Events: events})
-	}
 }
 
 func (e *Engine) handleDebugTriggers(w http.ResponseWriter, r *http.Request) {

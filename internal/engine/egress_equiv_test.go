@@ -3,9 +3,11 @@ package engine
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"ode/internal/algebra"
+	"ode/internal/obs"
 	"ode/internal/schema"
 	"ode/internal/store"
 	"ode/internal/value"
@@ -208,5 +210,26 @@ func TestPublishWithAWaiterAllocatesNothing(t *testing.T) {
 	case <-wake:
 	default:
 		t.Fatal("egressPublish did not wake the registered reader")
+	}
+}
+
+// TestEgressRecordCarriesItsCount: an egress flight record keeps the
+// batch's first and last sequence numbers and its size apart, and
+// names no object. The span is the one a burned reservation leaves
+// (store's TestFiringSpanMayCrossABurnedGap): four records numbered
+// 1..6, so the size is not To−From+1.
+func TestEgressRecordCarriesItsCount(t *testing.T) {
+	e := newEngine(t, Options{})
+	e.egressPublish(store.FiringSpan{Lo: 0, Hi: 4, First: 1, Last: 6})
+	evs := e.FlightEvents(1)
+	if len(evs) != 1 {
+		t.Fatalf("flight events %+v", evs)
+	}
+	ev := evs[0]
+	if ev.Stage != obs.StageEgress || ev.From != 1 || ev.To != 6 || ev.N != 4 || ev.OID != 0 || ev.DurNs != 0 {
+		t.Fatalf("egress record %+v, want from 1 to 6, n 4, no object", ev)
+	}
+	if got := ev.String(); !strings.HasSuffix(got, " egress    n=4 seq=1..6") {
+		t.Fatalf("egress record renders as %q", got)
 	}
 }

@@ -35,7 +35,6 @@ import (
 	"ode/internal/evlang"
 	"ode/internal/fa"
 	"ode/internal/fault"
-	"ode/internal/history"
 	"ode/internal/obs"
 	"ode/internal/schema"
 	"ode/internal/store"
@@ -94,9 +93,6 @@ type Options struct {
 	Dir string
 	// Start is the initial virtual time (zero means 2000-01-01 UTC).
 	Start time.Time
-	// RecordHistories, when positive, keeps each object's last N
-	// happenings for inspection; negative keeps everything.
-	RecordHistories int
 	// Faults optionally installs a fault-injection registry consulted
 	// by the WAL and the lock manager (internal/fault). The simulation
 	// harness (internal/sim) arms it; nil — the production default —
@@ -151,10 +147,6 @@ type Engine struct {
 
 	timers *timerTable
 
-	// book is written once at open and read per happening; an atomic
-	// pointer keeps recordHappening from serializing parallel posters.
-	book atomic.Pointer[history.Book]
-
 	// timerErrs is a fixed-size ring (timerErrRingCap): a persistent
 	// delivery failure must not grow memory without bound. timerErrAt is
 	// the overwrite cursor once full; overwritten errors count into
@@ -170,7 +162,7 @@ type Engine struct {
 	// metrics, the flight recorder and firing provenance are always on.
 	// names interns class/trigger/kind strings to the uint16 IDs both
 	// recorders store.
-	trace    atomic.Pointer[obs.Flight]
+	trace    atomic.Pointer[tracer]
 	metrics  *obs.Registry
 	flight   *obs.Flight
 	names    *obs.Interner
@@ -308,12 +300,6 @@ func New(opts Options) (*Engine, error) {
 	st.SetFiringSink(e.egressPublish)
 	e.timers = newTimerTable(e)
 	e.txm.OnCommit(e.applyTimers)
-	switch {
-	case opts.RecordHistories > 0:
-		e.book.Store(history.NewBook(opts.RecordHistories))
-	case opts.RecordHistories < 0:
-		e.book.Store(history.NewBook(0))
-	}
 	return e, nil
 }
 
@@ -498,16 +484,6 @@ func (e *Engine) classOf(rec *store.Record) (*Class, error) {
 		return nil, fmt.Errorf("engine: object %d has unregistered class %q", rec.OID, rec.Class)
 	}
 	return c, nil
-}
-
-// History returns the recorded happening log of oid, or nil when
-// recording is disabled or nothing was recorded.
-func (e *Engine) History(oid store.OID) *history.Log {
-	book := e.book.Load()
-	if book == nil {
-		return nil
-	}
-	return book.Peek(oid)
 }
 
 // TriggerState reports a trigger instance's automaton state and

@@ -1063,21 +1063,22 @@ func TestTriggerStateIntrospection(t *testing.T) {
 func TestHistoryRecording(t *testing.T) {
 	rec := &recorder{}
 	cls, impl := accountClass(rec)
-	e := newEngine(t, Options{RecordHistories: -1})
+	e := newEngine(t, Options{})
+	e.EnableTracing(0)
 	oid := setup(t, e, cls, impl)
 
 	e.Transact(func(tx *Tx) error {
 		tx.Call(oid, "deposit", value.Int(1))
 		return nil
 	})
-	log := e.History(oid)
-	if log == nil {
-		t.Fatal("no history recorded")
+	log, err := e.History(oid)
+	if err != nil {
+		t.Fatal(err)
 	}
 	// create + (tbegin, before deposit, after deposit, tcomplete ×1,
 	// tcommit ×2 transactions) — at least 6 entries.
-	if log.Len() < 6 {
-		t.Fatalf("history has %d entries", log.Len())
+	if len(log) < 6 {
+		t.Fatalf("history has %d entries", len(log))
 	}
 }
 

@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"math"
+	"sync/atomic"
+
 	"ode/internal/obs"
 	"ode/internal/store"
 )
@@ -48,14 +51,26 @@ func (e *Engine) FlightEvents(last int) []obs.FlightEvent {
 	return e.dump(e.flight, last)
 }
 
+// tracer is an installed trace: its recorder, and the first OID the
+// store allocated after it was installed. An older object's early
+// happenings are not on it, so History refuses that object.
+type tracer struct {
+	*obs.Flight
+	from atomic.Uint64
+}
+
 // EnableTracing installs a fresh trace recorder retaining the last
 // capacity events (rounded up to a power of two; <= 0 picks
 // obs.DefaultFlightCapacity) and returns it. Any previous trace is
 // discarded.
 func (e *Engine) EnableTracing(capacity int) *obs.Flight {
-	f := obs.NewFlight(capacity, e.names)
-	e.trace.Store(f)
-	return f
+	tr := &tracer{Flight: obs.NewFlight(capacity, e.names)}
+	// The store's next OID is noted after the install, so an object
+	// allocated meanwhile counts as older, never as fully traced.
+	tr.from.Store(math.MaxUint64)
+	e.trace.Store(tr)
+	tr.from.Store(uint64(e.st.NextOID()))
+	return tr.Flight
 }
 
 // DisableTracing turns tracing off.
@@ -67,8 +82,8 @@ func (e *Engine) TracingEnabled() bool { return e.trace.Load() != nil }
 // TraceEvents dumps the last trace entries the way FlightEvents dumps
 // the flight recorder's (nil when tracing is disabled).
 func (e *Engine) TraceEvents(last int) []obs.FlightEvent {
-	if f := e.trace.Load(); f != nil {
-		return e.dump(f, last)
+	if tr := e.trace.Load(); tr != nil {
+		return e.dump(tr.Flight, last)
 	}
 	return nil
 }
@@ -116,10 +131,10 @@ func (e *Engine) flightFire(txid uint64, oid store.OID, classID, trigID uint16, 
 
 // flightEgress records one batch of firing records becoming visible on
 // the durable egress feed: from/to carry the batch's first and last
-// sequence numbers, the oid slot its size.
+// sequence numbers, the dur word its size.
 func (e *Engine) flightEgress(first, last uint64, n int) {
-	e.record(obs.StageEgress, e.clk.Now().UnixNano(), 0, uint64(n),
-		0, 0, 0, int(first), int(last), true, 0)
+	e.record(obs.StageEgress, e.clk.Now().UnixNano(), 0, 0,
+		0, 0, 0, int(first), int(last), true, int64(n))
 }
 
 // flightTx records a transaction lifecycle stage; the kind slot

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"ode/internal/event"
-	"ode/internal/history"
 	"ode/internal/mask"
 	"ode/internal/obs"
 	"ode/internal/schema"
@@ -237,7 +236,6 @@ func (tx *Tx) flush(c *Class, ph *phase, m *meter, atNs int64) {
 func (tx *Tx) step(c *Class, ph *phase, oid store.OID, rec *store.Record,
 	h *event.Happening, only *Trigger, m *meter) (bool, error) {
 	e, txid, atNs := tx.e, tx.tx.ID(), h.At.UnixNano()
-	e.recordHappening(oid, h)
 	tr := e.trace.Load() // nil while tracing is off
 	var own counts
 	n := &own
@@ -446,16 +444,6 @@ func (t *Trigger) checkParams(act *store.TrigState) error {
 			n, len(t.Res.Params))
 	}
 	return nil
-}
-
-func (e *Engine) recordHappening(oid store.OID, h *event.Happening) {
-	// Written once at open, read per happening: an atomic pointer, not
-	// a mutex, so recording never serializes parallel posters.
-	book := e.book.Load()
-	if book == nil {
-		return
-	}
-	book.Log(oid).Append(history.Entry{Kind: h.Kind, Symbol: -1, TxID: h.TxID, At: h.At})
 }
 
 // maskDotField resolves base.name during mask evaluation, for the

@@ -1,8 +1,11 @@
 package obs
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Flight is the event recorder: a fixed-size ring of recent pipeline
@@ -39,7 +42,7 @@ type flightSlot struct {
 	oid    atomic.Uint64
 	fromTo atomic.Uint64 // from (low 32) | to (high 32)
 	at     atomic.Int64  // virtual-clock unix nanoseconds
-	dur    atomic.Int64  // action latency ns (StageFire)
+	dur    atomic.Int64  // action latency ns (StageFire), batch size (StageEgress)
 }
 
 // packed layout: bits 0-15 kindID, 16-31 trigID, 32-47 classID,
@@ -92,6 +95,10 @@ func (f *Flight) Record(stage Stage, atNs int64, txid, oid uint64,
 // the ring has overwritten).
 func (f *Flight) Total() uint64 { return f.cursor.Load() }
 
+// Lapped reports whether the ring has overwritten an event, so that
+// Events no longer reaches back to the first one recorded.
+func (f *Flight) Lapped() bool { return f.cursor.Load() > uint64(len(f.slots)) }
+
 // Names exposes the recorder's intern table.
 func (f *Flight) Names() *Interner { return f.names }
 
@@ -113,6 +120,44 @@ type FlightEvent struct {
 	To      int    `json:"to"`
 	OK      bool   `json:"ok"`
 	DurNs   int64  `json:"dur_ns,omitempty"`
+	// N is an egress record's batch size, carried in the dur word.
+	N int64 `json:"n,omitempty"`
+}
+
+// String renders the event as one line of text — sequence, stage,
+// transaction, object, trigger, kind, then what the stage keeps in its
+// other words — the one text form of a record (odesh's .trace show and
+// history print it).
+func (ev FlightEvent) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%5d %-9s", ev.Seq, ev.Stage)
+	if ev.TxID != 0 {
+		fmt.Fprintf(&b, " tx=%d", ev.TxID)
+	}
+	if ev.OID != 0 {
+		fmt.Fprintf(&b, " @%d", ev.OID)
+	}
+	if ev.Trigger != "" {
+		b.WriteString(" " + ev.Trigger)
+	}
+	if ev.Kind != "" {
+		b.WriteString(" " + ev.Kind)
+	}
+	switch ev.Stage {
+	case StageMask:
+		fmt.Fprintf(&b, " bits=%#x→%#x ok=%v", ev.From, ev.To, ev.OK)
+	case StageStep:
+		fmt.Fprintf(&b, " %d→%d accept=%v", ev.From, ev.To, ev.OK)
+	case StageFire:
+		fmt.Fprintf(&b, " %s ok=%v", time.Duration(ev.DurNs), ev.OK)
+	case StageTcomplete:
+		fmt.Fprintf(&b, " round=%d fired=%v", ev.From, ev.OK)
+	case StageBatch:
+		fmt.Fprintf(&b, " n=%d", ev.From)
+	case StageEgress:
+		fmt.Fprintf(&b, " n=%d seq=%d..%d", ev.N, ev.From, ev.To)
+	}
+	return b.String()
 }
 
 // Events returns up to last recent events in chronological order
@@ -153,6 +198,9 @@ func (f *Flight) Events(last int) []FlightEvent {
 		ev.Kind = f.names.Name(uint16(packed))
 		ev.From = int(int32(uint32(ft)))
 		ev.To = int(int32(uint32(ft >> 32)))
+		if ev.Stage == StageEgress {
+			ev.N, ev.DurNs = ev.DurNs, 0
+		}
 		out = append(out, ev)
 	}
 	return out

@@ -70,7 +70,8 @@ const (
 	StageBatch
 	// StageEgress: a batch of firing records became visible on the
 	// durable egress feed; From holds the first sequence number of the
-	// batch, To the last, and the OID slot the batch's size.
+	// batch, To the last, and N the batch's size, which From and To do
+	// not give: a batch may span a burned reservation's numbers.
 	StageEgress
 	// StageActivate: a transaction activated a trigger on an object,
 	// which restarts its automaton (§2). Trace only.

@@ -3,10 +3,8 @@ package part
 import (
 	"cmp"
 	"math"
-	"net/http"
 	"slices"
 
-	"ode/internal/obs"
 	"ode/internal/store"
 )
 
@@ -139,25 +137,3 @@ func (db *DB) FiringPos(rec store.FiringRecord) uint64 {
 
 // NotifyFirings implements egress.Source: appendFeed wakes ch.
 func (db *DB) NotifyFirings(ch chan<- struct{}) func() { return db.feedWake.Add(ch) }
-
-// handleDebugFeed serves the merged feed:
-// /debug/feed?after=N&max=M (after defaults to 0, max to 1000).
-func (db *DB) handleDebugFeed(w http.ResponseWriter, r *http.Request) {
-	after, ok := obs.QueryUint(w, r, "after", 0)
-	if !ok {
-		return
-	}
-	max, ok := obs.QueryUint(w, r, "max", 1000)
-	if !ok {
-		return
-	}
-	recs, head := db.FiringsAfter(after, int(max))
-	if recs == nil {
-		recs = []store.FiringRecord{}
-	}
-	obs.WriteJSON(w, struct {
-		Partitions int                  `json:"partitions"`
-		Head       uint64               `json:"head"`
-		Records    []store.FiringRecord `json:"records"`
-	}{len(db.parts), head, recs})
-}

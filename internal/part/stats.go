@@ -87,6 +87,15 @@ func (db *DB) FlightEvents(last int) []obs.FlightEvent {
 	return out
 }
 
+// flightTotal is how many events every partition's flight recorder
+// ever recorded.
+func (db *DB) flightTotal() (n uint64) {
+	for _, pt := range db.parts {
+		n += pt.eng.Flight().Total()
+	}
+	return n
+}
+
 // ExpvarNames publishes (if needed) and returns each partition
 // engine's expvar key, in partition order — the consistency tests sum
 // the published snapshots against the aggregate Stats.
@@ -98,36 +107,16 @@ func (db *DB) ExpvarNames() []string {
 	return out
 }
 
-// DebugHandler returns the partitioned introspection handler:
-//
-//	/debug/stats          aggregate Stats plus the per-partition array
-//	/debug/metrics        aggregate OpenMetrics exposition (merged
-//	                      registries + summed ode_engine_* series)
-//	/debug/flight?last=N  merged flight dump with partition ids
-//	/debug/feed?after=N&max=M  merged durable firing-egress feed
-//	/debug/partition/<p>/debug/...  partition p's own engine handler
+// DebugHandler returns the partitioned introspection handler: the
+// engine's /debug/stats (aggregate Stats plus the per-partition array),
+// /debug/metrics (merged registries, summed ode_engine_* series),
+// /debug/flight (merged dump with partition ids) and /debug/feed (the
+// merged feed) over the aggregate views (engine.DebugView), and
+// /debug/partition/<p>/debug/... serving partition p's own engine
+// handler.
 func (db *DB) DebugHandler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/stats", func(w http.ResponseWriter, r *http.Request) {
-		obs.WriteJSON(w, struct {
-			Partitions int            `json:"partitions"`
-			Aggregate  engine.Stats   `json:"aggregate"`
-			PerPart    []engine.Stats `json:"per_partition"`
-		}{len(db.parts), db.Stats(), db.PartitionStats()})
-	})
-	mux.HandleFunc("/debug/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		obs.WriteProm(w, db.Metrics(), engine.PromExtras(db.Stats()))
-	})
-	mux.HandleFunc("/debug/flight", func(w http.ResponseWriter, r *http.Request) {
-		if events, ok := obs.QueryEvents(w, r, 0, db.FlightEvents); ok {
-			obs.WriteJSON(w, struct {
-				Partitions int               `json:"partitions"`
-				Events     []obs.FlightEvent `json:"events"`
-			}{len(db.parts), events})
-		}
-	})
-	mux.HandleFunc("/debug/feed", db.handleDebugFeed)
+	mux := engine.DebugView{Partitions: len(db.parts), Stats: db.Stats, PerPartition: db.PartitionStats,
+		Metrics: db.Metrics, Flight: db.FlightEvents, FlightTotal: db.flightTotal, Feed: db.FiringsAfter}.Mux()
 	for p, pt := range db.parts {
 		prefix := fmt.Sprintf("/debug/partition/%d", p)
 		mux.Handle(prefix+"/", http.StripPrefix(prefix, pt.eng.DebugHandler()))

@@ -369,6 +369,11 @@ func (s *Store) Create(class string, fields map[string]value.Value) *Record {
 	return r
 }
 
+// NextOID returns the OID the next Create will allocate: OIDs are
+// allocated in increasing order, so every object that exists now is
+// below it.
+func (s *Store) NextOID() OID { return OID(s.nextOID.Load()) }
+
 // live returns oid's live record, nil if it has none.
 func (s *Store) live(oid OID) *Record {
 	if sl := s.tab.slot(oid); sl != nil {

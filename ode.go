@@ -52,7 +52,6 @@ import (
 	"ode/internal/egress"
 	"ode/internal/engine"
 	"ode/internal/evlang"
-	"ode/internal/history"
 	"ode/internal/obs"
 	"ode/internal/part"
 	"ode/internal/schema"
@@ -92,8 +91,6 @@ type (
 	MaskFunc = engine.MaskFunc
 	// HistoryView selects the §6 history semantics of a trigger.
 	HistoryView = schema.HistoryView
-	// HistoryLog is a recorded per-object happening log.
-	HistoryLog = history.Log
 	// Clock is the engine's manually advanced virtual clock.
 	Clock = clock.Virtual
 	// TraceStage identifies which pipeline stage a FlightEvent records.
@@ -205,9 +202,6 @@ type Options struct {
 	Dir string
 	// Start is the initial virtual time (zero = 2000-01-01 UTC).
 	Start time.Time
-	// RecordHistories > 0 retains each object's last N happenings for
-	// inspection; < 0 retains everything; 0 disables recording.
-	RecordHistories int
 	// FlightBuffer sizes the always-on flight recorder (rounded up to a
 	// power of two; 0 = the default capacity). The recorder cannot be
 	// disabled — it is the post-incident record of recent pipeline
@@ -242,7 +236,6 @@ func Open(opts Options) (*Database, error) {
 	eopts := engine.Options{
 		Dir:             opts.Dir,
 		Start:           opts.Start,
-		RecordHistories: opts.RecordHistories,
 		FlightBuffer:    opts.FlightBuffer,
 		ProvenanceBytes: opts.ProvenanceBytes,
 	}
@@ -443,15 +436,16 @@ func (db *Database) TriggerState(oid OID, trigger string) (state int, active boo
 	return db.eng.TriggerState(oid, trigger)
 }
 
-// History returns the recorded happening log of an object (nil unless
-// Options.RecordHistories enabled recording).
-func (db *Database) History(oid OID) *HistoryLog { return db.eng.History(oid) }
+// History returns an object's happening records from the trace, oldest
+// first; record i is point i+1 of its history. It fails unless tracing
+// was on (EnableTracing) from before the object was created and the
+// trace has not lapped.
+func (db *Database) History(oid OID) ([]FlightEvent, error) { return db.eng.History(oid) }
 
 // QueryHistory evaluates a mask-free event expression over an object's
-// recorded history and returns the sequence numbers of the points at
-// which the event occurred — offline "history expressions" (the
-// paper's §9 future-work direction). Requires Options.RecordHistories
-// with a limit the history has not outgrown.
+// history (History) and returns the points at which the event occurred
+// — offline "history expressions" (the paper's §9 future-work
+// direction).
 func (db *Database) QueryHistory(oid OID, eventSrc string) ([]uint64, error) {
 	return db.eng.QueryHistory(oid, eventSrc)
 }

@@ -130,11 +130,13 @@ func ExampleCompileEvent() {
 	// Output: states=3 per-object=8B
 }
 
-// ExampleDatabase_QueryHistory evaluates an event expression over a
-// recorded history (offline "history expressions", the paper's §9).
+// ExampleDatabase_QueryHistory evaluates an event expression over an
+// object's history, read from the trace (offline "history expressions",
+// the paper's §9).
 func ExampleDatabase_QueryHistory() {
-	db, _ := ode.Open(ode.Options{RecordHistories: -1})
+	db, _ := ode.Open(ode.Options{})
 	defer db.Close()
+	db.EnableTracing(0) // before the object exists
 
 	_ = db.NewClass("acct").
 		Field("n", ode.KindInt, ode.Int(0)).
