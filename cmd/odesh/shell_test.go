@@ -48,6 +48,7 @@ func TestShellEndToEnd(t *testing.T) {
 		"active=true",
 		"400",
 		"timer at time(HR=17)",
+		" happening tx=9 @1 after set_balance", // history @1: a point, then its trace record
 		"8 B/object",
 	} {
 		if !strings.Contains(out, want) {

@@ -214,6 +214,7 @@ func TestConcurrentTracingAndMetrics(t *testing.T) {
 				return
 			default:
 				e.TraceEvents(32)
+				e.History(oid)
 				e.Metrics().Snapshot()
 				e.Stats()
 			}

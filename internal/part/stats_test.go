@@ -181,11 +181,15 @@ func TestPartitionedDebugConsistency(t *testing.T) {
 	// chronological order.
 	var flightDoc struct {
 		Partitions int               `json:"partitions"`
+		Total      uint64            `json:"total"`
 		Events     []obs.FlightEvent `json:"events"`
 	}
 	getJSON(t, srv, "/debug/flight", &flightDoc)
 	if len(flightDoc.Events) == 0 {
 		t.Fatal("merged flight dump is empty")
+	}
+	if flightDoc.Partitions != db.N() || flightDoc.Total != agg.FlightEvents {
+		t.Fatalf("flight doc: %d partitions, total %d; want %d, %d", flightDoc.Partitions, flightDoc.Total, db.N(), agg.FlightEvents)
 	}
 	lastNs := int64(0)
 	for _, ev := range flightDoc.Events {
